@@ -21,8 +21,8 @@ from .errors import (ArgumentError, NumericalError, SingularSectorError,
                      ValidationError)
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
                     max_relative_drift)
-from .frames import (hamiltonians_from_angle, monodromy_angle_scan,
-                     spherical_sector_area, gauss_bonnet_residual)
+from .frames import (fit_angle_expansion, gauss_bonnet_residual,
+                     monodromy_angle_scan, spherical_sector_area)
 from .functionals import energy, energy_report
 from .hierarchy import fit_multipliers
 from .loops import (LoopElement, lax_evolve, load_loop, save_loop,
@@ -36,18 +36,13 @@ _CURVE_KEYS = {
 }
 
 
-def thread_count():
-    """Parallelism cap from CURVEFLOW_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CURVEFLOW_THREADS", "1")))
-    except ValueError:
-        raise ArgumentError("CURVEFLOW_THREADS must be an integer")
-
-
 def parse_curve(spec, seed=0):
     """Builtin spec like 'circle:r=1,n=256' or a path to a curve JSON file."""
     if ":" not in spec or os.path.exists(spec):
-        return load_curve(spec)
+        try:
+            return load_curve(spec)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise ArgumentError("cannot read curve file %r: %s" % (spec, e))
     name, _, rest = spec.partition(":")
     if name not in _CURVE_KEYS:
         raise ArgumentError("unknown builtin curve %r (choices: %s)"
@@ -104,7 +99,10 @@ def parse_axis(text):
         raise ArgumentError("axis must be comma-separated numbers")
     if axis.shape != (3,):
         raise ArgumentError("axis must have three components")
-    return axis / np.linalg.norm(axis)
+    norm = np.linalg.norm(axis)
+    if not 0.0 < norm < np.inf:
+        raise ArgumentError("axis must be a nonzero finite vector")
+    return axis / norm
 
 
 def write_manifest(outdir, args, summary):
@@ -115,18 +113,24 @@ def write_manifest(outdir, args, summary):
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
 
 
-def cmd_flow(args):
+def _run_flow(args, **options):
+    """Evolve --curve under --flow: (trajectory, {k: max drift of E_k})."""
     curve = parse_curve(args.curve, seed=args.seed)
     axis = parse_axis(args.axis) if args.axis else None
-    spec = FlowSpec(parse_weights(args.flow), args.dt, args.steps,
-                    integrator=args.integrator,
-                    resample_every=args.resample_every)
+    spec = FlowSpec(parse_weights(args.flow), args.dt, args.steps, **options)
     traj = evolve(curve, spec, axis=axis)
-    export_trajectory(traj, args.out, axis=axis)
-    drifts = {"E_%d" % k: max_relative_drift(traj, k)
+    drifts = {k: max_relative_drift(traj, k)
               for k in traj.energy_log[0].values}
-    write_manifest(args.out, args, {"drifts": drifts,
-                                    "snapshots": len(traj.snapshots)})
+    return traj, drifts
+
+
+def cmd_flow(args):
+    traj, drifts = _run_flow(args, integrator=args.integrator,
+                             resample_every=args.resample_every)
+    export_trajectory(traj, args.out)
+    write_manifest(args.out, args,
+                   {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
+                    "snapshots": len(traj.snapshots)})
     return 0
 
 
@@ -144,12 +148,7 @@ def cmd_energies(args):
 
 
 def cmd_conserve(args):
-    curve = parse_curve(args.curve, seed=args.seed)
-    axis = parse_axis(args.axis) if args.axis else None
-    spec = FlowSpec(parse_weights(args.flow), args.dt, args.steps)
-    traj = evolve(curve, spec, axis=axis)
-    drifts = {k: max_relative_drift(traj, k)
-              for k in traj.energy_log[0].values}
+    _, drifts = _run_flow(args)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "drifts.csv"), "w") as f:
         f.write("k,max_relative_drift\n")
@@ -166,10 +165,11 @@ def cmd_commute(args):
     curve = parse_curve(args.curve, seed=args.seed)
     pairs = []
     for item in args.pairs.split(";"):
-        i, sep, j = item.partition(",")
-        if not sep:
+        i, _, j = item.partition(",")
+        try:
+            pairs.append((int(i), int(j)))
+        except ValueError:
             raise ArgumentError("pairs must look like '1,2;1,3'")
-        pairs.append((int(i), int(j)))
     rows = []
     for i, j in pairs:
         d1 = commutator_defect(curve, i, j, args.dt)
@@ -210,16 +210,21 @@ def cmd_lax(args):
 
 
 def cmd_angle_scan(args):
+    if not (0.0 < args.lmin <= args.lmax < np.inf and args.count >= 1
+            and args.fit >= 0):
+        raise ArgumentError("need 0 < lmin <= lmax, count >= 1 and fit >= 0")
     curve = parse_curve(args.curve, seed=args.seed)
     grid = np.geomspace(args.lmin, args.lmax, args.count)
     scan = monodromy_angle_scan(curve, grid)
+    e1 = energy(1, curve)
+    e2 = energy(2, curve)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "angles.csv"), "w") as f:
         f.write("lambda,theta,axis_x,axis_y,axis_z,area,gauss_bonnet_residual\n")
         for m in scan:
             try:
-                area = spherical_sector_area(curve, m.lam)
-                res = gauss_bonnet_residual(curve, m.lam)
+                area = spherical_sector_area(m)
+                res = gauss_bonnet_residual(m, e1, e2)
                 tail = "%.17g,%.17g" % (area, res)
             except SingularSectorError:
                 tail = ","
@@ -228,7 +233,7 @@ def cmd_angle_scan(args):
                     % (m.lam, m.theta, ax[0], ax[1], ax[2], tail))
     summary = {}
     if args.fit:
-        es = hamiltonians_from_angle(curve, lambda_grid=grid, kmax=args.fit)
+        es = fit_angle_expansion(scan, args.fit)
         summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
     write_manifest(args.out, args, summary)
     return 0
@@ -237,16 +242,20 @@ def cmd_angle_scan(args):
 def _parse_grid(text):
     try:
         lo, hi, count = text.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        grid = np.linspace(float(lo), float(hi), int(count))
     except ValueError:
-        raise ArgumentError("grid must look like 'lo:hi:count'")
+        grid = None
+    if grid is None or not np.isfinite(grid).all():
+        raise ArgumentError("grid must look like 'lo:hi:count' with finite "
+                            "bounds")
+    return grid
 
 
 def cmd_spectral_scan(args):
     curve = parse_curve(args.curve, seed=args.seed)
     res = _parse_grid(args.re)
     ims = _parse_grid(args.im)
-    rows = spectral_image_scan(curve, res, ims, threads=thread_count())
+    rows = spectral_image_scan(curve, res, ims)
     os.makedirs(args.out, exist_ok=True)
     scan_to_csv(rows, os.path.join(args.out, "spectral_scan.csv"))
     flagged = sum(int(r["parabolic"]) for r in rows)
@@ -257,7 +266,13 @@ def cmd_spectral_scan(args):
 
 def cmd_darboux(args):
     curve = parse_curve(args.curve, seed=args.seed)
-    lam = complex(args.lam.replace("i", "j"))
+    try:
+        lam = complex(args.lam.replace("i", "j"))
+    except ValueError:
+        lam = None
+    if lam is None or not np.isfinite(lam):
+        raise ArgumentError("lambda must be a finite complex number like "
+                            "'0.5+2i'")
     os.makedirs(args.out, exist_ok=True)
     meta = {"lambda": [lam.real, lam.imag]}
     e0 = {k: energy(k, curve) for k in (1, 2, 3)}

@@ -18,6 +18,9 @@ from .errors import (ArgumentError, DegenerateInputError,
                      DegenerateResolutionError, ResamplingError)
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+# resampling: relative segment-length uniformity and iteration cap
+_RESAMPLE_TOL = 1e-10
+_RESAMPLE_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,12 @@ class Monodromy:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-        if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-12:
-            object.__setattr__(self, "rotation",
-                               self.rotation / np.linalg.norm(self.rotation))
+        norm = np.linalg.norm(self.rotation)
+        if not 0.0 < norm < np.inf:
+            raise DegenerateInputError(
+                "monodromy rotation must be a nonzero finite quaternion")
+        if abs(norm - 1.0) > 1e-12:
+            object.__setattr__(self, "rotation", self.rotation / norm)
 
     @classmethod
     def identity(cls):
@@ -60,8 +66,8 @@ class Monodromy:
     def axis_angle(self):
         return qmath.axis_angle_from_quat(self.rotation)
 
-    def is_rotation_trivial(self, tol=1e-10):
-        return np.linalg.norm(self.rotation[1:]) < tol
+    def is_rotation_trivial(self):
+        return np.linalg.norm(self.rotation[1:]) < 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class Curve:
                            np.ascontiguousarray(self.samples, dtype=float))
         if self.n < 8:
             raise DegenerateResolutionError("need at least 8 samples, got %d" % self.n)
-        if self.seg_len <= 0:
+        if not self.seg_len > 0:
             raise DegenerateInputError("seg_len must be positive")
 
     @property
@@ -129,6 +135,17 @@ def extend(values, curve, pad, affine=False):
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
+def central_d1(ext, h):
+    """4th-order centered first derivative at spacing h of samples padded
+    by two extended values on each side."""
+    n = len(ext) - 4
+    out = np.zeros((n,) + ext.shape[1:], dtype=ext.dtype)
+    for k, c in enumerate(_D1):
+        if c != 0.0:
+            out += c * ext[k:k + n]
+    return out / h
+
+
 def ddx(values, curve, affine=False):
     """Arclength derivative of a sampled field along the curve.
 
@@ -138,13 +155,7 @@ def ddx(values, curve, affine=False):
     values = np.asarray(values)
     if values.dtype == object:
         values = values.astype(float)
-    ext = extend(values, curve, 2, affine=affine)
-    n = curve.n
-    out = np.zeros((n, 3), dtype=values.dtype)
-    for k, c in enumerate(_D1):
-        if c != 0.0:
-            out += c * ext[k:k + n]
-    return out / curve.seg_len
+    return central_d1(extend(values, curve, 2, affine=affine), curve.seg_len)
 
 
 def deriv(curve, order, dtype=None):
@@ -169,11 +180,9 @@ def deriv(curve, order, dtype=None):
     return d
 
 
-def tangent(curve, normalized=True):
+def tangent(curve):
     t = ddx(curve.samples, curve, affine=True)
-    if normalized:
-        t = t / np.linalg.norm(t, axis=1, keepdims=True)
-    return t
+    return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
 def _spline_through(points, monodromy, pad):
@@ -194,10 +203,8 @@ def _spline_through(points, monodromy, pad):
     return CubicSpline(t, ext, axis=0), t, pad
 
 
-def _segment_arclengths(spline, knots, i0, count):
-    """Arclength of each knot interval [i0, i0+count) by 8-pt Gauss."""
-    a = knots[i0:i0 + count]
-    b = knots[i0 + 1:i0 + count + 1]
+def _arclength(spline, a, b):
+    """Arclength of the spline from a to b (arrays), 8-pt Gauss each."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     ts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
@@ -205,35 +212,27 @@ def _segment_arclengths(spline, knots, i0, count):
     return half * (speed @ _GAUSS_W)
 
 
-def _arclength_partial(spline, a, t):
-    """Arclength integral from a to t (arrays), 8-pt Gauss per call."""
-    half = 0.5 * (t - a)
-    mid = 0.5 * (t + a)
-    ts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    speed = np.linalg.norm(spline(ts.ravel(), 1), axis=1).reshape(ts.shape)
-    return half * (speed @ _GAUSS_W)
-
-
-def resample_arclength(points, monodromy, n, tol=1e-10, max_iter=50):
+def resample_arclength(points, monodromy, n):
     """Arclength-uniform Curve through a polyline, wrap closed by monodromy.
 
     Fixed-point iteration: spline the current samples, place n points at
     equal arclength, repeat until the segment arclengths measured on the new
-    spline are uniform to tol * seg_len.
+    spline are uniform to _RESAMPLE_TOL * seg_len.
     """
     pts = np.asarray(points, dtype=float)
     if n < 8:
         raise DegenerateResolutionError("need at least 8 samples")
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_RESAMPLE_ITER):
         pad = min(4, len(pts))
         spline, knots, i0 = _spline_through(pts, monodromy, pad)
-        segs = _segment_arclengths(spline, knots, i0, len(pts))
+        ends = knots[i0:i0 + len(pts) + 1]
+        segs = _arclength(spline, ends[:-1], ends[1:])
         total = segs.sum()
         dx = total / n if len(pts) == n else None
         if len(pts) == n:
             residual = np.abs(segs - dx).max() / dx
-            if residual <= tol:
+            if residual <= _RESAMPLE_TOL:
                 return Curve(pts, dx, monodromy)
         # invert cumulative arclength at equal targets
         cum = np.concatenate([[0.0], np.cumsum(segs)])
@@ -243,7 +242,7 @@ def resample_arclength(points, monodromy, n, tol=1e-10, max_iter=50):
         b = knots[i0 + idx + 1]
         t = a + (b - a) * np.clip((targets - cum[idx]) / segs[idx], 0.0, 1.0)
         for _ in range(30):
-            f = cum[idx] + _arclength_partial(spline, a, t) - targets
+            f = cum[idx] + _arclength(spline, a, t) - targets
             df = np.linalg.norm(spline(t, 1), axis=1)
             step = f / df
             t = np.clip(t - step, a, knots[i0 + idx + 1])
@@ -258,7 +257,8 @@ def arclength_deviation(curve):
     """Max relative deviation of spline segment arclengths from seg_len."""
     pad = min(4, curve.n)
     spline, knots, i0 = _spline_through(curve.samples, curve.monodromy, pad)
-    segs = _segment_arclengths(spline, knots, i0, curve.n)
+    ends = knots[i0:i0 + curve.n + 1]
+    segs = _arclength(spline, ends[:-1], ends[1:])
     return np.abs(segs - curve.seg_len).max() / curve.seg_len
 
 
@@ -329,17 +329,18 @@ def make_perturbed_circle(radius, n, amplitude, modes=(2, 3), seed=0):
     return resample_arclength(pts, Monodromy.identity(), n)
 
 
-def random_equivariant_field(curve, seed=0, max_mode=4):
+def random_equivariant_field(curve, seed=0):
     """Smooth random vector field compatible with the curve's monodromy.
 
-    Built as delta(x) = R(x) g(x) with g a low-mode Fourier field and R the
-    fractional power of the monodromy rotation, so delta(x+L) = A delta(x).
+    Built as delta(x) = R(x) g(x) with g a Fourier field of modes 0..4 and
+    R the fractional power of the monodromy rotation, so delta(x+L) =
+    A delta(x).
     """
     rng = np.random.default_rng(seed)
     n = curve.n
     phi = 2.0 * np.pi * np.arange(n) / n
     g = np.zeros((n, 3))
-    for m in range(max_mode + 1):
+    for m in range(5):
         c = rng.standard_normal((2, 3))
         g += np.cos(m * phi)[:, None] * c[0] + np.sin(m * phi)[:, None] * c[1]
     axis, angle = curve.monodromy.axis_angle()
@@ -432,9 +433,18 @@ def curve_to_dict(curve):
 
 
 def curve_from_dict(data):
-    mono = Monodromy(np.array(data["monodromy"]["rotation"]),
-                     np.array(data["monodromy"]["translation"]))
-    return Curve(np.array(data["samples"]), float(data["seg_len"]), mono,
+    """Inverse of curve_to_dict; rejects misshapen or non-finite data."""
+    rotation = np.array(data["monodromy"]["rotation"], dtype=float)
+    translation = np.array(data["monodromy"]["translation"], dtype=float)
+    samples = np.array(data["samples"], dtype=float)
+    seg_len = float(data["seg_len"])
+    if (rotation.shape != (4,) or translation.shape != (3,)
+            or samples.ndim != 2 or samples.shape[1] != 3):
+        raise DegenerateInputError("curve data has the wrong shape")
+    if not (np.isfinite(samples).all() and np.isfinite(translation).all()
+            and np.isfinite(seg_len)):
+        raise DegenerateInputError("curve data is not finite")
+    return Curve(samples, seg_len, Monodromy(rotation, translation),
                  int(data.get("basepoint_index", 0)))
 
 

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .curves import Curve, arclength_deviation, resample_arclength, tangent, extend
+from .curves import Curve, arclength_deviation, central_d1, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import integrate_frame, family_monodromy
+from .frames import family_monodromy, integrate_frame, tangent_interpolator
 
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+# eigenline gap and discriminant below which the monodromy is parabolic
+_GAP_TOL = 1e-8
+# largest |lambda| * substep length of the fixed-point transport
+_TRANSPORT_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,7 @@ def hyperbolic_speeds(family):
     n = curve.n
     tilde = family_monodromy(family.frame).quaternion
     ext = _extend_hyperbolic(family.points[:n], tilde, 2)
-    dp = np.zeros((n, 4), dtype=complex)
-    for k, c in enumerate(_D1):
-        if c != 0.0:
-            dp += c * ext[k:k + n]
-    dp /= curve.seg_len
+    dp = central_d1(ext, curve.seg_len)
     f = family.frame.F[:n]
     w = qmath.qmul(qmath.qinv(f), qmath.qmul(dp, qmath.qinv(qmath.hconj(f))))
     return 2.0 * np.linalg.norm(w[:, 1:].imag, axis=1)
@@ -119,7 +118,7 @@ class IdealFixedPoints:
     parabolic: bool
 
 
-def fixed_points(curve, lam, gap_tol=1e-8):
+def fixed_points(curve, lam):
     """Ideal fixed points of the family monodromy on the 2-sphere.
 
     Ordered by eigenvalue modulus (|mu+| >= |mu-|), ties broken by the
@@ -137,7 +136,7 @@ def fixed_points(curve, lam, gap_tol=1e-8):
     # a collapsing eigenline gap catches shear-type degenerations; the
     # discriminant catches +-identity monodromies, where the numerical
     # eigenvectors are arbitrary but the eigenvalues still collide
-    if gap < gap_tol or disc < gap_tol:
+    if gap < _GAP_TOL or disc < _GAP_TOL:
         return IdealFixedPoints(complex(lam), s0, s0, mu, disc, True)
     if abs(abs(mu[0]) - abs(mu[1])) < 1e-12:
         order = 0 if tuple(s0) >= tuple(s1) else 1
@@ -184,7 +183,7 @@ def fixed_point_field(curve, lam, sign="+"):
     return _ideal_point(psi).astype(float)
 
 
-def transport_fixed_point(curve, lam, s0, substeps=None):
+def transport_fixed_point(curve, lam, s0):
     """RK4 transport of S' = -Re(lam) T x S - Im(lam) S x (T x S).
 
     The second term is the first vector field rotated by a quarter turn in
@@ -201,21 +200,8 @@ def transport_fixed_point(curve, lam, s0, substeps=None):
     """
     lam = complex(lam)
     n = curve.n
-    if substeps is None:
-        substeps = max(1, int(np.ceil(abs(lam) * curve.seg_len / 0.01)))
-    t = tangent(curve)
-    text = extend(t, curve, 3)   # sample i lives at index i + 3
-    from .frames import _lagrange_weights
-    base = np.arange(n)
-
-    def t_at(offset):
-        """Tangent interpolated at fractional offset in [0, 1] per interval."""
-        w = _lagrange_weights(offset)
-        acc = np.zeros((n, 3))
-        for l in range(6):
-            acc += w[l] * text[base + 1 + l]
-        return acc
-
+    substeps = max(1, int(np.ceil(abs(lam) * curve.seg_len / _TRANSPORT_STEP)))
+    t_at = tangent_interpolator(curve)
     # tangents at all substep nodes and midpoints, shape (2*substeps+1, n, 3)
     nodes = [t_at(j / (2.0 * substeps)) for j in range(2 * substeps + 1)]
 
@@ -272,32 +258,16 @@ def darboux_transform(curve, lam, sign="+"):
     return DarbouxResult(new, eta, s, dist, pre)
 
 
-def spectral_image_scan(curve, re_values, im_values, threads=1):
+def spectral_image_scan(curve, re_values, im_values):
     """Sheet samples (lambda, S+, S-) over a complex grid with continuity
-    matching along each row; returns a list of row dicts.
-
-    The per-lambda eigenline computations are independent and run on a
-    thread pool; the sheet matcher is a cheap serial pass afterwards.
-    """
-    points = {}
-    lams = [complex(re, im) for im in im_values for re in re_values]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for lam, fp in zip(lams, pool.map(
-                    lambda l: fixed_points(curve, l), lams)):
-                points[lam] = fp
-    else:
-        for lam in lams:
-            points[lam] = fixed_points(curve, lam)
+    matching along each row; returns a list of row dicts."""
     rows = []
     prev_row = {}
     for im in im_values:
         prev = None
         this_row = {}
         for re in re_values:
-            lam = complex(re, im)
-            fp = points[lam]
+            fp = fixed_points(curve, complex(re, im))
             sp, sm = fp.S_plus, fp.S_minus
             ref = prev if prev is not None else prev_row.get(re)
             if ref is not None and not fp.parabolic:

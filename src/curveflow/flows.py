@@ -3,12 +3,14 @@
 Explicit RK4 (default) or midpoint stepping on the sample positions.  The
 flows are stiff: Y_k contains k+1 arclength derivatives, so the admissible
 time step scales like seg_len^(k+1).  A configurable guard refuses clearly
-unstable (dt, seg_len) combinations before any work is done.
+unstable (dt, seg_len) combinations before any work is done, and a run
+whose samples leave a bound relative to the starting extent of the curve
+is stopped as blown up.
 """
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,6 +24,8 @@ from .hierarchy import symplectic_Y_list
 _STENCIL_GAIN = 1.3722
 # RK4 imaginary-axis stability bound
 _RK4_IMAG = 2.8284
+# blow-up: samples beyond this multiple of the starting extent
+_BLOW_UP = 1e6
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,9 @@ class FlowSpec:
     integrator: str = "rk4"
     resample_every: int = 0
     guard: bool = True
-    guard_safety: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps < 1:
+        if not 0 < self.dt < np.inf or self.steps < 1:
             raise ArgumentError("need dt > 0 and steps >= 1")
         if self.integrator not in ("rk4", "midpoint", "euler"):
             raise ArgumentError("integrator must be 'rk4', 'midpoint' or 'euler'")
@@ -51,7 +54,6 @@ class Trajectory:
     snapshots: list
     energy_log: list
     time_grid: np.ndarray
-    defects: dict = field(default_factory=dict)
 
 
 def _check_stability(curve, spec):
@@ -59,7 +61,7 @@ def _check_stability(curve, spec):
     omega = 0.0
     for k, c in spec.coefficients.items():
         omega += abs(c) * (_STENCIL_GAIN / curve.seg_len) ** (k + 1)
-    limit = spec.guard_safety * _RK4_IMAG / omega
+    limit = _RK4_IMAG / omega
     if spec.dt > limit:
         raise StabilityError(
             "dt=%.3g exceeds stability limit %.3g for this flow at n=%d"
@@ -95,44 +97,48 @@ def _advance(samples, curve, spec):
     return samples + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step(curve, spec):
-    """One explicit step; optional arclength resampling afterward."""
-    if spec.guard:
-        _check_stability(curve, spec)
-    out = _advance(curve.samples, curve, spec)
-    if not np.all(np.isfinite(out)) or np.abs(out).max() > 1e6:
-        raise BlowUpError("flow blew up", step=0)
-    if spec.resample_every == 1:
-        return resample_arclength(out, curve.monodromy, curve.n)
-    return curve.with_samples(out)
+def _guarded_steps(curve, spec):
+    """Yield (0, curve), then (i, curve) after each of the spec's steps.
 
-
-def evolve(curve, spec, axis=None, log_every=None):
-    """Run the flow, logging energies at a bounded cadence.
-
-    The E_2 branch is carried continuously along the trajectory by snapping
-    each report to the previous one.
+    The stability guard runs before anything is yielded; the blow-up check
+    and the optional arclength resampling run after every step.
     """
     if spec.guard:
         _check_stability(curve, spec)
-    if log_every is None:
-        log_every = max(1, spec.steps // 200)
+    bound = _BLOW_UP * np.abs(curve.samples).max()
+    yield 0, curve
     samples = curve.samples
-    snapshots = [curve]
-    near = None
-    rep = energy_report(curve, axis=axis, near_torsion=near)
-    near = rep.values[2]
-    logs = [rep]
-    times = [0.0]
     current = curve
     for i in range(1, spec.steps + 1):
         samples = _advance(samples, current, spec)
-        if not np.all(np.isfinite(samples)) or np.abs(samples).max() > 1e6:
+        if not np.all(np.isfinite(samples)) or np.abs(samples).max() > bound:
             raise BlowUpError("flow blew up at step %d" % i, step=i)
         current = curve.with_samples(samples)
         if spec.resample_every and i % spec.resample_every == 0:
             current = resample_arclength(samples, curve.monodromy, curve.n)
             samples = current.samples
+        yield i, current
+
+
+def step(curve, spec):
+    """One explicit step; optional arclength resampling afterward."""
+    steps = _guarded_steps(curve, spec)
+    next(steps)
+    return next(steps)[1]
+
+
+def evolve(curve, spec, axis=None):
+    """Run the flow, logging energies at a bounded cadence.
+
+    The E_2 branch is carried continuously along the trajectory by snapping
+    each report to the previous one.
+    """
+    log_every = max(1, spec.steps // 200)
+    snapshots = []
+    logs = []
+    times = []
+    near = None
+    for i, current in _guarded_steps(curve, spec):
         if i % log_every == 0 or i == spec.steps:
             rep = energy_report(current, axis=axis, near_torsion=near)
             near = rep.values[2]
@@ -149,7 +155,7 @@ def max_relative_drift(trajectory, k):
     return np.abs(vals - vals[0]).max() / scale
 
 
-def commutator_defect(curve, i, j, dt, integrator="euler"):
+def commutator_defect(curve, i, j, dt):
     """L2 defect of composing one step of flow i and flow j in both orders.
 
     For fields that commute in the continuum the dt^2 commutator term drops
@@ -159,8 +165,8 @@ def commutator_defect(curve, i, j, dt, integrator="euler"):
     to the rounding floor where no scaling is observable.
     """
     # single steps do not accumulate instability; skip the long-run guard
-    spec_i = FlowSpec({i: 1.0}, dt, 1, integrator=integrator, guard=False)
-    spec_j = FlowSpec({j: 1.0}, dt, 1, integrator=integrator, guard=False)
+    spec_i = FlowSpec({i: 1.0}, dt, 1, integrator="euler", guard=False)
+    spec_j = FlowSpec({j: 1.0}, dt, 1, integrator="euler", guard=False)
     ab = step(step(curve, spec_i), spec_j)
     ba = step(step(curve, spec_j), spec_i)
     diff = ab.samples - ba.samples
@@ -185,7 +191,7 @@ def rigid_register(moving, fixed):
     return (moving - mc) @ r.T + fc
 
 
-def export_trajectory(trajectory, outdir, axis=None):
+def export_trajectory(trajectory, outdir):
     """Directory of numbered curve JSON files plus one energy CSV."""
     os.makedirs(outdir, exist_ok=True)
     for i, snap in enumerate(trajectory.snapshots):

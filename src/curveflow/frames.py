@@ -28,6 +28,10 @@ from .functionals import energy, total_torsion
 
 _GAUSS_OFF = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _STENCIL = np.arange(-2, 4, dtype=float)
+# largest |lambda| * substep length of the Magnus integrator
+_MAGNUS_STEP = 0.005
+# guard coefficients of the angle-expansion fit
+_GUARD_TERMS = 3
 
 
 def _lagrange_weights(s):
@@ -38,6 +42,22 @@ def _lagrange_weights(s):
             if l != j:
                 w[j] *= (s - _STENCIL[l]) / (_STENCIL[j] - _STENCIL[l])
     return w
+
+
+def tangent_interpolator(curve):
+    """t_at(s): the unit tangent interpolated at fractional offset s in
+    [0, 1] of every sample interval, by 6-point Lagrange stencils across the
+    monodromy-extended samples."""
+    n = curve.n
+    text = extend(tangent(curve), curve, 3)   # sample i lives at index i + 3
+
+    def t_at(s):
+        w = _lagrange_weights(s)
+        acc = np.zeros((n, 3))
+        for l in range(6):
+            acc += w[l] * text[l + 1:l + 1 + n]
+        return acc
+    return t_at
 
 
 @dataclass(frozen=True)
@@ -59,14 +79,12 @@ def _pair_mul(ea, da, eb, db):
     return qmath.qmul(ea, eb), qmath.qmul(da, eb) + qmath.qmul(ea, db)
 
 
-def integrate_frame(curve, lam, substeps=None):
+def integrate_frame(curve, lam):
     """Frame and its lambda-derivative over one fundamental domain."""
     n = curve.n
     h = curve.seg_len
-    if substeps is None:
-        substeps = max(1, int(np.ceil(abs(lam) * h / 0.005)))
-    t = tangent(curve)
-    text = extend(t, curve, 3)   # sample i lives at index i + 3
+    substeps = max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP)))
+    t_at = tangent_interpolator(curve)
 
     lam = complex(lam)
     real = lam.imag == 0.0
@@ -79,17 +97,8 @@ def integrate_frame(curve, lam, substeps=None):
     e_int[:, 0] = 1.0
     d_int = np.zeros((n, 4), dtype=dtype)
     hs = h / substeps
-    base = np.arange(n)
     for j in range(substeps):
-        offs = (j + _GAUSS_OFF) / substeps
-        ts = []
-        for s in offs:
-            w = _lagrange_weights(s)
-            acc = np.zeros((n, 3))
-            for l in range(6):
-                acc += w[l] * text[base + 1 + l]
-            ts.append(acc)
-        t1, t2 = ts
+        t1, t2 = (t_at(s) for s in (j + _GAUSS_OFF) / substeps)
         p = (hs / 4.0) * (t1 + t2)
         q = (np.sqrt(3.0) / 24.0) * hs * hs * np.cross(t1, t2)
         omega = lam * p + lam * lam * q
@@ -171,9 +180,10 @@ class MonodromyAngle:
     lam: float
     theta: float
     axis: np.ndarray   # None when the monodromy is +-identity
+    frame: FrameTrajectory
 
 
-def monodromy_angle_scan(curve, lambdas, e1=None, e2=None, e3=None):
+def monodromy_angle_scan(curve, lambdas):
     """Continuous branch of theta over a real lambda grid.
 
     Anchored at the largest lambda by theta ~ lambda E_1 + E_2 + E_3/lambda
@@ -183,12 +193,9 @@ def monodromy_angle_scan(curve, lambdas, e1=None, e2=None, e3=None):
     degenerates into a coin flip.
     """
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
-    if e1 is None:
-        e1 = energy(1, curve)
-    if e2 is None:
-        e2 = energy(2, curve)
-    if e3 is None:
-        e3 = energy(3, curve)
+    e1 = energy(1, curve)
+    e2 = energy(2, curve)
+    e3 = energy(3, curve)
     out = []
     prev = None
     for lam in lambdas[::-1]:
@@ -199,44 +206,32 @@ def monodromy_angle_scan(curve, lambdas, e1=None, e2=None, e3=None):
         else:
             pred = prev[1] + e1 * (lam - prev[0])
         theta, axis = angle_from_quat(np.real(fam.quaternion), pred)
-        out.append(MonodromyAngle(lam, theta, axis))
+        out.append(MonodromyAngle(lam, theta, axis, frame))
         prev = (lam, theta)
     return out[::-1]
 
 
-def monodromy_angle(curve, lam, e1=None, e2=None, e3=None):
-    """theta and axis at a single lambda, anchored by the asymptotic series."""
-    if e1 is None:
-        e1 = energy(1, curve)
-    if e2 is None:
-        e2 = energy(2, curve)
-    if e3 is None:
-        e3 = energy(3, curve)
-    frame = integrate_frame(curve, lam)
-    fam = family_monodromy(frame)
-    pred = lam * e1 + e2 + e3 / lam
-    theta, axis = angle_from_quat(np.real(fam.quaternion), pred)
-    return theta, axis, frame
+def monodromy_angle(curve, lam):
+    """MonodromyAngle at a single lambda, anchored by the asymptotic series:
+    the one-point scan."""
+    return monodromy_angle_scan(curve, [lam])[0]
 
 
-def hamiltonians_from_angle(curve, lambda_grid=None, kmax=5, guard_terms=3):
-    """E_0 .. E_kmax from the expansion theta = sum_k E_k lambda^{2-k}.
+def fit_angle_expansion(scan, kmax):
+    """E_0 .. E_kmax fitted to a scan by theta = sum_k E_k lambda^{2-k}.
 
     Guard coefficients beyond kmax absorb the truncation tail of the
-    asymptotic series.  The default of three balances truncation leakage
-    (too few guards) against amplification of the angle-integration noise
-    (too many, in an increasingly ill-conditioned fit); columns are
-    norm-scaled before the least-squares solve and the scaled condition
-    number is checked.
+    asymptotic series.  Three of them balance truncation leakage (too few
+    guards) against amplification of the angle-integration noise (too
+    many, in an increasingly ill-conditioned fit); columns are norm-scaled
+    before the least-squares solve and the scaled condition number is
+    checked.
     """
     if kmax > 6:
         raise ArgumentError("kmax must be <= 6")
-    if lambda_grid is None:
-        lambda_grid = np.geomspace(8.0, 64.0, 32)
-    scan = monodromy_angle_scan(curve, lambda_grid)
     lams = np.array([m.lam for m in scan])
     thetas = np.array([m.theta for m in scan])
-    powers = 2.0 - np.arange(kmax + guard_terms + 1)
+    powers = 2.0 - np.arange(kmax + _GUARD_TERMS + 1)
     design = lams[:, None] ** powers[None, :]
     scale = np.linalg.norm(design, axis=0)
     design = design / scale
@@ -245,6 +240,13 @@ def hamiltonians_from_angle(curve, lambda_grid=None, kmax=5, guard_terms=3):
     if cond > 1e12:
         raise IllConditionedFitError("angle fit ill conditioned", condition=cond)
     return (sol / scale)[:kmax + 1]
+
+
+def hamiltonians_from_angle(curve, kmax=5):
+    """E_0 .. E_kmax fitted to the monodromy angle at 32 geometrically
+    spaced lambda in [8, 64]."""
+    scan = monodromy_angle_scan(curve, np.geomspace(8.0, 64.0, 32))
+    return fit_angle_expansion(scan, kmax)
 
 
 def torsion_shift_check(curve, lam):
@@ -259,18 +261,14 @@ def torsion_shift_check(curve, lam):
     return total_torsion(new), e2 + lam * e1
 
 
-def transported_axis_field(frame, axis0):
-    """Axis of the basepoint-shifted monodromy F(x)^{-1} Atilde F(x)."""
-    return qmath.qrotate(qmath.qconj(frame.F), axis0)
-
-
-def spherical_sector_area(curve, lam, min_denominator=1e-3):
+def spherical_sector_area(angle, min_denominator=1e-3):
     """Area of the spherical sector traced between the tangent image and the
-    transported monodromy axis."""
-    theta, axis, frame = monodromy_angle(curve, lam)
-    if axis is None:
+    monodromy axis transported along the frame of a MonodromyAngle."""
+    if angle.axis is None:
         raise SingularSectorError("monodromy is +-identity; axis undefined")
-    y = transported_axis_field(frame, axis)[:-1]
+    curve = angle.frame.curve
+    # axis of the basepoint-shifted monodromy F(x)^{-1} Atilde F(x)
+    y = qmath.qrotate(qmath.qconj(angle.frame.F), angle.axis)[:-1]
     t = tangent(curve)
     tp = ddx(t, curve)
     denom = 1.0 + np.sum(y * t, axis=1)
@@ -280,11 +278,8 @@ def spherical_sector_area(curve, lam, min_denominator=1e-3):
     return curve.seg_len * integrand.sum()
 
 
-def gauss_bonnet_residual(curve, lam):
-    """theta - lambda E_1 - E_2 - Area, wrapped to (-pi, pi]."""
-    theta, axis, frame = monodromy_angle(curve, lam)
-    area = spherical_sector_area(curve, lam)
-    e1 = energy(1, curve)
-    e2 = energy(2, curve)
-    r = theta - lam * e1 - e2 - area
+def gauss_bonnet_residual(angle, e1, e2):
+    """theta - lambda E_1 - E_2 - Area of a MonodromyAngle, wrapped to
+    (-pi, pi]."""
+    r = angle.theta - angle.lam * e1 - e2 - spherical_sector_area(angle)
     return (r + np.pi) % (2.0 * np.pi) - np.pi

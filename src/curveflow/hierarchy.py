@@ -19,13 +19,14 @@ from .errors import ArgumentError, MonodromyCompatibilityError, RangeError
 MAX_K_DEFAULT = 8
 
 
-def check_axis(curve, axis, tol=1e-8):
+def check_axis(curve, axis):
     """Validate that axis is a unit eigenvector of the monodromy rotation."""
     v = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+    # written so that a NaN norm fails the test
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:
         raise ArgumentError("axis vector must be unit length")
     v = v / np.linalg.norm(v)
-    if np.linalg.norm(curve.monodromy.apply_vector(v) - v) > tol:
+    if np.linalg.norm(curve.monodromy.apply_vector(v) - v) > 1e-8:
         raise MonodromyCompatibilityError(
             "axis is not fixed by the monodromy rotation")
     return v
@@ -94,14 +95,14 @@ def gradient_from_Y(k, curve, dtype=None):
     return np.cross(ys[0], ys[k]).astype(float)
 
 
-def recursion_residual(k, curve, dtype=np.longdouble):
+def recursion_residual(k, curve):
     """L2 norm of Y_k' + T x Y_{k+1} over the fundamental domain.
 
-    Evaluated in extended precision by default: at k around 5 the identity
+    Evaluated in extended precision: at k around 5 the identity
     involves seven stacked derivatives, and in double precision the result
     would measure rounding noise instead of the discretization error.
     """
-    ys = symplectic_Y_list(curve, k + 1, dtype=dtype)
+    ys = symplectic_Y_list(curve, k + 1, dtype=np.longdouble)
     res = ddx(ys[k], curve) + np.cross(ys[0], ys[k + 1])
     return float(np.sqrt(curve.seg_len * np.sum(res * res)))
 
@@ -127,13 +128,13 @@ def _axis_columns(curve):
     return [np.broadcast_to(b, (curve.n, 3)) for b in basis]
 
 
-def fit_multipliers(curve, k, include_axis=True):
+def fit_multipliers(curve, k):
     """Least-squares fit of Y_k = sum_{i<k} c_i Y_i + v in L2(dx)."""
     if k < 1:
         raise RangeError("need k >= 1")
     ys = symplectic_Y_list(curve, k)
     cols = [y.ravel() for y in ys[:k]]
-    axis_cols = _axis_columns(curve) if include_axis else []
+    axis_cols = _axis_columns(curve)
     cols += [a.ravel() for a in axis_cols]
     design = np.stack(cols, axis=1)
     target = ys[k].ravel()

@@ -105,7 +105,7 @@ def test_criterion_6_angle_generating_function():
     expect = [0.0, 2.0 * np.pi, 0.0, np.pi, 0.0, -np.pi / 4.0]
     ok &= np.abs(np.array(fitted) - expect).max() <= 1e-3
     for lam in (0.7, 1.5, 3.0):
-        theta, _, _ = monodromy_angle(c, lam)
+        theta = monodromy_angle(c, lam).theta
         ok &= abs(theta - 2.0 * np.pi * np.sqrt(1.0 + lam * lam)) <= 1e-6
     h = make_helix(1.0, 1.0, 1.0, 256)
     fh = hamiltonians_from_angle(h, kmax=4)
@@ -130,7 +130,8 @@ def test_criterion_8_gauss_bonnet():
     ok = True
     for c in (make_circle(1.0, 256), make_helix(1.0, 1.0, 1.0, 256)):
         for lam in (2.0, 5.0, 10.0):
-            ok &= abs(gauss_bonnet_residual(c, lam)) <= 1e-4
+            ok &= abs(gauss_bonnet_residual(monodromy_angle(c, lam),
+                                            energy(1, c), energy(2, c))) <= 1e-4
     report(8, ok)
 
 

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from curveflow import frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
+from curveflow.curves import curve_to_dict, make_circle
 from curveflow.errors import ArgumentError
+from curveflow.functionals import energy
 
 
 def run(tmp_path, *argv):
@@ -93,8 +96,41 @@ def test_angle_scan_command(tmp_path):
     assert (out / "angles.csv").exists()
 
 
-def test_spectral_scan_command(tmp_path, monkeypatch):
-    monkeypatch.setenv("CURVEFLOW_THREADS", "2")
+def angle_scan_small(tmp_path, *extra):
+    return run(tmp_path, "angle-scan", "--curve", "circle:r=1,n=64",
+               "--lmin", "0.5", "--lmax", "2", "--count", "12", *extra)
+
+
+def test_angle_scan_rows_use_one_branch(tmp_path):
+    # theta and area of a row must come from the same branch of the scan,
+    # so that Gauss-Bonnet closes on every row
+    code, out = angle_scan_small(tmp_path)
+    assert code == 0
+    c = parse_curve("circle:r=1,n=64")
+    e1, e2 = energy(1, c), energy(2, c)
+    rows = (out / "angles.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    for row in rows:
+        lam, theta, _, _, _, area, _ = map(float, row.split(","))
+        r = theta - lam * e1 - e2 - area
+        assert abs((r + np.pi) % (2.0 * np.pi) - np.pi) < 1e-3
+
+
+def test_angle_scan_integrates_frame_once_per_lambda(tmp_path, monkeypatch):
+    lams = []
+    integrate = frames.integrate_frame
+
+    def counting(curve, lam):
+        lams.append(lam)
+        return integrate(curve, lam)
+
+    monkeypatch.setattr(frames, "integrate_frame", counting)
+    code, _ = angle_scan_small(tmp_path, "--fit", "5")
+    assert code == 0
+    assert len(lams) == len(set(lams)) == 12
+
+
+def test_spectral_scan_command(tmp_path):
     code, out = run(tmp_path, "spectral-scan", "--curve", "circle:r=1,n=256",
                     "--re", "0.5:2:4", "--im", "0.1:1:4")
     assert code == 0
@@ -152,3 +188,62 @@ def test_deterministic_rerun(tmp_path):
     _, out1 = run(tmp_path / "a", *args)
     _, out2 = run(tmp_path / "b", *args)
     assert (out1 / "drifts.csv").read_text() == (out2 / "drifts.csv").read_text()
+
+
+def test_flow_of_large_curve(tmp_path):
+    # the blow-up bound scales with the curve
+    code, _ = run(tmp_path, "flow", "--curve", "circle:r=1e7,n=64",
+                  "--flow", "1", "--dt", "1e-3", "--steps", "2")
+    assert code == 0
+
+
+def curve_file(tmp_path, text):
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    return str(path)
+
+
+def zero_rotation_curve(tmp_path):
+    data = curve_to_dict(make_circle(1.0, 16))
+    data["monodromy"]["rotation"] = [0.0, 0.0, 0.0, 0.0]
+    return curve_file(tmp_path, json.dumps(data))
+
+
+def nan_sample_curve(tmp_path):
+    data = curve_to_dict(make_circle(1.0, 16))
+    data["samples"][3][0] = float("nan")
+    return curve_file(tmp_path, json.dumps(data))
+
+
+BAD_INPUTS = {
+    "zero-axis": lambda p: ["energies", "--curve", "circle:r=1,n=64",
+                            "--axis", "0,0,0"],
+    "nan-axis": lambda p: ["energies", "--curve", "circle:r=1,n=64",
+                           "--axis", "nan,0,1"],
+    "pairs": lambda p: ["commute", "--curve", "circle:r=1,n=64",
+                        "--pairs", "a,b"],
+    "lambda": lambda p: ["darboux", "--curve", "circle:r=1,n=64",
+                         "--lam", "foo"],
+    "lmin": lambda p: ["angle-scan", "--curve", "circle:r=1,n=64",
+                       "--lmin", "0"],
+    "missing-file": lambda p: ["energies", "--curve",
+                               str(p / "missing.json")],
+    "truncated-file": lambda p: ["energies", "--curve", curve_file(
+        p, json.dumps(curve_to_dict(make_circle(1.0, 16)))[:100])],
+    "zero-rotation": lambda p: ["energies", "--curve",
+                                zero_rotation_curve(p)],
+    "nan-sample": lambda p: ["energies", "--curve", nan_sample_curve(p)],
+    "nan-lambda": lambda p: ["darboux", "--curve", "circle:r=1,n=64",
+                             "--lam", "nan+1i"],
+    "nan-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
+                           "--re", "nan:1:2"],
+    "nan-dt": lambda p: ["flow", "--curve", "circle:r=1,n=64", "--flow", "1",
+                         "--dt", "nan", "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    code, _ = run(tmp_path, *BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -27,7 +27,7 @@ def test_real_lambda_fixed_points_are_axis():
     # for real lambda the monodromy is a rotation and the ideal fixed
     # points are the two ends of its axis
     c = make_circle(1.0, 256)
-    _, axis, _ = monodromy_angle(c, 2.0)
+    axis = monodromy_angle(c, 2.0).axis
     fp = fixed_points(c, 2.0 + 0.0j)
     agree = min(np.linalg.norm(fp.S_plus - axis),
                 np.linalg.norm(fp.S_plus + axis))
@@ -141,11 +141,6 @@ def test_spectral_image_scan(tmp_path):
     assert len(rows) == 64
     assert not any(r["parabolic"] for r in rows)
     assert min(r["discriminant"] for r in rows) > 0.1
-    # threaded evaluation is bit-identical to the serial pass
-    rows_mt = spectral_image_scan(c, re, im, threads=4)
-    for a, b in zip(rows, rows_mt):
-        npt.assert_array_equal(a["S_plus"], b["S_plus"])
-        npt.assert_array_equal(a["S_minus"], b["S_minus"])
     path = tmp_path / "scan.csv"
     scan_to_csv(rows, path)
     assert len(path.read_text().splitlines()) == 1 + 2 * len(rows)

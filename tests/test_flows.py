@@ -127,7 +127,7 @@ def test_rigid_register_and_hausdorff():
 
 def test_export_trajectory(tmp_path):
     c = make_circle(1.0, 128)
-    traj = evolve(c, FlowSpec({1: 1.0}, 1e-3, 4), log_every=2)
+    traj = evolve(c, FlowSpec({1: 1.0}, 1e-3, 4))
     out = tmp_path / "run"
     export_trajectory(traj, out)
     assert (out / "energies.csv").exists()

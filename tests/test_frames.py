@@ -24,15 +24,15 @@ def test_circle_angle_closed_form():
     # theta(lambda) = 2 pi sqrt(1 + lambda^2) on the unit circle
     c = make_circle(1.0, 256)
     for lam in (0.7, 1.3, 2.5):
-        theta, axis, _ = monodromy_angle(c, lam)
+        theta = monodromy_angle(c, lam).theta
         assert abs(theta - 2.0 * np.pi * np.sqrt(1.0 + lam * lam)) < 1e-8
 
 
 def test_line_angle_exact():
     l = make_line(2.0, 64)
-    theta, axis, _ = monodromy_angle(l, 1.5)
-    assert abs(theta - 1.5 * 2.0) < 1e-12
-    npt.assert_allclose(axis, [1.0, 0.0, 0.0], atol=1e-12)
+    m = monodromy_angle(l, 1.5)
+    assert abs(m.theta - 1.5 * 2.0) < 1e-12
+    npt.assert_allclose(m.axis, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_circle_angle_expansion():
@@ -56,8 +56,8 @@ def test_helix_angle_expansion_matches_quadrature():
 def test_angle_basepoint_independent():
     c = make_circle(1.0, 256)
     rolled = c.with_samples(np.roll(c.samples, 17, axis=0))
-    t0, _, _ = monodromy_angle(c, 1.3)
-    t1, _, _ = monodromy_angle(rolled, 1.3)
+    t0 = monodromy_angle(c, 1.3).theta
+    t1 = monodromy_angle(rolled, 1.3).theta
     assert abs(t0 - t1) < 1e-10
 
 
@@ -85,7 +85,7 @@ def test_spherical_sector_area_circle():
     # Gauss-Bonnet on the unit circle at lambda = 2:
     # area = theta - lambda E_1 - E_2 = 2 pi sqrt 5 - 4 pi
     c = make_circle(1.0, 256)
-    area = spherical_sector_area(c, 2.0)
+    area = spherical_sector_area(monodromy_angle(c, 2.0))
     assert abs(area - (2.0 * np.pi * np.sqrt(5.0) - 4.0 * np.pi)) < 1e-6
 
 
@@ -93,14 +93,16 @@ def test_gauss_bonnet_residual():
     c = make_circle(1.0, 256)
     h = make_helix(1.0, 1.0, 1.0, 256)
     for lam in (2.0, 5.0, 10.0):
-        assert abs(gauss_bonnet_residual(c, lam)) < 1e-5
-        assert abs(gauss_bonnet_residual(h, lam)) < 1e-5
+        assert abs(gauss_bonnet_residual(monodromy_angle(c, lam),
+                                         energy(1, c), energy(2, c))) < 1e-5
+        assert abs(gauss_bonnet_residual(monodromy_angle(h, lam),
+                                         energy(1, h), energy(2, h))) < 1e-5
 
 
 def test_sector_area_denominator_guard():
     c = make_circle(1.0, 256)
     with pytest.raises(SingularSectorError):
-        spherical_sector_area(c, 2.0, min_denominator=2.1)
+        spherical_sector_area(monodromy_angle(c, 2.0), min_denominator=2.1)
 
 
 def test_sym_requires_real_lambda():
