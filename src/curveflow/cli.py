@@ -58,22 +58,25 @@ def parse_curve(spec, seed=0):
             raise ArgumentError("unknown parameter %r for curve %r"
                                 % (key, name))
         params[key] = val
+
+    def num(key, default):
+        value = float(params.get(key, default))
+        if not np.isfinite(value):
+            raise ArgumentError("curve parameter %r must be finite" % key)
+        return value
     try:
         if name == "circle":
-            return make_circle(float(params.get("r", 1.0)),
-                               int(params.get("n", 256)))
+            return make_circle(num("r", 1.0), int(params.get("n", 256)))
         if name == "helix":
-            return make_helix(float(params.get("a", 1.0)),
-                              float(params.get("b", 1.0)),
-                              float(params.get("turns", 1.0)),
-                              int(params.get("n", 256)))
+            return make_helix(num("a", 1.0), num("b", 1.0),
+                              num("turns", 1.0), int(params.get("n", 256)))
         if name == "line":
-            return make_line(float(params.get("length", 2.0 * np.pi)),
+            return make_line(num("length", 2.0 * np.pi),
                              int(params.get("n", 256)))
         modes = tuple(int(m) for m in params.get("modes", "2+3").split("+"))
-        return make_perturbed_circle(float(params.get("r", 1.0)),
+        return make_perturbed_circle(num("r", 1.0),
                                      int(params.get("n", 256)),
-                                     float(params.get("amplitude", 0.05)),
+                                     num("amplitude", 0.05),
                                      modes=modes,
                                      seed=int(params.get("seed", seed)))
     except ValueError as e:
@@ -189,7 +192,12 @@ def cmd_commute(args):
 
 def cmd_lax(args):
     if args.loop:
-        xi = load_loop(args.loop)
+        try:
+            xi = load_loop(args.loop)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise ArgumentError("cannot read loop file %r: %s" % (args.loop, e))
+    elif args.degree < 0:
+        raise ArgumentError("--degree must be >= 0")
     else:
         rng = np.random.default_rng(args.seed)
         xi = LoopElement(rng.standard_normal((args.degree + 1, 3)))
@@ -228,9 +236,9 @@ def cmd_angle_scan(args):
                 tail = "%.17g,%.17g" % (area, res)
             except SingularSectorError:
                 tail = ","
-            ax = m.axis if m.axis is not None else (np.nan,) * 3
-            f.write("%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-                    % (m.lam, m.theta, ax[0], ax[1], ax[2], tail))
+            # no axis at a +-identity monodromy: blank cells, like the area
+            ax = ",," if m.axis is None else "%.17g,%.17g,%.17g" % tuple(m.axis)
+            f.write("%.17g,%.17g,%s,%s\n" % (m.lam, m.theta, ax, tail))
     summary = {}
     if args.fit:
         es = fit_angle_expansion(scan, args.fit)

@@ -8,6 +8,7 @@ motion, vector fields by the rotation part only.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import json
 import numpy as np
@@ -42,9 +43,11 @@ class Monodromy:
     def identity(cls):
         return cls(np.array([1.0, 0, 0, 0]), np.zeros(3))
 
-    @property
+    @cached_property
     def matrix(self):
-        return qmath.rotation_matrix(self.rotation)
+        m = qmath.rotation_matrix(self.rotation)
+        m.flags.writeable = False
+        return m
 
     def apply(self, points):
         return qmath.qrotate(self.rotation, points) + self.translation
@@ -82,8 +85,8 @@ class Curve:
                            np.ascontiguousarray(self.samples, dtype=float))
         if self.n < 8:
             raise DegenerateResolutionError("need at least 8 samples, got %d" % self.n)
-        if not self.seg_len > 0:
-            raise DegenerateInputError("seg_len must be positive")
+        if not 0 < self.seg_len < np.inf:
+            raise DegenerateInputError("seg_len must be positive and finite")
 
     @property
     def n(self):
@@ -99,6 +102,11 @@ class Curve:
 
     def with_samples(self, samples):
         return Curve(samples, self.seg_len, self.monodromy, self.basepoint_index)
+
+    @cached_property
+    def _derivatives(self):
+        """dtype -> [gamma', gamma'', ...] as far as `deriv` was asked."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -122,7 +130,12 @@ def extend(values, curve, pad, affine=False):
     if pad > n:
         raise ArgumentError("padding %d exceeds sample count %d" % (pad, n))
     m = curve.monodromy
-    if affine:
+    if m.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
+        # qrotate by the identity returns v + 0 + 0
+        shift = m.translation if affine else 0.0
+        right = values[:pad] + shift
+        left = values[n - pad:] - shift
+    elif affine:
         right = m.apply(values[:pad])
         left = m.apply_inverse(values[n - pad:])
     else:
@@ -163,25 +176,31 @@ def deriv(curve, order, dtype=None):
 
     Positions are re-centered before differencing (with the monodromy
     translation adjusted accordingly); this lowers the cancellation error of
-    the stencils without changing the result.
+    the stencils without changing the result.  A curve computes each
+    derivative once per dtype; later calls return the same read-only array.
     """
     if order < 1:
         raise ArgumentError("order must be >= 1")
-    shift = curve.samples.mean(axis=0)
-    rot = curve.monodromy.matrix
-    mono = Monodromy(curve.monodromy.rotation,
-                     curve.monodromy.translation - shift + rot @ shift)
-    centered = Curve(curve.samples - shift, curve.seg_len, mono,
-                     curve.basepoint_index)
-    samples = centered.samples if dtype is None else centered.samples.astype(dtype)
-    d = ddx(samples, centered, affine=True)
-    for _ in range(order - 1):
-        d = ddx(d, centered)
-    return d
+    dtype = np.dtype(dtype)
+    ds = curve._derivatives.setdefault(dtype, [])
+    if not ds:
+        shift = curve.samples.mean(axis=0)
+        rot = curve.monodromy.matrix
+        mono = Monodromy(curve.monodromy.rotation,
+                         curve.monodromy.translation - shift + rot @ shift)
+        centered = Curve(curve.samples - shift, curve.seg_len, mono,
+                         curve.basepoint_index)
+        ds.append(ddx(centered.samples.astype(dtype, copy=False), centered,
+                      affine=True))
+    while len(ds) < order:
+        ds.append(ddx(ds[-1], curve))
+    for d in ds:
+        d.flags.writeable = False
+    return ds[order - 1]
 
 
 def tangent(curve):
-    t = ddx(curve.samples, curve, affine=True)
+    t = deriv(curve, 1)
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
@@ -356,6 +375,15 @@ def random_equivariant_field(curve, seed=0):
 def parallel_normal_frame(curve, initial_normal=None):
     """Rotation-minimizing normal transport (double reflection).
 
+    Segment i maps the normal at sample i to sample i + 1 by the double
+    reflection of Wang, Juttler, Zheng & Liu (ACM TOG 2008): across the
+    plane normal to the unit chord a_i, then across the plane normal to the
+    unit b_i joining the reflected tangent to t_{i+1}.  That is the rotation
+    with quaternion q_i = b_i a_i, so the normal at sample j is nu_0 rotated
+    by Q_j = q_{j-1} ... q_0, the prefix products of qmath.qscan with each
+    later factor multiplied on the left.  The transported normals are
+    projected off the tangent and normalized once, at the end.
+
     The holonomy angle compares the transported normal at the far end of the
     fundamental domain, pulled back by the monodromy rotation, against the
     initial normal in the complex structure T x ( ).
@@ -365,45 +393,38 @@ def parallel_normal_frame(curve, initial_normal=None):
     tan = np.concatenate([tan, [curve.monodromy.apply_vector(tan[0])]], axis=0)
     t0 = tan[0]
     if initial_normal is None:
-        nu0 = np.cross([0.0, 0.0, 1.0], t0)
+        nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
         if np.linalg.norm(nu0) < 1e-8:
-            nu0 = np.cross([1.0, 0.0, 0.0], t0)
+            nu0 = qmath.cross([1.0, 0.0, 0.0], t0)
     else:
         nu0 = np.asarray(initial_normal, dtype=float)
     nu0 = nu0 - np.dot(nu0, t0) * t0
     nu0 = nu0 / np.linalg.norm(nu0)
 
-    n = curve.n
-    nus = np.empty((n + 1, 3))
-    nus[0] = nu0
-    nu = nu0
-    for i in range(n):
-        v1 = pts[i + 1] - pts[i]
-        c1 = np.dot(v1, v1)
-        nu_l = nu - (2.0 / c1) * np.dot(v1, nu) * v1
-        t_l = tan[i] - (2.0 / c1) * np.dot(v1, tan[i]) * v1
-        v2 = tan[i + 1] - t_l
-        c2 = np.dot(v2, v2)
-        nu = nu_l - (2.0 / c2) * np.dot(v2, nu_l) * v2
-        nu = nu - np.dot(nu, tan[i + 1]) * tan[i + 1]
-        nu = nu / np.linalg.norm(nu)
-        nus[i + 1] = nu
+    a = np.diff(pts, axis=0)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    reflected = tan[:-1] - 2.0 * np.sum(a * tan[:-1], axis=1)[:, None] * a
+    b = tan[1:] - reflected
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    q = np.concatenate([-np.sum(b * a, axis=1)[:, None], qmath.cross(b, a)],
+                       axis=1)
+    nus = qmath.qrotate(qmath.qscan(lambda x, y: qmath.qmul(y, x), q), nu0)
+    nus -= np.sum(nus * tan[1:], axis=1)[:, None] * tan[1:]
+    nus /= np.linalg.norm(nus, axis=1, keepdims=True)
 
-    back = curve.monodromy.apply_vector_inverse(nus[n])
+    back = curve.monodromy.apply_vector_inverse(nus[-1])
     # orientation chosen so the result agrees with the Frenet torsion
     # integral (positive for a right-handed helix)
-    alpha = np.arctan2(np.dot(back, np.cross(nu0, t0)), np.dot(back, nu0))
+    alpha = np.arctan2(np.dot(back, qmath.cross(nu0, t0)), np.dot(back, nu0))
     winding = int(round((_torsion_integral(curve) - alpha) / (2.0 * np.pi)))
-    return NormalFrame(nus[:n], alpha, winding)
+    return NormalFrame(np.concatenate([nu0[None], nus[:-1]]), alpha, winding)
 
 
 def _torsion_integral(curve):
     """Regularized Frenet torsion integral, used as a branch hint."""
-    d1 = deriv(curve, 1)
-    d2 = ddx(d1, curve)
-    d3 = ddx(d2, curve)
+    d1, d2, d3 = (deriv(curve, k) for k in (1, 2, 3))
     k2 = np.sum(d2 * d2, axis=1)
-    det = np.sum(d1 * np.cross(d2, d3), axis=1)
+    det = np.sum(d1 * qmath.cross(d2, d3), axis=1)
     mask = k2 > 1e-9 * max(1.0, k2.max())
     tau = np.zeros_like(k2)
     tau[mask] = det[mask] / k2[mask]
@@ -417,7 +438,7 @@ def complex_curvature(curve, frame=None):
     d2 = deriv(curve, 2)
     t = tangent(curve)
     return (np.sum(d2 * frame.nu, axis=1)
-            + 1j * np.sum(d2 * np.cross(t, frame.nu), axis=1))
+            + 1j * np.sum(d2 * qmath.cross(t, frame.nu), axis=1))
 
 
 def curve_to_dict(curve):

@@ -23,12 +23,10 @@ import numpy as np
 from . import qmath
 from .curves import Curve, arclength_deviation, central_d1, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import family_monodromy, integrate_frame, tangent_interpolator
+from .frames import family_monodromy, integrate_frame
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
-# largest |lambda| * substep length of the fixed-point transport
-_TRANSPORT_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,12 @@ def fixed_points(curve, lam):
     lexicographically larger S; near-parabolic monodromies are flagged and
     both outputs collapse to the single eigenline image.
     """
-    frame = integrate_frame(curve, complex(lam))
+    return _frame_fixed_points(integrate_frame(curve, complex(lam)))
+
+
+def _frame_fixed_points(frame):
+    """IdealFixedPoints of the monodromy of an integrated frame."""
+    lam = complex(frame.lam)
     tilde = family_monodromy(frame).quaternion
     m = qmath.as_matrix(tilde)
     mu, vecs = np.linalg.eig(m)
@@ -137,14 +140,14 @@ def fixed_points(curve, lam):
     # discriminant catches +-identity monodromies, where the numerical
     # eigenvectors are arbitrary but the eigenvalues still collide
     if gap < _GAP_TOL or disc < _GAP_TOL:
-        return IdealFixedPoints(complex(lam), s0, s0, mu, disc, True)
+        return IdealFixedPoints(lam, s0, s0, mu, disc, True)
     if abs(abs(mu[0]) - abs(mu[1])) < 1e-12:
         order = 0 if tuple(s0) >= tuple(s1) else 1
     else:
         order = 0 if abs(mu[0]) >= abs(mu[1]) else 1
     if order == 0:
-        return IdealFixedPoints(complex(lam), s0, s1, mu, disc, False)
-    return IdealFixedPoints(complex(lam), s1, s0, mu[::-1], disc, False)
+        return IdealFixedPoints(lam, s0, s1, mu, disc, False)
+    return IdealFixedPoints(lam, s1, s0, mu[::-1], disc, False)
 
 
 def fixed_point_field(curve, lam, sign="+"):
@@ -155,7 +158,7 @@ def fixed_point_field(curve, lam, sign="+"):
     """
     frame = integrate_frame(curve, complex(lam))
     tilde = family_monodromy(frame).quaternion
-    fp = fixed_points(curve, lam)
+    fp = _frame_fixed_points(frame)
     if fp.parabolic:
         raise BranchPointError("parabolic monodromy; eigenlines collide")
     mu = fp.eigenvalues[0] if sign == "+" else fp.eigenvalues[1]
@@ -181,51 +184,6 @@ def fixed_point_field(curve, lam, sign="+"):
         if np.any(bad):
             raise BranchPointError("degenerate eigenline along the curve")
     return _ideal_point(psi).astype(float)
-
-
-def transport_fixed_point(curve, lam, s0):
-    """RK4 transport of S' = -Re(lam) T x S - Im(lam) S x (T x S).
-
-    The second term is the first vector field rotated by a quarter turn in
-    the tangent plane of the sphere at S; written out it is T - (T, S) S.
-    Each sample interval is subdivided so the local step |lam| h stays small,
-    with tangents interpolated by the same 6-point stencils the frame
-    integrator uses.
-
-    Forward transport contracts onto the dominant ('-') sheet: transporting
-    the '+' fixed point amplifies the initial rounding error by roughly
-    exp(|Im theta|) over one period, so agreement with the eigen-direction
-    field degrades for large Im(lambda) on that sheet no matter how fine the
-    sampling is.
-    """
-    lam = complex(lam)
-    n = curve.n
-    substeps = max(1, int(np.ceil(abs(lam) * curve.seg_len / _TRANSPORT_STEP)))
-    t_at = tangent_interpolator(curve)
-    # tangents at all substep nodes and midpoints, shape (2*substeps+1, n, 3)
-    nodes = [t_at(j / (2.0 * substeps)) for j in range(2 * substeps + 1)]
-
-    def rhs(tv, s):
-        return (-lam.real * np.cross(tv, s)
-                - lam.imag * (tv - np.dot(tv, s) * s))
-
-    h = curve.seg_len / substeps
-    out = np.empty((n + 1, 3))
-    s = np.asarray(s0, dtype=float)
-    out[0] = s
-    for i in range(n):
-        for j in range(substeps):
-            t0 = nodes[2 * j][i]
-            tm = nodes[2 * j + 1][i]
-            t1 = nodes[2 * j + 2][i]
-            k1 = rhs(t0, s)
-            k2 = rhs(tm, s + 0.5 * h * k1)
-            k3 = rhs(tm, s + 0.5 * h * k2)
-            k4 = rhs(t1, s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s = s / np.linalg.norm(s)
-        out[i + 1] = s
-    return out
 
 
 @dataclass(frozen=True)

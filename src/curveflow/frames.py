@@ -75,8 +75,13 @@ class FrameTrajectory:
         return np.abs(qmath.qdet(self.F) - 1.0).max()
 
 
-def _pair_mul(ea, da, eb, db):
-    return qmath.qmul(ea, eb), qmath.qmul(da, eb) + qmath.qmul(ea, db)
+def _pair_mul(a, b):
+    """Product of (value, lambda-derivative) quaternion pairs stacked on
+    axis -2."""
+    ea, da = a[..., 0, :], a[..., 1, :]
+    eb, db = b[..., 0, :], b[..., 1, :]
+    return np.stack([qmath.qmul(ea, eb),
+                     qmath.qmul(da, eb) + qmath.qmul(ea, db)], axis=-2)
 
 
 def integrate_frame(curve, lam):
@@ -93,35 +98,26 @@ def integrate_frame(curve, lam):
     dtype = float if real else complex
 
     # accumulate the per-interval transition pair over the substeps
-    e_int = np.zeros((n, 4), dtype=dtype)
-    e_int[:, 0] = 1.0
-    d_int = np.zeros((n, 4), dtype=dtype)
+    pair = np.zeros((n, 2, 4), dtype=dtype)
+    pair[:, 0, 0] = 1.0
     hs = h / substeps
     for j in range(substeps):
         t1, t2 = (t_at(s) for s in (j + _GAUSS_OFF) / substeps)
         p = (hs / 4.0) * (t1 + t2)
-        q = (np.sqrt(3.0) / 24.0) * hs * hs * np.cross(t1, t2)
+        q = (np.sqrt(3.0) / 24.0) * hs * hs * qmath.cross(t1, t2)
         omega = lam * p + lam * lam * q
         domega = p + 2.0 * lam * q
         e, de = qmath.dqexp_vec(omega.astype(dtype), domega.astype(dtype))
-        e_int, d_int = _pair_mul(e_int, d_int, e, de)
+        pair = _pair_mul(pair, np.stack([e, de], axis=-2))
 
     # inclusive scan of interval pairs (associative quaternion products)
-    pe = e_int.copy()
-    pd = d_int.copy()
-    shift = 1
-    while shift < n:
-        ne, nd = _pair_mul(pe[:-shift], pd[:-shift], pe[shift:], pd[shift:])
-        pe[shift:] = ne
-        pd[shift:] = nd
-        shift *= 2
+    pair = qmath.qscan(_pair_mul, pair)
 
     F = np.zeros((n + 1, 4), dtype=dtype)
     dF = np.zeros((n + 1, 4), dtype=dtype)
     F[0, 0] = 1.0
-    F[1:] = pe
-    dF[1:] = pd
-    F[1:] = qmath.qnormalize(F[1:])
+    F[1:] = qmath.qnormalize(pair[:, 0])
+    dF[1:] = pair[:, 1]
     return FrameTrajectory(lam, F, dF, curve)
 
 
@@ -274,7 +270,7 @@ def spherical_sector_area(angle, min_denominator=1e-3):
     denom = 1.0 + np.sum(y * t, axis=1)
     if denom.min() < min_denominator:
         raise SingularSectorError("tangent antipodal to the transported axis")
-    integrand = np.sum(y * np.cross(t, tp), axis=1) / denom
+    integrand = np.sum(y * qmath.cross(t, tp), axis=1) / denom
     return curve.seg_len * integrand.sum()
 
 

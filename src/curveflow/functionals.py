@@ -15,21 +15,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (Curve, ddx, deriv, measured_length, parallel_normal_frame,
+from .curves import (Curve, deriv, measured_length, parallel_normal_frame,
                      resample_arclength)
 from .errors import ArgumentError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
+from .qmath import cross
 
 K_RANGE = range(-2, 7)
 
 
-def total_torsion(curve, near=None):
-    """Continuous-branch total torsion (holonomy angle of the normal bundle)."""
-    frame = parallel_normal_frame(curve)
-    value = frame.total_angle
+def _near_branch(value, near):
+    """value shifted by a multiple of 2 pi to the branch nearest `near`."""
     if near is not None:
         value += 2.0 * np.pi * round((near - value) / (2.0 * np.pi))
     return value
+
+
+def total_torsion(curve, near=None):
+    """Continuous-branch total torsion (holonomy angle of the normal bundle)."""
+    return _near_branch(parallel_normal_frame(curve).total_angle, near)
 
 
 def energy(k, curve, axis=None, near=None):
@@ -39,6 +43,14 @@ def energy(k, curve, axis=None, near=None):
     """
     if k not in K_RANGE:
         raise RangeError("energy implements k in [-2, 6]")
+    if k == 2:
+        return total_torsion(curve, near=near)
+    return _energy(k, curve, axis)
+
+
+def _energy(k, curve, axis):
+    """E_k for k != 2 from the curve's derivatives, which `deriv` computes
+    once per curve."""
     if k in (-2, -1):
         if axis is None:
             raise ArgumentError("k in {-2,-1} requires an axis vector")
@@ -48,28 +60,26 @@ def energy(k, curve, axis=None, near=None):
         return 0.0
     if k == 1:
         return measured_length(curve)
-    if k == 2:
-        return total_torsion(curve, near=near)
     d1 = deriv(curve, 1)
     if k == -1:
-        return 0.5 * dx * np.sum(np.cross(curve.samples, d1) @ v)
+        return 0.5 * dx * np.sum(cross(curve.samples, d1) @ v)
     if k == -2:
         # sign chosen so the gradient is gamma' x (v x gamma), matching the
         # flux pattern G = gamma' x W(gamma) of the translation case
         perp = curve.samples - np.outer(curve.samples @ v, v)
         return -0.5 * dx * np.sum(np.sum(perp * perp, axis=1) * (d1 @ v))
-    d2 = ddx(d1, curve)
+    d2 = deriv(curve, 2)
     k2 = np.sum(d2 * d2, axis=1)
     if k == 3:
         return 0.5 * dx * k2.sum()
-    d3 = ddx(d2, curve)
-    det123 = np.sum(d1 * np.cross(d2, d3), axis=1)
+    d3 = deriv(curve, 3)
+    det123 = np.sum(d1 * cross(d2, d3), axis=1)
     if k == 4:
         return -0.5 * dx * det123.sum()
     if k == 5:
         return dx * np.sum(0.5 * np.sum(d3 * d3, axis=1) - 0.625 * k2 * k2)
-    d4 = ddx(d3, curve)
-    det134 = np.sum(d1 * np.cross(d3, d4), axis=1)
+    d4 = deriv(curve, 4)
+    det134 = np.sum(d1 * cross(d3, d4), axis=1)
     return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123)
 
 
@@ -118,15 +128,17 @@ class EnergyReport:
 
 
 def energy_report(curve, axis=None, near_torsion=None):
-    """All available E_k; axis-dependent entries only when an axis is given."""
+    """All available E_k; axis-dependent entries only when an axis is given.
+
+    The frame and every E_k share one set of derivatives.
+    """
     ks = [k for k in K_RANGE if axis is not None or k >= 0]
+    # on a private copy of the curve, so the derivatives are freed on return
+    # and do not live on with the caller's curve (a trajectory snapshot)
+    curve = curve.with_samples(curve.samples)
     frame = parallel_normal_frame(curve)
-    values = {}
-    for k in ks:
-        if k == 2:
-            values[k] = total_torsion(curve, near=near_torsion)
-        else:
-            values[k] = energy(k, curve, axis=axis)
+    values = {k: _near_branch(frame.total_angle, near_torsion) if k == 2
+              else _energy(k, curve, axis) for k in ks}
     return EnergyReport(values, None if axis is None else np.asarray(axis, float),
                         frame.winding)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .curves import ddx, deriv
 from .errors import ArgumentError, MonodromyCompatibilityError, RangeError
+from .qmath import cross
 
 MAX_K_DEFAULT = 8
 
@@ -42,7 +43,7 @@ def symplectic_Y_list(curve, kmax, dtype=None):
     ys = [t]
     for k in range(kmax):
         yp = ddx(ys[k], curve)
-        nxt = np.cross(t, yp)
+        nxt = cross(t, yp)
         if k >= 1:
             f = np.zeros(curve.n, dtype=t.dtype)
             for i in range(1, k + 1):
@@ -76,15 +77,15 @@ def gradient_G(k, curve, axis=None):
         return np.zeros((curve.n, 3))
     d1 = deriv(curve, 1)
     if k == -2:
-        return np.cross(d1, np.cross(v, curve.samples))
+        return cross(d1, cross(v, curve.samples))
     if k == -1:
-        return np.cross(d1, np.broadcast_to(v, d1.shape))
-    d2 = ddx(d1, curve)
+        return cross(d1, np.broadcast_to(v, d1.shape))
+    d2 = deriv(curve, 2)
     if k == 1:
         return -d2
-    d3 = ddx(d2, curve)
+    d3 = deriv(curve, 3)
     if k == 2:
-        return -np.cross(d1, d3)
+        return -cross(d1, d3)
     k2 = np.sum(d2 * d2, axis=1)
     return ddx(d3 + 1.5 * k2[:, None] * d1, curve)
 
@@ -92,7 +93,7 @@ def gradient_G(k, curve, axis=None):
 def gradient_from_Y(k, curve, dtype=None):
     """G_k = T x Y_k for k >= 0."""
     ys = symplectic_Y_list(curve, k, dtype=dtype)
-    return np.cross(ys[0], ys[k]).astype(float)
+    return cross(ys[0], ys[k]).astype(float)
 
 
 def recursion_residual(k, curve):
@@ -103,7 +104,7 @@ def recursion_residual(k, curve):
     would measure rounding noise instead of the discretization error.
     """
     ys = symplectic_Y_list(curve, k + 1, dtype=np.longdouble)
-    res = ddx(ys[k], curve) + np.cross(ys[0], ys[k + 1])
+    res = ddx(ys[k], curve) + cross(ys[0], ys[k + 1])
     return float(np.sqrt(curve.seg_len * np.sum(res * res)))
 
 

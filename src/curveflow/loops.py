@@ -18,6 +18,7 @@ import numpy as np
 from .curves import ddx
 from .errors import ArgumentError, BlowUpError, RangeError
 from .hierarchy import symplectic_Y_list
+from .qmath import cross
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def loop_cross(a, b):
     da, db = a.degree, b.degree
     out = np.zeros((da + db + 1, 3), dtype=np.result_type(a.coeffs, b.coeffs))
     for i in range(da + 1):
-        out[i:i + db + 1] += np.cross(a.coeffs[i][None, :], b.coeffs)
+        out[i:i + db + 1] += cross(a.coeffs[i][None, :], b.coeffs)
     return LoopElement(out)
 
 
@@ -104,7 +105,7 @@ def V_k(xi, k):
         for m in range(d + 1):
             q = m + j - k - 1
             if 0 <= q <= d:
-                out[q] += np.cross(xi.coeffs[m], xi.coeffs[j])
+                out[q] += cross(xi.coeffs[m], xi.coeffs[j])
     return LoopElement(out)
 
 
@@ -188,6 +189,6 @@ def finite_gap_residual(field):
     for j in range(d + 1):
         res = ddx(field.coeffs[:, j, :], curve)
         if j < d:
-            res = res + np.cross(xi0, field.coeffs[:, j + 1, :])
+            res = res + cross(xi0, field.coeffs[:, j + 1, :])
         total += np.sum(res * res)
     return np.sqrt(curve.seg_len * total)

@@ -47,12 +47,41 @@ def qvec(v):
     return out
 
 
+def cross(a, b):
+    """Cross product of 3-vectors on the last axis, broadcasting over the
+    leading axes; the arithmetic of numpy.cross without its axis handling."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,), dtype=c0.dtype)
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def qrotate(q, v):
     """Apply the rotation of the unit quaternion q to 3-vectors v."""
     u = q[..., 1:]
     w = q[..., 0:1]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
+    t = 2.0 * cross(u, v)
+    return v + w * t + cross(u, t)
+
+
+def qscan(mul, factors):
+    """Inclusive prefix products along axis 0 by the Hillis-Steele scan.
+
+    Returns out[i] = mul(... mul(f[0], f[1]) ..., f[i]) in ceil(log2 n)
+    array steps; `mul` must be associative and broadcast over axis 0.
+    """
+    out = np.array(factors, copy=True)
+    shift = 1
+    while shift < len(out):
+        out[shift:] = mul(out[:-shift], out[shift:])
+        shift *= 2
+    return out
 
 
 def rotation_matrix(q):

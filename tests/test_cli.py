@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from curveflow import frames
+from curveflow import darboux, frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
 from curveflow.curves import curve_to_dict, make_circle
 from curveflow.errors import ArgumentError
@@ -130,6 +130,18 @@ def test_angle_scan_integrates_frame_once_per_lambda(tmp_path, monkeypatch):
     assert len(lams) == len(set(lams)) == 12
 
 
+def test_angle_scan_identity_monodromy_has_blank_axis(tmp_path):
+    # at lambda = 2 the line of length 2 pi has the identity monodromy, so
+    # the axis is undefined: blank cells, never nan
+    code, out = run(tmp_path, "angle-scan", "--curve",
+                    "line:length=6.283185307179586,n=64", "--lmin", "2",
+                    "--lmax", "2", "--count", "1")
+    assert code == 0
+    text = (out / "angles.csv").read_text()
+    assert "nan" not in text.lower()
+    assert text.splitlines()[1].split(",")[2:] == [""] * 5
+
+
 def test_spectral_scan_command(tmp_path):
     code, out = run(tmp_path, "spectral-scan", "--curve", "circle:r=1,n=256",
                     "--re", "0.5:2:4", "--im", "0.1:1:4")
@@ -151,6 +163,21 @@ def test_darboux_command(tmp_path):
         assert abs(meta["eta_%s" % tag]["energy_deltas"]["E_1"]) < 1e-6
         assert (out / ("eta_%s.csv" % tag)).exists()
         assert (out / ("eta_%s.json" % tag)).exists()
+
+
+def test_darboux_integrates_frame_once_per_sign(tmp_path, monkeypatch):
+    lams = []
+    integrate = darboux.integrate_frame
+
+    def counting(curve, lam):
+        lams.append(lam)
+        return integrate(curve, lam)
+
+    monkeypatch.setattr(darboux, "integrate_frame", counting)
+    code, _ = run(tmp_path, "darboux", "--curve", "helix:a=1,b=1,n=64",
+                  "--lam", "1+1i")
+    assert code == 0
+    assert lams == [1 + 1j, 1 + 1j]
 
 
 def test_criticality_command(tmp_path):
@@ -239,6 +266,10 @@ BAD_INPUTS = {
                            "--re", "nan:1:2"],
     "nan-dt": lambda p: ["flow", "--curve", "circle:r=1,n=64", "--flow", "1",
                          "--dt", "nan", "--steps", "2"],
+    "missing-loop": lambda p: ["lax", "--loop", str(p / "missing.json")],
+    "negative-degree": lambda p: ["lax", "--degree", "-1"],
+    "infinite-length": lambda p: ["energies", "--curve",
+                                  "line:length=inf,n=64"],
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curveflow import qmath
 from curveflow.curves import (Monodromy, arclength_deviation,
                               complex_curvature, ddx, deriv, extend,
                               load_curve, make_circle, make_helix, make_line,
@@ -12,6 +13,7 @@ from curveflow.curves import (Monodromy, arclength_deviation,
                               resample_arclength, save_curve, tangent)
 from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
+from oracles import loop_parallel_normal_frame
 
 
 def test_circle_length_and_curvature():
@@ -178,3 +180,33 @@ def test_perturbed_circle_is_arclength_uniform():
     c = make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=0)
     assert arclength_deviation(c) < 1e-8
     assert c.monodromy.is_identity
+
+
+@pytest.mark.parametrize("curve", [
+    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
+    make_helix(1.0, 1.0, 1.0, 256),
+    make_helix(1.0, 1.0, 1.0, 4096),
+    make_line(2.0, 64),
+    make_helix(1.0, 0.5, 1.3, 256),   # screw monodromy, rotation 0.6 pi
+], ids=["pc224", "helix256", "helix4096", "line", "screw-helix"])
+def test_parallel_frame_matches_per_sample_loop(curve):
+    frame = parallel_normal_frame(curve)
+    ref = loop_parallel_normal_frame(curve)
+    npt.assert_allclose(frame.nu, ref.nu, rtol=0, atol=1e-12)
+    assert abs(frame.holonomy_angle - ref.holonomy_angle) < 1e-12
+    assert frame.winding == ref.winding
+
+
+@pytest.mark.parametrize("shapes", [
+    ((224, 3), (224, 3)), ((3,), (224, 3)), ((1, 3), (7, 3)),
+    ((7, 3), (3,)), ((3,), (3,)), ((2, 1, 3), (5, 3)),
+])
+def test_cross_matches_numpy(shapes):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(shapes[0])
+    b = rng.standard_normal(shapes[1])
+    assert np.array_equal(qmath.cross(a, b), np.cross(a, b))
+    bc = b + 1j * rng.standard_normal(shapes[1])
+    assert np.array_equal(qmath.cross(a, bc), np.cross(a, bc))
+    al = a.astype(np.longdouble)
+    assert np.array_equal(qmath.cross(al, b), np.cross(al, b))

@@ -9,10 +9,11 @@ from curveflow.curves import (make_circle, make_helix, make_line,
 from curveflow.darboux import (darboux_transform, fixed_point_field,
                                fixed_points, hyperbolic_family,
                                hyperbolic_speeds, poincare_embed, scan_to_csv,
-                               spectral_image_scan, transport_fixed_point)
+                               spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
 from curveflow.frames import monodromy_angle
 from curveflow.functionals import energy
+from oracles import transport_fixed_point
 
 
 def test_line_fixed_points():

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curveflow import curves, functionals
 from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               make_perturbed_circle, random_equivariant_field,
                               resample_arclength)
@@ -108,3 +109,37 @@ def test_energy_range_and_axis_errors():
         energy(7, c)
     with pytest.raises(ArgumentError):
         energy(-1, c)
+
+
+@pytest.mark.parametrize("curve", [
+    make_circle(1.0, 256),
+    make_helix(1.0, 1.0, 1.0, 256),
+    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
+], ids=["circle", "helix", "pc224"])
+def test_energy_report_matches_energy(curve):
+    rep = energy_report(curve, axis=EZ)
+    assert sorted(rep.values) == list(range(-2, 7))
+    for k, value in rep.values.items():
+        # a fresh copy, so nothing computed for the report is reused
+        expect = energy(k, curve.with_samples(curve.samples), axis=EZ)
+        assert abs(value - expect) <= max(1e-13 * abs(expect), 1e-15)
+
+
+def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
+    calls = {"frame": 0, "ddx": 0}
+    frame, ddx = functionals.parallel_normal_frame, curves.ddx
+
+    def counting_frame(*args, **kwargs):
+        calls["frame"] += 1
+        return frame(*args, **kwargs)
+
+    def counting_ddx(*args, **kwargs):
+        calls["ddx"] += 1
+        return ddx(*args, **kwargs)
+
+    c = make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1)
+    monkeypatch.setattr(functionals, "parallel_normal_frame", counting_frame)
+    monkeypatch.setattr(curves, "ddx", counting_ddx)
+    energy_report(c, axis=EZ)
+    assert calls["frame"] == 1
+    assert calls["ddx"] <= 5
