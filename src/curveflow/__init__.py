@@ -14,8 +14,9 @@ from .functionals import (energy, flux_energy, energy_report, total_torsion,
 from .flows import (FlowSpec, Trajectory, step, evolve, commutator_defect)
 from .loops import (LoopElement, loop_cross, V_k, lax_evolve,
                     spectral_polynomial, from_curve, finite_gap_residual)
-from .frames import (integrate_frame, sym_curve, family_monodromy,
-                     monodromy_angle_scan, hamiltonians_from_angle,
-                     torsion_shift_check, spherical_sector_area)
+from .frames import (integrate_frame, integrate_frames, sym_curve,
+                     family_monodromy, monodromy_angle_scan,
+                     hamiltonians_from_angle, torsion_shift_check,
+                     spherical_sector_area)
 from .darboux import (hyperbolic_family, poincare_embed, fixed_points,
                       darboux_transform, spectral_image_scan)

@@ -23,7 +23,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, arclength_deviation, central_d1, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import family_monodromy, integrate_frame
+from .frames import family_monodromy, integrate_frame, integrate_frames
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
@@ -51,7 +51,8 @@ class HyperbolicFamily:
 def hyperbolic_family(curve, lam):
     lam = complex(lam)
     if lam.imag == 0.0:
-        raise ArgumentError("real lambda: use the associated_family module")
+        raise ArgumentError("real lambda: use frames.integrate_frame and "
+                            "frames.sym_curve")
     frame = integrate_frame(curve, lam)
     pts = qmath.qmul(frame.F, qmath.hconj(frame.F))
     return HyperbolicFamily(lam, pts, frame)
@@ -222,10 +223,12 @@ def spectral_image_scan(curve, re_values, im_values):
     rows = []
     prev_row = {}
     for im in im_values:
+        # one frame batch per row: all real or all nonreal lambda
+        row = integrate_frames(curve, [complex(re, im) for re in re_values])
         prev = None
         this_row = {}
-        for re in re_values:
-            fp = fixed_points(curve, complex(re, im))
+        for re, frame in zip(re_values, row):
+            fp = _frame_fixed_points(frame)
             sp, sm = fp.S_plus, fp.S_minus
             ref = prev if prev is not None else prev_row.get(re)
             if ref is not None and not fp.parabolic:

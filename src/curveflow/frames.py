@@ -28,6 +28,8 @@ from .functionals import energy, total_torsion
 
 _GAUSS_OFF = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _STENCIL = np.arange(-2, 4, dtype=float)
+# x_j - x_l, with ones on the diagonal, whose factors are replaced by 1
+_SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
 # largest |lambda| * substep length of the Magnus integrator
 _MAGNUS_STEP = 0.005
 # guard coefficients of the angle-expansion fit
@@ -35,25 +37,30 @@ _GUARD_TERMS = 3
 
 
 def _lagrange_weights(s):
-    """Weights of 6-point Lagrange interpolation at offset s in [0, 1]."""
-    w = np.ones(6)
-    for j in range(6):
-        for l in range(6):
-            if l != j:
-                w[j] *= (s - _STENCIL[l]) / (_STENCIL[j] - _STENCIL[l])
+    """Weights of 6-point Lagrange interpolation at offsets s in [0, 1]:
+    shape (6,) + shape of s.  w_j is the product over l != j of
+    (s - x_l) / (x_j - x_l), taken in increasing l."""
+    s = np.asarray(s, dtype=float)
+    col = (6,) + (1,) * s.ndim
+    # f[j, l] = (s - x_l) / (x_j - x_l), and exactly 1 where l == j
+    f = (s - _STENCIL.reshape(col)) / _SPAN.reshape((6,) + col)
+    f[range(6), range(6)] = 1.0
+    w = f[:, 0]
+    for l in range(1, 6):
+        w = w * f[:, l]
     return w
 
 
 def tangent_interpolator(curve):
-    """t_at(s): the unit tangent interpolated at fractional offset s in
+    """t_at(s): the unit tangent interpolated at fractional offsets s in
     [0, 1] of every sample interval, by 6-point Lagrange stencils across the
-    monodromy-extended samples."""
+    monodromy-extended samples; shape s.shape + (n, 3)."""
     n = curve.n
     text = extend(tangent(curve), curve, 3)   # sample i lives at index i + 3
 
     def t_at(s):
-        w = _lagrange_weights(s)
-        acc = np.zeros((n, 3))
+        w = _lagrange_weights(s)[..., None, None]
+        acc = np.zeros(np.shape(s) + (n, 3))
         for l in range(6):
             acc += w[l] * text[l + 1:l + 1 + n]
         return acc
@@ -84,41 +91,93 @@ def _pair_mul(a, b):
                      qmath.qmul(da, eb) + qmath.qmul(ea, db)], axis=-2)
 
 
-def integrate_frame(curve, lam):
-    """Frame and its lambda-derivative over one fundamental domain."""
+def _magnus_step(t_at, s, cp, cq, c1, c2, cd):
+    """(exp, lambda-derivative) pairs of one 4th-order Magnus substep for
+    a block of L lambdas, shape (L * n, 2, 4), lambda-major.  s holds the
+    Gauss-node offsets, shape (L, 2); cp = hs/4, cq = sqrt(3) hs^2/24,
+    c1 = lambda, c2 = lambda^2 and cd = 2 lambda are (L, 1, 1) columns.
+    Temporaries grow with L, so each is dropped as soon as it is used."""
+    t = t_at(s)
+    t1, t2 = t[:, 0], t[:, 1]
+    p = cp * (t1 + t2)
+    q = cq * qmath.cross(t1, t2)
+    del t, t1, t2
+    omega = c1 * p + c2 * q
+    domega = p + cd * q
+    del p, q
+    e, de = qmath.dqexp_vec(omega.reshape(-1, 3), domega.reshape(-1, 3))
+    return np.stack([e, de], axis=-2)
+
+
+def integrate_frames(curve, lams):
+    """Frames and their lambda-derivatives over one fundamental domain, one
+    FrameTrajectory per lambda in the order given.
+
+    The lambdas must be all real or all nonreal.  They are sorted by
+    substep count and advanced together: substep j updates the block of
+    those with more than j substeps.  Every lambda gets the same arithmetic
+    as in a batch of its own, so a frame does not depend on its batch.
+    """
+    lams = [complex(lam) for lam in lams]
+    if not lams:
+        return []
+    real = lams[0].imag == 0.0
+    if any((lam.imag == 0.0) != real for lam in lams):
+        raise ArgumentError("a frame batch needs all real or all nonreal "
+                            "lambda")
+    if real:
+        lams = [lam.real for lam in lams]
+    dtype = float if real else complex
     n = curve.n
     h = curve.seg_len
-    substeps = max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP)))
+    subs = [max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP))) for lam in lams]
+    # most substeps first: the lambdas still active at step j are a prefix
+    order = sorted(range(len(lams)), key=lambda i: -subs[i])
+    lam = [lams[i] for i in order]
+    sub = np.array([subs[i] for i in order])
+    hs = [h / subs[i] for i in order]
+
+    # per-lambda coefficients, computed in the scalar arithmetic of a
+    # one-lambda integration so that every frame is the same bit for bit
+    def column(values, kind=float):
+        return np.array(values, dtype=kind)[:, None, None]
+    cp = column([x / 4.0 for x in hs])
+    cq = column([(np.sqrt(3.0) / 24.0) * x * x for x in hs])
+    c1 = column(lam, dtype)
+    c2 = column([x * x for x in lam], dtype)
+    cd = column([2.0 * x for x in lam], dtype)
     t_at = tangent_interpolator(curve)
 
-    lam = complex(lam)
-    real = lam.imag == 0.0
-    if real:
-        lam = lam.real
-    dtype = float if real else complex
-
-    # accumulate the per-interval transition pair over the substeps
-    pair = np.zeros((n, 2, 4), dtype=dtype)
+    # accumulate the per-interval transition pairs over the substeps; the
+    # (lambda, sample) axes are flattened so that the lambdas still active
+    # are a prefix and the quaternion kernels see one-dimensional components
+    pair = np.zeros((len(lam) * n, 2, 4), dtype=dtype)
     pair[:, 0, 0] = 1.0
-    hs = h / substeps
-    for j in range(substeps):
-        t1, t2 = (t_at(s) for s in (j + _GAUSS_OFF) / substeps)
-        p = (hs / 4.0) * (t1 + t2)
-        q = (np.sqrt(3.0) / 24.0) * hs * hs * qmath.cross(t1, t2)
-        omega = lam * p + lam * lam * q
-        domega = p + 2.0 * lam * q
-        e, de = qmath.dqexp_vec(omega.astype(dtype), domega.astype(dtype))
-        pair = _pair_mul(pair, np.stack([e, de], axis=-2))
+    for j in range(sub[0]):
+        a = int(np.count_nonzero(sub > j))
+        pair[:a * n] = _pair_mul(pair[:a * n], _magnus_step(
+            t_at, (j + _GAUSS_OFF) / sub[:a, None],
+            cp[:a], cq[:a], c1[:a], c2[:a], cd[:a]))
 
     # inclusive scan of interval pairs (associative quaternion products)
-    pair = qmath.qscan(_pair_mul, pair)
+    pair = pair.reshape(len(lam), n, 2, 4)
+    pair = qmath.qscan(_pair_mul, pair.swapaxes(0, 1)).swapaxes(0, 1)
 
-    F = np.zeros((n + 1, 4), dtype=dtype)
-    dF = np.zeros((n + 1, 4), dtype=dtype)
-    F[0, 0] = 1.0
-    F[1:] = qmath.qnormalize(pair[:, 0])
-    dF[1:] = pair[:, 1]
-    return FrameTrajectory(lam, F, dF, curve)
+    F = np.zeros((len(lam), n + 1, 4), dtype=dtype)
+    dF = np.zeros((len(lam), n + 1, 4), dtype=dtype)
+    F[:, 0, 0] = 1.0
+    F[:, 1:] = qmath.qnormalize(pair[:, :, 0])
+    dF[:, 1:] = pair[:, :, 1]
+    out = [None] * len(lam)
+    for k, i in enumerate(order):
+        out[i] = FrameTrajectory(lams[i], F[k], dF[k], curve)
+    return out
+
+
+def integrate_frame(curve, lam):
+    """Frame and its lambda-derivative over one fundamental domain: the
+    one-lambda batch."""
+    return integrate_frames(curve, [lam])[0]
 
 
 def sym_curve(frame):
@@ -192,13 +251,16 @@ def monodromy_angle_scan(curve, lambdas):
     e1 = energy(1, curve)
     e2 = energy(2, curve)
     e3 = energy(3, curve)
+    frames = integrate_frames(curve, lambdas)
     out = []
     prev = None
-    for lam in lambdas[::-1]:
-        frame = integrate_frame(curve, lam)
+    for lam, frame in zip(lambdas[::-1], frames[::-1]):
         fam = family_monodromy(frame)
         if prev is None:
             pred = lam * e1 + e2 + e3 / lam
+            if not np.isfinite(pred):
+                raise ArgumentError("lambda %r is too small to anchor the "
+                                    "angle branch" % float(lam))
         else:
             pred = prev[1] + e1 * (lam - prev[0])
         theta, axis = angle_from_quat(np.real(fam.quaternion), pred)
@@ -230,6 +292,10 @@ def fit_angle_expansion(scan, kmax):
     powers = 2.0 - np.arange(kmax + _GUARD_TERMS + 1)
     design = lams[:, None] ** powers[None, :]
     scale = np.linalg.norm(design, axis=0)
+    if not np.all((scale > 0.0) & (scale < np.inf)):
+        # a power of lambda overflows or underflows on the whole grid
+        raise IllConditionedFitError("angle fit column out of range",
+                                     condition=np.inf)
     design = design / scale
     sol, _, _, sv = np.linalg.lstsq(design, thetas, rcond=None)
     cond = sv[0] / sv[-1]

@@ -6,8 +6,10 @@ package computes with array operations; the tests compare the two.
 
 import numpy as np
 
+from curveflow import qmath
 from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
-from curveflow.frames import tangent_interpolator
+from curveflow.frames import (_GAUSS_OFF, _MAGNUS_STEP, FrameTrajectory,
+                              _pair_mul, tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -42,6 +44,44 @@ def loop_parallel_normal_frame(curve):
     alpha = np.arctan2(np.dot(back, np.cross(nu0, t0)), np.dot(back, nu0))
     winding = int(round((_torsion_integral(curve) - alpha) / (2.0 * np.pi)))
     return NormalFrame(nus[:-1], alpha, winding)
+
+
+def loop_integrate_frame(curve, lam):
+    """Frame and its lambda-derivative at one lambda, one substep at a time:
+    the reference for the batched substeps of integrate_frames."""
+    n = curve.n
+    h = curve.seg_len
+    substeps = max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP)))
+    t_at = tangent_interpolator(curve)
+
+    lam = complex(lam)
+    real = lam.imag == 0.0
+    if real:
+        lam = lam.real
+    dtype = float if real else complex
+
+    # accumulate the per-interval transition pair over the substeps
+    pair = np.zeros((n, 2, 4), dtype=dtype)
+    pair[:, 0, 0] = 1.0
+    hs = h / substeps
+    for j in range(substeps):
+        t1, t2 = (t_at(s) for s in (j + _GAUSS_OFF) / substeps)
+        p = (hs / 4.0) * (t1 + t2)
+        q = (np.sqrt(3.0) / 24.0) * hs * hs * qmath.cross(t1, t2)
+        omega = lam * p + lam * lam * q
+        domega = p + 2.0 * lam * q
+        e, de = qmath.dqexp_vec(omega.astype(dtype), domega.astype(dtype))
+        pair = _pair_mul(pair, np.stack([e, de], axis=-2))
+
+    # inclusive scan of interval pairs (associative quaternion products)
+    pair = qmath.qscan(_pair_mul, pair)
+
+    F = np.zeros((n + 1, 4), dtype=dtype)
+    dF = np.zeros((n + 1, 4), dtype=dtype)
+    F[0, 0] = 1.0
+    F[1:] = qmath.qnormalize(pair[:, 0])
+    dF[1:] = pair[:, 1]
+    return FrameTrajectory(lam, F, dF, curve)
 
 
 def transport_fixed_point(curve, lam, s0):

@@ -116,17 +116,26 @@ def test_angle_scan_rows_use_one_branch(tmp_path):
         assert abs((r + np.pi) % (2.0 * np.pi) - np.pi) < 1e-3
 
 
+def counting_batches(monkeypatch, module):
+    """Record the lambda batch of every integrate_frames call made through
+    `module`."""
+    batches = []
+    integrate = module.integrate_frames
+
+    def counting(curve, lams):
+        batches.append(list(lams))
+        return integrate(curve, lams)
+
+    monkeypatch.setattr(module, "integrate_frames", counting)
+    return batches
+
+
 def test_angle_scan_integrates_frame_once_per_lambda(tmp_path, monkeypatch):
-    lams = []
-    integrate = frames.integrate_frame
-
-    def counting(curve, lam):
-        lams.append(lam)
-        return integrate(curve, lam)
-
-    monkeypatch.setattr(frames, "integrate_frame", counting)
+    batches = counting_batches(monkeypatch, frames)
     code, _ = angle_scan_small(tmp_path, "--fit", "5")
     assert code == 0
+    assert len(batches) == 1
+    lams = batches[0]
     assert len(lams) == len(set(lams)) == 12
 
 
@@ -150,6 +159,24 @@ def test_spectral_scan_command(tmp_path):
     assert m["summary"]["samples"] == 16
     assert m["summary"]["branch_points_flagged"] == 0
     assert (out / "spectral_scan.csv").exists()
+
+
+def test_spectral_scan_integrates_one_batch_per_row(tmp_path, monkeypatch):
+    batches = counting_batches(monkeypatch, darboux)
+    code, _ = run(tmp_path, "spectral-scan", "--curve", "circle:r=1,n=64",
+                  "--re", "0.5:2:4", "--im", "0.1:1:4")
+    assert code == 0
+    assert [len(b) for b in batches] == [4, 4, 4, 4]
+    for b in batches:
+        assert len({lam.imag for lam in b}) == 1
+
+
+def test_spectral_scan_empty_grid(tmp_path, capsys):
+    code, out = run(tmp_path, "spectral-scan", "--curve", "circle:r=1,n=64",
+                    "--re", "0.5:2:0", "--im", "0.1:1:4")
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert manifest(out)["summary"]["samples"] == 0
 
 
 def test_darboux_command(tmp_path):

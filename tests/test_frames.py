@@ -4,20 +4,74 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curveflow import qmath
 from curveflow.curves import make_circle, make_helix, make_line
 from curveflow.errors import ArgumentError, SingularSectorError
 from curveflow.frames import (angle_from_quat, family_monodromy,
                               gauss_bonnet_residual, hamiltonians_from_angle,
-                              integrate_frame, monodromy_angle,
-                              monodromy_angle_scan, spherical_sector_area,
-                              sym_curve, torsion_shift_check)
+                              integrate_frame, integrate_frames,
+                              monodromy_angle, monodromy_angle_scan,
+                              spherical_sector_area, sym_curve,
+                              torsion_shift_check)
 from curveflow.functionals import energy
+from oracles import loop_integrate_frame
 
 
 def test_frame_stays_in_group():
     c = make_circle(1.0, 256)
     assert integrate_frame(c, 1.7).group_residual() < 1e-12
     assert integrate_frame(c, 1.0 + 1.0j).group_residual() < 1e-10
+
+
+FRAME_BATCHES = {
+    # 40 to 315 substeps: the angle-scan grid
+    "circle-geomspace": (lambda: make_circle(1.0, 256),
+                         np.geomspace(8.0, 64.0, 32)),
+    "helix-row-0.55": (lambda: make_helix(1.0, 1.0, 1.0, 256),
+                       [complex(re, 0.55) for re in np.linspace(0.5, 2, 16)]),
+    "helix-row-0": (lambda: make_helix(1.0, 1.0, 1.0, 256),
+                    [complex(re, 0.0) for re in np.linspace(0.5, 2, 16)]),
+    "unsorted-duplicate": (lambda: make_circle(1.0, 256),
+                           [3.0, 0.5, 40.0, 3.0, 12.0]),
+    "single": (lambda: make_circle(1.0, 256), [17.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_BATCHES))
+def test_integrate_frames_matches_per_lambda_loop(case):
+    # the batch does every lambda's own arithmetic: equal bit for bit
+    make, lams = FRAME_BATCHES[case]
+    c = make()
+    frames = integrate_frames(c, lams)
+    assert len(frames) == len(lams)
+    for lam, got in zip(lams, frames):
+        want = loop_integrate_frame(c, lam)
+        assert got.lam == want.lam and type(got.lam) is type(want.lam)
+        assert np.array_equal(got.F, want.F)
+        assert np.array_equal(got.dF, want.dF)
+
+
+def test_integrate_frames_edge_batches():
+    c = make_circle(1.0, 64)
+    assert integrate_frames(c, []) == []
+    with pytest.raises(ArgumentError):
+        integrate_frames(c, [1.0, 1.0 + 0.5j])
+
+
+def test_integrate_frames_loops_over_longest_substep_count(monkeypatch):
+    # one substep iteration per substep of the largest lambda, not one per
+    # substep of every lambda (315 against 4,290 on this grid)
+    calls = []
+    dqexp_vec = qmath.dqexp_vec
+
+    def counting(v, vdot):
+        calls.append(v.size // 3)
+        return dqexp_vec(v, vdot)
+
+    monkeypatch.setattr(qmath, "dqexp_vec", counting)
+    integrate_frames(make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32))
+    assert len(calls) == 315
+    assert sum(calls) == 4290 * 256
 
 
 def test_circle_angle_closed_form():
