@@ -12,7 +12,6 @@ from functools import cached_property
 
 import json
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import qmath
 from .errors import (ArgumentError, DegenerateInputError,
@@ -204,12 +203,141 @@ def tangent(curve):
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
-def _spline_through(points, monodromy, pad):
-    """Cubic spline through monodromy-extended points, chord parametrized.
+def _cyclic_reduction(a, b, c, d, levels):
+    """x with a_i x_{i-1} + b_i x_i + c_i x_{i+1} = d_i (rows of d), for
+    2^levels * j - 1 rows with a_0 = c_{-1} = 0.
 
-    Returns (spline, knots, domain_start_index); the fundamental domain runs
-    from knot[pad] to knot[pad + n] where knot[pad + n] is the wrap image
-    h(points[0]).
+    Each level eliminates the even rows from the odd ones (cyclic
+    reduction); after `levels` levels the remaining coupling is dropped.
+    """
+    if levels == 0 or len(b) == 1:
+        return d / b[:, None]
+    lo, od, hi = slice(0, -1, 2), slice(1, None, 2), slice(2, None, 2)
+    al = -a[od] / b[lo]
+    ga = -c[od] / b[hi]
+    xo = _cyclic_reduction(al * a[lo], b[od] + al * c[lo] + ga * a[hi],
+                           ga * c[hi],
+                           d[od] + al[:, None] * d[lo] + ga[:, None] * d[hi],
+                           levels - 1)
+    x = np.empty_like(d)
+    x[od] = xo
+    xe = d[0::2].copy()
+    xe[1:] -= a[2::2, None] * xo
+    xe[:-1] -= c[0:-1:2, None] * xo
+    x[0::2] = xe / b[0::2, None]
+    return x
+
+
+def _not_a_knot_slopes(h, y):
+    """Knot slopes of the not-a-knot cubic spline through the points y at
+    parameter steps h (de Boor, A Practical Guide to Splines, ch. IV).
+
+    The two not-a-knot rows are subtracted from their neighbours first.
+    What remains is row diagonally dominant: off-diagonal row sums are at
+    most r < 1 of the diagonal, and each level of cyclic reduction squares
+    that ratio (Heller, SIAM J. Numer. Anal. 13, 1976), so the reduction
+    stops once r^(2^levels) is below 2^-60.
+    """
+    delta = np.diff(y, axis=0) / h[:, None]
+    w0 = h[0] + h[1]
+    w1 = h[-2] + h[-1]
+    r0 = ((h[0] + 2.0 * w0) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / w0
+    r1 = (h[-1] ** 2 * delta[-2]
+          + (2.0 * w1 + h[-1]) * h[-2] * delta[-1]) / w1
+    ratio = max(0.5, h[0] / w0, h[-1] / w1)
+    m = len(h) - 1   # the interior rows 1 .. N-1
+    levels = 0
+    while ratio ** (2 ** levels) > 2.0 ** -60 and 2 ** levels <= m:
+        levels += 1
+    # padded with identity rows to 2^levels * j - 1 rows
+    size = -(-(m + 1) // 2 ** levels) * 2 ** levels - 1
+    a = np.zeros(size)
+    b = np.ones(size)
+    c = np.zeros(size)
+    rhs = np.zeros((size, y.shape[1]))
+    a[1:m] = h[2:]
+    b[:m] = 2.0 * (h[:-1] + h[1:])
+    c[:m - 1] = h[:-2]
+    rhs[:m] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
+    b[0] = w0
+    rhs[0] -= r0
+    b[m - 1] = w1
+    rhs[m - 1] -= r1
+    slopes = np.empty_like(y)
+    slopes[1:-1] = _cyclic_reduction(a, b, c, rhs, levels)[:m]
+    slopes[0] = (r0 - w0 * slopes[1]) / h[1]
+    slopes[-1] = (r1 - w1 * slopes[-2]) / h[-2]
+    return slopes
+
+
+# the 8 Gauss nodes as fractions of a segment
+_GAUSS_U = 0.5 * (1.0 + _GAUSS_X)
+
+
+def _horner(q, u):
+    """sum_j q_j u^j for coefficient rows q_0 .. q_4."""
+    acc = q[4] * u
+    for j in (3, 2, 1):
+        acc = (acc + q[j]) * u
+    return acc + q[0]
+
+
+@dataclass(frozen=True)
+class _Spline:
+    """Cubic through `values` at parameter steps h, in Hermite form: on
+    segment i, at the fraction u, p(u) = y_i + u h_i (s_i + u (c1 + u c2))
+    with s the knot slopes."""
+    h: np.ndarray        # (N,)
+    values: np.ndarray   # (N + 1, 3)
+    slopes: np.ndarray   # (N + 1, 3)
+
+    @cached_property
+    def _coefficients(self):
+        delta = np.diff(self.values, axis=0) / self.h[:, None]
+        s0, s1 = self.slopes[:-1], self.slopes[1:]
+        return 3.0 * delta - 2.0 * s0 - s1, s0 + s1 - 2.0 * delta
+
+    @cached_property
+    def _speed_squared(self):
+        """q_0 .. q_4 of |p'(u)|^2 = sum_j q_j u^j per segment, from
+        p'(u) = s_i + u (2 c1 + 3 u c2)."""
+        c1, c2 = self._coefficients
+        v = np.stack([self.slopes[:-1], 2.0 * c1, 3.0 * c2])
+        g = np.einsum("isk,jsk->ijs", v, v)
+        return np.stack([g[0, 0], 2.0 * g[0, 1], g[1, 1] + 2.0 * g[0, 2],
+                         2.0 * g[1, 2], g[2, 2]])
+
+    def positions(self, idx, u):
+        """p at the fractions u (M,) of the segments idx (M,)."""
+        c1, c2 = self._coefficients
+        u = u[:, None]
+        return self.values[idx] + (u * self.h[idx, None]) * (
+            self.slopes[idx] + u * (c1[idx] + u * c2[idx]))
+
+    def speeds(self, idx, u):
+        """|dp/dt| at the fractions u, (M,) or (M, k), of the segments idx."""
+        q = self._speed_squared[:, idx]
+        return np.sqrt(_horner(q if np.ndim(u) == 1 else q[..., None], u))
+
+    def lengths(self, idx, v):
+        """Arclength from the start of each segment idx to its fraction v,
+        8-point Gauss."""
+        speed = self.speeds(idx, v[:, None] * _GAUSS_U)
+        return 0.5 * v * self.h[idx] * (speed @ _GAUSS_W)
+
+    def segment_lengths(self, lo, hi):
+        """Arclengths of the whole segments lo .. hi-1, 8-point Gauss."""
+        q = self._speed_squared[:, lo:hi, None]
+        speed = np.sqrt(_horner(q, _GAUSS_U))
+        return 0.5 * self.h[lo:hi] * (speed @ _GAUSS_W)
+
+
+def _spline_through(points, monodromy, pad):
+    """Not-a-knot cubic spline through monodromy-extended points, chord
+    parametrized.
+
+    The fundamental domain runs from segment pad to segment pad + n - 1;
+    the knot at its end is the wrap image h(points[0]).
     """
     n = len(points)
     right = monodromy.apply(points[:pad + 1])
@@ -218,17 +346,7 @@ def _spline_through(points, monodromy, pad):
     chord = np.linalg.norm(np.diff(ext, axis=0), axis=1)
     if np.any(chord < 1e-13 * max(1.0, np.abs(ext).max())):
         raise DegenerateInputError("repeated consecutive points in polyline")
-    t = np.concatenate([[0.0], np.cumsum(chord)])
-    return CubicSpline(t, ext, axis=0), t, pad
-
-
-def _arclength(spline, a, b):
-    """Arclength of the spline from a to b (arrays), 8-pt Gauss each."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    speed = np.linalg.norm(spline(ts.ravel(), 1), axis=1).reshape(ts.shape)
-    return half * (speed @ _GAUSS_W)
+    return _Spline(chord, ext, _not_a_knot_slopes(chord, ext))
 
 
 def resample_arclength(points, monodromy, n):
@@ -244,30 +362,29 @@ def resample_arclength(points, monodromy, n):
     residual = np.inf
     for _ in range(_RESAMPLE_ITER):
         pad = min(4, len(pts))
-        spline, knots, i0 = _spline_through(pts, monodromy, pad)
-        ends = knots[i0:i0 + len(pts) + 1]
-        segs = _arclength(spline, ends[:-1], ends[1:])
+        spline = _spline_through(pts, monodromy, pad)
+        segs = spline.segment_lengths(pad, pad + len(pts))
         total = segs.sum()
         dx = total / n if len(pts) == n else None
         if len(pts) == n:
             residual = np.abs(segs - dx).max() / dx
             if residual <= _RESAMPLE_TOL:
                 return Curve(pts, dx, monodromy)
-        # invert cumulative arclength at equal targets
+        # invert cumulative arclength at equal targets: Newton on the
+        # fraction v of segment idx, with steps measured in arclength
         cum = np.concatenate([[0.0], np.cumsum(segs)])
         targets = total * np.arange(n) / n
         idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(segs) - 1)
-        a = knots[i0 + idx]
-        b = knots[i0 + idx + 1]
-        t = a + (b - a) * np.clip((targets - cum[idx]) / segs[idx], 0.0, 1.0)
+        v = np.clip((targets - cum[idx]) / segs[idx], 0.0, 1.0)
+        start = cum[idx] - targets
+        idx = idx + pad
+        h = spline.h[idx]
         for _ in range(30):
-            f = cum[idx] + _arclength(spline, a, t) - targets
-            df = np.linalg.norm(spline(t, 1), axis=1)
-            step = f / df
-            t = np.clip(t - step, a, knots[i0 + idx + 1])
+            step = (start + spline.lengths(idx, v)) / spline.speeds(idx, v)
+            v = np.clip(v - step / h, 0.0, 1.0)
             if np.abs(step).max() <= 1e-15 * max(total, 1.0):
                 break
-        pts = spline(t)
+        pts = spline.positions(idx, v)
     raise ResamplingError("resampling did not converge (residual %.3e)" % residual,
                           residual=residual)
 
@@ -275,9 +392,8 @@ def resample_arclength(points, monodromy, n):
 def arclength_deviation(curve):
     """Max relative deviation of spline segment arclengths from seg_len."""
     pad = min(4, curve.n)
-    spline, knots, i0 = _spline_through(curve.samples, curve.monodromy, pad)
-    ends = knots[i0:i0 + curve.n + 1]
-    segs = _arclength(spline, ends[:-1], ends[1:])
+    spline = _spline_through(curve.samples, curve.monodromy, pad)
+    segs = spline.segment_lengths(pad, pad + curve.n)
     return np.abs(segs - curve.seg_len).max() / curve.seg_len
 
 
@@ -416,7 +532,11 @@ def parallel_normal_frame(curve, initial_normal=None):
     # orientation chosen so the result agrees with the Frenet torsion
     # integral (positive for a right-handed helix)
     alpha = np.arctan2(np.dot(back, qmath.cross(nu0, t0)), np.dot(back, nu0))
-    winding = int(round((_torsion_integral(curve) - alpha) / (2.0 * np.pi)))
+    turn = (_torsion_integral(curve) - alpha) / (2.0 * np.pi)
+    if not np.isfinite(turn):
+        raise DegenerateInputError("the curve's derivatives overflow at this "
+                                   "scale; its frame is not finite")
+    winding = int(round(turn))
     return NormalFrame(np.concatenate([nu0[None], nus[:-1]]), alpha, winding)
 
 
@@ -470,8 +590,10 @@ def curve_from_dict(data):
 
 
 def save_curve(curve, path):
+    # json.dumps runs the C encoder; json.dump writes the same bytes
+    # through the pure-Python one
     with open(path, "w") as f:
-        json.dump(curve_to_dict(curve), f)
+        f.write(json.dumps(curve_to_dict(curve)))
 
 
 def load_curve(path):

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import resample_arclength, save_curve
 from .errors import ArgumentError, BlowUpError, RangeError, StabilityError
@@ -171,13 +170,6 @@ def commutator_defect(curve, i, j, dt):
     ba = step(step(curve, spec_j), spec_i)
     diff = ab.samples - ba.samples
     return np.sqrt(curve.seg_len * np.sum(diff * diff))
-
-
-def hausdorff_distance(points_a, points_b):
-    """Symmetric Hausdorff distance between two sample clouds."""
-    ta = cKDTree(points_a)
-    tb = cKDTree(points_b)
-    return max(ta.query(points_b)[0].max(), tb.query(points_a)[0].max())
 
 
 def rigid_register(moving, fixed):

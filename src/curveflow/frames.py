@@ -32,6 +32,9 @@ _STENCIL = np.arange(-2, 4, dtype=float)
 _SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
 # largest |lambda| * substep length of the Magnus integrator
 _MAGNUS_STEP = 0.005
+# largest |lambda| * seg_len accepted, 6400 substeps per sample interval;
+# the benchmark's scans reach 64 * 2 pi / 256 = 1.57
+_MAX_LAMBDA_STEP = 32.0
 # guard coefficients of the angle-expansion fit
 _GUARD_TERMS = 3
 
@@ -130,6 +133,11 @@ def integrate_frames(curve, lams):
     dtype = float if real else complex
     n = curve.n
     h = curve.seg_len
+    for lam in lams:
+        if not abs(lam) * h <= _MAX_LAMBDA_STEP:
+            raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
+                                "many frame substeps" % (abs(lam) * h,
+                                                         _MAX_LAMBDA_STEP))
     subs = [max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP))) for lam in lams]
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
@@ -290,6 +298,9 @@ def fit_angle_expansion(scan, kmax):
     lams = np.array([m.lam for m in scan])
     thetas = np.array([m.theta for m in scan])
     powers = 2.0 - np.arange(kmax + _GUARD_TERMS + 1)
+    if len(lams) < len(powers):
+        raise ArgumentError("fitting E_0 .. E_%d needs at least %d lambdas, "
+                            "got %d" % (kmax, len(powers), len(lams)))
     design = lams[:, None] ** powers[None, :]
     scale = np.linalg.norm(design, axis=0)
     if not np.all((scale > 0.0) & (scale < np.inf)):

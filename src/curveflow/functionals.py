@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import (Curve, deriv, measured_length, parallel_normal_frame,
                      resample_arclength)
-from .errors import ArgumentError, RangeError
+from .errors import ArgumentError, DegenerateInputError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
 from .qmath import cross
 
@@ -139,6 +139,11 @@ def energy_report(curve, axis=None, near_torsion=None):
     frame = parallel_normal_frame(curve)
     values = {k: _near_branch(frame.total_angle, near_torsion) if k == 2
               else _energy(k, curve, axis) for k in ks}
+    for k, value in values.items():
+        if not np.isfinite(value):
+            raise DegenerateInputError("E_%d is not finite: the curve's "
+                                       "derivatives overflow at this scale"
+                                       % k)
     return EnergyReport(values, None if axis is None else np.asarray(axis, float),
                         frame.winding)
 

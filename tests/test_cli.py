@@ -1,10 +1,16 @@
 """End-to-end command-line runs against temporary output directories."""
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import curveflow
 from curveflow import darboux, frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
 from curveflow.curves import curve_to_dict, make_circle
@@ -297,11 +303,44 @@ BAD_INPUTS = {
     "negative-degree": lambda p: ["lax", "--degree", "-1"],
     "infinite-length": lambda p: ["energies", "--curve",
                                   "line:length=inf,n=64"],
+    # 3 lambdas for the 9 columns of E_0..E_5 and the guard terms
+    "underdetermined-fit": lambda p: ["angle-scan", "--curve",
+                                      "circle:r=1,n=32", "--lmin", "8",
+                                      "--lmax", "16", "--count", "3",
+                                      "--fit", "5"],
+    "huge-lambda": lambda p: ["darboux", "--curve", "circle:n=32",
+                              "--lam", "1e300+1i"],
+    "tiny-curve": lambda p: ["energies", "--curve", "circle:r=1e-300,n=32"],
 }
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
-    code, _ = run(tmp_path, *BAD_INPUTS[case](tmp_path))
+    with time_limit(30):
+        code, _ = run(tmp_path, *BAD_INPUTS[case](tmp_path))
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curveflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, curveflow.cli; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,16 +1,22 @@
 """Curve construction, arclength differentiation, and the parallel frame."""
 
+import io
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.interpolate import CubicSpline
 
 from curveflow import qmath
-from curveflow.curves import (Monodromy, arclength_deviation,
-                              complex_curvature, ddx, deriv, extend,
-                              load_curve, make_circle, make_helix, make_line,
-                              make_perturbed_circle, measured_length,
-                              parallel_normal_frame, random_equivariant_field,
-                              resample_arclength, save_curve, tangent)
+from curveflow.curves import (Monodromy, _not_a_knot_slopes, _Spline,
+                              _spline_through, arclength_deviation,
+                              complex_curvature, curve_to_dict, ddx, deriv,
+                              extend, load_curve, make_circle, make_helix,
+                              make_line, make_perturbed_circle,
+                              measured_length, parallel_normal_frame,
+                              random_equivariant_field, resample_arclength,
+                              save_curve, tangent)
 from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
 from oracles import loop_parallel_normal_frame
@@ -174,6 +180,52 @@ def test_save_load_roundtrip(tmp_path):
     npt.assert_allclose(back.monodromy.rotation, c.monodromy.rotation)
     npt.assert_allclose(back.monodromy.translation, c.monodromy.translation)
     assert back.seg_len == c.seg_len
+
+
+@pytest.mark.parametrize("curve", [make_helix(1.0, 1.0, 1.0, 64),
+                                   make_perturbed_circle(1.0, 512, 0.05)],
+                         ids=["helix64", "pc512"])
+def test_save_curve_writes_json_dump_bytes(tmp_path, curve):
+    path = tmp_path / "c.json"
+    save_curve(curve, path)
+    oracle = io.StringIO()
+    json.dump(curve_to_dict(curve), oracle)
+    assert path.read_text() == oracle.getvalue()
+
+
+def chord_knots(curve):
+    """Knots and points of the monodromy-extended chord spline of a curve."""
+    spline = _spline_through(curve.samples, curve.monodromy, 4)
+    return np.concatenate([[0.0], np.cumsum(spline.h)]), spline.values
+
+
+def random_knots():
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, 300))])
+    return t, rng.standard_normal((301, 3))
+
+
+@pytest.mark.parametrize("knots", [
+    lambda: chord_knots(make_perturbed_circle(1.0, 512, 0.05)),
+    lambda: chord_knots(make_helix(1.0, 1.0, 1.0, 256)),
+    random_knots], ids=["pc512", "helix256", "random"])
+def test_spline_matches_scipy_not_a_knot(knots):
+    t, y = knots()
+    h = np.diff(t)
+    spline = _Spline(h, y, _not_a_knot_slopes(h, y))
+    oracle = CubicSpline(t, y, axis=0)
+    x = np.random.default_rng(0).uniform(t[0], t[-1], 4000)
+    idx = np.clip(np.searchsorted(t, x, side="right") - 1, 0, len(h) - 1)
+    u = (x - t[idx]) / h[idx]
+    value = oracle(x)
+    assert (np.abs(spline.positions(idx, u) - value).max()
+            <= 1e-13 * np.abs(value).max())
+    slope = oracle(t, 1)
+    assert (np.abs(spline.slopes - slope).max()
+            <= 1e-13 * np.abs(slope).max())
+    speed = np.linalg.norm(oracle(x, 1), axis=1)
+    assert (np.abs(spline.speeds(idx, u) - speed).max()
+            <= 1e-13 * speed.max())
 
 
 def test_perturbed_circle_is_arclength_uniform():

@@ -10,8 +10,9 @@ from curveflow.curves import (arclength_deviation, make_circle, make_helix,
 from curveflow.errors import (ArgumentError, BlowUpError, RangeError,
                               StabilityError)
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
-                             export_trajectory, hausdorff_distance,
-                             max_relative_drift, rigid_register, step)
+                             export_trajectory, max_relative_drift,
+                             rigid_register, step)
+from helpers import hausdorff_distance
 
 
 def test_circle_translates_under_binormal_flow():
@@ -123,6 +124,7 @@ def test_rigid_register_and_hausdorff():
     back = rigid_register(moved, pts)
     npt.assert_allclose(back, pts, atol=1e-12)
     assert hausdorff_distance(pts, pts) == 0.0
+    assert hausdorff_distance(pts[:1], pts[:2]) == np.linalg.norm(pts[1] - pts[0])
 
 
 def test_export_trajectory(tmp_path):
