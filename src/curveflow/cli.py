@@ -3,7 +3,7 @@
 Every run writes its artifacts into an output directory together with a
 manifest.json echoing the configuration, the package version, and a summary
 of the residuals the command produced.  Exit codes: 0 ok, 2 validation
-error, 3 numerical failure.
+error (nothing written), 3 numerical failure (only a diagnostics.json).
 """
 
 import argparse
@@ -108,11 +108,16 @@ def parse_axis(text):
     return axis / norm
 
 
-def write_manifest(outdir, args, summary):
-    os.makedirs(outdir, exist_ok=True)
+def artifact(args, name):
+    """Path of the artifact `name` in --out, creating --out on first use."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def write_manifest(args, summary):
     config = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {"version": __version__, "config": config, "summary": summary}
-    with open(os.path.join(outdir, "manifest.json"), "w") as f:
+    with open(artifact(args, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
 
 
@@ -131,37 +136,28 @@ def cmd_flow(args):
     traj, drifts = _run_flow(args, integrator=args.integrator,
                              resample_every=args.resample_every)
     export_trajectory(traj, args.out)
-    write_manifest(args.out, args,
-                   {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
-                    "snapshots": len(traj.snapshots)})
-    return 0
+    return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
+            "snapshots": len(traj.snapshots)}
 
 
 def cmd_energies(args):
     curve = parse_curve(args.curve, seed=args.seed)
     axis = parse_axis(args.axis) if args.axis else None
     rep = energy_report(curve, axis=axis)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "energies.csv"), "w") as f:
+    with open(artifact(args, "energies.csv"), "w") as f:
         f.write("k,value,axis,torsion_branch\n")
         f.write(rep.csv_rows())
-    write_manifest(args.out, args,
-                   {"values": {"E_%d" % k: v for k, v in rep.values.items()}})
-    return 0
+    return {"values": {"E_%d" % k: v for k, v in rep.values.items()}}
 
 
 def cmd_conserve(args):
     _, drifts = _run_flow(args)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "drifts.csv"), "w") as f:
+    with open(artifact(args, "drifts.csv"), "w") as f:
         f.write("k,max_relative_drift\n")
         for k in sorted(drifts):
             f.write("%d,%.17g\n" % (k, drifts[k]))
-    worst = max(drifts.values())
-    write_manifest(args.out, args,
-                   {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
-                    "worst": worst})
-    return 0
+    return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
+            "worst": max(drifts.values())}
 
 
 def cmd_commute(args):
@@ -179,15 +175,11 @@ def cmd_commute(args):
         d2 = commutator_defect(curve, i, j, args.dt / 2.0)
         factor = d1 / d2 if d2 > 0 else float("inf")
         rows.append((i, j, d1, d2, factor))
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "defects.csv"), "w") as f:
+    with open(artifact(args, "defects.csv"), "w") as f:
         f.write("i,j,defect_dt,defect_half_dt,factor\n")
         for r in rows:
             f.write("%d,%d,%.17g,%.17g,%.17g\n" % r)
-    write_manifest(args.out, args,
-                   {"factors": {"%d,%d" % (i, j): fac
-                                for i, j, _, _, fac in rows}})
-    return 0
+    return {"factors": {"%d,%d" % (i, j): fac for i, j, _, _, fac in rows}}
 
 
 def cmd_lax(args):
@@ -204,17 +196,13 @@ def cmd_lax(args):
     weights = parse_weights(args.flow)
     snaps = lax_evolve(xi, weights, args.dt, args.steps)
     p0 = spectral_polynomial(snaps[0]).coeffs
-    drift = max(np.abs(spectral_polynomial(s).coeffs - p0).max()
-                for s in snaps)
-    os.makedirs(args.out, exist_ok=True)
-    save_loop(snaps[-1], os.path.join(args.out, "final_loop.json"))
-    with open(os.path.join(args.out, "spectral_drift.csv"), "w") as f:
+    drifts = [np.abs(spectral_polynomial(s).coeffs - p0).max() for s in snaps]
+    save_loop(snaps[-1], artifact(args, "final_loop.json"))
+    with open(artifact(args, "spectral_drift.csv"), "w") as f:
         f.write("snapshot,max_coefficient_drift\n")
-        for i, s in enumerate(snaps):
-            d = np.abs(spectral_polynomial(s).coeffs - p0).max()
+        for i, d in enumerate(drifts):
             f.write("%d,%.17g\n" % (i, d))
-    write_manifest(args.out, args, {"max_spectral_drift": drift})
-    return 0
+    return {"max_spectral_drift": max(drifts)}
 
 
 def cmd_angle_scan(args):
@@ -224,10 +212,13 @@ def cmd_angle_scan(args):
     curve = parse_curve(args.curve, seed=args.seed)
     grid = np.geomspace(args.lmin, args.lmax, args.count)
     scan = monodromy_angle_scan(curve, grid)
+    summary = {}
+    if args.fit:
+        es = fit_angle_expansion(scan, args.fit)
+        summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
     e1 = energy(1, curve)
     e2 = energy(2, curve)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "angles.csv"), "w") as f:
+    with open(artifact(args, "angles.csv"), "w") as f:
         f.write("lambda,theta,axis_x,axis_y,axis_z,area,gauss_bonnet_residual\n")
         for m in scan:
             try:
@@ -239,12 +230,7 @@ def cmd_angle_scan(args):
             # no axis at a +-identity monodromy: blank cells, like the area
             ax = ",," if m.axis is None else "%.17g,%.17g,%.17g" % tuple(m.axis)
             f.write("%.17g,%.17g,%s,%s\n" % (m.lam, m.theta, ax, tail))
-    summary = {}
-    if args.fit:
-        es = fit_angle_expansion(scan, args.fit)
-        summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
-    write_manifest(args.out, args, summary)
-    return 0
+    return summary
 
 
 def _parse_grid(text):
@@ -264,12 +250,9 @@ def cmd_spectral_scan(args):
     res = _parse_grid(args.re)
     ims = _parse_grid(args.im)
     rows = spectral_image_scan(curve, res, ims)
-    os.makedirs(args.out, exist_ok=True)
-    scan_to_csv(rows, os.path.join(args.out, "spectral_scan.csv"))
+    scan_to_csv(rows, artifact(args, "spectral_scan.csv"))
     flagged = sum(int(r["parabolic"]) for r in rows)
-    write_manifest(args.out, args,
-                   {"samples": len(rows), "branch_points_flagged": flagged})
-    return 0
+    return {"samples": len(rows), "branch_points_flagged": flagged}
 
 
 def cmd_darboux(args):
@@ -281,25 +264,24 @@ def cmd_darboux(args):
     if lam is None or not np.isfinite(lam):
         raise ArgumentError("lambda must be a finite complex number like "
                             "'0.5+2i'")
-    os.makedirs(args.out, exist_ok=True)
     meta = {"lambda": [lam.real, lam.imag]}
     e0 = {k: energy(k, curve) for k in (1, 2, 3)}
+    results = {}
     for sign, tag in (("+", "plus"), ("-", "minus")):
-        result = darboux_transform(curve, lam, sign=sign)
-        export_polyline(result.raw_points,
-                        os.path.join(args.out, "eta_%s.csv" % tag))
-        save_curve(result.curve,
-                   os.path.join(args.out, "eta_%s.json" % tag))
+        result = results[tag] = darboux_transform(curve, lam, sign=sign)
         meta["eta_%s" % tag] = {
             "distance": result.distance,
             "pre_resample_deviation": result.pre_resample_deviation,
             "energy_deltas": {"E_%d" % k: energy(k, result.curve) - e0[k]
                               for k in (1, 2, 3)},
         }
-    with open(os.path.join(args.out, "darboux.json"), "w") as f:
+    # written only once both transforms succeeded, so a failure leaves none
+    for tag, result in results.items():
+        export_polyline(result.raw_points, artifact(args, "eta_%s.csv" % tag))
+        save_curve(result.curve, artifact(args, "eta_%s.json" % tag))
+    with open(artifact(args, "darboux.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
-    write_manifest(args.out, args, meta)
-    return 0
+    return meta
 
 
 def cmd_criticality(args):
@@ -308,11 +290,9 @@ def cmd_criticality(args):
     summary = {"multipliers": [float(c) for c in fit.coefficients],
                "axis_term": [float(c) for c in fit.axis_term],
                "residual": fit.residual}
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "criticality.json"), "w") as f:
+    with open(artifact(args, "criticality.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
-    write_manifest(args.out, args, summary)
-    return 0
+    return summary
 
 
 def build_parser():
@@ -321,94 +301,82 @@ def build_parser():
         description="Hamiltonian flows of space curves with monodromy")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, name):
-        p.add_argument("--curve", required=True,
-                       help="builtin spec (e.g. circle:r=1,n=256) or JSON path")
+    def command(name, func, text, curve=True):
+        p = sub.add_parser(name, help=text)
+        if curve:
+            p.add_argument("--curve", required=True, help="builtin spec "
+                           "(e.g. circle:r=1,n=256) or JSON path")
         p.add_argument("--out", default=os.path.join("runs", name))
         p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("flow", help="evolve a curve and export the trajectory")
-    common(p, "flow")
-    p.add_argument("--flow", required=True, help="weights, e.g. '1' or '1=1,2=0.5'")
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--axis", default=None)
+    def flow_options(p):
+        p.add_argument("--flow", required=True,
+                       help="weights, e.g. '1' or '1=1,2=0.5'")
+        p.add_argument("--dt", type=float, required=True)
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--axis", default=None)
+
+    p = command("flow", cmd_flow, "evolve a curve and export the trajectory")
+    flow_options(p)
     p.add_argument("--integrator", choices=("rk4", "midpoint", "euler"),
                    default="rk4")
     p.add_argument("--resample-every", type=int, default=0)
-    p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("energies", help="all E_k of a curve as CSV")
-    common(p, "energies")
+    p = command("energies", cmd_energies, "all E_k of a curve as CSV")
     p.add_argument("--axis", default=None)
-    p.set_defaults(func=cmd_energies)
 
-    p = sub.add_parser("conserve", help="energy drift along a flow")
-    common(p, "conserve")
-    p.add_argument("--flow", required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--axis", default=None)
-    p.set_defaults(func=cmd_conserve)
+    flow_options(command("conserve", cmd_conserve, "energy drift along a flow"))
 
-    p = sub.add_parser("commute", help="flow-composition defects and scaling")
-    common(p, "commute")
+    p = command("commute", cmd_commute,
+                "flow-composition defects and scaling")
     p.add_argument("--pairs", default="1,2;1,3;2,3")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_commute)
 
-    p = sub.add_parser("lax", help="isospectral loop-algebra evolution")
+    p = command("lax", cmd_lax, "isospectral loop-algebra evolution",
+                curve=False)
     p.add_argument("--loop", default=None, help="loop JSON path")
     p.add_argument("--degree", type=int, default=3,
                    help="degree of a random loop when --loop is omitted")
     p.add_argument("--flow", default="0", help="V_k weights")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--out", default=os.path.join("runs", "lax"))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lax)
 
-    p = sub.add_parser("angle-scan", help="monodromy angle over a lambda grid")
-    common(p, "angle-scan")
+    p = command("angle-scan", cmd_angle_scan,
+                "monodromy angle over a lambda grid")
     p.add_argument("--lmin", type=float, default=8.0)
     p.add_argument("--lmax", type=float, default=64.0)
     p.add_argument("--count", type=int, default=32)
     p.add_argument("--fit", type=int, default=0,
                    help="fit E_0..E_k from the scan (0 = no fit)")
-    p.set_defaults(func=cmd_angle_scan)
 
-    p = sub.add_parser("spectral-scan",
-                       help="ideal fixed points over a complex lambda grid")
-    common(p, "spectral-scan")
+    p = command("spectral-scan", cmd_spectral_scan,
+                "ideal fixed points over a complex lambda grid")
     p.add_argument("--re", default="0.5:2:8", help="grid lo:hi:count")
     p.add_argument("--im", default="0.1:1:8", help="grid lo:hi:count")
-    p.set_defaults(func=cmd_spectral_scan)
 
-    p = sub.add_parser("darboux", help="Darboux transform pair at complex lambda")
-    common(p, "darboux")
+    p = command("darboux", cmd_darboux,
+                "Darboux transform pair at complex lambda")
     p.add_argument("--lam", "--lambda", dest="lam", required=True,
                    help="complex value, e.g. '0.5+2i'")
-    p.set_defaults(func=cmd_darboux)
 
-    p = sub.add_parser("criticality", help="fit Y_k against lower flows")
-    common(p, "criticality")
+    p = command("criticality", cmd_criticality,
+                "fit Y_k against lower flows")
     p.add_argument("--k", type=int, default=3)
-    p.set_defaults(func=cmd_criticality)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        write_manifest(args, args.func(args))
+        return 0
     except ValidationError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except NumericalError as e:
-        outdir = getattr(args, "out", ".")
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "diagnostics.json"), "w") as f:
+        with open(artifact(args, "diagnostics.json"), "w") as f:
             json.dump({"error": type(e).__name__, "message": str(e)}, f,
                       indent=2)
         print("numerical failure: %s" % e, file=sys.stderr)

@@ -95,10 +95,6 @@ class Curve:
     def length(self):
         return self.n * self.seg_len
 
-    @property
-    def is_closed(self):
-        return self.monodromy.is_identity
-
     def with_samples(self, samples):
         return Curve(samples, self.seg_len, self.monodromy, self.basepoint_index)
 
@@ -119,28 +115,29 @@ class NormalFrame:
         return self.holonomy_angle + 2.0 * np.pi * self.winding
 
 
-def extend(values, curve, pad, affine=False):
-    """Pad an (n, 3) array on both sides using the monodromy.
+def extend(values, monodromy, left, right, affine=False):
+    """Pad an (n, 3) array with `left` values before it and `right` after it
+    using the monodromy.
 
     affine=True treats values as positions (full motion h applied); otherwise
     they are vector-field values, extended by the rotation part only.
     """
     n = len(values)
-    if pad > n:
-        raise ArgumentError("padding %d exceeds sample count %d" % (pad, n))
-    m = curve.monodromy
-    if m.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
+    if left > n or right > n:
+        raise ArgumentError("padding %d, %d exceeds sample count %d"
+                            % (left, right, n))
+    if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
         # qrotate by the identity returns v + 0 + 0
-        shift = m.translation if affine else 0.0
-        right = values[:pad] + shift
-        left = values[n - pad:] - shift
+        shift = monodromy.translation if affine else 0.0
+        after = values[:right] + shift
+        before = values[n - left:] - shift
     elif affine:
-        right = m.apply(values[:pad])
-        left = m.apply_inverse(values[n - pad:])
+        after = monodromy.apply(values[:right])
+        before = monodromy.apply_inverse(values[n - left:])
     else:
-        right = m.apply_vector(values[:pad])
-        left = m.apply_vector_inverse(values[n - pad:])
-    return np.concatenate([left, values, right], axis=0)
+        after = monodromy.apply_vector(values[:right])
+        before = monodromy.apply_vector_inverse(values[n - left:])
+    return np.concatenate([before, values, after], axis=0)
 
 
 # 4th-order centered first derivative
@@ -167,7 +164,8 @@ def ddx(values, curve, affine=False):
     values = np.asarray(values)
     if values.dtype == object:
         values = values.astype(float)
-    return central_d1(extend(values, curve, 2, affine=affine), curve.seg_len)
+    return central_d1(extend(values, curve.monodromy, 2, 2, affine=affine),
+                      curve.seg_len)
 
 
 def deriv(curve, order, dtype=None):
@@ -339,10 +337,9 @@ def _spline_through(points, monodromy, pad):
     The fundamental domain runs from segment pad to segment pad + n - 1;
     the knot at its end is the wrap image h(points[0]).
     """
-    n = len(points)
-    right = monodromy.apply(points[:pad + 1])
-    left = monodromy.apply_inverse(points[n - pad:])
-    ext = np.concatenate([left, points, right], axis=0)
+    # a polyline of pad points or fewer has no pad + 1 points to wrap
+    ext = extend(points, monodromy, pad, min(pad + 1, len(points)),
+                 affine=True)
     chord = np.linalg.norm(np.diff(ext, axis=0), axis=1)
     if np.any(chord < 1e-13 * max(1.0, np.abs(ext).max())):
         raise DegenerateInputError("repeated consecutive points in polyline")
@@ -504,9 +501,8 @@ def parallel_normal_frame(curve, initial_normal=None):
     fundamental domain, pulled back by the monodromy rotation, against the
     initial normal in the complex structure T x ( ).
     """
-    pts = extend(curve.samples, curve, 1, affine=True)[1:]
-    tan = tangent(curve)
-    tan = np.concatenate([tan, [curve.monodromy.apply_vector(tan[0])]], axis=0)
+    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
+    tan = extend(tangent(curve), curve.monodromy, 0, 1)
     t0 = tan[0]
     if initial_normal is None:
         nu0 = qmath.cross([0.0, 0.0, 1.0], t0)

@@ -59,7 +59,8 @@ def tangent_interpolator(curve):
     [0, 1] of every sample interval, by 6-point Lagrange stencils across the
     monodromy-extended samples; shape s.shape + (n, 3)."""
     n = curve.n
-    text = extend(tangent(curve), curve, 3)   # sample i lives at index i + 3
+    # sample i lives at index i + 3
+    text = extend(tangent(curve), curve.monodromy, 3, 3)
 
     def t_at(s):
         w = _lagrange_weights(s)[..., None, None]
@@ -200,7 +201,6 @@ def sym_curve(frame):
 @dataclass(frozen=True)
 class FamilyMonodromy:
     quaternion: np.ndarray      # rotation part of the gamma_lambda monodromy
-    d_quaternion: np.ndarray
     translation: np.ndarray     # None for complex lambda
 
 
@@ -209,12 +209,11 @@ def family_monodromy(frame):
     from the endpoint of the Sym curve."""
     a = frame.curve.monodromy.rotation.astype(frame.F.dtype)
     tilde = qmath.qmul(frame.F[-1], a)
-    dtilde = qmath.qmul(frame.dF[-1], a)
     translation = None
     if frame.is_real:
         pts = sym_curve(frame)
         translation = pts[-1] - qmath.qrotate(tilde, pts[0])
-    return FamilyMonodromy(tilde, dtilde, translation)
+    return FamilyMonodromy(tilde, translation)
 
 
 def angle_from_quat(q, pred):

@@ -150,9 +150,7 @@ def energy_report(curve, axis=None, near_torsion=None):
 
 def gradient(k, curve, axis=None):
     """The variational gradient used by the consistency checks."""
-    if k in (-2, -1):
-        return gradient_G(k, curve, axis=axis)
-    if 0 <= k <= 3:
+    if -2 <= k <= 3:
         return gradient_G(k, curve, axis=axis)
     if k > 3:
         return gradient_from_Y(k, curve, dtype=np.longdouble)

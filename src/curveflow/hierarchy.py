@@ -17,8 +17,6 @@ from .curves import ddx, deriv
 from .errors import ArgumentError, MonodromyCompatibilityError, RangeError
 from .qmath import cross
 
-MAX_K_DEFAULT = 8
-
 
 def check_axis(curve, axis):
     """Validate that axis is a unit eigenvector of the monodromy rotation."""

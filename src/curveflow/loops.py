@@ -80,9 +80,6 @@ def loop_cross(a, b):
 class SpectralPolynomial:
     coeffs: np.ndarray   # coefficients of lambda^0 .. lambda^{-2d}
 
-    def csv_rows(self):
-        return "".join("%d,%.17g\n" % (-q, c) for q, c in enumerate(self.coeffs))
-
 
 def spectral_polynomial(xi):
     """(xi, xi) as a polynomial in lambda^{-1}."""
@@ -116,12 +113,12 @@ def lax_velocity(xi, weights):
     return LoopElement(out)
 
 
-def lax_evolve(xi, weights, dt, steps, integrator="rk4", log_every=None):
-    """RK4/midpoint evolution of xi under sum_k w_k V_k; returns snapshots."""
+def lax_evolve(xi, weights, dt, steps, integrator="rk4"):
+    """RK4/midpoint evolution of xi under sum_k w_k V_k; returns xi and the
+    state after every max(1, steps // 200)-th step and after the last."""
     if integrator not in ("rk4", "midpoint"):
         raise ArgumentError("integrator must be 'rk4' or 'midpoint'")
-    if log_every is None:
-        log_every = max(1, steps // 200)
+    log_every = max(1, steps // 200)
     c = xi.coeffs
 
     def v(x):

@@ -40,13 +40,6 @@ def qinv(q):
     return qconj(q) / qdet(q)[..., None]
 
 
-def qvec(v):
-    """Pure quaternion (0, v) from 3-vectors of shape (..., 3)."""
-    out = np.zeros(v.shape[:-1] + (4,), dtype=np.result_type(v, float))
-    out[..., 1:] = v
-    return out
-
-
 def cross(a, b):
     """Cross product of 3-vectors on the last axis, broadcasting over the
     leading axes; the arithmetic of numpy.cross without its axis handling."""
@@ -116,17 +109,6 @@ def _cos_sinc(theta_sq):
         s = np.where(small, 1.0 - theta_sq / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
     c = np.where(small, 1.0 - theta_sq / 2.0 + theta_sq ** 2 / 24.0, c)
     return c, s
-
-
-def qexp_vec(v):
-    """exp of the pure quaternion (0, v); works for complex v."""
-    v = np.asarray(v)
-    theta_sq = np.sum(v * v, axis=-1)
-    c, s = _cos_sinc(theta_sq)
-    out = np.empty(v.shape[:-1] + (4,), dtype=np.result_type(v, c))
-    out[..., 0] = c
-    out[..., 1:] = s[..., None] * v
-    return out
 
 
 def dqexp_vec(v, vdot):

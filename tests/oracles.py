@@ -18,7 +18,7 @@ TRANSPORT_STEP = 0.01
 def loop_parallel_normal_frame(curve):
     """Per-sample double reflection (Wang, Juttler, Zheng & Liu 2008): the
     reference for the quaternion scan of parallel_normal_frame."""
-    pts = extend(curve.samples, curve, 1, affine=True)[1:]
+    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
     tan = tangent(curve)
     tan = np.concatenate([tan, [curve.monodromy.apply_vector(tan[0])]], axis=0)
     t0 = tan[0]

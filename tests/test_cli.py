@@ -196,6 +196,7 @@ def test_darboux_command(tmp_path):
         assert abs(meta["eta_%s" % tag]["energy_deltas"]["E_1"]) < 1e-6
         assert (out / ("eta_%s.csv" % tag)).exists()
         assert (out / ("eta_%s.json" % tag)).exists()
+    assert manifest(out)["summary"] == meta
 
 
 def test_darboux_integrates_frame_once_per_sign(tmp_path, monkeypatch):
@@ -236,6 +237,7 @@ def test_numerical_exit_code_writes_diagnostics(tmp_path):
     code, out = run(tmp_path, "darboux", "--curve", "circle:r=1,n=256",
                     "--lam", "1i")
     assert code == 3
+    assert os.listdir(out) == ["diagnostics.json"]
     with open(out / "diagnostics.json") as f:
         diag = json.load(f)
     assert diag["error"] == "BranchPointError"
@@ -331,9 +333,10 @@ def time_limit(seconds):
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
     with time_limit(30):
-        code, _ = run(tmp_path, *BAD_INPUTS[case](tmp_path))
+        code, out = run(tmp_path, *BAD_INPUTS[case](tmp_path))
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_cli_import_loads_no_scipy():

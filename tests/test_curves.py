@@ -113,14 +113,33 @@ def test_resample_idempotent_and_uniform():
     r = resample_arclength(h.samples, h.monodromy, 200)
     assert arclength_deviation(r) < 1e-8
 
+    # polylines shorter than the spline's padding of 4 + 1 points
+    for m in (3, 4):
+        phi = 2.0 * np.pi * np.arange(m) / m
+        pts = np.stack([np.cos(phi), np.sin(phi), np.zeros(m)], axis=1)
+        r = resample_arclength(pts, Monodromy.identity(), 16)
+        assert arclength_deviation(r) < 1e-8
 
-def test_equivariant_extension():
-    c = make_helix(1.0, 1.0, 1.0, 96)
-    f = random_equivariant_field(c, seed=3)
-    ext = extend(f, c, 2)
-    npt.assert_allclose(ext[-2], c.monodromy.apply_vector(f[0]), atol=1e-12)
-    npt.assert_allclose(ext[1], c.monodromy.apply_vector_inverse(f[-1]),
-                        atol=1e-12)
+
+@pytest.mark.parametrize("affine", [True, False], ids=["positions", "vectors"])
+@pytest.mark.parametrize("left,right", [(2, 2), (4, 5), (0, 1)])
+@pytest.mark.parametrize("curve", [make_helix(1.0, 1.0, 1.0, 96),
+                                   make_line(2.0, 96), make_circle(1.0, 96)],
+                         ids=["helix", "line", "circle"])
+def test_equivariant_extension(curve, left, right, affine):
+    # helix: a rotation; line: identity rotation and a translation; circle:
+    # the identity, which extend pads without rotating
+    m = curve.monodromy
+    if affine:
+        f, forward, backward = curve.samples, m.apply, m.apply_inverse
+    else:
+        f = random_equivariant_field(curve, seed=3)
+        forward, backward = m.apply_vector, m.apply_vector_inverse
+    ext = extend(f, m, left, right, affine=affine)
+    n = curve.n
+    assert np.array_equal(ext[:left], backward(f[n - left:]))
+    assert np.array_equal(ext[left:left + n], f)
+    assert np.array_equal(ext[left + n:], forward(f[:right]))
 
 
 def test_parallel_frame_holonomy():
