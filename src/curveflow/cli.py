@@ -22,7 +22,7 @@ from .errors import (ArgumentError, NumericalError, SingularSectorError,
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
                     max_relative_drift)
 from .frames import (fit_angle_expansion, gauss_bonnet_residual,
-                     monodromy_angle_scan, spherical_sector_area)
+                     monodromy_angle_scan)
 from .functionals import energy, energy_report
 from .hierarchy import fit_multipliers
 from .loops import (LoopElement, lax_evolve, load_loop, save_loop,
@@ -222,9 +222,8 @@ def cmd_angle_scan(args):
         f.write("lambda,theta,axis_x,axis_y,axis_z,area,gauss_bonnet_residual\n")
         for m in scan:
             try:
-                area = spherical_sector_area(m)
-                res = gauss_bonnet_residual(m, e1, e2)
-                tail = "%.17g,%.17g" % (area, res)
+                tail = "%.17g,%.17g" % (m.area,
+                                        gauss_bonnet_residual(m, e1, e2))
             except SingularSectorError:
                 tail = ","
             # no axis at a +-identity monodromy: blank cells, like the area

@@ -17,6 +17,7 @@ nodes, with tangents interpolated by 6-point stencils.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,14 +74,26 @@ def tangent_interpolator(curve):
 
 @dataclass(frozen=True)
 class FrameTrajectory:
+    """The frame of the associated family at one lambda.
+
+    integrate_frames integrates F alone; the lambda-derivative dF, which
+    only the Sym formula reads, is integrated on its first read.
+    """
     lam: complex
     F: np.ndarray        # (n+1, 4) quaternions, F[0] = identity
-    dF: np.ndarray       # (n+1, 4) derivative with respect to lambda
     curve: Curve
 
     @property
     def is_real(self):
         return not np.iscomplexobj(self.F)
+
+    @cached_property
+    def dF(self):
+        """(n+1, 4) derivative of F with respect to lambda: the substeps and
+        scan of F, run again in the (value, derivative) pair algebra."""
+        dF = np.zeros_like(self.F)
+        dF[1:] = _interval_products(self.curve, [self.lam], _PAIRS)[0, :, 1]
+        return dF
 
     def group_residual(self):
         return np.abs(qmath.qdet(self.F) - 1.0).max()
@@ -95,50 +108,54 @@ def _pair_mul(a, b):
                      qmath.qmul(da, eb) + qmath.qmul(ea, db)], axis=-2)
 
 
-def _magnus_step(t_at, s, cp, cq, c1, c2, cd):
-    """(exp, lambda-derivative) pairs of one 4th-order Magnus substep for
-    a block of L lambdas, shape (L * n, 2, 4), lambda-major.  s holds the
-    Gauss-node offsets, shape (L, 2); cp = hs/4, cq = sqrt(3) hs^2/24,
-    c1 = lambda, c2 = lambda^2 and cd = 2 lambda are (L, 1, 1) columns.
-    Temporaries grow with L, so each is dropped as soon as it is used."""
+def _value_factor(p, q, c1, c2, cd):
+    """exp(lambda p + lambda^2 q): the Magnus factor of the frame alone,
+    shape (L * n, 4)."""
+    return qmath.qexp_vec((c1 * p + c2 * q).reshape(-1, 3))
+
+
+def _pair_factor(p, q, c1, c2, cd):
+    """The Magnus factor and its lambda-derivative stacked on axis -2,
+    shape (L * n, 2, 4)."""
+    e, de = qmath.dqexp_vec((c1 * p + c2 * q).reshape(-1, 3),
+                            (p + cd * q).reshape(-1, 3))
+    return np.stack([e, de], axis=-2)
+
+
+# the algebras the frame is integrated in, as (product, Magnus factor,
+# unit): quaternions for F alone, (value, derivative) pairs for F and dF
+_VALUES = (qmath.qmul, _value_factor, (1.0, 0.0, 0.0, 0.0))
+_PAIRS = (_pair_mul, _pair_factor, ((1.0, 0.0, 0.0, 0.0), (0.0,) * 4))
+
+
+def _magnus_step(t_at, s, cp, cq, c1, c2, cd, factor):
+    """Magnus factors of one 4th-order substep for a block of L lambdas,
+    lambda-major.  s holds the Gauss-node offsets, shape (L, 2); cp = hs/4,
+    cq = sqrt(3) hs^2/24, c1 = lambda, c2 = lambda^2 and cd = 2 lambda are
+    (L, 1, 1) columns.  Temporaries grow with L, so the tangents are dropped
+    before the factor is formed."""
     t = t_at(s)
     t1, t2 = t[:, 0], t[:, 1]
     p = cp * (t1 + t2)
     q = cq * qmath.cross(t1, t2)
     del t, t1, t2
-    omega = c1 * p + c2 * q
-    domega = p + cd * q
-    del p, q
-    e, de = qmath.dqexp_vec(omega.reshape(-1, 3), domega.reshape(-1, 3))
-    return np.stack([e, de], axis=-2)
+    return factor(p, q, c1, c2, cd)
 
 
-def integrate_frames(curve, lams):
-    """Frames and their lambda-derivatives over one fundamental domain, one
-    FrameTrajectory per lambda in the order given.
+def _interval_products(curve, lams, algebra):
+    """Prefix products over the sample intervals of the Magnus factors in
+    `algebra`, one row per lambda in the order given: shape
+    (len(lams), n) + the unit's shape.
 
-    The lambdas must be all real or all nonreal.  They are sorted by
-    substep count and advanced together: substep j updates the block of
-    those with more than j substeps.  Every lambda gets the same arithmetic
-    as in a batch of its own, so a frame does not depend on its batch.
+    The lambdas are sorted by substep count and advanced together: substep
+    j updates the block of those with more than j substeps.  Every lambda
+    gets the same arithmetic as in a batch of its own, so a row does not
+    depend on its batch.
     """
-    lams = [complex(lam) for lam in lams]
-    if not lams:
-        return []
-    real = lams[0].imag == 0.0
-    if any((lam.imag == 0.0) != real for lam in lams):
-        raise ArgumentError("a frame batch needs all real or all nonreal "
-                            "lambda")
-    if real:
-        lams = [lam.real for lam in lams]
-    dtype = float if real else complex
+    mul, factor, unit = algebra
+    dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
     h = curve.seg_len
-    for lam in lams:
-        if not abs(lam) * h <= _MAX_LAMBDA_STEP:
-            raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
-                                "many frame substeps" % (abs(lam) * h,
-                                                         _MAX_LAMBDA_STEP))
     subs = [max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP))) for lam in lams]
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
@@ -157,35 +174,54 @@ def integrate_frames(curve, lams):
     cd = column([2.0 * x for x in lam], dtype)
     t_at = tangent_interpolator(curve)
 
-    # accumulate the per-interval transition pairs over the substeps; the
+    # accumulate the per-interval transitions over the substeps; the
     # (lambda, sample) axes are flattened so that the lambdas still active
     # are a prefix and the quaternion kernels see one-dimensional components
-    pair = np.zeros((len(lam) * n, 2, 4), dtype=dtype)
-    pair[:, 0, 0] = 1.0
+    acc = np.empty((len(lam) * n,) + np.shape(unit), dtype=dtype)
+    acc[...] = unit
     for j in range(sub[0]):
         a = int(np.count_nonzero(sub > j))
-        pair[:a * n] = _pair_mul(pair[:a * n], _magnus_step(
+        acc[:a * n] = mul(acc[:a * n], _magnus_step(
             t_at, (j + _GAUSS_OFF) / sub[:a, None],
-            cp[:a], cq[:a], c1[:a], c2[:a], cd[:a]))
+            cp[:a], cq[:a], c1[:a], c2[:a], cd[:a], factor))
 
-    # inclusive scan of interval pairs (associative quaternion products)
-    pair = pair.reshape(len(lam), n, 2, 4)
-    pair = qmath.qscan(_pair_mul, pair.swapaxes(0, 1)).swapaxes(0, 1)
+    # inclusive scan of interval transitions (associative products)
+    acc = acc.reshape((len(lam), n) + np.shape(unit))
+    acc = qmath.qscan(mul, acc.swapaxes(0, 1)).swapaxes(0, 1)
+    return acc[np.argsort(order)]
 
-    F = np.zeros((len(lam), n + 1, 4), dtype=dtype)
-    dF = np.zeros((len(lam), n + 1, 4), dtype=dtype)
+
+def integrate_frames(curve, lams):
+    """Frames over one fundamental domain, one FrameTrajectory per lambda in
+    the order given.
+
+    The batch integrates F alone, in one substep loop for all lambdas (see
+    _interval_products); each frame integrates its dF when it is first read.
+    The lambdas must be all real or all nonreal.
+    """
+    lams = [complex(lam) for lam in lams]
+    if not lams:
+        return []
+    real = lams[0].imag == 0.0
+    if any((lam.imag == 0.0) != real for lam in lams):
+        raise ArgumentError("a frame batch needs all real or all nonreal "
+                            "lambda")
+    if real:
+        lams = [lam.real for lam in lams]
+    h = curve.seg_len
+    for lam in lams:
+        if not abs(lam) * h <= _MAX_LAMBDA_STEP:
+            raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
+                                "many frame substeps" % (abs(lam) * h,
+                                                         _MAX_LAMBDA_STEP))
+    F = np.zeros((len(lams), curve.n + 1, 4), dtype=float if real else complex)
     F[:, 0, 0] = 1.0
-    F[:, 1:] = qmath.qnormalize(pair[:, :, 0])
-    dF[:, 1:] = pair[:, :, 1]
-    out = [None] * len(lam)
-    for k, i in enumerate(order):
-        out[i] = FrameTrajectory(lams[i], F[k], dF[k], curve)
-    return out
+    F[:, 1:] = qmath.qnormalize(_interval_products(curve, lams, _VALUES))
+    return [FrameTrajectory(lam, f, curve) for lam, f in zip(lams, F)]
 
 
 def integrate_frame(curve, lam):
-    """Frame and its lambda-derivative over one fundamental domain: the
-    one-lambda batch."""
+    """Frame over one fundamental domain: the one-lambda batch."""
     return integrate_frames(curve, [lam])[0]
 
 
@@ -201,19 +237,23 @@ def sym_curve(frame):
 @dataclass(frozen=True)
 class FamilyMonodromy:
     quaternion: np.ndarray      # rotation part of the gamma_lambda monodromy
-    translation: np.ndarray     # None for complex lambda
+    frame: FrameTrajectory
+
+    @cached_property
+    def translation(self):
+        """Translation part, from the endpoints of the Sym curve; None for
+        complex lambda.  Reading it integrates the frame's dF."""
+        if not self.frame.is_real:
+            return None
+        pts = sym_curve(self.frame)
+        return pts[-1] - qmath.qrotate(self.quaternion, pts[0])
 
 
 def family_monodromy(frame):
-    """Monodromy of the associated curve: rotation F[end] A, translation
-    from the endpoint of the Sym curve."""
+    """Monodromy of the associated curve: rotation F[end] A, and the
+    translation of the Sym curve, computed when it is read."""
     a = frame.curve.monodromy.rotation.astype(frame.F.dtype)
-    tilde = qmath.qmul(frame.F[-1], a)
-    translation = None
-    if frame.is_real:
-        pts = sym_curve(frame)
-        translation = pts[-1] - qmath.qrotate(tilde, pts[0])
-    return FamilyMonodromy(tilde, translation)
+    return FamilyMonodromy(qmath.qmul(frame.F[-1], a), frame)
 
 
 def angle_from_quat(q, pred):
@@ -243,6 +283,11 @@ class MonodromyAngle:
     theta: float
     axis: np.ndarray   # None when the monodromy is +-identity
     frame: FrameTrajectory
+
+    @cached_property
+    def area(self):
+        """spherical_sector_area of this angle, computed once."""
+        return spherical_sector_area(self)
 
 
 def monodromy_angle_scan(curve, lambdas):
@@ -353,5 +398,5 @@ def spherical_sector_area(angle, min_denominator=1e-3):
 def gauss_bonnet_residual(angle, e1, e2):
     """theta - lambda E_1 - E_2 - Area of a MonodromyAngle, wrapped to
     (-pi, pi]."""
-    r = angle.theta - angle.lam * e1 - e2 - spherical_sector_area(angle)
+    r = angle.theta - angle.lam * e1 - e2 - angle.area
     return (r + np.pi) % (2.0 * np.pi) - np.pi

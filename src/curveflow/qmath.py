@@ -111,6 +111,20 @@ def _cos_sinc(theta_sq):
     return c, s
 
 
+def _exp_quat(v, c, s):
+    """exp(0, v) from c = cos|v| and s = sin|v|/|v|."""
+    e = np.empty(v.shape[:-1] + (4,), dtype=np.result_type(v, c))
+    e[..., 0] = c
+    e[..., 1:] = s[..., None] * v
+    return e
+
+
+def qexp_vec(v):
+    """exp(0, v) of 3-vectors v: the value half of dqexp_vec."""
+    v = np.asarray(v)
+    return _exp_quat(v, *_cos_sinc(np.sum(v * v, axis=-1)))
+
+
 def dqexp_vec(v, vdot):
     """Pair (exp(0,v), d/dt exp(0,v)) given v and its derivative vdot."""
     v = np.asarray(v)
@@ -122,9 +136,7 @@ def dqexp_vec(v, vdot):
     small = np.abs(theta_sq) < 1e-10
     safe = np.where(small, 1.0, theta_sq)
     g = np.where(small, -1.0 / 3.0 + theta_sq / 30.0, (c - s) / safe)
-    e = np.empty(v.shape[:-1] + (4,), dtype=np.result_type(v, c))
-    e[..., 0] = c
-    e[..., 1:] = s[..., None] * v
+    e = _exp_quat(v, c, s)
     de = np.empty_like(e)
     de[..., 0] = -s * dots
     de[..., 1:] = s[..., None] * vdot + (g * dots)[..., None] * v

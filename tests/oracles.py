@@ -4,12 +4,14 @@ Each loop is the straightforward one-sample-at-a-time form of what the
 package computes with array operations; the tests compare the two.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from curveflow import qmath
 from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
-from curveflow.frames import (_GAUSS_OFF, _MAGNUS_STEP, FrameTrajectory,
-                              _pair_mul, tangent_interpolator)
+from curveflow.frames import (_GAUSS_OFF, _MAGNUS_STEP, _pair_mul,
+                              tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -46,9 +48,23 @@ def loop_parallel_normal_frame(curve):
     return NormalFrame(nus[:-1], alpha, winding)
 
 
+class LoopFrame(NamedTuple):
+    """The fields of a FrameTrajectory, with dF integrated together with F;
+    accepted wherever the package reads a frame."""
+    lam: complex
+    F: np.ndarray
+    dF: np.ndarray
+    curve: object
+
+    @property
+    def is_real(self):
+        return not np.iscomplexobj(self.F)
+
+
 def loop_integrate_frame(curve, lam):
     """Frame and its lambda-derivative at one lambda, one substep at a time:
-    the reference for the batched substeps of integrate_frames."""
+    the reference for the batched substeps of integrate_frames and for the
+    dF a FrameTrajectory integrates on first read."""
     n = curve.n
     h = curve.seg_len
     substeps = max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP)))
@@ -81,7 +97,7 @@ def loop_integrate_frame(curve, lam):
     F[0, 0] = 1.0
     F[1:] = qmath.qnormalize(pair[:, 0])
     dF[1:] = pair[:, 1]
-    return FrameTrajectory(lam, F, dF, curve)
+    return LoopFrame(lam, F, dF, curve)
 
 
 def transport_fixed_point(curve, lam, s0):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import curveflow
-from curveflow import darboux, frames
+from curveflow import cli, darboux, frames, qmath
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
 from curveflow.curves import curve_to_dict, make_circle
 from curveflow.errors import ArgumentError
@@ -143,6 +143,49 @@ def test_angle_scan_integrates_frame_once_per_lambda(tmp_path, monkeypatch):
     assert len(batches) == 1
     lams = batches[0]
     assert len(lams) == len(set(lams)) == 12
+
+
+def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
+    # the area cell and the Gauss-Bonnet residual of a row share one area
+    areas = []
+    area = frames.spherical_sector_area
+
+    def counting(angle, *args):
+        areas.append(angle.lam)
+        return area(angle, *args)
+
+    # counted wherever the command could call it from
+    monkeypatch.setattr(frames, "spherical_sector_area", counting)
+    monkeypatch.setattr(cli, "spherical_sector_area", counting, raising=False)
+    code, _ = run(tmp_path, "angle-scan", "--curve", "circle:r=1,n=64",
+                  "--lmin", "0.5", "--lmax", "2", "--count", "4")
+    assert code == 0
+    assert len(areas) == len(set(areas)) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("angle-scan", "--curve", "circle:r=1,n=64", "--lmin", "0.5",
+     "--lmax", "2", "--count", "12", "--fit", "5"),
+    ("spectral-scan", "--curve", "circle:r=1,n=64", "--re", "0.5:2:4",
+     "--im", "0.1:1:4"),
+    ("darboux", "--curve", "helix:a=1,b=1,n=64", "--lam", "1+1i"),
+], ids=["angle-scan", "spectral-scan", "darboux"])
+def test_commands_integrate_no_lambda_derivative(tmp_path, monkeypatch, argv):
+    # only the Sym formula reads dF/dlambda, and no command here uses it
+    calls = []
+    dqexp_vec = qmath.dqexp_vec
+
+    def counting(v, vdot):
+        calls.append(len(v))
+        return dqexp_vec(v, vdot)
+
+    monkeypatch.setattr(qmath, "dqexp_vec", counting)
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert calls == []
+    # the wrapper does see the derivative where it is read
+    frames.integrate_frame(make_circle(1.0, 64), 1.0).dF
+    assert calls
 
 
 def test_angle_scan_identity_monodromy_has_blank_axis(tmp_path):

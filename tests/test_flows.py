@@ -136,3 +136,19 @@ def test_export_trajectory(tmp_path):
     assert (out / "curve_0000.json").exists()
     last = "curve_%04d.json" % (len(traj.snapshots) - 1)
     assert (out / last).exists()
+
+
+def test_energy_drift_is_fourth_order_in_space():
+    # the criterion-3 drift of E_k is spatial discretization error: on the
+    # perturbed circle under flow 1 to t = 1 it falls about 16x per doubling
+    # of n (E_1 stays at round-off); n = 448 needs dt below its stability
+    # limit of 2.98e-4
+    drift = []
+    for n, dt in ((112, 1e-3), (224, 1e-3), (448, 2.5e-4)):
+        c = make_perturbed_circle(1.0, n, 0.05, modes=(2,), seed=1)
+        traj = evolve(c, FlowSpec({1: 1.0}, dt, int(round(1.0 / dt))),
+                      axis=[0.0, 0.0, 1.0])
+        drift.append({k: max_relative_drift(traj, k) for k in (-2, -1, 2, 3)})
+    for coarse, fine in zip(drift, drift[1:]):
+        for k in (-2, -1, 2, 3):
+            assert coarse[k] / fine[k] >= 12.0

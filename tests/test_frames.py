@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow import qmath
+from curveflow import frames, qmath
 from curveflow.curves import make_circle, make_helix, make_line
 from curveflow.errors import ArgumentError, SingularSectorError
 from curveflow.frames import (angle_from_quat, family_monodromy,
@@ -51,6 +51,21 @@ def test_integrate_frames_matches_per_lambda_loop(case):
         assert np.array_equal(got.dF, want.dF)
 
 
+def test_lazy_derivative_matches_loop_oracle(monkeypatch):
+    # dF is integrated on first read; everything that reads it agrees bit
+    # for bit with the oracle, which integrates F and dF together
+    h = make_helix(1.0, 1.0, 1.0, 256)
+    lam = 0.8
+    want = loop_integrate_frame(h, lam)
+    got = integrate_frame(h, lam)
+    assert np.array_equal(sym_curve(got), sym_curve(want))
+    assert np.array_equal(family_monodromy(got).translation,
+                          family_monodromy(want).translation)
+    shift = torsion_shift_check(h, lam)
+    monkeypatch.setattr(frames, "integrate_frame", loop_integrate_frame)
+    assert torsion_shift_check(h, lam) == shift
+
+
 def test_integrate_frames_edge_batches():
     c = make_circle(1.0, 64)
     assert integrate_frames(c, []) == []
@@ -62,13 +77,13 @@ def test_integrate_frames_loops_over_longest_substep_count(monkeypatch):
     # one substep iteration per substep of the largest lambda, not one per
     # substep of every lambda (315 against 4,290 on this grid)
     calls = []
-    dqexp_vec = qmath.dqexp_vec
+    qexp_vec = qmath.qexp_vec
 
-    def counting(v, vdot):
+    def counting(v):
         calls.append(v.size // 3)
-        return dqexp_vec(v, vdot)
+        return qexp_vec(v)
 
-    monkeypatch.setattr(qmath, "dqexp_vec", counting)
+    monkeypatch.setattr(qmath, "qexp_vec", counting)
     integrate_frames(make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32))
     assert len(calls) == 315
     assert sum(calls) == 4290 * 256
