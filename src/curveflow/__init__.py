@@ -9,8 +9,8 @@ from .curves import (Curve, Monodromy, NormalFrame, make_circle, make_helix,
 from .hierarchy import (gradient_G, gradient_from_Y, symplectic_Y,
                         recursion_residual, fit_multipliers,
                         criticality_residual)
-from .functionals import (energy, flux_energy, energy_report, total_torsion,
-                          directional_derivative_check)
+from .functionals import (energy, flux_energy, energy_report, energy_reports,
+                          total_torsion, directional_derivative_check)
 from .flows import (FlowSpec, Trajectory, step, evolve, commutator_defect)
 from .loops import (LoopElement, loop_cross, V_k, lax_evolve,
                     spectral_polynomial, from_curve, finite_gap_residual)

@@ -105,6 +105,36 @@ class Curve:
 
 
 @dataclass(frozen=True)
+class CurveBatch:
+    """B curves of n samples each that share one monodromy, for computing
+    per-curve quantities (`deriv`, `tangent`, `parallel_normal_frame`) on
+    all of them at once: samples (B, n, 3), seg_len (B,).
+
+    Every row gets the arithmetic of the same curve on its own, bit for bit.
+    """
+    samples: np.ndarray
+    seg_len: np.ndarray
+    monodromy: Monodromy
+
+    @classmethod
+    def stack(cls, curves):
+        mono = curves[0].monodromy
+        if any(not (np.array_equal(c.monodromy.rotation, mono.rotation)
+                    and np.array_equal(c.monodromy.translation,
+                                       mono.translation))
+               for c in curves[1:]):
+            raise ArgumentError("a curve batch needs one shared monodromy")
+        return cls(np.stack([c.samples for c in curves]),
+                   np.array([c.seg_len for c in curves], dtype=float),
+                   mono)
+
+    @cached_property
+    def _derivatives(self):
+        """As Curve._derivatives, with (B, n, 3) arrays."""
+        return {}
+
+
+@dataclass(frozen=True)
 class NormalFrame:
     nu: np.ndarray           # (n, 3) unit normals
     holonomy_angle: float    # principal value in (-pi, pi]
@@ -116,42 +146,47 @@ class NormalFrame:
 
 
 def extend(values, monodromy, left, right, affine=False):
-    """Pad an (n, 3) array with `left` values before it and `right` after it
-    using the monodromy.
+    """Pad (..., n, 3) values with `left` values before them and `right`
+    after them along axis -2, using the monodromy.
 
     affine=True treats values as positions (full motion h applied); otherwise
     they are vector-field values, extended by the rotation part only.
     """
-    n = len(values)
+    n = values.shape[-2]
     if left > n or right > n:
         raise ArgumentError("padding %d, %d exceeds sample count %d"
                             % (left, right, n))
+    head, tail = values[..., :right, :], values[..., n - left:, :]
     if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
         # qrotate by the identity returns v + 0 + 0
         shift = monodromy.translation if affine else 0.0
-        after = values[:right] + shift
-        before = values[n - left:] - shift
+        after = head + shift
+        before = tail - shift
     elif affine:
-        after = monodromy.apply(values[:right])
-        before = monodromy.apply_inverse(values[n - left:])
+        after = monodromy.apply(head)
+        before = monodromy.apply_inverse(tail)
     else:
-        after = monodromy.apply_vector(values[:right])
-        before = monodromy.apply_vector_inverse(values[n - left:])
-    return np.concatenate([before, values, after], axis=0)
+        after = monodromy.apply_vector(head)
+        before = monodromy.apply_vector_inverse(tail)
+    return np.concatenate([before, values, after], axis=-2)
 
 
 # 4th-order centered first derivative
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+# (offset, weight) of its nonzero taps
+_D1_TERMS = [(k, c) for k, c in enumerate(_D1) if c != 0.0]
 
 
 def central_d1(ext, h):
     """4th-order centered first derivative at spacing h of samples padded
-    by two extended values on each side."""
-    n = len(ext) - 4
-    out = np.zeros((n,) + ext.shape[1:], dtype=ext.dtype)
-    for k, c in enumerate(_D1):
-        if c != 0.0:
-            out += c * ext[k:k + n]
+    by two extended values on each side along axis -2.  For a batch of
+    curves, h holds one spacing per curve, shape (B,)."""
+    n = ext.shape[-2] - 4
+    out = np.zeros(ext.shape[:-2] + (n,) + ext.shape[-1:], dtype=ext.dtype)
+    for k, c in _D1_TERMS:
+        out += c * ext[..., k:k + n, :]
+    if getattr(h, "ndim", 0):
+        h = h[:, None, None]
     return out / h
 
 
@@ -175,20 +210,23 @@ def deriv(curve, order, dtype=None):
     translation adjusted accordingly); this lowers the cancellation error of
     the stencils without changing the result.  A curve computes each
     derivative once per dtype; later calls return the same read-only array.
+    A CurveBatch gets one shift, and so one centred translation, per curve.
     """
     if order < 1:
         raise ArgumentError("order must be >= 1")
     dtype = np.dtype(dtype)
     ds = curve._derivatives.setdefault(dtype, [])
     if not ds:
-        shift = curve.samples.mean(axis=0)
+        shift = curve.samples.mean(axis=-2, keepdims=True)
         rot = curve.monodromy.matrix
+        # matmul runs each stacked (3, 3) @ (3, 1) product through the
+        # matrix-vector kernel of rot @ shift for one curve
         mono = Monodromy(curve.monodromy.rotation,
-                         curve.monodromy.translation - shift + rot @ shift)
-        centered = Curve(curve.samples - shift, curve.seg_len, mono,
-                         curve.basepoint_index)
-        ds.append(ddx(centered.samples.astype(dtype, copy=False), centered,
-                      affine=True))
+                         curve.monodromy.translation - shift
+                         + (rot @ shift[..., None])[..., 0])
+        centered = (curve.samples - shift).astype(dtype, copy=False)
+        ds.append(central_d1(extend(centered, mono, 2, 2, affine=True),
+                             curve.seg_len))
     while len(ds) < order:
         ds.append(ddx(ds[-1], curve))
     for d in ds:
@@ -198,7 +236,7 @@ def deriv(curve, order, dtype=None):
 
 def tangent(curve):
     t = deriv(curve, 1)
-    return t / np.linalg.norm(t, axis=1, keepdims=True)
+    return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
 
 def _cyclic_reduction(a, b, c, d, levels):
@@ -396,8 +434,8 @@ def arclength_deviation(curve):
 
 def measured_length(curve):
     """Quadrature length using finite-difference tangents."""
-    sp = np.linalg.norm(ddx(curve.samples, curve, affine=True), axis=1)
-    return curve.seg_len * sp.sum()
+    sp = np.linalg.norm(ddx(curve.samples, curve, affine=True), axis=-1)
+    return curve.seg_len * sp.sum(axis=-1)
 
 
 def make_circle(radius, n):
@@ -500,51 +538,86 @@ def parallel_normal_frame(curve, initial_normal=None):
     The holonomy angle compares the transported normal at the far end of the
     fundamental domain, pulled back by the monodromy rotation, against the
     initial normal in the complex structure T x ( ).
+
+    A CurveBatch gets one scan for all its curves and a NormalFrame of
+    arrays: nu (B, n, 3), holonomy_angle (B,) and winding (B,), a float
+    that is NaN where the frame is not finite (see `winding_number`).
     """
-    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
     tan = extend(tangent(curve), curve.monodromy, 0, 1)
-    t0 = tan[0]
+    t0 = tan[..., 0, :]
     if initial_normal is None:
         nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
-        if np.linalg.norm(nu0) < 1e-8:
-            nu0 = qmath.cross([1.0, 0.0, 0.0], t0)
+        nu0 = np.where((np.sqrt(_dots(nu0, nu0)) < 1e-8)[..., None],
+                       qmath.cross([1.0, 0.0, 0.0], t0), nu0)
     else:
         nu0 = np.asarray(initial_normal, dtype=float)
-    nu0 = nu0 - np.dot(nu0, t0) * t0
-    nu0 = nu0 / np.linalg.norm(nu0)
+    nu0 = nu0 - _dots(nu0, t0)[..., None] * t0
+    nu0 = nu0 / np.sqrt(_dots(nu0, nu0))[..., None]
 
-    a = np.diff(pts, axis=0)
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    reflected = tan[:-1] - 2.0 * np.sum(a * tan[:-1], axis=1)[:, None] * a
-    b = tan[1:] - reflected
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    q = np.concatenate([-np.sum(b * a, axis=1)[:, None], qmath.cross(b, a)],
-                       axis=1)
-    nus = qmath.qrotate(qmath.qscan(lambda x, y: qmath.qmul(y, x), q), nu0)
-    nus -= np.sum(nus * tan[1:], axis=1)[:, None] * tan[1:]
-    nus /= np.linalg.norm(nus, axis=1, keepdims=True)
+    prods = qmath.qscan(lambda x, y: qmath.qmul(y, x),
+                        _double_reflections(curve, tan))
+    nus = qmath.qrotate(np.moveaxis(prods, 0, -2), nu0[..., None, :])
+    del prods   # freed early: a batch's peak memory is a few of these
+    nus -= np.sum(nus * tan[..., 1:, :], axis=-1)[..., None] * tan[..., 1:, :]
+    nus /= np.linalg.norm(nus, axis=-1, keepdims=True)
 
-    back = curve.monodromy.apply_vector_inverse(nus[-1])
+    back = curve.monodromy.apply_vector_inverse(nus[..., -1, :])
     # orientation chosen so the result agrees with the Frenet torsion
     # integral (positive for a right-handed helix)
-    alpha = np.arctan2(np.dot(back, qmath.cross(nu0, t0)), np.dot(back, nu0))
-    turn = (_torsion_integral(curve) - alpha) / (2.0 * np.pi)
+    alpha = np.arctan2(_dots(back, qmath.cross(nu0, t0)), _dots(back, nu0))
+    winding = np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
+    if not np.ndim(winding):
+        winding = winding_number(winding)
+    return NormalFrame(np.concatenate([nu0[..., None, :], nus[..., :-1, :]],
+                                      axis=-2), alpha, winding)
+
+
+def _double_reflections(curve, tan):
+    """The quaternions q_i of parallel_normal_frame's segments, given the
+    extended unit tangents, as (n, B, 4) over (4, n, B) memory: the scan
+    runs along the samples, and the quaternion kernels read each component
+    contiguously."""
+    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
+    a = np.diff(pts, axis=-2)
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    reflected = (tan[..., :-1, :]
+                 - 2.0 * np.sum(a * tan[..., :-1, :], axis=-1)[..., None] * a)
+    b = tan[..., 1:, :] - reflected
+    b /= np.linalg.norm(b, axis=-1, keepdims=True)
+    q = np.concatenate([-np.sum(b * a, axis=-1)[..., None], qmath.cross(b, a)],
+                       axis=-1)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(q, (-1, -2), (0, 1))),
+                       0, -1)
+
+
+def _dots(x, y):
+    """Dot products of 3-vectors on the last axis.  matmul computes each
+    (1, 3) @ (3, 1) product with the kernel of a 1-D np.dot, which
+    np.linalg.norm of a vector also uses; a sum of products rounds
+    differently."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def winding_number(turn):
+    """The int winding of a frame from its rounded turn count, refusing a
+    frame that is not finite."""
     if not np.isfinite(turn):
         raise DegenerateInputError("the curve's derivatives overflow at this "
                                    "scale; its frame is not finite")
-    winding = int(round(turn))
-    return NormalFrame(np.concatenate([nu0[None], nus[:-1]]), alpha, winding)
+    return int(turn)
 
 
 def _torsion_integral(curve):
-    """Regularized Frenet torsion integral, used as a branch hint."""
+    """Regularized Frenet torsion integral, used as a branch hint; one per
+    curve of a CurveBatch."""
     d1, d2, d3 = (deriv(curve, k) for k in (1, 2, 3))
-    k2 = np.sum(d2 * d2, axis=1)
-    det = np.sum(d1 * qmath.cross(d2, d3), axis=1)
-    mask = k2 > 1e-9 * max(1.0, k2.max())
+    k2 = np.sum(d2 * d2, axis=-1)
+    det = np.sum(d1 * qmath.cross(d2, d3), axis=-1)
+    # fmax, like the builtin max, passes over a NaN maximum
+    mask = k2 > 1e-9 * np.fmax(1.0, k2.max(axis=-1, keepdims=True))
     tau = np.zeros_like(k2)
     tau[mask] = det[mask] / k2[mask]
-    return curve.seg_len * tau.sum()
+    return curve.seg_len * tau.sum(axis=-1)
 
 
 def complex_curvature(curve, frame=None):

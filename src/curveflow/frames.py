@@ -240,12 +240,18 @@ class FamilyMonodromy:
     frame: FrameTrajectory
 
     @cached_property
+    def sym_points(self):
+        """The Sym curve of the frame (sym_curve), computed once; None for
+        complex lambda.  Reading it integrates the frame's dF."""
+        return sym_curve(self.frame) if self.frame.is_real else None
+
+    @cached_property
     def translation(self):
         """Translation part, from the endpoints of the Sym curve; None for
-        complex lambda.  Reading it integrates the frame's dF."""
-        if not self.frame.is_real:
+        complex lambda."""
+        pts = self.sym_points
+        if pts is None:
             return None
-        pts = sym_curve(self.frame)
         return pts[-1] - qmath.qrotate(self.quaternion, pts[0])
 
 
@@ -297,7 +303,8 @@ def monodromy_angle_scan(curve, lambdas):
     and continued to smaller lambda by local linear prediction.  The E_3/
     lambda term matters: without it the prediction sits exactly halfway
     between the two sign branches of the quaternion angle, and the anchor
-    degenerates into a coin flip.
+    degenerates into a coin flip.  A lambda so small that the float spacing
+    of its anchor exceeds pi is refused.
     """
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
     e1 = energy(1, curve)
@@ -310,7 +317,9 @@ def monodromy_angle_scan(curve, lambdas):
         fam = family_monodromy(frame)
         if prev is None:
             pred = lam * e1 + e2 + e3 / lam
-            if not np.isfinite(pred):
+            # an anchor whose float spacing exceeds pi cannot pick a 2 pi
+            # branch (and a non-finite one has NaN spacing)
+            if not np.spacing(abs(pred)) <= np.pi:
                 raise ArgumentError("lambda %r is too small to anchor the "
                                     "angle branch" % float(lam))
         else:
@@ -368,11 +377,9 @@ def hamiltonians_from_angle(curve, kmax=5):
 
 def torsion_shift_check(curve, lam):
     """(E_2 of gamma_lambda, E_2 + lambda E_1): the two should agree."""
-    frame = integrate_frame(curve, lam)
-    fam = family_monodromy(frame)
-    pts = sym_curve(frame)[:-1]
+    fam = family_monodromy(integrate_frame(curve, lam))
     mono = Monodromy(np.real(fam.quaternion), fam.translation)
-    new = resample_arclength(pts, mono, curve.n)
+    new = resample_arclength(fam.sym_points[:-1], mono, curve.n)
     e1 = energy(1, curve)
     e2 = energy(2, curve)
     return total_torsion(new), e2 + lam * e1

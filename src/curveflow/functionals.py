@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (Curve, deriv, measured_length, parallel_normal_frame,
-                     resample_arclength)
+from .curves import (Curve, CurveBatch, deriv, measured_length,
+                     parallel_normal_frame, resample_arclength,
+                     winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
 from .qmath import cross
@@ -50,37 +51,41 @@ def energy(k, curve, axis=None, near=None):
 
 def _energy(k, curve, axis):
     """E_k for k != 2 from the curve's derivatives, which `deriv` computes
-    once per curve."""
+    once per curve; one value per curve of a CurveBatch."""
     if k in (-2, -1):
         if axis is None:
             raise ArgumentError("k in {-2,-1} requires an axis vector")
         v = check_axis(curve, axis)
     dx = curve.seg_len
     if k == 0:
-        return 0.0
+        return 0.0 * dx
     if k == 1:
         return measured_length(curve)
     d1 = deriv(curve, 1)
+    # a (B, n, 3) @ (3,) product runs the one-curve matrix-vector kernel on
+    # each curve
     if k == -1:
-        return 0.5 * dx * np.sum(cross(curve.samples, d1) @ v)
+        return 0.5 * dx * np.sum(cross(curve.samples, d1) @ v, axis=-1)
     if k == -2:
         # sign chosen so the gradient is gamma' x (v x gamma), matching the
         # flux pattern G = gamma' x W(gamma) of the translation case
-        perp = curve.samples - np.outer(curve.samples @ v, v)
-        return -0.5 * dx * np.sum(np.sum(perp * perp, axis=1) * (d1 @ v))
+        perp = curve.samples - (curve.samples @ v)[..., None] * v
+        return -0.5 * dx * np.sum(np.sum(perp * perp, axis=-1) * (d1 @ v),
+                                  axis=-1)
     d2 = deriv(curve, 2)
-    k2 = np.sum(d2 * d2, axis=1)
+    k2 = np.sum(d2 * d2, axis=-1)
     if k == 3:
-        return 0.5 * dx * k2.sum()
+        return 0.5 * dx * k2.sum(axis=-1)
     d3 = deriv(curve, 3)
-    det123 = np.sum(d1 * cross(d2, d3), axis=1)
+    det123 = np.sum(d1 * cross(d2, d3), axis=-1)
     if k == 4:
-        return -0.5 * dx * det123.sum()
+        return -0.5 * dx * det123.sum(axis=-1)
     if k == 5:
-        return dx * np.sum(0.5 * np.sum(d3 * d3, axis=1) - 0.625 * k2 * k2)
+        return dx * np.sum(0.5 * np.sum(d3 * d3, axis=-1) - 0.625 * k2 * k2,
+                           axis=-1)
     d4 = deriv(curve, 4)
-    det134 = np.sum(d1 * cross(d3, d4), axis=1)
-    return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123)
+    det134 = np.sum(d1 * cross(d3, d4), axis=-1)
+    return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123, axis=-1)
 
 
 def flux_energy(field_kind, v, curve):
@@ -130,22 +135,44 @@ class EnergyReport:
 def energy_report(curve, axis=None, near_torsion=None):
     """All available E_k; axis-dependent entries only when an axis is given.
 
-    The frame and every E_k share one set of derivatives.
+    The frame and every E_k share one set of derivatives.  This is the
+    one-curve batch of `energy_reports`.
     """
+    return energy_reports([curve], axis=axis, near_torsion=near_torsion)[0]
+
+
+def energy_reports(curves, axis=None, near_torsion=None):
+    """energy_report of each of the curves, which share one monodromy,
+    computed as one CurveBatch: one set of derivatives, one frame scan.
+
+    E_2 is snapped to the branch nearest `near_torsion` for the first curve
+    and nearest its predecessor's for each later one, as along a
+    trajectory.  Every report is bit for bit the curve's own, and the curves
+    fail in order: the first failing curve raises its own error.
+    """
+    if not curves:
+        return []
     ks = [k for k in K_RANGE if axis is not None or k >= 0]
-    # on a private copy of the curve, so the derivatives are freed on return
-    # and do not live on with the caller's curve (a trajectory snapshot)
-    curve = curve.with_samples(curve.samples)
-    frame = parallel_normal_frame(curve)
-    values = {k: _near_branch(frame.total_angle, near_torsion) if k == 2
-              else _energy(k, curve, axis) for k in ks}
-    for k, value in values.items():
-        if not np.isfinite(value):
-            raise DegenerateInputError("E_%d is not finite: the curve's "
-                                       "derivatives overflow at this scale"
-                                       % k)
-    return EnergyReport(values, None if axis is None else np.asarray(axis, float),
-                        frame.winding)
+    # the derivatives live on the batch, so they are freed on return and do
+    # not live on with the callers' curves (trajectory snapshots)
+    batch = CurveBatch.stack(curves)
+    frame = parallel_normal_frame(batch)
+    # a one-curve report checks its frame before the axis
+    winding_number(frame.winding[0])
+    values = {k: _energy(k, batch, axis) for k in ks if k != 2}
+    axis = None if axis is None else np.asarray(axis, float)
+    reports = []
+    for i in range(len(curves)):
+        winding = winding_number(frame.winding[i])
+        near_torsion = _near_branch(frame.total_angle[i], near_torsion)
+        row = {k: near_torsion if k == 2 else values[k][i] for k in ks}
+        for k, value in row.items():
+            if not np.isfinite(value):
+                raise DegenerateInputError("E_%d is not finite: the curve's "
+                                           "derivatives overflow at this "
+                                           "scale" % k)
+        reports.append(EnergyReport(row, axis, winding))
+    return reports
 
 
 def gradient(k, curve, axis=None):

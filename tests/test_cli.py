@@ -356,6 +356,10 @@ BAD_INPUTS = {
     "huge-lambda": lambda p: ["darboux", "--curve", "circle:n=32",
                               "--lam", "1e300+1i"],
     "tiny-curve": lambda p: ["energies", "--curve", "circle:r=1e-300,n=32"],
+    # the anchor E_3 / lambda = 3.1e300 cannot resolve a 2 pi branch
+    "tiny-anchor": lambda p: ["angle-scan", "--curve", "circle:r=1,n=32",
+                              "--lmin", "1e-300", "--lmax", "1e-300",
+                              "--count", "1"],
 }
 
 

@@ -5,13 +5,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curveflow import flows, functionals
 from curveflow.curves import (arclength_deviation, make_circle, make_helix,
                               make_line, make_perturbed_circle)
-from curveflow.errors import (ArgumentError, BlowUpError, RangeError,
+from curveflow.errors import (ArgumentError, BlowUpError,
+                              DegenerateInputError, RangeError,
                               StabilityError)
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
                              export_trajectory, max_relative_drift,
                              rigid_register, step)
+from curveflow.functionals import energy_report
 from helpers import hausdorff_distance
 
 
@@ -100,6 +103,66 @@ def test_blow_up_detected():
     spec = FlowSpec({3: 1.0}, 1e-3, 50, integrator="euler", guard=False)
     with pytest.raises(BlowUpError):
         evolve(c, spec)
+
+
+def test_evolve_reports_in_batches(monkeypatch):
+    # snapshot 0 alone, then the other 200 logged snapshots in batches of
+    # _REPORT_SAMPLES // n: one frame scan per batch
+    scans = []
+    frame = functionals.parallel_normal_frame
+
+    def counting(curve, *args, **kwargs):
+        scans.append(curve.samples.shape)
+        return frame(curve, *args, **kwargs)
+
+    monkeypatch.setattr(functionals, "parallel_normal_frame", counting)
+    c = make_circle(1.0, 64)
+    traj = evolve(c, FlowSpec({1: 1.0}, 1e-3, 200), axis=[0.0, 0.0, 1.0])
+    batch = flows._REPORT_SAMPLES // 64
+    assert len(traj.energy_log) == 201
+    assert len(scans) == 1 + -(-200 // batch)
+    assert scans[0] == (1, 64, 3) and scans[1] == (batch, 64, 3)
+
+
+@pytest.mark.parametrize("curve,axis", [
+    (make_helix(1.0, 0.5, 1.3, 128), [0.0, 0.0, 1.0]),
+    (make_line(2.0, 64), [1.0, 0.0, 0.0]),
+    (make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
+     [0.0, 0.0, 1.0]),
+], ids=["screw-helix", "line", "pc224"])
+def test_evolve_log_matches_one_report_at_a_time(curve, axis):
+    # resampling after every step gives the snapshots their own seg_len
+    traj = evolve(curve, FlowSpec({1: 1.0}, 1e-4, 30, resample_every=1),
+                  axis=axis)
+    near = None
+    for snap, rep in zip(traj.snapshots, traj.energy_log):
+        want = energy_report(snap, axis=axis, near_torsion=near)
+        near = want.values[2]
+        assert rep.values == want.values
+        assert rep.torsion_branch == want.torsion_branch
+        assert rep.csv_rows() == want.csv_rows()
+    if curve.n == 224:
+        assert len({s.seg_len for s in traj.snapshots}) > 1
+
+
+def test_report_failure_surfaces_before_a_later_blow_up(monkeypatch):
+    # step 2 shrinks the curve until its frame is not finite, which only
+    # the energy report notices; step 3 blows up while snapshot 2 still
+    # waits in its batch, so the blow-up is raised first and the report
+    # failure replaces it
+    advance = flows._advance
+    steps = []
+
+    def failing(samples, curve, spec):
+        steps.append(len(steps) + 1)
+        out = advance(samples, curve, spec)
+        return {2: 1e-300 * out, 3: np.nan * out}.get(steps[-1], out)
+
+    monkeypatch.setattr(flows, "_advance", failing)
+    c = make_circle(1.0, 64)
+    with pytest.raises(DegenerateInputError) as err:
+        evolve(c, FlowSpec({1: 1.0}, 1e-3, 10))
+    assert isinstance(err.value.__context__, BlowUpError)
 
 
 def test_spec_validation():

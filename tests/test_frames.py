@@ -66,6 +66,21 @@ def test_lazy_derivative_matches_loop_oracle(monkeypatch):
     assert torsion_shift_check(h, lam) == shift
 
 
+def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
+    calls = []
+    build = frames.sym_curve
+
+    def counting(frame):
+        calls.append(frame.lam)
+        return build(frame)
+
+    h = make_helix(1.0, 1.0, 1.0, 128)
+    shift = torsion_shift_check(h, 0.8)
+    monkeypatch.setattr(frames, "sym_curve", counting)
+    assert torsion_shift_check(h, 0.8) == shift
+    assert calls == [0.8]
+
+
 def test_integrate_frames_edge_batches():
     c = make_circle(1.0, 64)
     assert integrate_frames(c, []) == []

@@ -4,14 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow import curves, functionals
+from curveflow import curves, functionals, qmath
 from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
-                              make_perturbed_circle, random_equivariant_field,
-                              resample_arclength)
+                              make_line, make_perturbed_circle,
+                              random_equivariant_field, resample_arclength)
 from curveflow.errors import ArgumentError, RangeError
 from curveflow.functionals import (directional_derivative_check, energy,
-                                   energy_report, flux_energy, total_torsion,
-                                   translate_to_axis)
+                                   energy_report, energy_reports, flux_energy,
+                                   total_torsion, translate_to_axis)
 
 EZ = [0.0, 0.0, 1.0]
 
@@ -143,3 +143,53 @@ def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
     energy_report(c, axis=EZ)
     assert calls["frame"] == 1
     assert calls["ddx"] <= 5
+
+
+def similar_copies(curve, scale):
+    """The curve rotated about e_z (its monodromy axis), moved along it and
+    scaled, three ways; the copies share one monodromy."""
+    m = curve.monodromy
+    mono = m if m.is_identity else Monodromy(m.rotation, scale * m.translation)
+    out = []
+    for angle, shift in ((0.7, 0.3), (2.1, -1.4), (-0.4, 0.0)):
+        rot = qmath.quat_from_axis_angle(EZ, angle)
+        pts = (scale * qmath.qrotate(rot, curve.samples)
+               + shift * scale * np.array(EZ))
+        out.append(Curve(pts, scale * curve.seg_len, mono))
+    return out
+
+
+@pytest.mark.parametrize("curve", [
+    make_circle(1.0, 256),
+    make_helix(1.0, 1.0, 1.0, 256),
+    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
+], ids=["circle", "helix", "pc224"])
+def test_energies_are_similarity_invariant(curve):
+    # E_k scales as s^(2 - k) for k >= 0; the flux functionals are
+    # multilinear in the position instead: the area E_-1 as s^2, the volume
+    # E_-2 as s^3.  Entries that vanish are compared at the size of the
+    # curve's length to that power.
+    power = {k: {-2: 3, -1: 2}.get(k, 2 - k) for k in range(-2, 7)}
+    base = energy_report(curve, axis=EZ)
+    length = base.values[1]
+    batches = [[]]
+    for s in (1e-3, 0.37, 1.0, 25.0, 1e3):
+        copies = similar_copies(curve, s)
+        if curve.monodromy.is_identity:
+            # one batch holds every scale, so its rows differ in seg_len
+            batches[0] += [(s, c) for c in copies]
+        else:
+            batches.append([(s, c) for c in copies])
+    for batch in filter(None, batches):
+        reports = energy_reports([c for _, c in batch], axis=EZ)
+        for (s, _), rep in zip(batch, reports):
+            assert rep.torsion_branch == base.torsion_branch
+            for k, value in rep.values.items():
+                want = base.values[k]
+                size = max(abs(want), length ** power[k])
+                assert abs(value / s ** power[k] - want) <= 1e-12 * size
+
+
+def test_energy_reports_need_one_monodromy():
+    with pytest.raises(ArgumentError):
+        energy_reports([make_circle(1.0, 64), make_line(2.0, 64)])
