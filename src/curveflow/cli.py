@@ -84,14 +84,17 @@ def parse_curve(spec, seed=0):
 
 
 def parse_weights(text):
-    """'1' or '1=2,2=0.5' -> {k: weight}."""
+    """'1' or '1=2,2=0.5' -> {k: weight}, with finite weights."""
     out = {}
     for item in text.split(","):
         key, sep, val = item.partition("=")
         try:
-            out[int(key)] = float(val) if sep else 1.0
+            k, weight = int(key), float(val) if sep else 1.0
         except ValueError:
             raise ArgumentError("bad flow weight %r" % item)
+        if not np.isfinite(weight):
+            raise ArgumentError("flow weight %r is not finite" % item)
+        out[k] = weight
     return out
 
 
@@ -238,9 +241,9 @@ def _parse_grid(text):
         grid = np.linspace(float(lo), float(hi), int(count))
     except ValueError:
         grid = None
-    if grid is None or not np.isfinite(grid).all():
+    if grid is None or not len(grid) or not np.isfinite(grid).all():
         raise ArgumentError("grid must look like 'lo:hi:count' with finite "
-                            "bounds")
+                            "bounds and count >= 1")
     return grid
 
 

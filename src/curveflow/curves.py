@@ -60,11 +60,6 @@ class Monodromy:
     def apply_vector_inverse(self, vectors):
         return qmath.qrotate(qmath.qconj(self.rotation), vectors)
 
-    @property
-    def is_identity(self):
-        return (abs(self.rotation[0]) > 1.0 - 1e-12
-                and np.linalg.norm(self.translation) < 1e-12)
-
     def axis_angle(self):
         return qmath.axis_angle_from_quat(self.rotation)
 
@@ -77,7 +72,6 @@ class Curve:
     samples: np.ndarray     # (n, 3)
     seg_len: float
     monodromy: Monodromy
-    basepoint_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "samples",
@@ -96,7 +90,7 @@ class Curve:
         return self.n * self.seg_len
 
     def with_samples(self, samples):
-        return Curve(samples, self.seg_len, self.monodromy, self.basepoint_index)
+        return Curve(samples, self.seg_len, self.monodromy)
 
     @cached_property
     def _derivatives(self):
@@ -196,11 +190,8 @@ def ddx(values, curve, affine=False):
     Centered 4th-order differences; stencils crossing the fundamental-domain
     boundary use monodromy-extended values.
     """
-    values = np.asarray(values)
-    if values.dtype == object:
-        values = values.astype(float)
-    return central_d1(extend(values, curve.monodromy, 2, 2, affine=affine),
-                      curve.seg_len)
+    return central_d1(extend(np.asarray(values), curve.monodromy, 2, 2,
+                             affine=affine), curve.seg_len)
 
 
 def deriv(curve, order, dtype=None):
@@ -499,31 +490,7 @@ def make_perturbed_circle(radius, n, amplitude, modes=(2, 3), seed=0):
     return resample_arclength(pts, Monodromy.identity(), n)
 
 
-def random_equivariant_field(curve, seed=0):
-    """Smooth random vector field compatible with the curve's monodromy.
-
-    Built as delta(x) = R(x) g(x) with g a Fourier field of modes 0..4 and
-    R the fractional power of the monodromy rotation, so delta(x+L) =
-    A delta(x).
-    """
-    rng = np.random.default_rng(seed)
-    n = curve.n
-    phi = 2.0 * np.pi * np.arange(n) / n
-    g = np.zeros((n, 3))
-    for m in range(5):
-        c = rng.standard_normal((2, 3))
-        g += np.cos(m * phi)[:, None] * c[0] + np.sin(m * phi)[:, None] * c[1]
-    axis, angle = curve.monodromy.axis_angle()
-    if angle > 1e-12:
-        frac = angle * np.arange(n) / n
-        half = 0.5 * frac
-        q = np.concatenate([np.cos(half)[:, None],
-                            np.sin(half)[:, None] * axis[None, :]], axis=1)
-        g = qmath.qrotate(q, g)
-    return g / np.abs(g).max()
-
-
-def parallel_normal_frame(curve, initial_normal=None):
+def parallel_normal_frame(curve):
     """Rotation-minimizing normal transport (double reflection).
 
     Segment i maps the normal at sample i to sample i + 1 by the double
@@ -535,6 +502,7 @@ def parallel_normal_frame(curve, initial_normal=None):
     later factor multiplied on the left.  The transported normals are
     projected off the tangent and normalized once, at the end.
 
+    The initial normal is e_z x t_0 (e_x x t_0 where t_0 is along e_z).
     The holonomy angle compares the transported normal at the far end of the
     fundamental domain, pulled back by the monodromy rotation, against the
     initial normal in the complex structure T x ( ).
@@ -545,12 +513,9 @@ def parallel_normal_frame(curve, initial_normal=None):
     """
     tan = extend(tangent(curve), curve.monodromy, 0, 1)
     t0 = tan[..., 0, :]
-    if initial_normal is None:
-        nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
-        nu0 = np.where((np.sqrt(_dots(nu0, nu0)) < 1e-8)[..., None],
-                       qmath.cross([1.0, 0.0, 0.0], t0), nu0)
-    else:
-        nu0 = np.asarray(initial_normal, dtype=float)
+    nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
+    nu0 = np.where((np.sqrt(_dots(nu0, nu0)) < 1e-8)[..., None],
+                   qmath.cross([1.0, 0.0, 0.0], t0), nu0)
     nu0 = nu0 - _dots(nu0, t0)[..., None] * t0
     nu0 = nu0 / np.sqrt(_dots(nu0, nu0))[..., None]
 
@@ -620,16 +585,6 @@ def _torsion_integral(curve):
     return curve.seg_len * tau.sum(axis=-1)
 
 
-def complex_curvature(curve, frame=None):
-    """psi with gamma'' = psi * nu in the parallel frame, as complex samples."""
-    if frame is None:
-        frame = parallel_normal_frame(curve)
-    d2 = deriv(curve, 2)
-    t = tangent(curve)
-    return (np.sum(d2 * frame.nu, axis=1)
-            + 1j * np.sum(d2 * qmath.cross(t, frame.nu), axis=1))
-
-
 def curve_to_dict(curve):
     return {
         "samples": curve.samples.tolist(),
@@ -638,12 +593,14 @@ def curve_to_dict(curve):
             "rotation": curve.monodromy.rotation.tolist(),
             "translation": curve.monodromy.translation.tolist(),
         },
-        "basepoint_index": curve.basepoint_index,
+        # the basepoint is sample 0; the key keeps the file layout
+        "basepoint_index": 0,
     }
 
 
 def curve_from_dict(data):
-    """Inverse of curve_to_dict; rejects misshapen or non-finite data."""
+    """Inverse of curve_to_dict; rejects misshapen or non-finite data.
+    The basepoint_index entry is accepted and not read."""
     rotation = np.array(data["monodromy"]["rotation"], dtype=float)
     translation = np.array(data["monodromy"]["translation"], dtype=float)
     samples = np.array(data["samples"], dtype=float)
@@ -654,8 +611,7 @@ def curve_from_dict(data):
     if not (np.isfinite(samples).all() and np.isfinite(translation).all()
             and np.isfinite(seg_len)):
         raise DegenerateInputError("curve data is not finite")
-    return Curve(samples, seg_len, Monodromy(rotation, translation),
-                 int(data.get("basepoint_index", 0)))
+    return Curve(samples, seg_len, Monodromy(rotation, translation))
 
 
 def save_curve(curve, path):

@@ -10,7 +10,7 @@ psi = (a, b) of the monodromy maps to the unit vector
     S = (2 Re(a conj(b)), -2 Im(a conj(b)), |a|^2 - |b|^2) / |psi|^2,
 
 the traceless direction of psi psi*.  This is the ideal limit of the
-stereographic chart pi(p) = u/(1 + w) used by poincare_embed, and for real
+stereographic chart pi(p) = u/(1 + w) onto the Poincare ball, and for real
 lambda it reduces to +- the monodromy rotation axis.  Darboux transforms are
 eta+- = gamma + (2 Im lambda/|lambda|^2) S+-, the offset that keeps eta
 arclength parametrized under the frame convention F' = F (lambda/2) T.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .curves import Curve, arclength_deviation, central_d1, resample_arclength
+from .curves import Curve, arclength_deviation, resample_arclength
 from .errors import ArgumentError, BranchPointError
 from .frames import family_monodromy, integrate_frame, integrate_frames
 
@@ -35,18 +35,6 @@ class HyperbolicFamily:
     points: np.ndarray    # (n+1, 4) biquaternions F F*
     frame: object
 
-    def hermitian_residual(self):
-        """Deviation from the hermitian form (w real, vector imaginary)."""
-        return max(np.abs(self.points[:, 0].imag).max(),
-                   np.abs(self.points[:, 1:].real).max())
-
-    def det_residual(self):
-        return np.abs(qmath.qdet(self.points) - 1.0).max()
-
-    def decompose(self):
-        """(w, u) with p = w*Id + u.sigma in the hermitian matrix picture."""
-        return self.points[:, 0].real, self.points[:, 1:].imag
-
 
 def hyperbolic_family(curve, lam):
     lam = complex(lam)
@@ -56,41 +44,6 @@ def hyperbolic_family(curve, lam):
     frame = integrate_frame(curve, lam)
     pts = qmath.qmul(frame.F, qmath.hconj(frame.F))
     return HyperbolicFamily(lam, pts, frame)
-
-
-def _extend_hyperbolic(points, tilde, pad):
-    """Monodromy extension of the point field, tau*p = Atilde p Atilde*."""
-    n = len(points)
-    ti = qmath.qinv(tilde)
-    ts = qmath.hconj(tilde)
-    tsi = qmath.qinv(ts)
-    right = qmath.qmul(tilde, qmath.qmul(points[:pad], ts))
-    left = qmath.qmul(ti, qmath.qmul(points[n - pad:], tsi))
-    return np.concatenate([left, points, right], axis=0)
-
-
-def hyperbolic_speeds(family):
-    """Per-sample hyperbolic speed; the continuum value is 2 Im(lambda)."""
-    curve = family.frame.curve
-    n = curve.n
-    tilde = family_monodromy(family.frame).quaternion
-    ext = _extend_hyperbolic(family.points[:n], tilde, 2)
-    dp = central_d1(ext, curve.seg_len)
-    f = family.frame.F[:n]
-    w = qmath.qmul(qmath.qinv(f), qmath.qmul(dp, qmath.qinv(qmath.hconj(f))))
-    return 2.0 * np.linalg.norm(w[:, 1:].imag, axis=1)
-
-
-def poincare_embed(family):
-    """Rescaled Poincare-ball polyline touching the original curve.
-
-    pi(p) = -u/(1 + w) for p = w*Id + u.sigma; the embedded curve is
-    gamma(x0) + (1/Im lambda) pi(p), tangent to gamma at the basepoint.
-    """
-    w, u = family.decompose()
-    curve = family.frame.curve
-    return (curve.samples[0]
-            + (1.0 / family.lam.imag) * u / (1.0 + w)[:, None])
 
 
 def _ideal_point(psi):

@@ -44,7 +44,9 @@ class FlowSpec:
             raise ArgumentError("need dt > 0 and steps >= 1")
         if self.integrator not in ("rk4", "midpoint", "euler"):
             raise ArgumentError("integrator must be 'rk4', 'midpoint' or 'euler'")
-        if not self.coefficients:
+        if self.resample_every < 0:
+            raise ArgumentError("resample_every must be >= 0")
+        if not any(self.coefficients.values()):
             raise ArgumentError("empty flow")
         for k in self.coefficients:
             if k < 0:
@@ -192,17 +194,6 @@ def commutator_defect(curve, i, j, dt):
     ba = step(step(curve, spec_j), spec_i)
     diff = ab.samples - ba.samples
     return np.sqrt(curve.seg_len * np.sum(diff * diff))
-
-
-def rigid_register(moving, fixed):
-    """Best rigid motion (Kabsch) of `moving` onto `fixed`; returns points."""
-    mc = moving.mean(axis=0)
-    fc = fixed.mean(axis=0)
-    h = (moving - mc).T @ (fixed - fc)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return (moving - mc) @ r.T + fc
 
 
 def export_trajectory(trajectory, outdir):

@@ -38,6 +38,8 @@ _MAGNUS_STEP = 0.005
 _MAX_LAMBDA_STEP = 32.0
 # guard coefficients of the angle-expansion fit
 _GUARD_TERMS = 3
+# smallest 1 + (y, t) accepted by spherical_sector_area
+_SECTOR_MIN_DENOMINATOR = 1e-3
 
 
 def _lagrange_weights(s):
@@ -94,9 +96,6 @@ class FrameTrajectory:
         dF = np.zeros_like(self.F)
         dF[1:] = _interval_products(self.curve, [self.lam], _PAIRS)[0, :, 1]
         return dF
-
-    def group_residual(self):
-        return np.abs(qmath.qdet(self.F) - 1.0).max()
 
 
 def _pair_mul(a, b):
@@ -385,7 +384,7 @@ def torsion_shift_check(curve, lam):
     return total_torsion(new), e2 + lam * e1
 
 
-def spherical_sector_area(angle, min_denominator=1e-3):
+def spherical_sector_area(angle):
     """Area of the spherical sector traced between the tangent image and the
     monodromy axis transported along the frame of a MonodromyAngle."""
     if angle.axis is None:
@@ -396,7 +395,7 @@ def spherical_sector_area(angle, min_denominator=1e-3):
     t = tangent(curve)
     tp = ddx(t, curve)
     denom = 1.0 + np.sum(y * t, axis=1)
-    if denom.min() < min_denominator:
+    if denom.min() < _SECTOR_MIN_DENOMINATOR:
         raise SingularSectorError("tangent antipodal to the transported axis")
     integrand = np.sum(y * qmath.cross(t, tp), axis=1) / denom
     return curve.seg_len * integrand.sum()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (Curve, CurveBatch, deriv, measured_length,
+from .curves import (CurveBatch, deriv, measured_length,
                      parallel_normal_frame, resample_arclength,
                      winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
@@ -88,35 +88,6 @@ def _energy(k, curve, axis):
     return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123, axis=-1)
 
 
-def flux_energy(field_kind, v, curve):
-    """Flux functional of a translation (area) or rotation (volume) field."""
-    if field_kind == "translation":
-        return energy(-1, curve, axis=v)
-    if field_kind == "rotation":
-        return energy(-2, curve, axis=v)
-    raise ArgumentError("field_kind must be 'translation' or 'rotation'")
-
-
-def translate_to_axis(curve, axis):
-    """Shift so the screw axis of the monodromy passes through the origin.
-
-    The volume functional's normalization places the rotation axis through
-    the origin; for a trivial rotation part there is no canonical axis line
-    and the curve is returned unchanged.
-    """
-    if curve.monodromy.is_rotation_trivial():
-        return curve
-    v = check_axis(curve, axis)
-    rot = curve.monodromy.matrix
-    a = curve.monodromy.translation
-    proj = np.eye(3) - np.outer(v, v)
-    p0, _, _, _ = np.linalg.lstsq(proj @ (np.eye(3) - rot), proj @ a, rcond=None)
-    p0 = proj @ p0
-    from .curves import Monodromy
-    mono = Monodromy(curve.monodromy.rotation, a - (np.eye(3) - rot) @ p0)
-    return Curve(curve.samples - p0, curve.seg_len, mono, curve.basepoint_index)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     values: dict
@@ -132,13 +103,13 @@ class EnergyReport:
         return out.getvalue()
 
 
-def energy_report(curve, axis=None, near_torsion=None):
+def energy_report(curve, axis=None):
     """All available E_k; axis-dependent entries only when an axis is given.
 
     The frame and every E_k share one set of derivatives.  This is the
     one-curve batch of `energy_reports`.
     """
-    return energy_reports([curve], axis=axis, near_torsion=near_torsion)[0]
+    return energy_reports([curve], axis=axis)[0]
 
 
 def energy_reports(curves, axis=None, near_torsion=None):

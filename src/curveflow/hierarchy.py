@@ -51,12 +51,6 @@ def symplectic_Y_list(curve, kmax, dtype=None):
     return ys
 
 
-def symplectic_Y(k, curve):
-    if k < 0:
-        raise RangeError("symplectic_Y requires k >= 0")
-    return symplectic_Y_list(curve, k)[k]
-
-
 def gradient_G(k, curve, axis=None):
     """Explicit low-order variational gradients.
 
@@ -145,17 +139,3 @@ def fit_multipliers(curve, k):
         v = v + c * a[0]
     residual = np.sqrt(curve.seg_len * np.sum(res * res))
     return MultiplierFit(coeff, v, residual)
-
-
-def criticality_residual(curve, k, multipliers, axis_term=None):
-    """L2 norm of Y_k - sum_{i=0}^{k-1} c_i Y_i - v."""
-    multipliers = np.asarray(multipliers, dtype=float)
-    if len(multipliers) != k:
-        raise ArgumentError("need exactly k multipliers")
-    ys = symplectic_Y_list(curve, k)
-    res = ys[k].copy()
-    for i, c in enumerate(multipliers):
-        res -= c * ys[i]
-    if axis_term is not None:
-        res -= np.asarray(axis_term, dtype=float)
-    return np.sqrt(curve.seg_len * np.sum(res * res))

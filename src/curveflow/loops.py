@@ -113,11 +113,11 @@ def lax_velocity(xi, weights):
     return LoopElement(out)
 
 
-def lax_evolve(xi, weights, dt, steps, integrator="rk4"):
-    """RK4/midpoint evolution of xi under sum_k w_k V_k; returns xi and the
-    state after every max(1, steps // 200)-th step and after the last."""
-    if integrator not in ("rk4", "midpoint"):
-        raise ArgumentError("integrator must be 'rk4' or 'midpoint'")
+def lax_evolve(xi, weights, dt, steps):
+    """RK4 evolution of xi under sum_k w_k V_k; returns xi and the state
+    after every max(1, steps // 200)-th step and after the last."""
+    if not 0 < dt < np.inf or steps < 1:
+        raise ArgumentError("need dt > 0 and steps >= 1")
     log_every = max(1, steps // 200)
     c = xi.coeffs
 
@@ -126,14 +126,11 @@ def lax_evolve(xi, weights, dt, steps, integrator="rk4"):
 
     snaps = [xi]
     for i in range(1, steps + 1):
-        if integrator == "midpoint":
-            c = c + dt * v(c + 0.5 * dt * v(c))
-        else:
-            k1 = v(c)
-            k2 = v(c + 0.5 * dt * k1)
-            k3 = v(c + 0.5 * dt * k2)
-            k4 = v(c + dt * k3)
-            c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = v(c)
+        k2 = v(c + 0.5 * dt * k1)
+        k3 = v(c + 0.5 * dt * k2)
+        k4 = v(c + dt * k3)
+        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(c)):
             raise BlowUpError("Lax flow blew up at step %d" % i, step=i)
         if i % log_every == 0 or i == steps:

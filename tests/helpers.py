@@ -1,6 +1,12 @@
-"""Geometric measures used only by the tests."""
+"""Measures and constructions that only the tests use."""
 
 import numpy as np
+
+from curveflow import qmath
+from curveflow.curves import (Curve, Monodromy, central_d1, deriv,
+                              parallel_normal_frame, tangent)
+from curveflow.frames import family_monodromy
+from curveflow.hierarchy import check_axis
 
 
 def hausdorff_distance(points_a, points_b):
@@ -10,3 +16,124 @@ def hausdorff_distance(points_a, points_b):
     b = np.asarray(points_b, dtype=float)
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+def rigid_register(moving, fixed):
+    """Best rigid motion (Kabsch) of `moving` onto `fixed`; returns points."""
+    mc = moving.mean(axis=0)
+    fc = fixed.mean(axis=0)
+    h = (moving - mc).T @ (fixed - fc)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return (moving - mc) @ r.T + fc
+
+
+def is_identity(monodromy):
+    """Whether the monodromy is the identity motion, to 1e-12."""
+    return (abs(monodromy.rotation[0]) > 1.0 - 1e-12
+            and np.linalg.norm(monodromy.translation) < 1e-12)
+
+
+def random_equivariant_field(curve, seed=0):
+    """Smooth random vector field compatible with the curve's monodromy.
+
+    Built as delta(x) = R(x) g(x) with g a Fourier field of modes 0..4 and
+    R the fractional power of the monodromy rotation, so delta(x+L) =
+    A delta(x).
+    """
+    rng = np.random.default_rng(seed)
+    n = curve.n
+    phi = 2.0 * np.pi * np.arange(n) / n
+    g = np.zeros((n, 3))
+    for m in range(5):
+        c = rng.standard_normal((2, 3))
+        g += np.cos(m * phi)[:, None] * c[0] + np.sin(m * phi)[:, None] * c[1]
+    axis, angle = curve.monodromy.axis_angle()
+    if angle > 1e-12:
+        frac = angle * np.arange(n) / n
+        half = 0.5 * frac
+        q = np.concatenate([np.cos(half)[:, None],
+                            np.sin(half)[:, None] * axis[None, :]], axis=1)
+        g = qmath.qrotate(q, g)
+    return g / np.abs(g).max()
+
+
+def complex_curvature(curve):
+    """psi with gamma'' = psi * nu in the parallel frame, as complex samples."""
+    frame = parallel_normal_frame(curve)
+    d2 = deriv(curve, 2)
+    t = tangent(curve)
+    return (np.sum(d2 * frame.nu, axis=1)
+            + 1j * np.sum(d2 * qmath.cross(t, frame.nu), axis=1))
+
+
+def translate_to_axis(curve, axis):
+    """Shift so the screw axis of the monodromy passes through the origin.
+
+    The volume functional's normalization places the rotation axis through
+    the origin; for a trivial rotation part there is no canonical axis line
+    and the curve is returned unchanged.
+    """
+    if curve.monodromy.is_rotation_trivial():
+        return curve
+    v = check_axis(curve, axis)
+    rot = curve.monodromy.matrix
+    a = curve.monodromy.translation
+    proj = np.eye(3) - np.outer(v, v)
+    p0, _, _, _ = np.linalg.lstsq(proj @ (np.eye(3) - rot), proj @ a, rcond=None)
+    p0 = proj @ p0
+    mono = Monodromy(curve.monodromy.rotation, a - (np.eye(3) - rot) @ p0)
+    return Curve(curve.samples - p0, curve.seg_len, mono)
+
+
+def group_residual(frame):
+    """Largest deviation of det F from 1 along a FrameTrajectory."""
+    return np.abs(qmath.qdet(frame.F) - 1.0).max()
+
+
+def hermitian_residual(family):
+    """Deviation of a HyperbolicFamily's points from the hermitian form
+    (w real, vector imaginary)."""
+    return max(np.abs(family.points[:, 0].imag).max(),
+               np.abs(family.points[:, 1:].real).max())
+
+
+def det_residual(family):
+    return np.abs(qmath.qdet(family.points) - 1.0).max()
+
+
+def _extend_hyperbolic(points, tilde, pad):
+    """Monodromy extension of the point field, tau*p = Atilde p Atilde*."""
+    n = len(points)
+    ti = qmath.qinv(tilde)
+    ts = qmath.hconj(tilde)
+    tsi = qmath.qinv(ts)
+    right = qmath.qmul(tilde, qmath.qmul(points[:pad], ts))
+    left = qmath.qmul(ti, qmath.qmul(points[n - pad:], tsi))
+    return np.concatenate([left, points, right], axis=0)
+
+
+def hyperbolic_speeds(family):
+    """Per-sample hyperbolic speed; the continuum value is 2 Im(lambda)."""
+    curve = family.frame.curve
+    n = curve.n
+    tilde = family_monodromy(family.frame).quaternion
+    ext = _extend_hyperbolic(family.points[:n], tilde, 2)
+    dp = central_d1(ext, curve.seg_len)
+    f = family.frame.F[:n]
+    w = qmath.qmul(qmath.qinv(f), qmath.qmul(dp, qmath.qinv(qmath.hconj(f))))
+    return 2.0 * np.linalg.norm(w[:, 1:].imag, axis=1)
+
+
+def poincare_embed(family):
+    """Rescaled Poincare-ball polyline touching the original curve.
+
+    pi(p) = -u/(1 + w) for p = w*Id + u.sigma in the hermitian matrix
+    picture; the embedded curve is gamma(x0) + (1/Im lambda) pi(p), tangent
+    to gamma at the basepoint.
+    """
+    w, u = family.points[:, 0].real, family.points[:, 1:].imag
+    curve = family.frame.curve
+    return (curve.samples[0]
+            + (1.0 / family.lam.imag) * u / (1.0 + w)[:, None])

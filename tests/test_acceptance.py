@@ -3,17 +3,17 @@
 import numpy as np
 
 from curveflow.curves import (make_circle, make_helix,
-                              make_perturbed_circle, measured_length,
-                              random_equivariant_field)
+                              make_perturbed_circle, measured_length)
 from curveflow.darboux import darboux_transform
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
-                             max_relative_drift, rigid_register)
+                             max_relative_drift)
 from curveflow.frames import (gauss_bonnet_residual, hamiltonians_from_angle,
                               monodromy_angle, torsion_shift_check)
 from curveflow.functionals import directional_derivative_check, energy
 from curveflow.hierarchy import fit_multipliers, recursion_residual
 from curveflow.loops import (LoopElement, V_k, finite_gap_residual,
                              from_curve, lax_evolve, spectral_polynomial)
+from helpers import random_equivariant_field, rigid_register
 
 EZ = [0.0, 0.0, 1.0]
 

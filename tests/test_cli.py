@@ -220,14 +220,6 @@ def test_spectral_scan_integrates_one_batch_per_row(tmp_path, monkeypatch):
         assert len({lam.imag for lam in b}) == 1
 
 
-def test_spectral_scan_empty_grid(tmp_path, capsys):
-    code, out = run(tmp_path, "spectral-scan", "--curve", "circle:r=1,n=64",
-                    "--re", "0.5:2:0", "--im", "0.1:1:4")
-    assert code == 0
-    assert "Traceback" not in capsys.readouterr().err
-    assert manifest(out)["summary"]["samples"] == 0
-
-
 def test_darboux_command(tmp_path):
     code, out = run(tmp_path, "darboux", "--curve", "helix:a=1,b=1,n=256",
                     "--lam", "1+1i")
@@ -360,6 +352,18 @@ BAD_INPUTS = {
     "tiny-anchor": lambda p: ["angle-scan", "--curve", "circle:r=1,n=32",
                               "--lmin", "1e-300", "--lmax", "1e-300",
                               "--count", "1"],
+    # a flow whose weights are all zero is empty
+    "zero-weight": lambda p: ["conserve", "--curve", "circle:r=1,n=64",
+                              "--flow", "1=0", "--dt", "1e-3",
+                              "--steps", "2"],
+    "nan-weight": lambda p: ["lax", "--flow", "1=nan", "--steps", "2"],
+    "negative-resample": lambda p: ["flow", "--curve", "circle:r=1,n=64",
+                                    "--flow", "1", "--dt", "1e-3",
+                                    "--steps", "2", "--resample-every", "-2"],
+    "lax-steps": lambda p: ["lax", "--steps", "0"],
+    "lax-dt": lambda p: ["lax", "--dt", "0", "--steps", "2"],
+    "empty-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
+                             "--re", "0.5:2:0", "--im", "0.1:1:4"],
 }
 
 

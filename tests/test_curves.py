@@ -9,16 +9,16 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from curveflow import qmath
-from curveflow.curves import (Monodromy, _not_a_knot_slopes, _Spline,
-                              _spline_through, arclength_deviation,
-                              complex_curvature, curve_to_dict, ddx, deriv,
-                              extend, load_curve, make_circle, make_helix,
-                              make_line, make_perturbed_circle,
-                              measured_length, parallel_normal_frame,
-                              random_equivariant_field, resample_arclength,
+from curveflow.curves import (Curve, Monodromy, _not_a_knot_slopes,
+                              _Spline, _spline_through, arclength_deviation,
+                              curve_to_dict, ddx, deriv, extend, load_curve,
+                              make_circle, make_helix, make_line,
+                              make_perturbed_circle, measured_length,
+                              parallel_normal_frame, resample_arclength,
                               save_curve, tangent)
 from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
+from helpers import complex_curvature, is_identity, random_equivariant_field
 from oracles import loop_parallel_normal_frame
 
 
@@ -163,15 +163,19 @@ def test_parallel_frame_unit_and_orthogonal():
 
 
 def test_holonomy_independent_of_initial_normal():
+    # a rotated copy of the helix starts from another normal, since the
+    # initial normal e_z x t_0 does not rotate with it
     c = make_helix(1.0, 1.0, 1.0, 128)
     rng = np.random.default_rng(0)
-    t0 = tangent(c)[0]
+    m = c.monodromy
     angles = []
     for _ in range(8):
-        v = rng.standard_normal(3)
-        v -= (v @ t0) * t0
-        frame = parallel_normal_frame(c, initial_normal=v / np.linalg.norm(v))
-        angles.append(frame.total_angle)
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        mono = Monodromy(qmath.qmul(qmath.qmul(q, m.rotation), qmath.qconj(q)),
+                         qmath.qrotate(q, m.translation))
+        rotated = Curve(qmath.qrotate(q, c.samples), c.seg_len, mono)
+        angles.append(parallel_normal_frame(rotated).total_angle)
     assert np.ptp(angles) < 1e-10
 
 
@@ -250,7 +254,7 @@ def test_spline_matches_scipy_not_a_knot(knots):
 def test_perturbed_circle_is_arclength_uniform():
     c = make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=0)
     assert arclength_deviation(c) < 1e-8
-    assert c.monodromy.is_identity
+    assert is_identity(c.monodromy)
 
 
 @pytest.mark.parametrize("curve", [

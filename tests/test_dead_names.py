@@ -1,4 +1,7 @@
-"""Every function, class and module constant of the package is used."""
+"""Every function, class and module constant of the package is used by
+the package itself: a name that only tests read belongs in tests/helpers.py.
+The re-exports of curveflow/__init__.py count as uses, since they are the
+public API."""
 
 import ast
 import pathlib
@@ -36,8 +39,7 @@ def uses(tree):
 
 
 def test_no_definition_goes_unused():
-    files = (sorted((ROOT / "src").rglob("*.py"))
-             + sorted((ROOT / "tests").glob("*.py")))
+    files = sorted((ROOT / "src").rglob("*.py"))
     trees = {f: ast.parse(f.read_text(), str(f)) for f in files}
     used = set().union(*(uses(t) for t in trees.values()))
     dead = sorted("%s.%s" % (f.stem, name)

@@ -12,10 +12,9 @@ from curveflow.errors import (ArgumentError, BlowUpError,
                               DegenerateInputError, RangeError,
                               StabilityError)
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
-                             export_trajectory, max_relative_drift,
-                             rigid_register, step)
-from curveflow.functionals import energy_report
-from helpers import hausdorff_distance
+                             export_trajectory, max_relative_drift, step)
+from curveflow.functionals import energy_reports
+from helpers import hausdorff_distance, rigid_register
 
 
 def test_circle_translates_under_binormal_flow():
@@ -136,7 +135,7 @@ def test_evolve_log_matches_one_report_at_a_time(curve, axis):
                   axis=axis)
     near = None
     for snap, rep in zip(traj.snapshots, traj.energy_log):
-        want = energy_report(snap, axis=axis, near_torsion=near)
+        want = energy_reports([snap], axis=axis, near_torsion=near)[0]
         near = want.values[2]
         assert rep.values == want.values
         assert rep.torsion_branch == want.torsion_branch

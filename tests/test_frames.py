@@ -14,13 +14,14 @@ from curveflow.frames import (angle_from_quat, family_monodromy,
                               spherical_sector_area, sym_curve,
                               torsion_shift_check)
 from curveflow.functionals import energy
+from helpers import group_residual
 from oracles import loop_integrate_frame
 
 
 def test_frame_stays_in_group():
     c = make_circle(1.0, 256)
-    assert integrate_frame(c, 1.7).group_residual() < 1e-12
-    assert integrate_frame(c, 1.0 + 1.0j).group_residual() < 1e-10
+    assert group_residual(integrate_frame(c, 1.7)) < 1e-12
+    assert group_residual(integrate_frame(c, 1.0 + 1.0j)) < 1e-10
 
 
 FRAME_BATCHES = {
@@ -183,10 +184,11 @@ def test_gauss_bonnet_residual():
                                          energy(1, h), energy(2, h))) < 1e-5
 
 
-def test_sector_area_denominator_guard():
+def test_sector_area_denominator_guard(monkeypatch):
     c = make_circle(1.0, 256)
+    monkeypatch.setattr(frames, "_SECTOR_MIN_DENOMINATOR", 2.1)
     with pytest.raises(SingularSectorError):
-        spherical_sector_area(monodromy_angle(c, 2.0), min_denominator=2.1)
+        spherical_sector_area(monodromy_angle(c, 2.0))
 
 
 def test_sym_requires_real_lambda():

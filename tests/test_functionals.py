@@ -7,11 +7,12 @@ import pytest
 from curveflow import curves, functionals, qmath
 from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               make_line, make_perturbed_circle,
-                              random_equivariant_field, resample_arclength)
+                              resample_arclength)
 from curveflow.errors import ArgumentError, RangeError
 from curveflow.functionals import (directional_derivative_check, energy,
-                                   energy_report, energy_reports, flux_energy,
-                                   total_torsion, translate_to_axis)
+                                   energy_report, energy_reports,
+                                   total_torsion)
+from helpers import is_identity, random_equivariant_field, translate_to_axis
 
 EZ = [0.0, 0.0, 1.0]
 
@@ -81,17 +82,9 @@ def test_translate_to_axis_recenters():
     m = h.monodromy
     mono = Monodromy(m.rotation,
                      m.translation + (np.eye(3) - m.matrix) @ shift)
-    moved = Curve(h.samples + shift, h.seg_len, mono, h.basepoint_index)
+    moved = Curve(h.samples + shift, h.seg_len, mono)
     back = translate_to_axis(moved, EZ)
     npt.assert_allclose(back.samples, h.samples, atol=1e-12)
-
-
-def test_flux_energy_dispatch():
-    c = make_circle(1.0, 128)
-    assert flux_energy("translation", EZ, c) == energy(-1, c, axis=EZ)
-    assert flux_energy("rotation", EZ, c) == energy(-2, c, axis=EZ)
-    with pytest.raises(ArgumentError):
-        flux_energy("boost", EZ, c)
 
 
 def test_energy_report_keys():
@@ -149,7 +142,7 @@ def similar_copies(curve, scale):
     """The curve rotated about e_z (its monodromy axis), moved along it and
     scaled, three ways; the copies share one monodromy."""
     m = curve.monodromy
-    mono = m if m.is_identity else Monodromy(m.rotation, scale * m.translation)
+    mono = m if is_identity(m) else Monodromy(m.rotation, scale * m.translation)
     out = []
     for angle, shift in ((0.7, 0.3), (2.1, -1.4), (-0.4, 0.0)):
         rot = qmath.quat_from_axis_angle(EZ, angle)
@@ -175,7 +168,7 @@ def test_energies_are_similarity_invariant(curve):
     batches = [[]]
     for s in (1e-3, 0.37, 1.0, 25.0, 1e3):
         copies = similar_copies(curve, s)
-        if curve.monodromy.is_identity:
+        if is_identity(curve.monodromy):
             # one batch holds every scale, so its rows differ in seg_len
             batches[0] += [(s, c) for c in copies]
         else:

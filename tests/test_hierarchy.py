@@ -8,9 +8,8 @@ from curveflow.curves import (Monodromy, make_circle, make_helix,
                               make_perturbed_circle, resample_arclength)
 from curveflow.errors import (ArgumentError, MonodromyCompatibilityError,
                               RangeError)
-from curveflow.hierarchy import (check_axis, criticality_residual,
-                                 fit_multipliers, gradient_G, gradient_from_Y,
-                                 recursion_residual, symplectic_Y,
+from curveflow.hierarchy import (check_axis, fit_multipliers, gradient_G,
+                                 gradient_from_Y, recursion_residual,
                                  symplectic_Y_list)
 
 
@@ -75,7 +74,6 @@ def test_fit_multipliers_circle():
     npt.assert_allclose(fit.coefficients, [-0.5, 0.0], atol=1e-5)
     npt.assert_allclose(fit.axis_term, 0.0, atol=1e-5)
     assert fit.residual < 1e-5
-    assert criticality_residual(c, 2, fit.coefficients, fit.axis_term) < 1e-5
 
 
 def test_fit_multipliers_helix():
@@ -107,10 +105,6 @@ def test_check_axis_validation():
 def test_range_errors():
     c = make_circle(1.0, 64)
     with pytest.raises(RangeError):
-        symplectic_Y(-1, c)
-    with pytest.raises(RangeError):
         gradient_G(4, c)
     with pytest.raises(ArgumentError):
         gradient_G(-1, c)
-    with pytest.raises(ArgumentError):
-        criticality_residual(c, 2, [1.0])
