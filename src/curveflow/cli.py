@@ -165,19 +165,20 @@ def cmd_conserve(args):
 
 def cmd_commute(args):
     curve = parse_curve(args.curve, seed=args.seed)
-    pairs = []
-    for item in args.pairs.split(";"):
-        i, _, j = item.partition(",")
-        try:
-            pairs.append((int(i), int(j)))
-        except ValueError:
-            raise ArgumentError("pairs must look like '1,2;1,3'")
+    try:
+        pairs = [(int(i), int(j)) for i, j in
+                 (item.split(",") for item in args.pairs.split(";"))]
+    except ValueError:
+        raise ArgumentError("pairs must look like '1,2;1,3'")
+    if any(i == j for i, j in pairs):
+        raise ArgumentError("a flow paired with itself has no defect")
     rows = []
     for i, j in pairs:
         d1 = commutator_defect(curve, i, j, args.dt)
         d2 = commutator_defect(curve, i, j, args.dt / 2.0)
-        factor = d1 / d2 if d2 > 0 else float("inf")
-        rows.append((i, j, d1, d2, factor))
+        if not d2 > 0:
+            raise NumericalError("pair %d,%d: no defect at dt/2" % (i, j))
+        rows.append((i, j, d1, d2, d1 / d2))
     with open(artifact(args, "defects.csv"), "w") as f:
         f.write("i,j,defect_dt,defect_half_dt,factor\n")
         for r in rows:

@@ -13,7 +13,7 @@ coefficient.  The Sym formula reads
     gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}).
 
 Frames are integrated with a 4th-order Magnus method on two-point Gauss
-nodes, with tangents interpolated by 6-point stencils.
+nodes, 6-point tangent stencils and polynomial exponentials (qmath).
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,8 @@ _GAUSS_OFF = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _STENCIL = np.arange(-2, 4, dtype=float)
 # x_j - x_l, with ones on the diagonal, whose factors are replaced by 1
 _SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
-# largest |lambda| * substep length of the Magnus integrator
+# largest |lambda| * substep length; it keeps |v.v| of the Magnus exponents
+# v in the domain of qmath._cos_sinc
 _MAGNUS_STEP = 0.005
 # largest |lambda| * seg_len accepted, 6400 substeps per sample interval;
 # the benchmark's scans reach 64 * 2 pi / 256 = 1.57

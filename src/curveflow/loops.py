@@ -118,6 +118,8 @@ def lax_evolve(xi, weights, dt, steps):
     after every max(1, steps // 200)-th step and after the last."""
     if not 0 < dt < np.inf or steps < 1:
         raise ArgumentError("need dt > 0 and steps >= 1")
+    if not any(weights.values()):
+        raise ArgumentError("empty flow")
     log_every = max(1, steps // 200)
     c = xi.coeffs
 

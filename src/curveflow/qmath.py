@@ -99,16 +99,13 @@ def axis_angle_from_quat(q):
     return q[1:] / s, angle
 
 
-def _cos_sinc(theta_sq):
-    """cos(theta) and sin(theta)/theta as even functions of theta^2."""
-    theta = np.sqrt(theta_sq.astype(complex)) if np.iscomplexobj(theta_sq) \
-        else np.sqrt(np.maximum(theta_sq, 0.0))
-    small = np.abs(theta_sq) < 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.cos(theta)
-        s = np.where(small, 1.0 - theta_sq / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-    c = np.where(small, 1.0 - theta_sq / 2.0 + theta_sq ** 2 / 24.0, c)
-    return c, s
+def _cos_sinc(x):
+    """cos(theta) and sin(theta)/theta of x = theta^2, real or complex, by
+    Taylor polynomials of degree 2, exact to round-off for |x| <= 1.25e-5,
+    the domain of the frame's Magnus exponents (tests/test_frames.py:
+    test_magnus_exponent_stays_in_kernel_domain, test_magnus_kernels_*)."""
+    return (1.0 + x * (-1.0 / 2.0 + x * (1.0 / 24.0)),
+            1.0 + x * (-1.0 / 6.0 + x * (1.0 / 120.0)))
 
 
 def _exp_quat(v, c, s):
@@ -120,22 +117,20 @@ def _exp_quat(v, c, s):
 
 
 def qexp_vec(v):
-    """exp(0, v) of 3-vectors v: the value half of dqexp_vec."""
+    """exp(0, v) of 3-vectors v, v.v in the domain of _cos_sinc."""
     v = np.asarray(v)
     return _exp_quat(v, *_cos_sinc(np.sum(v * v, axis=-1)))
 
 
 def dqexp_vec(v, vdot):
-    """Pair (exp(0,v), d/dt exp(0,v)) given v and its derivative vdot."""
+    """Pair (exp(0,v), d/dt exp(0,v)) given v, as in qexp_vec, and vdot."""
     v = np.asarray(v)
     vdot = np.asarray(vdot)
     theta_sq = np.sum(v * v, axis=-1)
     dots = np.sum(v * vdot, axis=-1)
     c, s = _cos_sinc(theta_sq)
-    # g = (cos t - sinc t)/t^2, even entire function
-    small = np.abs(theta_sq) < 1e-10
-    safe = np.where(small, 1.0, theta_sq)
-    g = np.where(small, -1.0 / 3.0 + theta_sq / 30.0, (c - s) / safe)
+    # g = (cos t - sinc t)/t^2 to round-off on the domain of _cos_sinc
+    g = -1.0 / 3.0 + theta_sq * (1.0 / 30.0 - theta_sq * (1.0 / 840.0))
     e = _exp_quat(v, c, s)
     de = np.empty_like(e)
     de[..., 0] = -s * dots

@@ -24,9 +24,15 @@ def run(tmp_path, *argv):
     return code, out
 
 
+def reject_constant(name):
+    raise ValueError("%s is not strict JSON" % name)
+
+
 def manifest(out):
+    """The run's manifest.json, which must be strict JSON: no NaN or
+    Infinity."""
     with open(out / "manifest.json") as f:
-        return json.load(f)
+        return json.load(f, parse_constant=reject_constant)
 
 
 def test_parse_curve_builtin_and_errors():
@@ -82,6 +88,14 @@ def test_commute_command(tmp_path):
     assert code == 0
     factor = manifest(out)["summary"]["factors"]["1,2"]
     assert factor == pytest.approx(8.0, rel=0.05)
+
+
+def test_commute_zero_defect_exits_3(tmp_path):
+    # at dt = 1e-200 both defects underflow to 0: the halving factor is 0/0
+    code, out = run(tmp_path, "commute", "--curve", "circle:r=1,n=64",
+                    "--pairs", "1,2", "--dt", "1e-200")
+    assert code == 3
+    assert os.listdir(out) == ["diagnostics.json"]
 
 
 def test_lax_command(tmp_path):
@@ -362,6 +376,10 @@ BAD_INPUTS = {
                                     "--steps", "2", "--resample-every", "-2"],
     "lax-steps": lambda p: ["lax", "--steps", "0"],
     "lax-dt": lambda p: ["lax", "--dt", "0", "--steps", "2"],
+    "lax-zero-weight": lambda p: ["lax", "--flow", "1=0", "--steps", "2"],
+    # a flow commutes with itself: both defects are 0
+    "self-pair": lambda p: ["commute", "--curve", "circle:r=1,n=64",
+                            "--pairs", "1,1"],
     "empty-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
                              "--re", "0.5:2:0", "--im", "0.1:1:4"],
 }

@@ -6,6 +6,7 @@ import pytest
 
 from curveflow import frames, qmath
 from curveflow.curves import make_circle, make_helix, make_line
+from curveflow.darboux import spectral_image_scan
 from curveflow.errors import ArgumentError, SingularSectorError
 from curveflow.frames import (angle_from_quat, family_monodromy,
                               gauss_bonnet_residual, hamiltonians_from_angle,
@@ -103,6 +104,96 @@ def test_integrate_frames_loops_over_longest_substep_count(monkeypatch):
     integrate_frames(make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32))
     assert len(calls) == 315
     assert sum(calls) == 4290 * 256
+
+
+# the |x| = |v.v| up to which qmath._cos_sinc and dqexp_vec are exact to
+# round-off, as their docstrings state
+KERNEL_DOMAIN = 1.25e-5
+
+
+def test_magnus_exponent_stays_in_kernel_domain(monkeypatch):
+    # any curve: |lambda| hs <= _MAGNUS_STEP, and the 6-point tangents are at
+    # most the stencil's Lebesgue constant long, so |v| = |lambda p +
+    # lambda^2 q| <= L step / 2 + sqrt(3) (L step)^2 / 24
+    lebesgue = np.abs(frames._lagrange_weights(
+        np.linspace(0.0, 1.0, 1001))).sum(axis=0).max()
+    step = lebesgue * frames._MAGNUS_STEP
+    assert (step / 2.0 + np.sqrt(3.0) / 24.0 * step ** 2) ** 2 <= KERNEL_DOMAIN
+    # the first Taylor terms the degree-2 kernels drop, at the domain edge:
+    # x^3/720 of cos, x^3/5040 of sinc, x^3/45360 of (cos - sinc)/x
+    assert KERNEL_DOMAIN ** 3 / 720.0 < 1e-17
+
+    seen = []
+    qexp_vec = qmath.qexp_vec
+
+    def recording(v):
+        seen.append(np.abs(np.sum(v * v, axis=-1)).max())
+        return qexp_vec(v)
+
+    monkeypatch.setattr(qmath, "qexp_vec", recording)
+    # the benchmark's spectral grid and angle-scan window
+    spectral_image_scan(make_helix(1.0, 1.0, 1.0, 256),
+                        np.linspace(0.5, 2.0, 16), np.linspace(0.1, 1.0, 16))
+    integrate_frames(make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32))
+    assert max(seen) <= KERNEL_DOMAIN
+    # real and nonreal lambda at the cap |lambda| seg_len = 32
+    c = make_circle(1.0, 16)
+    top = 32.0 * (1.0 - 1e-12) / c.seg_len
+    for lam in (top, complex(np.sqrt(top ** 2 - 1.0), 1.0)):
+        seen.clear()
+        integrate_frames(c, [lam])
+        assert len(seen) == 6400
+        assert max(seen) <= KERNEL_DOMAIN
+
+
+def long_double_g(x, terms=10):
+    """(cos(theta) - sin(theta)/theta)/theta^2 of x = theta^2 by its Taylor
+    series sum_k (-1)^k 2k/(2k+1)! x^(k-1), summed in long double."""
+    x = np.asarray(x).astype(np.clongdouble)
+    total = np.zeros_like(x)
+    power = np.ones_like(x)
+    inverse = np.longdouble(1.0)   # 1/(2k+1)!
+    for k in range(1, terms + 1):
+        inverse /= 2 * k * (2 * k + 1)
+        total += (-1) ** k * 2 * k * inverse * power
+        power *= x
+    return total
+
+
+def test_magnus_kernels_match_long_double_oracle():
+    # cos, sinc and g = (cos - sinc)/x of the Horner kernels within 2 ulp of
+    # 1 of long-double references, on the disc |x| <= KERNEL_DOMAIN and at
+    # x = 0 exactly
+    ulp = np.finfo(float).eps
+    # on |x| = 1 the quotient loses nothing: the series is g itself
+    big = np.exp(2j * np.pi * np.linspace(0.0, 1.0, 50)).astype(np.clongdouble)
+    root = np.sqrt(big)
+    quotient = (np.cos(root) - np.sin(root) / root) / big
+    assert np.abs(long_double_g(big) - quotient).max() < 1e-18
+
+    # v = (a, b, 0) with |v|^2 <= KERNEL_DOMAIN, real and complex; the last
+    # complex v has v.v = 0 exactly
+    rng = np.random.default_rng(0)
+    r = np.sqrt(KERNEL_DOMAIN * rng.uniform(size=(2, 1000)) / 2.0)
+    phase = np.exp(2j * np.pi * rng.uniform(size=(2, 1000)))
+    for a, b in ((r[0], r[1]), (np.append(r[0] * phase[0], 1e-3),
+                                np.append(r[1] * phase[1], 1e-3j))):
+        v = np.stack([a, b, np.zeros_like(a)], axis=-1)
+        x = np.append(np.sum(v * v, axis=-1), 0.0)
+        c, s = qmath._cos_sinc(x)
+        assert c.dtype == x.dtype and s.dtype == x.dtype
+        root = np.sqrt(x.astype(np.clongdouble))
+        sinc = np.ones_like(root)
+        sinc[x != 0] = np.sin(root[x != 0]) / root[x != 0]
+        assert np.abs(c - np.cos(root)).max() <= 2 * ulp
+        assert np.abs(s - sinc).max() <= 2 * ulp
+        # with vdot = e_y, v.vdot = b, and the x component of the
+        # derivative is g b a
+        vdot = np.zeros_like(v)
+        vdot[:, 1] = 1.0
+        _, de = qmath.dqexp_vec(v, vdot)
+        g = long_double_g(x[:-1])
+        assert np.all(np.abs(de[:, 1] - g * b * a) <= 2 * ulp * np.abs(a * b))
 
 
 def test_circle_angle_closed_form():
