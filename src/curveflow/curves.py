@@ -523,8 +523,8 @@ def parallel_normal_frame(curve):
                         _double_reflections(curve, tan))
     nus = qmath.qrotate(np.moveaxis(prods, 0, -2), nu0[..., None, :])
     del prods   # freed early: a batch's peak memory is a few of these
-    nus -= np.sum(nus * tan[..., 1:, :], axis=-1)[..., None] * tan[..., 1:, :]
-    nus /= np.linalg.norm(nus, axis=-1, keepdims=True)
+    nus -= qmath.dot(nus, tan[..., 1:, :])[..., None] * tan[..., 1:, :]
+    nus /= np.sqrt(qmath.dot(nus, nus))[..., None]
 
     back = curve.monodromy.apply_vector_inverse(nus[..., -1, :])
     # orientation chosen so the result agrees with the Frenet torsion
@@ -544,12 +544,12 @@ def _double_reflections(curve, tan):
     contiguously."""
     pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
     a = np.diff(pts, axis=-2)
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    a /= np.sqrt(qmath.dot(a, a))[..., None]
     reflected = (tan[..., :-1, :]
-                 - 2.0 * np.sum(a * tan[..., :-1, :], axis=-1)[..., None] * a)
+                 - 2.0 * qmath.dot(a, tan[..., :-1, :])[..., None] * a)
     b = tan[..., 1:, :] - reflected
-    b /= np.linalg.norm(b, axis=-1, keepdims=True)
-    q = np.concatenate([-np.sum(b * a, axis=-1)[..., None], qmath.cross(b, a)],
+    b /= np.sqrt(qmath.dot(b, b))[..., None]
+    q = np.concatenate([-qmath.dot(b, a)[..., None], qmath.cross(b, a)],
                        axis=-1)
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(q, (-1, -2), (0, 1))),
                        0, -1)
@@ -576,8 +576,8 @@ def _torsion_integral(curve):
     """Regularized Frenet torsion integral, used as a branch hint; one per
     curve of a CurveBatch."""
     d1, d2, d3 = (deriv(curve, k) for k in (1, 2, 3))
-    k2 = np.sum(d2 * d2, axis=-1)
-    det = np.sum(d1 * qmath.cross(d2, d3), axis=-1)
+    k2 = qmath.dot(d2, d2)
+    det = qmath.dot(d1, qmath.cross(d2, d3))
     # fmax, like the builtin max, passes over a NaN maximum
     mask = k2 > 1e-9 * np.fmax(1.0, k2.max(axis=-1, keepdims=True))
     tau = np.zeros_like(k2)

@@ -58,6 +58,14 @@ class SingularSectorError(NumericalError):
     """Sector-area integrand singular (antipodal tangent)."""
 
 
+class FrameDeterminantError(NumericalError):
+    """A frame of the associated family is not finite or has lost det = 1."""
+    def __init__(self, message, lam=None, deviation=None):
+        super().__init__(message)
+        self.lam = lam
+        self.deviation = deviation
+
+
 class BranchPointError(NumericalError):
     """Monodromy is parabolic; eigenlines collide."""
 

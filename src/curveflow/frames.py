@@ -13,7 +13,10 @@ coefficient.  The Sym formula reads
     gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}).
 
 Frames are integrated with a 4th-order Magnus method on two-point Gauss
-nodes, 6-point tangent stencils and polynomial exponentials (qmath).
+nodes, 6-point tangent stencils (one einsum per substep over a stack of the
+shifted tangents) and polynomial exponentials (qmath).  A frame whose
+determinant has cancelled away, as it does at large |Im lambda|, is refused
+with FrameDeterminantError.
 """
 
 from dataclasses import dataclass
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import qmath
 from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
-from .errors import (ArgumentError, IllConditionedFitError,
-                     SingularSectorError)
+from .errors import (ArgumentError, FrameDeterminantError,
+                     IllConditionedFitError, SingularSectorError)
 from .functionals import energy, total_torsion
 
 _GAUSS_OFF = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
@@ -37,6 +40,11 @@ _MAGNUS_STEP = 0.005
 # largest |lambda| * seg_len accepted, 6400 substeps per sample interval;
 # the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
+# largest max |det F - 1| accepted after normalizing.  F grows like
+# exp(|Im lambda| L / 2), and det F cancels to about eps exp(|Im lambda| L):
+# the benchmark's grids reach 6.9e-13, criterion 9 (helix, lambda = 0.5 + 2i)
+# 1.9e-9, and a lost frame reads order 1 or is not finite
+_MAX_DET_DEVIATION = 1e-6
 # guard coefficients of the angle-expansion fit
 _GUARD_TERMS = 3
 # smallest 1 + (y, t) accepted by spherical_sector_area
@@ -63,15 +71,15 @@ def tangent_interpolator(curve):
     [0, 1] of every sample interval, by 6-point Lagrange stencils across the
     monodromy-extended samples; shape s.shape + (n, 3)."""
     n = curve.n
-    # sample i lives at index i + 3
+    # sample i lives at index i + 3; windows[l, i] is the tap l of interval i
     text = extend(tangent(curve), curve.monodromy, 3, 3)
+    windows = np.stack([text[l + 1:l + 1 + n] for l in range(6)])
 
     def t_at(s):
-        w = _lagrange_weights(s)[..., None, None]
-        acc = np.zeros(np.shape(s) + (n, 3))
-        for l in range(6):
-            acc += w[l] * text[l + 1:l + 1 + n]
-        return acc
+        # the unoptimized einsum adds the taps in order l = 0 .. 5 onto
+        # zero, as a loop of full-size multiply-adds would, in one pass
+        # (optimize=True would route it through BLAS and round differently)
+        return np.einsum("l...,lnc->...nc", _lagrange_weights(s), windows)
     return t_at
 
 
@@ -216,7 +224,18 @@ def integrate_frames(curve, lams):
                                                          _MAX_LAMBDA_STEP))
     F = np.zeros((len(lams), curve.n + 1, 4), dtype=float if real else complex)
     F[:, 0, 0] = 1.0
-    F[:, 1:] = qmath.qnormalize(_interval_products(curve, lams, _VALUES))
+    # a lost frame overflows or divides by a cancelled determinant; it is
+    # refused below instead of warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        F[:, 1:] = qmath.qnormalize(_interval_products(curve, lams, _VALUES))
+        deviation = np.abs(qmath.qdet(F) - 1.0).max(axis=1)
+    # a NaN deviation (a frame that is not finite) counts as the worst
+    worst = int(np.argmax(np.nan_to_num(deviation, nan=np.inf)))
+    if not deviation[worst] <= _MAX_DET_DEVIATION:
+        raise FrameDeterminantError(
+            "the frame at lambda = %s is lost: max |det F - 1| = %.3g exceeds "
+            "%g" % (lams[worst], deviation[worst], _MAX_DET_DEVIATION),
+            lam=lams[worst], deviation=float(deviation[worst]))
     return [FrameTrajectory(lam, f, curve) for lam, f in zip(lams, F)]
 
 

@@ -20,7 +20,7 @@ from .curves import (CurveBatch, deriv, measured_length,
                      winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
-from .qmath import cross
+from .qmath import cross, dot
 
 K_RANGE = range(-2, 7)
 
@@ -70,21 +70,19 @@ def _energy(k, curve, axis):
         # sign chosen so the gradient is gamma' x (v x gamma), matching the
         # flux pattern G = gamma' x W(gamma) of the translation case
         perp = curve.samples - (curve.samples @ v)[..., None] * v
-        return -0.5 * dx * np.sum(np.sum(perp * perp, axis=-1) * (d1 @ v),
-                                  axis=-1)
+        return -0.5 * dx * np.sum(dot(perp, perp) * (d1 @ v), axis=-1)
     d2 = deriv(curve, 2)
-    k2 = np.sum(d2 * d2, axis=-1)
+    k2 = dot(d2, d2)
     if k == 3:
         return 0.5 * dx * k2.sum(axis=-1)
     d3 = deriv(curve, 3)
-    det123 = np.sum(d1 * cross(d2, d3), axis=-1)
+    det123 = dot(d1, cross(d2, d3))
     if k == 4:
         return -0.5 * dx * det123.sum(axis=-1)
     if k == 5:
-        return dx * np.sum(0.5 * np.sum(d3 * d3, axis=-1) - 0.625 * k2 * k2,
-                           axis=-1)
+        return dx * np.sum(0.5 * dot(d3, d3) - 0.625 * k2 * k2, axis=-1)
     d4 = deriv(curve, 4)
-    det134 = np.sum(d1 * cross(d3, d4), axis=-1)
+    det134 = dot(d1, cross(d3, d4))
     return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123, axis=-1)
 
 

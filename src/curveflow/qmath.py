@@ -55,6 +55,19 @@ def cross(a, b):
     return out
 
 
+def dot(a, b):
+    """Dot products of 3-vectors on the last axis, real or complex, with the
+    bits of np.sum(a * b, axis=-1): numpy adds 0 + ((a0 b0 + a1 b1) + a2 b2),
+    but as one short reduction per row; this adds whole components.  (IEEE
+    754 leaves the sign of a NaN unspecified, and it may differ.)"""
+    s = a[..., 0] * b[..., 0]
+    s += a[..., 1] * b[..., 1]
+    s += a[..., 2] * b[..., 2]
+    # the sum starts from +0: three products of -0.0 add up to +0.0
+    s += 0.0
+    return s
+
+
 def qrotate(q, v):
     """Apply the rotation of the unit quaternion q to 3-vectors v."""
     u = q[..., 1:]
@@ -119,15 +132,15 @@ def _exp_quat(v, c, s):
 def qexp_vec(v):
     """exp(0, v) of 3-vectors v, v.v in the domain of _cos_sinc."""
     v = np.asarray(v)
-    return _exp_quat(v, *_cos_sinc(np.sum(v * v, axis=-1)))
+    return _exp_quat(v, *_cos_sinc(dot(v, v)))
 
 
 def dqexp_vec(v, vdot):
     """Pair (exp(0,v), d/dt exp(0,v)) given v, as in qexp_vec, and vdot."""
     v = np.asarray(v)
     vdot = np.asarray(vdot)
-    theta_sq = np.sum(v * v, axis=-1)
-    dots = np.sum(v * vdot, axis=-1)
+    theta_sq = dot(v, v)
+    dots = dot(v, vdot)
     c, s = _cos_sinc(theta_sq)
     # g = (cos t - sinc t)/t^2 to round-off on the domain of _cos_sinc
     g = -1.0 / 3.0 + theta_sq * (1.0 / 30.0 - theta_sq * (1.0 / 840.0))

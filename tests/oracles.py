@@ -10,8 +10,8 @@ import numpy as np
 
 from curveflow import qmath
 from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
-from curveflow.frames import (_GAUSS_OFF, _MAGNUS_STEP, _pair_mul,
-                              tangent_interpolator)
+from curveflow.frames import (_GAUSS_OFF, _MAGNUS_STEP, _lagrange_weights,
+                              _pair_mul, tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -46,6 +46,21 @@ def loop_parallel_normal_frame(curve):
     alpha = np.arctan2(np.dot(back, np.cross(nu0, t0)), np.dot(back, nu0))
     winding = int(round((_torsion_integral(curve) - alpha) / (2.0 * np.pi)))
     return NormalFrame(nus[:-1], alpha, winding)
+
+
+def loop_tangent_at(curve):
+    """t_at of tangent_interpolator as six full-size multiply-adds, one per
+    stencil tap, onto zero: the reference for its one-pass einsum."""
+    n = curve.n
+    text = extend(tangent(curve), curve.monodromy, 3, 3)
+
+    def t_at(s):
+        w = _lagrange_weights(s)[..., None, None]
+        acc = np.zeros(np.shape(s) + (n, 3))
+        for l in range(6):
+            acc += w[l] * text[l + 1:l + 1 + n]
+        return acc
+    return t_at
 
 
 class LoopFrame(NamedTuple):

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,41 @@ def test_criticality_command(tmp_path):
     s = manifest(out)["summary"]
     assert abs(s["multipliers"][0] + 0.5) < 1e-5
     assert s["residual"] < 1e-5
+
+
+def diagnosis(out):
+    """The error name of a run that wrote only diagnostics.json."""
+    assert os.listdir(out) == ["diagnostics.json"]
+    with open(out / "diagnostics.json") as f:
+        return json.load(f)["error"]
+
+
+@pytest.mark.parametrize("r", ["1e-3", "1", "1e3"])
+def test_criticality_refuses_round_off(tmp_path, r):
+    # Y_60 stacks 61 stencils: round-off swamps the fields at every scale
+    # (the residual read 2.0e+47 at r = 1), while k = 5 stays a result
+    curve = "circle:r=%s,n=64" % r
+    code, out = run(tmp_path / "k60", "criticality", "--curve", curve,
+                    "--k", "60")
+    assert code == 3
+    assert diagnosis(out) == "IllConditionedFitError"
+    code, out = run(tmp_path / "k5", "criticality", "--curve", curve,
+                    "--k", "5")
+    assert code == 0
+    assert np.isfinite(manifest(out)["summary"]["residual"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral-scan", "--re", "40:41:1", "--im", "70:71:1"],
+    ["darboux", "--lam", "40+70i"]], ids=["spectral-scan", "darboux"])
+def test_lost_frame_exits_3(tmp_path, argv):
+    # the frame grows like exp(|Im lambda| L / 2) until det F is lost
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, *argv, "--curve", "circle:n=16")
+    assert code == 3
+    assert diagnosis(out) == "FrameDeterminantError"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_validation_exit_code(tmp_path):

@@ -1,10 +1,12 @@
-"""Property tests of the lambda-grid commands: whatever grid they are given,
-angle-scan and spectral-scan end in a documented exit code (0, 2 or 3),
-never in a traceback, and never write a NaN cell with exit 0."""
+"""Property tests of the lambda-grid commands and of criticality: whatever
+grid or k they are given, they end in a documented exit code (0, 2 or 3),
+never in a traceback, and with exit 0 never write a NaN cell or a
+non-finite manifest value."""
 
 import contextlib
 import csv
 import io
+import json
 import os
 import tempfile
 
@@ -21,9 +23,14 @@ PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
                     database=None)
 
 
+def reject_constant(name):
+    raise ValueError("%s is not strict JSON" % name)
+
+
 def run_cli(argv):
-    """(exit code, stderr, {csv name: rows}) of one in-process run; an
-    exception escaping main() is the traceback a shell would print."""
+    """(exit code, stderr, {csv name: rows}, {json name: value}) of one
+    in-process run; an exception escaping main() is the traceback a shell
+    would print.  JSON must be strict: NaN or Infinity fails."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -33,19 +40,23 @@ def run_cli(argv):
             except SystemExit as e:
                 code = e.code
         tables = {}
+        documents = {}
         for name in os.listdir(out) if os.path.isdir(out) else []:
-            if name.endswith(".csv"):
-                with open(os.path.join(out, name), newline="") as f:
+            with open(os.path.join(out, name), newline="") as f:
+                if name.endswith(".csv"):
                     tables[name] = list(csv.reader(f))
-    return code, err.getvalue(), tables
+                elif name.endswith(".json"):
+                    documents[name] = json.load(
+                        f, parse_constant=reject_constant)
+    return code, err.getvalue(), tables, documents
 
 
 def check_run(argv):
-    code, err, tables = run_cli(argv)
+    code, err, tables, documents = run_cli(argv)
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
     if code == 0:
-        assert tables, argv
+        assert "manifest.json" in documents, argv
         for name, rows in tables.items():
             for row in rows:
                 assert not any(c.strip().lower() == "nan" for c in row), \
@@ -76,3 +87,11 @@ def grid(lo, hi):
 @given(curve=st.sampled_from(CURVES), re=grid(-4.0, 4.0), im=grid(0.0, 4.0))
 def test_spectral_scan_any_grid(curve, re, im):
     check_run(["spectral-scan", "--curve", curve, "--re", re, "--im", im])
+
+
+@PROPERTY
+@given(curve=st.sampled_from(CURVES), k=st.integers(-1, 120))
+# Y_60 of a 64-sample circle: the residual read 2.0e+47
+@example(curve="circle:r=1,n=64", k=60)
+def test_criticality_any_k(curve, k):
+    check_run(["criticality", "--curve", curve, "--k", str(k)])

@@ -1,13 +1,17 @@
 """Associated-family frames, monodromy angles, and the angle expansion."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from curveflow import frames, qmath
-from curveflow.curves import make_circle, make_helix, make_line
+from curveflow.curves import (make_circle, make_helix, make_line,
+                              make_perturbed_circle)
 from curveflow.darboux import spectral_image_scan
-from curveflow.errors import ArgumentError, SingularSectorError
+from curveflow.errors import (ArgumentError, FrameDeterminantError,
+                              SingularSectorError)
 from curveflow.frames import (angle_from_quat, family_monodromy,
                               gauss_bonnet_residual, hamiltonians_from_angle,
                               integrate_frame, integrate_frames,
@@ -16,7 +20,7 @@ from curveflow.frames import (angle_from_quat, family_monodromy,
                               torsion_shift_check)
 from curveflow.functionals import energy
 from helpers import group_residual
-from oracles import loop_integrate_frame
+from oracles import loop_integrate_frame, loop_tangent_at
 
 
 def test_frame_stays_in_group():
@@ -104,6 +108,128 @@ def test_integrate_frames_loops_over_longest_substep_count(monkeypatch):
     integrate_frames(make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32))
     assert len(calls) == 315
     assert sum(calls) == 4290 * 256
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and values, equal signs of zero, and NaN in the same
+    places (IEEE 754 leaves the sign of a NaN unspecified)."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan], w[~nan])
+        assert np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan]))
+
+
+def recorded_offsets(monkeypatch, run):
+    """(curve, s) of every t_at call the frame's substep loop makes in
+    run()."""
+    seen = []
+    build = frames.tangent_interpolator
+
+    def recording(curve):
+        t_at = build(curve)
+
+        def wrapped(s):
+            seen.append((curve, np.copy(s)))
+            return t_at(s)
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(frames, "tangent_interpolator", recording)
+        run()
+    return seen
+
+
+def test_tangent_interpolator_matches_loop_oracle(monkeypatch):
+    # the one-pass einsum adds the six taps in the loop's order: the same
+    # bits, signed zeros included
+    angle = recorded_offsets(monkeypatch, lambda: integrate_frames(
+        make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32)))
+    spectral = recorded_offsets(monkeypatch, lambda: spectral_image_scan(
+        make_helix(1.0, 1.0, 1.0, 256), np.linspace(0.5, 2.0, 16),
+        np.linspace(0.1, 1.0, 16)))
+    assert len(angle) == 315 and angle[0][1].shape == (32, 2)
+    assert {s.shape for _, s in spectral} >= {(16, 2)}
+    rng = np.random.default_rng(0)
+    curves = [make_circle(1.0, 16), make_helix(1.0, 1.0, 1.0, 224),
+              make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3), seed=0)]
+    cases = angle + spectral + [
+        (c, s) for c in curves
+        for s in [rng.uniform(size=(k, 2)) for k in range(1, 40)]
+        + [0.0, 1.0, 0.3, np.float64(0.7)]]
+    built = {}
+    for curve, s in cases:
+        if id(curve) not in built:
+            built[id(curve)] = (frames.tangent_interpolator(curve),
+                                loop_tangent_at(curve))
+        t_at, loop = built[id(curve)]
+        assert_same_bits(t_at(s), loop(s))
+
+
+def test_dot_has_the_bits_of_a_summed_product():
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                        1e308, 5e-324])
+
+    def values(shape):
+        x = rng.standard_normal(shape)
+        pick = rng.uniform(size=shape) < 0.5
+        x[pick] = rng.choice(special, size=int(pick.sum()))
+        return x
+
+    with np.errstate(all="ignore"):
+        for shape in ((2000, 3), (5, 64, 3)):
+            a, b = values(shape), values(shape)
+            ca = a + 1j * values(shape)
+            cb = b + 1j * values(shape)
+            for x, y in ((a, b), (ca, cb), (a, cb), (a, b[0]),
+                         (a[..., 1:, :], b[..., :-1, :]), (ca[0], ca[0])):
+                assert_same_bits(qmath.dot(x, y), np.sum(x * y, axis=-1))
+        # three products of -0.0: numpy's sum starts from +0.0
+        minus = np.full((4, 3), -0.0)
+        got = qmath.dot(np.ones((4, 3)), minus)
+        assert not np.signbit(got).any()
+        assert_same_bits(qmath.dot(minus + 0j, np.ones((4, 3)) - 0j),
+                         np.sum((minus + 0j) * (np.ones((4, 3)) - 0j),
+                                axis=-1))
+
+
+def test_lost_frame_is_refused():
+    # at lambda = 40 + 70i on a 16-sample circle the frame grows like
+    # exp(|Im lambda| L / 2) = e^220 and det F cancels: a refusal, with no
+    # RuntimeWarning on the way
+    c = make_circle(1.0, 16)
+    lam = complex(40.0, 70.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameDeterminantError) as info:
+            integrate_frames(c, [complex(40.0, 1.0), lam])
+    assert info.value.lam == lam
+    assert not info.value.deviation <= frames._MAX_DET_DEVIATION
+
+
+def test_benchmark_frames_keep_their_determinant():
+    # max |det F - 1| measured on the benchmark's grids: 6.9e-13 on the
+    # spectral grid (helix, n=256), 3.2e-13 at its darboux lambda = 1 + 1i,
+    # 4.4e-16 on the angle-scan window; the largest in tier-1 is 1.9e-9
+    # (criterion 9, helix, lambda = 0.5 + 2i).  The bound sits 500 times
+    # above that.
+    def deviation(curve, lams):
+        return max(np.abs(qmath.qdet(f.F) - 1.0).max()
+                   for f in integrate_frames(curve, lams))
+
+    h = make_helix(1.0, 1.0, 1.0, 256)
+    spectral = max(deviation(h, [complex(re, im)
+                                 for re in np.linspace(0.5, 2.0, 16)])
+                   for im in np.linspace(0.1, 1.0, 16))
+    assert spectral <= 1e-12
+    assert deviation(h, [1.0 + 1.0j]) <= 1e-12
+    assert deviation(make_circle(1.0, 256),
+                     np.geomspace(8.0, 64.0, 32)) <= 1e-15
+    worst = deviation(h, [0.5 + 2.0j])
+    assert worst <= 1e-8
+    assert 100.0 * worst <= frames._MAX_DET_DEVIATION
 
 
 # the |x| = |v.v| up to which qmath._cos_sinc and dqexp_vec are exact to

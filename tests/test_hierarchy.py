@@ -6,8 +6,9 @@ import pytest
 
 from curveflow.curves import (Monodromy, make_circle, make_helix,
                               make_perturbed_circle, resample_arclength)
-from curveflow.errors import (ArgumentError, MonodromyCompatibilityError,
-                              RangeError)
+from curveflow import hierarchy
+from curveflow.errors import (ArgumentError, IllConditionedFitError,
+                              MonodromyCompatibilityError, RangeError)
 from curveflow.hierarchy import (check_axis, fit_multipliers, gradient_G,
                                  gradient_from_Y, recursion_residual,
                                  symplectic_Y_list)
@@ -90,6 +91,23 @@ def test_fit_multipliers_control():
     p = make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3), seed=1)
     fit = fit_multipliers(p, 2)
     assert fit.residual > 1e-2
+
+
+def test_fit_multipliers_refuses_round_off():
+    # the fields of k <= 5 at n in {64, 256} are within 3e-6 of their
+    # long-double values (measured: 2.9e-6 on the helix at n=256, k = 5)
+    for n in (64, 256):
+        for curve in (make_circle(1.0, n), make_helix(1.0, 1.0, 1.0, n)):
+            ref = symplectic_Y_list(curve, 5, dtype=np.longdouble)
+            for y, r in zip(symplectic_Y_list(curve, 5), ref):
+                assert np.linalg.norm(y - r) <= 3e-6 * np.linalg.norm(r)
+            for k in range(1, 6):
+                fit_multipliers(curve, k)
+    assert 3e-6 * 30 <= hierarchy._FIELD_ROUNDOFF
+    with pytest.raises(IllConditionedFitError) as info:
+        fit_multipliers(make_circle(1.0, 64), 60)
+    eps = np.finfo(float).eps
+    assert info.value.condition > hierarchy._FIELD_ROUNDOFF / eps
 
 
 def test_check_axis_validation():
