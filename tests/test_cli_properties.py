@@ -51,12 +51,15 @@ def run_cli(argv):
     return code, err.getvalue(), tables, documents
 
 
-def check_run(argv):
+def check_run(argv, artifact):
+    """argv ends in a documented exit code without a traceback; with exit 0
+    it writes `artifact` and a manifest, and no NaN cell."""
     code, err, tables, documents = run_cli(argv)
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
     if code == 0:
-        assert "manifest.json" in documents, argv
+        assert {artifact, "manifest.json"} <= set(tables) | set(documents), \
+            argv
         for name, rows in tables.items():
             for row in rows:
                 assert not any(c.strip().lower() == "nan" for c in row), \
@@ -75,7 +78,7 @@ def check_run(argv):
 def test_angle_scan_any_grid(curve, bounds, count, fit):
     check_run(["angle-scan", "--curve", curve, "--lmin", repr(bounds[0]),
                "--lmax", repr(bounds[1]), "--count", str(count),
-               "--fit", str(fit)])
+               "--fit", str(fit)], "angles.csv")
 
 
 def grid(lo, hi):
@@ -86,7 +89,8 @@ def grid(lo, hi):
 @PROPERTY
 @given(curve=st.sampled_from(CURVES), re=grid(-4.0, 4.0), im=grid(0.0, 4.0))
 def test_spectral_scan_any_grid(curve, re, im):
-    check_run(["spectral-scan", "--curve", curve, "--re", re, "--im", im])
+    check_run(["spectral-scan", "--curve", curve, "--re", re, "--im", im],
+              "spectral_scan.csv")
 
 
 @PROPERTY
@@ -94,4 +98,5 @@ def test_spectral_scan_any_grid(curve, re, im):
 # Y_60 of a 64-sample circle: the residual read 2.0e+47
 @example(curve="circle:r=1,n=64", k=60)
 def test_criticality_any_k(curve, k):
-    check_run(["criticality", "--curve", curve, "--k", str(k)])
+    check_run(["criticality", "--curve", curve, "--k", str(k)],
+              "criticality.json")
