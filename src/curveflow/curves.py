@@ -519,7 +519,7 @@ def parallel_normal_frame(curve):
     nu0 = nu0 - _dots(nu0, t0)[..., None] * t0
     nu0 = nu0 / np.sqrt(_dots(nu0, nu0))[..., None]
 
-    prods = qmath.qscan(lambda x, y: qmath.qmul(y, x),
+    prods = qmath.qscan(lambda x, y, out: qmath.qmul(y, x, out=out),
                         _double_reflections(curve, tan))
     nus = qmath.qrotate(np.moveaxis(prods, 0, -2), nu0[..., None, :])
     del prods   # freed early: a batch's peak memory is a few of these
@@ -570,6 +570,25 @@ def winding_number(turn):
         raise DegenerateInputError("the curve's derivatives overflow at this "
                                    "scale; its frame is not finite")
     return int(turn)
+
+
+def check_scale(curve):
+    """Refuse a curve whose largest squared curvature |gamma''|^2 is not a
+    normal float: it overflows, or underflows although gamma'' turns the
+    tangent by more than sqrt(eps) per sample (a straight line's round-off
+    turns it by about n eps).  Every E_k from E_3 on reads |gamma''|^2, so
+    this tests the curve's scale against the float range, not against a
+    size.  A CurveBatch is refused if any of its curves is."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d2 = deriv(curve, 2)
+        top = qmath.dot(d2, d2).max(axis=-1)
+        turn = np.abs(d2).max(axis=(-2, -1)) * curve.seg_len
+    eps = np.finfo(float).eps
+    bad = ~(top < np.inf) | ((turn > np.sqrt(eps))
+                             & (top < np.finfo(float).tiny))
+    if np.any(bad):
+        raise DegenerateInputError("the curve's squared curvature over- or "
+                                   "underflows at this scale")
 
 
 def _torsion_integral(curve):

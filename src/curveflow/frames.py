@@ -13,10 +13,13 @@ coefficient.  The Sym formula reads
     gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}).
 
 Frames are integrated with a 4th-order Magnus method on two-point Gauss
-nodes, 6-point tangent stencils (one einsum per substep over a stack of the
-shifted tangents) and polynomial exponentials (qmath).  A frame whose
-determinant has cancelled away, as it does at large |Im lambda|, is refused
-with FrameDeterminantError.
+nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent
+stencils (one einsum per substep over a stack of the shifted tangents) and
+polynomial exponentials (qmath).  The substep loop and the prefix scan keep
+their state component-major, quaternions as (4, lambda, sample) memory, so
+that every component the qmath kernels read or write is contiguous (see
+_interval_products).  A frame whose determinant has cancelled away, as it
+does at large |Im lambda|, is refused with FrameDeterminantError.
 """
 
 from dataclasses import dataclass
@@ -69,17 +72,27 @@ def _lagrange_weights(s):
 def tangent_interpolator(curve):
     """t_at(s): the unit tangent interpolated at fractional offsets s in
     [0, 1] of every sample interval, by 6-point Lagrange stencils across the
-    monodromy-extended samples; shape s.shape + (n, 3)."""
+    monodromy-extended samples; shape s.shape + (n, 3).  The memory is
+    node-major and component-major: for s of shape (L, 2), (2, 3, L, n)."""
     n = curve.n
-    # sample i lives at index i + 3; windows[l, i] is the tap l of interval i
+    # sample i lives at index i + 3; windows[l, c, i] is component c of the
+    # tap l of interval i
     text = extend(tangent(curve), curve.monodromy, 3, 3)
-    windows = np.stack([text[l + 1:l + 1 + n] for l in range(6)])
+    windows = np.stack([text[l + 1:l + 1 + n].T for l in range(6)])
 
     def t_at(s):
         # the unoptimized einsum adds the taps in order l = 0 .. 5 onto
         # zero, as a loop of full-size multiply-adds would, in one pass
-        # (optimize=True would route it through BLAS and round differently)
-        return np.einsum("l...,lnc->...nc", _lagrange_weights(s), windows)
+        # (optimize=True would route it through BLAS and round differently).
+        # It is fastest writing s.shape + (3, n); one copy then puts the
+        # nodes, the last axis of s, outermost
+        t = np.einsum("l...,lcn->...cn", _lagrange_weights(s), windows)
+        m = t.ndim
+        if m == 2:
+            return t.T
+        # (..., node, 3, n) -> memory (node, 3, ..., n) -> (..., node, n, 3)
+        t = t.transpose((m - 3, m - 2) + tuple(range(m - 3)) + (m - 1,))
+        return t.copy().transpose(tuple(range(2, m - 1)) + (0, m - 1, 1))
     return t_at
 
 
@@ -107,27 +120,46 @@ class FrameTrajectory:
         return dF
 
 
-def _pair_mul(a, b):
+def _component_major(shape, components, dtype):
+    """An empty array of shape + components over memory with the
+    component axes outermost: each component of a quaternion, (4,), or of
+    a (value, derivative) pair, (2, 4), is one contiguous block."""
+    k = len(components)
+    return np.moveaxis(np.empty(components + shape, dtype),
+                       range(k), range(-k, 0))
+
+
+def _pair_mul(a, b, out=None):
     """Product of (value, lambda-derivative) quaternion pairs stacked on
-    axis -2."""
+    axis -2.  Both halves are formed before either is written, so `out` may
+    overlap `a` or `b`, as in qmath.qscan."""
     ea, da = a[..., 0, :], a[..., 1, :]
     eb, db = b[..., 0, :], b[..., 1, :]
-    return np.stack([qmath.qmul(ea, eb),
-                     qmath.qmul(da, eb) + qmath.qmul(ea, db)], axis=-2)
+    e = qmath.qmul(ea, eb)
+    d = qmath.qmul(da, eb) + qmath.qmul(ea, db)
+    if out is None:
+        return np.stack([e, d], axis=-2)
+    out[..., 0, :] = e
+    out[..., 1, :] = d
+    return out
 
 
 def _value_factor(p, q, c1, c2, cd):
     """exp(lambda p + lambda^2 q): the Magnus factor of the frame alone,
-    shape (L * n, 4)."""
-    return qmath.qexp_vec((c1 * p + c2 * q).reshape(-1, 3))
+    shape (L, n, 4) in the memory order of p."""
+    v = c1 * p
+    v += c2 * q
+    return qmath.qexp_vec(v)
 
 
 def _pair_factor(p, q, c1, c2, cd):
     """The Magnus factor and its lambda-derivative stacked on axis -2,
-    shape (L * n, 2, 4)."""
-    e, de = qmath.dqexp_vec((c1 * p + c2 * q).reshape(-1, 3),
-                            (p + cd * q).reshape(-1, 3))
-    return np.stack([e, de], axis=-2)
+    shape (L, n, 2, 4) over component-major memory."""
+    e, de = qmath.dqexp_vec(c1 * p + c2 * q, p + cd * q)
+    pair = _component_major(e.shape[:-1], (2, 4), e.dtype)
+    pair[..., 0, :] = e
+    pair[..., 1, :] = de
+    return pair
 
 
 # the algebras the frame is integrated in, as (product, Magnus factor,
@@ -138,14 +170,17 @@ _PAIRS = (_pair_mul, _pair_factor, ((1.0, 0.0, 0.0, 0.0), (0.0,) * 4))
 
 def _magnus_step(t_at, s, cp, cq, c1, c2, cd, factor):
     """Magnus factors of one 4th-order substep for a block of L lambdas,
-    lambda-major.  s holds the Gauss-node offsets, shape (L, 2); cp = hs/4,
-    cq = sqrt(3) hs^2/24, c1 = lambda, c2 = lambda^2 and cd = 2 lambda are
-    (L, 1, 1) columns.  Temporaries grow with L, so the tangents are dropped
-    before the factor is formed."""
+    shape (L, n) + the unit's shape, in the memory order of the tangents.
+    s holds the Gauss-node offsets, shape (L, 2); cp = hs/4, cq = sqrt(3)
+    hs^2/24, c1 = lambda, c2 = lambda^2 and cd = 2 lambda are (L, 1, 1)
+    columns.  Temporaries grow with L, so the tangents are dropped before
+    the factor is formed."""
     t = t_at(s)
     t1, t2 = t[:, 0], t[:, 1]
-    p = cp * (t1 + t2)
-    q = cq * qmath.cross(t1, t2)
+    p = t1 + t2
+    p *= cp
+    q = qmath.cross(t1, t2)
+    q *= cq
     del t, t1, t2
     return factor(p, q, c1, c2, cd)
 
@@ -153,12 +188,22 @@ def _magnus_step(t_at, s, cp, cq, c1, c2, cd, factor):
 def _interval_products(curve, lams, algebra):
     """Prefix products over the sample intervals of the Magnus factors in
     `algebra`, one row per lambda in the order given: shape
-    (len(lams), n) + the unit's shape.
+    (len(lams), n) + the unit's shape, in C order.
 
     The lambdas are sorted by substep count and advanced together: substep
     j updates the block of those with more than j substeps.  Every lambda
     gets the same arithmetic as in a batch of its own, so a row does not
     depend on its batch.
+
+    The state is component-major from start to finish, and the kernels see
+    it through (lambda, sample, component) views in which every component
+    is contiguous.  The accumulator is (4, L, n) memory ((2, 4, L, n) for
+    pairs), so the block of active lambdas is the prefix [:, :a] and each of
+    its components one run of a * n; the tangents of a substep are (2, 3, a,
+    n), and the Magnus exponent and factor (3 | 4, a, n).  Each product is
+    written into the accumulator in place, the scan runs in place along the
+    samples, the memory's last axis, and the result is converted to C order
+    once.
     """
     mul, factor, unit = algebra
     dtype = complex if isinstance(lams[0], complex) else float
@@ -182,21 +227,20 @@ def _interval_products(curve, lams, algebra):
     cd = column([2.0 * x for x in lam], dtype)
     t_at = tangent_interpolator(curve)
 
-    # accumulate the per-interval transitions over the substeps; the
-    # (lambda, sample) axes are flattened so that the lambdas still active
-    # are a prefix and the quaternion kernels see one-dimensional components
-    acc = np.empty((len(lam) * n,) + np.shape(unit), dtype=dtype)
+    # accumulate the per-interval transitions over the substeps, in place
+    acc = _component_major((len(lam), n), np.shape(unit), dtype)
     acc[...] = unit
     for j in range(sub[0]):
         a = int(np.count_nonzero(sub > j))
-        acc[:a * n] = mul(acc[:a * n], _magnus_step(
+        mul(acc[:a], _magnus_step(
             t_at, (j + _GAUSS_OFF) / sub[:a, None],
-            cp[:a], cq[:a], c1[:a], c2[:a], cd[:a], factor))
+            cp[:a], cq[:a], c1[:a], c2[:a], cd[:a], factor), out=acc[:a])
 
     # inclusive scan of interval transitions (associative products)
-    acc = acc.reshape((len(lam), n) + np.shape(unit))
-    acc = qmath.qscan(mul, acc.swapaxes(0, 1)).swapaxes(0, 1)
-    return acc[np.argsort(order)]
+    qmath.qscan(mul, acc.swapaxes(0, 1))
+    out = np.empty(acc.shape, dtype)
+    out[order] = acc
+    return out
 
 
 def integrate_frames(curve, lams):
@@ -335,9 +379,10 @@ def monodromy_angle_scan(curve, lambdas):
     for lam, frame in zip(lambdas[::-1], frames[::-1]):
         fam = family_monodromy(frame)
         if prev is None:
-            pred = lam * e1 + e2 + e3 / lam
             # an anchor whose float spacing exceeds pi cannot pick a 2 pi
             # branch (and a non-finite one has NaN spacing)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred = lam * e1 + e2 + e3 / lam
             if not np.spacing(abs(pred)) <= np.pi:
                 raise ArgumentError("lambda %r is too small to anchor the "
                                     "angle branch" % float(lam))

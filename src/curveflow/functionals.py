@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (CurveBatch, deriv, measured_length,
+from .curves import (CurveBatch, check_scale, deriv, measured_length,
                      parallel_normal_frame, resample_arclength,
                      winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
@@ -125,6 +125,7 @@ def energy_reports(curves, axis=None, near_torsion=None):
     # the derivatives live on the batch, so they are freed on return and do
     # not live on with the callers' curves (trajectory snapshots)
     batch = CurveBatch.stack(curves)
+    check_scale(batch)
     frame = parallel_normal_frame(batch)
     # a one-curve report checks its frame before the axis
     winding_number(frame.winding[0])

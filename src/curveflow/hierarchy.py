@@ -16,7 +16,7 @@ import numpy as np
 from .curves import ddx, deriv
 from .errors import (ArgumentError, IllConditionedFitError,
                      MonodromyCompatibilityError, RangeError)
-from .qmath import cross
+from .qmath import cross, dot
 
 # largest relative L2 difference accepted between a fit's fields Y_0 .. Y_k
 # and the same fields in long double.  Each stencil amplifies round-off by
@@ -53,7 +53,7 @@ def symplectic_Y_list(curve, kmax, dtype=None):
         if k >= 1:
             f = np.zeros(curve.n, dtype=t.dtype)
             for i in range(1, k + 1):
-                f += np.sum(ys[i] * ys[k - i + 1], axis=1)
+                f += dot(ys[i], ys[k - i + 1])
             nxt -= 0.5 * f[:, None] * t
         ys.append(nxt)
     return ys

@@ -8,21 +8,32 @@ with complex entries (biquaternions) realize SL(2,C) via
 
 so the quaternion norm w^2 + |v|^2 equals det M and the hermitian conjugate
 of M corresponds to (conj(w), -conj(v)).
+
+The kernels read components as a[..., i] and give a new result the memory
+order of their first operand where the shapes allow (np.empty_like): on a
+moveaxis view of component-major memory, shape (..., 4) over (4, ...), every
+component they read or write is contiguous, and so is their result.
 """
 
 import numpy as np
 
 
-def qmul(a, b):
-    """Hamilton product, broadcasting over leading axes."""
+def qmul(a, b, out=None):
+    """Hamilton product, broadcasting over leading axes.  All four
+    components are formed before any is written, so `out` may overlap `a`
+    or `b`, as in qscan."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
+    parts = (aw * bw - ax * bx - ay * by - az * bz,
+             aw * bx + ax * bw + ay * bz - az * by,
+             aw * by - ax * bz + ay * bw + az * bx,
+             aw * bz + ax * by - ay * bx + az * bw)
+    if out is None:
+        out = np.empty_like(a, shape=np.shape(parts[0]) + (4,),
+                            dtype=np.result_type(*parts))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
 
 
 def qconj(q):
@@ -48,7 +59,7 @@ def cross(a, b):
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0 = a1 * b2 - a2 * b1
-    out = np.empty(c0.shape + (3,), dtype=c0.dtype)
+    out = np.empty_like(a, shape=c0.shape + (3,), dtype=c0.dtype)
     out[..., 0] = c0
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
@@ -77,17 +88,16 @@ def qrotate(q, v):
 
 
 def qscan(mul, factors):
-    """Inclusive prefix products along axis 0 by the Hillis-Steele scan.
-
-    Returns out[i] = mul(... mul(f[0], f[1]) ..., f[i]) in ceil(log2 n)
-    array steps; `mul` must be associative and broadcast over axis 0.
-    """
-    out = np.array(factors, copy=True)
+    """Inclusive prefix products along axis 0 by the Hillis-Steele scan, in
+    place: factors[i] becomes mul(... mul(f[0], f[1]) ..., f[i]) in
+    ceil(log2 n) array steps, and factors is returned.  `mul(x, y, out)`
+    must be associative, broadcast over axis 0 and form its whole product
+    before writing it to `out`, which overlaps x and y."""
     shift = 1
-    while shift < len(out):
-        out[shift:] = mul(out[:-shift], out[shift:])
+    while shift < len(factors):
+        mul(factors[:-shift], factors[shift:], out=factors[shift:])
         shift *= 2
-    return out
+    return factors
 
 
 def rotation_matrix(q):
@@ -123,9 +133,10 @@ def _cos_sinc(x):
 
 def _exp_quat(v, c, s):
     """exp(0, v) from c = cos|v| and s = sin|v|/|v|."""
-    e = np.empty(v.shape[:-1] + (4,), dtype=np.result_type(v, c))
+    e = np.empty_like(v, shape=v.shape[:-1] + (4,),
+                      dtype=np.result_type(v, c))
     e[..., 0] = c
-    e[..., 1:] = s[..., None] * v
+    np.multiply(s[..., None], v, out=e[..., 1:])
     return e
 
 

@@ -397,11 +397,18 @@ BAD_INPUTS = {
                                       "--fit", "5"],
     "huge-lambda": lambda p: ["darboux", "--curve", "circle:n=32",
                               "--lam", "1e300+1i"],
+    # |gamma''|^2 overflows; at r = 1e300 it underflows to 0, though
+    # E_3 = pi / r is a normal float
     "tiny-curve": lambda p: ["energies", "--curve", "circle:r=1e-300,n=32"],
+    "huge-curve": lambda p: ["energies", "--curve", "circle:r=1e300,n=32"],
     # the anchor E_3 / lambda = 3.1e300 cannot resolve a 2 pi branch
     "tiny-anchor": lambda p: ["angle-scan", "--curve", "circle:r=1,n=32",
                               "--lmin", "1e-300", "--lmax", "1e-300",
                               "--count", "1"],
+    # E_3 / lambda overflows at the smallest subnormal
+    "subnormal-anchor": lambda p: ["angle-scan", "--curve",
+                                   "helix:a=1,b=1,n=32", "--lmin", "5e-324",
+                                   "--lmax", "5e-324", "--count", "2"],
     # a flow whose weights are all zero is empty
     "zero-weight": lambda p: ["conserve", "--curve", "circle:r=1,n=64",
                               "--flow", "1=0", "--dt", "1e-3",
@@ -437,11 +444,13 @@ def time_limit(seconds):
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(tmp_path, capsys, case):
-    with time_limit(30):
+    with time_limit(30), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out = run(tmp_path, *BAD_INPUTS[case](tmp_path))
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists() or os.listdir(out) == []
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,5 +1,6 @@
 """Associated-family frames, monodromy angles, and the angle expansion."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,28 @@ def test_integrate_frames_loops_over_longest_substep_count(monkeypatch):
     assert sum(calls) == 4290 * 256
 
 
+# tracemalloc peaks of a second integrate_frames call, in MB, measured with
+# the state in C order, (lambda * sample, 4), products stacked with np.stack
+# and a scan that copies its operand
+C_ORDER_PEAK_MB = {"circle-geomspace": 1.8167, "helix-row-0.55": 1.6851}
+
+
+@pytest.mark.parametrize("case", sorted(C_ORDER_PEAK_MB))
+def test_integrate_frames_peak_memory(case):
+    # the 32 real lambda of the angle-scan window on circle n=256, and one
+    # 16-lambda row of the spectral grid on helix n=256
+    make, lams = FRAME_BATCHES[case]
+    c = make()
+    integrate_frames(c, lams)
+    tracemalloc.start()
+    try:
+        integrate_frames(c, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= C_ORDER_PEAK_MB[case] * 1e6
+
+
 def assert_same_bits(got, want):
     """Equal shapes and values, equal signs of zero, and NaN in the same
     places (IEEE 754 leaves the sign of a NaN unspecified)."""
@@ -139,6 +162,49 @@ def recorded_offsets(monkeypatch, run):
         m.setattr(frames, "tangent_interpolator", recording)
         run()
     return seen
+
+
+def component_major(x):
+    """x, same shape and values, as a view of memory with its last axis
+    outermost."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+def test_kernels_keep_their_bits_on_component_major_views():
+    # the substep loop and scan call the kernels on moveaxis views of
+    # component-major memory: the same bits as on C-order arrays, and a
+    # new result in the layout of the first operand
+    rng = np.random.default_rng(1)
+    for dtype in (float, complex):
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            if dtype is complex:
+                x = x + 1j * rng.standard_normal(shape)
+            return x
+
+        q1, q2 = draw(8, 64, 4), draw(8, 64, 4)
+        v1, v2 = draw(8, 64, 3), draw(8, 64, 3)
+
+        def scan(f):
+            return qmath.qscan(qmath.qmul, f)
+
+        def scan_samples(f):
+            return qmath.qscan(qmath.qmul, f.swapaxes(0, 1)).swapaxes(0, 1)
+
+        def into_first(a, b):
+            return qmath.qmul(a, b, out=a)
+
+        for kernel, args in ((qmath.qmul, (q1, q2)), (into_first, (q1, q2)),
+                             (qmath.cross, (v1, v2)), (qmath.dot, (v1, v2)),
+                             (qmath.qexp_vec, (1e-3 * v1,)),
+                             (scan, (q1,)), (scan_samples, (q1,))):
+            want = kernel(*[np.copy(x) for x in args])
+            views = [component_major(x) for x in args]
+            got = kernel(*views)
+            assert_same_bits(got, want)
+            if got.ndim == views[0].ndim:
+                assert np.shares_memory(got, views[0]) or (
+                    np.moveaxis(got, -1, 0).flags.c_contiguous)
 
 
 def test_tangent_interpolator_matches_loop_oracle(monkeypatch):
@@ -183,13 +249,21 @@ def test_dot_has_the_bits_of_a_summed_product():
             a, b = values(shape), values(shape)
             ca = a + 1j * values(shape)
             cb = b + 1j * values(shape)
+            # long double, as hierarchy.symplectic_Y_list reduces it
+            la, lb = a.astype(np.longdouble), b.astype(np.longdouble)
+            la[..., 0] += rng.standard_normal(shape[:-1]) * np.longdouble(
+                2.0) ** -60
             for x, y in ((a, b), (ca, cb), (a, cb), (a, b[0]),
-                         (a[..., 1:, :], b[..., :-1, :]), (ca[0], ca[0])):
+                         (a[..., 1:, :], b[..., :-1, :]), (ca[0], ca[0]),
+                         (la, lb), (la[..., 1:, :], lb[..., :-1, :]),
+                         (la, b)):
                 assert_same_bits(qmath.dot(x, y), np.sum(x * y, axis=-1))
         # three products of -0.0: numpy's sum starts from +0.0
         minus = np.full((4, 3), -0.0)
         got = qmath.dot(np.ones((4, 3)), minus)
         assert not np.signbit(got).any()
+        got = qmath.dot(np.ones((4, 3), np.longdouble), minus)
+        assert got.dtype == np.longdouble and not np.signbit(got).any()
         assert_same_bits(qmath.dot(minus + 0j, np.ones((4, 3)) - 0j),
                          np.sum((minus + 0j) * (np.ones((4, 3)) - 0j),
                                 axis=-1))

@@ -8,7 +8,8 @@ from curveflow import curves, functionals, qmath
 from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               make_line, make_perturbed_circle,
                               resample_arclength)
-from curveflow.errors import ArgumentError, RangeError
+from curveflow.errors import (ArgumentError, DegenerateInputError,
+                              RangeError)
 from curveflow.functionals import (directional_derivative_check, energy,
                                    energy_report, energy_reports,
                                    total_torsion)
@@ -85,6 +86,18 @@ def test_translate_to_axis_recenters():
     moved = Curve(h.samples + shift, h.seg_len, mono)
     back = translate_to_axis(moved, EZ)
     npt.assert_allclose(back.samples, h.samples, atol=1e-12)
+
+
+def test_energy_report_refuses_unrepresentable_curvature():
+    # |gamma''|^2 = 1/r^2 overflows at r = 1e-300 and underflows to 0 at
+    # r = 1e300, where E_3 = pi / r is still a normal float
+    for r in (1e-300, 1e300):
+        with pytest.raises(DegenerateInputError):
+            energy_report(make_circle(r, 32))
+    # a straight line's round-off gamma'' underflows harmlessly
+    assert energy_report(make_line(1e150, 32)).values[3] == 0.0
+    report = energy_report(make_circle(1e150, 32))
+    assert abs(report.values[3] * 1e150 / np.pi - 1.0) < 1e-2
 
 
 def test_energy_report_keys():
