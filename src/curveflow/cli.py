@@ -136,8 +136,7 @@ def _run_flow(args, **options):
 
 
 def cmd_flow(args):
-    traj, drifts = _run_flow(args, integrator=args.integrator,
-                             resample_every=args.resample_every)
+    traj, drifts = _run_flow(args, resample_every=args.resample_every)
     export_trajectory(traj, args.out)
     return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
             "snapshots": len(traj.snapshots)}
@@ -323,8 +322,6 @@ def build_parser():
 
     p = command("flow", cmd_flow, "evolve a curve and export the trajectory")
     flow_options(p)
-    p.add_argument("--integrator", choices=("rk4", "midpoint", "euler"),
-                   default="rk4")
     p.add_argument("--resample-every", type=int, default=0)
 
     p = command("energies", cmd_energies, "all E_k of a curve as CSV")

@@ -48,14 +48,16 @@ class Monodromy:
         m.flags.writeable = False
         return m
 
-    def apply(self, points):
-        return qmath.qrotate(self.rotation, points) + self.translation
+    def apply(self, points, translation=None):
+        a = self.translation if translation is None else translation
+        return qmath.qrotate(self.rotation, points) + a
 
     def apply_vector(self, vectors):
         return qmath.qrotate(self.rotation, vectors)
 
-    def apply_inverse(self, points):
-        return qmath.qrotate(qmath.qconj(self.rotation), points - self.translation)
+    def apply_inverse(self, points, translation=None):
+        a = self.translation if translation is None else translation
+        return qmath.qrotate(qmath.qconj(self.rotation), points - a)
 
     def apply_vector_inverse(self, vectors):
         return qmath.qrotate(qmath.qconj(self.rotation), vectors)
@@ -139,30 +141,37 @@ class NormalFrame:
         return self.holonomy_angle + 2.0 * np.pi * self.winding
 
 
-def extend(values, monodromy, left, right, affine=False):
+def extend(values, monodromy, left, right, affine=False, translation=None,
+           out=None):
     """Pad (..., n, 3) values with `left` values before them and `right`
     after them along axis -2, using the monodromy.
 
-    affine=True treats values as positions (full motion h applied); otherwise
-    they are vector-field values, extended by the rotation part only.
+    affine=True treats values as positions (full motion h applied, with
+    `translation` for h's own if given); otherwise they are vector-field
+    values, extended by the rotation part only.  Into `out` if given.
     """
     n = values.shape[-2]
     if left > n or right > n:
         raise ArgumentError("padding %d, %d exceeds sample count %d"
                             % (left, right, n))
     head, tail = values[..., :right, :], values[..., n - left:, :]
+    translation = monodromy.translation if translation is None else translation
     if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
         # qrotate by the identity returns v + 0 + 0
-        shift = monodromy.translation if affine else 0.0
+        shift = translation if affine else 0.0
         after = head + shift
         before = tail - shift
     elif affine:
-        after = monodromy.apply(head)
-        before = monodromy.apply_inverse(tail)
+        after = monodromy.apply(head, translation)
+        before = monodromy.apply_inverse(tail, translation)
     else:
         after = monodromy.apply_vector(head)
         before = monodromy.apply_vector_inverse(tail)
-    return np.concatenate([before, values, after], axis=-2)
+    if out is None:
+        return np.concatenate([before, values, after], axis=-2)
+    out[..., :left, :], out[..., left + n:, :] = before, after
+    out[..., left:left + n, :] = values
+    return out
 
 
 # 4th-order centered first derivative
@@ -171,17 +180,19 @@ _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D1_TERMS = [(k, c) for k, c in enumerate(_D1) if c != 0.0]
 
 
-def central_d1(ext, h):
+def central_d1(ext, h, out=None):
     """4th-order centered first derivative at spacing h of samples padded
-    by two extended values on each side along axis -2.  For a batch of
-    curves, h holds one spacing per curve, shape (B,)."""
+    by two extended values on each side along axis -2, into `out` if given.
+    For a batch of curves, h holds one spacing per curve, shape (B,)."""
     n = ext.shape[-2] - 4
-    out = np.zeros(ext.shape[:-2] + (n,) + ext.shape[-1:], dtype=ext.dtype)
+    if out is None:
+        out = np.empty(ext.shape[:-2] + (n,) + ext.shape[-1:], dtype=ext.dtype)
+    out.fill(0.0)
     for k, c in _D1_TERMS:
         out += c * ext[..., k:k + n, :]
     if getattr(h, "ndim", 0):
         h = h[:, None, None]
-    return out / h
+    return np.divide(out, h, out=out)
 
 
 def ddx(values, curve, affine=False):
@@ -197,32 +208,52 @@ def ddx(values, curve, affine=False):
 def deriv(curve, order, dtype=None):
     """order-th arclength derivative of the position samples.
 
-    Positions are re-centered before differencing (with the monodromy
-    translation adjusted accordingly); this lowers the cancellation error of
-    the stencils without changing the result.  A curve computes each
-    derivative once per dtype; later calls return the same read-only array.
-    A CurveBatch gets one shift, and so one centred translation, per curve.
+    A curve computes each derivative once per dtype (the first by
+    `Stencil.d1`); later calls return the same read-only array.
     """
     if order < 1:
         raise ArgumentError("order must be >= 1")
     dtype = np.dtype(dtype)
     ds = curve._derivatives.setdefault(dtype, [])
     if not ds:
-        shift = curve.samples.mean(axis=-2, keepdims=True)
-        rot = curve.monodromy.matrix
-        # matmul runs each stacked (3, 3) @ (3, 1) product through the
-        # matrix-vector kernel of rot @ shift for one curve
-        mono = Monodromy(curve.monodromy.rotation,
-                         curve.monodromy.translation - shift
-                         + (rot @ shift[..., None])[..., 0])
-        centered = (curve.samples - shift).astype(dtype, copy=False)
-        ds.append(central_d1(extend(centered, mono, 2, 2, affine=True),
-                             curve.seg_len))
+        ds.append(Stencil(curve, dtype=dtype).d1(curve.samples))
     while len(ds) < order:
         ds.append(ddx(ds[-1], curve))
     for d in ds:
         d.flags.writeable = False
     return ds[order - 1]
+
+
+class Stencil:
+    """Reused buffers for samples of the curve's shape, seg_len and
+    monodromy: d1 and ddx give the bits of deriv(curve, 1, dtype) and
+    ddx(values, curve), `fields` holds symplectic_Y_list's Y_0 .. Y_kmax,
+    and each call overwrites its result."""
+
+    def __init__(self, curve, kmax=0, dtype=None):
+        self.seg_len, self.monodromy = curve.seg_len, curve.monodromy
+        shape = curve.samples.shape
+        self._ext = np.empty(shape[:-2] + (shape[-2] + 4, 3), dtype)
+        self._d = np.empty(shape, dtype)
+        self.fields = np.empty((kmax + 1,) + shape, dtype)
+
+    def d1(self, samples):
+        """gamma' of the positions shifted by their mean s (one per curve of
+        a batch), under p -> h(p + s) - s: the stencil cancels less."""
+        # the bits of samples.mean(axis=-2, keepdims=True)
+        shift = np.add.reduce(samples, -2, keepdims=True) / samples.shape[-2]
+        mono = self.monodromy
+        # matmul runs each stacked (3, 3) @ (3, 1) product through the
+        # matrix-vector kernel of rot @ shift for one curve
+        translation = (mono.translation - shift
+                       + (mono.matrix @ shift[..., None])[..., 0])
+        extend((samples - shift).astype(self._ext.dtype, copy=False), mono,
+               2, 2, affine=True, translation=translation, out=self._ext)
+        return central_d1(self._ext, self.seg_len, out=self.fields[0])
+
+    def ddx(self, values):
+        return central_d1(extend(values, self.monodromy, 2, 2, out=self._ext),
+                          self.seg_len, out=self._d)
 
 
 def tangent(curve):
@@ -578,17 +609,18 @@ def check_scale(curve):
     tangent by more than sqrt(eps) per sample (a straight line's round-off
     turns it by about n eps).  Every E_k from E_3 on reads |gamma''|^2, so
     this tests the curve's scale against the float range, not against a
-    size.  A CurveBatch is refused if any of its curves is."""
+    size; so does refusing an overflowing seg_len^2, the frame's largest
+    squared chord.  A CurveBatch is refused if any of its curves is."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d2 = deriv(curve, 2)
         top = qmath.dot(d2, d2).max(axis=-1)
         turn = np.abs(d2).max(axis=(-2, -1)) * curve.seg_len
-    eps = np.finfo(float).eps
-    bad = ~(top < np.inf) | ((turn > np.sqrt(eps))
-                             & (top < np.finfo(float).tiny))
+        eps = np.finfo(float).eps
+        bad = ~(top < np.inf) | ~(np.square(curve.seg_len) < np.inf) | (
+            (turn > np.sqrt(eps)) & (top < np.finfo(float).tiny))
     if np.any(bad):
-        raise DegenerateInputError("the curve's squared curvature over- or "
-                                   "underflows at this scale")
+        raise DegenerateInputError("the curve's squared curvature or spacing "
+                                   "over- or underflows at this scale")
 
 
 def _torsion_integral(curve):

@@ -63,10 +63,7 @@ def _lagrange_weights(s):
     # f[j, l] = (s - x_l) / (x_j - x_l), and exactly 1 where l == j
     f = (s - _STENCIL.reshape(col)) / _SPAN.reshape((6,) + col)
     f[range(6), range(6)] = 1.0
-    w = f[:, 0]
-    for l in range(1, 6):
-        w = w * f[:, l]
-    return w
+    return np.multiply.reduce(f, axis=1)
 
 
 def tangent_interpolator(curve):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ddx, deriv
+from .curves import Stencil, ddx, deriv
 from .errors import (ArgumentError, IllConditionedFitError,
                      MonodromyCompatibilityError, RangeError)
 from .qmath import cross, dot
@@ -39,23 +39,25 @@ def check_axis(curve, axis):
     return v
 
 
-def symplectic_Y_list(curve, kmax, dtype=None):
-    """[Y_0, ..., Y_kmax] as (n, 3) arrays.
+def symplectic_Y_list(curve, kmax, dtype=None, out=None):
+    """Y_0 .. Y_kmax as a (kmax + 1, n, 3) array.
 
     High k stacks many difference stencils; passing dtype=numpy.longdouble
     keeps the cancellation error below the discretization error there.
+    With `out`, a curves.Stencil for kmax, curve is bare samples.
     """
-    t = deriv(curve, 1, dtype=dtype)
-    ys = [t]
+    if out is None:
+        out = Stencil(curve, kmax, dtype)
+        curve = curve.samples
+    t = out.d1(curve)
+    ys = out.fields
     for k in range(kmax):
-        yp = ddx(ys[k], curve)
-        nxt = cross(t, yp)
+        cross(t, out.ddx(ys[k]), out=ys[k + 1])
         if k >= 1:
-            f = np.zeros(curve.n, dtype=t.dtype)
+            f = np.zeros(len(t), dtype=t.dtype)
             for i in range(1, k + 1):
                 f += dot(ys[i], ys[k - i + 1])
-            nxt -= 0.5 * f[:, None] * t
-        ys.append(nxt)
+            ys[k + 1] -= 0.5 * f[:, None] * t
     return ys
 
 

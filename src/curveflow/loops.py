@@ -17,6 +17,7 @@ import numpy as np
 
 from .curves import ddx
 from .errors import ArgumentError, BlowUpError, RangeError
+from .flows import FlowSpec, rk4_step
 from .hierarchy import symplectic_Y_list
 from .qmath import cross
 
@@ -116,10 +117,7 @@ def lax_velocity(xi, weights):
 def lax_evolve(xi, weights, dt, steps):
     """RK4 evolution of xi under sum_k w_k V_k; returns xi and the state
     after every max(1, steps // 200)-th step and after the last."""
-    if not 0 < dt < np.inf or steps < 1:
-        raise ArgumentError("need dt > 0 and steps >= 1")
-    if not any(weights.values()):
-        raise ArgumentError("empty flow")
+    FlowSpec(weights, dt, steps)   # refuses what a curve flow would
     log_every = max(1, steps // 200)
     c = xi.coeffs
 
@@ -128,11 +126,7 @@ def lax_evolve(xi, weights, dt, steps):
 
     snaps = [xi]
     for i in range(1, steps + 1):
-        k1 = v(c)
-        k2 = v(c + 0.5 * dt * k1)
-        k3 = v(c + 0.5 * dt * k2)
-        k4 = v(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c = rk4_step(v, c, dt)
         if not np.all(np.isfinite(c)):
             raise BlowUpError("Lax flow blew up at step %d" % i, step=i)
         if i % log_every == 0 or i == steps:

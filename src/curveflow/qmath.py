@@ -51,15 +51,17 @@ def qinv(q):
     return qconj(q) / qdet(q)[..., None]
 
 
-def cross(a, b):
+def cross(a, b, out=None):
     """Cross product of 3-vectors on the last axis, broadcasting over the
-    leading axes; the arithmetic of numpy.cross without its axis handling."""
+    leading axes; the arithmetic of numpy.cross without its axis handling.
+    `out` must not overlap a or b."""
     a = np.asarray(a)
     b = np.asarray(b)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0 = a1 * b2 - a2 * b1
-    out = np.empty_like(a, shape=c0.shape + (3,), dtype=c0.dtype)
+    if out is None:
+        out = np.empty_like(a, shape=c0.shape + (3,), dtype=c0.dtype)
     out[..., 0] = c0
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0

@@ -401,6 +401,9 @@ BAD_INPUTS = {
     # E_3 = pi / r is a normal float
     "tiny-curve": lambda p: ["energies", "--curve", "circle:r=1e-300,n=32"],
     "huge-curve": lambda p: ["energies", "--curve", "circle:r=1e300,n=32"],
+    # a squared chord of the parallel frame overflows, though |gamma''|^2
+    # is round-off
+    "huge-line": lambda p: ["energies", "--curve", "line:length=1e160,n=32"],
     # the anchor E_3 / lambda = 3.1e300 cannot resolve a 2 pi branch
     "tiny-anchor": lambda p: ["angle-scan", "--curve", "circle:r=1,n=32",
                               "--lmin", "1e-300", "--lmax", "1e-300",

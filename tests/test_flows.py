@@ -6,14 +6,16 @@ import numpy.testing as npt
 import pytest
 
 from curveflow import flows, functionals
-from curveflow.curves import (arclength_deviation, make_circle, make_helix,
-                              make_line, make_perturbed_circle)
+from curveflow.curves import (Stencil, arclength_deviation, deriv,
+                              make_circle, make_helix, make_line,
+                              make_perturbed_circle, resample_arclength)
 from curveflow.errors import (ArgumentError, BlowUpError,
                               DegenerateInputError, RangeError,
                               StabilityError)
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
                              export_trajectory, max_relative_drift, step)
 from curveflow.functionals import energy_reports
+from curveflow.hierarchy import symplectic_Y_list
 from helpers import hausdorff_distance, rigid_register
 
 
@@ -93,15 +95,16 @@ def test_stability_guard():
     c = make_circle(1.0, 128)
     with pytest.raises(StabilityError):
         step(c, FlowSpec({3: 1.0}, 1e-3, 1))
-    # the same step passes with the guard off and a tiny dt
-    step(c, FlowSpec({3: 1.0}, 1e-8, 1, guard=False))
+    # the same step passes with a tiny dt
+    step(c, FlowSpec({3: 1.0}, 1e-8, 1))
 
 
-def test_blow_up_detected():
+def test_blow_up_detected(monkeypatch):
+    # RK4 far past its stability bound, with the guard patched out
+    monkeypatch.setattr(flows, "_check_stability", lambda curve, spec: None)
     c = make_circle(1.0, 128)
-    spec = FlowSpec({3: 1.0}, 1e-3, 50, integrator="euler", guard=False)
     with pytest.raises(BlowUpError):
-        evolve(c, spec)
+        evolve(c, FlowSpec({3: 1.0}, 1e-3, 50))
 
 
 def test_evolve_reports_in_batches(monkeypatch):
@@ -169,8 +172,6 @@ def test_spec_validation():
         FlowSpec({1: 1.0}, -1e-3, 1)
     with pytest.raises(ArgumentError):
         FlowSpec({}, 1e-3, 1)
-    with pytest.raises(ArgumentError):
-        FlowSpec({1: 1.0}, 1e-3, 1, integrator="leapfrog")
     with pytest.raises(RangeError):
         FlowSpec({-1: 1.0}, 1e-3, 1)
 
@@ -214,3 +215,69 @@ def test_energy_drift_is_fourth_order_in_space():
     for coarse, fine in zip(drift, drift[1:]):
         for k in (-2, -1, 2, 3):
             assert coarse[k] / fine[k] >= 12.0
+
+
+def fresh_velocity(curve, samples, coefficients):
+    """sum_k c_k Y_k on a new Curve of the samples, without a shared
+    Stencil."""
+    c = curve.with_samples(samples)
+    ys = symplectic_Y_list(c, max(coefficients))
+    assert np.array_equal(ys[0], deriv(c, 1))
+    out = np.zeros_like(samples)
+    for k, w in coefficients.items():
+        out += w * ys[k]
+    return out
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+@pytest.mark.parametrize("coefficients", [{0: 1.0}, {1: 1.0}, {2: 1.0},
+                                          {3: 1.0}, {1: 1.0, 2: 0.5}],
+                         ids=["0", "1", "2", "3", "1+2"])
+@pytest.mark.parametrize("curve", [make_circle(1.0, 64),
+                                   make_helix(1.0, 0.5, 1.3, 64),
+                                   make_line(2.0, 64)],
+                         ids=["circle", "screw-helix", "line"])
+def test_stencil_velocity_has_the_bits_of_a_fresh_curve(curve, coefficients):
+    # one Stencil serves stage after stage; each result matches the
+    # velocity of a new Curve of the same samples, signed zeros included
+    stencil = Stencil(curve, max(coefficients))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = curve.samples + 1e-3 * rng.standard_normal(curve.samples.shape)
+        for samples in (curve.samples, x):
+            got = flows.velocity(samples, stencil, coefficients)
+            assert same_bits(got, fresh_velocity(curve, samples,
+                                                 coefficients))
+
+
+def test_evolve_runs_share_no_state():
+    c = make_helix(1.0, 0.5, 1.3, 96)
+    spec = FlowSpec({1: 1.0, 2: 0.5}, 2e-5, 12, resample_every=3)
+    a, b = evolve(c, spec), evolve(c, spec)
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert same_bits(x.samples, y.samples) and x.seg_len == y.seg_len
+    assert [r.values for r in a.energy_log] == [r.values for r in b.energy_log]
+
+
+def test_resampled_run_matches_reference_steps():
+    # resampling after every step gives every step a new seg_len, and so
+    # a new Stencil; the reference takes each RK4 stage on a new Curve
+    c = make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=1)
+    co, dt, steps = {1: 1.0}, 1e-4, 6
+    traj = evolve(c, FlowSpec(co, dt, steps, resample_every=1))
+    current = c
+    for snap in traj.snapshots[1:]:
+        x = current.samples
+        k1 = fresh_velocity(current, x, co)
+        k2 = fresh_velocity(current, x + 0.5 * dt * k1, co)
+        k3 = fresh_velocity(current, x + 0.5 * dt * k2, co)
+        k4 = fresh_velocity(current, x + dt * k3, co)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        current = resample_arclength(x, c.monodromy, c.n)
+        assert same_bits(snap.samples, current.samples)
+        assert snap.seg_len == current.seg_len
+    assert len({s.seg_len for s in traj.snapshots}) == steps + 1
