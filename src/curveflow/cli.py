@@ -21,7 +21,7 @@ from .errors import (ArgumentError, NumericalError, SingularSectorError,
                      ValidationError)
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
                     max_relative_drift)
-from .frames import (fit_angle_expansion, gauss_bonnet_residual,
+from .frames import (gauss_bonnet_residual, hamiltonians_from_angle,
                      monodromy_angle_scan)
 from .functionals import energy, energy_report
 from .hierarchy import fit_multipliers
@@ -217,10 +217,9 @@ def cmd_angle_scan(args):
     scan = monodromy_angle_scan(curve, grid)
     summary = {}
     if args.fit:
-        es = fit_angle_expansion(scan, args.fit)
+        es = hamiltonians_from_angle(curve, args.fit)
         summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
-    e1 = energy(1, curve)
-    e2 = energy(2, curve)
+    e1, e2 = energy(1, curve), energy(2, curve)
     with open(artifact(args, "angles.csv"), "w") as f:
         f.write("lambda,theta,axis_x,axis_y,axis_z,area,gauss_bonnet_residual\n")
         for m in scan:
@@ -349,7 +348,7 @@ def build_parser():
     p.add_argument("--lmax", type=float, default=64.0)
     p.add_argument("--count", type=int, default=32)
     p.add_argument("--fit", type=int, default=0,
-                   help="fit E_0..E_k from the scan (0 = no fit)")
+                   help="E_0..E_k off a complex lambda contour (0 = none)")
 
     p = command("spectral-scan", cmd_spectral_scan,
                 "ideal fixed points over a complex lambda grid")

@@ -107,16 +107,18 @@ def _guarded_steps(curve, spec):
     bound = _BLOW_UP * np.abs(curve.samples).max()
     yield 0, curve
     samples = curve.samples
-    current = curve
+    # the last resampled curve: it gives the steps after it their seg_len
+    base = curve
     stencil = None
     for i in range(1, spec.steps + 1):
-        if stencil is None or stencil.seg_len != current.seg_len:
-            stencil = Stencil(current, max(spec.coefficients))
+        if stencil is None or stencil.seg_len != base.seg_len:
+            stencil = Stencil(base, max(spec.coefficients))
         samples = _advance(samples, stencil, spec)
         _check_blow_up(samples, bound, i)
-        current = curve.with_samples(samples)
+        current = base.with_samples(samples)
         if spec.resample_every and i % spec.resample_every == 0:
-            current = resample_arclength(samples, curve.monodromy, curve.n)
+            base = current = resample_arclength(samples, base.monodromy,
+                                                base.n)
             samples = current.samples
         yield i, current
 

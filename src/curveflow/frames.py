@@ -29,27 +29,24 @@ import numpy as np
 
 from . import qmath
 from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
-from .errors import (ArgumentError, FrameDeterminantError,
-                     IllConditionedFitError, SingularSectorError)
+from .errors import ArgumentError, FrameDeterminantError, SingularSectorError
 from .functionals import energy, total_torsion
 
 _GAUSS_OFF = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
 _STENCIL = np.arange(-2, 4, dtype=float)
 # x_j - x_l, with ones on the diagonal, whose factors are replaced by 1
 _SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
-# largest |lambda| * substep length; it keeps |v.v| of the Magnus exponents
-# v in the domain of qmath._cos_sinc
-_MAGNUS_STEP = 0.005
-# largest |lambda| * seg_len accepted, 6400 substeps per sample interval;
-# the benchmark's scans reach 64 * 2 pi / 256 = 1.57
+# largest |lambda| * substep length for real and for nonreal lambda, which
+# keeps |v.v| of the Magnus exponents v in the domain of qmath._cos_sinc
+_MAGNUS_STEP = {float: 0.02, complex: 0.005}
+# largest |lambda| * seg_len accepted, 1600 real or 6400 nonreal substeps
+# per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
 # largest max |det F - 1| accepted after normalizing.  F grows like
 # exp(|Im lambda| L / 2), and det F cancels to about eps exp(|Im lambda| L):
 # the benchmark's grids reach 6.9e-13, criterion 9 (helix, lambda = 0.5 + 2i)
 # 1.9e-9, and a lost frame reads order 1 or is not finite
 _MAX_DET_DEVIATION = 1e-6
-# guard coefficients of the angle-expansion fit
-_GUARD_TERMS = 3
 # smallest 1 + (y, t) accepted by spherical_sector_area
 _SECTOR_MIN_DENOMINATOR = 1e-3
 
@@ -115,6 +112,11 @@ class FrameTrajectory:
         dF = np.zeros_like(self.F)
         dF[1:] = _interval_products(self.curve, [self.lam], _PAIRS)[0, :, 1]
         return dF
+
+
+def _substep_count(lam, h, dtype):
+    """Magnus substeps per sample interval h at lambda in a dtype batch."""
+    return max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP[dtype])))
 
 
 def _component_major(shape, components, dtype):
@@ -206,7 +208,7 @@ def _interval_products(curve, lams, algebra):
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
     h = curve.seg_len
-    subs = [max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP))) for lam in lams]
+    subs = [_substep_count(lam, h, dtype) for lam in lams]
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
     lam = [lams[i] for i in order]
@@ -331,16 +333,21 @@ def angle_from_quat(q, pred):
     w = q[0]
     v = q[1:]
     s = np.linalg.norm(v)
-    phi = 2.0 * np.arctan2(s, w)
+    theta, sigma = _nearest_branch(2.0 * np.arctan2(s, w), pred)
+    axis = None if s < 1e-12 else sigma * v / s
+    return theta, axis
+
+
+def _nearest_branch(phi, pred):
+    """(theta, sigma): the angle theta = sigma phi + 2 pi k, sigma = +-1 and
+    k an integer, nearest the prediction; phi and pred real or complex."""
     best = None
     for sigma in (1.0, -1.0):
-        k = round((pred - sigma * phi) / (2.0 * np.pi))
+        k = round(((pred - sigma * phi) / (2.0 * np.pi)).real)
         cand = sigma * phi + 2.0 * np.pi * k
         if best is None or abs(cand - pred) < abs(best[0] - pred):
             best = (cand, sigma)
-    theta, sigma = best
-    axis = None if s < 1e-12 else sigma * v / s
-    return theta, axis
+    return best
 
 
 @dataclass(frozen=True)
@@ -367,9 +374,7 @@ def monodromy_angle_scan(curve, lambdas):
     of its anchor exceeds pi is refused.
     """
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
-    e1 = energy(1, curve)
-    e2 = energy(2, curve)
-    e3 = energy(3, curve)
+    e1, e2, e3 = (energy(k, curve) for k in (1, 2, 3))
     frames = integrate_frames(curve, lambdas)
     out = []
     prev = None
@@ -397,43 +402,26 @@ def monodromy_angle(curve, lam):
     return monodromy_angle_scan(curve, [lam])[0]
 
 
-def fit_angle_expansion(scan, kmax):
-    """E_0 .. E_kmax fitted to a scan by theta = sum_k E_k lambda^{2-k}.
-
-    Guard coefficients beyond kmax absorb the truncation tail of the
-    asymptotic series.  Three of them balance truncation leakage (too few
-    guards) against amplification of the angle-integration noise (too
-    many, in an increasingly ill-conditioned fit); columns are norm-scaled
-    before the least-squares solve and the scaled condition number is
-    checked.
-    """
-    if kmax > 6:
-        raise ArgumentError("kmax must be <= 6")
-    lams = np.array([m.lam for m in scan])
-    thetas = np.array([m.theta for m in scan])
-    powers = 2.0 - np.arange(kmax + _GUARD_TERMS + 1)
-    if len(lams) < len(powers):
-        raise ArgumentError("fitting E_0 .. E_%d needs at least %d lambdas, "
-                            "got %d" % (kmax, len(powers), len(lams)))
-    design = lams[:, None] ** powers[None, :]
-    scale = np.linalg.norm(design, axis=0)
-    if not np.all((scale > 0.0) & (scale < np.inf)):
-        # a power of lambda overflows or underflows on the whole grid
-        raise IllConditionedFitError("angle fit column out of range",
-                                     condition=np.inf)
-    design = design / scale
-    sol, _, _, sv = np.linalg.lstsq(design, thetas, rcond=None)
-    cond = sv[0] / sv[-1]
-    if cond > 1e12:
-        raise IllConditionedFitError("angle fit ill conditioned", condition=cond)
-    return (sol / scale)[:kmax + 1]
-
-
 def hamiltonians_from_angle(curve, kmax=5):
-    """E_0 .. E_kmax fitted to the monodromy angle at 32 geometrically
-    spaced lambda in [8, 64]."""
-    scan = monodromy_angle_scan(curve, np.geomspace(8.0, 64.0, 32))
-    return fit_angle_expansion(scan, kmax)
+    """E_0 .. E_kmax of theta(lambda) ~ sum_k E_k lambda^(2-k) by the
+    trapezoid rule on |lambda| = R = 4 pi / L (Trefethen & Weideman, SIAM
+    Rev. 56, 2014): E_k = Re mean(theta_m lambda_m^(k-2)) over the M = 32
+    nodes R exp(i pi (2m+1) / M), theta_m on the branch of +-2 arccos(w), w
+    the family monodromy's scalar part, nearest the anchor lambda E_1 + E_2
+    + E_3 / lambda of monodromy_angle_scan.  theta(conj lambda) = conj
+    theta(lambda), so only the M/2 nodes with Im lambda > 0 are integrated.
+    """
+    if not 0 <= kmax <= 6:
+        raise ArgumentError("kmax must be in 0 .. 6")
+    lams = (4.0 * np.pi / curve.length
+            * np.exp(1j * np.pi * (2.0 * np.arange(16) + 1.0) / 32.0))
+    e1, e2, e3 = (energy(k, curve) for k in (1, 2, 3))
+    thetas = np.array([
+        _nearest_branch(2.0 * np.arccos(family_monodromy(frame).quaternion[0]),
+                        lam * e1 + e2 + e3 / lam)[0]
+        for lam, frame in zip(lams, integrate_frames(curve, lams))])
+    powers = lams ** (np.arange(kmax + 1)[:, None] - 2.0)
+    return (thetas * powers).mean(axis=1).real
 
 
 def torsion_shift_check(curve, lam):
@@ -441,8 +429,7 @@ def torsion_shift_check(curve, lam):
     fam = family_monodromy(integrate_frame(curve, lam))
     mono = Monodromy(np.real(fam.quaternion), fam.translation)
     new = resample_arclength(fam.sym_points[:-1], mono, curve.n)
-    e1 = energy(1, curve)
-    e2 = energy(2, curve)
+    e1, e2 = energy(1, curve), energy(2, curve)
     return total_torsion(new), e2 + lam * e1
 
 

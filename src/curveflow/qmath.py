@@ -124,13 +124,23 @@ def axis_angle_from_quat(q):
     return q[1:] / s, angle
 
 
+def _horner(x, coeffs):
+    """sum_k coeffs[k] x^k by Horner's rule, in one array updated in place."""
+    p = np.asarray(x * coeffs[-1])
+    for c in coeffs[-2:0:-1]:
+        p += c
+        np.multiply(x, p, out=p)
+    p += coeffs[0]
+    return p
+
+
 def _cos_sinc(x):
     """cos(theta) and sin(theta)/theta of x = theta^2, real or complex, by
-    Taylor polynomials of degree 2, exact to round-off for |x| <= 1.25e-5,
+    Taylor polynomials of degree 3, exact to round-off for |x| <= 2e-4,
     the domain of the frame's Magnus exponents (tests/test_frames.py:
     test_magnus_exponent_stays_in_kernel_domain, test_magnus_kernels_*)."""
-    return (1.0 + x * (-1.0 / 2.0 + x * (1.0 / 24.0)),
-            1.0 + x * (-1.0 / 6.0 + x * (1.0 / 120.0)))
+    return (_horner(x, (1.0, -1.0 / 2.0, 1.0 / 24.0, -1.0 / 720.0)),
+            _horner(x, (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)))
 
 
 def _exp_quat(v, c, s):
@@ -156,7 +166,8 @@ def dqexp_vec(v, vdot):
     dots = dot(v, vdot)
     c, s = _cos_sinc(theta_sq)
     # g = (cos t - sinc t)/t^2 to round-off on the domain of _cos_sinc
-    g = -1.0 / 3.0 + theta_sq * (1.0 / 30.0 - theta_sq * (1.0 / 840.0))
+    g = _horner(theta_sq, (-1.0 / 3.0, 1.0 / 30.0, -1.0 / 840.0,
+                           1.0 / 45360.0))
     e = _exp_quat(v, c, s)
     de = np.empty_like(e)
     de[..., 0] = -s * dots

@@ -8,6 +8,8 @@ from curveflow.curves import (Curve, Monodromy, central_d1, deriv,
 from curveflow.frames import family_monodromy
 from curveflow.hierarchy import check_axis
 
+EZ = [0.0, 0.0, 1.0]
+
 
 def hausdorff_distance(points_a, points_b):
     """Symmetric Hausdorff distance between two sample clouds, by brute
@@ -33,6 +35,20 @@ def is_identity(monodromy):
     """Whether the monodromy is the identity motion, to 1e-12."""
     return (abs(monodromy.rotation[0]) > 1.0 - 1e-12
             and np.linalg.norm(monodromy.translation) < 1e-12)
+
+
+def similar_copies(curve, scale):
+    """The curve rotated about e_z (its monodromy axis), moved along it and
+    scaled, three ways; the copies share one monodromy."""
+    m = curve.monodromy
+    mono = m if is_identity(m) else Monodromy(m.rotation, scale * m.translation)
+    out = []
+    for angle, shift in ((0.7, 0.3), (2.1, -1.4), (-0.4, 0.0)):
+        rot = qmath.quat_from_axis_angle(EZ, angle)
+        pts = (scale * qmath.qrotate(rot, curve.samples)
+               + shift * scale * np.array(EZ))
+        out.append(Curve(pts, scale * curve.seg_len, mono))
+    return out
 
 
 def random_equivariant_field(curve, seed=0):

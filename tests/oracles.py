@@ -10,8 +10,8 @@ import numpy as np
 
 from curveflow import qmath
 from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
-from curveflow.frames import (_GAUSS_OFF, _MAGNUS_STEP, _lagrange_weights,
-                              _pair_mul, tangent_interpolator)
+from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _pair_mul,
+                              _substep_count, tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -82,7 +82,6 @@ def loop_integrate_frame(curve, lam):
     dF a FrameTrajectory integrates on first read."""
     n = curve.n
     h = curve.seg_len
-    substeps = max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP)))
     t_at = tangent_interpolator(curve)
 
     lam = complex(lam)
@@ -90,6 +89,7 @@ def loop_integrate_frame(curve, lam):
     if real:
         lam = lam.real
     dtype = float if real else complex
+    substeps = _substep_count(lam, h, dtype)
 
     # accumulate the per-interval transition pair over the substeps
     pair = np.zeros((n, 2, 4), dtype=dtype)

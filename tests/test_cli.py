@@ -152,12 +152,32 @@ def counting_batches(monkeypatch, module):
 
 
 def test_angle_scan_integrates_frame_once_per_lambda(tmp_path, monkeypatch):
+    # one real batch for the scan, and nonreal batches of at most 16 for
+    # the contour of --fit
     batches = counting_batches(monkeypatch, frames)
     code, _ = angle_scan_small(tmp_path, "--fit", "5")
     assert code == 0
-    assert len(batches) == 1
-    lams = batches[0]
-    assert len(lams) == len(set(lams)) == 12
+    real = [b for b in batches if np.isrealobj(b)]
+    assert len(real) == 1 and len(real[0]) == 12
+    nonreal = [b for b in batches if not np.isrealobj(b)]
+    assert nonreal and all(len(b) <= 16 and np.all(np.imag(b) != 0.0)
+                           for b in nonreal)
+    lams = [lam for b in batches for lam in b]
+    assert len(lams) == len(set(lams))
+
+
+def test_angle_scan_fit_needs_no_lambda_count(tmp_path):
+    # the contour does not read the scan: 3 lambdas give the E_0 .. E_5 of
+    # the default grid
+    fitted = []
+    for i, grid in enumerate([(), ("--lmin", "8", "--lmax", "16",
+                                   "--count", "3")]):
+        code, out = run(tmp_path / str(i), "angle-scan", "--curve",
+                        "circle:r=1,n=32", "--fit", "5", *grid)
+        assert code == 0
+        fitted.append(manifest(out)["summary"]["fitted"])
+    assert fitted[0] == fitted[1]
+    assert len(fitted[0]) == 6
 
 
 def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
@@ -390,11 +410,6 @@ BAD_INPUTS = {
     "negative-degree": lambda p: ["lax", "--degree", "-1"],
     "infinite-length": lambda p: ["energies", "--curve",
                                   "line:length=inf,n=64"],
-    # 3 lambdas for the 9 columns of E_0..E_5 and the guard terms
-    "underdetermined-fit": lambda p: ["angle-scan", "--curve",
-                                      "circle:r=1,n=32", "--lmin", "8",
-                                      "--lmax", "16", "--count", "3",
-                                      "--fit", "5"],
     "huge-lambda": lambda p: ["darboux", "--curve", "circle:n=32",
                               "--lam", "1e300+1i"],
     # |gamma''|^2 overflows; at r = 1e300 it underflows to 0, though

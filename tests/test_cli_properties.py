@@ -1,7 +1,7 @@
-"""Property tests of the lambda-grid commands and of criticality: whatever
-grid or k they are given, they end in a documented exit code (0, 2 or 3),
-never in a traceback, and with exit 0 never write a NaN cell or a
-non-finite manifest value."""
+"""Property tests of the lambda-grid commands, of criticality and of
+commute: whatever grid, k or flow pairs they are given, they end in a
+documented exit code (0, 2 or 3), never in a traceback, and with exit 0
+never write a NaN cell or a non-finite manifest value."""
 
 import contextlib
 import csv
@@ -100,3 +100,20 @@ def test_spectral_scan_any_grid(curve, re, im):
 def test_criticality_any_k(curve, k):
     check_run(["criticality", "--curve", curve, "--k", str(k)],
               "criticality.json")
+
+
+@PROPERTY
+@given(curve=st.sampled_from(CURVES),
+       pairs=st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
+                      min_size=1, max_size=3),
+       dt=st.floats(1e-300, 1e3))
+# a negative index reaches the program only as --pairs=-2,1
+@example(curve=CURVES[1], pairs=[(-2, 1)], dt=1e-3)
+# the steps round away: no defect at dt/2
+@example(curve=CURVES[3], pairs=[(1, 2)], dt=1e-300)
+# one Euler step of Y_8 blows up
+@example(curve=CURVES[3], pairs=[(1, 8)], dt=1e3)
+def test_commute_any_pairs(curve, pairs, dt):
+    check_run(["commute", "--curve", curve,
+               "--pairs=" + ";".join("%d,%d" % p for p in pairs),
+               "--dt", repr(dt)], "defects.csv")

@@ -281,3 +281,16 @@ def test_resampled_run_matches_reference_steps():
         assert same_bits(snap.samples, current.samples)
         assert snap.seg_len == current.seg_len
     assert len({s.seg_len for s in traj.snapshots}) == steps + 1
+
+
+def test_steps_between_resamplings_keep_the_resampled_seg_len():
+    # with resampling every 3 steps, the two steps after a resampling move
+    # the resampled samples and keep its seg_len, not the starting curve's
+    c = make_perturbed_circle(1.0, 128, 0.05, modes=(2,), seed=0)
+    traj = evolve(c, FlowSpec({1: 1.0}, 1e-4, 12, resample_every=3))
+    latest = c
+    for i, snap in enumerate(traj.snapshots):
+        if i and i % 3 == 0:
+            latest = snap
+        assert snap.seg_len == latest.seg_len
+    assert len({s.seg_len for s in traj.snapshots}) == 5

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow import curves, functionals, qmath
+from curveflow import curves, functionals
 from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               make_line, make_perturbed_circle,
                               resample_arclength)
@@ -13,9 +13,8 @@ from curveflow.errors import (ArgumentError, DegenerateInputError,
 from curveflow.functionals import (directional_derivative_check, energy,
                                    energy_report, energy_reports,
                                    total_torsion)
-from helpers import is_identity, random_equivariant_field, translate_to_axis
-
-EZ = [0.0, 0.0, 1.0]
+from helpers import (EZ, is_identity, random_equivariant_field, similar_copies,
+                     translate_to_axis)
 
 
 def test_circle_energy_values():
@@ -149,20 +148,6 @@ def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
     energy_report(c, axis=EZ)
     assert calls["frame"] == 1
     assert calls["ddx"] <= 5
-
-
-def similar_copies(curve, scale):
-    """The curve rotated about e_z (its monodromy axis), moved along it and
-    scaled, three ways; the copies share one monodromy."""
-    m = curve.monodromy
-    mono = m if is_identity(m) else Monodromy(m.rotation, scale * m.translation)
-    out = []
-    for angle, shift in ((0.7, 0.3), (2.1, -1.4), (-0.4, 0.0)):
-        rot = qmath.quat_from_axis_angle(EZ, angle)
-        pts = (scale * qmath.qrotate(rot, curve.samples)
-               + shift * scale * np.array(EZ))
-        out.append(Curve(pts, scale * curve.seg_len, mono))
-    return out
 
 
 @pytest.mark.parametrize("curve", [
