@@ -214,11 +214,12 @@ def cmd_angle_scan(args):
         raise ArgumentError("need 0 < lmin <= lmax, count >= 1 and fit >= 0")
     curve = parse_curve(args.curve, seed=args.seed)
     grid = np.geomspace(args.lmin, args.lmax, args.count)
-    scan = monodromy_angle_scan(curve, grid)
     summary = {}
+    # the contour does not read the scan, and refuses a bad kmax before it
     if args.fit:
         es = hamiltonians_from_angle(curve, args.fit)
         summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
+    scan = monodromy_angle_scan(curve, grid)
     e1, e2 = energy(1, curve), energy(2, curve)
     with open(artifact(args, "angles.csv"), "w") as f:
         f.write("lambda,theta,axis_x,axis_y,axis_z,area,gauss_bonnet_residual\n")

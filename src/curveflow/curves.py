@@ -629,8 +629,12 @@ def _torsion_integral(curve):
     d1, d2, d3 = (deriv(curve, k) for k in (1, 2, 3))
     k2 = qmath.dot(d2, d2)
     det = qmath.dot(d1, qmath.cross(d2, d3))
-    # fmax, like the builtin max, passes over a NaN maximum
-    mask = k2 > 1e-9 * np.fmax(1.0, k2.max(axis=-1, keepdims=True))
+    # kappa^2 in units of the curve's own length L, so that the mask does
+    # not depend on scale; fmax, like the builtin max, passes over a NaN
+    # maximum
+    length = curve.samples.shape[-2] * np.asarray(curve.seg_len)[..., None]
+    k2l = k2 * np.square(length)
+    mask = k2l > 1e-9 * np.fmax(1.0, k2l.max(axis=-1, keepdims=True))
     tau = np.zeros_like(k2)
     tau[mask] = det[mask] / k2[mask]
     return curve.seg_len * tau.sum(axis=-1)

@@ -12,6 +12,11 @@ coefficient.  The Sym formula reads
 
     gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}).
 
+dF/dlambda is the complex-step derivative Im F(lambda + i eps)/eps of the
+one F integrator (Squire & Trapp, SIAM Rev. 40, 1998), taken at the real
+lambda's substeps; it is refused for nonreal lambda, where no caller
+reads it.
+
 Frames are integrated with a 4th-order Magnus method on two-point Gauss
 nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent
 stencils (one einsum per substep over a stack of the shifted tangents) and
@@ -42,6 +47,10 @@ _MAGNUS_STEP = {float: 0.02, complex: 0.005}
 # largest |lambda| * seg_len accepted, 1600 real or 6400 nonreal substeps
 # per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
+# imaginary step of the complex-step derivative dF: its O(step^2) error is
+# far below round-off, and Im F(lambda + i step) involves no difference of
+# nearby values, so the step need not be balanced against cancellation
+_CSTEP = 1e-20
 # largest max |det F - 1| accepted after normalizing.  F grows like
 # exp(|Im lambda| L / 2), and det F cancels to about eps exp(|Im lambda| L):
 # the benchmark's grids reach 6.9e-13, criterion 9 (helix, lambda = 0.5 + 2i)
@@ -95,7 +104,8 @@ class FrameTrajectory:
     """The frame of the associated family at one lambda.
 
     integrate_frames integrates F alone; the lambda-derivative dF, which
-    only the Sym formula reads, is integrated on its first read.
+    only the Sym formula reads, is taken on its first read, by a complex
+    step at real lambda and refused for nonreal lambda.
     """
     lam: complex
     F: np.ndarray        # (n+1, 4) quaternions, F[0] = identity
@@ -107,10 +117,17 @@ class FrameTrajectory:
 
     @cached_property
     def dF(self):
-        """(n+1, 4) derivative of F with respect to lambda: the substeps and
-        scan of F, run again in the (value, derivative) pair algebra."""
+        """(n+1, 4) derivative of F with respect to real lambda: the
+        complex step Im F(lambda + i _CSTEP) / _CSTEP (Squire & Trapp, SIAM
+        Rev. 40, 1998), at the substeps of the real lambda, so that it is
+        the derivative of this discrete F.  F is holomorphic in lambda, so
+        the step has no cancellation and an O(_CSTEP^2) error."""
+        if not self.is_real:
+            raise ArgumentError("dF/dlambda is taken at real lambda only")
+        count = _substep_count(self.lam, self.curve.seg_len, float)
         dF = np.zeros_like(self.F)
-        dF[1:] = _interval_products(self.curve, [self.lam], _PAIRS)[0, :, 1]
+        dF[1:] = _interval_products(self.curve, [complex(self.lam, _CSTEP)],
+                                    [count])[0].imag / _CSTEP
         return dF
 
 
@@ -119,59 +136,11 @@ def _substep_count(lam, h, dtype):
     return max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP[dtype])))
 
 
-def _component_major(shape, components, dtype):
-    """An empty array of shape + components over memory with the
-    component axes outermost: each component of a quaternion, (4,), or of
-    a (value, derivative) pair, (2, 4), is one contiguous block."""
-    k = len(components)
-    return np.moveaxis(np.empty(components + shape, dtype),
-                       range(k), range(-k, 0))
-
-
-def _pair_mul(a, b, out=None):
-    """Product of (value, lambda-derivative) quaternion pairs stacked on
-    axis -2.  Both halves are formed before either is written, so `out` may
-    overlap `a` or `b`, as in qmath.qscan."""
-    ea, da = a[..., 0, :], a[..., 1, :]
-    eb, db = b[..., 0, :], b[..., 1, :]
-    e = qmath.qmul(ea, eb)
-    d = qmath.qmul(da, eb) + qmath.qmul(ea, db)
-    if out is None:
-        return np.stack([e, d], axis=-2)
-    out[..., 0, :] = e
-    out[..., 1, :] = d
-    return out
-
-
-def _value_factor(p, q, c1, c2, cd):
-    """exp(lambda p + lambda^2 q): the Magnus factor of the frame alone,
-    shape (L, n, 4) in the memory order of p."""
-    v = c1 * p
-    v += c2 * q
-    return qmath.qexp_vec(v)
-
-
-def _pair_factor(p, q, c1, c2, cd):
-    """The Magnus factor and its lambda-derivative stacked on axis -2,
-    shape (L, n, 2, 4) over component-major memory."""
-    e, de = qmath.dqexp_vec(c1 * p + c2 * q, p + cd * q)
-    pair = _component_major(e.shape[:-1], (2, 4), e.dtype)
-    pair[..., 0, :] = e
-    pair[..., 1, :] = de
-    return pair
-
-
-# the algebras the frame is integrated in, as (product, Magnus factor,
-# unit): quaternions for F alone, (value, derivative) pairs for F and dF
-_VALUES = (qmath.qmul, _value_factor, (1.0, 0.0, 0.0, 0.0))
-_PAIRS = (_pair_mul, _pair_factor, ((1.0, 0.0, 0.0, 0.0), (0.0,) * 4))
-
-
-def _magnus_step(t_at, s, cp, cq, c1, c2, cd, factor):
-    """Magnus factors of one 4th-order substep for a block of L lambdas,
-    shape (L, n) + the unit's shape, in the memory order of the tangents.
-    s holds the Gauss-node offsets, shape (L, 2); cp = hs/4, cq = sqrt(3)
-    hs^2/24, c1 = lambda, c2 = lambda^2 and cd = 2 lambda are (L, 1, 1)
+def _magnus_step(t_at, s, cp, cq, c1, c2):
+    """exp(lambda p + lambda^2 q), the Magnus factors of one 4th-order
+    substep for a block of L lambdas, shape (L, n, 4) in the memory order of
+    the tangents.  s holds the Gauss-node offsets, shape (L, 2); cp = hs/4,
+    cq = sqrt(3) hs^2/24, c1 = lambda and c2 = lambda^2 are (L, 1, 1)
     columns.  Temporaries grow with L, so the tangents are dropped before
     the factor is formed."""
     t = t_at(s)
@@ -181,13 +150,15 @@ def _magnus_step(t_at, s, cp, cq, c1, c2, cd, factor):
     q = qmath.cross(t1, t2)
     q *= cq
     del t, t1, t2
-    return factor(p, q, c1, c2, cd)
+    v = c1 * p
+    v += c2 * q
+    return qmath.qexp_vec(v)
 
 
-def _interval_products(curve, lams, algebra):
-    """Prefix products over the sample intervals of the Magnus factors in
-    `algebra`, one row per lambda in the order given: shape
-    (len(lams), n) + the unit's shape, in C order.
+def _interval_products(curve, lams, subs):
+    """Prefix products over the sample intervals of the Magnus factors, one
+    row per lambda in the order given, with subs[i] substeps per interval
+    at lams[i]: shape (len(lams), n, 4), in C order.
 
     The lambdas are sorted by substep count and advanced together: substep
     j updates the block of those with more than j substeps.  Every lambda
@@ -196,19 +167,16 @@ def _interval_products(curve, lams, algebra):
 
     The state is component-major from start to finish, and the kernels see
     it through (lambda, sample, component) views in which every component
-    is contiguous.  The accumulator is (4, L, n) memory ((2, 4, L, n) for
-    pairs), so the block of active lambdas is the prefix [:, :a] and each of
-    its components one run of a * n; the tangents of a substep are (2, 3, a,
-    n), and the Magnus exponent and factor (3 | 4, a, n).  Each product is
-    written into the accumulator in place, the scan runs in place along the
-    samples, the memory's last axis, and the result is converted to C order
-    once.
+    is contiguous.  The accumulator is (4, L, n) memory, so the block of
+    active lambdas is the prefix [:, :a] and each of its components one run
+    of a * n; the tangents of a substep are (2, 3, a, n), and the Magnus
+    exponent and factor (3 | 4, a, n).  Each product is written into the
+    accumulator in place, the scan runs in place along the samples, the
+    memory's last axis, and the result is converted to C order once.
     """
-    mul, factor, unit = algebra
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
     h = curve.seg_len
-    subs = [_substep_count(lam, h, dtype) for lam in lams]
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
     lam = [lams[i] for i in order]
@@ -223,20 +191,19 @@ def _interval_products(curve, lams, algebra):
     cq = column([(np.sqrt(3.0) / 24.0) * x * x for x in hs])
     c1 = column(lam, dtype)
     c2 = column([x * x for x in lam], dtype)
-    cd = column([2.0 * x for x in lam], dtype)
     t_at = tangent_interpolator(curve)
 
     # accumulate the per-interval transitions over the substeps, in place
-    acc = _component_major((len(lam), n), np.shape(unit), dtype)
-    acc[...] = unit
+    acc = np.moveaxis(np.empty((4, len(lam), n), dtype), 0, -1)
+    acc[...] = (1.0, 0.0, 0.0, 0.0)
     for j in range(sub[0]):
         a = int(np.count_nonzero(sub > j))
-        mul(acc[:a], _magnus_step(
+        qmath.qmul(acc[:a], _magnus_step(
             t_at, (j + _GAUSS_OFF) / sub[:a, None],
-            cp[:a], cq[:a], c1[:a], c2[:a], cd[:a], factor), out=acc[:a])
+            cp[:a], cq[:a], c1[:a], c2[:a]), out=acc[:a])
 
     # inclusive scan of interval transitions (associative products)
-    qmath.qscan(mul, acc.swapaxes(0, 1))
+    qmath.qscan(qmath.qmul, acc.swapaxes(0, 1))
     out = np.empty(acc.shape, dtype)
     out[order] = acc
     return out
@@ -247,7 +214,7 @@ def integrate_frames(curve, lams):
     the order given.
 
     The batch integrates F alone, in one substep loop for all lambdas (see
-    _interval_products); each frame integrates its dF when it is first read.
+    _interval_products); each frame takes its dF when it is first read.
     The lambdas must be all real or all nonreal.
     """
     lams = [complex(lam) for lam in lams]
@@ -259,18 +226,20 @@ def integrate_frames(curve, lams):
                             "lambda")
     if real:
         lams = [lam.real for lam in lams]
+    dtype = float if real else complex
     h = curve.seg_len
     for lam in lams:
         if not abs(lam) * h <= _MAX_LAMBDA_STEP:
             raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
                                 "many frame substeps" % (abs(lam) * h,
                                                          _MAX_LAMBDA_STEP))
-    F = np.zeros((len(lams), curve.n + 1, 4), dtype=float if real else complex)
+    F = np.zeros((len(lams), curve.n + 1, 4), dtype=dtype)
     F[:, 0, 0] = 1.0
     # a lost frame overflows or divides by a cancelled determinant; it is
     # refused below instead of warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F[:, 1:] = qmath.qnormalize(_interval_products(curve, lams, _VALUES))
+        F[:, 1:] = qmath.qnormalize(_interval_products(
+            curve, lams, [_substep_count(lam, h, dtype) for lam in lams]))
         deviation = np.abs(qmath.qdet(F) - 1.0).max(axis=1)
     # a NaN deviation (a frame that is not finite) counts as the worst
     worst = int(np.argmax(np.nan_to_num(deviation, nan=np.inf)))

@@ -158,23 +158,6 @@ def qexp_vec(v):
     return _exp_quat(v, *_cos_sinc(dot(v, v)))
 
 
-def dqexp_vec(v, vdot):
-    """Pair (exp(0,v), d/dt exp(0,v)) given v, as in qexp_vec, and vdot."""
-    v = np.asarray(v)
-    vdot = np.asarray(vdot)
-    theta_sq = dot(v, v)
-    dots = dot(v, vdot)
-    c, s = _cos_sinc(theta_sq)
-    # g = (cos t - sinc t)/t^2 to round-off on the domain of _cos_sinc
-    g = _horner(theta_sq, (-1.0 / 3.0, 1.0 / 30.0, -1.0 / 840.0,
-                           1.0 / 45360.0))
-    e = _exp_quat(v, c, s)
-    de = np.empty_like(e)
-    de[..., 0] = -s * dots
-    de[..., 1:] = s[..., None] * vdot + (g * dots)[..., None] * v
-    return e, de
-
-
 def qnormalize(q):
     """Project onto det = 1: divide by the principal sqrt of w^2 + |v|^2."""
     d = qdet(q)

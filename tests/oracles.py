@@ -10,8 +10,8 @@ import numpy as np
 
 from curveflow import qmath
 from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
-from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _pair_mul,
-                              _substep_count, tangent_interpolator)
+from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _substep_count,
+                              tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -63,6 +63,39 @@ def loop_tangent_at(curve):
     return t_at
 
 
+def dqexp_vec(v, vdot):
+    """Pair (exp(0,v), d/dt exp(0,v)) given v, as in qmath.qexp_vec, and
+    vdot."""
+    v = np.asarray(v)
+    vdot = np.asarray(vdot)
+    theta_sq = qmath.dot(v, v)
+    dots = qmath.dot(v, vdot)
+    c, s = qmath._cos_sinc(theta_sq)
+    # g = (cos t - sinc t)/t^2 to round-off on the domain of _cos_sinc
+    g = qmath._horner(theta_sq, (-1.0 / 3.0, 1.0 / 30.0, -1.0 / 840.0,
+                                 1.0 / 45360.0))
+    e = qmath._exp_quat(v, c, s)
+    de = np.empty_like(e)
+    de[..., 0] = -s * dots
+    de[..., 1:] = s[..., None] * vdot + (g * dots)[..., None] * v
+    return e, de
+
+
+def _pair_mul(a, b, out=None):
+    """Product of (value, lambda-derivative) quaternion pairs stacked on
+    axis -2.  Both halves are formed before either is written, so `out` may
+    overlap `a` or `b`, as in qmath.qscan."""
+    ea, da = a[..., 0, :], a[..., 1, :]
+    eb, db = b[..., 0, :], b[..., 1, :]
+    e = qmath.qmul(ea, eb)
+    d = qmath.qmul(da, eb) + qmath.qmul(ea, db)
+    if out is None:
+        return np.stack([e, d], axis=-2)
+    out[..., 0, :] = e
+    out[..., 1, :] = d
+    return out
+
+
 class LoopFrame(NamedTuple):
     """The fields of a FrameTrajectory, with dF integrated together with F;
     accepted wherever the package reads a frame."""
@@ -77,9 +110,10 @@ class LoopFrame(NamedTuple):
 
 
 def loop_integrate_frame(curve, lam):
-    """Frame and its lambda-derivative at one lambda, one substep at a time:
-    the reference for the batched substeps of integrate_frames and for the
-    dF a FrameTrajectory integrates on first read."""
+    """Frame and its lambda-derivative at one lambda, one substep at a time,
+    in the (value, derivative) pair algebra: the reference for the batched
+    substeps of integrate_frames and for the complex-step dF a
+    FrameTrajectory takes on first read."""
     n = curve.n
     h = curve.seg_len
     t_at = tangent_interpolator(curve)
@@ -101,7 +135,7 @@ def loop_integrate_frame(curve, lam):
         q = (np.sqrt(3.0) / 24.0) * hs * hs * qmath.cross(t1, t2)
         omega = lam * p + lam * lam * q
         domega = p + 2.0 * lam * q
-        e, de = qmath.dqexp_vec(omega.astype(dtype), domega.astype(dtype))
+        e, de = dqexp_vec(omega.astype(dtype), domega.astype(dtype))
         pair = _pair_mul(pair, np.stack([e, de], axis=-2))
 
     # inclusive scan of interval pairs (associative quaternion products)

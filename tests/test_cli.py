@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import curveflow
-from curveflow import cli, darboux, frames, qmath
+from curveflow import cli, darboux, frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
 from curveflow.curves import curve_to_dict, make_circle
 from curveflow.errors import ArgumentError
@@ -66,6 +66,19 @@ def test_energies_command(tmp_path):
     assert abs(m["summary"]["values"]["E_1"] - 2.0 * np.pi) < 1e-6
     assert abs(m["summary"]["values"]["E_-1"] - np.pi) < 1e-6
     assert (out / "energies.csv").exists()
+
+
+def test_energies_of_a_large_helix(tmp_path):
+    # total torsion does not depend on scale: the helix scaled by 1e5 takes
+    # the unit helix's branch (E_2 = 4.4429, not 4.4429 - 2 pi)
+    values = []
+    for size in ("1", "1e5"):
+        code, out = run(tmp_path / size, "energies", "--curve",
+                        "helix:a=%s,b=%s,n=128" % (size, size))
+        assert code == 0
+        values.append(manifest(out)["summary"]["values"]["E_2"])
+    assert abs(values[1] - values[0]) <= 1e-13 * abs(values[0])
+    assert abs(values[0] - 4.44288294715819) <= 1e-13
 
 
 def test_flow_and_conserve_commands(tmp_path):
@@ -180,6 +193,16 @@ def test_angle_scan_fit_needs_no_lambda_count(tmp_path):
     assert len(fitted[0]) == 6
 
 
+def test_angle_scan_refuses_kmax_before_the_scan(tmp_path, monkeypatch):
+    # kmax = 7 is refused before any frame of the 32-lambda scan is
+    # integrated
+    batches = counting_batches(monkeypatch, frames)
+    code, _ = run(tmp_path, "angle-scan", "--curve", "circle:r=1,n=64",
+                  "--fit", "7")
+    assert code == 2
+    assert batches == []
+
+
 def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
     # the area cell and the Gauss-Bonnet residual of a row share one area
     areas = []
@@ -208,19 +231,19 @@ def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
 def test_commands_integrate_no_lambda_derivative(tmp_path, monkeypatch, argv):
     # only the Sym formula reads dF/dlambda, and no command here uses it
     calls = []
-    dqexp_vec = qmath.dqexp_vec
+    derivative = frames.FrameTrajectory.dF.func
 
-    def counting(v, vdot):
-        calls.append(len(v))
-        return dqexp_vec(v, vdot)
+    def counting(frame):
+        calls.append(frame.lam)
+        return derivative(frame)
 
-    monkeypatch.setattr(qmath, "dqexp_vec", counting)
+    monkeypatch.setattr(frames.FrameTrajectory, "dF", property(counting))
     code, _ = run(tmp_path, *argv)
     assert code == 0
     assert calls == []
     # the wrapper does see the derivative where it is read
     frames.integrate_frame(make_circle(1.0, 64), 1.0).dF
-    assert calls
+    assert calls == [1.0]
 
 
 def test_angle_scan_identity_monodromy_has_blank_axis(tmp_path):

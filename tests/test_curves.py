@@ -18,7 +18,8 @@ from curveflow.curves import (Curve, Monodromy, _not_a_knot_slopes,
                               save_curve, tangent)
 from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
-from helpers import complex_curvature, is_identity, random_equivariant_field
+from helpers import (complex_curvature, is_identity, random_equivariant_field,
+                     similar_copies)
 from oracles import loop_parallel_normal_frame
 
 
@@ -119,6 +120,27 @@ def test_resample_idempotent_and_uniform():
         pts = np.stack([np.cos(phi), np.sin(phi), np.zeros(m)], axis=1)
         r = resample_arclength(pts, Monodromy.identity(), 16)
         assert arclength_deviation(r) < 1e-8
+
+
+@pytest.mark.parametrize("curve", [
+    make_helix(1.0, 1.0, 1.0, 256),
+    make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3), seed=0),
+], ids=["helix", "pc-2+3"])
+def test_resampling_is_similarity_invariant(curve):
+    # the chord guard of _spline_through and the Newton step's stopping rule
+    # are relative to the curve's size: a scaled copy resamples to the
+    # scaled copy of the resampled curve, as uniformly.  Measured over
+    # s in [1e-8, 1e8]: segment arclengths within 1.2e-15 L of seg_len, and
+    # samples within 1.2e-15 s L of the scaled unit result
+    for m in (200, 331):
+        unit = resample_arclength(curve.samples, curve.monodromy, m)
+        for s in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            size = s * curve.length
+            for copy, want in zip(similar_copies(curve, s),
+                                  similar_copies(unit, s)):
+                got = resample_arclength(copy.samples, copy.monodromy, m)
+                assert arclength_deviation(got) * got.seg_len <= 1e-14 * size
+                assert np.abs(got.samples - want.samples).max() <= 1e-14 * size
 
 
 @pytest.mark.parametrize("affine", [True, False], ids=["positions", "vectors"])

@@ -21,7 +21,7 @@ from curveflow.frames import (angle_from_quat, family_monodromy,
                               torsion_shift_check)
 from curveflow.functionals import energy
 from helpers import group_residual, similar_copies
-from oracles import loop_integrate_frame, loop_tangent_at
+from oracles import dqexp_vec, loop_integrate_frame, loop_tangent_at
 
 
 def test_frame_stays_in_group():
@@ -44,9 +44,22 @@ FRAME_BATCHES = {
 }
 
 
+# max |dF - oracle dF| relative to max |dF| of the complex-step dF against
+# the oracle's (value, derivative) pair algebra: measured 8.2e-16 over the
+# circle, the helix and perturbed-circle modes 2+3 at real lambda in
+# {0.5, 0.8, 3, 20, 60}
+DF_BOUND = 1e-13
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 @pytest.mark.parametrize("case", sorted(FRAME_BATCHES))
 def test_integrate_frames_matches_per_lambda_loop(case):
-    # the batch does every lambda's own arithmetic: equal bit for bit
+    # the batch does every lambda's own arithmetic: F equal bit for bit.  dF
+    # is a complex step, not the oracle's arithmetic, and is taken at real
+    # lambda only
     make, lams = FRAME_BATCHES[case]
     c = make()
     frames = integrate_frames(c, lams)
@@ -55,22 +68,61 @@ def test_integrate_frames_matches_per_lambda_loop(case):
         want = loop_integrate_frame(c, lam)
         assert got.lam == want.lam and type(got.lam) is type(want.lam)
         assert np.array_equal(got.F, want.F)
-        assert np.array_equal(got.dF, want.dF)
+        if got.is_real:
+            assert relative_error(got.dF, want.dF) <= DF_BOUND
 
 
 def test_lazy_derivative_matches_loop_oracle(monkeypatch):
-    # dF is integrated on first read; everything that reads it agrees bit
-    # for bit with the oracle, which integrates F and dF together
+    # dF is taken on first read; everything that reads it agrees with the
+    # oracle, which integrates F and dF together, to round-off: measured
+    # 4.7e-16 of max |gamma_lambda| (Sym curve), 1.2e-16 of the translation
+    # and 1.5e-16 of E_2 of the Sym curve
     h = make_helix(1.0, 1.0, 1.0, 256)
     lam = 0.8
     want = loop_integrate_frame(h, lam)
     got = integrate_frame(h, lam)
-    assert np.array_equal(sym_curve(got), sym_curve(want))
-    assert np.array_equal(family_monodromy(got).translation,
-                          family_monodromy(want).translation)
+    assert relative_error(sym_curve(got), sym_curve(want)) <= DF_BOUND
+    assert relative_error(family_monodromy(got).translation,
+                          family_monodromy(want).translation) <= DF_BOUND
     shift = torsion_shift_check(h, lam)
     monkeypatch.setattr(frames, "integrate_frame", loop_integrate_frame)
-    assert torsion_shift_check(h, lam) == shift
+    oracle = torsion_shift_check(h, lam)
+    assert abs(shift[0] - oracle[0]) <= DF_BOUND * abs(oracle[0])
+    assert shift[1] == oracle[1]
+
+
+CENTRAL_DIFFERENCE_CURVES = {
+    "helix": lambda: make_helix(1.0, 1.0, 1.0, 256),
+    "pc-2+3": lambda: make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3),
+                                            seed=0),
+}
+
+
+@pytest.mark.parametrize("lam", [0.8, 20.0])
+@pytest.mark.parametrize("case", sorted(CENTRAL_DIFFERENCE_CURVES))
+def test_derivative_is_the_limit_of_central_differences(case, lam):
+    # (F(lambda + d) - F(lambda - d)) / 2d tends to the complex-step dF at
+    # 2nd order: halving d divides the error by 4 (measured 4.00000 +- 2e-5,
+    # errors 3.6e-7 to 8.0e-7 of max |dF| at d = 5e-4).  The three lambda
+    # share one substep count, so all are the same discrete F
+    c = CENTRAL_DIFFERENCE_CURVES[case]()
+    count = frames._substep_count(lam, c.seg_len, float)
+    dF = integrate_frame(c, lam).dF
+
+    def error(d):
+        plus, minus = (frames._interval_products(c, [lam + x], [count])[0]
+                       for x in (d, -d))
+        return relative_error((plus - minus) / (2.0 * d), dF[1:])
+
+    coarse, fine = error(1e-3), error(5e-4)
+    assert abs(coarse / fine - 4.0) <= 1e-3
+    assert fine <= 1e-6
+
+
+def test_derivative_is_refused_at_nonreal_lambda():
+    frame = integrate_frame(make_circle(1.0, 64), 1.0 + 1.0j)
+    with pytest.raises(ArgumentError):
+        frame.dF
 
 
 def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
@@ -306,8 +358,8 @@ def test_benchmark_frames_keep_their_determinant():
     assert 100.0 * worst <= frames._MAX_DET_DEVIATION
 
 
-# the |x| = |v.v| up to which qmath._cos_sinc and dqexp_vec are exact to
-# round-off, as their docstrings state
+# the |x| = |v.v| up to which qmath._cos_sinc and the oracle's dqexp_vec are
+# exact to round-off, as their docstrings state
 KERNEL_DOMAIN = 2e-4
 
 
@@ -395,7 +447,7 @@ def test_magnus_kernels_match_long_double_oracle():
         # a degree-2 g reads 2.5 at the domain edge)
         vdot = np.zeros_like(v)
         vdot[:, 1] = 1.0
-        _, de = qmath.dqexp_vec(v, vdot)
+        _, de = dqexp_vec(v, vdot)
         g = long_double_g(x[:-1])
         assert np.all(np.abs(de[:, 1] - g * b * a)
                       <= 2 * ulp * np.abs(g * a * b))

@@ -164,7 +164,7 @@ def test_energies_are_similarity_invariant(curve):
     base = energy_report(curve, axis=EZ)
     length = base.values[1]
     batches = [[]]
-    for s in (1e-3, 0.37, 1.0, 25.0, 1e3):
+    for s in (1e-8, 1e-3, 0.37, 1.0, 25.0, 1e3, 1e5, 1e8):
         copies = similar_copies(curve, s)
         if is_identity(curve.monodromy):
             # one batch holds every scale, so its rows differ in seg_len
