@@ -13,7 +13,7 @@ from .flows import (FlowSpec, Trajectory, step, evolve, commutator_defect)
 from .loops import (LoopElement, loop_cross, V_k, lax_evolve,
                     spectral_polynomial, from_curve, finite_gap_residual)
 from .frames import (integrate_frame, integrate_frames, sym_curve,
-                     family_monodromy, monodromy_angle, monodromy_angle_scan,
+                     monodromy_angle, monodromy_angle_scan,
                      hamiltonians_from_angle, torsion_shift_check,
                      spherical_sector_area)
 from .darboux import (hyperbolic_family, fixed_points, darboux_transform,

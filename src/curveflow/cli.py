@@ -268,9 +268,8 @@ def cmd_darboux(args):
                             "'0.5+2i'")
     meta = {"lambda": [lam.real, lam.imag]}
     e0 = {k: energy(k, curve) for k in (1, 2, 3)}
-    results = {}
-    for sign, tag in (("+", "plus"), ("-", "minus")):
-        result = results[tag] = darboux_transform(curve, lam, sign=sign)
+    results = dict(zip(("plus", "minus"), darboux_transform(curve, lam)))
+    for tag, result in results.items():
         meta["eta_%s" % tag] = {
             "distance": result.distance,
             "pre_resample_deviation": result.pre_resample_deviation,

@@ -48,16 +48,8 @@ class Monodromy:
         m.flags.writeable = False
         return m
 
-    def apply(self, points, translation=None):
-        a = self.translation if translation is None else translation
-        return qmath.qrotate(self.rotation, points) + a
-
     def apply_vector(self, vectors):
         return qmath.qrotate(self.rotation, vectors)
-
-    def apply_inverse(self, points, translation=None):
-        a = self.translation if translation is None else translation
-        return qmath.qrotate(qmath.qconj(self.rotation), points - a)
 
     def apply_vector_inverse(self, vectors):
         return qmath.qrotate(qmath.qconj(self.rotation), vectors)
@@ -96,8 +88,8 @@ class Curve:
 
     @cached_property
     def _derivatives(self):
-        """dtype -> [gamma', gamma'', ...] as far as `deriv` was asked."""
-        return {}
+        """[gamma', gamma'', ...] as far as `deriv` was asked."""
+        return []
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,7 @@ class CurveBatch:
     @cached_property
     def _derivatives(self):
         """As Curve._derivatives, with (B, n, 3) arrays."""
-        return {}
+        return []
 
 
 @dataclass(frozen=True)
@@ -156,14 +148,14 @@ def extend(values, monodromy, left, right, affine=False, translation=None,
                             % (left, right, n))
     head, tail = values[..., :right, :], values[..., n - left:, :]
     translation = monodromy.translation if translation is None else translation
+    shift = translation if affine else 0.0
     if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
         # qrotate by the identity returns v + 0 + 0
-        shift = translation if affine else 0.0
         after = head + shift
         before = tail - shift
     elif affine:
-        after = monodromy.apply(head, translation)
-        before = monodromy.apply_inverse(tail, translation)
+        after = monodromy.apply_vector(head) + shift
+        before = monodromy.apply_vector_inverse(tail - shift)
     else:
         after = monodromy.apply_vector(head)
         before = monodromy.apply_vector_inverse(tail)
@@ -205,18 +197,17 @@ def ddx(values, curve, affine=False):
                              affine=affine), curve.seg_len)
 
 
-def deriv(curve, order, dtype=None):
+def deriv(curve, order):
     """order-th arclength derivative of the position samples.
 
-    A curve computes each derivative once per dtype (the first by
-    `Stencil.d1`); later calls return the same read-only array.
+    A curve computes each derivative once (the first by `Stencil.d1`);
+    later calls return the same read-only array.
     """
     if order < 1:
         raise ArgumentError("order must be >= 1")
-    dtype = np.dtype(dtype)
-    ds = curve._derivatives.setdefault(dtype, [])
+    ds = curve._derivatives
     if not ds:
-        ds.append(Stencil(curve, dtype=dtype).d1(curve.samples))
+        ds.append(Stencil(curve).d1(curve.samples))
     while len(ds) < order:
         ds.append(ddx(ds[-1], curve))
     for d in ds:
@@ -226,9 +217,10 @@ def deriv(curve, order, dtype=None):
 
 class Stencil:
     """Reused buffers for samples of the curve's shape, seg_len and
-    monodromy: d1 and ddx give the bits of deriv(curve, 1, dtype) and
-    ddx(values, curve), `fields` holds symplectic_Y_list's Y_0 .. Y_kmax,
-    and each call overwrites its result."""
+    monodromy: d1 and ddx give the bits of deriv(curve, 1) and
+    ddx(values, curve), in the stencil's dtype, `fields` holds
+    symplectic_Y_list's Y_0 .. Y_kmax, and each call overwrites its
+    result."""
 
     def __init__(self, curve, kmax=0, dtype=None):
         self.seg_len, self.monodromy = curve.seg_len, curve.monodromy
@@ -332,14 +324,6 @@ def _not_a_knot_slopes(h, y):
 _GAUSS_U = 0.5 * (1.0 + _GAUSS_X)
 
 
-def _horner(q, u):
-    """sum_j q_j u^j for coefficient rows q_0 .. q_4."""
-    acc = q[4] * u
-    for j in (3, 2, 1):
-        acc = (acc + q[j]) * u
-    return acc + q[0]
-
-
 @dataclass(frozen=True)
 class _Spline:
     """Cubic through `values` at parameter steps h, in Hermite form: on
@@ -375,7 +359,8 @@ class _Spline:
     def speeds(self, idx, u):
         """|dp/dt| at the fractions u, (M,) or (M, k), of the segments idx."""
         q = self._speed_squared[:, idx]
-        return np.sqrt(_horner(q if np.ndim(u) == 1 else q[..., None], u))
+        return np.sqrt(qmath._horner(u, q if np.ndim(u) == 1
+                                     else q[..., None]))
 
     def lengths(self, idx, v):
         """Arclength from the start of each segment idx to its fraction v,
@@ -386,7 +371,7 @@ class _Spline:
     def segment_lengths(self, lo, hi):
         """Arclengths of the whole segments lo .. hi-1, 8-point Gauss."""
         q = self._speed_squared[:, lo:hi, None]
-        speed = np.sqrt(_horner(q, _GAUSS_U))
+        speed = np.sqrt(qmath._horner(_GAUSS_U, q))
         return 0.5 * self.h[lo:hi] * (speed @ _GAUSS_W)
 
 
@@ -610,14 +595,18 @@ def check_scale(curve):
     turns it by about n eps).  Every E_k from E_3 on reads |gamma''|^2, so
     this tests the curve's scale against the float range, not against a
     size; so does refusing an overflowing seg_len^2, the frame's largest
-    squared chord.  A CurveBatch is refused if any of its curves is."""
+    squared chord, and a smallest squared speed |gamma'|^2 below the
+    smallest normal float, since |gamma'| = 1 on an arclength curve and the
+    unit tangent divides by it.  A CurveBatch is refused if any of its
+    curves is."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d2 = deriv(curve, 2)
+        d1, d2 = deriv(curve, 1), deriv(curve, 2)
         top = qmath.dot(d2, d2).max(axis=-1)
         turn = np.abs(d2).max(axis=(-2, -1)) * curve.seg_len
-        eps = np.finfo(float).eps
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         bad = ~(top < np.inf) | ~(np.square(curve.seg_len) < np.inf) | (
-            (turn > np.sqrt(eps)) & (top < np.finfo(float).tiny))
+            (turn > np.sqrt(eps)) & (top < tiny)) | (
+            qmath.dot(d1, d1).min(axis=-1) < tiny)
     if np.any(bad):
         raise DegenerateInputError("the curve's squared curvature or spacing "
                                    "over- or underflows at this scale")

@@ -23,7 +23,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, arclength_deviation, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import family_monodromy, integrate_frame, integrate_frames
+from .frames import integrate_frame, integrate_frames
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
@@ -62,7 +62,6 @@ def _ideal_point(psi):
 
 @dataclass(frozen=True)
 class IdealFixedPoints:
-    lam: complex
     S_plus: np.ndarray
     S_minus: np.ndarray
     eigenvalues: np.ndarray
@@ -70,21 +69,15 @@ class IdealFixedPoints:
     parabolic: bool
 
 
-def fixed_points(curve, lam):
-    """Ideal fixed points of the family monodromy on the 2-sphere.
+def fixed_points(frame):
+    """Ideal fixed points on the 2-sphere of the monodromy of an integrated
+    frame.
 
     Ordered by eigenvalue modulus (|mu+| >= |mu-|), ties broken by the
     lexicographically larger S; near-parabolic monodromies are flagged and
     both outputs collapse to the single eigenline image.
     """
-    return _frame_fixed_points(integrate_frame(curve, complex(lam)))
-
-
-def _frame_fixed_points(frame):
-    """IdealFixedPoints of the monodromy of an integrated frame."""
-    lam = complex(frame.lam)
-    tilde = family_monodromy(frame).quaternion
-    m = qmath.as_matrix(tilde)
+    m = qmath.as_matrix(frame.monodromy)
     mu, vecs = np.linalg.eig(m)
     disc = abs(np.trace(m) ** 2 - 4.0)
     s0 = _ideal_point(vecs[:, 0])
@@ -94,49 +87,29 @@ def _frame_fixed_points(frame):
     # discriminant catches +-identity monodromies, where the numerical
     # eigenvectors are arbitrary but the eigenvalues still collide
     if gap < _GAP_TOL or disc < _GAP_TOL:
-        return IdealFixedPoints(lam, s0, s0, mu, disc, True)
+        return IdealFixedPoints(s0, s0, mu, disc, True)
     if abs(abs(mu[0]) - abs(mu[1])) < 1e-12:
         order = 0 if tuple(s0) >= tuple(s1) else 1
     else:
         order = 0 if abs(mu[0]) >= abs(mu[1]) else 1
     if order == 0:
-        return IdealFixedPoints(lam, s0, s1, mu, disc, False)
-    return IdealFixedPoints(lam, s1, s0, mu[::-1], disc, False)
+        return IdealFixedPoints(s0, s1, mu, disc, False)
+    return IdealFixedPoints(s1, s0, mu[::-1], disc, False)
 
 
-def fixed_point_field(curve, lam, sign="+"):
-    """S along the curve from the conjugated monodromy F(x)^{-1} Atilde F(x).
-
-    Returns (n+1, 3); the extra sample is the wrap image, which should equal
-    the monodromy rotation applied to S(x_0).
-    """
-    frame = integrate_frame(curve, complex(lam))
-    tilde = family_monodromy(frame).quaternion
-    fp = _frame_fixed_points(frame)
-    if fp.parabolic:
-        raise BranchPointError("parabolic monodromy; eigenlines collide")
-    mu = fp.eigenvalues[0] if sign == "+" else fp.eigenvalues[1]
-
-    # the conjugation cancels entries of size exp(|Im theta|/2); extended
-    # precision keeps the wrap consistency below the discretization error
-    f = frame.F.astype(np.clongdouble)
-    tilde = tilde.astype(np.clongdouble)
-    conj = qmath.qmul(qmath.qinv(f), qmath.qmul(tilde, f))
-    w, x, y, z = conj[..., 0], conj[..., 1], conj[..., 2], conj[..., 3]
-    m11 = w - 1j * z
-    m12 = -1j * x - y
-    m21 = -1j * x + y
-    m22 = w + 1j * z
-    psi_a = np.stack([m12, mu - m11], axis=-1)
-    psi_b = np.stack([mu - m22, m21], axis=-1)
+def _eigenline_field(m, mu):
+    """S along the curve, (n+1, 3), from the mu-eigenlines of the matrices
+    m of the conjugated monodromy F(x)^{-1} Atilde F(x).  The extra sample
+    is the wrap image, which should equal the monodromy rotation applied to
+    S(x_0)."""
+    psi_a = np.stack([m[:, 0, 1], mu - m[:, 0, 0]], axis=-1)
+    psi_b = np.stack([mu - m[:, 1, 1], m[:, 1, 0]], axis=-1)
     na = np.linalg.norm(psi_a, axis=-1)
     nb = np.linalg.norm(psi_b, axis=-1)
+    # at least one column must resolve the eigenline
+    if np.any(np.maximum(na, nb) < 1e-13):
+        raise BranchPointError("degenerate eigenline along the curve")
     psi = np.where((na >= nb)[:, None], psi_a, psi_b)
-    if np.minimum(na, nb).min() < 1e-13:
-        # fall back: at least one column must resolve the eigenline
-        bad = np.maximum(na, nb) < 1e-13
-        if np.any(bad):
-            raise BranchPointError("degenerate eigenline along the curve")
     return _ideal_point(psi).astype(float)
 
 
@@ -149,25 +122,38 @@ class DarbouxResult:
     pre_resample_deviation: float
 
 
-def darboux_transform(curve, lam, sign="+"):
-    """Darboux transform eta = gamma + (2 Im lambda/|lambda|^2) S.
+def darboux_transform(curve, lam):
+    """The Darboux pair (eta+, eta-), eta = gamma + (2 Im lambda/|lambda|^2) S
+    with S the field of S+ or S-, from one frame.
 
     The offset is the unique one for which eta is again arclength
     parametrized: with S' = -a T x S - b (T - (T,S)S) one gets
     |eta' |^2 = 1 + (1 - (T,S)^2)(2 rho b - rho^2 |lambda|^2) pointwise,
     which vanishes exactly at rho = 2b/|lambda|^2.  Same monodromy as the
     input; resampled to arclength, with the pre-resampling segment-length
-    deviation recorded.
+    deviation recorded.  eta+ is formed, and fails, before eta-.
     """
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ArgumentError("Darboux transform requires nonreal lambda")
-    s = fixed_point_field(curve, lam, sign=sign)
-    dist = 2.0 * lam.imag / abs(lam) ** 2
-    eta = curve.samples + dist * s[:-1]
-    pre = arclength_deviation(Curve(eta, curve.seg_len, curve.monodromy))
-    new = resample_arclength(eta, curve.monodromy, curve.n)
-    return DarbouxResult(new, eta, s, dist, pre)
+    frame = integrate_frame(curve, lam)
+    fp = fixed_points(frame)
+    if fp.parabolic:
+        raise BranchPointError("parabolic monodromy; eigenlines collide")
+    # the conjugation cancels entries of size exp(|Im theta|/2); extended
+    # precision keeps the wrap consistency below the discretization error
+    f = frame.F.astype(np.clongdouble)
+    tilde = frame.monodromy.astype(np.clongdouble)
+    m = qmath.as_matrix(qmath.qmul(qmath.qinv(f), qmath.qmul(tilde, f)))
+    pair = []
+    for mu in fp.eigenvalues:
+        s = _eigenline_field(m, mu)
+        dist = 2.0 * lam.imag / abs(lam) ** 2
+        eta = curve.samples + dist * s[:-1]
+        pre = arclength_deviation(Curve(eta, curve.seg_len, curve.monodromy))
+        new = resample_arclength(eta, curve.monodromy, curve.n)
+        pair.append(DarbouxResult(new, eta, s, dist, pre))
+    return tuple(pair)
 
 
 def spectral_image_scan(curve, re_values, im_values):
@@ -181,7 +167,7 @@ def spectral_image_scan(curve, re_values, im_values):
         prev = None
         this_row = {}
         for re, frame in zip(re_values, row):
-            fp = _frame_fixed_points(frame)
+            fp = fixed_points(frame)
             sp, sm = fp.S_plus, fp.S_minus
             ref = prev if prev is not None else prev_row.get(re)
             if ref is not None and not fp.parabolic:

@@ -130,6 +130,13 @@ class FrameTrajectory:
                                     [count])[0].imag / _CSTEP
         return dF
 
+    @cached_property
+    def monodromy(self):
+        """Rotation part F[-1] A of the monodromy of the associated curve,
+        a quaternion of F's dtype."""
+        a = self.curve.monodromy.rotation.astype(self.F.dtype)
+        return qmath.qmul(self.F[-1], a)
+
 
 def _substep_count(lam, h, dtype):
     """Magnus substeps per sample interval h at lambda in a dtype batch."""
@@ -265,34 +272,6 @@ def sym_curve(frame):
     return frame.curve.samples[0] + 2.0 * g[:, 1:]
 
 
-@dataclass(frozen=True)
-class FamilyMonodromy:
-    quaternion: np.ndarray      # rotation part of the gamma_lambda monodromy
-    frame: FrameTrajectory
-
-    @cached_property
-    def sym_points(self):
-        """The Sym curve of the frame (sym_curve), computed once; None for
-        complex lambda.  Reading it integrates the frame's dF."""
-        return sym_curve(self.frame) if self.frame.is_real else None
-
-    @cached_property
-    def translation(self):
-        """Translation part, from the endpoints of the Sym curve; None for
-        complex lambda."""
-        pts = self.sym_points
-        if pts is None:
-            return None
-        return pts[-1] - qmath.qrotate(self.quaternion, pts[0])
-
-
-def family_monodromy(frame):
-    """Monodromy of the associated curve: rotation F[end] A, and the
-    translation of the Sym curve, computed when it is read."""
-    a = frame.curve.monodromy.rotation.astype(frame.F.dtype)
-    return FamilyMonodromy(qmath.qmul(frame.F[-1], a), frame)
-
-
 def angle_from_quat(q, pred):
     """Continuous rotation angle and axis with exp((theta/2) axis) = +-q.
 
@@ -348,7 +327,6 @@ def monodromy_angle_scan(curve, lambdas):
     out = []
     prev = None
     for lam, frame in zip(lambdas[::-1], frames[::-1]):
-        fam = family_monodromy(frame)
         if prev is None:
             # an anchor whose float spacing exceeds pi cannot pick a 2 pi
             # branch (and a non-finite one has NaN spacing)
@@ -359,7 +337,7 @@ def monodromy_angle_scan(curve, lambdas):
                                     "angle branch" % float(lam))
         else:
             pred = prev[1] + e1 * (lam - prev[0])
-        theta, axis = angle_from_quat(np.real(fam.quaternion), pred)
+        theta, axis = angle_from_quat(np.real(frame.monodromy), pred)
         out.append(MonodromyAngle(lam, theta, axis, frame))
         prev = (lam, theta)
     return out[::-1]
@@ -386,7 +364,7 @@ def hamiltonians_from_angle(curve, kmax=5):
             * np.exp(1j * np.pi * (2.0 * np.arange(16) + 1.0) / 32.0))
     e1, e2, e3 = (energy(k, curve) for k in (1, 2, 3))
     thetas = np.array([
-        _nearest_branch(2.0 * np.arccos(family_monodromy(frame).quaternion[0]),
+        _nearest_branch(2.0 * np.arccos(frame.monodromy[0]),
                         lam * e1 + e2 + e3 / lam)[0]
         for lam, frame in zip(lams, integrate_frames(curve, lams))])
     powers = lams ** (np.arange(kmax + 1)[:, None] - 2.0)
@@ -395,9 +373,12 @@ def hamiltonians_from_angle(curve, kmax=5):
 
 def torsion_shift_check(curve, lam):
     """(E_2 of gamma_lambda, E_2 + lambda E_1): the two should agree."""
-    fam = family_monodromy(integrate_frame(curve, lam))
-    mono = Monodromy(np.real(fam.quaternion), fam.translation)
-    new = resample_arclength(fam.sym_points[:-1], mono, curve.n)
+    frame = integrate_frame(curve, lam)
+    pts = sym_curve(frame)
+    # the translation of gamma_lambda's monodromy, from its wrap image
+    rot = np.real(frame.monodromy)
+    mono = Monodromy(rot, pts[-1] - qmath.qrotate(rot, pts[0]))
+    new = resample_arclength(pts[:-1], mono, curve.n)
     e1, e2 = energy(1, curve), energy(2, curve)
     return total_torsion(new), e2 + lam * e1
 
@@ -412,10 +393,10 @@ def spherical_sector_area(angle):
     y = qmath.qrotate(qmath.qconj(angle.frame.F), angle.axis)[:-1]
     t = tangent(curve)
     tp = ddx(t, curve)
-    denom = 1.0 + np.sum(y * t, axis=1)
+    denom = 1.0 + qmath.dot(y, t)
     if denom.min() < _SECTOR_MIN_DENOMINATOR:
         raise SingularSectorError("tangent antipodal to the transported axis")
-    integrand = np.sum(y * qmath.cross(t, tp), axis=1) / denom
+    integrand = qmath.dot(y, qmath.cross(t, tp)) / denom
     return curve.seg_len * integrand.sum()
 
 

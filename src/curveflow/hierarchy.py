@@ -88,7 +88,7 @@ def gradient_G(k, curve, axis=None):
     d3 = deriv(curve, 3)
     if k == 2:
         return -cross(d1, d3)
-    k2 = np.sum(d2 * d2, axis=1)
+    k2 = dot(d2, d2)
     return ddx(d3 + 1.5 * k2[:, None] * d1, curve)
 
 

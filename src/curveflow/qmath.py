@@ -172,9 +172,10 @@ def hconj(q):
 
 
 def as_matrix(q):
-    """2x2 complex matrix w*Id - i (v . sigma)."""
+    """2x2 complex matrix w*Id - i (v . sigma), in the complex type of q's
+    precision."""
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    m = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    m = np.empty(q.shape[:-1] + (2, 2), dtype=np.result_type(q, 1j))
     m[..., 0, 0] = w - 1j * z
     m[..., 0, 1] = -1j * x - y
     m[..., 1, 0] = -1j * x + y

@@ -5,7 +5,7 @@ import numpy as np
 from curveflow import qmath
 from curveflow.curves import (Curve, Monodromy, central_d1, deriv,
                               parallel_normal_frame, tangent)
-from curveflow.frames import family_monodromy
+from curveflow.frames import sym_curve
 from curveflow.hierarchy import check_axis
 
 EZ = [0.0, 0.0, 1.0]
@@ -103,6 +103,13 @@ def translate_to_axis(curve, axis):
     return Curve(curve.samples - p0, curve.seg_len, mono)
 
 
+def sym_translation(frame):
+    """Translation of the Sym curve's monodromy, from its wrap image and the
+    rotation frame.monodromy."""
+    pts = sym_curve(frame)
+    return pts[-1] - qmath.qrotate(frame.monodromy, pts[0])
+
+
 def group_residual(frame):
     """Largest deviation of det F from 1 along a FrameTrajectory."""
     return np.abs(qmath.qdet(frame.F) - 1.0).max()
@@ -134,7 +141,7 @@ def hyperbolic_speeds(family):
     """Per-sample hyperbolic speed; the continuum value is 2 Im(lambda)."""
     curve = family.frame.curve
     n = curve.n
-    tilde = family_monodromy(family.frame).quaternion
+    tilde = family.frame.monodromy
     ext = _extend_hyperbolic(family.points[:n], tilde, 2)
     dp = central_d1(ext, curve.seg_len)
     f = family.frame.F[:n]

@@ -108,6 +108,11 @@ class LoopFrame(NamedTuple):
     def is_real(self):
         return not np.iscomplexobj(self.F)
 
+    @property
+    def monodromy(self):
+        a = self.curve.monodromy.rotation.astype(self.F.dtype)
+        return qmath.qmul(self.F[-1], a)
+
 
 def loop_integrate_frame(curve, lam):
     """Frame and its lambda-derivative at one lambda, one substep at a time,

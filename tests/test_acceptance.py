@@ -140,7 +140,7 @@ def test_criterion_9_darboux_invariance():
     h = make_helix(1.0, 1.0, 1.0, 256)
     e0 = {k: energy(k, h) for k in (1, 2, 3)}
     for lam in (1.0j, 1.0 + 1.0j, 0.5 + 2.0j):
-        r = darboux_transform(h, lam, sign="-")
+        r = darboux_transform(h, lam)[1]
         dists = np.linalg.norm(r.raw_points - h.samples, axis=1)
         ok &= np.ptp(dists) <= 1e-8
         ok &= r.pre_resample_deviation <= 1e-6
@@ -148,8 +148,11 @@ def test_criterion_9_darboux_invariance():
         for k in (1, 2, 3):
             ok &= abs(energy(k, r.curve, near=e0[2] if k == 2 else None)
                       - e0[k]) <= 1e-4
-        wrap = h.monodromy.apply(h.samples[0]) + r.distance * r.s_field[-1]
-        ok &= np.abs(wrap - h.monodromy.apply(r.raw_points[0])).max() \
+        m = h.monodromy
+        wrap = (m.apply_vector(h.samples[0]) + m.translation
+                + r.distance * r.s_field[-1])
+        ok &= np.abs(wrap - (m.apply_vector(r.raw_points[0])
+                             + m.translation)).max() \
             <= 1e-8 * h.seg_len
     report(9, ok)
 

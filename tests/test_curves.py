@@ -153,7 +153,13 @@ def test_equivariant_extension(curve, left, right, affine):
     # the identity, which extend pads without rotating
     m = curve.monodromy
     if affine:
-        f, forward, backward = curve.samples, m.apply, m.apply_inverse
+        f = curve.samples
+
+        def forward(p):
+            return m.apply_vector(p) + m.translation
+
+        def backward(p):
+            return m.apply_vector_inverse(p - m.translation)
     else:
         f = random_equivariant_field(curve, seed=3)
         forward, backward = m.apply_vector, m.apply_vector_inverse

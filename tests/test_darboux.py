@@ -6,11 +6,11 @@ import pytest
 
 from curveflow.curves import (make_circle, make_helix, make_line,
                               make_perturbed_circle, tangent)
-from curveflow.darboux import (darboux_transform, fixed_point_field,
-                               fixed_points, hyperbolic_family, scan_to_csv,
+from curveflow.darboux import (darboux_transform, fixed_points,
+                               hyperbolic_family, scan_to_csv,
                                spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
-from curveflow.frames import monodromy_angle
+from curveflow.frames import integrate_frame, monodromy_angle
 from curveflow.functionals import energy
 from helpers import (det_residual, hermitian_residual, hyperbolic_speeds,
                      poincare_embed)
@@ -20,7 +20,7 @@ from oracles import transport_fixed_point
 def test_line_fixed_points():
     # the straight line has fixed points at +-tangent for every lambda
     l = make_line(2.0, 64)
-    fp = fixed_points(l, 1.0 + 1.0j)
+    fp = fixed_points(integrate_frame(l, 1.0 + 1.0j))
     npt.assert_allclose(fp.S_plus, [1.0, 0.0, 0.0], atol=1e-12)
     npt.assert_allclose(fp.S_minus, [-1.0, 0.0, 0.0], atol=1e-12)
 
@@ -30,7 +30,7 @@ def test_real_lambda_fixed_points_are_axis():
     # points are the two ends of its axis
     c = make_circle(1.0, 256)
     axis = monodromy_angle(c, 2.0).axis
-    fp = fixed_points(c, 2.0 + 0.0j)
+    fp = fixed_points(integrate_frame(c, 2.0 + 0.0j))
     agree = min(np.linalg.norm(fp.S_plus - axis),
                 np.linalg.norm(fp.S_plus + axis))
     assert agree < 1e-10
@@ -40,8 +40,8 @@ def test_real_lambda_fixed_points_are_axis():
 def test_conjugation_reality():
     # S(+conj lambda) = -S(lambda) sheetwise, even without any curve symmetry
     p = make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=1)
-    fa = fixed_points(p, 0.8 + 0.6j)
-    fb = fixed_points(p, 0.8 - 0.6j)
+    fa = fixed_points(integrate_frame(p, 0.8 + 0.6j))
+    fb = fixed_points(integrate_frame(p, 0.8 - 0.6j))
     npt.assert_allclose(fb.S_plus, -fa.S_plus, atol=1e-12)
     npt.assert_allclose(fb.S_minus, -fa.S_minus, atol=1e-12)
 
@@ -80,8 +80,7 @@ def test_fixed_point_field_wrap():
     # the eigen-direction field closes up to the monodromy rotation
     h = make_helix(1.0, 1.0, 1.0, 256)
     for lam in (1.0j, 1.0 + 1.0j, 0.5 + 2.0j):
-        for sign in ("+", "-"):
-            s = fixed_point_field(h, lam, sign=sign)
+        for s in (r.s_field for r in darboux_transform(h, lam)):
             image = h.monodromy.apply_vector(s[0])
             assert np.abs(s[-1] - image).max() < 1e-8 * h.seg_len
 
@@ -91,8 +90,8 @@ def test_transport_matches_eigen_field():
     # transport contracts onto the dominant sheet, so '-' is much tighter
     h = make_helix(1.0, 1.0, 1.0, 256)
     for lam in (1.0j, 1.0 + 1.0j):
-        for sign, tol in (("-", 1e-10), ("+", 1e-6)):
-            s = fixed_point_field(h, lam, sign=sign)
+        for r, tol in zip(darboux_transform(h, lam), (1e-6, 1e-10)):
+            s = r.s_field
             tr = transport_fixed_point(h, lam, s[0])
             assert np.abs(tr - s).max() < tol
             npt.assert_allclose(np.linalg.norm(tr, axis=1), 1.0, atol=1e-12)
@@ -101,16 +100,18 @@ def test_transport_matches_eigen_field():
 def test_darboux_preserves_invariants():
     h = make_helix(1.0, 1.0, 1.0, 256)
     for lam in (1.0j, 1.0 + 1.0j, 0.5 + 2.0j):
-        r = darboux_transform(h, lam, sign="-")
+        r = darboux_transform(h, lam)[1]
         assert abs(r.distance - 2.0 * lam.imag / abs(lam) ** 2) < 1e-15
         # eta is arclength parametrized before any resampling
         assert r.pre_resample_deviation < 1e-7
         for k in (1, 3):
             assert abs(energy(k, r.curve) - energy(k, h)) < 1e-6
         # wrap: the offset field closes the transformed curve
-        img = h.monodromy.apply(h.samples[0]) + r.distance * r.s_field[-1]
-        npt.assert_allclose(img, h.monodromy.apply(r.raw_points[0]),
-                            atol=1e-10)
+        m = h.monodromy
+        img = (m.apply_vector(h.samples[0]) + m.translation
+               + r.distance * r.s_field[-1])
+        npt.assert_allclose(img, m.apply_vector(r.raw_points[0])
+                            + m.translation, atol=1e-10)
 
 
 def test_darboux_degenerates_to_identity():
@@ -118,7 +119,7 @@ def test_darboux_degenerates_to_identity():
     h = make_helix(1.0, 1.0, 1.0, 256)
     gaps = []
     for im in (0.25, 0.125, 0.0625):
-        r = darboux_transform(h, 1.0 + 1.0j * im, sign="-")
+        r = darboux_transform(h, 1.0 + 1.0j * im)[1]
         gap = np.abs(r.raw_points - h.samples).max()
         assert gap <= 2.0 * im / abs(1.0 + 1.0j * im) ** 2 + 1e-12
         gaps.append(gap)
@@ -128,9 +129,9 @@ def test_darboux_degenerates_to_identity():
 def test_branch_point_detection():
     # the circle monodromy degenerates to -identity at lambda = i
     c = make_circle(1.0, 256)
-    assert fixed_points(c, 1.0j).parabolic
+    assert fixed_points(integrate_frame(c, 1.0j)).parabolic
     with pytest.raises(BranchPointError):
-        fixed_point_field(c, 1.0j)
+        darboux_transform(c, 1.0j)
     with pytest.raises(ArgumentError):
         darboux_transform(c, 2.0)
 
