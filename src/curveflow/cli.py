@@ -9,6 +9,7 @@ error (nothing written), 3 numerical failure (only a diagnostics.json).
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -296,8 +297,20 @@ def cmd_criticality(args):
     return summary
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads an argument made of '-' and a digit or
+    '.digit' and more, such as '-2,1' or '-1=1', as a value: argparse takes
+    only plain negative numbers for values, and would stop a negative flow
+    index with "expected one argument" before the command names the fault.
+    No option of curveflow begins that way.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curveflow",
         description="Hamiltonian flows of space curves with monodromy")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -27,6 +27,10 @@ from .frames import integrate_frame, integrate_frames
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
+# largest rounding eps |offset| of eta = gamma + offset S accepted, relative
+# to seg_len: 1% of the pre-resample deviation criterion 9 allows (1e-6).
+# The offset 2 Im lambda / |lambda|^2 grows without bound as lambda -> 0
+_MAX_OFFSET_ROUNDING = 1e-8
 
 
 @dataclass(frozen=True)
@@ -131,11 +135,21 @@ def darboux_transform(curve, lam):
     |eta' |^2 = 1 + (1 - (T,S)^2)(2 rho b - rho^2 |lambda|^2) pointwise,
     which vanishes exactly at rho = 2b/|lambda|^2.  Same monodromy as the
     input; resampled to arclength, with the pre-resampling segment-length
-    deviation recorded.  eta+ is formed, and fails, before eta-.
+    deviation recorded.  eta+ is formed, and fails, before eta-.  A lambda
+    so small that the rounding of the offset would show against a segment
+    is refused before the frame is integrated.
     """
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ArgumentError("Darboux transform requires nonreal lambda")
+    # |lambda|^2 is not formed: it underflows long before the offset
+    # overflows
+    dist = 2.0 * (lam.imag / abs(lam)) / abs(lam)
+    if not np.finfo(float).eps * abs(dist) <= (_MAX_OFFSET_ROUNDING
+                                                * curve.seg_len):
+        raise ArgumentError(
+            "the Darboux offset 2 Im lambda / |lambda|^2 = %.3g is too large "
+            "for seg_len = %.3g: lambda is too small" % (dist, curve.seg_len))
     frame = integrate_frame(curve, lam)
     fp = fixed_points(frame)
     if fp.parabolic:
@@ -148,7 +162,6 @@ def darboux_transform(curve, lam):
     pair = []
     for mu in fp.eigenvalues:
         s = _eigenline_field(m, mu)
-        dist = 2.0 * lam.imag / abs(lam) ** 2
         eta = curve.samples + dist * s[:-1]
         pre = arclength_deviation(Curve(eta, curve.seg_len, curve.monodromy))
         new = resample_arclength(eta, curve.monodromy, curve.n)

@@ -17,12 +17,14 @@ one F integrator (Squire & Trapp, SIAM Rev. 40, 1998), taken at the real
 lambda's substeps; it is refused for nonreal lambda, where no caller
 reads it.
 
-Frames are integrated with a 4th-order Magnus method on two-point Gauss
-nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent
-stencils (one einsum per substep over a stack of the shifted tangents) and
-polynomial exponentials (qmath).  The substep loop and the prefix scan keep
-their state component-major, quaternions as (4, lambda, sample) memory, so
-that every component the qmath kernels read or write is contiguous (see
+Frames are integrated with the 6th-order Magnus method on three-point
+Gauss nodes of Blanes, Casas & Ros (BIT 40, 2000; also in Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent stencils (one einsum per
+substep over a stack of the shifted tangents) and polynomial exponentials
+(qmath).  The substep loop and the prefix scan keep their state
+component-major, quaternions as (4, lambda, sample) memory, so that every
+component the qmath kernels read or write is contiguous, and the substep's
+temporaries live in work buffers allocated once per batch (see
 _interval_products).  A frame whose determinant has cancelled away, as it
 does at large |Im lambda|, is refused with FrameDeterminantError.
 """
@@ -37,14 +39,22 @@ from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
 from .errors import ArgumentError, FrameDeterminantError, SingularSectorError
 from .functionals import energy, total_torsion
 
-_GAUSS_OFF = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+# offsets of the three Gauss-Legendre nodes in a substep:
+# 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10
+_GAUSS_OFF = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 _STENCIL = np.arange(-2, 4, dtype=float)
 # x_j - x_l, with ones on the diagonal, whose factors are replaced by 1
 _SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
 # largest |lambda| * substep length for real and for nonreal lambda, which
-# keeps |v.v| of the Magnus exponents v in the domain of qmath._cos_sinc
-_MAGNUS_STEP = {float: 0.02, complex: 0.005}
-# largest |lambda| * seg_len accepted, 1600 real or 6400 nonreal substeps
+# keeps |v.v| of the Magnus exponents v in the domain of qmath._cos_sinc.
+# The Magnus error in F[-1] at n = 256 is then 3.8e-14 to 5.1e-11 (helix,
+# circle, perturbed circle; real and nonreal lambda up to 64), far below
+# the 4th-order spatial error of the tangent stencils (1e-8 to 3.7e-7).
+# The nonreal step is the finer one: nonreal frames grow like
+# exp(|Im lambda| x / 2) and amplify round-off, which the contour E_k read
+# (angle-scan's E_k error draws 6.5e-12 at 0.08 and 4.7e-12 at 0.04)
+_MAGNUS_STEP = {float: 0.08, complex: 0.04}
+# largest |lambda| * seg_len accepted, 400 real or 800 nonreal substeps
 # per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
 # imaginary step of the complex-step derivative dF: its O(step^2) error is
@@ -63,39 +73,45 @@ _SECTOR_MIN_DENOMINATOR = 1e-3
 def _lagrange_weights(s):
     """Weights of 6-point Lagrange interpolation at offsets s in [0, 1]:
     shape (6,) + shape of s.  w_j is the product over l != j of
-    (s - x_l) / (x_j - x_l), taken in increasing l."""
+    (s - x_l) / (x_j - x_l), taken in increasing l, one l for every j at a
+    time: no temporary is larger than the result."""
     s = np.asarray(s, dtype=float)
     col = (6,) + (1,) * s.ndim
-    # f[j, l] = (s - x_l) / (x_j - x_l), and exactly 1 where l == j
-    f = (s - _STENCIL.reshape(col)) / _SPAN.reshape((6,) + col)
-    f[range(6), range(6)] = 1.0
-    return np.multiply.reduce(f, axis=1)
+    for l, x in enumerate(_STENCIL):
+        # (s - x_l) / (x_j - x_l) for every j, and exactly 1 where j == l
+        f = (s - x) / _SPAN[:, l].reshape(col)
+        f[l] = 1.0
+        if l == 0:
+            w = f
+        else:
+            w *= f
+    return w
 
 
 def tangent_interpolator(curve):
-    """t_at(s): the unit tangent interpolated at fractional offsets s in
-    [0, 1] of every sample interval, by 6-point Lagrange stencils across the
-    monodromy-extended samples; shape s.shape + (n, 3).  The memory is
-    node-major and component-major: for s of shape (L, 2), (2, 3, L, n)."""
+    """t_at(s, out=None): the unit tangent interpolated at fractional
+    offsets s in [0, 1] of every sample interval, by 6-point Lagrange
+    stencils across the monodromy-extended samples; shape s.shape + (n, 3),
+    a view of `out`, of shape s.shape + (3, n).  einsum writes `out`
+    without buffering when it is in C order, as the substep loop passes
+    it."""
     n = curve.n
     # sample i lives at index i + 3; windows[l, c, i] is component c of the
-    # tap l of interval i
-    text = extend(tangent(curve), curve.monodromy, 3, 3)
-    windows = np.stack([text[l + 1:l + 1 + n].T for l in range(6)])
+    # tap l of interval i, in C order, which einsum reads without buffering
+    text = np.ascontiguousarray(
+        extend(tangent(curve), curve.monodromy, 3, 3).T)
+    windows = np.stack([text[:, l + 1:l + 1 + n] for l in range(6)])
 
-    def t_at(s):
+    def t_at(s, out=None):
         # the unoptimized einsum adds the taps in order l = 0 .. 5 onto
         # zero, as a loop of full-size multiply-adds would, in one pass
-        # (optimize=True would route it through BLAS and round differently).
-        # It is fastest writing s.shape + (3, n); one copy then puts the
-        # nodes, the last axis of s, outermost
-        t = np.einsum("l...,lcn->...cn", _lagrange_weights(s), windows)
-        m = t.ndim
-        if m == 2:
-            return t.T
-        # (..., node, 3, n) -> memory (node, 3, ..., n) -> (..., node, n, 3)
-        t = t.transpose((m - 3, m - 2) + tuple(range(m - 3)) + (m - 1,))
-        return t.copy().transpose(tuple(range(2, m - 1)) + (0, m - 1, 1))
+        # (optimize=True would route it through BLAS and round differently),
+        # into `out` of shape s.shape + (3, n) and any memory order
+        s = np.asarray(s, dtype=float)
+        if out is None:
+            out = np.empty(s.shape + (3, n))
+        np.einsum("l...,lcn->...cn", _lagrange_weights(s), windows, out=out)
+        return out.swapaxes(-1, -2)
     return t_at
 
 
@@ -143,23 +159,82 @@ def _substep_count(lam, h, dtype):
     return max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP[dtype])))
 
 
-def _magnus_step(t_at, s, cp, cq, c1, c2):
-    """exp(lambda p + lambda^2 q), the Magnus factors of one 4th-order
-    substep for a block of L lambdas, shape (L, n, 4) in the memory order of
-    the tangents.  s holds the Gauss-node offsets, shape (L, 2); cp = hs/4,
-    cq = sqrt(3) hs^2/24, c1 = lambda and c2 = lambda^2 are (L, 1, 1)
-    columns.  Temporaries grow with L, so the tangents are dropped before
-    the factor is formed."""
-    t = t_at(s)
-    t1, t2 = t[:, 0], t[:, 1]
-    p = t1 + t2
-    p *= cp
-    q = qmath.cross(t1, t2)
-    q *= cq
-    del t, t1, t2
-    v = c1 * p
-    v += c2 * q
-    return qmath.qexp_vec(v)
+def _magnus_step(t_at, s, cols, lam, e, work, tmp):
+    """exp(Omega), the Magnus factor of one 6th-order substep, written into
+    e, shape (a, n, 4), for a block of a lambdas.
+
+    Omega is the exponent of Blanes, Casas & Ros (BIT 40, 2000) for
+    F' = F A, A = (lambda/2) T, on the Gauss-node tangents T1, T2, T3, with
+    the brackets of F' = A F flipped, [x, y] = 2 x cross y, and its O(hs^7)
+    terms dropped: with b1 = (hs/2) T2, b2 = (sqrt(15)/3)(hs/2)(T3 - T1),
+    b3 = (10/3)(hs/2)(T3 - 2 T2 + T1), k1 = 2 b2 x b1, u = b3 x b1,
+    w = k1 x b1 and d = 20 b1 + b3,
+
+        Omega = lambda (b1 + b3/12) - lambda^2/120 b2 x d
+                + lambda^3/120 (b2 x k1 + 4/3 u x b1) + lambda^4/180 w x b1.
+
+    The vectors are real, and lambda enters by Horner's rule in place in
+    e's vector part.  s holds the node offsets, shape (a, 3); cols the
+    (a, 1, 1) columns hs/2, (sqrt(15)/3) hs/2 and (10/3) hs/2; lam the
+    lambda column.  work is the float memory of six 3-vectors, (6, 3, L, n)
+    of which the first a lambdas are used; its first three take the
+    tangents, in the C order (a, node, 3, n) in which einsum writes them
+    without buffering.  tmp is a pair of components of lambda's dtype for
+    the exponential; the cross products take their scratch from e's scalar
+    part, which the exponential fills last.
+    """
+    a, n = s.shape[0], work.shape[-1]
+    tangents = t_at(s, out=work[:3].reshape(-1, 3, 3, n)[:a])
+    t1, t2, t3 = np.moveaxis(tangents, 1, 0)
+    v0, v1, v2, b3, b2, b1 = (np.moveaxis(v, 0, -1) for v in work[:, :, :a])
+    c1, c2, c3 = cols
+    scratch = e[..., 0].real
+    # b3 = c3 ((T3 - 2 T2) + T1), b2 = c2 (T3 - T1), b1 = c1 T2
+    np.multiply(t2, -2.0, out=b3)
+    b3 += t3
+    b3 += t1
+    b3 *= c3
+    np.subtract(t3, t1, out=b2)
+    b2 *= c2
+    np.multiply(t2, c1, out=b1)
+    omega = e[..., 1:]
+    # lambda^4 term; the tangents are dead
+    k1 = qmath.cross(b2, b1, out=v0, tmp=scratch)
+    k1 *= 2.0
+    w = qmath.cross(k1, b1, out=v1, tmp=scratch)
+    q = qmath.cross(w, b1, out=v2, tmp=scratch)
+    q /= 180.0
+    np.multiply(lam, q, out=omega)
+    # lambda^3 term
+    q = qmath.cross(b2, k1, out=v1, tmp=scratch)
+    u = qmath.cross(b3, b1, out=v0, tmp=scratch)
+    ub = qmath.cross(u, b1, out=v2, tmp=scratch)
+    ub *= 4.0 / 3.0
+    q += ub
+    q /= 120.0
+    omega += q
+    np.multiply(lam, omega, out=omega)
+    # lambda^2 term
+    d = np.multiply(b1, 20.0, out=v0)
+    d += b3
+    q = qmath.cross(b2, d, out=v1, tmp=scratch)
+    q /= -120.0
+    omega += q
+    np.multiply(lam, omega, out=omega)
+    # lambda term
+    p = b3
+    p /= 12.0
+    p += b1
+    omega += p
+    np.multiply(lam, omega, out=omega)
+    qmath.qexp_vec(omega, out=e, tmp=tmp)
+
+
+# elements per operand of the buffers numpy's ufuncs take for an operand
+# they cannot stride through in one run, such as a per-lambda column
+# broadcast along the samples or the tangents' C order: small buffers keep
+# the substep's transient memory to a few KB and stay in cache
+_UFUNC_BUFFER = 256
 
 
 def _interval_products(curve, lams, subs):
@@ -174,12 +249,14 @@ def _interval_products(curve, lams, subs):
 
     The state is component-major from start to finish, and the kernels see
     it through (lambda, sample, component) views in which every component
-    is contiguous.  The accumulator is (4, L, n) memory, so the block of
-    active lambdas is the prefix [:, :a] and each of its components one run
-    of a * n; the tangents of a substep are (2, 3, a, n), and the Magnus
-    exponent and factor (3 | 4, a, n).  Each product is written into the
-    accumulator in place, the scan runs in place along the samples, the
-    memory's last axis, and the result is converted to C order once.
+    is contiguous.  The accumulator and the Magnus factor are (4, L, n)
+    memory, so the block of active lambdas is the prefix [:, :a] and each
+    of its components one run of a * n.  Every temporary of a substep lives
+    in one float work buffer allocated here: six 3-vectors (the tangents,
+    then Omega's real vectors) while Omega is formed, then, viewed in
+    lambda's dtype, the exponential's scratch and the product, which is
+    copied into the accumulator.  The scan runs in place along the samples,
+    the memory's last axis, and the result is converted to C order once.
     """
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
@@ -194,20 +271,31 @@ def _interval_products(curve, lams, subs):
     # one-lambda integration so that every frame is the same bit for bit
     def column(values, kind=float):
         return np.array(values, dtype=kind)[:, None, None]
-    cp = column([x / 4.0 for x in hs])
-    cq = column([(np.sqrt(3.0) / 24.0) * x * x for x in hs])
-    c1 = column(lam, dtype)
-    c2 = column([x * x for x in lam], dtype)
+    cols = (column([x / 2.0 for x in hs]),
+            column([np.sqrt(15.0) / 3.0 * (x / 2.0) for x in hs]),
+            column([10.0 / 3.0 * (x / 2.0) for x in hs]))
+    lamc = column(lam, dtype)
     t_at = tangent_interpolator(curve)
 
-    # accumulate the per-interval transitions over the substeps, in place
-    acc = np.moveaxis(np.empty((4, len(lam), n), dtype), 0, -1)
+    def quaternions():
+        return np.moveaxis(np.empty((4, len(lam), n), dtype), 0, -1)
+    acc = quaternions()
     acc[...] = (1.0, 0.0, 0.0, 0.0)
-    for j in range(sub[0]):
-        a = int(np.count_nonzero(sub > j))
-        qmath.qmul(acc[:a], _magnus_step(
-            t_at, (j + _GAUSS_OFF) / sub[:a, None],
-            cp[:a], cq[:a], c1[:a], c2[:a]), out=acc[:a])
+    e = quaternions()
+    work = np.empty((6, 3, len(lam), n))
+    # the same memory in lambda's dtype, as (component, lambda, sample)
+    flat = work.reshape(-1).view(dtype).reshape(-1, len(lam), n)
+    with np.errstate():
+        # restored with the error state on leaving the block
+        np.setbufsize(_UFUNC_BUFFER)
+        for j in range(sub[0]):
+            a = int(np.count_nonzero(sub > j))
+            _magnus_step(t_at, (j + _GAUSS_OFF) / sub[:a, None],
+                         [c[:a] for c in cols], lamc[:a], e[:a], work,
+                         flat[:2, :a])
+            prod = np.moveaxis(flat[:4, :a], 0, -1)
+            acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
+    del e, work, flat, prod
 
     # inclusive scan of interval transitions (associative products)
     qmath.qscan(qmath.qmul, acc.swapaxes(0, 1))
@@ -240,13 +328,16 @@ def integrate_frames(curve, lams):
             raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
                                 "many frame substeps" % (abs(lam) * h,
                                                          _MAX_LAMBDA_STEP))
-    F = np.zeros((len(lams), curve.n + 1, 4), dtype=dtype)
-    F[:, 0, 0] = 1.0
     # a lost frame overflows or divides by a cancelled determinant; it is
-    # refused below instead of warned about
+    # refused below instead of warned about.  F is allocated after the
+    # substep loop, whose work buffers set the peak memory
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F[:, 1:] = qmath.qnormalize(_interval_products(
+        products = qmath.qnormalize(_interval_products(
             curve, lams, [_substep_count(lam, h, dtype) for lam in lams]))
+        F = np.zeros((len(lams), curve.n + 1, 4), dtype=dtype)
+        F[:, 0, 0] = 1.0
+        F[:, 1:] = products
+        del products
         deviation = np.abs(qmath.qdet(F) - 1.0).max(axis=1)
     # a NaN deviation (a frame that is not finite) counts as the worst
     worst = int(np.argmax(np.nan_to_num(deviation, nan=np.inf)))

@@ -18,10 +18,31 @@ component they read or write is contiguous, and so is their result.
 import numpy as np
 
 
-def qmul(a, b, out=None):
+# the terms of each component of a b, left to right, as (operation, index
+# into a, index into b); the first operation adds to zero
+_QMUL_TERMS = (
+    ((np.add, 0, 0), (np.subtract, 1, 1), (np.subtract, 2, 2),
+     (np.subtract, 3, 3)),
+    ((np.add, 0, 1), (np.add, 1, 0), (np.add, 2, 3), (np.subtract, 3, 2)),
+    ((np.add, 0, 2), (np.subtract, 1, 3), (np.add, 2, 0), (np.add, 3, 1)),
+    ((np.add, 0, 3), (np.add, 1, 2), (np.subtract, 2, 1), (np.add, 3, 0)),
+)
+
+
+def qmul(a, b, out=None, tmp=None):
     """Hamilton product, broadcasting over leading axes.  All four
     components are formed before any is written, so `out` may overlap `a`
-    or `b`, as in qscan."""
+    or `b`, as in qscan.  With `tmp`, one component's scratch, each
+    component is summed in `out` itself, term by term in the same order,
+    and nothing is allocated; `out` then must not overlap `a` or `b`."""
+    if tmp is not None:
+        for i, ((_, j, k), *rest) in enumerate(_QMUL_TERMS):
+            o = out[..., i]
+            np.multiply(a[..., j], b[..., k], out=o)
+            for op, j, k in rest:
+                np.multiply(a[..., j], b[..., k], out=tmp)
+                op(o, tmp, out=o)
+        return out
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     parts = (aw * bw - ax * bx - ay * by - az * bz,
@@ -51,12 +72,21 @@ def qinv(q):
     return qconj(q) / qdet(q)[..., None]
 
 
-def cross(a, b, out=None):
+def cross(a, b, out=None, tmp=None):
     """Cross product of 3-vectors on the last axis, broadcasting over the
     leading axes; the arithmetic of numpy.cross without its axis handling.
-    `out` must not overlap a or b."""
+    `out` must not overlap a or b.  With `out` and `tmp`, one component's
+    scratch, nothing is allocated."""
     a = np.asarray(a)
     b = np.asarray(b)
+    if tmp is not None:
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            o = out[..., i]
+            np.multiply(a[..., j], b[..., k], out=o)
+            np.multiply(a[..., k], b[..., j], out=tmp)
+            np.subtract(o, tmp, out=o)
+        return out
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     c0 = a1 * b2 - a2 * b1
@@ -68,14 +98,15 @@ def cross(a, b, out=None):
     return out
 
 
-def dot(a, b):
+def dot(a, b, out=None, tmp=None):
     """Dot products of 3-vectors on the last axis, real or complex, with the
     bits of np.sum(a * b, axis=-1): numpy adds 0 + ((a0 b0 + a1 b1) + a2 b2),
     but as one short reduction per row; this adds whole components.  (IEEE
-    754 leaves the sign of a NaN unspecified, and it may differ.)"""
-    s = a[..., 0] * b[..., 0]
-    s += a[..., 1] * b[..., 1]
-    s += a[..., 2] * b[..., 2]
+    754 leaves the sign of a NaN unspecified, and it may differ.)  With
+    `out` and `tmp`, one component's scratch, nothing is allocated."""
+    s = np.multiply(a[..., 0], b[..., 0], out)
+    s += np.multiply(a[..., 1], b[..., 1], tmp)
+    s += np.multiply(a[..., 2], b[..., 2], tmp)
     # the sum starts from +0: three products of -0.0 add up to +0.0
     s += 0.0
     return s
@@ -124,9 +155,13 @@ def axis_angle_from_quat(q):
     return q[1:] / s, angle
 
 
-def _horner(x, coeffs):
-    """sum_k coeffs[k] x^k by Horner's rule, in one array updated in place."""
-    p = np.asarray(x * coeffs[-1])
+def _horner(x, coeffs, out=None):
+    """sum_k coeffs[k] x^k by Horner's rule, in one array updated in place:
+    `out` if given."""
+    if out is None:
+        p = np.asarray(x * coeffs[-1])
+    else:
+        p = np.multiply(x, coeffs[-1], out=out)
     for c in coeffs[-2:0:-1]:
         p += c
         np.multiply(x, p, out=p)
@@ -134,28 +169,34 @@ def _horner(x, coeffs):
     return p
 
 
-def _cos_sinc(x):
+# Taylor coefficients of cos(theta) and sin(theta)/theta in x = theta^2
+_COS = (1.0, -1.0 / 2.0, 1.0 / 24.0, -1.0 / 720.0, 1.0 / 40320.0)
+_SINC = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0, 1.0 / 362880.0)
+
+
+def _cos_sinc(x, out=(None, None)):
     """cos(theta) and sin(theta)/theta of x = theta^2, real or complex, by
-    Taylor polynomials of degree 3, exact to round-off for |x| <= 2e-4,
-    the domain of the frame's Magnus exponents (tests/test_frames.py:
+    Taylor polynomials of degree 4, written into the pair `out` if given.
+    They are exact to round-off for |x| <= 3.3e-3, the domain of the
+    frame's Magnus exponents, where the first dropped terms, x^5/10! of cos
+    and x^5/11! of sinc, are below 1.1e-19 (tests/test_frames.py:
     test_magnus_exponent_stays_in_kernel_domain, test_magnus_kernels_*)."""
-    return (_horner(x, (1.0, -1.0 / 2.0, 1.0 / 24.0, -1.0 / 720.0)),
-            _horner(x, (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0)))
+    return (_horner(x, _COS, out=out[0]), _horner(x, _SINC, out=out[1]))
 
 
-def _exp_quat(v, c, s):
-    """exp(0, v) from c = cos|v| and s = sin|v|/|v|."""
-    e = np.empty_like(v, shape=v.shape[:-1] + (4,),
-                      dtype=np.result_type(v, c))
-    e[..., 0] = c
-    np.multiply(s[..., None], v, out=e[..., 1:])
-    return e
-
-
-def qexp_vec(v):
-    """exp(0, v) of 3-vectors v, v.v in the domain of _cos_sinc."""
+def qexp_vec(v, out=None, tmp=None):
+    """exp(0, v) of 3-vectors v, v.v in the domain of _cos_sinc: (cos|v|,
+    v sin|v|/|v|).  With `out`, whose vector part may be v itself, and
+    `tmp`, two components' scratch, nothing is allocated."""
     v = np.asarray(v)
-    return _exp_quat(v, *_cos_sinc(dot(v, v)))
+    if out is None:
+        out = np.empty_like(v, shape=v.shape[:-1] + (4,))
+        tmp = np.empty_like(v, shape=(2,) + v.shape[:-1])
+    x, s = tmp
+    dot(v, v, out=x, tmp=s)
+    _cos_sinc(x, out=(out[..., 0], s))
+    np.multiply(s[..., None], v, out=out[..., 1:])
+    return out
 
 
 def qnormalize(q):

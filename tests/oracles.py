@@ -73,8 +73,10 @@ def dqexp_vec(v, vdot):
     c, s = qmath._cos_sinc(theta_sq)
     # g = (cos t - sinc t)/t^2 to round-off on the domain of _cos_sinc
     g = qmath._horner(theta_sq, (-1.0 / 3.0, 1.0 / 30.0, -1.0 / 840.0,
-                                 1.0 / 45360.0))
-    e = qmath._exp_quat(v, c, s)
+                                 1.0 / 45360.0, -1.0 / 3991680.0))
+    e = np.empty_like(v, shape=v.shape[:-1] + (4,))
+    e[..., 0] = c
+    e[..., 1:] = s[..., None] * v
     de = np.empty_like(e)
     de[..., 0] = -s * dots
     de[..., 1:] = s[..., None] * vdot + (g * dots)[..., None] * v
@@ -130,16 +132,31 @@ def loop_integrate_frame(curve, lam):
     dtype = float if real else complex
     substeps = _substep_count(lam, h, dtype)
 
-    # accumulate the per-interval transition pair over the substeps
+    # accumulate the per-interval transition pair over the substeps: the
+    # Magnus exponent of frames._magnus_step as plain expressions in the
+    # same operation order, Omega = lambda p + lambda^2 q2 + lambda^3 q3
+    # + lambda^4 q4, and its lambda-derivative
     pair = np.zeros((n, 2, 4), dtype=dtype)
     pair[:, 0, 0] = 1.0
     hs = h / substeps
+    c1 = hs / 2.0
+    c2 = np.sqrt(15.0) / 3.0 * (hs / 2.0)
+    c3 = 10.0 / 3.0 * (hs / 2.0)
+    cross = qmath.cross
     for j in range(substeps):
-        t1, t2 = (t_at(s) for s in (j + _GAUSS_OFF) / substeps)
-        p = (hs / 4.0) * (t1 + t2)
-        q = (np.sqrt(3.0) / 24.0) * hs * hs * qmath.cross(t1, t2)
-        omega = lam * p + lam * lam * q
-        domega = p + 2.0 * lam * q
+        t1, t2, t3 = (t_at(s) for s in (j + _GAUSS_OFF) / substeps)
+        b1 = t2 * c1
+        b2 = (t3 - t1) * c2
+        b3 = ((t2 * -2.0 + t3) + t1) * c3
+        k1 = cross(b2, b1) * 2.0
+        u = cross(b3, b1)
+        w = cross(k1, b1)
+        p = b1 + b3 / 12.0
+        q2 = cross(b2, b1 * 20.0 + b3) / -120.0
+        q3 = (cross(b2, k1) + cross(u, b1) * (4.0 / 3.0)) / 120.0
+        q4 = cross(w, b1) / 180.0
+        omega = lam * qmath._horner(lam, (p, q2, q3, q4))
+        domega = qmath._horner(lam, (p, 2.0 * q2, 3.0 * q3, 4.0 * q4))
         e, de = dqexp_vec(omega.astype(dtype), domega.astype(dtype))
         pair = _pair_mul(pair, np.stack([e, de], axis=-2))
 

@@ -444,6 +444,11 @@ BAD_INPUTS = {
                                   "line:length=inf,n=64"],
     "huge-lambda": lambda p: ["darboux", "--curve", "circle:n=32",
                               "--lam", "1e300+1i"],
+    # |lambda|^2 underflows to 0, and the offset 2 Im lambda / |lambda|^2
+    # is 2e200 against seg_len 0.069
+    "tiny-lambda": lambda p: ["darboux", "--curve",
+                              "helix:a=1,b=1,turns=0.5,n=64",
+                              "--lam", "1e-200i"],
     # |gamma''|^2 overflows; at r = 1e300 it underflows to 0, though
     # E_3 = pi / r is a normal float
     "tiny-curve": lambda p: ["energies", "--curve", "circle:r=1e-300,n=32"],
@@ -476,6 +481,29 @@ BAD_INPUTS = {
     "empty-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
                              "--re", "0.5:2:0", "--im", "0.1:1:4"],
 }
+
+
+# a flow index argument that begins with '-' and a digit
+NEGATIVE_INDICES = {
+    "commute-pairs": ["commute", "--curve", "circle:r=1,n=64",
+                      "--pairs", "-2,1"],
+    "lax-flow": ["lax", "--flow", "-1=1", "--steps", "2"],
+    "flow-flow": ["flow", "--curve", "circle:r=1,n=64", "--flow", "-1=1",
+                  "--dt", "1e-3", "--steps", "2"],
+    "conserve-flow": ["conserve", "--curve", "circle:r=1,n=64",
+                      "--flow", "-1=1", "--dt", "1e-3", "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_INDICES))
+def test_negative_flow_index_is_refused_by_the_command(tmp_path, capsys,
+                                                        case):
+    # the argument reaches the command, which names the fault; argparse
+    # would stop with "expected one argument"
+    code, out = run(tmp_path, *NEGATIVE_INDICES[case])
+    assert code == 2
+    assert "error: flow indices must be k >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @contextlib.contextmanager

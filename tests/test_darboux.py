@@ -13,7 +13,7 @@ from curveflow.errors import ArgumentError, BranchPointError
 from curveflow.frames import integrate_frame, monodromy_angle
 from curveflow.functionals import energy
 from helpers import (det_residual, hermitian_residual, hyperbolic_speeds,
-                     poincare_embed)
+                     poincare_embed, similar_copies)
 from oracles import transport_fixed_point
 
 
@@ -158,3 +158,17 @@ def test_scan_sheets_continuous():
         if a["im"] == b["im"]:
             worst = max(worst, np.linalg.norm(a["S_plus"] - b["S_plus"]))
     assert worst < 0.2
+
+
+def test_tiny_lambda_refusal_is_similarity_invariant():
+    # the offset 2 Im lambda / |lambda|^2 is refused once its rounding
+    # exceeds 1e-8 of seg_len: at lambda = 1e-8 i on the half-turn helix
+    # (offset 2e8, seg_len 0.069), not at 1e-6 i; the same holds for
+    # lambda / s on a copy scaled by s
+    h = make_helix(1.0, 1.0, 0.5, 64)
+    for s in (1e-6, 1.0, 1e6):
+        copy = similar_copies(h, s)[0]
+        with pytest.raises(ArgumentError):
+            darboux_transform(copy, 1e-8j / s)
+        plus, _ = darboux_transform(copy, 1e-6j / s)
+        assert abs(plus.distance - 2e6 * s) <= 1e-9 * s

@@ -118,6 +118,36 @@ def test_derivative_is_the_limit_of_central_differences(case, lam):
     assert fine <= 1e-6
 
 
+@pytest.mark.parametrize("lam", [32.0, 64.0, 32.0 + 0.5j])
+@pytest.mark.parametrize("case", sorted(CENTRAL_DIFFERENCE_CURVES))
+def test_magnus_step_is_sixth_order(case, lam):
+    # F[-1] at 2 and 4 substeps per interval against 256: halving the
+    # substep divides the error by 2^6 (measured orders 6.000 to 6.015,
+    # errors 5.5e-10 to 2.0e-6, far above round-off)
+    c = CENTRAL_DIFFERENCE_CURVES[case]()
+
+    def last(count):
+        return frames._interval_products(c, [lam], [count])[0][-1]
+
+    want = last(256)
+    coarse, fine = (np.abs(last(count) - want).max() for count in (2, 4))
+    assert abs(np.log2(coarse / fine) - 6.0) <= 0.1
+
+
+@pytest.mark.parametrize("lam", [1.0 + 1.0j, 2.0 + 0.1j, 8.0, 32.0])
+def test_monodromy_is_fourth_order_in_space(lam):
+    # the 6-point tangent stencils set the spatial order of F[-1] A on the
+    # helix: against n = 4096, doubling n from 256 to 1024 divides the error
+    # by 2^4 (measured orders 3.97 to 4.01; errors 3.7e-7 at 1 + 1i and
+    # 1e-8 at 2 + 0.1i, 8 and 32 for n = 256).  The Magnus error at the
+    # default steps is below 5.1e-11
+    want = integrate_frame(make_helix(1.0, 1.0, 1.0, 4096), lam).monodromy
+    errors = np.array([
+        np.abs(integrate_frame(make_helix(1.0, 1.0, 1.0, n), lam).monodromy
+               - want).max() for n in (256, 512, 1024)])
+    assert np.all(np.abs(np.log2(errors[:-1] / errors[1:]) - 4.0) <= 0.1)
+
+
 def test_derivative_is_refused_at_nonreal_lambda():
     frame = integrate_frame(make_circle(1.0, 64), 1.0 + 1.0j)
     with pytest.raises(ArgumentError):
@@ -148,18 +178,18 @@ def test_integrate_frames_edge_batches():
 
 def test_integrate_frames_loops_over_longest_substep_count(monkeypatch):
     # one substep iteration per substep of the largest lambda, not one per
-    # substep of every lambda (79 against 1,084 on this grid)
+    # substep of every lambda (20 against 286 on this grid)
     calls = []
     qexp_vec = qmath.qexp_vec
 
-    def counting(v):
+    def counting(v, **kwargs):
         calls.append(v.size // 3)
-        return qexp_vec(v)
+        return qexp_vec(v, **kwargs)
 
     monkeypatch.setattr(qmath, "qexp_vec", counting)
     integrate_frames(make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32))
-    assert len(calls) == 79
-    assert sum(calls) == 1084 * 256
+    assert len(calls) == 20
+    assert sum(calls) == 286 * 256
 
 
 # tracemalloc peaks of a second integrate_frames call, in MB, measured with
@@ -204,9 +234,9 @@ def recorded_offsets(monkeypatch, run):
     def recording(curve):
         t_at = build(curve)
 
-        def wrapped(s):
+        def wrapped(s, **kwargs):
             seen.append((curve, np.copy(s)))
-            return t_at(s)
+            return t_at(s, **kwargs)
         return wrapped
 
     with monkeypatch.context() as m:
@@ -266,14 +296,14 @@ def test_tangent_interpolator_matches_loop_oracle(monkeypatch):
     spectral = recorded_offsets(monkeypatch, lambda: spectral_image_scan(
         make_helix(1.0, 1.0, 1.0, 256), np.linspace(0.5, 2.0, 16),
         np.linspace(0.1, 1.0, 16)))
-    assert len(angle) == 79 and angle[0][1].shape == (32, 2)
-    assert {s.shape for _, s in spectral} >= {(16, 2)}
+    assert len(angle) == 20 and angle[0][1].shape == (32, 3)
+    assert {s.shape for _, s in spectral} >= {(16, 3)}
     rng = np.random.default_rng(0)
     curves = [make_circle(1.0, 16), make_helix(1.0, 1.0, 1.0, 224),
               make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3), seed=0)]
     cases = angle + spectral + [
         (c, s) for c in curves
-        for s in [rng.uniform(size=(k, 2)) for k in range(1, 40)]
+        for s in [rng.uniform(size=(k, 3)) for k in range(1, 40)]
         + [0.0, 1.0, 0.3, np.float64(0.7)]]
     built = {}
     for curve, s in cases:
@@ -359,29 +389,35 @@ def test_benchmark_frames_keep_their_determinant():
 
 # the |x| = |v.v| up to which qmath._cos_sinc and the oracle's dqexp_vec are
 # exact to round-off, as their docstrings state
-KERNEL_DOMAIN = 2e-4
+KERNEL_DOMAIN = 3.3e-3
 
 
 def test_magnus_exponent_stays_in_kernel_domain(monkeypatch):
     # any curve: |lambda| hs <= the real step, the larger one, and the
     # 6-point tangents are at most the stencil's Lebesgue constant long, so
-    # |v| = |lambda p + lambda^2 q| <= L step / 2 + sqrt(3) (L step)^2 / 24
+    # with y = lebesgue * step, |lambda (b1 + b3/12)| <= y/2 (Gauss weights
+    # 5/18, 8/18, 5/18), |lambda b1| <= y/2, |lambda b2| <= (sqrt(15)/3) y,
+    # |lambda b3| <= (20/3) y and |lambda d| <= 10 y, and the terms of
+    # frames._magnus_step bound |v| by y/2 + (sqrt(15)/36) y^2
+    # + (7/216) y^3 + (sqrt(15)/2160) y^4
     lebesgue = np.abs(frames._lagrange_weights(
         np.linspace(0.0, 1.0, 1001))).sum(axis=0).max()
     step = lebesgue * max(frames._MAGNUS_STEP.values())
     assert step == lebesgue * frames._MAGNUS_STEP[float]
-    domain = (step / 2.0 + np.sqrt(3.0) / 24.0 * step ** 2) ** 2
-    assert 1.9e-4 <= domain <= KERNEL_DOMAIN
-    # the first Taylor terms the degree-3 kernels drop, at the domain edge:
-    # x^4/40320 of cos, x^4/362880 of sinc, x^4/3991680 of (cos - sinc)/x
-    assert KERNEL_DOMAIN ** 4 / 40320.0 < 1e-17
+    domain = np.polynomial.polynomial.polyval(
+        step, [0.0, 0.5, np.sqrt(15.0) / 36.0, 7.0 / 216.0,
+               np.sqrt(15.0) / 2160.0]) ** 2
+    assert 3.2e-3 <= domain <= KERNEL_DOMAIN
+    # the first Taylor terms the degree-4 kernels drop, at the domain edge:
+    # x^5/10! of cos, x^5/11! of sinc, x^5/518,918,400 of (cos - sinc)/x
+    assert KERNEL_DOMAIN ** 5 / 3628800.0 < 1e-18
 
     seen = []
     qexp_vec = qmath.qexp_vec
 
-    def recording(v):
+    def recording(v, **kwargs):
         seen.append(np.abs(np.sum(v * v, axis=-1)).max())
-        return qexp_vec(v)
+        return qexp_vec(v, **kwargs)
 
     monkeypatch.setattr(qmath, "qexp_vec", recording)
     # the benchmark's spectral grid and angle-scan window
@@ -392,8 +428,8 @@ def test_magnus_exponent_stays_in_kernel_domain(monkeypatch):
     # real and nonreal lambda at the cap |lambda| seg_len = 32
     c = make_circle(1.0, 16)
     top = 32.0 * (1.0 - 1e-12) / c.seg_len
-    for lam, count in ((top, 1600), (complex(np.sqrt(top ** 2 - 1.0), 1.0),
-                                     6400)):
+    for lam, count in ((top, 400), (complex(np.sqrt(top ** 2 - 1.0), 1.0),
+                                    800)):
         seen.clear()
         integrate_frames(c, [lam])
         assert len(seen) == count
@@ -442,8 +478,9 @@ def test_magnus_kernels_match_long_double_oracle():
         assert np.abs(c - np.cos(root)).max() <= 2 * ulp
         assert np.abs(s - sinc).max() <= 2 * ulp
         # with vdot = e_y, v.vdot = b, and the x component of the
-        # derivative is g b a: within 2 ulp of g b a itself (measured 1.6;
-        # a degree-2 g reads 2.5 at the domain edge)
+        # derivative is g b a: within 2 ulp of g b a itself (measured 1.4;
+        # a degree-3 g reads 1.5 and a degree-2 g 9,800 on this domain, and
+        # degree-3 cos and sinc 11.9 and 1.4 ulp)
         vdot = np.zeros_like(v)
         vdot[:, 1] = 1.0
         _, de = dqexp_vec(v, vdot)
