@@ -28,9 +28,14 @@ from .frames import integrate_frame, integrate_frames
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
 # largest rounding eps |offset| of eta = gamma + offset S accepted, relative
-# to seg_len: 1% of the pre-resample deviation criterion 9 allows (1e-6).
-# The offset 2 Im lambda / |lambda|^2 grows without bound as lambda -> 0
-_MAX_OFFSET_ROUNDING = 1e-8
+# to seg_len: the pre-resample deviation criterion 9 allows.  The offset
+# 2 Im lambda / |lambda|^2 grows without bound as lambda -> 0, and its
+# rounding shows in eta's segments: on the half-turn helix at n = 64 (seg_len
+# 0.069) the deviation reads 1.0e-7 at lambda = 1e-2i .. 1e-6i, 1.3e-7 at
+# 1e-7i, 2.0e-7 at 1e-8i (rounding 6.4e-7 of seg_len), 1.3e-6 at 1e-9i
+# (6.4e-6) and 3.8e-5 at 1e-10i, and eta collapses onto repeated points
+# from 1e-12i
+_MAX_OFFSET_ROUNDING = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,9 @@ def darboux_transform(curve, lam):
     which vanishes exactly at rho = 2b/|lambda|^2.  Same monodromy as the
     input; resampled to arclength, with the pre-resampling segment-length
     deviation recorded.  eta+ is formed, and fails, before eta-.  A lambda
-    so small that the rounding of the offset would show against a segment
-    is refused before the frame is integrated.
+    so small that the offset's rounding alone would exceed 1e-6 of a
+    segment, criterion 9's deviation, is refused before the frame is
+    integrated.
     """
     lam = complex(lam)
     if lam.imag == 0.0:

@@ -51,8 +51,9 @@ _SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
 # circle, perturbed circle; real and nonreal lambda up to 64), far below
 # the 4th-order spatial error of the tangent stencils (1e-8 to 3.7e-7).
 # The nonreal step is the finer one: nonreal frames grow like
-# exp(|Im lambda| x / 2) and amplify round-off, which the contour E_k read
-# (angle-scan's E_k error draws 6.5e-12 at 0.08 and 4.7e-12 at 0.04)
+# exp(|Im lambda| x / 2), and F[-1] on the helix at 1+1i, 2+0.1i, 0.5+1i
+# and 8+0.5i is off by 7e-13 to 1.6e-12 of max |F[-1]| at 0.04, up to
+# 7e-12 at 0.08
 _MAGNUS_STEP = {float: 0.08, complex: 0.04}
 # largest |lambda| * seg_len accepted, 400 real or 800 nonreal substeps
 # per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
@@ -61,10 +62,10 @@ _MAX_LAMBDA_STEP = 32.0
 # far below round-off, and Im F(lambda + i step) involves no difference of
 # nearby values, so the step need not be balanced against cancellation
 _CSTEP = 1e-20
-# largest max |det F - 1| accepted after normalizing.  F grows like
-# exp(|Im lambda| L / 2), and det F cancels to about eps exp(|Im lambda| L):
-# the benchmark's grids reach 6.9e-13, criterion 9 (helix, lambda = 0.5 + 2i)
-# 1.9e-9, and a lost frame reads order 1 or is not finite
+# largest max |det F - 1| accepted.  F grows like exp(|Im lambda| L / 2),
+# and det F cancels to about eps exp(|Im lambda| L): the benchmark's grids
+# reach 9.1e-13, criterion 9 (helix, lambda = 0.5 + 2i) 2.1e-9, and a lost
+# frame reads order 1 or is not finite
 _MAX_DET_DEVIATION = 1e-6
 # smallest 1 + (y, t) accepted by spherical_sector_area
 _SECTOR_MIN_DENOMINATOR = 1e-3
@@ -233,7 +234,8 @@ def _magnus_step(t_at, s, cols, lam, e, work, tmp):
 # elements per operand of the buffers numpy's ufuncs take for an operand
 # they cannot stride through in one run, such as a per-lambda column
 # broadcast along the samples or the tangents' C order: small buffers keep
-# the substep's transient memory to a few KB and stay in cache
+# the substep's transient memory to a few KB and stay in cache.  The size
+# is set for the substep loop only; the caller's is restored after it
 _UFUNC_BUFFER = 256
 
 
@@ -285,9 +287,8 @@ def _interval_products(curve, lams, subs):
     work = np.empty((6, 3, len(lam), n))
     # the same memory in lambda's dtype, as (component, lambda, sample)
     flat = work.reshape(-1).view(dtype).reshape(-1, len(lam), n)
-    with np.errstate():
-        # restored with the error state on leaving the block
-        np.setbufsize(_UFUNC_BUFFER)
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
         for j in range(sub[0]):
             a = int(np.count_nonzero(sub > j))
             _magnus_step(t_at, (j + _GAUSS_OFF) / sub[:a, None],
@@ -295,6 +296,8 @@ def _interval_products(curve, lams, subs):
                          flat[:2, :a])
             prod = np.moveaxis(flat[:4, :a], 0, -1)
             acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
+    finally:
+        np.setbufsize(bufsize)
     del e, work, flat, prod
 
     # inclusive scan of interval transitions (associative products)
@@ -328,12 +331,20 @@ def integrate_frames(curve, lams):
             raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
                                 "many frame substeps" % (abs(lam) * h,
                                                          _MAX_LAMBDA_STEP))
-    # a lost frame overflows or divides by a cancelled determinant; it is
-    # refused below instead of warned about.  F is allocated after the
+    # a lost frame overflows or cancels its determinant away; it is refused
+    # below instead of warned about.  F is allocated after the
     # substep loop, whose work buffers set the peak memory
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        products = qmath.qnormalize(_interval_products(
-            curve, lams, [_substep_count(lam, h, dtype) for lam in lams]))
+        products = _interval_products(
+            curve, lams, [_substep_count(lam, h, dtype) for lam in lams])
+        if real:
+            # projected back onto det F = 1.  Dividing by sqrt(det F) moves
+            # every entry by (det F - 1)/2, and det F = w^2 + v.v of a
+            # nonreal frame cancels terms of size |F|^2: there the
+            # projection would magnify the product's rounding by |F|^2
+            # (1.3e4 on the angle-scan contour), so a nonreal frame keeps
+            # the determinant of its factors, 1 to rounding
+            products = qmath.qnormalize(products)
         F = np.zeros((len(lams), curve.n + 1, 4), dtype=dtype)
         F[:, 0, 0] = 1.0
         F[:, 1:] = products

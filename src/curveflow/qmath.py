@@ -29,31 +29,39 @@ _QMUL_TERMS = (
 )
 
 
-def qmul(a, b, out=None, tmp=None):
-    """Hamilton product, broadcasting over leading axes.  All four
-    components are formed before any is written, so `out` may overlap `a`
-    or `b`, as in qscan.  With `tmp`, one component's scratch, each
-    component is summed in `out` itself, term by term in the same order,
-    and nothing is allocated; `out` then must not overlap `a` or `b`."""
-    if tmp is not None:
-        for i, ((_, j, k), *rest) in enumerate(_QMUL_TERMS):
-            o = out[..., i]
-            np.multiply(a[..., j], b[..., k], out=o)
-            for op, j, k in rest:
-                np.multiply(a[..., j], b[..., k], out=tmp)
-                op(o, tmp, out=o)
-        return out
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    parts = (aw * bw - ax * bx - ay * by - az * bz,
-             aw * bx + ax * bw + ay * bz - az * by,
-             aw * by - ax * bz + ay * bw + az * bx,
-             aw * bz + ax * by - ay * bx + az * bw)
+def _buffers(a, b, out, tmp):
+    """The array a kernel of a and b sums into, and one component's
+    scratch: `out` and `tmp`, or new arrays where they are missing, the
+    result of the broadcast shape and result dtype in the memory order of
+    a, and the scratch in the memory order of a component of the result,
+    which the kernels' ufuncs then iterate over together."""
     if out is None:
-        out = np.empty_like(a, shape=np.shape(parts[0]) + (4,),
-                            dtype=np.result_type(*parts))
-    for i, part in enumerate(parts):
-        out[..., i] = part
+        shape = a.shape
+        if b.shape != shape:
+            shape = np.broadcast_shapes(shape, b.shape)
+        out = np.empty_like(a, shape=shape, dtype=np.result_type(a, b))
+    if tmp is None:
+        tmp = np.empty_like(out[..., 0])
+    return out, tmp
+
+
+def qmul(a, b, out=None, tmp=None):
+    """Hamilton product, broadcasting over leading axes.  Each component is
+    summed term by term, left to right, in the result itself, with `tmp`,
+    one component's scratch, holding the next term.  `out` may overlap `a`
+    or `b`, as in qscan: the product is then formed in a new array and
+    copied into `out`.  With `tmp` and an `out` that overlaps neither
+    operand, nothing is allocated."""
+    if out is not None and (np.may_share_memory(out, a)
+                            or np.may_share_memory(out, b)):
+        out[...] = qmul(a, b, tmp=tmp)
+        return out
+    out, tmp = _buffers(a, b, out, tmp)
+    for i, ((_, j, k), *rest) in enumerate(_QMUL_TERMS):
+        o = out[..., i]
+        np.multiply(a[..., j], b[..., k], o)
+        for op, j, k in rest:
+            op(o, np.multiply(a[..., j], b[..., k], tmp), o)
     return out
 
 
@@ -74,27 +82,20 @@ def qinv(q):
 
 def cross(a, b, out=None, tmp=None):
     """Cross product of 3-vectors on the last axis, broadcasting over the
-    leading axes; the arithmetic of numpy.cross without its axis handling.
-    `out` must not overlap a or b.  With `out` and `tmp`, one component's
-    scratch, nothing is allocated."""
+    leading axes; the arithmetic of numpy.cross without its axis handling,
+    each component formed in the result with `tmp`, one component's
+    scratch, holding the second term.  `out` must not overlap a or b.  With
+    `out` and `tmp`, nothing is allocated."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if tmp is not None:
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            o = out[..., i]
-            np.multiply(a[..., j], b[..., k], out=o)
-            np.multiply(a[..., k], b[..., j], out=tmp)
-            np.subtract(o, tmp, out=o)
-        return out
+    out, tmp = _buffers(a, b, out, tmp)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    if out is None:
-        out = np.empty_like(a, shape=c0.shape + (3,), dtype=c0.dtype)
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
+    for i, x, y, z, w in ((0, a1, b2, a2, b1), (1, a2, b0, a0, b2),
+                          (2, a0, b1, a1, b0)):
+        o = out[..., i]
+        np.multiply(x, y, o)
+        np.subtract(o, np.multiply(z, w, tmp), o)
     return out
 
 

@@ -166,7 +166,8 @@ def loop_integrate_frame(curve, lam):
     F = np.zeros((n + 1, 4), dtype=dtype)
     dF = np.zeros((n + 1, 4), dtype=dtype)
     F[0, 0] = 1.0
-    F[1:] = qmath.qnormalize(pair[:, 0])
+    # integrate_frames projects real frames only
+    F[1:] = qmath.qnormalize(pair[:, 0]) if real else pair[:, 0]
     dF[1:] = pair[:, 1]
     return LoopFrame(lam, F, dF, curve)
 

@@ -162,13 +162,18 @@ def test_scan_sheets_continuous():
 
 def test_tiny_lambda_refusal_is_similarity_invariant():
     # the offset 2 Im lambda / |lambda|^2 is refused once its rounding
-    # exceeds 1e-8 of seg_len: at lambda = 1e-8 i on the half-turn helix
-    # (offset 2e8, seg_len 0.069), not at 1e-6 i; the same holds for
-    # lambda / s on a copy scaled by s
+    # exceeds criterion 9's 1e-6 of seg_len: on the half-turn helix
+    # (seg_len 0.069) at lambda = 1e-9 i (offset 2e9, pre-resample
+    # deviation 1.3e-6), not at 1e-7 i or 1e-8 i (deviation 1.3e-7 and
+    # 2.0e-7); the same holds for lambda / s on a copy scaled by s
     h = make_helix(1.0, 1.0, 0.5, 64)
     for s in (1e-6, 1.0, 1e6):
         copy = similar_copies(h, s)[0]
         with pytest.raises(ArgumentError):
-            darboux_transform(copy, 1e-8j / s)
-        plus, _ = darboux_transform(copy, 1e-6j / s)
-        assert abs(plus.distance - 2e6 * s) <= 1e-9 * s
+            darboux_transform(copy, 1e-9j / s)
+        for lam in (1e-7j, 1e-8j):
+            plus, minus = darboux_transform(copy, lam / s)
+            dist = 2.0 / lam.imag * s
+            assert abs(plus.distance - dist) <= 1e-15 * dist
+            assert max(plus.pre_resample_deviation,
+                       minus.pre_resample_deviation) <= 1e-6

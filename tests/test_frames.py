@@ -214,6 +214,22 @@ def test_integrate_frames_peak_memory(case):
     assert peak <= C_ORDER_PEAK_MB[case] * 1e6
 
 
+def test_integrate_frames_restores_ufunc_buffer_size():
+    # the substep loop runs with small ufunc buffers; the caller's size
+    # comes back afterwards, also when the batch is refused
+    before = np.getbufsize()
+    try:
+        np.setbufsize(16384)
+        integrate_frames(make_circle(1.0, 64), [8.0, 9.0])
+        assert np.getbufsize() == 16384
+        with pytest.raises(FrameDeterminantError):
+            integrate_frames(make_circle(1.0, 16), [complex(40.0, 70.0)])
+        assert np.getbufsize() == 16384
+    finally:
+        np.setbufsize(before)
+    assert np.getbufsize() == before
+
+
 def assert_same_bits(got, want):
     """Equal shapes and values, equal signs of zero, and NaN in the same
     places (IEEE 754 leaves the sign of a NaN unspecified)."""
@@ -314,6 +330,32 @@ def test_tangent_interpolator_matches_loop_oracle(monkeypatch):
         assert_same_bits(t_at(s), loop(s))
 
 
+def test_products_have_the_bits_of_plain_expressions():
+    # qmul and cross sum each component in place, term by term: the bits of
+    # the written-out expressions and of numpy.cross, also when the result
+    # goes into an operand or a caller's scratch is passed
+    rng = np.random.default_rng(2)
+    for dtype in (float, complex):
+        a, b = (rng.standard_normal((8, 4)).astype(dtype) for _ in range(2))
+        if dtype is complex:
+            a += 1j * rng.standard_normal((8, 4))
+        aw, ax, ay, az = a.T
+        bw, bx, by, bz = b.T
+        want = np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                         aw * bx + ax * bw + ay * bz - az * by,
+                         aw * by - ax * bz + ay * bw + az * bx,
+                         aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+        assert_same_bits(qmath.qmul(a, b), want)
+        into = np.copy(a)
+        assert_same_bits(qmath.qmul(into, b, out=into), want)
+        assert_same_bits(into, want)
+        out, tmp = np.empty_like(want), np.empty(8, want.dtype)
+        assert_same_bits(qmath.qmul(a, b, out=out, tmp=tmp), want)
+        u, v = a[:, 1:], b[:, 1:]
+        assert_same_bits(qmath.cross(u, v), np.cross(u, v))
+        assert_same_bits(qmath.cross(u[0], v), np.cross(u[0], v))
+
+
 def test_dot_has_the_bits_of_a_summed_product():
     rng = np.random.default_rng(0)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
@@ -365,10 +407,10 @@ def test_lost_frame_is_refused():
 
 
 def test_benchmark_frames_keep_their_determinant():
-    # max |det F - 1| measured on the benchmark's grids: 6.9e-13 on the
-    # spectral grid (helix, n=256), 3.2e-13 at its darboux lambda = 1 + 1i,
-    # 4.4e-16 on the angle-scan window; the largest in tier-1 is 1.9e-9
-    # (criterion 9, helix, lambda = 0.5 + 2i).  The bound sits 500 times
+    # max |det F - 1| measured on the benchmark's grids: 9.1e-13 on the
+    # spectral grid (helix, n=256), 5.1e-13 at its darboux lambda = 1 + 1i,
+    # 6.7e-16 on the angle-scan window; the largest in tier-1 is 2.1e-9
+    # (criterion 9, helix, lambda = 0.5 + 2i).  The bound sits 480 times
     # above that.
     def deviation(curve, lams):
         return max(np.abs(qmath.qdet(f.F) - 1.0).max()
