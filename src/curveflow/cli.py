@@ -7,6 +7,7 @@ error (nothing written), 3 numerical failure (only a diagnostics.json).
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -199,8 +200,8 @@ def cmd_lax(args):
         xi = LoopElement(rng.standard_normal((args.degree + 1, 3)))
     weights = parse_weights(args.flow)
     snaps = lax_evolve(xi, weights, args.dt, args.steps)
-    p0 = spectral_polynomial(snaps[0]).coeffs
-    drifts = [np.abs(spectral_polynomial(s).coeffs - p0).max() for s in snaps]
+    p0 = spectral_polynomial(snaps[0])
+    drifts = [np.abs(spectral_polynomial(s) - p0).max() for s in snaps]
     save_loop(snaps[-1], artifact(args, "final_loop.json"))
     with open(artifact(args, "spectral_drift.csv"), "w") as f:
         f.write("snapshot,max_coefficient_drift\n")
@@ -309,6 +310,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="curveflow",
@@ -388,9 +390,12 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return 2
     except NumericalError as e:
+        # the error's context, a complex lambda as [re, im] as darboux.json
+        # writes it
         with open(artifact(args, "diagnostics.json"), "w") as f:
-            json.dump({"error": type(e).__name__, "message": str(e)}, f,
-                      indent=2)
+            json.dump({"error": type(e).__name__, "message": str(e),
+                       **e.context}, f, indent=2,
+                      default=lambda z: [z.real, z.imag])
         print("numerical failure: %s" % e, file=sys.stderr)
         return 3
 

@@ -54,17 +54,18 @@ class Monodromy:
     def apply_vector_inverse(self, vectors):
         return qmath.qrotate(qmath.qconj(self.rotation), vectors)
 
-    def axis_angle(self):
-        return qmath.axis_angle_from_quat(self.rotation)
-
     def is_rotation_trivial(self):
         return np.linalg.norm(self.rotation[1:]) < 1e-10
 
 
 @dataclass(frozen=True)
 class Curve:
-    samples: np.ndarray     # (n, 3)
-    seg_len: float
+    """n samples of a curve, or a batch of B curves that share one
+    monodromy: samples (B, n, 3), seg_len (B,).  `deriv`, `tangent`,
+    `parallel_normal_frame`, `check_scale` and the E_k of `functionals` give
+    a batch one value per curve, bit for bit the curve's own."""
+    samples: np.ndarray     # (n, 3) or (B, n, 3)
+    seg_len: float          # or (B,)
     monodromy: Monodromy
 
     def __post_init__(self):
@@ -72,12 +73,13 @@ class Curve:
                            np.ascontiguousarray(self.samples, dtype=float))
         if self.n < 8:
             raise DegenerateResolutionError("need at least 8 samples, got %d" % self.n)
-        if not 0 < self.seg_len < np.inf:
+        # as cheap as one comparison on a float: RK4 makes a Curve per step
+        if not all(0 < h < np.inf for h in np.ravel(self.seg_len).tolist()):
             raise DegenerateInputError("seg_len must be positive and finite")
 
     @property
     def n(self):
-        return len(self.samples)
+        return self.samples.shape[-2]
 
     @property
     def length(self):
@@ -89,36 +91,6 @@ class Curve:
     @cached_property
     def _derivatives(self):
         """[gamma', gamma'', ...] as far as `deriv` was asked."""
-        return []
-
-
-@dataclass(frozen=True)
-class CurveBatch:
-    """B curves of n samples each that share one monodromy, for computing
-    per-curve quantities (`deriv`, `tangent`, `parallel_normal_frame`) on
-    all of them at once: samples (B, n, 3), seg_len (B,).
-
-    Every row gets the arithmetic of the same curve on its own, bit for bit.
-    """
-    samples: np.ndarray
-    seg_len: np.ndarray
-    monodromy: Monodromy
-
-    @classmethod
-    def stack(cls, curves):
-        mono = curves[0].monodromy
-        if any(not (np.array_equal(c.monodromy.rotation, mono.rotation)
-                    and np.array_equal(c.monodromy.translation,
-                                       mono.translation))
-               for c in curves[1:]):
-            raise ArgumentError("a curve batch needs one shared monodromy")
-        return cls(np.stack([c.samples for c in curves]),
-                   np.array([c.seg_len for c in curves], dtype=float),
-                   mono)
-
-    @cached_property
-    def _derivatives(self):
-        """As Curve._derivatives, with (B, n, 3) arrays."""
         return []
 
 
@@ -175,7 +147,7 @@ _D1_TERMS = [(k, c) for k, c in enumerate(_D1) if c != 0.0]
 def central_d1(ext, h, out=None):
     """4th-order centered first derivative at spacing h of samples padded
     by two extended values on each side along axis -2, into `out` if given.
-    For a batch of curves, h holds one spacing per curve, shape (B,)."""
+    For a batch of B curves, h holds one spacing per curve, shape (B,)."""
     n = ext.shape[-2] - 4
     if out is None:
         out = np.empty(ext.shape[:-2] + (n,) + ext.shape[-1:], dtype=ext.dtype)
@@ -440,8 +412,8 @@ def arclength_deviation(curve):
 
 
 def measured_length(curve):
-    """Quadrature length using finite-difference tangents."""
-    sp = np.linalg.norm(ddx(curve.samples, curve, affine=True), axis=-1)
+    """Quadrature length using the finite-difference tangents gamma'."""
+    sp = np.linalg.norm(deriv(curve, 1), axis=-1)
     return curve.seg_len * sp.sum(axis=-1)
 
 
@@ -523,17 +495,17 @@ def parallel_normal_frame(curve):
     fundamental domain, pulled back by the monodromy rotation, against the
     initial normal in the complex structure T x ( ).
 
-    A CurveBatch gets one scan for all its curves and a NormalFrame of
+    A batch of curves gets one scan for all of them and a NormalFrame of
     arrays: nu (B, n, 3), holonomy_angle (B,) and winding (B,), a float
     that is NaN where the frame is not finite (see `winding_number`).
     """
     tan = extend(tangent(curve), curve.monodromy, 0, 1)
     t0 = tan[..., 0, :]
     nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
-    nu0 = np.where((np.sqrt(_dots(nu0, nu0)) < 1e-8)[..., None],
+    nu0 = np.where((np.sqrt(qmath.dot(nu0, nu0)) < 1e-8)[..., None],
                    qmath.cross([1.0, 0.0, 0.0], t0), nu0)
-    nu0 = nu0 - _dots(nu0, t0)[..., None] * t0
-    nu0 = nu0 / np.sqrt(_dots(nu0, nu0))[..., None]
+    nu0 = nu0 - qmath.dot(nu0, t0)[..., None] * t0
+    nu0 = nu0 / np.sqrt(qmath.dot(nu0, nu0))[..., None]
 
     prods = qmath.qscan(lambda x, y, out: qmath.qmul(y, x, out=out),
                         _double_reflections(curve, tan))
@@ -545,7 +517,8 @@ def parallel_normal_frame(curve):
     back = curve.monodromy.apply_vector_inverse(nus[..., -1, :])
     # orientation chosen so the result agrees with the Frenet torsion
     # integral (positive for a right-handed helix)
-    alpha = np.arctan2(_dots(back, qmath.cross(nu0, t0)), _dots(back, nu0))
+    alpha = np.arctan2(qmath.dot(back, qmath.cross(nu0, t0)),
+                       qmath.dot(back, nu0))
     winding = np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
     if not np.ndim(winding):
         winding = winding_number(winding)
@@ -571,14 +544,6 @@ def _double_reflections(curve, tan):
                        0, -1)
 
 
-def _dots(x, y):
-    """Dot products of 3-vectors on the last axis.  matmul computes each
-    (1, 3) @ (3, 1) product with the kernel of a 1-D np.dot, which
-    np.linalg.norm of a vector also uses; a sum of products rounds
-    differently."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
 def winding_number(turn):
     """The int winding of a frame from its rounded turn count, refusing a
     frame that is not finite."""
@@ -597,8 +562,8 @@ def check_scale(curve):
     size; so does refusing an overflowing seg_len^2, the frame's largest
     squared chord, and a smallest squared speed |gamma'|^2 below the
     smallest normal float, since |gamma'| = 1 on an arclength curve and the
-    unit tangent divides by it.  A CurveBatch is refused if any of its
-    curves is."""
+    unit tangent divides by it.  A batch is refused if any of its curves
+    is."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d1, d2 = deriv(curve, 1), deriv(curve, 2)
         top = qmath.dot(d2, d2).max(axis=-1)
@@ -614,14 +579,14 @@ def check_scale(curve):
 
 def _torsion_integral(curve):
     """Regularized Frenet torsion integral, used as a branch hint; one per
-    curve of a CurveBatch."""
+    curve of a batch."""
     d1, d2, d3 = (deriv(curve, k) for k in (1, 2, 3))
     k2 = qmath.dot(d2, d2)
     det = qmath.dot(d1, qmath.cross(d2, d3))
     # kappa^2 in units of the curve's own length L, so that the mask does
     # not depend on scale; fmax, like the builtin max, passes over a NaN
     # maximum
-    length = curve.samples.shape[-2] * np.asarray(curve.seg_len)[..., None]
+    length = curve.n * np.asarray(curve.seg_len)[..., None]
     k2l = k2 * np.square(length)
     mask = k2l > 1e-9 * np.fmax(1.0, k2l.max(axis=-1, keepdims=True))
     tau = np.zeros_like(k2)

@@ -15,7 +15,13 @@ class ValidationError(CurveFlowError):
 
 
 class NumericalError(CurveFlowError):
-    pass
+    """A numerical failure, with keyword context (step, lam, ...) kept as
+    attributes and as the dict `context`, which diagnostics.json records."""
+
+    def __init__(self, message, **context):
+        super().__init__(message)
+        self.context = context
+        vars(self).update(context)
 
 
 class DegenerateResolutionError(ValidationError):
@@ -39,15 +45,11 @@ class MonodromyCompatibilityError(ValidationError):
 
 
 class ResamplingError(NumericalError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Arclength resampling did not converge (context: residual)."""
 
 
 class BlowUpError(NumericalError):
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    """A flow left its bound or stopped being finite (context: step)."""
 
 
 class StabilityError(ValidationError):
@@ -60,10 +62,6 @@ class SingularSectorError(NumericalError):
 
 class FrameDeterminantError(NumericalError):
     """A frame of the associated family is not finite or has lost det = 1."""
-    def __init__(self, message, lam=None, deviation=None):
-        super().__init__(message)
-        self.lam = lam
-        self.deviation = deviation
 
 
 class BranchPointError(NumericalError):
@@ -71,6 +69,4 @@ class BranchPointError(NumericalError):
 
 
 class IllConditionedFitError(NumericalError):
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    """Round-off swamps a fit's fields (context: condition)."""

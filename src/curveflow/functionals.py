@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (CurveBatch, check_scale, deriv, measured_length,
+from .curves import (Curve, check_scale, deriv, measured_length,
                      parallel_normal_frame, resample_arclength,
                      winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
@@ -51,7 +51,7 @@ def energy(k, curve, axis=None, near=None):
 
 def _energy(k, curve, axis):
     """E_k for k != 2 from the curve's derivatives, which `deriv` computes
-    once per curve; one value per curve of a CurveBatch."""
+    once per curve; one value per curve of a batch."""
     if k in (-2, -1):
         if axis is None:
             raise ArgumentError("k in {-2,-1} requires an axis vector")
@@ -111,8 +111,8 @@ def energy_report(curve, axis=None):
 
 
 def energy_reports(curves, axis=None, near_torsion=None):
-    """energy_report of each of the curves, which share one monodromy,
-    computed as one CurveBatch: one set of derivatives, one frame scan.
+    """energy_report of each of the curves, which must share one monodromy,
+    computed as one batch Curve: one set of derivatives, one frame scan.
 
     E_2 is snapped to the branch nearest `near_torsion` for the first curve
     and nearest its predecessor's for each later one, as along a
@@ -122,9 +122,15 @@ def energy_reports(curves, axis=None, near_torsion=None):
     if not curves:
         return []
     ks = [k for k in K_RANGE if axis is not None or k >= 0]
+    mono = curves[0].monodromy
+    if any(not (np.array_equal(c.monodromy.rotation, mono.rotation)
+                and np.array_equal(c.monodromy.translation, mono.translation))
+           for c in curves[1:]):
+        raise ArgumentError("a curve batch needs one shared monodromy")
     # the derivatives live on the batch, so they are freed on return and do
     # not live on with the callers' curves (trajectory snapshots)
-    batch = CurveBatch.stack(curves)
+    batch = Curve(np.stack([c.samples for c in curves]),
+                  np.array([c.seg_len for c in curves], dtype=float), mono)
     check_scale(batch)
     frame = parallel_normal_frame(batch)
     # a one-curve report checks its frame before the axis

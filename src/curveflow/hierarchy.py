@@ -126,8 +126,8 @@ def _axis_columns(curve):
     if curve.monodromy.is_rotation_trivial():
         basis = np.eye(3)
     else:
-        axis, _ = curve.monodromy.axis_angle()
-        basis = axis[None, :]
+        v = curve.monodromy.rotation[1:]
+        basis = (v / np.linalg.norm(v))[None, :]
     return [np.broadcast_to(b, (curve.n, 3)) for b in basis]
 
 

@@ -77,18 +77,14 @@ def loop_cross(a, b):
     return LoopElement(out)
 
 
-@dataclass(frozen=True)
-class SpectralPolynomial:
-    coeffs: np.ndarray   # coefficients of lambda^0 .. lambda^{-2d}
-
-
 def spectral_polynomial(xi):
-    """(xi, xi) as a polynomial in lambda^{-1}."""
+    """(xi, xi) as a polynomial in lambda^{-1}: its coefficients of
+    lambda^0 .. lambda^{-2d}."""
     d = xi.degree
     out = np.zeros(2 * d + 1, dtype=xi.coeffs.dtype)
     for i in range(d + 1):
         out[i:i + d + 1] += xi.coeffs @ xi.coeffs[i]
-    return SpectralPolynomial(out)
+    return out
 
 
 def V_k(xi, k):
@@ -125,12 +121,14 @@ def lax_evolve(xi, weights, dt, steps):
         return lax_velocity(LoopElement(x), weights).coeffs
 
     snaps = [xi]
-    for i in range(1, steps + 1):
-        c = rk4_step(v, c, dt)
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError("Lax flow blew up at step %d" % i, step=i)
-        if i % log_every == 0 or i == steps:
-            snaps.append(LoopElement(c.copy()))
+    # a step that overflows is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            c = rk4_step(v, c, dt)
+            if not np.all(np.isfinite(c)):
+                raise BlowUpError("Lax flow blew up at step %d" % i, step=i)
+            if i % log_every == 0 or i == steps:
+                snaps.append(LoopElement(c.copy()))
     return snaps
 
 

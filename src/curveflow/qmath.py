@@ -146,16 +146,6 @@ def quat_from_axis_angle(axis, angle):
                            np.sin(half) * axis])
 
 
-def axis_angle_from_quat(q):
-    """Principal (axis, angle) with angle in [0, pi]; axis e_z if identity."""
-    w = np.clip(q[0], -1.0, 1.0) if np.isrealobj(q) else q[0]
-    s = np.linalg.norm(q[1:])
-    angle = 2.0 * np.arctan2(s, w)
-    if s < 1e-14:
-        return np.array([0.0, 0.0, 1.0]), 0.0 if w > 0 else angle
-    return q[1:] / s, angle
-
-
 def _horner(x, coeffs, out=None):
     """sum_k coeffs[k] x^k by Horner's rule, in one array updated in place:
     `out` if given."""

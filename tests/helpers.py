@@ -65,12 +65,14 @@ def random_equivariant_field(curve, seed=0):
     for m in range(5):
         c = rng.standard_normal((2, 3))
         g += np.cos(m * phi)[:, None] * c[0] + np.sin(m * phi)[:, None] * c[1]
-    axis, angle = curve.monodromy.axis_angle()
-    if angle > 1e-12:
-        frac = angle * np.arange(n) / n
+    w, v = curve.monodromy.rotation[0], curve.monodromy.rotation[1:]
+    s = np.linalg.norm(v)
+    # a rotation quaternion of +-1 rotates no vector: the field is g itself
+    if s > 1e-14:
+        frac = 2.0 * np.arctan2(s, w) * np.arange(n) / n
         half = 0.5 * frac
         q = np.concatenate([np.cos(half)[:, None],
-                            np.sin(half)[:, None] * axis[None, :]], axis=1)
+                            np.sin(half)[:, None] * (v / s)[None, :]], axis=1)
         g = qmath.qrotate(q, g)
     return g / np.abs(g).max()
 

@@ -351,6 +351,39 @@ def test_lost_frame_exits_3(tmp_path, argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+LAX_BLOW_UPS = {
+    "overflow": ["--degree", "3", "--flow", "1=1", "--dt", "10",
+                 "--steps", "50"],
+    "huge-weight": ["--degree", "2", "--flow", "0=1e200", "--dt", "1",
+                    "--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAX_BLOW_UPS))
+def test_lax_blow_up_exits_3(tmp_path, case):
+    # the step that overflows is refused by its finiteness check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "lax", *LAX_BLOW_UPS[case])
+    assert code == 3
+    assert diagnosis(out) == "BlowUpError"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_diagnostics_record_the_failure_context(tmp_path):
+    code, out = run(tmp_path / "darboux", "darboux", "--curve",
+                    "circle:n=16", "--lam", "40+70i")
+    assert code == 3
+    with open(out / "diagnostics.json") as f:
+        diag = json.load(f)
+    assert diag["lam"] == [40.0, 70.0]
+    assert not diag["deviation"] <= frames._MAX_DET_DEVIATION
+    code, out = run(tmp_path / "lax", "lax", *LAX_BLOW_UPS["overflow"])
+    assert code == 3
+    with open(out / "diagnostics.json") as f:
+        assert json.load(f)["step"] == 3
+
+
 def test_validation_exit_code(tmp_path):
     code, _ = run(tmp_path, "energies", "--curve", "circle:radius=1")
     assert code == 2

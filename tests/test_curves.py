@@ -40,6 +40,15 @@ def test_circle_rejects_degenerate_input():
         make_circle(-1.0, 64)
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_batch_curve_refuses_a_bad_seg_len(bad):
+    c = make_circle(1.0, 64)
+    samples = np.stack([c.samples, c.samples])
+    Curve(samples, np.array([c.seg_len, c.seg_len]), c.monodromy)
+    with pytest.raises(DegenerateInputError):
+        Curve(samples, np.array([c.seg_len, bad]), c.monodromy)
+
+
 def test_helix_frenet_data():
     c = make_helix(1.0, 1.0, 1.0, 512)
     d1 = deriv(c, 1)

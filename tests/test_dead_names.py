@@ -1,13 +1,22 @@
 """Every function, class and module constant of the package is used by
 the package itself: a name that only tests read belongs in tests/helpers.py.
 The re-exports of curveflow/__init__.py count as uses, since they are the
-public API."""
+public API, but only the paper's checks below may be read there alone."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "curveflow"
+INIT = PACKAGE / "__init__.py"
+
+# the checks of the paper's identities, which the package exports for the
+# tests to run and does not call itself
+PAPER_CHECKS = {
+    "directional_derivative_check", "finite_gap_residual", "from_curve",
+    "hyperbolic_family", "loop_cross", "monodromy_angle",
+    "recursion_residual", "torsion_shift_check",
+}
 
 
 def definitions(tree):
@@ -38,14 +47,29 @@ def uses(tree):
     return out
 
 
+def source_trees():
+    return {f: ast.parse(f.read_text(), str(f))
+            for f in sorted((ROOT / "src").rglob("*.py"))}
+
+
 def test_no_definition_goes_unused():
-    files = sorted((ROOT / "src").rglob("*.py"))
-    trees = {f: ast.parse(f.read_text(), str(f)) for f in files}
+    trees = source_trees()
     used = set().union(*(uses(t) for t in trees.values()))
     dead = sorted("%s.%s" % (f.stem, name)
                   for f in sorted(PACKAGE.glob("*.py"))
                   for name in definitions(trees[f]) - used)
     assert dead == []
+
+
+def test_only_the_paper_checks_are_read_through_init_alone():
+    # a re-export counts as a use above; a new name that only tests call
+    # must not pass by being re-exported
+    trees = source_trees()
+    defined = set().union(*(definitions(trees[f])
+                            for f in PACKAGE.glob("*.py")))
+    elsewhere = set().union(*(uses(t) for f, t in trees.items()
+                              if f != INIT))
+    assert (defined & uses(trees[INIT])) - elsewhere == PAPER_CHECKS
 
 
 def calls(tree):
