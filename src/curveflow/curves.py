@@ -73,7 +73,7 @@ class Curve:
                            np.ascontiguousarray(self.samples, dtype=float))
         if self.n < 8:
             raise DegenerateResolutionError("need at least 8 samples, got %d" % self.n)
-        # as cheap as one comparison on a float: RK4 makes a Curve per step
+        # as cheap as one comparison on a float: a flow makes many Curves
         if not all(0 < h < np.inf for h in np.ravel(self.seg_len).tolist()):
             raise DegenerateInputError("seg_len must be positive and finite")
 
@@ -112,61 +112,56 @@ def extend(values, monodromy, left, right, affine=False, translation=None,
 
     affine=True treats values as positions (full motion h applied, with
     `translation` for h's own if given); otherwise they are vector-field
-    values, extended by the rotation part only.  Into `out` if given.
+    values, extended by the rotation part only.  Into `out` if given, whose
+    middle the values may already be; they may overlap it no other way.
     """
     n = values.shape[-2]
     if left > n or right > n:
         raise ArgumentError("padding %d, %d exceeds sample count %d"
                             % (left, right, n))
-    head, tail = values[..., :right, :], values[..., n - left:, :]
     translation = monodromy.translation if translation is None else translation
     shift = translation if affine else 0.0
+    if out is None:
+        out = np.empty(values.shape[:-2] + (left + n + right, 3),
+                       np.result_type(values, shift))
+    mid = out[..., left:left + n, :]
+    if not np.may_share_memory(values, mid):
+        mid[...] = values
+    head, tail = mid[..., :right, :], mid[..., n - left:, :]
+    before, after = out[..., :left, :], out[..., left + n:, :]
     if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
         # qrotate by the identity returns v + 0 + 0
-        after = head + shift
-        before = tail - shift
-    elif affine:
-        after = monodromy.apply_vector(head) + shift
-        before = monodromy.apply_vector_inverse(tail - shift)
+        np.add(head, shift, out=after)
+        np.subtract(tail, shift, out=before)
     else:
-        after = monodromy.apply_vector(head)
-        before = monodromy.apply_vector_inverse(tail)
-    if out is None:
-        return np.concatenate([before, values, after], axis=-2)
-    out[..., :left, :], out[..., left + n:, :] = before, after
-    out[..., left:left + n, :] = values
+        np.add(monodromy.apply_vector(head), shift, out=after)
+        before[...] = monodromy.apply_vector_inverse(tail - shift)
     return out
 
 
-# 4th-order centered first derivative
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-# (offset, weight) of its nonzero taps
-_D1_TERMS = [(k, c) for k, c in enumerate(_D1) if c != 0.0]
-
-
 def central_d1(ext, h, out=None):
-    """4th-order centered first derivative at spacing h of samples padded
-    by two extended values on each side along axis -2, into `out` if given.
-    For a batch of B curves, h holds one spacing per curve, shape (B,)."""
-    n = ext.shape[-2] - 4
-    if out is None:
-        out = np.empty(ext.shape[:-2] + (n,) + ext.shape[-1:], dtype=ext.dtype)
-    out.fill(0.0)
-    for k, c in _D1_TERMS:
-        out += c * ext[..., k:k + n, :]
+    """4th-order centered first derivative (8 (e_3 - e_1) + e_0 - e_4) /
+    (12 h) at spacing h of samples padded by two extended values on each
+    side along axis -2, formed in `out` if given in five ufuncs.  For a
+    batch of B curves, h holds one spacing per curve, shape (B,)."""
+    out = np.subtract(ext[..., 3:-1, :], ext[..., 1:-3, :], out)
+    out *= 8.0
+    out += ext[..., :-4, :]
+    out -= ext[..., 4:, :]
     if getattr(h, "ndim", 0):
         h = h[:, None, None]
-    return np.divide(out, h, out=out)
+    # 12 h in the derivative's own precision
+    return np.divide(out, out.dtype.type(12.0) * h, out=out)
 
 
-def ddx(values, curve, affine=False):
-    """Arclength derivative of a sampled field along the curve.
+def ddx(values, curve):
+    """Arclength derivative of a sampled vector field along the curve.
 
     Centered 4th-order differences; stencils crossing the fundamental-domain
     boundary use monodromy-extended values.
     """
-    return central_d1(extend(np.asarray(values), curve.monodromy, 2, 2,
-                             affine=affine), curve.seg_len)
+    return central_d1(extend(np.asarray(values), curve.monodromy, 2, 2),
+                      curve.seg_len)
 
 
 def deriv(curve, order):
@@ -192,27 +187,30 @@ class Stencil:
     monodromy: d1 and ddx give the bits of deriv(curve, 1) and
     ddx(values, curve), in the stencil's dtype, `fields` holds
     symplectic_Y_list's Y_0 .. Y_kmax, and each call overwrites its
-    result."""
+    result.  Both write their input once, into one padded buffer."""
 
     def __init__(self, curve, kmax=0, dtype=None):
         self.seg_len, self.monodromy = curve.seg_len, curve.monodromy
         shape = curve.samples.shape
         self._ext = np.empty(shape[:-2] + (shape[-2] + 4, 3), dtype)
         self._d = np.empty(shape, dtype)
+        self._ones = np.ones((1, shape[-2]))
         self.fields = np.empty((kmax + 1,) + shape, dtype)
 
     def d1(self, samples):
         """gamma' of the positions shifted by their mean s (one per curve of
         a batch), under p -> h(p + s) - s: the stencil cancels less."""
-        # the bits of samples.mean(axis=-2, keepdims=True)
-        shift = np.add.reduce(samples, -2, keepdims=True) / samples.shape[-2]
+        # matmul takes the curves of a batch one by one through the kernel
+        # of one curve; a strided add.reduce takes 5x as long
+        shift = self._ones @ samples / samples.shape[-2]
         mono = self.monodromy
-        # matmul runs each stacked (3, 3) @ (3, 1) product through the
-        # matrix-vector kernel of rot @ shift for one curve
-        translation = (mono.translation - shift
-                       + (mono.matrix @ shift[..., None])[..., 0])
-        extend((samples - shift).astype(self._ext.dtype, copy=False), mono,
-               2, 2, affine=True, translation=translation, out=self._ext)
+        translation = mono.translation - shift + shift @ mono.matrix.T
+        mid = self._ext[..., 2:-2, :]
+        # along the samples: over (..., n, 3) numpy copies the shift n times
+        np.subtract(samples.swapaxes(-1, -2), shift.swapaxes(-1, -2),
+                    out=mid.swapaxes(-1, -2), order="C")
+        extend(mid, mono, 2, 2, affine=True, translation=translation,
+               out=self._ext)
         return central_d1(self._ext, self.seg_len, out=self.fields[0])
 
     def ddx(self, values):

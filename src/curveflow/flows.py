@@ -77,19 +77,25 @@ def _check_blow_up(samples, bound, step):
 def velocity(samples, stencil, coefficients):
     """Flow velocity field at the samples, differenced in a curves.Stencil."""
     ys = symplectic_Y_list(samples, max(coefficients), out=stencil)
-    out = np.zeros_like(samples)
+    out = np.zeros(samples.shape)
     for k, w in coefficients.items():
         out += w * ys[k]
     return out
 
 
 def rk4_step(v, x, dt):
-    """One classical RK4 step of x' = v(x)."""
+    """One classical RK4 step of x' = v(x), formed in place in the new
+    arrays that v returns: v must keep neither them nor its argument."""
     k1 = v(x)
-    k2 = v(x + 0.5 * dt * k1)
-    k3 = v(x + 0.5 * dt * k2)
-    k4 = v(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = np.multiply(0.5 * dt, k1)
+    k2 = v(np.add(x, y, out=y))
+    k3 = v(np.add(x, np.multiply(0.5 * dt, k2, out=y), out=y))
+    k4 = v(np.add(x, np.multiply(dt, k3, out=y), out=y))
+    k1 += np.multiply(2.0, k2, out=k2)
+    k1 += np.multiply(2.0, k3, out=k3)
+    k1 += k4
+    k1 *= dt / 6.0
+    return np.add(x, k1, out=k1)
 
 
 def _advance(samples, stencil, spec):
@@ -97,8 +103,9 @@ def _advance(samples, stencil, spec):
                     samples, spec.dt)
 
 
-def _guarded_steps(curve, spec):
-    """Yield (0, curve), then (i, curve) after each of the spec's steps.
+def _guarded_steps(curve, spec, every):
+    """Yield (0, curve), then (i, curve) after every `every`-th of the
+    spec's steps and after the last; only those steps build a Curve.
 
     The stability guard runs before anything is yielded; the blow-up check
     and the optional arclength resampling run after every step.
@@ -106,26 +113,24 @@ def _guarded_steps(curve, spec):
     _check_stability(curve, spec)
     bound = _BLOW_UP * np.abs(curve.samples).max()
     yield 0, curve
-    samples = curve.samples
     # the last resampled curve: it gives the steps after it their seg_len
-    base = curve
-    stencil = None
+    base, samples = curve, curve.samples
+    stencil = Stencil(base, max(spec.coefficients))
     for i in range(1, spec.steps + 1):
-        if stencil is None or stencil.seg_len != base.seg_len:
-            stencil = Stencil(base, max(spec.coefficients))
         samples = _advance(samples, stencil, spec)
         _check_blow_up(samples, bound, i)
-        current = base.with_samples(samples)
         if spec.resample_every and i % spec.resample_every == 0:
-            base = current = resample_arclength(samples, base.monodromy,
-                                                base.n)
-            samples = current.samples
-        yield i, current
+            base = resample_arclength(samples, base.monodromy, base.n)
+            samples = base.samples
+            stencil = Stencil(base, max(spec.coefficients))
+        if i % every == 0 or i == spec.steps:
+            yield i, (base if samples is base.samples
+                      else base.with_samples(samples))
 
 
 def step(curve, spec):
     """One RK4 step; optional arclength resampling afterward."""
-    steps = _guarded_steps(curve, spec)
+    steps = _guarded_steps(curve, spec, 1)
     next(steps)
     return next(steps)[1]
 
@@ -154,13 +159,12 @@ def evolve(curve, spec, axis=None):
         logs.extend(energy_reports(batch, axis=axis, near_torsion=near))
 
     try:
-        for i, current in _guarded_steps(curve, spec):
-            if i % log_every == 0 or i == spec.steps:
-                snapshots.append(current)
-                times.append(i * spec.dt)
-                pending.append(current)
-                if i == 0 or len(pending) == chunk:
-                    report()
+        for i, current in _guarded_steps(curve, spec, log_every):
+            snapshots.append(current)
+            times.append(i * spec.dt)
+            pending.append(current)
+            if i == 0 or len(pending) == chunk:
+                report()
     except Exception:
         if pending:
             report()

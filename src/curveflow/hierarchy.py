@@ -54,10 +54,10 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
     for k in range(kmax):
         cross(t, out.ddx(ys[k]), out=ys[k + 1])
         if k >= 1:
-            f = np.zeros(len(t), dtype=t.dtype)
+            f = np.zeros(t.shape[:-1], dtype=t.dtype)
             for i in range(1, k + 1):
                 f += dot(ys[i], ys[k - i + 1])
-            ys[k + 1] -= 0.5 * f[:, None] * t
+            ys[k + 1] -= 0.5 * f[..., None] * t
     return ys
 
 
@@ -76,7 +76,7 @@ def gradient_G(k, curve, axis=None):
             raise ArgumentError("k in {-2,-1} requires an axis vector")
         v = check_axis(curve, axis)
     if k == 0:
-        return np.zeros((curve.n, 3))
+        return np.zeros(curve.samples.shape)
     d1 = deriv(curve, 1)
     if k == -2:
         return cross(d1, cross(v, curve.samples))
@@ -89,7 +89,7 @@ def gradient_G(k, curve, axis=None):
     if k == 2:
         return -cross(d1, d3)
     k2 = dot(d2, d2)
-    return ddx(d3 + 1.5 * k2[:, None] * d1, curve)
+    return ddx(d3 + 1.5 * k2[..., None] * d1, curve)
 
 
 def gradient_from_Y(k, curve, dtype=None):

@@ -38,7 +38,9 @@ def _buffers(a, b, out, tmp):
     if out is None:
         shape = a.shape
         if b.shape != shape:
-            shape = np.broadcast_shapes(shape, b.shape)
+            pad = len(shape) - b.ndim   # np.broadcast_shapes takes 6 KB
+            shape = tuple(y if x == 1 else x for x, y in
+                          zip((1,) * -pad + shape, (1,) * pad + b.shape))
         out = np.empty_like(a, shape=shape, dtype=np.result_type(a, b))
     if tmp is None:
         tmp = np.empty_like(out[..., 0])

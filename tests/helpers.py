@@ -31,6 +31,12 @@ def rigid_register(moving, fixed):
     return (moving - mc) @ r.T + fc
 
 
+def same_bits(a, b):
+    """Equal arrays, down to the sign of each zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
 def is_identity(monodromy):
     """Whether the monodromy is the identity motion, to 1e-12."""
     return (abs(monodromy.rotation[0]) > 1.0 - 1e-12

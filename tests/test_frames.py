@@ -8,8 +8,9 @@ import numpy.testing as npt
 import pytest
 
 from curveflow import frames, qmath
-from curveflow.curves import (Curve, Monodromy, ddx, make_circle, make_helix,
-                              make_line, make_perturbed_circle, tangent)
+from curveflow.curves import (Curve, Monodromy, deriv, make_circle,
+                              make_helix, make_line, make_perturbed_circle,
+                              tangent)
 from curveflow.darboux import spectral_image_scan
 from curveflow.errors import (ArgumentError, FrameDeterminantError,
                               SingularSectorError)
@@ -720,4 +721,4 @@ def test_frame_monodromy_closes_sym_curve():
     sym = Curve(pts[:-1], h.seg_len,
                 Monodromy(frame.monodromy, sym_translation(frame)))
     want = qmath.qrotate(frame.F[:-1], tangent(h))
-    assert np.abs(ddx(sym.samples, sym, affine=True) - want).max() < 1e-6
+    assert np.abs(deriv(sym, 1) - want).max() < 1e-6

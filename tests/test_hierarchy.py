@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow.curves import (Monodromy, make_circle, make_helix,
+from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               make_perturbed_circle, resample_arclength)
 from curveflow import hierarchy
 from curveflow.errors import (ArgumentError, IllConditionedFitError,
@@ -12,6 +12,7 @@ from curveflow.errors import (ArgumentError, IllConditionedFitError,
 from curveflow.hierarchy import (check_axis, fit_multipliers, gradient_G,
                                  gradient_from_Y, recursion_residual,
                                  symplectic_Y_list)
+from helpers import random_equivariant_field, same_bits
 
 
 def test_gradients_match_cross_check():
@@ -21,6 +22,26 @@ def test_gradients_match_cross_check():
             a = gradient_G(k, curve)
             b = gradient_from_Y(k, curve)
             npt.assert_allclose(a, b, atol=1e-7)
+
+
+def test_a_batch_gets_each_curves_own_fields():
+    # two curves of one monodromy as one Curve: Y_0 .. Y_3 and the G_k of
+    # each are the bits of the curve alone
+    h = make_helix(1.0, 1.0, 1.0, 64)
+    curves = [h, h.with_samples(
+        h.samples + 1e-2 * random_equivariant_field(h, seed=1))]
+    batch = Curve(np.stack([c.samples for c in curves]),
+                  np.array([c.seg_len for c in curves]), h.monodromy)
+    axis = [0.0, 0.0, 1.0]
+    ys = symplectic_Y_list(batch, 3)
+    for i, c in enumerate(curves):
+        assert same_bits(ys[:, i], symplectic_Y_list(c, 3))
+        for k in range(4):
+            assert same_bits(gradient_from_Y(k, batch)[i],
+                             gradient_from_Y(k, c))
+        for k in range(-2, 4):
+            assert same_bits(gradient_G(k, batch, axis)[i],
+                             gradient_G(k, c, axis))
 
 
 def test_circle_low_order_relations():
