@@ -2,13 +2,13 @@
 
 Every run writes its artifacts into an output directory together with a
 manifest.json echoing the configuration, the package version, and a summary
-of the residuals the command produced.  Exit codes: 0 ok, 2 validation
-error (nothing written), 3 numerical failure (only a diagnostics.json).
+of the residuals the command produced, all through curveflow.artifacts.
+Exit codes: 0 ok, 2 validation error or an --out that cannot be written
+(nothing written), 3 numerical failure (only a diagnostics.json).
 """
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curves import (load_curve, make_circle, make_helix, make_line,
-                     make_perturbed_circle, export_polyline, save_curve)
-from .darboux import darboux_transform, scan_to_csv, spectral_image_scan
+from .artifacts import (load_curve, load_loop, save_curve, save_loop,
+                        write_document, write_table)
+from .curves import make_circle, make_helix, make_line, make_perturbed_circle
+from .darboux import darboux_transform, spectral_image_scan
 from .errors import (ArgumentError, NumericalError, SingularSectorError,
                      ValidationError)
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
@@ -27,8 +28,7 @@ from .frames import (gauss_bonnet_residual, hamiltonians_from_angle,
                      monodromy_angle_scan)
 from .functionals import energy, energy_report
 from .hierarchy import fit_multipliers
-from .loops import (LoopElement, lax_evolve, load_loop, save_loop,
-                    spectral_polynomial)
+from .loops import LoopElement, lax_evolve, spectral_polynomial
 
 _CURVE_KEYS = {
     "circle": {"r", "n"},
@@ -38,7 +38,7 @@ _CURVE_KEYS = {
 }
 
 
-def parse_curve(spec, seed=0):
+def parse_curve(spec):
     """Builtin spec like 'circle:r=1,n=256' or a path to a curve JSON file."""
     if ":" not in spec or os.path.exists(spec):
         try:
@@ -80,7 +80,7 @@ def parse_curve(spec, seed=0):
                                      int(params.get("n", 256)),
                                      num("amplitude", 0.05),
                                      modes=modes,
-                                     seed=int(params.get("seed", seed)))
+                                     seed=int(params.get("seed", 0)))
     except ValueError as e:
         raise ArgumentError("bad curve parameter value: %s" % e)
 
@@ -121,14 +121,14 @@ def artifact(args, name):
 
 def write_manifest(args, summary):
     config = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = {"version": __version__, "config": config, "summary": summary}
-    with open(artifact(args, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True, default=str)
+    write_document(artifact(args, "manifest.json"),
+                   {"version": __version__, "config": config,
+                    "summary": summary})
 
 
 def _run_flow(args, **options):
     """Evolve --curve under --flow: (trajectory, {k: max drift of E_k})."""
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     axis = parse_axis(args.axis) if args.axis else None
     spec = FlowSpec(parse_weights(args.flow), args.dt, args.steps, **options)
     traj = evolve(curve, spec, axis=axis)
@@ -145,27 +145,27 @@ def cmd_flow(args):
 
 
 def cmd_energies(args):
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     axis = parse_axis(args.axis) if args.axis else None
     rep = energy_report(curve, axis=axis)
-    with open(artifact(args, "energies.csv"), "w") as f:
-        f.write("k,value,axis,torsion_branch\n")
-        f.write(rep.csv_rows())
+    # the axis is one cell, its components separated by spaces
+    ax = None if rep.axis is None else " ".join("%.17g" % c for c in rep.axis)
+    write_table(artifact(args, "energies.csv"), "k,value,axis,torsion_branch",
+                ([k, rep.values[k], ax, rep.torsion_branch]
+                 for k in sorted(rep.values)))
     return {"values": {"E_%d" % k: v for k, v in rep.values.items()}}
 
 
 def cmd_conserve(args):
     _, drifts = _run_flow(args)
-    with open(artifact(args, "drifts.csv"), "w") as f:
-        f.write("k,max_relative_drift\n")
-        for k in sorted(drifts):
-            f.write("%d,%.17g\n" % (k, drifts[k]))
+    write_table(artifact(args, "drifts.csv"), "k,max_relative_drift",
+                sorted(drifts.items()))
     return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
             "worst": max(drifts.values())}
 
 
 def cmd_commute(args):
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     try:
         pairs = [(int(i), int(j)) for i, j in
                  (item.split(",") for item in args.pairs.split(";"))]
@@ -180,17 +180,15 @@ def cmd_commute(args):
         if not d2 > 0:
             raise NumericalError("pair %d,%d: no defect at dt/2" % (i, j))
         rows.append((i, j, d1, d2, d1 / d2))
-    with open(artifact(args, "defects.csv"), "w") as f:
-        f.write("i,j,defect_dt,defect_half_dt,factor\n")
-        for r in rows:
-            f.write("%d,%d,%.17g,%.17g,%.17g\n" % r)
+    write_table(artifact(args, "defects.csv"),
+                "i,j,defect_dt,defect_half_dt,factor", rows)
     return {"factors": {"%d,%d" % (i, j): fac for i, j, _, _, fac in rows}}
 
 
 def cmd_lax(args):
     if args.loop:
         try:
-            xi = load_loop(args.loop)
+            xi = LoopElement(load_loop(args.loop))
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise ArgumentError("cannot read loop file %r: %s" % (args.loop, e))
     elif args.degree < 0:
@@ -202,11 +200,9 @@ def cmd_lax(args):
     snaps = lax_evolve(xi, weights, args.dt, args.steps)
     p0 = spectral_polynomial(snaps[0])
     drifts = [np.abs(spectral_polynomial(s) - p0).max() for s in snaps]
-    save_loop(snaps[-1], artifact(args, "final_loop.json"))
-    with open(artifact(args, "spectral_drift.csv"), "w") as f:
-        f.write("snapshot,max_coefficient_drift\n")
-        for i, d in enumerate(drifts):
-            f.write("%d,%.17g\n" % (i, d))
+    save_loop(snaps[-1].coeffs, artifact(args, "final_loop.json"))
+    write_table(artifact(args, "spectral_drift.csv"),
+                "snapshot,max_coefficient_drift", enumerate(drifts))
     return {"max_spectral_drift": max(drifts)}
 
 
@@ -214,7 +210,7 @@ def cmd_angle_scan(args):
     if not (0.0 < args.lmin <= args.lmax < np.inf and args.count >= 1
             and args.fit >= 0):
         raise ArgumentError("need 0 < lmin <= lmax, count >= 1 and fit >= 0")
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     grid = np.geomspace(args.lmin, args.lmax, args.count)
     summary = {}
     # the contour does not read the scan, and refuses a bad kmax before it
@@ -223,17 +219,18 @@ def cmd_angle_scan(args):
         summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
     scan = monodromy_angle_scan(curve, grid)
     e1, e2 = energy(1, curve), energy(2, curve)
-    with open(artifact(args, "angles.csv"), "w") as f:
-        f.write("lambda,theta,axis_x,axis_y,axis_z,area,gauss_bonnet_residual\n")
-        for m in scan:
-            try:
-                tail = "%.17g,%.17g" % (m.area,
-                                        gauss_bonnet_residual(m, e1, e2))
-            except SingularSectorError:
-                tail = ","
-            # no axis at a +-identity monodromy: blank cells, like the area
-            ax = ",," if m.axis is None else "%.17g,%.17g,%.17g" % tuple(m.axis)
-            f.write("%.17g,%.17g,%s,%s\n" % (m.lam, m.theta, ax, tail))
+    rows = []
+    for m in scan:
+        try:
+            tail = [m.area, gauss_bonnet_residual(m, e1, e2)]
+        except SingularSectorError:
+            tail = [None, None]
+        # no axis at a +-identity monodromy: blank cells, like the area
+        ax = [None] * 3 if m.axis is None else list(m.axis)
+        rows.append([m.lam, m.theta] + ax + tail)
+    write_table(artifact(args, "angles.csv"),
+                "lambda,theta,axis_x,axis_y,axis_z,area,"
+                "gauss_bonnet_residual", rows)
     return summary
 
 
@@ -250,17 +247,21 @@ def _parse_grid(text):
 
 
 def cmd_spectral_scan(args):
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     res = _parse_grid(args.re)
     ims = _parse_grid(args.im)
     rows = spectral_image_scan(curve, res, ims)
-    scan_to_csv(rows, artifact(args, "spectral_scan.csv"))
+    write_table(artifact(args, "spectral_scan.csv"),
+                "re_lambda,im_lambda,sheet,Sx,Sy,Sz,discriminant,flag",
+                ([r["re"], r["im"], sheet, *s, r["discriminant"],
+                  r["parabolic"]] for r in rows
+                 for sheet, s in enumerate((r["S_plus"], r["S_minus"]))))
     flagged = sum(int(r["parabolic"]) for r in rows)
     return {"samples": len(rows), "branch_points_flagged": flagged}
 
 
 def cmd_darboux(args):
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     try:
         lam = complex(args.lam.replace("i", "j"))
     except ValueError:
@@ -280,21 +281,20 @@ def cmd_darboux(args):
         }
     # written only once both transforms succeeded, so a failure leaves none
     for tag, result in results.items():
-        export_polyline(result.raw_points, artifact(args, "eta_%s.csv" % tag))
+        write_table(artifact(args, "eta_%s.csv" % tag), "x,y,z",
+                    result.raw_points)
         save_curve(result.curve, artifact(args, "eta_%s.json" % tag))
-    with open(artifact(args, "darboux.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+    write_document(artifact(args, "darboux.json"), meta)
     return meta
 
 
 def cmd_criticality(args):
-    curve = parse_curve(args.curve, seed=args.seed)
+    curve = parse_curve(args.curve)
     fit = fit_multipliers(curve, args.k)
     summary = {"multipliers": [float(c) for c in fit.coefficients],
                "axis_term": [float(c) for c in fit.axis_term],
                "residual": fit.residual}
-    with open(artifact(args, "criticality.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    write_document(artifact(args, "criticality.json"), summary)
     return summary
 
 
@@ -323,7 +323,6 @@ def build_parser():
             p.add_argument("--curve", required=True, help="builtin spec "
                            "(e.g. circle:r=1,n=256) or JSON path")
         p.add_argument("--out", default=os.path.join("runs", name))
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
         return p
 
@@ -356,6 +355,7 @@ def build_parser():
     p.add_argument("--flow", default="0", help="V_k weights")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0, help="random loop seed")
 
     p = command("angle-scan", cmd_angle_scan,
                 "monodromy angle over a lambda grid")
@@ -384,20 +384,22 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        write_manifest(args, args.func(args))
-        return 0
+        try:
+            write_manifest(args, args.func(args))
+            return 0
+        except NumericalError as e:
+            write_document(artifact(args, "diagnostics.json"),
+                           {"error": type(e).__name__, "message": str(e),
+                            **e.context})
+            print("numerical failure: %s" % e, file=sys.stderr)
+            return 3
     except ValidationError as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        # the error's context, a complex lambda as [re, im] as darboux.json
-        # writes it
-        with open(artifact(args, "diagnostics.json"), "w") as f:
-            json.dump({"error": type(e).__name__, "message": str(e),
-                       **e.context}, f, indent=2,
-                      default=lambda z: [z.real, z.imag])
-        print("numerical failure: %s" % e, file=sys.stderr)
-        return 3
+    except OSError as e:
+        # input files are read under ArgumentError, so this is --out
+        print("error: cannot write to --out %r: %s" % (args.out, e),
+              file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ motion, vector fields by the rotation part only.
 from dataclasses import dataclass
 from functools import cached_property
 
-import json
 import numpy as np
 
 from . import qmath
@@ -591,48 +590,3 @@ def _torsion_integral(curve):
     tau[mask] = det[mask] / k2[mask]
     return curve.seg_len * tau.sum(axis=-1)
 
-
-def curve_to_dict(curve):
-    return {
-        "samples": curve.samples.tolist(),
-        "seg_len": curve.seg_len,
-        "monodromy": {
-            "rotation": curve.monodromy.rotation.tolist(),
-            "translation": curve.monodromy.translation.tolist(),
-        },
-        # the basepoint is sample 0; the key keeps the file layout
-        "basepoint_index": 0,
-    }
-
-
-def curve_from_dict(data):
-    """Inverse of curve_to_dict; rejects misshapen or non-finite data.
-    The basepoint_index entry is accepted and not read."""
-    rotation = np.array(data["monodromy"]["rotation"], dtype=float)
-    translation = np.array(data["monodromy"]["translation"], dtype=float)
-    samples = np.array(data["samples"], dtype=float)
-    seg_len = float(data["seg_len"])
-    if (rotation.shape != (4,) or translation.shape != (3,)
-            or samples.ndim != 2 or samples.shape[1] != 3):
-        raise DegenerateInputError("curve data has the wrong shape")
-    if not (np.isfinite(samples).all() and np.isfinite(translation).all()
-            and np.isfinite(seg_len)):
-        raise DegenerateInputError("curve data is not finite")
-    return Curve(samples, seg_len, Monodromy(rotation, translation))
-
-
-def save_curve(curve, path):
-    # json.dumps runs the C encoder; json.dump writes the same bytes
-    # through the pure-Python one
-    with open(path, "w") as f:
-        f.write(json.dumps(curve_to_dict(curve)))
-
-
-def load_curve(path):
-    with open(path) as f:
-        return curve_from_dict(json.load(f))
-
-
-def export_polyline(points, path):
-    """Plain-text polyline, one 'x y z' triple per line."""
-    np.savetxt(path, np.asarray(points), fmt="%.17g")

@@ -202,12 +202,3 @@ def spectral_image_scan(curve, re_values, im_values):
         prev_row = this_row
     return rows
 
-
-def scan_to_csv(rows, path):
-    with open(path, "w") as f:
-        f.write("re_lambda,im_lambda,sheet,Sx,Sy,Sz,discriminant,flag\n")
-        for r in rows:
-            for sheet, s in ((0, r["S_plus"]), (1, r["S_minus"])):
-                f.write("%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g,%d\n"
-                        % (r["re"], r["im"], sheet, s[0], s[1], s[2],
-                           r["discriminant"], int(r["parabolic"])))

@@ -8,13 +8,13 @@ any work is done, and a run whose samples leave a bound relative to the
 starting extent of the curve is stopped as blown up.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Stencil, resample_arclength, save_curve
+from .artifacts import save_curve, write_table
+from .curves import Stencil, resample_arclength
 from .errors import ArgumentError, BlowUpError, RangeError, StabilityError
 from .functionals import energy_reports
 from .hierarchy import symplectic_Y_list
@@ -128,13 +128,6 @@ def _guarded_steps(curve, spec, every):
                       else base.with_samples(samples))
 
 
-def step(curve, spec):
-    """One RK4 step; optional arclength resampling afterward."""
-    steps = _guarded_steps(curve, spec, 1)
-    next(steps)
-    return next(steps)[1]
-
-
 def evolve(curve, spec, axis=None):
     """Run the flow, logging energies at a bounded cadence.
 
@@ -208,8 +201,7 @@ def export_trajectory(trajectory, outdir):
     for i, snap in enumerate(trajectory.snapshots):
         save_curve(snap, os.path.join(outdir, "curve_%04d.json" % i))
     ks = sorted(trajectory.energy_log[0].values)
-    with open(os.path.join(outdir, "energies.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t"] + ["E_%d" % k for k in ks])
-        for t, rep in zip(trajectory.time_grid, trajectory.energy_log):
-            w.writerow(["%.17g" % t] + ["%.17g" % rep.values[k] for k in ks])
+    write_table(os.path.join(outdir, "energies.csv"),
+                ",".join(["t"] + ["E_%d" % k for k in ks]),
+                ([t] + [rep.values[k] for k in ks] for t, rep in
+                 zip(trajectory.time_grid, trajectory.energy_log)))

@@ -10,7 +10,6 @@ using the winding hint from the parallel frame, optionally snapped to a
 caller-supplied nearby value so trajectories never jump branches.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +90,6 @@ class EnergyReport:
     values: dict
     axis: np.ndarray = None
     torsion_branch: int = 0
-
-    def csv_rows(self):
-        out = io.StringIO()
-        ax = "" if self.axis is None else " ".join("%.17g" % c for c in self.axis)
-        for k in sorted(self.values):
-            out.write("%d,%.17g,%s,%d\n" % (k, self.values[k], ax,
-                                            self.torsion_branch))
-        return out.getvalue()
 
 
 def energy_report(curve, axis=None):

@@ -10,7 +10,6 @@ Elements are Laurent polynomials xi = sum_{k=0}^{d} xi_k lambda^{-k} with
 product equals -xi x (lambda^{k+1} xi)_-.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,35 +36,6 @@ class LoopElement:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    @property
-    def is_real(self):
-        return not np.iscomplexobj(self.coeffs)
-
-    def to_dict(self):
-        if self.is_real:
-            coeffs = self.coeffs.tolist()
-        else:
-            coeffs = [[[z.real, z.imag] for z in row] for row in self.coeffs]
-        return {"degree": self.degree, "coeffs": coeffs, "real": self.is_real}
-
-    @classmethod
-    def from_dict(cls, data):
-        raw = data["coeffs"]
-        if data.get("real", True):
-            return cls(np.array(raw, dtype=float))
-        arr = np.array([[complex(re, im) for re, im in row] for row in raw])
-        return cls(arr)
-
-
-def save_loop(xi, path):
-    with open(path, "w") as f:
-        json.dump(xi.to_dict(), f)
-
-
-def load_loop(path):
-    with open(path) as f:
-        return LoopElement.from_dict(json.load(f))
 
 
 def loop_cross(a, b):
@@ -141,9 +111,6 @@ class CurveLoopField:
     @property
     def degree(self):
         return self.coeffs.shape[1] - 1
-
-    def at(self, i):
-        return LoopElement(self.coeffs[i])
 
 
 def from_curve(curve, d, c):

@@ -5,6 +5,7 @@ import numpy as np
 from curveflow import qmath
 from curveflow.curves import (Curve, Monodromy, central_d1, deriv,
                               parallel_normal_frame, tangent)
+from curveflow.flows import _guarded_steps
 from curveflow.frames import sym_curve
 from curveflow.hierarchy import check_axis
 
@@ -168,3 +169,10 @@ def poincare_embed(family):
     curve = family.frame.curve
     return (curve.samples[0]
             + (1.0 / family.lam.imag) * u / (1.0 + w)[:, None])
+
+
+def step(curve, spec):
+    """One RK4 step; optional arclength resampling afterward."""
+    steps = _guarded_steps(curve, spec, 1)
+    next(steps)
+    return next(steps)[1]

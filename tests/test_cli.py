@@ -14,7 +14,8 @@ import pytest
 import curveflow
 from curveflow import cli, darboux, frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
-from curveflow.curves import curve_to_dict, make_circle
+from curveflow.artifacts import save_curve
+from curveflow.curves import make_circle
 from curveflow.errors import ArgumentError
 from curveflow.functionals import energy
 
@@ -317,10 +318,11 @@ def test_criticality_command(tmp_path):
 
 
 def diagnosis(out):
-    """The error name of a run that wrote only diagnostics.json."""
+    """The error name of a run that wrote only diagnostics.json, which must
+    be strict JSON."""
     assert os.listdir(out) == ["diagnostics.json"]
     with open(out / "diagnostics.json") as f:
-        return json.load(f)["error"]
+        return json.load(f, parse_constant=reject_constant)["error"]
 
 
 @pytest.mark.parametrize("r", ["1e-3", "1", "1e3"])
@@ -339,13 +341,17 @@ def test_criticality_refuses_round_off(tmp_path, r):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectral-scan", "--re", "40:41:1", "--im", "70:71:1"],
-    ["darboux", "--lam", "40+70i"]], ids=["spectral-scan", "darboux"])
+    ["spectral-scan", "--curve", "circle:n=16", "--re", "40:41:1",
+     "--im", "70:71:1"],
+    ["darboux", "--curve", "circle:n=16", "--lam", "40+70i"],
+    # det F overflows to nan, which diagnostics.json writes as null
+    ["darboux", "--curve", "helix:a=1,b=1,n=256", "--lam", "1+200i"]],
+    ids=["spectral-scan", "darboux", "darboux-nan"])
 def test_lost_frame_exits_3(tmp_path, argv):
     # the frame grows like exp(|Im lambda| L / 2) until det F is lost
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out = run(tmp_path, *argv, "--curve", "circle:n=16")
+        code, out = run(tmp_path, *argv)
     assert code == 3
     assert diagnosis(out) == "FrameDeterminantError"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -426,21 +432,28 @@ def curve_file(tmp_path, text):
     return str(path)
 
 
+def circle_data(tmp_path, n):
+    """The saved circle of n samples, as the dict its JSON reads as."""
+    path = tmp_path / "circle.json"
+    save_curve(make_circle(1.0, n), path)
+    return json.loads(path.read_text())
+
+
 def zero_rotation_curve(tmp_path):
-    data = curve_to_dict(make_circle(1.0, 16))
+    data = circle_data(tmp_path, 16)
     data["monodromy"]["rotation"] = [0.0, 0.0, 0.0, 0.0]
     return curve_file(tmp_path, json.dumps(data))
 
 
 def nan_sample_curve(tmp_path):
-    data = curve_to_dict(make_circle(1.0, 16))
+    data = circle_data(tmp_path, 16)
     data["samples"][3][0] = float("nan")
     return curve_file(tmp_path, json.dumps(data))
 
 
 def collapsed_curve(tmp_path):
     # circle:n=64 with its samples scaled by 1e-300 and seg_len unchanged
-    data = curve_to_dict(make_circle(1.0, 64))
+    data = circle_data(tmp_path, 64)
     data["samples"] = (1e-300 * np.array(data["samples"])).tolist()
     return curve_file(tmp_path, json.dumps(data))
 
@@ -459,7 +472,7 @@ BAD_INPUTS = {
     "missing-file": lambda p: ["energies", "--curve",
                                str(p / "missing.json")],
     "truncated-file": lambda p: ["energies", "--curve", curve_file(
-        p, json.dumps(curve_to_dict(make_circle(1.0, 16)))[:100])],
+        p, json.dumps(circle_data(p, 16))[:100])],
     "zero-rotation": lambda p: ["energies", "--curve",
                                 zero_rotation_curve(p)],
     "nan-sample": lambda p: ["energies", "--curve", nan_sample_curve(p)],
@@ -563,6 +576,68 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists() or os.listdir(out) == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["energies", "--curve", "circle:n=64"],
+    # a numerical failure whose diagnostics.json cannot be written
+    ["darboux", "--curve", "circle:n=16", "--lam", "40+70i"]],
+    ids=["energies", "lost-frame"])
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "sub"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write to --out" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+def every_command(tmp_path):
+    """(exit code, argv) of runs of all nine commands, two failures that
+    write diagnostics.json, and a run that reads a written curve."""
+    pc = "perturbed-circle:n=32,amplitude=0.05,modes=2+3,seed=1"
+    flow = ["--flow", "1", "--dt", "1e-4", "--steps", "4"]
+    return [
+        (0, ["flow", "--curve", pc, *flow, "--axis", "0,0,1",
+             "--resample-every", "2"]),
+        (0, ["energies", "--curve", "helix:a=1,b=1,n=32", "--axis", "0,0,1"]),
+        (0, ["conserve", "--curve", pc, *flow]),
+        (0, ["commute", "--curve", pc, "--pairs", "1,2"]),
+        (0, ["lax", "--degree", "2", "--steps", "10", "--seed", "2"]),
+        (3, ["lax", *LAX_BLOW_UPS["overflow"]]),
+        (0, ["angle-scan", "--curve", "line:length=6.283185307179586,n=32",
+             "--lmin", "1", "--lmax", "2", "--count", "2", "--fit", "3"]),
+        (0, ["spectral-scan", "--curve", "helix:a=1,b=1,n=32",
+             "--re", "0.5:2:3", "--im", "0.1:1:2"]),
+        (0, ["darboux", "--curve", "helix:a=1,b=1,n=32", "--lam", "1+1i"]),
+        (3, ["darboux", "--curve", "helix:a=1,b=1,n=256", "--lam", "1+200i"]),
+        (0, ["energies", "--curve",
+             str(tmp_path / "8" / "out" / "eta_plus.json")]),
+        (0, ["criticality", "--curve", "circle:n=32", "--k", "2"]),
+    ]
+
+
+def test_every_artifact_is_well_formed(tmp_path):
+    # one CSV dialect (LF line ends, one width per table) and strict JSON,
+    # whichever command wrote the file
+    for i, (want, argv) in enumerate(every_command(tmp_path)):
+        code, out = run(tmp_path / str(i), *argv)
+        assert code == want, argv
+        for path in out.iterdir():
+            text = path.read_bytes()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=reject_constant)
+                continue
+            assert b"\r" not in text and text.endswith(b"\n"), path
+            rows = [line.split(b",") for line in text.splitlines()]
+            assert {len(row) for row in rows} == {len(rows[0])}, path
+            if path.name == "spectral_scan.csv":
+                # one row per sheet of each sample
+                assert len(rows) == 1 + 2 * manifest(out)["summary"][
+                    "samples"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -10,13 +10,13 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from curveflow import qmath
+from curveflow.artifacts import load_curve, save_curve
 from curveflow.curves import (Curve, Monodromy, Stencil, _not_a_knot_slopes,
                               _Spline, _spline_through, arclength_deviation,
-                              curve_to_dict, ddx, deriv, extend, load_curve,
-                              make_circle, make_helix, make_line,
-                              make_perturbed_circle, measured_length,
-                              parallel_normal_frame, resample_arclength,
-                              save_curve, tangent)
+                              ddx, deriv, extend, make_circle, make_helix,
+                              make_line, make_perturbed_circle,
+                              measured_length, parallel_normal_frame,
+                              resample_arclength, tangent)
 from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
 from helpers import (complex_curvature, is_identity, random_equivariant_field,
@@ -280,7 +280,11 @@ def test_save_curve_writes_json_dump_bytes(tmp_path, curve):
     path = tmp_path / "c.json"
     save_curve(curve, path)
     oracle = io.StringIO()
-    json.dump(curve_to_dict(curve), oracle)
+    json.dump({"samples": curve.samples.tolist(), "seg_len": curve.seg_len,
+               "monodromy": {
+                   "rotation": curve.monodromy.rotation.tolist(),
+                   "translation": curve.monodromy.translation.tolist()},
+               "basepoint_index": 0}, oracle)
     assert path.read_text() == oracle.getvalue()
 
 

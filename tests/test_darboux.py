@@ -7,8 +7,7 @@ import pytest
 from curveflow.curves import (make_circle, make_helix, make_line,
                               make_perturbed_circle, tangent)
 from curveflow.darboux import (darboux_transform, fixed_points,
-                               hyperbolic_family, scan_to_csv,
-                               spectral_image_scan)
+                               hyperbolic_family, spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
 from curveflow.frames import integrate_frame, monodromy_angle
 from curveflow.functionals import energy
@@ -136,7 +135,7 @@ def test_branch_point_detection():
         darboux_transform(c, 2.0)
 
 
-def test_spectral_image_scan(tmp_path):
+def test_spectral_image_scan():
     c = make_circle(1.0, 256)
     re = np.linspace(0.5, 2.0, 8)
     im = np.linspace(0.1, 1.0, 8)
@@ -144,9 +143,6 @@ def test_spectral_image_scan(tmp_path):
     assert len(rows) == 64
     assert not any(r["parabolic"] for r in rows)
     assert min(r["discriminant"] for r in rows) > 0.1
-    path = tmp_path / "scan.csv"
-    scan_to_csv(rows, path)
-    assert len(path.read_text().splitlines()) == 1 + 2 * len(rows)
 
 
 def test_scan_sheets_continuous():

@@ -20,11 +20,19 @@ PAPER_CHECKS = {
 
 
 def definitions(tree):
-    """Names of the module's functions and classes (nested too, dunder
-    methods excepted) and of its module-level assignments."""
-    names = {node.name for node in ast.walk(tree)
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-             and not node.name.startswith("__")}
+    """Names of the module's functions and classes, of their methods
+    (dunder methods excepted) and of its module-level assignments.  A def
+    inside a function is a local name, like its other assignments."""
+    names = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                    and not child.name.startswith("__")):
+                names.add(child.name)
+            if isinstance(child, ast.ClassDef):
+                visit(child)
+    visit(tree)
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
@@ -34,16 +42,66 @@ def definitions(tree):
     return names
 
 
+def parameters(func):
+    a = func.args
+    return [p for p in a.posonlyargs + a.args + a.kwonlyargs
+            + [a.vararg, a.kwarg] if p is not None]
+
+
+def body(func):
+    """The statements of a def, or the expression of a lambda, as a list."""
+    return func.body if isinstance(func, ast.FunctionDef) else [func.body]
+
+
+def local_names(func):
+    """Names bound in the function itself: its parameters, its assignment
+    targets and its nested defs and classes."""
+    names = {p.arg for p in parameters(func)}
+    todo = list(body(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def uses(tree):
-    """Names the module reads, by name, attribute or import."""
+    """Names the module reads, by name, attribute or import.  A name loaded
+    where an enclosing function binds it reads that local, not the
+    module's definition."""
     out = set()
-    for node in ast.walk(tree):
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            # decorators, defaults and annotations are evaluated outside
+            # the function
+            outside = (node.args.defaults + node.args.kw_defaults
+                       + [p.annotation for p in parameters(node)]
+                       + [getattr(node, "returns", None)]
+                       + getattr(node, "decorator_list", []))
+            for child in outside:
+                if child is not None:
+                    visit(child, local)
+            inner = local | local_names(node)
+            for child in body(node):
+                visit(child, inner)
+            return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            if node.id not in local:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+    visit(tree, frozenset())
     return out
 
 
@@ -138,3 +196,18 @@ def test_no_parameter_goes_unset():
                        ast.parse(f.read_text(), str(f)))
                    if not is_set(name, param, position))
     assert unset == []
+
+
+def test_no_nested_def_goes_unused():
+    # uses() reads a def inside a function as a local name, so it is
+    # checked here: the function that holds it must read it
+    unread = sorted(
+        "%s.%s.%s" % (f.stem, func.name, inner.name)
+        for f, tree in source_trees().items()
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for inner in ast.walk(func)
+        if isinstance(inner, ast.FunctionDef) and inner is not func
+        and inner.name not in {n.id for n in ast.walk(func)
+                               if isinstance(n, ast.Name)
+                               and isinstance(n.ctx, ast.Load)})
+    assert unread == []

@@ -105,7 +105,6 @@ def test_energy_report_keys():
     assert sorted(rep.values) == list(range(0, 7))
     rep = energy_report(c, axis=EZ)
     assert sorted(rep.values) == list(range(-2, 7))
-    assert rep.csv_rows().count("\n") == 9
 
 
 def test_energy_range_and_axis_errors():
