@@ -14,6 +14,8 @@ stereographic chart pi(p) = u/(1 + w) onto the Poincare ball, and for real
 lambda it reduces to +- the monodromy rotation axis.  Darboux transforms are
 eta+- = gamma + (2 Im lambda/|lambda|^2) S+-, the offset that keeps eta
 arclength parametrized under the frame convention F' = F (lambda/2) T.
+fixed_points solves a stack of monodromies F[-1] A, such as a whole
+spectral grid's, with one eig.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, arclength_deviation, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import integrate_frame, integrate_frames
+from .frames import integrate_frame, integrate_frames, modulus
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
@@ -71,39 +73,43 @@ def _ideal_point(psi):
 
 @dataclass(frozen=True)
 class IdealFixedPoints:
-    S_plus: np.ndarray
+    S_plus: np.ndarray       # (..., 3) over the monodromies' leading shape
     S_minus: np.ndarray
-    eigenvalues: np.ndarray
-    discriminant: float
-    parabolic: bool
+    eigenvalues: np.ndarray  # (..., 2)
+    discriminant: np.ndarray
+    parabolic: np.ndarray
 
 
-def fixed_points(frame):
-    """Ideal fixed points on the 2-sphere of the monodromy of an integrated
-    frame.
+def fixed_points(monodromy):
+    """Ideal fixed points on the 2-sphere of monodromy quaternions F[-1] A
+    of shape (..., 4), from one eig over the stack.
 
     Ordered by eigenvalue modulus (|mu+| >= |mu-|), ties broken by the
     lexicographically larger S; near-parabolic monodromies are flagged and
     both outputs collapse to the single eigenline image.
     """
-    m = qmath.as_matrix(frame.monodromy)
+    m = qmath.as_matrix(monodromy)
     mu, vecs = np.linalg.eig(m)
-    disc = abs(np.trace(m) ** 2 - 4.0)
-    s0 = _ideal_point(vecs[:, 0])
-    s1 = _ideal_point(vecs[:, 1])
-    gap = np.linalg.norm(s0 - s1)
+    # numpy's scalar complex square: the array one rounds differently
+    disc = np.array([abs(t ** 2 - 4.0) for t in np.ravel(
+        m[..., 0, 0] + m[..., 1, 1])]).reshape(mu.shape[:-1])
+    s0, s1 = np.moveaxis(_ideal_point(vecs.swapaxes(-1, -2)), -2, 0)
     # a collapsing eigenline gap catches shear-type degenerations; the
     # discriminant catches +-identity monodromies, where the numerical
     # eigenvectors are arbitrary but the eigenvalues still collide
-    if gap < _GAP_TOL or disc < _GAP_TOL:
-        return IdealFixedPoints(s0, s0, mu, disc, True)
-    if abs(abs(mu[0]) - abs(mu[1])) < 1e-12:
-        order = 0 if tuple(s0) >= tuple(s1) else 1
-    else:
-        order = 0 if abs(mu[0]) >= abs(mu[1]) else 1
-    if order == 0:
-        return IdealFixedPoints(s0, s1, mu, disc, False)
-    return IdealFixedPoints(s1, s0, mu[::-1], disc, False)
+    parabolic = ((np.linalg.norm(s0 - s1, axis=-1) < _GAP_TOL)
+                 | (disc < _GAP_TOL))
+    a0, a1 = np.moveaxis(np.abs(mu), -1, 0)
+    # tuple(s0) >= tuple(s1): decided at the first component that differs
+    k = np.argmax(s0 != s1, axis=-1)[..., None]
+    lex = np.take_along_axis(s0 >= s1, k, axis=-1)[..., 0]
+    # eigenvalue 0 first, and so when parabolic
+    first = (np.where(abs(a0 - a1) < 1e-12, lex, a0 >= a1)
+             | parabolic)[..., None]
+    return IdealFixedPoints(np.where(first, s0, s1),
+                            np.where(first & ~parabolic[..., None], s1, s0),
+                            np.where(first, mu, mu[..., ::-1]), disc,
+                            parabolic)
 
 
 def _eigenline_field(m, mu):
@@ -150,14 +156,14 @@ def darboux_transform(curve, lam):
         raise ArgumentError("Darboux transform requires nonreal lambda")
     # |lambda|^2 is not formed: it underflows long before the offset
     # overflows
-    dist = 2.0 * (lam.imag / abs(lam)) / abs(lam)
+    dist = 2.0 * (lam.imag / modulus(lam)) / modulus(lam)
     if not np.finfo(float).eps * abs(dist) <= (_MAX_OFFSET_ROUNDING
                                                 * curve.seg_len):
         raise ArgumentError(
             "the Darboux offset 2 Im lambda / |lambda|^2 = %.3g is too large "
             "for seg_len = %.3g: lambda is too small" % (dist, curve.seg_len))
     frame = integrate_frame(curve, lam)
-    fp = fixed_points(frame)
+    fp = fixed_points(frame.monodromy)
     if fp.parabolic:
         raise BranchPointError("parabolic monodromy; eigenlines collide")
     # the conjugation cancels entries of size exp(|Im theta|/2); extended
@@ -176,29 +182,35 @@ def darboux_transform(curve, lam):
 
 
 def spectral_image_scan(curve, re_values, im_values):
-    """Sheet samples (lambda, S+, S-) over a complex grid with continuity
-    matching along each row; returns a list of row dicts."""
-    rows = []
-    prev_row = {}
-    for im in im_values:
-        # one frame batch per row: all real or all nonreal lambda
-        row = integrate_frames(curve, [complex(re, im) for re in re_values])
-        prev = None
-        this_row = {}
-        for re, frame in zip(re_values, row):
-            fp = fixed_points(frame)
-            sp, sm = fp.S_plus, fp.S_minus
-            ref = prev if prev is not None else prev_row.get(re)
-            if ref is not None and not fp.parabolic:
-                keep = np.linalg.norm(sp - ref[0]) + np.linalg.norm(sm - ref[1])
-                swap = np.linalg.norm(sm - ref[0]) + np.linalg.norm(sp - ref[1])
-                if swap < keep:
-                    sp, sm = sm, sp
-            prev = (sp, sm)
-            this_row[re] = prev
-            rows.append({"re": re, "im": im, "S_plus": sp, "S_minus": sm,
-                         "discriminant": fp.discriminant,
-                         "parabolic": fp.parabolic})
-        prev_row = this_row
+    """Sheet samples (lambda, S+, S-) over a complex grid as row dicts; a
+    cell swaps S+ and S- where that brings them closer to the matched pair
+    of its left neighbour, or for a row's first cell, of the previous row's
+    (last) cell at its re."""
+    re_values, im_values = list(re_values), list(im_values)
+    rows = [{"re": re, "im": im} for im in im_values for re in re_values]
+    if not rows:
+        return rows
+    # one frame batch per row: all real or all nonreal lambda
+    fp = fixed_points(np.stack([
+        frame.monodromy for im in im_values for frame in
+        integrate_frames(curve, [complex(re, im) for re in re_values])]))
+    sp, sm = fp.S_plus, fp.S_minus
+    cols = len(re_values)
+    # each cell's neighbour; cell 0 has none, and its entry is not read
+    ref = np.arange(-1, len(rows) - 1)
+    ref[::cols] = (np.arange(-1, len(im_values) - 1) * cols + cols - 1
+                   - re_values[::-1].index(re_values[0]))
+    # the distances to an unswapped neighbour; a swapped one exchanges
+    # them, and a parabolic cell, S+ = S-, has keep = swap
+    norm = np.linalg.norm
+    keep = (norm(sp - sp[ref], axis=-1) + norm(sm - sm[ref], axis=-1)).tolist()
+    swap = (norm(sm - sp[ref], axis=-1) + norm(sp - sm[ref], axis=-1)).tolist()
+    flip = [False]
+    for c, r in enumerate(ref.tolist()[1:], 1):
+        flip.append(keep[c] < swap[c] if flip[r] else swap[c] < keep[c])
+    flip = np.array(flip)[:, None]
+    for row, p, m, d, b in zip(rows, np.where(flip, sm, sp),
+                               np.where(flip, sp, sm), fp.discriminant,
+                               fp.parabolic):
+        row.update(S_plus=p, S_minus=m, discriminant=d, parabolic=b)
     return rows
-

@@ -126,6 +126,7 @@ class FrameTrajectory:
     """
     lam: complex
     F: np.ndarray        # (n+1, 4) quaternions, F[0] = identity
+    monodromy: np.ndarray  # F[-1] A, the rotation part, of F's dtype
     curve: Curve
 
     @property
@@ -147,12 +148,13 @@ class FrameTrajectory:
                                     [count])[0].imag / _CSTEP
         return dF
 
-    @cached_property
-    def monodromy(self):
-        """Rotation part F[-1] A of the monodromy of the associated curve,
-        a quaternion of F's dtype."""
-        a = self.curve.monodromy.rotation.astype(self.F.dtype)
-        return qmath.qmul(self.F[-1], a)
+
+def modulus(lam):
+    """|lambda|, or inf where a finite complex lambda's overflows."""
+    try:
+        return abs(lam)
+    except OverflowError:
+        return np.inf
 
 
 def _substep_count(lam, h, dtype):
@@ -327,9 +329,9 @@ def integrate_frames(curve, lams):
     dtype = float if real else complex
     h = curve.seg_len
     for lam in lams:
-        if not abs(lam) * h <= _MAX_LAMBDA_STEP:
+        if not modulus(lam) * h <= _MAX_LAMBDA_STEP:
             raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
-                                "many frame substeps" % (abs(lam) * h,
+                                "many frame substeps" % (modulus(lam) * h,
                                                          _MAX_LAMBDA_STEP))
     # a lost frame overflows or cancels its determinant away; it is refused
     # below instead of warned about.  F is allocated after the
@@ -357,7 +359,10 @@ def integrate_frames(curve, lams):
             "the frame at lambda = %s is lost: max |det F - 1| = %.3g exceeds "
             "%g" % (lams[worst], deviation[worst], _MAX_DET_DEVIATION),
             lam=lams[worst], deviation=float(deviation[worst]))
-    return [FrameTrajectory(lam, f, curve) for lam, f in zip(lams, F)]
+    # one product for all, in each element's own arithmetic
+    mono = qmath.qmul(F[:, -1], curve.monodromy.rotation.astype(dtype))
+    return [FrameTrajectory(lam, f, m, curve)
+            for lam, f, m in zip(lams, F, mono)]
 
 
 def integrate_frame(curve, lam):

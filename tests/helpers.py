@@ -33,7 +33,11 @@ def rigid_register(moving, fixed):
 
 
 def same_bits(a, b):
-    """Equal arrays, down to the sign of each zero."""
+    """Equal arrays, down to the sign of each zero; complex ones part by
+    part."""
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return (same_bits(np.real(a), np.real(b))
+                and same_bits(np.imag(a), np.imag(b)))
     return np.array_equal(a, b) and np.array_equal(np.signbit(a),
                                                    np.signbit(b))
 
@@ -56,6 +60,28 @@ def similar_copies(curve, scale):
                + shift * scale * np.array(EZ))
         out.append(Curve(pts, scale * curve.seg_len, mono))
     return out
+
+
+def moved_copy(curve, scale, rotation, shift):
+    """The curve scaled by `scale`, rotated by the unit quaternion `rotation`
+    and moved by `shift`, x -> R(scale x) + shift, with the monodromy that
+    motion conjugates: gamma(x + L) = A gamma(x) + t becomes the rotation
+    R A R^-1 and the translation R(scale t) + shift - R A R^-1 shift."""
+    m = curve.monodromy
+    rot = qmath.qmul(qmath.qmul(rotation, m.rotation), qmath.qconj(rotation))
+    trans = (qmath.qrotate(rotation, scale * m.translation) + shift
+             - qmath.qrotate(rot, shift))
+    pts = qmath.qrotate(rotation, scale * curve.samples) + shift
+    return Curve(pts, scale * curve.seg_len, Monodromy(rot, trans))
+
+
+def rebased(curve, shift):
+    """The curve with its basepoint moved `shift` samples on: the samples
+    cyclically shifted, those that wrap mapped by the monodromy motion."""
+    m = curve.monodromy
+    wrapped = m.apply_vector(curve.samples[:shift]) + m.translation
+    return Curve(np.concatenate([curve.samples[shift:], wrapped]),
+                 curve.seg_len, m)
 
 
 def random_equivariant_field(curve, seed=0):

@@ -10,8 +10,9 @@ import numpy as np
 
 from curveflow import qmath
 from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
+from curveflow.darboux import _GAP_TOL, _ideal_point
 from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _substep_count,
-                              tangent_interpolator)
+                              integrate_frames, tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -215,3 +216,63 @@ def transport_fixed_point(curve, lam, s0):
             s = s / np.linalg.norm(s)
         out[i + 1] = s
     return out
+
+
+class LoopFixedPoints(NamedTuple):
+    S_plus: np.ndarray
+    S_minus: np.ndarray
+    eigenvalues: np.ndarray
+    discriminant: float
+    parabolic: bool
+
+
+def loop_fixed_points(monodromy):
+    """Ideal fixed points of one monodromy quaternion, one 2x2 eig and the
+    branches of a scalar program: the reference for the masks of the
+    batched fixed_points."""
+    m = qmath.as_matrix(monodromy)
+    mu, vecs = np.linalg.eig(m)
+    disc = abs(np.trace(m) ** 2 - 4.0)
+    s0 = _ideal_point(vecs[:, 0])
+    s1 = _ideal_point(vecs[:, 1])
+    gap = np.linalg.norm(s0 - s1)
+    if gap < _GAP_TOL or disc < _GAP_TOL:
+        return LoopFixedPoints(s0, s0, mu, disc, True)
+    if abs(abs(mu[0]) - abs(mu[1])) < 1e-12:
+        order = 0 if tuple(s0) >= tuple(s1) else 1
+    else:
+        order = 0 if abs(mu[0]) >= abs(mu[1]) else 1
+    if order == 0:
+        return LoopFixedPoints(s0, s1, mu, disc, False)
+    return LoopFixedPoints(s1, s0, mu[::-1], disc, False)
+
+
+def loop_spectral_image_scan(curve, re_values, im_values):
+    """The sheet matching as a sequential loop over the cells, one fixed
+    point at a time against the matched pair of the left neighbour, or of
+    the previous row's cell at the same re: the reference for the keep and
+    swap distances that spectral_image_scan forms over the grid."""
+    rows = []
+    prev_row = {}
+    for im in im_values:
+        frames = integrate_frames(curve, [complex(re, im) for re in re_values])
+        prev = None
+        this_row = {}
+        for re, frame in zip(re_values, frames):
+            fp = loop_fixed_points(frame.monodromy)
+            sp, sm = fp.S_plus, fp.S_minus
+            ref = prev if prev is not None else prev_row.get(re)
+            if ref is not None and not fp.parabolic:
+                keep = (np.linalg.norm(sp - ref[0])
+                        + np.linalg.norm(sm - ref[1]))
+                swap = (np.linalg.norm(sm - ref[0])
+                        + np.linalg.norm(sp - ref[1]))
+                if swap < keep:
+                    sp, sm = sm, sp
+            prev = (sp, sm)
+            this_row[re] = prev
+            rows.append({"re": re, "im": im, "S_plus": sp, "S_minus": sm,
+                         "discriminant": fp.discriminant,
+                         "parabolic": fp.parabolic})
+        prev_row = this_row
+    return rows

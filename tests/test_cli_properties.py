@@ -1,18 +1,25 @@
-"""Property tests of the lambda-grid commands, of criticality and of
-commute: whatever grid, k or flow pairs they are given, they end in a
-documented exit code (0, 2 or 3), never in a traceback, and with exit 0
-never write a NaN cell or a non-finite manifest value."""
+"""Property tests of the lambda-grid commands, of darboux, of criticality
+and of commute: whatever grid, lambda, k or flow pairs they are given, they
+end in a documented exit code (0, 2 or 3), never in a traceback, and with
+exit 0 never write a NaN cell or a non-finite manifest value."""
 
 import contextlib
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from curveflow.cli import main
+from curveflow import qmath
+from curveflow.artifacts import save_curve
+from curveflow.cli import main, parse_curve
+from curveflow.errors import ArgumentError, FrameDeterminantError
+from curveflow.frames import _MAX_DET_DEVIATION, integrate_frame
+from helpers import group_residual, moved_copy
 
 CURVES = ["circle:r=1,n=32", "helix:a=1,b=1,n=32",
           "line:length=6.283185307179586,n=32",
@@ -53,7 +60,8 @@ def run_cli(argv):
 
 def check_run(argv, artifact):
     """argv ends in a documented exit code without a traceback; with exit 0
-    it writes `artifact` and a manifest, and no NaN cell."""
+    it writes `artifact` and a manifest, and no NaN cell.  Returns the exit
+    code and the JSON documents."""
     code, err, tables, documents = run_cli(argv)
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
@@ -64,6 +72,7 @@ def check_run(argv, artifact):
             for row in rows:
                 assert not any(c.strip().lower() == "nan" for c in row), \
                     (argv, name, row)
+    return code, documents
 
 
 @PROPERTY
@@ -88,9 +97,108 @@ def grid(lo, hi):
 
 @PROPERTY
 @given(curve=st.sampled_from(CURVES), re=grid(-4.0, 4.0), im=grid(0.0, 4.0))
+# |lambda| overflows though both parts are finite: was a traceback
+@example(curve=CURVES[0], re="1.5e308:1.5e308:1", im="1.5e308:1.5e308:1")
 def test_spectral_scan_any_grid(curve, re, im):
     check_run(["spectral-scan", "--curve", curve, "--re", re, "--im", im],
               "spectral_scan.csv")
+
+
+# any finite lambda: half of them moderate, the rest with components that
+# are each moderate, tiny or huge, or 0 (real lambda)
+COMPONENT = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e-6, 1e-6),
+                      st.floats(allow_nan=False, allow_infinity=False))
+LAMBDA = st.one_of(st.builds(complex, st.floats(-4.0, 4.0),
+                             st.floats(-4.0, 4.0)),
+                   st.builds(complex, COMPONENT, COMPONENT))
+
+
+def darboux_invariants(curve, lam):
+    """(exit code, [pre_resample_deviation and the E_1..E_3 deltas times
+    L^(k-2), the curve's length L, for eta+ and eta-], or None with exit
+    nonzero) of `darboux` on the curve, passed as a curve file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        save_curve(curve, path)
+        code, documents = check_run(
+            ["darboux", "--curve", path,
+             "--lam=" + repr(complex(lam)).replace("j", "i")], "darboux.json")
+    if code:
+        return code, None
+    values = []
+    for tag in ("plus", "minus"):
+        eta = documents["darboux.json"]["eta_%s" % tag]
+        values.append(eta["pre_resample_deviation"])
+        deltas = eta["energy_deltas"]
+        values.extend(deltas["E_%d" % k] * curve.length ** (k - 2)
+                      for k in (1, 2, 3))
+    # a non-finite value is written as null: never with exit 0
+    assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+    return code, np.array(values)
+
+
+def frame_deviation(curve, lam):
+    """max |det F - 1| of the frame at lambda, which the lost-frame guard
+    reads; 0 where the frame is refused unintegrated."""
+    try:
+        return group_residual(integrate_frame(curve, lam))
+    except FrameDeterminantError as e:
+        return e.deviation
+    except ArgumentError:
+        return 0.0
+
+
+@settings(PROPERTY, max_examples=24)
+@given(curve=st.sampled_from(CURVES), lam=LAMBDA,
+       scale=st.floats(1e-6, 1e6), angle=st.floats(-math.pi, math.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+# a frame that grows like exp(Im lambda L / 2) = 7e3
+@example(curve=CURVES[1], lam=0.5+2.0j, scale=1e5, angle=2.0,
+         axis=(0.0, 0.6, 0.8), shift=(1.0, -3.0, 2.0))
+# real, tiny and huge lambda
+@example(curve=CURVES[0], lam=2.0+0.0j, scale=3.7, angle=-1.0,
+         axis=(1.0, 0.0, 0.0), shift=(0.0, 0.0, 5.0))
+@example(curve=CURVES[1], lam=1e-9-1e-8j, scale=1e-3, angle=0.5,
+         axis=(0.0, 1.0, 0.0), shift=(4.0, 0.0, 0.0))
+# |lambda| overflows though both parts are finite: was a traceback
+@example(curve=CURVES[2], lam=1.5e308+1.5e308j, scale=0.5, angle=0.5,
+         axis=(0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0))
+def test_darboux_any_lambda(curve, lam, scale, angle, axis, shift):
+    # the exit code, the pre-resample deviation and the energy deltas in
+    # units of the curve's length do not change under a scale factor s
+    # (with lambda / s) or a rigid motion, to rounding: of the frame, which
+    # its det deviation measures, and of eta = gamma + offset S, whose
+    # positions round at eps offset and whose E_3 reads them through second
+    # differences, n eps offset / seg_len in units of the length.  The det
+    # deviation is also the lost-frame guard's reading: within a decade of
+    # the guard's bound the exit code is rounding's choice, and is not
+    # compared
+    base = parse_curve(curve)
+    code, values = darboux_invariants(base, lam)
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    rotation = qmath.quat_from_axis_angle(
+        np.array(axis) / np.linalg.norm(axis), angle)
+    copies = [
+        (moved_copy(base, scale, identity, np.zeros(3)),
+         complex(lam.real / scale, lam.imag / scale)),
+        (moved_copy(base, 1.0, rotation, np.array(shift)), lam)]
+    deviation = frame_deviation(base, lam)
+    guard_decides = (0.1 * _MAX_DET_DEVIATION <= deviation
+                     <= 10.0 * _MAX_DET_DEVIATION)
+    for copy, copy_lam in copies:
+        copy_code, copy_values = darboux_invariants(copy, copy_lam)
+        if guard_decides:
+            continue
+        assert copy_code == code, (copy_lam, copy_code, code)
+        if code == 0:
+            offset = abs(2.0 * (lam.imag / abs(lam)) / abs(lam))
+            eps = np.finfo(float).eps
+            tol = 100.0 * (eps * base.n * (1.0 + offset / base.seg_len)
+                           + deviation)
+            assert np.abs(copy_values - values).max() <= tol, (
+                copy_values, values, tol)
 
 
 @PROPERTY

@@ -9,17 +9,36 @@ from curveflow.curves import (make_circle, make_helix, make_line,
 from curveflow.darboux import (darboux_transform, fixed_points,
                                hyperbolic_family, spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
-from curveflow.frames import integrate_frame, monodromy_angle
+from curveflow.frames import (integrate_frame, integrate_frames,
+                              monodromy_angle)
 from curveflow.functionals import energy
 from helpers import (det_residual, hermitian_residual, hyperbolic_speeds,
-                     poincare_embed, similar_copies)
-from oracles import transport_fixed_point
+                     poincare_embed, same_bits, similar_copies)
+from oracles import (loop_fixed_points, loop_spectral_image_scan,
+                     transport_fixed_point)
+
+# (curve, re values, im values): the benchmark's grid; a grid with an
+# im = 0 row, whose real lambdas tie |mu+| = |mu-|; a circle grid through
+# lambda = 0 and lambda = i, where the monodromy is +-identity; and repeated
+# re values, where a row's first cell is matched against the previous row's
+# last cell at its re: on the real row the parabolic lambda = 0 resets the
+# matching, so the two cells at re = 1 are in opposite order
+GRIDS = {
+    "benchmark": (lambda: make_helix(1.0, 1.0, 1.0, 256),
+                  np.linspace(0.5, 2.0, 16), np.linspace(0.1, 1.0, 16)),
+    "real-row": (lambda: make_helix(1.0, 1.0, 1.0, 64),
+                 np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 5)),
+    "circle-i": (lambda: make_circle(1.0, 256),
+                 np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 5)),
+    "repeated-re": (lambda: make_circle(1.0, 64),
+                    [1.0, 0.0, 1.0], [0.5, 0.0, 0.5]),
+}
 
 
 def test_line_fixed_points():
     # the straight line has fixed points at +-tangent for every lambda
     l = make_line(2.0, 64)
-    fp = fixed_points(integrate_frame(l, 1.0 + 1.0j))
+    fp = fixed_points(integrate_frame(l, 1.0 + 1.0j).monodromy)
     npt.assert_allclose(fp.S_plus, [1.0, 0.0, 0.0], atol=1e-12)
     npt.assert_allclose(fp.S_minus, [-1.0, 0.0, 0.0], atol=1e-12)
 
@@ -29,7 +48,7 @@ def test_real_lambda_fixed_points_are_axis():
     # points are the two ends of its axis
     c = make_circle(1.0, 256)
     axis = monodromy_angle(c, 2.0).axis
-    fp = fixed_points(integrate_frame(c, 2.0 + 0.0j))
+    fp = fixed_points(integrate_frame(c, 2.0 + 0.0j).monodromy)
     agree = min(np.linalg.norm(fp.S_plus - axis),
                 np.linalg.norm(fp.S_plus + axis))
     assert agree < 1e-10
@@ -39,8 +58,8 @@ def test_real_lambda_fixed_points_are_axis():
 def test_conjugation_reality():
     # S(+conj lambda) = -S(lambda) sheetwise, even without any curve symmetry
     p = make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=1)
-    fa = fixed_points(integrate_frame(p, 0.8 + 0.6j))
-    fb = fixed_points(integrate_frame(p, 0.8 - 0.6j))
+    fa = fixed_points(integrate_frame(p, 0.8 + 0.6j).monodromy)
+    fb = fixed_points(integrate_frame(p, 0.8 - 0.6j).monodromy)
     npt.assert_allclose(fb.S_plus, -fa.S_plus, atol=1e-12)
     npt.assert_allclose(fb.S_minus, -fa.S_minus, atol=1e-12)
 
@@ -128,11 +147,53 @@ def test_darboux_degenerates_to_identity():
 def test_branch_point_detection():
     # the circle monodromy degenerates to -identity at lambda = i
     c = make_circle(1.0, 256)
-    assert fixed_points(integrate_frame(c, 1.0j)).parabolic
+    assert fixed_points(integrate_frame(c, 1.0j).monodromy).parabolic
     with pytest.raises(BranchPointError):
         darboux_transform(c, 1.0j)
     with pytest.raises(ArgumentError):
         darboux_transform(c, 2.0)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_fixed_points_match_loop_oracle(grid):
+    # one eig over the stack and the masks give each monodromy the
+    # eigenvalues, discriminant, flag and order of its own eig and
+    # branches; S only moves by the rounding of the batched complex
+    # arithmetic of _ideal_point
+    make, re, im = GRIDS[grid]
+    curve = make()
+    mono = np.stack([f.monodromy for y in im for f in
+                     integrate_frames(curve, [complex(x, y) for x in re])])
+    fp = fixed_points(mono)
+    ties = 0
+    for k, q in enumerate(mono):
+        loop = loop_fixed_points(q)
+        assert same_bits(fp.eigenvalues[k], loop.eigenvalues)
+        assert same_bits(fp.discriminant[k], loop.discriminant)
+        assert fp.parabolic[k] == loop.parabolic
+        npt.assert_array_max_ulp(fp.S_plus[k], loop.S_plus, maxulp=2)
+        npt.assert_array_max_ulp(fp.S_minus[k], loop.S_minus, maxulp=2)
+        mu = np.abs(loop.eigenvalues)
+        ties += bool(abs(mu[0] - mu[1]) < 1e-12 and not loop.parabolic)
+    if grid != "benchmark":
+        assert ties and fp.parabolic.any()
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_scan_matching_matches_loop_oracle(grid):
+    # the keep and swap distances over the grid and the boolean recurrence
+    # choose the sheets of the sequential loop in every cell
+    make, re, im = GRIDS[grid]
+    curve = make()
+    rows = spectral_image_scan(curve, re, im)
+    loop = loop_spectral_image_scan(curve, re, im)
+    assert len(rows) == len(loop) == len(re) * len(im)
+    for row, ref in zip(rows, loop):
+        assert (row["re"], row["im"]) == (ref["re"], ref["im"])
+        assert row["parabolic"] == ref["parabolic"]
+        assert same_bits(row["discriminant"], ref["discriminant"])
+        npt.assert_array_max_ulp(row["S_plus"], ref["S_plus"], maxulp=2)
+        npt.assert_array_max_ulp(row["S_minus"], ref["S_minus"], maxulp=2)
 
 
 def test_spectral_image_scan():

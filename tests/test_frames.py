@@ -20,7 +20,8 @@ from curveflow.frames import (angle_from_quat, gauss_bonnet_residual,
                               monodromy_angle_scan, spherical_sector_area,
                               sym_curve, torsion_shift_check)
 from curveflow.functionals import energy
-from helpers import group_residual, similar_copies, sym_translation
+from helpers import (group_residual, same_bits, similar_copies,
+                     sym_translation)
 from oracles import dqexp_vec, loop_integrate_frame, loop_tangent_at
 
 
@@ -41,6 +42,11 @@ FRAME_BATCHES = {
     "unsorted-duplicate": (lambda: make_circle(1.0, 256),
                            [3.0, 0.5, 40.0, 3.0, 12.0]),
     "single": (lambda: make_circle(1.0, 256), [17.0]),
+    # a monodromy rotation A that is not the identity
+    "screw-helix-row": (lambda: make_helix(1.0, 1.0, 0.5, 64),
+                        [complex(re, 0.4) for re in (-1.0, 0.5, 2.0)]),
+    "screw-helix-real": (lambda: make_helix(1.0, 1.0, 0.5, 64),
+                         [-1.0, 0.5, 2.0]),
 }
 
 
@@ -57,9 +63,9 @@ def relative_error(got, want):
 
 @pytest.mark.parametrize("case", sorted(FRAME_BATCHES))
 def test_integrate_frames_matches_per_lambda_loop(case):
-    # the batch does every lambda's own arithmetic: F equal bit for bit.  dF
-    # is a complex step, not the oracle's arithmetic, and is taken at real
-    # lambda only
+    # the batch does every lambda's own arithmetic: F equal bit for bit, and
+    # the monodromy F[-1] A of the batch's one product too.  dF is a complex
+    # step, not the oracle's arithmetic, and is taken at real lambda only
     make, lams = FRAME_BATCHES[case]
     c = make()
     frames = integrate_frames(c, lams)
@@ -68,6 +74,8 @@ def test_integrate_frames_matches_per_lambda_loop(case):
         want = loop_integrate_frame(c, lam)
         assert got.lam == want.lam and type(got.lam) is type(want.lam)
         assert np.array_equal(got.F, want.F)
+        rotation = c.monodromy.rotation.astype(got.F.dtype)
+        assert same_bits(got.monodromy, qmath.qmul(got.F[-1], rotation))
         if got.is_real:
             assert relative_error(got.dF, want.dF) <= DF_BOUND
 
