@@ -67,18 +67,16 @@ def parse_curve(spec):
             raise ArgumentError("curve parameter %r must be finite" % key)
         return value
     try:
+        n = int(params.get("n", 256))
         if name == "circle":
-            return make_circle(num("r", 1.0), int(params.get("n", 256)))
+            return make_circle(num("r", 1.0), n)
         if name == "helix":
             return make_helix(num("a", 1.0), num("b", 1.0),
-                              num("turns", 1.0), int(params.get("n", 256)))
+                              num("turns", 1.0), n)
         if name == "line":
-            return make_line(num("length", 2.0 * np.pi),
-                             int(params.get("n", 256)))
+            return make_line(num("length", 2.0 * np.pi), n)
         modes = tuple(int(m) for m in params.get("modes", "2+3").split("+"))
-        return make_perturbed_circle(num("r", 1.0),
-                                     int(params.get("n", 256)),
-                                     num("amplitude", 0.05),
+        return make_perturbed_circle(num("r", 1.0), n, num("amplitude", 0.05),
                                      modes=modes,
                                      seed=int(params.get("seed", 0)))
     except ValueError as e:

@@ -95,9 +95,8 @@ class Curve:
 
 @dataclass(frozen=True)
 class NormalFrame:
-    nu: np.ndarray           # (n, 3) unit normals
     holonomy_angle: float    # principal value in (-pi, pi]
-    winding: int = 0         # branch hint from the cumulative torsion integral
+    winding: float           # rounded turn count of the torsion integral
 
     @property
     def total_angle(self):
@@ -352,11 +351,15 @@ def _spline_through(points, monodromy, pad):
     the knot at its end is the wrap image h(points[0]).
     """
     # a polyline of pad points or fewer has no pad + 1 points to wrap
-    ext = extend(points, monodromy, pad, min(pad + 1, len(points)),
-                 affine=True)
-    chord = np.linalg.norm(np.diff(ext, axis=0), axis=1)
-    if np.any(chord < 1e-13 * max(1.0, np.abs(ext).max())):
-        raise DegenerateInputError("repeated consecutive points in polyline")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ext = extend(points, monodromy, pad, min(pad + 1, len(points)),
+                     affine=True)
+        chord = np.linalg.norm(np.diff(ext, axis=0), axis=1)
+        # the not-a-knot end rows add products of up to 5 squared chords
+        if not (chord.min() >= 1e-13 * np.abs(ext).max()
+                and 8.0 * np.square(chord.max()) < np.inf):
+            raise DegenerateInputError("repeated consecutive points in "
+                                       "polyline, or overflowing chords")
     return _Spline(chord, ext, _not_a_knot_slopes(chord, ext))
 
 
@@ -376,8 +379,8 @@ def resample_arclength(points, monodromy, n):
         spline = _spline_through(pts, monodromy, pad)
         segs = spline.segment_lengths(pad, pad + len(pts))
         total = segs.sum()
-        dx = total / n if len(pts) == n else None
         if len(pts) == n:
+            dx = total / n
             residual = np.abs(segs - dx).max() / dx
             if residual <= _RESAMPLE_TOL:
                 return Curve(pts, dx, monodromy)
@@ -393,7 +396,7 @@ def resample_arclength(points, monodromy, n):
         for _ in range(30):
             step = (start + spline.lengths(idx, v)) / spline.speeds(idx, v)
             v = np.clip(v - step / h, 0.0, 1.0)
-            if np.abs(step).max() <= 1e-15 * max(total, 1.0):
+            if np.abs(step).max() <= 1e-15 * total:
                 break
         pts = spline.positions(idx, v)
     raise ResamplingError("resampling did not converge (residual %.3e)" % residual,
@@ -414,13 +417,23 @@ def measured_length(curve):
     return curve.seg_len * sp.sum(axis=-1)
 
 
+def _arclengths(length, n):
+    """The arclengths length k / n of n >= 8 samples k < n, refusing a
+    length whose product with n overflows."""
+    if n < 8:
+        raise DegenerateResolutionError("need at least 8 samples")
+    with np.errstate(over="ignore"):
+        if not length * n < np.inf:
+            raise DegenerateInputError("the curve's length times its sample "
+                                       "count overflows")
+    return length * np.arange(n) / n
+
+
 def make_circle(radius, n):
     """Closed circle of given radius in the xy-plane."""
     if radius <= 0:
         raise DegenerateInputError("radius must be positive")
-    if n < 8:
-        raise DegenerateResolutionError("need at least 8 samples")
-    phi = 2.0 * np.pi * np.arange(n) / n
+    phi = _arclengths(2.0 * np.pi, n)
     pts = radius * np.stack([np.cos(phi), np.sin(phi), np.zeros(n)], axis=1)
     return Curve(pts, 2.0 * np.pi * radius / n, Monodromy.identity())
 
@@ -431,13 +444,12 @@ def make_helix(a, b, turns, n):
     The monodromy is the screw motion matching one period of `turns` turns:
     rotation about e_z by 2*pi*turns, translation b*w*L along e_z.
     """
-    if a <= 0:
-        raise DegenerateInputError("helix radius must be positive")
-    if turns <= 0 or n < 8:
-        raise DegenerateInputError("need positive turns and n >= 8")
-    w = 1.0 / np.hypot(a, b)
-    length = turns * 2.0 * np.pi / w
-    x = length * np.arange(n) / n
+    if a <= 0 or turns <= 0:
+        raise DegenerateInputError("helix radius and turns must be positive")
+    with np.errstate(over="ignore", divide="ignore"):
+        w = 1.0 / np.hypot(a, b)
+        length = turns * 2.0 * np.pi / w
+    x = _arclengths(length, n)
     pts = np.stack([a * np.cos(w * x), a * np.sin(w * x), b * w * x], axis=1)
     angle = np.mod(2.0 * np.pi * turns, 2.0 * np.pi)
     rot = qmath.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), angle)
@@ -449,7 +461,7 @@ def make_line(length, n):
     """Straight segment along e_x with pure-translation monodromy."""
     if length <= 0:
         raise DegenerateInputError("length must be positive")
-    x = length * np.arange(n) / n
+    x = _arclengths(length, n)
     pts = np.stack([x, np.zeros(n), np.zeros(n)], axis=1)
     mono = Monodromy(np.array([1.0, 0, 0, 0]), np.array([length, 0.0, 0.0]))
     return Curve(pts, length / n, mono)
@@ -461,8 +473,8 @@ def make_perturbed_circle(radius, n, amplitude, modes=(2, 3), seed=0):
     Low Fourier modes only, so the result stays well resolved; resampled to
     arclength before returning.
     """
+    phi = _arclengths(2.0 * np.pi, n)
     rng = np.random.default_rng(seed)
-    phi = 2.0 * np.pi * np.arange(n) / n
     dr = np.zeros(n)
     dz = np.zeros(n)
     for m in modes:
@@ -470,8 +482,10 @@ def make_perturbed_circle(radius, n, amplitude, modes=(2, 3), seed=0):
         dr += c[0] * np.cos(m * phi) + c[1] * np.sin(m * phi)
         dz += c[2] * np.cos(m * phi) + c[3] * np.sin(m * phi)
     scale = amplitude * radius / max(np.abs(dr).max(), np.abs(dz).max())
-    r = radius + scale * dr
-    pts = np.stack([r * np.cos(phi), r * np.sin(phi), scale * dz], axis=1)
+    # points that overflow are refused by the spline
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = radius + scale * dr
+        pts = np.stack([r * np.cos(phi), r * np.sin(phi), scale * dz], axis=1)
     return resample_arclength(pts, Monodromy.identity(), n)
 
 
@@ -482,68 +496,55 @@ def parallel_normal_frame(curve):
     reflection of Wang, Juttler, Zheng & Liu (ACM TOG 2008): across the
     plane normal to the unit chord a_i, then across the plane normal to the
     unit b_i joining the reflected tangent to t_{i+1}.  That is the rotation
-    with quaternion q_i = b_i a_i, so the normal at sample j is nu_0 rotated
-    by Q_j = q_{j-1} ... q_0, the prefix products of qmath.qscan with each
-    later factor multiplied on the left.  The transported normals are
-    projected off the tangent and normalized once, at the end.
+    with quaternion q_i = b_i a_i, so one period carries the normal nu_0 to
+    nu_0 rotated by Q_n = q_{n-1} ... q_0.  Q_n is formed by pairing the
+    factors from the end, each later one on the left, which is the
+    association of the last prefix product of qmath.qscan.  The transported
+    normal is projected off the tangent and normalized once.
 
     The initial normal is e_z x t_0 (e_x x t_0 where t_0 is along e_z).
-    The holonomy angle compares the transported normal at the far end of the
-    fundamental domain, pulled back by the monodromy rotation, against the
-    initial normal in the complex structure T x ( ).
+    The holonomy angle compares the transported normal, pulled back by the
+    monodromy rotation, against the initial normal in the complex structure
+    T x ( ).  The winding is the rounded turn count of the torsion integral
+    against it, NaN where the frame is not finite (see `winding_number`).
 
-    A batch of curves gets one scan for all of them and a NormalFrame of
-    arrays: nu (B, n, 3), holonomy_angle (B,) and winding (B,), a float
-    that is NaN where the frame is not finite (see `winding_number`).
+    A batch of curves gets holonomy_angle (B,) and winding (B,).
     """
     tan = extend(tangent(curve), curve.monodromy, 0, 1)
-    t0 = tan[..., 0, :]
+    t0, tn = tan[..., 0, :], tan[..., -1, :]
     nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
     nu0 = np.where((np.sqrt(qmath.dot(nu0, nu0)) < 1e-8)[..., None],
                    qmath.cross([1.0, 0.0, 0.0], t0), nu0)
     nu0 = nu0 - qmath.dot(nu0, t0)[..., None] * t0
     nu0 = nu0 / np.sqrt(qmath.dot(nu0, nu0))[..., None]
 
-    prods = qmath.qscan(lambda x, y, out: qmath.qmul(y, x, out=out),
-                        _double_reflections(curve, tan))
-    nus = qmath.qrotate(np.moveaxis(prods, 0, -2), nu0[..., None, :])
-    del prods   # freed early: a batch's peak memory is a few of these
-    nus -= qmath.dot(nus, tan[..., 1:, :])[..., None] * tan[..., 1:, :]
-    nus /= np.sqrt(qmath.dot(nus, nus))[..., None]
+    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
+    a = np.diff(pts, axis=-2)
+    a /= np.sqrt(qmath.dot(a, a))[..., None]
+    t = tan[..., :-1, :]
+    b = tan[..., 1:, :] - (t - 2.0 * qmath.dot(a, t)[..., None] * a)
+    b /= np.sqrt(qmath.dot(b, b))[..., None]
+    q = np.concatenate([-qmath.dot(b, a)[..., None], qmath.cross(b, a)],
+                       axis=-1)
+    while q.shape[-2] > 1:
+        m = q.shape[-2] % 2
+        p = qmath.qmul(q[..., m + 1::2, :], q[..., m::2, :])
+        q = np.concatenate([q[..., :1, :], p], axis=-2) if m else p
+    nu = qmath.qrotate(q[..., 0, :], nu0)
+    nu -= qmath.dot(nu, tn)[..., None] * tn
+    nu /= np.sqrt(qmath.dot(nu, nu))[..., None]
 
-    back = curve.monodromy.apply_vector_inverse(nus[..., -1, :])
+    back = curve.monodromy.apply_vector_inverse(nu)
     # orientation chosen so the result agrees with the Frenet torsion
     # integral (positive for a right-handed helix)
     alpha = np.arctan2(qmath.dot(back, qmath.cross(nu0, t0)),
                        qmath.dot(back, nu0))
     winding = np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
-    if not np.ndim(winding):
-        winding = winding_number(winding)
-    return NormalFrame(np.concatenate([nu0[..., None, :], nus[..., :-1, :]],
-                                      axis=-2), alpha, winding)
-
-
-def _double_reflections(curve, tan):
-    """The quaternions q_i of parallel_normal_frame's segments, given the
-    extended unit tangents, as (n, B, 4) over (4, n, B) memory: the scan
-    runs along the samples, and the quaternion kernels read each component
-    contiguously."""
-    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
-    a = np.diff(pts, axis=-2)
-    a /= np.sqrt(qmath.dot(a, a))[..., None]
-    reflected = (tan[..., :-1, :]
-                 - 2.0 * qmath.dot(a, tan[..., :-1, :])[..., None] * a)
-    b = tan[..., 1:, :] - reflected
-    b /= np.sqrt(qmath.dot(b, b))[..., None]
-    q = np.concatenate([-qmath.dot(b, a)[..., None], qmath.cross(b, a)],
-                       axis=-1)
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(q, (-1, -2), (0, 1))),
-                       0, -1)
+    return NormalFrame(alpha, winding)
 
 
 def winding_number(turn):
-    """The int winding of a frame from its rounded turn count, refusing a
-    frame that is not finite."""
+    """The int winding from a frame's rounded turn count, if that is finite."""
     if not np.isfinite(turn):
         raise DegenerateInputError("the curve's derivatives overflow at this "
                                    "scale; its frame is not finite")

@@ -37,7 +37,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
 from .errors import ArgumentError, FrameDeterminantError, SingularSectorError
-from .functionals import energy, total_torsion
+from .functionals import _near_branch, energy, total_torsion
 
 # offsets of the three Gauss-Legendre nodes in a substep:
 # 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10
@@ -396,13 +396,9 @@ def angle_from_quat(q, pred):
 def _nearest_branch(phi, pred):
     """(theta, sigma): the angle theta = sigma phi + 2 pi k, sigma = +-1 and
     k an integer, nearest the prediction; phi and pred real or complex."""
-    best = None
-    for sigma in (1.0, -1.0):
-        k = round(((pred - sigma * phi) / (2.0 * np.pi)).real)
-        cand = sigma * phi + 2.0 * np.pi * k
-        if best is None or abs(cand - pred) < abs(best[0] - pred):
-            best = (cand, sigma)
-    return best
+    # min keeps the first of a tie, and of a NaN distance
+    return min(((_near_branch(sigma * phi, pred), sigma)
+                for sigma in (1.0, -1.0)), key=lambda c: abs(c[0] - pred))
 
 
 @dataclass(frozen=True)

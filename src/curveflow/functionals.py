@@ -25,15 +25,18 @@ K_RANGE = range(-2, 7)
 
 
 def _near_branch(value, near):
-    """value shifted by a multiple of 2 pi to the branch nearest `near`."""
+    """value shifted by a multiple of 2 pi to the branch nearest `near`;
+    value and near real or complex, the multiple from the real part."""
     if near is not None:
-        value += 2.0 * np.pi * round((near - value) / (2.0 * np.pi))
+        value += 2.0 * np.pi * round(((near - value) / (2.0 * np.pi)).real)
     return value
 
 
 def total_torsion(curve, near=None):
     """Continuous-branch total torsion (holonomy angle of the normal bundle)."""
-    return _near_branch(parallel_normal_frame(curve).total_angle, near)
+    frame = parallel_normal_frame(curve)
+    winding_number(frame.winding)
+    return _near_branch(frame.total_angle, near)
 
 
 def energy(k, curve, axis=None, near=None):
@@ -103,7 +106,7 @@ def energy_report(curve, axis=None):
 
 def energy_reports(curves, axis=None, near_torsion=None):
     """energy_report of each of the curves, which must share one monodromy,
-    computed as one batch Curve: one set of derivatives, one frame scan.
+    computed as one batch Curve: one set of derivatives, one frame product.
 
     E_2 is snapped to the branch nearest `near_torsion` for the first curve
     and nearest its predecessor's for each later one, as along a

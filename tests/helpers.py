@@ -3,11 +3,11 @@
 import numpy as np
 
 from curveflow import qmath
-from curveflow.curves import (Curve, Monodromy, central_d1, deriv,
-                              parallel_normal_frame, tangent)
+from curveflow.curves import Curve, Monodromy, central_d1, deriv, tangent
 from curveflow.flows import _guarded_steps
 from curveflow.frames import sym_curve
 from curveflow.hierarchy import check_axis
+from oracles import loop_parallel_normal_frame
 
 EZ = [0.0, 0.0, 1.0]
 
@@ -111,8 +111,9 @@ def random_equivariant_field(curve, seed=0):
 
 
 def complex_curvature(curve):
-    """psi with gamma'' = psi * nu in the parallel frame, as complex samples."""
-    frame = parallel_normal_frame(curve)
+    """psi with gamma'' = psi * nu in the parallel frame, as complex samples;
+    the normals nu of the per-sample transport."""
+    frame = loop_parallel_normal_frame(curve)
     d2 = deriv(curve, 2)
     t = tangent(curve)
     return (np.sum(d2 * frame.nu, axis=1)

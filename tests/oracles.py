@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from curveflow import qmath
-from curveflow.curves import NormalFrame, _torsion_integral, extend, tangent
+from curveflow.curves import _torsion_integral, extend, tangent
 from curveflow.darboux import _GAP_TOL, _ideal_point
 from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _substep_count,
                               integrate_frames, tangent_interpolator)
@@ -18,9 +18,16 @@ from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _substep_count,
 TRANSPORT_STEP = 0.01
 
 
+class LoopNormalFrame(NamedTuple):
+    """A NormalFrame with the transported normal at every sample."""
+    nu: np.ndarray           # (n, 3) unit normals
+    holonomy_angle: float
+    winding: int
+
+
 def loop_parallel_normal_frame(curve):
     """Per-sample double reflection (Wang, Juttler, Zheng & Liu 2008): the
-    reference for the quaternion scan of parallel_normal_frame."""
+    reference for parallel_normal_frame, with the normal at every sample."""
     pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
     tan = tangent(curve)
     tan = np.concatenate([tan, [curve.monodromy.apply_vector(tan[0])]], axis=0)
@@ -46,7 +53,41 @@ def loop_parallel_normal_frame(curve):
     back = curve.monodromy.apply_vector_inverse(nus[-1])
     alpha = np.arctan2(np.dot(back, np.cross(nu0, t0)), np.dot(back, nu0))
     winding = int(round((_torsion_integral(curve) - alpha) / (2.0 * np.pi)))
-    return NormalFrame(nus[:-1], alpha, winding)
+    return LoopNormalFrame(nus[:-1], alpha, winding)
+
+
+def scan_parallel_normal_frame(curve):
+    """(holonomy angle, rounded turn count) of parallel_normal_frame by the
+    Hillis-Steele prefix scan over the double reflections, which transports
+    the normal to every sample: the bit reference for the package's one
+    end-paired product, whose association is the scan's last product."""
+    tan = extend(tangent(curve), curve.monodromy, 0, 1)
+    t0 = tan[..., 0, :]
+    nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
+    nu0 = np.where((np.sqrt(qmath.dot(nu0, nu0)) < 1e-8)[..., None],
+                   qmath.cross([1.0, 0.0, 0.0], t0), nu0)
+    nu0 = nu0 - qmath.dot(nu0, t0)[..., None] * t0
+    nu0 = nu0 / np.sqrt(qmath.dot(nu0, nu0))[..., None]
+    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
+    a = np.diff(pts, axis=-2)
+    a /= np.sqrt(qmath.dot(a, a))[..., None]
+    reflected = (tan[..., :-1, :]
+                 - 2.0 * qmath.dot(a, tan[..., :-1, :])[..., None] * a)
+    b = tan[..., 1:, :] - reflected
+    b /= np.sqrt(qmath.dot(b, b))[..., None]
+    q = np.concatenate([-qmath.dot(b, a)[..., None], qmath.cross(b, a)],
+                       axis=-1)
+    # the scan runs along the samples over component-major memory
+    q = np.moveaxis(np.ascontiguousarray(np.moveaxis(q, (-1, -2), (0, 1))),
+                    0, -1)
+    prods = qmath.qscan(lambda x, y, out: qmath.qmul(y, x, out=out), q)
+    nus = qmath.qrotate(np.moveaxis(prods, 0, -2), nu0[..., None, :])
+    nus -= qmath.dot(nus, tan[..., 1:, :])[..., None] * tan[..., 1:, :]
+    nus /= np.sqrt(qmath.dot(nus, nus))[..., None]
+    back = curve.monodromy.apply_vector_inverse(nus[..., -1, :])
+    alpha = np.arctan2(qmath.dot(back, qmath.cross(nu0, t0)),
+                       qmath.dot(back, nu0))
+    return alpha, np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
 
 
 def loop_tangent_at(curve):

@@ -526,6 +526,27 @@ BAD_INPUTS = {
                             "--pairs", "1,1"],
     "empty-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
                              "--re", "0.5:2:0", "--im", "0.1:1:4"],
+    # builtin specs with no samples
+    "line-no-samples": lambda p: ["energies", "--curve", "line:n=0"],
+    "perturbed-circle-no-samples": lambda p: ["energies", "--curve",
+                                              "perturbed-circle:n=0"],
+    # the helix's length, or the line's length times n, overflows
+    "helix-huge-pitch": lambda p: ["energies", "--curve",
+                                   "helix:a=1,b=1e308,n=64"],
+    "helix-huge-radius": lambda p: ["energies", "--curve",
+                                    "helix:a=1e308,b=1,n=64"],
+    "line-huge-samples": lambda p: ["energies", "--curve",
+                                    "line:length=1e308,n=64"],
+    # the resampler's squared chords overflow, as circle:r=R's seg_len^2
+    # does
+    "perturbed-circle-1e160": lambda p: ["energies", "--curve",
+                                         "perturbed-circle:r=1e160,n=64"],
+    "perturbed-circle-1e308": lambda p: ["energies", "--curve",
+                                         "perturbed-circle:r=1e308,n=64"],
+    # its points overflow before the resampler sees them
+    "perturbed-circle-inf-points": lambda p: [
+        "energies", "--curve",
+        "perturbed-circle:r=1.79e308,n=64,amplitude=0.5"],
 }
 
 
@@ -576,6 +597,32 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists() or os.listdir(out) == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("spec", ["circle:n=0", "line:n=0",
+                                  "perturbed-circle:n=0"])
+def test_builtin_spec_without_samples_names_the_bound(tmp_path, capsys, spec):
+    code, _ = run(tmp_path, "energies", "--curve", spec)
+    assert code == 2
+    assert "error: need at least 8 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["1e-12", "1e-40"])
+def test_small_perturbed_circle(tmp_path, r):
+    # the spline's guards are relative to the polyline's size: E_k L^(k-2)
+    # is the unit curve's to round-off, to the bound of
+    # test_energies_are_similarity_invariant
+    values = []
+    for radius in ("1", r):
+        code, out = run(tmp_path / radius, "energies", "--curve",
+                        "perturbed-circle:r=%s,n=64" % radius)
+        assert code == 0
+        e = manifest(out)["summary"]["values"]
+        values.append(np.array([e["E_%d" % k] * e["E_1"] ** (k - 2)
+                                for k in range(7)]))
+    unit, small = values
+    assert np.all(np.abs(small - unit)
+                  <= 1e-12 * np.maximum(np.abs(unit), 1.0))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
-"""Property tests of the lambda-grid commands, of darboux, of criticality
-and of commute: whatever grid, lambda, k or flow pairs they are given, they
-end in a documented exit code (0, 2 or 3), never in a traceback, and with
-exit 0 never write a NaN cell or a non-finite manifest value."""
+"""Property tests of the lambda-grid commands, of darboux, of criticality,
+of commute and of energies: whatever grid, lambda, k, flow pairs or curve
+they are given, they end in a documented exit code (0, 2 or 3), never in a
+traceback, and with exit 0 never write a NaN cell or a non-finite manifest
+value."""
 
 import contextlib
 import csv
@@ -10,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from curveflow import qmath
 from curveflow.artifacts import save_curve
 from curveflow.cli import main, parse_curve
-from curveflow.errors import ArgumentError, FrameDeterminantError
+from curveflow.errors import (ArgumentError, FrameDeterminantError,
+                              ValidationError)
 from curveflow.frames import _MAX_DET_DEVIATION, integrate_frame
 from helpers import group_residual, moved_copy
 
@@ -225,3 +228,79 @@ def test_commute_any_pairs(curve, pairs, dt):
     check_run(["commute", "--curve", curve,
                "--pairs=" + ";".join("%d,%d" % p for p in pairs),
                "--dt", repr(dt)], "defects.csv")
+
+
+def energies_invariants(spec):
+    """(exit code, E_k E_1^(k-2) for k = 0 .. 6, or None with exit 2) of
+    `energies` on the curve spec or file, which ends in exit 0 or 2 and
+    warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, documents = check_run(["energies", "--curve", spec],
+                                    "energies.csv")
+    assert [str(w.message) for w in caught] == [], spec
+    assert code in (0, 2), (spec, code)
+    if code:
+        return code, None
+    e = documents["manifest.json"]["summary"]["values"]
+    return code, np.array([e["E_%d" % k] * e["E_1"] ** (k - 2)
+                           for k in range(7)])
+
+
+def motion(spec):
+    """A case of test_energies_any_scale_and_motion with no motion."""
+    return dict(curve=spec, exponent=0.0, angle=0.0, axis=(0.0, 0.0, 1.0),
+                shift=(0.0, 0.0, 0.0))
+
+
+@settings(PROPERTY, max_examples=16)
+@given(curve=st.sampled_from(CURVES), exponent=st.floats(-30.0, 30.0),
+       angle=st.floats(-math.pi, math.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       shift=st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+# builtin specs with no samples: a ZeroDivisionError traceback, and
+# numpy's message for a reduction over no samples
+@example(**motion("line:n=0"))
+@example(**motion("perturbed-circle:n=0"))
+# the helix's length or the line's last sample overflows: RuntimeWarnings
+@example(**motion("helix:a=1,b=1e308,n=64"))
+@example(**motion("helix:a=1e308,b=1,n=64"))
+@example(**motion("line:length=1e308,n=64"))
+# the resampler's squared chords overflow: RuntimeWarnings and exit 3
+@example(**motion("perturbed-circle:r=1e160,n=64"))
+@example(**motion("perturbed-circle:r=1e308,n=64"))
+# the spline's guards had floors at unit size: exit 2
+@example(curve="perturbed-circle:r=1e-12,n=64", exponent=20.0, angle=1.0,
+         axis=(0.0, 0.6, 0.8), shift=(1.0, -1.5, 2.0))
+@example(curve="perturbed-circle:r=1e-40,n=64", exponent=30.0, angle=-2.0,
+         axis=(1.0, 0.0, 0.0), shift=(0.0, 2.0, 0.0))
+def test_energies_any_scale_and_motion(curve, exponent, angle, axis, shift):
+    # a copy scaled by s = 10^exponent and moved by a rigid motion (a shift
+    # of up to 2 of the curve's lengths L) ends in the same exit code, and
+    # with exit 0 its E_k E_1^(k-2) are the curve's own to rounding: its
+    # positions round at about 10 eps of L, k - 2 differences amplify that
+    # by (n / 2 pi)^(k-2), on terms of E_k L^(k-2) of size (2 pi)^(k-1)
+    code, values = energies_invariants(curve)
+    try:
+        base = parse_curve(curve)
+    except ValidationError:
+        assert code == 2
+        return
+    scale = 10.0 ** exponent
+    rotation = qmath.quat_from_axis_angle(
+        np.array(axis) / np.linalg.norm(axis), angle)
+    copy = moved_copy(base, scale, rotation,
+                      scale * base.length * np.array(shift))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        save_curve(copy, path)
+        copy_code, copy_values = energies_invariants(path)
+    assert copy_code == code
+    if code == 0:
+        k = np.arange(7)
+        eps = np.finfo(float).eps
+        tol = (100.0 * eps * (base.n / (2.0 * np.pi)) ** (k - 2.0)
+               * np.maximum(np.abs(values), (2.0 * np.pi) ** (k - 1.0)))
+        assert np.all(np.abs(copy_values - values) <= tol), (
+            copy_values - values, tol)

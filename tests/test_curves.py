@@ -21,7 +21,7 @@ from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
 from helpers import (complex_curvature, is_identity, random_equivariant_field,
                      same_bits, similar_copies)
-from oracles import loop_parallel_normal_frame
+from oracles import loop_parallel_normal_frame, scan_parallel_normal_frame
 
 
 def test_circle_length_and_curvature():
@@ -225,7 +225,7 @@ def test_parallel_frame_holonomy():
 
 def test_parallel_frame_unit_and_orthogonal():
     c = make_helix(1.0, 1.0, 1.0, 128)
-    frame = parallel_normal_frame(c)
+    frame = loop_parallel_normal_frame(c)
     npt.assert_allclose(np.linalg.norm(frame.nu, axis=1), 1.0, atol=1e-10)
     npt.assert_allclose(np.sum(frame.nu * tangent(c), axis=1), 0.0, atol=1e-8)
 
@@ -329,19 +329,57 @@ def test_perturbed_circle_is_arclength_uniform():
     assert is_identity(c.monodromy)
 
 
-@pytest.mark.parametrize("curve", [
-    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
-    make_helix(1.0, 1.0, 1.0, 256),
-    make_helix(1.0, 1.0, 1.0, 4096),
-    make_line(2.0, 64),
-    make_helix(1.0, 0.5, 1.3, 256),   # screw monodromy, rotation 0.6 pi
-], ids=["pc224", "helix256", "helix4096", "line", "screw-helix"])
-def test_parallel_frame_matches_per_sample_loop(curve):
+FRAME_CURVES = {
+    "pc224": make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
+    "helix256": make_helix(1.0, 1.0, 1.0, 256),
+    "helix4096": make_helix(1.0, 1.0, 1.0, 4096),
+    "line": make_line(2.0, 64),
+    # screw monodromy, rotation 0.6 pi
+    "screw-helix": make_helix(1.0, 0.5, 1.3, 256),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CURVES))
+def test_parallel_frame_matches_per_sample_loop(name):
+    curve = FRAME_CURVES[name]
     frame = parallel_normal_frame(curve)
     ref = loop_parallel_normal_frame(curve)
-    npt.assert_allclose(frame.nu, ref.nu, rtol=0, atol=1e-12)
     assert abs(frame.holonomy_angle - ref.holonomy_angle) < 1e-12
     assert frame.winding == ref.winding
+
+
+def has_the_scan_bits(curve):
+    """Whether parallel_normal_frame's holonomy angle and winding are those
+    of the prefix scan, bit for bit."""
+    frame = parallel_normal_frame(curve)
+    alpha, turns = scan_parallel_normal_frame(curve)
+    return (same_bits(frame.holonomy_angle, alpha)
+            and same_bits(frame.winding, turns))
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CURVES))
+def test_parallel_frame_product_has_the_scan_bits(name):
+    assert has_the_scan_bits(FRAME_CURVES[name])
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: make_helix(1.0, 0.5, 1.3, n),
+    lambda n: make_perturbed_circle(1.0, n, 0.05, modes=(2, 3), seed=2),
+], ids=["screw-helix", "pc"])
+def test_parallel_frame_product_has_the_scan_bits_at_every_n(make):
+    # the end-paired product is the scan's association at every n, not
+    # only at powers of two
+    ns = list(range(8, 65)) + [224, 255, 256, 257, 512]
+    assert [n for n in ns if not has_the_scan_bits(make(n))] == []
+
+
+def test_parallel_frame_product_has_the_scan_bits_on_a_batch():
+    curves = [make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=s)
+              for s in range(8)]
+    batch = Curve(np.stack([c.samples for c in curves]),
+                  np.array([c.seg_len for c in curves]),
+                  curves[0].monodromy)
+    assert has_the_scan_bits(batch)
 
 
 @pytest.mark.parametrize("shapes", [

@@ -1,7 +1,8 @@
-"""Every function, class and module constant of the package is used by
-the package itself: a name that only tests read belongs in tests/helpers.py.
-The re-exports of curveflow/__init__.py count as uses, since they are the
-public API, but only the paper's checks below may be read there alone."""
+"""Every function, class, module constant and dataclass field of the
+package is used by the package itself: a name that only tests read belongs
+in tests/helpers.py.  The re-exports of curveflow/__init__.py count as uses,
+since they are the public API, but only the paper's checks below may be
+read there alone, and only their outputs below may go unread."""
 
 import ast
 import pathlib
@@ -17,6 +18,10 @@ PAPER_CHECKS = {
     "hyperbolic_family", "loop_cross", "monodromy_angle",
     "recursion_residual", "torsion_shift_check",
 }
+
+# the outputs of those checks that the package gives to the tests and does
+# not read itself
+PAPER_CHECK_FIELDS = {"HyperbolicFamily.points", "DarbouxResult.s_field"}
 
 
 def definitions(tree):
@@ -128,6 +133,29 @@ def test_only_the_paper_checks_are_read_through_init_alone():
     elsewhere = set().union(*(uses(t) for f, t in trees.items()
                               if f != INIT))
     assert (defined & uses(trees[INIT])) - elsewhere == PAPER_CHECKS
+
+
+def fields(tree):
+    """'Class.field' of each field of the module's dataclasses."""
+    def name(decorator):
+        func = getattr(decorator, "func", decorator)
+        return getattr(func, "id", getattr(func, "attr", None))
+    return {"%s.%s" % (node.name, item.target.id)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and "dataclass" in map(name, node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign)}
+
+
+def test_no_field_goes_unread():
+    # a field is read as an attribute; one that only tests read is output
+    # that the package computes for nothing
+    trees = source_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = {field for tree in trees.values() for field in fields(tree)
+              if field.partition(".")[2] not in read}
+    assert unread == PAPER_CHECK_FIELDS
 
 
 def calls(tree):
