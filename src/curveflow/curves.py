@@ -327,8 +327,8 @@ class _Spline:
     def speeds(self, idx, u):
         """|dp/dt| at the fractions u, (M,) or (M, k), of the segments idx."""
         q = self._speed_squared[:, idx]
-        return np.sqrt(qmath._horner(u, q if np.ndim(u) == 1
-                                     else q[..., None]))
+        return np.sqrt(qmath.horner(u, q if np.ndim(u) == 1
+                                    else q[..., None]))
 
     def lengths(self, idx, v):
         """Arclength from the start of each segment idx to its fraction v,
@@ -339,7 +339,7 @@ class _Spline:
     def segment_lengths(self, lo, hi):
         """Arclengths of the whole segments lo .. hi-1, 8-point Gauss."""
         q = self._speed_squared[:, lo:hi, None]
-        speed = np.sqrt(qmath._horner(_GAUSS_U, q))
+        speed = np.sqrt(qmath.horner(_GAUSS_U, q))
         return 0.5 * self.h[lo:hi] * (speed @ _GAUSS_W)
 
 

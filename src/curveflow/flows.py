@@ -168,10 +168,17 @@ def evolve(curve, spec, axis=None):
 
 
 def max_relative_drift(trajectory, k):
-    """Max |E_k(t) - E_k(0)| over the trajectory, relative where possible."""
+    """Max |E_k(t) - E_k(0)| over the trajectory, relative to |E_k(0)| or
+    to a floor where that is smaller.  E_k scales as l^d, l = E_1(0) / 2 pi
+    the curve's size and d = 2 - k for k >= 0, 1 - k for k < 0, and the
+    floor is 1e-12 l^d: 1e-12 on the unit circle, and a drift that does not
+    depend on scale."""
     vals = np.array([rep.values[k] for rep in trajectory.energy_log])
-    scale = max(abs(vals[0]), 1e-12)
-    return np.abs(vals - vals[0]).max() / scale
+    drift = np.abs(vals - vals[0]).max()
+    size = trajectory.energy_log[0].values[1] / (2.0 * np.pi)
+    floor = 1e-12 * size ** (2 - k if k >= 0 else 1 - k)
+    # no drift is none also where E_k and its floor underflow to 0
+    return drift and drift / max(abs(vals[0]), floor)
 
 
 def commutator_defect(curve, i, j, dt):

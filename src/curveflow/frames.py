@@ -37,7 +37,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
 from .errors import ArgumentError, FrameDeterminantError, SingularSectorError
-from .functionals import _near_branch, energy, total_torsion
+from .functionals import energy, near_branch, total_torsion
 
 # offsets of the three Gauss-Legendre nodes in a substep:
 # 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10
@@ -143,10 +143,8 @@ class FrameTrajectory:
         if not self.is_real:
             raise ArgumentError("dF/dlambda is taken at real lambda only")
         count = _substep_count(self.lam, self.curve.seg_len, float)
-        dF = np.zeros_like(self.F)
-        dF[1:] = _interval_products(self.curve, [complex(self.lam, _CSTEP)],
-                                    [count])[0].imag / _CSTEP
-        return dF
+        return _interval_products(self.curve, [complex(self.lam, _CSTEP)],
+                                  [count])[0].imag / _CSTEP
 
 
 def modulus(lam):
@@ -162,53 +160,52 @@ def _substep_count(lam, h, dtype):
     return max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP[dtype])))
 
 
-def _magnus_step(t_at, s, cols, lam, e, work, tmp):
+def _magnus_step(t_at, s, mu, e, work, tmp):
     """exp(Omega), the Magnus factor of one 6th-order substep, written into
     e, shape (a, n, 4), for a block of a lambdas.
 
     Omega is the exponent of Blanes, Casas & Ros (BIT 40, 2000) for
     F' = F A, A = (lambda/2) T, on the Gauss-node tangents T1, T2, T3, with
-    the brackets of F' = A F flipped, [x, y] = 2 x cross y, and its O(hs^7)
-    terms dropped: with b1 = (hs/2) T2, b2 = (sqrt(15)/3)(hs/2)(T3 - T1),
-    b3 = (10/3)(hs/2)(T3 - 2 T2 + T1), k1 = 2 b2 x b1, u = b3 x b1,
-    w = k1 x b1 and d = 20 b1 + b3,
+    the brackets of F' = A F flipped, [x, y] = 2 x cross y, and its O(mu^7)
+    terms dropped.  It is formed in mu = lambda hs, the substep's one
+    scale, so that no term over- or underflows with the curve's size: with
+    b1 = T2/2, b2 = (sqrt(15)/6)(T3 - T1), b3 = (5/3)(T3 - 2 T2 + T1),
+    k1 = 2 b2 x b1, u = b3 x b1, w = k1 x b1 and d = 20 b1 + b3,
 
-        Omega = lambda (b1 + b3/12) - lambda^2/120 b2 x d
-                + lambda^3/120 (b2 x k1 + 4/3 u x b1) + lambda^4/180 w x b1.
+        Omega = mu (b1 + b3/12) - mu^2/120 b2 x d
+                + mu^3/120 (b2 x k1 + 4/3 u x b1) + mu^4/180 w x b1.
 
-    The vectors are real, and lambda enters by Horner's rule in place in
-    e's vector part.  s holds the node offsets, shape (a, 3); cols the
-    (a, 1, 1) columns hs/2, (sqrt(15)/3) hs/2 and (10/3) hs/2; lam the
-    lambda column.  work is the float memory of six 3-vectors, (6, 3, L, n)
-    of which the first a lambdas are used; its first three take the
-    tangents, in the C order (a, node, 3, n) in which einsum writes them
-    without buffering.  tmp is a pair of components of lambda's dtype for
-    the exponential; the cross products take their scratch from e's scalar
-    part, which the exponential fills last.
+    The vectors are real and of unit size, and mu enters by Horner's rule
+    in place in e's vector part.  s holds the node offsets, shape (a, 3);
+    mu the (a, 1, 1) column of mu.  work is the float memory of six
+    3-vectors, (6, 3, L, n) of which the first a lambdas are used; its
+    first three take the tangents, in the C order (a, node, 3, n) in which
+    einsum writes them without buffering.  tmp is a pair of components of
+    lambda's dtype for the exponential; the cross products take their
+    scratch from e's scalar part, which the exponential fills last.
     """
     a, n = s.shape[0], work.shape[-1]
     tangents = t_at(s, out=work[:3].reshape(-1, 3, 3, n)[:a])
     t1, t2, t3 = np.moveaxis(tangents, 1, 0)
     v0, v1, v2, b3, b2, b1 = (np.moveaxis(v, 0, -1) for v in work[:, :, :a])
-    c1, c2, c3 = cols
     scratch = e[..., 0].real
-    # b3 = c3 ((T3 - 2 T2) + T1), b2 = c2 (T3 - T1), b1 = c1 T2
+    # b3 = (5/3) ((T3 - 2 T2) + T1), b2 = (sqrt(15)/6) (T3 - T1), b1 = T2/2
     np.multiply(t2, -2.0, out=b3)
     b3 += t3
     b3 += t1
-    b3 *= c3
+    b3 *= 5.0 / 3.0
     np.subtract(t3, t1, out=b2)
-    b2 *= c2
-    np.multiply(t2, c1, out=b1)
+    b2 *= np.sqrt(15.0) / 6.0
+    np.multiply(t2, 0.5, out=b1)
     omega = e[..., 1:]
-    # lambda^4 term; the tangents are dead
+    # mu^4 term; the tangents are dead
     k1 = qmath.cross(b2, b1, out=v0, tmp=scratch)
     k1 *= 2.0
     w = qmath.cross(k1, b1, out=v1, tmp=scratch)
     q = qmath.cross(w, b1, out=v2, tmp=scratch)
     q /= 180.0
-    np.multiply(lam, q, out=omega)
-    # lambda^3 term
+    np.multiply(mu, q, out=omega)
+    # mu^3 term
     q = qmath.cross(b2, k1, out=v1, tmp=scratch)
     u = qmath.cross(b3, b1, out=v0, tmp=scratch)
     ub = qmath.cross(u, b1, out=v2, tmp=scratch)
@@ -216,20 +213,20 @@ def _magnus_step(t_at, s, cols, lam, e, work, tmp):
     q += ub
     q /= 120.0
     omega += q
-    np.multiply(lam, omega, out=omega)
-    # lambda^2 term
+    np.multiply(mu, omega, out=omega)
+    # mu^2 term
     d = np.multiply(b1, 20.0, out=v0)
     d += b3
     q = qmath.cross(b2, d, out=v1, tmp=scratch)
     q /= -120.0
     omega += q
-    np.multiply(lam, omega, out=omega)
-    # lambda term
+    np.multiply(mu, omega, out=omega)
+    # mu term
     p = b3
     p /= 12.0
     p += b1
     omega += p
-    np.multiply(lam, omega, out=omega)
+    np.multiply(mu, omega, out=omega)
     qmath.qexp_vec(omega, out=e, tmp=tmp)
 
 
@@ -242,13 +239,14 @@ _UFUNC_BUFFER = 256
 
 
 def _interval_products(curve, lams, subs):
-    """Prefix products over the sample intervals of the Magnus factors, one
-    row per lambda in the order given, with subs[i] substeps per interval
-    at lams[i]: shape (len(lams), n, 4), in C order.
+    """The frames F, prefix products over the sample intervals of the
+    Magnus factors, one per lambda in the order given, with subs[i]
+    substeps per interval at lams[i]: shape (len(lams), n+1, 4), in C
+    order, F[:, 0] = 1.
 
     The lambdas are sorted by substep count and advanced together: substep
     j updates the block of those with more than j substeps.  Every lambda
-    gets the same arithmetic as in a batch of its own, so a row does not
+    gets the same arithmetic as in a batch of its own, so a frame does not
     depend on its batch.
 
     The state is component-major from start to finish, and the kernels see
@@ -260,42 +258,34 @@ def _interval_products(curve, lams, subs):
     then Omega's real vectors) while Omega is formed, then, viewed in
     lambda's dtype, the exponential's scratch and the product, which is
     copied into the accumulator.  The scan runs in place along the samples,
-    the memory's last axis, and the result is converted to C order once.
+    the memory's last axis, and F is formed from it in one copy.
     """
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
     h = curve.seg_len
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
-    lam = [lams[i] for i in order]
     sub = np.array([subs[i] for i in order])
-    hs = [h / subs[i] for i in order]
-
-    # per-lambda coefficients, computed in the scalar arithmetic of a
-    # one-lambda integration so that every frame is the same bit for bit
-    def column(values, kind=float):
-        return np.array(values, dtype=kind)[:, None, None]
-    cols = (column([x / 2.0 for x in hs]),
-            column([np.sqrt(15.0) / 3.0 * (x / 2.0) for x in hs]),
-            column([10.0 / 3.0 * (x / 2.0) for x in hs]))
-    lamc = column(lam, dtype)
+    # mu = lambda hs, in the scalar arithmetic of a one-lambda integration
+    # so that every frame is the same bit for bit
+    mu = np.array([lams[i] * (h / subs[i]) for i in order],
+                  dtype)[:, None, None]
     t_at = tangent_interpolator(curve)
 
     def quaternions():
-        return np.moveaxis(np.empty((4, len(lam), n), dtype), 0, -1)
+        return np.moveaxis(np.empty((4, len(lams), n), dtype), 0, -1)
     acc = quaternions()
     acc[...] = (1.0, 0.0, 0.0, 0.0)
     e = quaternions()
-    work = np.empty((6, 3, len(lam), n))
+    work = np.empty((6, 3, len(lams), n))
     # the same memory in lambda's dtype, as (component, lambda, sample)
-    flat = work.reshape(-1).view(dtype).reshape(-1, len(lam), n)
+    flat = work.reshape(-1).view(dtype).reshape(-1, len(lams), n)
     bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
         for j in range(sub[0]):
             a = int(np.count_nonzero(sub > j))
-            _magnus_step(t_at, (j + _GAUSS_OFF) / sub[:a, None],
-                         [c[:a] for c in cols], lamc[:a], e[:a], work,
-                         flat[:2, :a])
+            _magnus_step(t_at, (j + _GAUSS_OFF) / sub[:a, None], mu[:a],
+                         e[:a], work, flat[:2, :a])
             prod = np.moveaxis(flat[:4, :a], 0, -1)
             acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
     finally:
@@ -304,9 +294,11 @@ def _interval_products(curve, lams, subs):
 
     # inclusive scan of interval transitions (associative products)
     qmath.qscan(qmath.qmul, acc.swapaxes(0, 1))
-    out = np.empty(acc.shape, dtype)
-    out[order] = acc
-    return out
+    # allocated after the work buffers, which set the peak memory
+    F = np.empty((len(lams), n + 1, 4), dtype)
+    F[:, 0] = (1.0, 0.0, 0.0, 0.0)
+    F[order, 1:] = acc
+    return F
 
 
 def integrate_frames(curve, lams):
@@ -334,10 +326,9 @@ def integrate_frames(curve, lams):
                                 "many frame substeps" % (modulus(lam) * h,
                                                          _MAX_LAMBDA_STEP))
     # a lost frame overflows or cancels its determinant away; it is refused
-    # below instead of warned about.  F is allocated after the
-    # substep loop, whose work buffers set the peak memory
+    # below instead of warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        products = _interval_products(
+        F = _interval_products(
             curve, lams, [_substep_count(lam, h, dtype) for lam in lams])
         if real:
             # projected back onto det F = 1.  Dividing by sqrt(det F) moves
@@ -346,11 +337,7 @@ def integrate_frames(curve, lams):
             # projection would magnify the product's rounding by |F|^2
             # (1.3e4 on the angle-scan contour), so a nonreal frame keeps
             # the determinant of its factors, 1 to rounding
-            products = qmath.qnormalize(products)
-        F = np.zeros((len(lams), curve.n + 1, 4), dtype=dtype)
-        F[:, 0, 0] = 1.0
-        F[:, 1:] = products
-        del products
+            F /= np.sqrt(qmath.qdet(F))[..., None]
         deviation = np.abs(qmath.qdet(F) - 1.0).max(axis=1)
     # a NaN deviation (a frame that is not finite) counts as the worst
     worst = int(np.argmax(np.nan_to_num(deviation, nan=np.inf)))
@@ -397,7 +384,7 @@ def _nearest_branch(phi, pred):
     """(theta, sigma): the angle theta = sigma phi + 2 pi k, sigma = +-1 and
     k an integer, nearest the prediction; phi and pred real or complex."""
     # min keeps the first of a tie, and of a NaN distance
-    return min(((_near_branch(sigma * phi, pred), sigma)
+    return min(((near_branch(sigma * phi, pred), sigma)
                 for sigma in (1.0, -1.0)), key=lambda c: abs(c[0] - pred))
 
 

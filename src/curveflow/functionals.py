@@ -24,7 +24,7 @@ from .qmath import cross, dot
 K_RANGE = range(-2, 7)
 
 
-def _near_branch(value, near):
+def near_branch(value, near):
     """value shifted by a multiple of 2 pi to the branch nearest `near`;
     value and near real or complex, the multiple from the real part."""
     if near is not None:
@@ -36,19 +36,31 @@ def total_torsion(curve, near=None):
     """Continuous-branch total torsion (holonomy angle of the normal bundle)."""
     frame = parallel_normal_frame(curve)
     winding_number(frame.winding)
-    return _near_branch(frame.total_angle, near)
+    return near_branch(frame.total_angle, near)
 
 
 def energy(k, curve, axis=None, near=None):
     """E_k of the curve; axis required for k in {-2, -1}.
 
-    `near` selects the torsion branch for k = 2.
+    `near` selects the torsion branch for k = 2.  The curve is refused as
+    energy_reports refuses it, by check_scale or where E_k is not finite,
+    and not warned about where it overflows.
     """
     if k not in K_RANGE:
         raise RangeError("energy implements k in [-2, 6]")
-    if k == 2:
-        return total_torsion(curve, near=near)
-    return _energy(k, curve, axis)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        check_scale(curve)
+        value = (total_torsion(curve, near=near) if k == 2
+                 else _energy(k, curve, axis))
+    return _finite(k, value)
+
+
+def _finite(k, value):
+    """The value of E_k, refused where it is not finite."""
+    if not np.isfinite(value):
+        raise DegenerateInputError("E_%d is not finite: the curve's "
+                                   "derivatives overflow at this scale" % k)
+    return value
 
 
 def _energy(k, curve, axis):
@@ -126,21 +138,18 @@ def energy_reports(curves, axis=None, near_torsion=None):
     batch = Curve(np.stack([c.samples for c in curves]),
                   np.array([c.seg_len for c in curves], dtype=float), mono)
     check_scale(batch)
-    frame = parallel_normal_frame(batch)
-    # a one-curve report checks its frame before the axis
-    winding_number(frame.winding[0])
-    values = {k: _energy(k, batch, axis) for k in ks if k != 2}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        frame = parallel_normal_frame(batch)
+        # a one-curve report checks its frame before the axis
+        winding_number(frame.winding[0])
+        values = {k: _energy(k, batch, axis) for k in ks if k != 2}
     axis = None if axis is None else np.asarray(axis, float)
     reports = []
     for i in range(len(curves)):
         winding = winding_number(frame.winding[i])
-        near_torsion = _near_branch(frame.total_angle[i], near_torsion)
-        row = {k: near_torsion if k == 2 else values[k][i] for k in ks}
-        for k, value in row.items():
-            if not np.isfinite(value):
-                raise DegenerateInputError("E_%d is not finite: the curve's "
-                                           "derivatives overflow at this "
-                                           "scale" % k)
+        near_torsion = near_branch(frame.total_angle[i], near_torsion)
+        row = {k: _finite(k, near_torsion if k == 2 else values[k][i])
+               for k in ks}
         reports.append(EnergyReport(row, axis, winding))
     return reports
 

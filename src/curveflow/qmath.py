@@ -148,7 +148,7 @@ def quat_from_axis_angle(axis, angle):
                            np.sin(half) * axis])
 
 
-def _horner(x, coeffs, out=None):
+def horner(x, coeffs, out=None):
     """sum_k coeffs[k] x^k by Horner's rule, in one array updated in place:
     `out` if given."""
     if out is None:
@@ -174,7 +174,7 @@ def _cos_sinc(x, out=(None, None)):
     frame's Magnus exponents, where the first dropped terms, x^5/10! of cos
     and x^5/11! of sinc, are below 1.1e-19 (tests/test_frames.py:
     test_magnus_exponent_stays_in_kernel_domain, test_magnus_kernels_*)."""
-    return (_horner(x, _COS, out=out[0]), _horner(x, _SINC, out=out[1]))
+    return (horner(x, _COS, out=out[0]), horner(x, _SINC, out=out[1]))
 
 
 def qexp_vec(v, out=None, tmp=None):
@@ -190,12 +190,6 @@ def qexp_vec(v, out=None, tmp=None):
     _cos_sinc(x, out=(out[..., 0], s))
     np.multiply(s[..., None], v, out=out[..., 1:])
     return out
-
-
-def qnormalize(q):
-    """Project onto det = 1: divide by the principal sqrt of w^2 + |v|^2."""
-    d = qdet(q)
-    return q / np.sqrt(d)[..., None]
 
 
 def hconj(q):

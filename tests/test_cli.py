@@ -426,6 +426,20 @@ def test_flow_of_large_curve(tmp_path):
     assert code == 0
 
 
+def test_conserve_of_a_huge_curve(tmp_path):
+    # on the circle of radius 1e100, E_6 and its drift floor 1e-12 r^-4
+    # both underflow to 0: no drift is 0, not 0/0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "conserve", "--curve", "circle:r=1e100,n=64",
+                        "--flow", "1", "--dt", "1e197", "--steps", "2")
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    drifts = manifest(out)["summary"]["drifts"]
+    assert drifts["E_6"] == 0.0
+    assert all(np.isfinite(v) for v in drifts.values())
+
+
 def curve_file(tmp_path, text):
     path = tmp_path / "curve.json"
     path.write_text(text)
@@ -547,6 +561,24 @@ BAD_INPUTS = {
     "perturbed-circle-inf-points": lambda p: [
         "energies", "--curve",
         "perturbed-circle:r=1.79e308,n=64,amplitude=0.5"],
+    # |gamma''|^2 overflows: energy refuses the curve as energies does,
+    # before the frames or E_3 warn
+    "darboux-tiny-curve": lambda p: ["darboux", "--curve",
+                                     "circle:r=1e-160,n=64",
+                                     "--lam", "1e160+1e160i"],
+    "angle-scan-tiny-curve": lambda p: ["angle-scan", "--curve",
+                                        "circle:r=1e-160,n=64",
+                                        "--lmin", "1e150", "--lmax", "1e151",
+                                        "--count", "2"],
+    # E_6, E_5 or the frame's products overflow though |gamma''|^2 does not
+    "tiny-curve-1e-70": lambda p: ["energies", "--curve",
+                                   "circle:r=1e-70,n=64"],
+    "tiny-curve-1e-100": lambda p: ["energies", "--curve",
+                                    "circle:r=1e-100,n=64"],
+    "tiny-curve-1e-150": lambda p: ["energies", "--curve",
+                                    "circle:r=1e-150,n=64"],
+    "tiny-perturbed-circle-1e-150": lambda p: [
+        "energies", "--curve", "perturbed-circle:r=1e-150,n=64"],
 }
 
 

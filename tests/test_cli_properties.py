@@ -1,8 +1,8 @@
 """Property tests of the lambda-grid commands, of darboux, of criticality,
-of commute and of energies: whatever grid, lambda, k, flow pairs or curve
-they are given, they end in a documented exit code (0, 2 or 3), never in a
-traceback, and with exit 0 never write a NaN cell or a non-finite manifest
-value."""
+of commute, of energies and of conserve: whatever grid, lambda, k, flow
+pairs or curve they are given, they end in a documented exit code (0, 2 or
+3), never in a traceback, and with exit 0 never write a NaN cell or a
+non-finite manifest value."""
 
 import contextlib
 import csv
@@ -22,6 +22,7 @@ from curveflow.cli import main, parse_curve
 from curveflow.errors import (ArgumentError, FrameDeterminantError,
                               ValidationError)
 from curveflow.frames import _MAX_DET_DEVIATION, integrate_frame
+from curveflow.functionals import energy_report
 from helpers import group_residual, moved_copy
 
 CURVES = ["circle:r=1,n=32", "helix:a=1,b=1,n=32",
@@ -153,7 +154,8 @@ def frame_deviation(curve, lam):
 
 @settings(PROPERTY, max_examples=24)
 @given(curve=st.sampled_from(CURVES), lam=LAMBDA,
-       scale=st.floats(1e-6, 1e6), angle=st.floats(-math.pi, math.pi),
+       scale=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e),
+       angle=st.floats(-math.pi, math.pi),
        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda v: np.linalg.norm(v) > 0.1),
        shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
@@ -167,6 +169,12 @@ def frame_deviation(curve, lam):
          axis=(0.0, 1.0, 0.0), shift=(4.0, 0.0, 0.0))
 # |lambda| overflows though both parts are finite: was a traceback
 @example(curve=CURVES[2], lam=1.5e308+1.5e308j, scale=0.5, angle=0.5,
+         axis=(0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0))
+# the substeps' hs^k overflowed or underflowed: a lost frame (exit 3), and
+# deltas 12% to 18% off the unit helix's
+@example(curve=CURVES[1], lam=1.0+1.0j, scale=1e100, angle=0.3,
+         axis=(0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0))
+@example(curve=CURVES[1], lam=1.0+1.0j, scale=1e-100, angle=0.3,
          axis=(0.0, 0.0, 1.0), shift=(0.0, 0.0, 0.0))
 def test_darboux_any_lambda(curve, lam, scale, angle, axis, shift):
     # the exit code, the pre-resample deviation and the energy deltas in
@@ -304,3 +312,71 @@ def test_energies_any_scale_and_motion(curve, exponent, angle, axis, shift):
                * np.maximum(np.abs(values), (2.0 * np.pi) ** (k - 1.0)))
         assert np.all(np.abs(copy_values - values) <= tol), (
             copy_values - values, tol)
+
+
+def conserve_drifts(spec, dt, axis):
+    """(exit code, max relative drifts of E_-2 .. E_6, or None with exit
+    nonzero) of `conserve` on the curve spec or file under flow 1, which
+    warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, documents = check_run(
+            ["conserve", "--curve", spec, "--flow", "1", "--dt", repr(dt),
+             "--steps", "20", "--axis",
+             ",".join(repr(float(c)) for c in axis)], "drifts.csv")
+    assert [str(w.message) for w in caught] == [], spec
+    if code:
+        return code, None
+    drifts = documents["manifest.json"]["summary"]["drifts"]
+    return code, np.array([drifts["E_%d" % k] for k in range(-2, 7)])
+
+
+@settings(PROPERTY, max_examples=12)
+@given(curve=st.sampled_from(CURVES), exponent=st.floats(-30.0, 30.0),
+       angle=st.floats(-math.pi, math.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       shift=st.floats(-2.0, 2.0))
+# the drift floor was an absolute 1e-12: E_-1's drift read 3.6e-55 at
+# s = 1e-30, and E_3's 2.1e-24 at s = 1e30
+@example(curve=CURVES[3], exponent=-30.0, angle=0.0, axis=(0.0, 0.0, 1.0),
+         shift=0.0)
+@example(curve=CURVES[3], exponent=30.0, angle=1.0, axis=(1.0, 0.0, 0.0),
+         shift=0.5)
+def test_conserve_any_scale_and_motion(curve, exponent, angle, axis, shift):
+    # flow 1 on a copy scaled by s = 10^exponent, at dt s^2, rotated by R
+    # and moved along its axis R e_z by up to 2 of its lengths, which keeps
+    # E_-1 and E_-2 about R e_z, ends in the same exit code, and every drift
+    # is the curve's own to rounding.  A drift is |Delta E_k| / N_k, N_k =
+    # max(|E_k(0)|, 1e-12 l^d) with l^d the scale of E_k; the copy's
+    # positions round at a few eps of its size, and E_k reads them through
+    # k - 2 differences, so Delta E_k rounds at about eps (n / 2 pi)^(k-2)
+    # max(l^d, |E_k(0)|): 1e3 times that is the bound, measured at most
+    # 4.4% of it over 60 draws (E_-2 of a line, where E_-2(0) is round-off
+    # below the floor and a rotated copy's drift reads 1e-3 where the
+    # curve's reads 0)
+    base = parse_curve(curve)
+    ez = np.array([0.0, 0.0, 1.0])
+    code, drifts = conserve_drifts(curve, 1e-2, ez)
+    scale = 10.0 ** exponent
+    rotation = qmath.quat_from_axis_angle(
+        np.array(axis) / np.linalg.norm(axis), angle)
+    moved_axis = qmath.qrotate(rotation, ez)
+    copy = moved_copy(base, scale, rotation,
+                      shift * scale * base.length * moved_axis)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        save_curve(copy, path)
+        copy_code, copy_drifts = conserve_drifts(path, 1e-2 * scale ** 2,
+                                                 moved_axis)
+    assert copy_code == code
+    if code == 0:
+        values = energy_report(base, axis=ez).values
+        k = np.arange(-2, 7)
+        e0 = np.abs([values[j] for j in k])
+        unit = (values[1] / (2.0 * np.pi)) ** np.where(k >= 0, 2 - k, 1 - k)
+        tol = (1e3 * np.finfo(float).eps
+               * (base.n / (2.0 * np.pi)) ** np.maximum(k - 2, 0)
+               * np.maximum(unit, e0) / np.maximum(e0, 1e-12 * unit))
+        assert np.all(np.abs(copy_drifts - drifts) <= tol), (
+            copy_drifts - drifts, tol)

@@ -2,7 +2,8 @@
 package is used by the package itself: a name that only tests read belongs
 in tests/helpers.py.  The re-exports of curveflow/__init__.py count as uses,
 since they are the public API, but only the paper's checks below may be
-read there alone, and only their outputs below may go unread."""
+read there alone, and only their outputs below may go unread.  A private
+name, _name, is read only by its own module."""
 
 import ast
 import pathlib
@@ -239,3 +240,38 @@ def test_no_nested_def_goes_unused():
                                if isinstance(n, ast.Name)
                                and isinstance(n.ctx, ast.Load)})
     assert unread == []
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_reads(tree):
+    """The private names the module reads from another module of the
+    package: imported by name, or read as an attribute of a package module
+    it imports."""
+    def in_package(node):
+        module = node.module or ""
+        return node.level > 0 or module.partition(".")[0] == "curveflow"
+    modules = set()
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and in_package(node):
+            out |= {a.name for a in node.names if is_private(a.name)}
+            if node.module in (None, "curveflow"):
+                modules |= {a.asname or a.name for a in node.names}
+    out |= {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_private(node.attr)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    return out
+
+
+def test_no_private_name_is_read_across_modules():
+    # what one module reads of another is that module's API, not its
+    # private names
+    reads = sorted("%s reads %s" % (f.stem, name)
+                   for f, tree in source_trees().items()
+                   for name in private_reads(tree))
+    assert reads == []
