@@ -103,67 +103,44 @@ def _advance(samples, stencil, spec):
                     samples, spec.dt)
 
 
-def _guarded_steps(curve, spec, every):
-    """Yield (0, curve), then (i, curve) after every `every`-th of the
-    spec's steps and after the last; only those steps build a Curve.
-
-    The stability guard runs before anything is yielded; the blow-up check
-    and the optional arclength resampling run after every step.
-    """
-    _check_stability(curve, spec)
-    bound = _BLOW_UP * np.abs(curve.samples).max()
-    yield 0, curve
-    # the last resampled curve: it gives the steps after it their seg_len
-    base, samples = curve, curve.samples
-    stencil = Stencil(base, max(spec.coefficients))
-    for i in range(1, spec.steps + 1):
-        samples = _advance(samples, stencil, spec)
-        _check_blow_up(samples, bound, i)
-        if spec.resample_every and i % spec.resample_every == 0:
-            base = resample_arclength(samples, base.monodromy, base.n)
-            samples = base.samples
-            stencil = Stencil(base, max(spec.coefficients))
-        if i % every == 0 or i == spec.steps:
-            yield i, (base if samples is base.samples
-                      else base.with_samples(samples))
-
-
 def evolve(curve, spec, axis=None):
     """Run the flow, logging energies at a bounded cadence.
 
-    The logged snapshots are reported in batches of about _REPORT_SAMPLES
-    samples (energy_reports), bit for bit as one at a time.  Snapshot 0 is
-    reported alone, so a bad starting curve fails before the first step, and
-    a step that raises first reports the snapshots logged before it, so an
-    earlier report failure wins.  The E_2 branch is carried continuously
-    along the trajectory by snapping each report to the previous one.
+    The stability guard runs first and snapshot 0 is reported alone, so a
+    bad starting curve fails before the first step.  Each step is checked
+    for blow-up and optionally resampled; the snapshots after every
+    max(1, steps // 200)-th step and the last are logged.  After the steps,
+    also when one raises, those are reported in batches of about
+    _REPORT_SAMPLES samples (energy_reports), bit for bit as one at a time,
+    so a report failure replaces a step's error.  E_2 is carried along the
+    trajectory by snapping each report to the previous one.
     """
+    _check_stability(curve, spec)
     log_every = max(1, spec.steps // 200)
-    chunk = max(1, _REPORT_SAMPLES // curve.n)
-    snapshots = []
-    logs = []
-    times = []
-    pending = []
-
-    def report():
-        batch = pending[:]
-        pending.clear()
-        near = logs[-1].values[2] if logs else None
-        logs.extend(energy_reports(batch, axis=axis, near_torsion=near))
-
+    snapshots = [curve]
+    times = [0.0]
+    logs = energy_reports([curve], axis=axis)
+    bound = _BLOW_UP * np.abs(curve.samples).max()
+    # the last resampled curve: it gives the steps after it their seg_len
+    base, samples = curve, curve.samples
+    stencil = Stencil(base, max(spec.coefficients))
     try:
-        for i, current in _guarded_steps(curve, spec, log_every):
-            snapshots.append(current)
-            times.append(i * spec.dt)
-            pending.append(current)
-            if i == 0 or len(pending) == chunk:
-                report()
-    except Exception:
-        if pending:
-            report()
-        raise
-    if pending:
-        report()
+        for i in range(1, spec.steps + 1):
+            samples = _advance(samples, stencil, spec)
+            _check_blow_up(samples, bound, i)
+            if spec.resample_every and i % spec.resample_every == 0:
+                base = resample_arclength(samples, base.monodromy, base.n)
+                samples = base.samples
+                stencil = Stencil(base, max(spec.coefficients))
+            if i % log_every == 0 or i == spec.steps:
+                snapshots.append(base if samples is base.samples
+                                 else base.with_samples(samples))
+                times.append(i * spec.dt)
+    finally:
+        chunk = max(1, _REPORT_SAMPLES // curve.n)
+        for j in range(1, len(snapshots), chunk):
+            logs += energy_reports(snapshots[j:j + chunk], axis=axis,
+                                   near_torsion=logs[-1].values[2])
     return Trajectory(snapshots, logs, np.array(times))
 
 

@@ -58,9 +58,10 @@ _MAGNUS_STEP = {float: 0.08, complex: 0.04}
 # largest |lambda| * seg_len accepted, 400 real or 800 nonreal substeps
 # per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
-# imaginary step of the complex-step derivative dF: its O(step^2) error is
-# far below round-off, and Im F(lambda + i step) involves no difference of
-# nearby values, so the step need not be balanced against cancellation
+# the complex-step derivative dF steps lambda by i _CSTEP / L, L the
+# curve's length: its O(step^2) error is far below round-off, and Im
+# F(lambda + i step) involves no difference of nearby values, so the step
+# need not be balanced against cancellation
 _CSTEP = 1e-20
 # largest max |det F - 1| accepted.  F grows like exp(|Im lambda| L / 2),
 # and det F cancels to about eps exp(|Im lambda| L): the benchmark's grids
@@ -136,15 +137,17 @@ class FrameTrajectory:
     @cached_property
     def dF(self):
         """(n+1, 4) derivative of F with respect to real lambda: the
-        complex step Im F(lambda + i _CSTEP) / _CSTEP (Squire & Trapp, SIAM
-        Rev. 40, 1998), at the substeps of the real lambda, so that it is
-        the derivative of this discrete F.  F is holomorphic in lambda, so
-        the step has no cancellation and an O(_CSTEP^2) error."""
+        complex step Im F(lambda + i h) / h, h = _CSTEP / L (Squire & Trapp,
+        SIAM Rev. 40, 1998), at the substeps of the real lambda, so that it
+        is the derivative of this discrete F.  F is holomorphic in lambda,
+        so the step has no cancellation and an O(h^2) error, and h relative
+        to the curve's length L makes that error scale-free."""
         if not self.is_real:
             raise ArgumentError("dF/dlambda is taken at real lambda only")
         count = _substep_count(self.lam, self.curve.seg_len, float)
-        return _interval_products(self.curve, [complex(self.lam, _CSTEP)],
-                                  [count])[0].imag / _CSTEP
+        step = _CSTEP / self.curve.length
+        return _interval_products(self.curve, [complex(self.lam, step)],
+                                  [count])[0].imag / step
 
 
 def modulus(lam):

@@ -61,15 +61,12 @@ def V_k(xi, k):
     """Lax vector field xi x (lambda^{k+1} xi)_+, an element of Lambda_d."""
     if k < 0:
         raise RangeError("k must be >= 0")
-    d = xi.degree
+    # (lambda^{k+1} xi)_+ keeps the coefficients xi_j, j <= k, at power
+    # k+1-j >= 1, so in xi x (xi_0 .. xi_k) the power lambda^{-q} of the
+    # field sits at index q + k + 1; powers below lambda^{-d} vanish
     out = np.zeros_like(xi.coeffs)
-    # (lambda^{k+1} xi)_+ keeps coefficients xi_j at power k+1-j >= 1
-    for j in range(min(k, d) + 1):
-        # cross with xi_m lands at power (k+1-j) - m; keep powers <= 0
-        for m in range(d + 1):
-            q = m + j - k - 1
-            if 0 <= q <= d:
-                out[q] += cross(xi.coeffs[m], xi.coeffs[j])
+    tail = loop_cross(xi, LoopElement(xi.coeffs[:k + 1])).coeffs[k + 1:]
+    out[:len(tail)] = tail
     return LoopElement(out)
 
 

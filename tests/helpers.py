@@ -4,7 +4,7 @@ import numpy as np
 
 from curveflow import qmath
 from curveflow.curves import Curve, Monodromy, central_d1, deriv, tangent
-from curveflow.flows import _guarded_steps
+from curveflow.flows import evolve
 from curveflow.frames import sym_curve
 from curveflow.hierarchy import check_axis
 from oracles import loop_parallel_normal_frame
@@ -199,7 +199,6 @@ def poincare_embed(family):
 
 
 def step(curve, spec):
-    """One RK4 step; optional arclength resampling afterward."""
-    steps = _guarded_steps(curve, spec, 1)
-    next(steps)
-    return next(steps)[1]
+    """The curve after the spec's steps: one RK4 step for a one-step spec,
+    and the optional arclength resampling after it."""
+    return evolve(curve, spec).snapshots[-1]

@@ -1,8 +1,8 @@
 """Property tests of the lambda-grid commands, of darboux, of criticality,
-of commute, of energies and of conserve: whatever grid, lambda, k, flow
-pairs or curve they are given, they end in a documented exit code (0, 2 or
-3), never in a traceback, and with exit 0 never write a NaN cell or a
-non-finite manifest value."""
+of commute, of energies, of conserve, of flow and of lax: whatever grid,
+lambda, k, flow pairs, curve or loop they are given, they end in a
+documented exit code (0, 2 or 3), never in a traceback, and with exit 0
+never write a NaN cell or a non-finite manifest value."""
 
 import contextlib
 import csv
@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from curveflow import qmath
-from curveflow.artifacts import save_curve
+from curveflow.artifacts import save_curve, save_loop
 from curveflow.cli import main, parse_curve
 from curveflow.errors import (ArgumentError, FrameDeterminantError,
                               ValidationError)
@@ -65,7 +65,8 @@ def run_cli(argv):
 def check_run(argv, artifact):
     """argv ends in a documented exit code without a traceback; with exit 0
     it writes `artifact` and a manifest, and no NaN cell.  Returns the exit
-    code and the JSON documents."""
+    code and the artifacts by name: the rows of each CSV table and the
+    value of each JSON document."""
     code, err, tables, documents = run_cli(argv)
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
@@ -76,7 +77,7 @@ def check_run(argv, artifact):
             for row in rows:
                 assert not any(c.strip().lower() == "nan" for c in row), \
                     (argv, name, row)
-    return code, documents
+    return code, {**tables, **documents}
 
 
 @PROPERTY
@@ -124,14 +125,14 @@ def darboux_invariants(curve, lam):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "curve.json")
         save_curve(curve, path)
-        code, documents = check_run(
+        code, artifacts = check_run(
             ["darboux", "--curve", path,
              "--lam=" + repr(complex(lam)).replace("j", "i")], "darboux.json")
     if code:
         return code, None
     values = []
     for tag in ("plus", "minus"):
-        eta = documents["darboux.json"]["eta_%s" % tag]
+        eta = artifacts["darboux.json"]["eta_%s" % tag]
         values.append(eta["pre_resample_deviation"])
         deltas = eta["energy_deltas"]
         values.extend(deltas["E_%d" % k] * curve.length ** (k - 2)
@@ -244,13 +245,13 @@ def energies_invariants(spec):
     warns of nothing."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, documents = check_run(["energies", "--curve", spec],
+        code, artifacts = check_run(["energies", "--curve", spec],
                                     "energies.csv")
     assert [str(w.message) for w in caught] == [], spec
     assert code in (0, 2), (spec, code)
     if code:
         return code, None
-    e = documents["manifest.json"]["summary"]["values"]
+    e = artifacts["manifest.json"]["summary"]["values"]
     return code, np.array([e["E_%d" % k] * e["E_1"] ** (k - 2)
                            for k in range(7)])
 
@@ -320,14 +321,14 @@ def conserve_drifts(spec, dt, axis):
     warns of nothing."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, documents = check_run(
+        code, artifacts = check_run(
             ["conserve", "--curve", spec, "--flow", "1", "--dt", repr(dt),
              "--steps", "20", "--axis",
              ",".join(repr(float(c)) for c in axis)], "drifts.csv")
     assert [str(w.message) for w in caught] == [], spec
     if code:
         return code, None
-    drifts = documents["manifest.json"]["summary"]["drifts"]
+    drifts = artifacts["manifest.json"]["summary"]["drifts"]
     return code, np.array([drifts["E_%d" % k] for k in range(-2, 7)])
 
 
@@ -380,3 +381,115 @@ def test_conserve_any_scale_and_motion(curve, exponent, angle, axis, shift):
                * np.maximum(unit, e0) / np.maximum(e0, 1e-12 * unit))
         assert np.all(np.abs(copy_drifts - drifts) <= tol), (
             copy_drifts - drifts, tol)
+
+
+def flow_energies(spec, dt, every, axis):
+    """(exit code, the rows of energies.csv, t and E_-2 .. E_6, or None with
+    exit nonzero) of 6 steps of `flow` on the curve spec or file under flow
+    1, resampled every `every` steps, which warns of nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, artifacts = check_run(
+            ["flow", "--curve", spec, "--flow", "1", "--dt", repr(dt),
+             "--steps", "6", "--resample-every", str(every), "--axis",
+             ",".join(repr(float(c)) for c in axis)], "energies.csv")
+    assert [str(w.message) for w in caught] == [], spec
+    if code:
+        return code, None
+    header, *rows = artifacts["energies.csv"]
+    assert header == ["t"] + ["E_%d" % k for k in range(-2, 7)]
+    return code, np.array(rows, dtype=float)
+
+
+@settings(PROPERTY, max_examples=12)
+@given(curve=st.sampled_from(CURVES), exponent=st.floats(-30.0, 30.0),
+       angle=st.floats(-math.pi, math.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       shift=st.floats(-2.0, 2.0), every=st.sampled_from([0, 1, 3]))
+def test_flow_any_scale_and_motion(curve, exponent, angle, axis, shift,
+                                   every):
+    # flow 1 on a copy scaled by s = 10^exponent, at dt s^2, rotated by R
+    # and moved along its axis R e_z by up to 2 of its lengths ends in the
+    # same exit code, and every energies.csv cell over s^d, t and E_k scaled
+    # as l^d (d = 2 for t, 2 - k for E_k, k >= 0, and 1 - k for k < 0), is
+    # the curve's own to rounding.  The copy's positions round at a few eps
+    # of its size; the steps and the resampling carry that along, and E_k
+    # reads them through k - 2 differences, so a cell rounds at about eps
+    # (n / 2 pi)^(k-2) max(l^d, |cell|): 1e3 times that is the bound,
+    # measured at most 5.9% of it over 150 draws
+    base = parse_curve(curve)
+    ez = np.array([0.0, 0.0, 1.0])
+    code, rows = flow_energies(curve, 1e-2, every, ez)
+    scale = 10.0 ** exponent
+    rotation = qmath.quat_from_axis_angle(
+        np.array(axis) / np.linalg.norm(axis), angle)
+    moved_axis = qmath.qrotate(rotation, ez)
+    copy = moved_copy(base, scale, rotation,
+                      shift * scale * base.length * moved_axis)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.json")
+        save_curve(copy, path)
+        copy_code, copy_rows = flow_energies(path, 1e-2 * scale ** 2, every,
+                                             moved_axis)
+    assert copy_code == code
+    if code == 0:
+        k = np.arange(-2, 7)
+        d = np.concatenate([[2], np.where(k >= 0, 2 - k, 1 - k)])
+        size = rows[0, 4] / (2.0 * np.pi)   # E_1(0) / 2 pi
+        amplify = np.concatenate([[1.0], (base.n / (2.0 * np.pi))
+                                  ** np.maximum(k - 2, 0)])
+        tol = (1e3 * np.finfo(float).eps * amplify
+               * np.maximum(size ** d, np.abs(rows)))
+        err = np.abs(copy_rows / scale ** d - rows)
+        assert np.all(err <= tol), (err / tol).max()
+
+
+def lax_run(coeffs, dt):
+    """(exit code, spectral drifts, final loop coefficients, or None with
+    exit nonzero) of 20 steps of `lax` under V_0 + V_1 / 2 - V_2 / 4 from
+    the loop coefficients, passed as a loop file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "loop.json")
+        save_loop(coeffs, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, artifacts = check_run(
+                ["lax", "--loop", path, "--flow", "0=1,1=0.5,2=-0.25",
+                 "--dt", repr(dt), "--steps", "20"], "final_loop.json")
+    assert [str(w.message) for w in caught] == []
+    if code:
+        return code, None, None
+    _, *rows = artifacts["spectral_drift.csv"]
+    return (code, np.array(rows, dtype=float)[:, 1],
+            np.array(artifacts["final_loop.json"]["coeffs"]))
+
+
+@settings(PROPERTY, max_examples=12)
+@given(degree=st.integers(0, 4), seed=st.integers(0, 2 ** 16),
+       exponent=st.floats(-30.0, 30.0), angle=st.floats(-math.pi, math.pi),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda v: np.linalg.norm(v) > 0.1))
+def test_lax_any_scale_and_rotation(degree, seed, exponent, angle, axis):
+    # V_k is quadratic and commutes with rotations, so from s R xi at dt / s
+    # the flow is s R times xi's: the same exit code, spectral drifts s^2
+    # times xi's and a final loop s R times xi's, to rounding.  Both round
+    # at about eps times their scale, s^2 max |xi_j|^2 and s max |xi_j|
+    # over the run: 1e2 times that is the bound, measured at most 9.1% of
+    # it over 150 draws
+    xi = np.random.default_rng(seed).standard_normal((degree + 1, 3))
+    code, drifts, final = lax_run(xi, 1e-2)
+    scale = 10.0 ** exponent
+    rotation = qmath.quat_from_axis_angle(
+        np.array(axis) / np.linalg.norm(axis), angle)
+    copy_code, copy_drifts, copy_final = lax_run(
+        scale * qmath.qrotate(rotation, xi), 1e-2 / scale)
+    assert copy_code == code
+    if code == 0:
+        size = max(np.abs(xi).max(), np.abs(final).max())
+        tol = 1e2 * np.finfo(float).eps * size
+        drift_err = np.abs(copy_drifts / scale ** 2 - drifts)
+        loop_err = np.abs(copy_final / scale
+                          - qmath.qrotate(rotation, final))
+        assert np.all(drift_err <= tol * size), (drift_err / tol).max()
+        assert np.all(loop_err <= tol), (loop_err / tol).max()

@@ -16,8 +16,8 @@ INIT = PACKAGE / "__init__.py"
 # tests to run and does not call itself
 PAPER_CHECKS = {
     "directional_derivative_check", "finite_gap_residual", "from_curve",
-    "hyperbolic_family", "loop_cross", "monodromy_angle",
-    "recursion_residual", "torsion_shift_check",
+    "hyperbolic_family", "monodromy_angle", "recursion_residual",
+    "torsion_shift_check",
 }
 
 # the outputs of those checks that the package gives to the tests and does

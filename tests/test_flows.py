@@ -126,6 +126,30 @@ def test_evolve_reports_in_batches(monkeypatch):
     assert scans[0] == (1, 64, 3) and scans[1] == (batch, 64, 3)
 
 
+def test_evolve_reports_snapshot_0_first_and_the_rest_after_the_steps(
+        monkeypatch):
+    # the step count at each energy_reports call: 0 for snapshot 0, then
+    # the last step's for every batch of the other logged snapshots
+    advance = flows._advance
+    reports = flows.energy_reports
+    steps = []
+    reported_at = []
+
+    def counting(samples, stencil, spec):
+        steps.append(len(steps) + 1)
+        return advance(samples, stencil, spec)
+
+    def recording(curves, **kwargs):
+        reported_at.append(len(steps))
+        return reports(curves, **kwargs)
+
+    monkeypatch.setattr(flows, "_advance", counting)
+    monkeypatch.setattr(flows, "energy_reports", recording)
+    evolve(make_circle(1.0, 64), FlowSpec({1: 1.0}, 1e-3, 200))
+    batches = -(-200 // (flows._REPORT_SAMPLES // 64))
+    assert reported_at == [0] + [200] * batches
+
+
 @pytest.mark.parametrize("curve,axis", [
     (make_helix(1.0, 0.5, 1.3, 128), [0.0, 0.0, 1.0]),
     (make_line(2.0, 64), [1.0, 0.0, 0.0]),

@@ -168,6 +168,24 @@ def test_monodromy_does_not_depend_on_scale(case, lam):
         assert np.abs(got - want).max() <= 1e-14, scale
 
 
+def test_sym_curve_does_not_depend_on_scale():
+    # dF's complex step is relative to the curve's length, so (s gamma,
+    # lambda / s) has the unit curve's Sym curve times s over the whole
+    # float range (measured at most 1.3e-15 of its size at every fifth
+    # decade from 1e-300 to 1e300), with no warning.
+    # An absolute step of 1e-20 was off by 2.4e-3 at s = 1e-300, by 5.5 at
+    # s = 1e20, and NaN with RuntimeWarnings from s = 1e25
+    c = make_helix(1.0, 0.5, 1.3, 64)
+    want = sym_curve(integrate_frame(c, 0.8))
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    for scale in (1e-300, 1e-100, 1e-20, 1e15, 1e20, 1e25, 1e100, 1e300):
+        copy = moved_copy(c, scale, identity, np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sym_curve(integrate_frame(copy, 0.8 / scale)) / scale
+        assert relative_error(got, want) <= 1e-14, scale
+
+
 @pytest.mark.parametrize("lam", [1.0 + 1.0j, 2.0 + 0.1j, 8.0, 32.0])
 def test_monodromy_is_fourth_order_in_space(lam):
     # the 6-point tangent stencils set the spatial order of F[-1] A on the
