@@ -16,7 +16,16 @@ from . import qmath
 from .errors import (ArgumentError, DegenerateInputError,
                      DegenerateResolutionError, ResamplingError)
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+# the 8-point Gauss-Legendre nodes and weights on [-1, 1], the bits of
+# numpy.polynomial.legendre.leggauss(8), which costs its import
+_GAUSS_X = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GAUSS_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 # resampling: relative segment-length uniformity and iteration cap
 _RESAMPLE_TOL = 1e-10
 _RESAMPLE_ITER = 50
@@ -497,10 +506,9 @@ def parallel_normal_frame(curve):
     plane normal to the unit chord a_i, then across the plane normal to the
     unit b_i joining the reflected tangent to t_{i+1}.  That is the rotation
     with quaternion q_i = b_i a_i, so one period carries the normal nu_0 to
-    nu_0 rotated by Q_n = q_{n-1} ... q_0.  Q_n is formed by pairing the
-    factors from the end, each later one on the left, which is the
-    association of the last prefix product of qmath.qscan.  The transported
-    normal is projected off the tangent and normalized once.
+    nu_0 rotated by Q_n = q_{n-1} ... q_0, formed by qmath.qreduce, each
+    later factor on the left.  The transported normal is projected off the
+    tangent and normalized once.
 
     The initial normal is e_z x t_0 (e_x x t_0 where t_0 is along e_z).
     The holonomy angle compares the transported normal, pulled back by the
@@ -526,11 +534,8 @@ def parallel_normal_frame(curve):
     b /= np.sqrt(qmath.dot(b, b))[..., None]
     q = np.concatenate([-qmath.dot(b, a)[..., None], qmath.cross(b, a)],
                        axis=-1)
-    while q.shape[-2] > 1:
-        m = q.shape[-2] % 2
-        p = qmath.qmul(q[..., m + 1::2, :], q[..., m::2, :])
-        q = np.concatenate([q[..., :1, :], p], axis=-2) if m else p
-    nu = qmath.qrotate(q[..., 0, :], nu0)
+    q = qmath.qreduce(lambda a, b: qmath.qmul(b, a), q)
+    nu = qmath.qrotate(q, nu0)
     nu -= qmath.dot(nu, tn)[..., None] * tn
     nu /= np.sqrt(qmath.dot(nu, nu))[..., None]
 

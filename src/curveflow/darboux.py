@@ -14,8 +14,9 @@ stereographic chart pi(p) = u/(1 + w) onto the Poincare ball, and for real
 lambda it reduces to +- the monodromy rotation axis.  Darboux transforms are
 eta+- = gamma + (2 Im lambda/|lambda|^2) S+-, the offset that keeps eta
 arclength parametrized under the frame convention F' = F (lambda/2) T.
-fixed_points solves a stack of monodromies F[-1] A, such as a whole
-spectral grid's, with one eig.
+fixed_points solves a stack of monodromies F[-1] A with one eig: a spectral
+grid's come from frames.monodromies, which forms no F and refuses a lost
+frame by the guard of integrate_frames, whose F darboux_transform reads.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, arclength_deviation, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import integrate_frame, integrate_frames, modulus
+from .frames import integrate_frame, modulus, monodromies
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
@@ -191,9 +192,9 @@ def spectral_image_scan(curve, re_values, im_values):
     if not rows:
         return rows
     # one frame batch per row: all real or all nonreal lambda
-    fp = fixed_points(np.stack([
-        frame.monodromy for im in im_values for frame in
-        integrate_frames(curve, [complex(re, im) for re in re_values])]))
+    fp = fixed_points(np.concatenate([
+        monodromies(curve, [complex(re, im) for re in re_values])
+        for im in im_values]))
     sp, sm = fp.S_plus, fp.S_minus
     cols = len(re_values)
     # each cell's neighbour; cell 0 has none, and its entry is not read

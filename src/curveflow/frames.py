@@ -21,12 +21,15 @@ Frames are integrated with the 6th-order Magnus method on three-point
 Gauss nodes of Blanes, Casas & Ros (BIT 40, 2000; also in Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent stencils (one einsum per
 substep over a stack of the shifted tangents) and polynomial exponentials
-(qmath).  The substep loop and the prefix scan keep their state
-component-major, quaternions as (4, lambda, sample) memory, so that every
-component the qmath kernels read or write is contiguous, and the substep's
-temporaries live in work buffers allocated once per batch (see
-_interval_products).  A frame whose determinant has cancelled away, as it
-does at large |Im lambda|, is refused with FrameDeterminantError.
+(qmath).  The substep loop gives the interval factors, component-major,
+quaternions as (4, lambda, sample) memory, so that every component the
+qmath kernels read or write is contiguous, with its temporaries in work
+buffers allocated once per batch (see _interval_factors).  Only
+integrate_frames, for the readers of F, scans them into F; `monodromies`,
+for the spectral scan and the angle contour, reduces them to F[-1] with the
+scan's association and bits.  A lost frame, whose determinant has cancelled
+away as it does at large |Im lambda|, is refused with FrameDeterminantError
+by one guard on eps |F[-1]|^2 (see _MAX_DET_ROUNDING).
 """
 
 from dataclasses import dataclass
@@ -63,11 +66,19 @@ _MAX_LAMBDA_STEP = 32.0
 # F(lambda + i step) involves no difference of nearby values, so the step
 # need not be balanced against cancellation
 _CSTEP = 1e-20
-# largest max |det F - 1| accepted.  F grows like exp(|Im lambda| L / 2),
-# and det F cancels to about eps exp(|Im lambda| L): the benchmark's grids
-# reach 9.1e-13, criterion 9 (helix, lambda = 0.5 + 2i) 2.1e-9, and a lost
-# frame reads order 1 or is not finite
-_MAX_DET_DEVIATION = 1e-6
+# largest eps |F[-1]|^2 accepted (|q|^2 = sum |q_i|^2), the rounding of
+# det F = w^2 + v.v, whose terms are of size |F|^2: a product of depth d of
+# unit factors holds det F to about c d eps |F|^2.  F grows like
+# exp(|Im lambda| x / 2), and on every nonreal frame measured max_x |F(x)|^2
+# = |F[-1]|^2, with no node of qmath.qreduce's tree above its root; real
+# frames are unit to 4 eps.  On 183 frames (circle, helix, perturbed circle,
+# n = 32, lambda = 0.7 + i [1.5, 4.5]) max |det F - 1| read 0.13 to 1.14
+# times eps |F[-1]|^2, so this bound refuses all that max |det F - 1| <= 1e-6
+# refused.  Unlike max |det F - 1|, the reading is kept to 4.8e-14 by a
+# rotation, a shift or a scale s at lambda / s (the same mu = lambda hs), so
+# similar curves are refused alike.  The benchmark's grid reads at most
+# 6.9e-13, criterion 9 (helix, 0.5 + 2i) 3.9e-9, a lost frame 1e175 or NaN
+_MAX_DET_ROUNDING = 1e-7
 # smallest 1 + (y, t) accepted by spherical_sector_area
 _SECTOR_MIN_DENOMINATOR = 1e-3
 
@@ -241,11 +252,10 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
 _UFUNC_BUFFER = 256
 
 
-def _interval_products(curve, lams, subs):
-    """The frames F, prefix products over the sample intervals of the
-    Magnus factors, one per lambda in the order given, with subs[i]
-    substeps per interval at lams[i]: shape (len(lams), n+1, 4), in C
-    order, F[:, 0] = 1.
+def _interval_factors(curve, lams, subs):
+    """(order, factors): the Magnus products over each sample interval, one
+    row per lambda with subs[i] substeps per interval at lams[i], shape
+    (len(lams), n, 4), row r holding lams[order[r]].
 
     The lambdas are sorted by substep count and advanced together: substep
     j updates the block of those with more than j substeps.  Every lambda
@@ -254,14 +264,13 @@ def _interval_products(curve, lams, subs):
 
     The state is component-major from start to finish, and the kernels see
     it through (lambda, sample, component) views in which every component
-    is contiguous.  The accumulator and the Magnus factor are (4, L, n)
+    is contiguous.  The factors and the Magnus factor are (4, L, n)
     memory, so the block of active lambdas is the prefix [:, :a] and each
     of its components one run of a * n.  Every temporary of a substep lives
     in one float work buffer allocated here: six 3-vectors (the tangents,
     then Omega's real vectors) while Omega is formed, then, viewed in
     lambda's dtype, the exponential's scratch and the product, which is
-    copied into the accumulator.  The scan runs in place along the samples,
-    the memory's last axis, and F is formed from it in one copy.
+    copied into the factors.
     """
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
@@ -293,46 +302,61 @@ def _interval_products(curve, lams, subs):
             acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
     finally:
         np.setbufsize(bufsize)
-    del e, work, flat, prod
+    return order, acc
 
-    # inclusive scan of interval transitions (associative products)
+
+def _interval_products(curve, lams, subs):
+    """The frames F, prefix products of the interval factors (see
+    _interval_factors), in the order given: shape (len(lams), n+1, 4), in
+    C order, F[:, 0] = 1.  The scan runs in place along the samples, the
+    factors' last axis in memory, and F is formed from it in one copy."""
+    order, acc = _interval_factors(curve, lams, subs)
     qmath.qscan(qmath.qmul, acc.swapaxes(0, 1))
     # allocated after the work buffers, which set the peak memory
-    F = np.empty((len(lams), n + 1, 4), dtype)
+    F = np.empty((len(lams), curve.n + 1, 4), acc.dtype)
     F[:, 0] = (1.0, 0.0, 0.0, 0.0)
     F[order, 1:] = acc
     return F
 
 
-def integrate_frames(curve, lams):
-    """Frames over one fundamental domain, one FrameTrajectory per lambda in
-    the order given.
+def _end_products(curve, lams, subs):
+    """F[-1] alone, shape (len(lams), 1, 4): the interval factors reduced
+    by qmath.qreduce, the association of the scan's last element, so with
+    _interval_products' bits."""
+    order, acc = _interval_factors(curve, lams, subs)
+    last = np.empty((len(lams), 1, 4), acc.dtype)
+    last[order, 0] = qmath.qreduce(qmath.qmul, acc)
+    return last
 
-    The batch integrates F alone, in one substep loop for all lambdas (see
-    _interval_products); each frame takes its dF when it is first read.
-    The lambdas must be all real or all nonreal.
-    """
+
+def _frames(curve, lams, products):
+    """(lams, F, monodromies F[-1] A) with F = products(curve, lams,
+    substep counts), of shape (L, m, 4) in the order given, the lambdas all
+    real, then as floats, or all nonreal.  Real frames are projected onto
+    det F = 1, and a frame whose eps |F[-1]|^2 is NaN or above
+    _MAX_DET_ROUNDING is refused with its lambda and that reading,
+    `rounding`."""
     lams = [complex(lam) for lam in lams]
-    if not lams:
-        return []
-    real = lams[0].imag == 0.0
-    if any((lam.imag == 0.0) != real for lam in lams):
+    real = all(lam.imag == 0.0 for lam in lams)
+    if not real and any(lam.imag == 0.0 for lam in lams):
         raise ArgumentError("a frame batch needs all real or all nonreal "
                             "lambda")
     if real:
         lams = [lam.real for lam in lams]
-    dtype = float if real else complex
     h = curve.seg_len
     for lam in lams:
         if not modulus(lam) * h <= _MAX_LAMBDA_STEP:
             raise ArgumentError("|lambda| * seg_len = %.3g exceeds %g: too "
                                 "many frame substeps" % (modulus(lam) * h,
                                                          _MAX_LAMBDA_STEP))
+    if not lams:
+        return lams, np.empty((0, 1, 4)), np.empty((0, 4))
+    dtype = float if real else complex
     # a lost frame overflows or cancels its determinant away; it is refused
     # below instead of warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F = _interval_products(
-            curve, lams, [_substep_count(lam, h, dtype) for lam in lams])
+        F = products(curve, lams,
+                     [_substep_count(lam, h, dtype) for lam in lams])
         if real:
             # projected back onto det F = 1.  Dividing by sqrt(det F) moves
             # every entry by (det F - 1)/2, and det F = w^2 + v.v of a
@@ -341,18 +365,35 @@ def integrate_frames(curve, lams):
             # (1.3e4 on the angle-scan contour), so a nonreal frame keeps
             # the determinant of its factors, 1 to rounding
             F /= np.sqrt(qmath.qdet(F))[..., None]
-        deviation = np.abs(qmath.qdet(F) - 1.0).max(axis=1)
-    # a NaN deviation (a frame that is not finite) counts as the worst
-    worst = int(np.argmax(np.nan_to_num(deviation, nan=np.inf)))
-    if not deviation[worst] <= _MAX_DET_DEVIATION:
+        rounding = np.finfo(float).eps * (np.abs(F[:, -1]) ** 2).sum(axis=-1)
+    # a NaN reading (a frame that is not finite) counts as the worst
+    worst = int(np.argmax(np.nan_to_num(rounding, nan=np.inf)))
+    if not rounding[worst] <= _MAX_DET_ROUNDING:
         raise FrameDeterminantError(
-            "the frame at lambda = %s is lost: max |det F - 1| = %.3g exceeds "
-            "%g" % (lams[worst], deviation[worst], _MAX_DET_DEVIATION),
-            lam=lams[worst], deviation=float(deviation[worst]))
+            "the frame at lambda = %s is lost: eps |F[-1]|^2 = %.3g exceeds "
+            "%g" % (lams[worst], rounding[worst], _MAX_DET_ROUNDING),
+            lam=lams[worst], rounding=float(rounding[worst]))
     # one product for all, in each element's own arithmetic
-    mono = qmath.qmul(F[:, -1], curve.monodromy.rotation.astype(dtype))
-    return [FrameTrajectory(lam, f, m, curve)
-            for lam, f, m in zip(lams, F, mono)]
+    return lams, F, qmath.qmul(F[:, -1],
+                               curve.monodromy.rotation.astype(F.dtype))
+
+
+def integrate_frames(curve, lams):
+    """Frames over one fundamental domain, one FrameTrajectory per lambda in
+    the order given.
+
+    The batch integrates F alone, in one substep loop for all lambdas (see
+    _interval_factors); each frame takes its dF when it is first read.
+    The lambdas must be all real or all nonreal.
+    """
+    return [FrameTrajectory(lam, f, m, curve) for lam, f, m in
+            zip(*_frames(curve, lams, _interval_products))]
+
+
+def monodromies(curve, lams):
+    """The monodromies F[-1] A of integrate_frames(curve, lams), bit for
+    bit, shape (len(lams), 4), without forming F."""
+    return _frames(curve, lams, _end_products)[2]
 
 
 def integrate_frame(curve, lam):
@@ -457,9 +498,8 @@ def hamiltonians_from_angle(curve, kmax=5):
             * np.exp(1j * np.pi * (2.0 * np.arange(16) + 1.0) / 32.0))
     e1, e2, e3 = (energy(k, curve) for k in (1, 2, 3))
     thetas = np.array([
-        _nearest_branch(2.0 * np.arccos(frame.monodromy[0]),
-                        lam * e1 + e2 + e3 / lam)[0]
-        for lam, frame in zip(lams, integrate_frames(curve, lams))])
+        _nearest_branch(2.0 * np.arccos(w), lam * e1 + e2 + e3 / lam)[0]
+        for lam, w in zip(lams, monodromies(curve, lams)[:, 0])])
     powers = lams ** (np.arange(kmax + 1)[:, None] - 2.0)
     return (thetas * powers).mean(axis=1).real
 

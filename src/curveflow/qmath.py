@@ -136,6 +136,18 @@ def qscan(mul, factors):
     return factors
 
 
+def qreduce(mul, factors):
+    """The product of the quaternions along axis -2, (..., n, 4), in the
+    association of qscan's last element: pairs mul(f[-2], f[-1]), ... from
+    the end, an unpaired first factor carried up alone, until one is left.
+    `mul(x, y)` broadcasts over the leading axes."""
+    while factors.shape[-2] > 1:
+        m = factors.shape[-2] % 2
+        p = mul(factors[..., m::2, :], factors[..., m + 1::2, :])
+        factors = np.concatenate([factors[..., :1, :], p], axis=-2) if m else p
+    return factors[..., 0, :]
+
+
 def rotation_matrix(q):
     """3x3 rotation matrix of a unit quaternion."""
     return qrotate(q[..., None, :], np.eye(3)).swapaxes(-1, -2)

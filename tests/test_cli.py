@@ -152,16 +152,19 @@ def test_angle_scan_rows_use_one_branch(tmp_path):
 
 
 def counting_batches(monkeypatch, module):
-    """Record the lambda batch of every integrate_frames call made through
-    `module`."""
+    """Record the lambda batch of every frame batch, an integrate_frames or
+    a monodromies call, made through `module`."""
     batches = []
-    integrate = module.integrate_frames
 
-    def counting(curve, lams):
-        batches.append(list(lams))
-        return integrate(curve, lams)
+    def counting(batch):
+        def wrapper(curve, lams):
+            batches.append(list(lams))
+            return batch(curve, lams)
+        return wrapper
 
-    monkeypatch.setattr(module, "integrate_frames", counting)
+    for name in ("integrate_frames", "monodromies"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return batches
 
 
@@ -383,7 +386,7 @@ def test_diagnostics_record_the_failure_context(tmp_path):
     with open(out / "diagnostics.json") as f:
         diag = json.load(f)
     assert diag["lam"] == [40.0, 70.0]
-    assert not diag["deviation"] <= frames._MAX_DET_DEVIATION
+    assert not diag["rounding"] <= frames._MAX_DET_ROUNDING
     code, out = run(tmp_path / "lax", "lax", *LAX_BLOW_UPS["overflow"])
     assert code == 3
     with open(out / "diagnostics.json") as f:

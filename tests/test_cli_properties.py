@@ -21,7 +21,7 @@ from curveflow.artifacts import save_curve, save_loop
 from curveflow.cli import main, parse_curve
 from curveflow.errors import (ArgumentError, FrameDeterminantError,
                               ValidationError)
-from curveflow.frames import _MAX_DET_DEVIATION, integrate_frame
+from curveflow.frames import _MAX_DET_ROUNDING, integrate_frame
 from curveflow.functionals import energy_report
 from helpers import group_residual, moved_copy
 
@@ -142,15 +142,18 @@ def darboux_invariants(curve, lam):
     return code, np.array(values)
 
 
-def frame_deviation(curve, lam):
-    """max |det F - 1| of the frame at lambda, which the lost-frame guard
-    reads; 0 where the frame is refused unintegrated."""
+def frame_readings(curve, lam):
+    """(max |det F - 1|, eps |F[-1]|^2) of the frame at lambda: its
+    rounding, and the lost-frame guard's reading, which a lost frame's
+    error carries; (0, 0) where the frame is refused unintegrated."""
     try:
-        return group_residual(integrate_frame(curve, lam))
+        frame = integrate_frame(curve, lam)
     except FrameDeterminantError as e:
-        return e.deviation
+        return np.nan, e.rounding
     except ArgumentError:
-        return 0.0
+        return 0.0, 0.0
+    return (group_residual(frame),
+            np.finfo(float).eps * (np.abs(frame.F[-1]) ** 2).sum())
 
 
 @settings(PROPERTY, max_examples=24)
@@ -183,10 +186,10 @@ def test_darboux_any_lambda(curve, lam, scale, angle, axis, shift):
     # (with lambda / s) or a rigid motion, to rounding: of the frame, which
     # its det deviation measures, and of eta = gamma + offset S, whose
     # positions round at eps offset and whose E_3 reads them through second
-    # differences, n eps offset / seg_len in units of the length.  The det
-    # deviation is also the lost-frame guard's reading: within a decade of
-    # the guard's bound the exit code is rounding's choice, and is not
-    # compared
+    # differences, n eps offset / seg_len in units of the length.  The
+    # lost-frame guard reads eps |F[-1]|^2, which the copies keep to
+    # rounding: only within rounding of the guard's bound is the exit code
+    # rounding's choice, and not compared
     base = parse_curve(curve)
     code, values = darboux_invariants(base, lam)
     identity = np.array([1.0, 0.0, 0.0, 0.0])
@@ -196,9 +199,8 @@ def test_darboux_any_lambda(curve, lam, scale, angle, axis, shift):
         (moved_copy(base, scale, identity, np.zeros(3)),
          complex(lam.real / scale, lam.imag / scale)),
         (moved_copy(base, 1.0, rotation, np.array(shift)), lam)]
-    deviation = frame_deviation(base, lam)
-    guard_decides = (0.1 * _MAX_DET_DEVIATION <= deviation
-                     <= 10.0 * _MAX_DET_DEVIATION)
+    deviation, reading = frame_readings(base, lam)
+    guard_decides = abs(reading - _MAX_DET_ROUNDING) <= 1e-12 * reading
     for copy, copy_lam in copies:
         copy_code, copy_values = darboux_invariants(copy, copy_lam)
         if guard_decides:

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from scipy.interpolate import CubicSpline
 
-from curveflow import qmath
+from curveflow import curves, qmath
 from curveflow.artifacts import load_curve, save_curve
 from curveflow.curves import (Curve, Monodromy, Stencil, _not_a_knot_slopes,
                               _Spline, _spline_through, arclength_deviation,
@@ -208,6 +208,14 @@ def test_stencil_allocates_less_than_one_field(curve):
     finally:
         tracemalloc.stop()
     assert peak < curve.samples.nbytes
+
+
+def test_gauss_nodes_are_leggauss():
+    # written as literals, so that importing curves needs no
+    # numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(curves._GAUSS_X, x)
+    assert np.array_equal(curves._GAUSS_W, w)
 
 
 def test_parallel_frame_holonomy():

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from curveflow import frames, qmath
+from curveflow.cli import parse_curve
 from curveflow.curves import (Curve, Monodromy, deriv, make_circle,
                               make_helix, make_line, make_perturbed_circle,
                               tangent)
@@ -455,15 +456,96 @@ def test_lost_frame_is_refused():
         with pytest.raises(FrameDeterminantError) as info:
             integrate_frames(c, [complex(40.0, 1.0), lam])
     assert info.value.lam == lam
-    assert not info.value.deviation <= frames._MAX_DET_DEVIATION
+    assert not info.value.rounding <= frames._MAX_DET_ROUNDING
+
+
+# the band of Im lambda, at Re lambda = 0.7, over which frames of these
+# n = 32 curves go from kept to lost
+SIMILARITY_CURVES = ["circle:r=1,n=32", "helix:a=1,b=1,n=32",
+                     "perturbed-circle:n=32,modes=2,seed=0"]
+
+
+@pytest.mark.parametrize("spec", SIMILARITY_CURVES)
+def test_lost_frame_decision_does_not_depend_on_similarity(spec):
+    # the guard reads eps |F[-1]|^2, which a rotation (a conjugation of F by
+    # a real unit quaternion), a shift and a scale s at lambda / s (the same
+    # mu = lambda hs) keep to rounding: a similar copy is refused exactly
+    # where the curve is (the reading moved by at most 4.8e-14 of itself).
+    # A guard on max |det F - 1|, the frame's own rounding, flipped 4, 2
+    # and 4 of these 61 values
+    c = parse_curve(spec)
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    rotation = qmath.quat_from_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0,
+                                          0.9)
+    copies = ([(moved_copy(c, s, identity, np.zeros(3)), s)
+               for s in (1e3, 1e-3)]
+              + [(moved_copy(c, 1.0, rotation, np.array([0.3, -1.2, 2.5])),
+                  1.0)])
+
+    def refused(curve, lam):
+        try:
+            integrate_frame(curve, lam)
+        except FrameDeterminantError:
+            return True
+        return False
+
+    decisions = []
+    for im in np.linspace(1.5, 4.5, 61):
+        lam = complex(0.7, im)
+        decisions.append(refused(c, lam))
+        assert [refused(copy, lam / s) for copy, s in copies] == (
+            [decisions[-1]] * 3), lam
+    assert not decisions[0] and decisions[-1]
+
+
+def contour_nodes(monkeypatch, curve):
+    """The lambdas of the monodromies hamiltonians_from_angle reads."""
+    seen = []
+    batch = frames.monodromies
+
+    def recording(curve, lams):
+        seen.extend(lams)
+        return batch(curve, lams)
+
+    with monkeypatch.context() as m:
+        m.setattr(frames, "monodromies", recording)
+        hamiltonians_from_angle(curve)
+    return seen
+
+
+def test_monodromies_are_the_frames_monodromies(monkeypatch):
+    # the reduction pairs the interval factors as the scan's last element
+    # does, so every monodromy has F[-1] A's bits: nonreal rows at n around
+    # the powers of two, a real row, and the contour's 16 nodes.  On these
+    # nonreal frames |F(x)|^2 is largest at the end, which the guard reads;
+    # a real frame is unit to 4 eps everywhere
+    eps = np.finfo(float).eps
+    cases = [(make_helix(1.0, 1.0, 1.0, n),
+              [complex(re, 0.55) for re in np.linspace(0.5, 2.0, 16)])
+             for n in (200, 224, 255, 256, 257, 300)]
+    cases.append((make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32)))
+    for spec in ("circle:r=1,n=256", "helix:a=1,b=1,n=256",
+                 "perturbed-circle:n=224,amplitude=0.05,modes=2,seed=0"):
+        c = parse_curve(spec)
+        cases.append((c, contour_nodes(monkeypatch, c)))
+    for c, lams in cases:
+        batch = integrate_frames(c, lams)
+        assert same_bits(frames.monodromies(c, lams),
+                         np.array([f.monodromy for f in batch]))
+        size = np.array([(np.abs(f.F) ** 2).sum(axis=-1) for f in batch])
+        if batch[0].is_real:
+            assert np.abs(size - 1.0).max() <= 4.0 * eps
+        else:
+            assert np.array_equal(size.max(axis=1), size[:, -1])
 
 
 def test_benchmark_frames_keep_their_determinant():
     # max |det F - 1| measured on the benchmark's grids: 9.1e-13 on the
     # spectral grid (helix, n=256), 5.1e-13 at its darboux lambda = 1 + 1i,
     # 6.7e-16 on the angle-scan window; the largest in tier-1 is 2.1e-9
-    # (criterion 9, helix, lambda = 0.5 + 2i).  The bound sits 480 times
-    # above that.
+    # (criterion 9, helix, lambda = 0.5 + 2i).  There the lost-frame
+    # guard reads eps |F[-1]|^2 = 3.9e-9, and its bound sits 26 times above
+    # that.
     def deviation(curve, lams):
         return max(np.abs(qmath.qdet(f.F) - 1.0).max()
                    for f in integrate_frames(curve, lams))
@@ -478,7 +560,9 @@ def test_benchmark_frames_keep_their_determinant():
                      np.geomspace(8.0, 64.0, 32)) <= 1e-15
     worst = deviation(h, [0.5 + 2.0j])
     assert worst <= 1e-8
-    assert 100.0 * worst <= frames._MAX_DET_DEVIATION
+    reading = np.finfo(float).eps * (
+        np.abs(integrate_frame(h, 0.5 + 2.0j).F[-1]) ** 2).sum()
+    assert 20.0 * reading <= frames._MAX_DET_ROUNDING
 
 
 # the |x| = |v.v| up to which qmath._cos_sinc and the oracle's dqexp_vec are
