@@ -14,9 +14,8 @@ stereographic chart pi(p) = u/(1 + w) onto the Poincare ball, and for real
 lambda it reduces to +- the monodromy rotation axis.  Darboux transforms are
 eta+- = gamma + (2 Im lambda/|lambda|^2) S+-, the offset that keeps eta
 arclength parametrized under the frame convention F' = F (lambda/2) T.
-fixed_points solves a stack of monodromies F[-1] A with one eig: a spectral
-grid's come from frames.monodromies, which forms no F and refuses a lost
-frame by the guard of integrate_frames, whose F darboux_transform reads.
+fixed_points solves a stack of monodromies F[-1] A, such as a spectral
+grid's from frames.monodromies, with one eig.
 """
 
 from dataclasses import dataclass

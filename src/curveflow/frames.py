@@ -10,26 +10,20 @@ E_2 the total torsion of the parallel frame (positive for a right-handed
 helix); the opposite chirality flips the sign of every parity-odd
 coefficient.  The Sym formula reads
 
-    gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}).
+    gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}),
 
-dF/dlambda is the complex-step derivative Im F(lambda + i eps)/eps of the
-one F integrator (Squire & Trapp, SIAM Rev. 40, 1998), taken at the real
-lambda's substeps; it is refused for nonreal lambda, where no caller
-reads it.
+dF/dlambda a complex step of the one F integrator (FrameTrajectory.dF).
 
 Frames are integrated with the 6th-order Magnus method on three-point
 Gauss nodes of Blanes, Casas & Ros (BIT 40, 2000; also in Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent stencils (one einsum per
 substep over a stack of the shifted tangents) and polynomial exponentials
-(qmath).  The substep loop gives the interval factors, component-major,
+(qmath).  The substep loop gives the interval factors component-major,
 quaternions as (4, lambda, sample) memory, so that every component the
 qmath kernels read or write is contiguous, with its temporaries in work
-buffers allocated once per batch (see _interval_factors).  Only
-integrate_frames, for the readers of F, scans them into F; `monodromies`,
-for the spectral scan and the angle contour, reduces them to F[-1] with the
-scan's association and bits.  A lost frame, whose determinant has cancelled
-away as it does at large |Im lambda|, is refused with FrameDeterminantError
-by one guard on eps |F[-1]|^2 (see _MAX_DET_ROUNDING).
+buffers allocated once per batch (see _interval_factors).  integrate_frames
+scans them into F; `monodromies` reduces them to F[-1] alone.  A lost frame,
+as at large |Im lambda|, is refused with FrameDeterminantError.
 """
 
 from dataclasses import dataclass
@@ -50,35 +44,23 @@ _STENCIL = np.arange(-2, 4, dtype=float)
 _SPAN = _STENCIL[:, None] - _STENCIL[None, :] + np.eye(6)
 # largest |lambda| * substep length for real and for nonreal lambda, which
 # keeps |v.v| of the Magnus exponents v in the domain of qmath._cos_sinc.
-# The Magnus error in F[-1] at n = 256 is then 3.8e-14 to 5.1e-11 (helix,
-# circle, perturbed circle; real and nonreal lambda up to 64), far below
-# the 4th-order spatial error of the tangent stencils (1e-8 to 3.7e-7).
-# The nonreal step is the finer one: nonreal frames grow like
-# exp(|Im lambda| x / 2), and F[-1] on the helix at 1+1i, 2+0.1i, 0.5+1i
-# and 8+0.5i is off by 7e-13 to 1.6e-12 of max |F[-1]| at 0.04, up to
-# 7e-12 at 0.08
+# F[-1]'s Magnus error at n = 256 is then 3.8e-14 to 5.1e-11, far below the
+# tangent stencils' 1e-8 to 3.7e-7.  Nonreal frames grow like
+# exp(|Im lambda| x / 2), and their step is halved: on the helix F[-1] is
+# off by up to 1.6e-12 of max |F[-1]| at 0.04, 7e-12 at 0.08
 _MAGNUS_STEP = {float: 0.08, complex: 0.04}
 # largest |lambda| * seg_len accepted, 400 real or 800 nonreal substeps
 # per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
 # the complex-step derivative dF steps lambda by i _CSTEP / L, L the
-# curve's length: its O(step^2) error is far below round-off, and Im
-# F(lambda + i step) involves no difference of nearby values, so the step
-# need not be balanced against cancellation
+# curve's length: its O(step^2) error is far below round-off, and with no
+# difference of nearby values it needs no balance against cancellation
 _CSTEP = 1e-20
-# largest eps |F[-1]|^2 accepted (|q|^2 = sum |q_i|^2), the rounding of
-# det F = w^2 + v.v, whose terms are of size |F|^2: a product of depth d of
-# unit factors holds det F to about c d eps |F|^2.  F grows like
-# exp(|Im lambda| x / 2), and on every nonreal frame measured max_x |F(x)|^2
-# = |F[-1]|^2, with no node of qmath.qreduce's tree above its root; real
-# frames are unit to 4 eps.  On 183 frames (circle, helix, perturbed circle,
-# n = 32, lambda = 0.7 + i [1.5, 4.5]) max |det F - 1| read 0.13 to 1.14
-# times eps |F[-1]|^2, so this bound refuses all that max |det F - 1| <= 1e-6
-# refused.  Unlike max |det F - 1|, the reading is kept to 4.8e-14 by a
-# rotation, a shift or a scale s at lambda / s (the same mu = lambda hs), so
-# similar curves are refused alike.  The benchmark's grid reads at most
-# 6.9e-13, criterion 9 (helix, 0.5 + 2i) 3.9e-9, a lost frame 1e175 or NaN
-_MAX_DET_ROUNDING = 1e-7
+# largest eps |q|^2 accepted, q the largest of the products a frame's output
+# is formed from (|q|^2 = sum |q_i|^2): det q = w^2 + v.v rounds by about
+# that, and the reading keeps to rounding under a similarity of the curve.
+# The bound is the old one on max |det F - 1|, 1e-6, over 2.5 (see README)
+_MAX_DET_ROUNDING = 4e-7
 # smallest 1 + (y, t) accepted by spherical_sector_area
 _SECTOR_MIN_DENOMINATOR = 1e-3
 
@@ -103,11 +85,9 @@ def _lagrange_weights(s):
 
 def tangent_interpolator(curve):
     """t_at(s, out=None): the unit tangent interpolated at fractional
-    offsets s in [0, 1] of every sample interval, by 6-point Lagrange
-    stencils across the monodromy-extended samples; shape s.shape + (n, 3),
-    a view of `out`, of shape s.shape + (3, n).  einsum writes `out`
-    without buffering when it is in C order, as the substep loop passes
-    it."""
+    offsets s in [0, 1] of every sample interval by 6-point Lagrange
+    stencils across the monodromy-extended samples, s.shape + (n, 3): a
+    view of `out`, s.shape + (3, n), which einsum writes unbuffered."""
     n = curve.n
     # sample i lives at index i + 3; windows[l, c, i] is component c of the
     # tap l of interval i, in C order, which einsum reads without buffering
@@ -117,9 +97,8 @@ def tangent_interpolator(curve):
 
     def t_at(s, out=None):
         # the unoptimized einsum adds the taps in order l = 0 .. 5 onto
-        # zero, as a loop of full-size multiply-adds would, in one pass
-        # (optimize=True would route it through BLAS and round differently),
-        # into `out` of shape s.shape + (3, n) and any memory order
+        # zero in one pass, as a loop of multiply-adds would (optimize=True
+        # would route it through BLAS and round differently)
         s = np.asarray(s, dtype=float)
         if out is None:
             out = np.empty(s.shape + (3, n))
@@ -130,12 +109,8 @@ def tangent_interpolator(curve):
 
 @dataclass(frozen=True)
 class FrameTrajectory:
-    """The frame of the associated family at one lambda.
-
-    integrate_frames integrates F alone; the lambda-derivative dF, which
-    only the Sym formula reads, is taken on its first read, by a complex
-    step at real lambda and refused for nonreal lambda.
-    """
+    """The frame of the associated family at one lambda; dF, which only the
+    Sym formula reads, is taken on its first read."""
     lam: complex
     F: np.ndarray        # (n+1, 4) quaternions, F[0] = identity
     monodromy: np.ndarray  # F[-1] A, the rotation part, of F's dtype
@@ -147,18 +122,16 @@ class FrameTrajectory:
 
     @cached_property
     def dF(self):
-        """(n+1, 4) derivative of F with respect to real lambda: the
-        complex step Im F(lambda + i h) / h, h = _CSTEP / L (Squire & Trapp,
-        SIAM Rev. 40, 1998), at the substeps of the real lambda, so that it
-        is the derivative of this discrete F.  F is holomorphic in lambda,
-        so the step has no cancellation and an O(h^2) error, and h relative
-        to the curve's length L makes that error scale-free."""
+        """(n+1, 4) derivative of F with respect to real lambda, the complex
+        step Im F(lambda + i h) / h, h = _CSTEP / L (Squire & Trapp, SIAM
+        Rev. 40, 1998), at the real lambda's substeps: the derivative of
+        this discrete F, with no cancellation and a scale-free error."""
         if not self.is_real:
             raise ArgumentError("dF/dlambda is taken at real lambda only")
         count = _substep_count(self.lam, self.curve.seg_len, float)
         step = _CSTEP / self.curve.length
         return _interval_products(self.curve, [complex(self.lam, step)],
-                                  [count])[0].imag / step
+                                  [count])[0][0].imag / step
 
 
 def modulus(lam):
@@ -189,14 +162,12 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
         Omega = mu (b1 + b3/12) - mu^2/120 b2 x d
                 + mu^3/120 (b2 x k1 + 4/3 u x b1) + mu^4/180 w x b1.
 
-    The vectors are real and of unit size, and mu enters by Horner's rule
-    in place in e's vector part.  s holds the node offsets, shape (a, 3);
-    mu the (a, 1, 1) column of mu.  work is the float memory of six
-    3-vectors, (6, 3, L, n) of which the first a lambdas are used; its
-    first three take the tangents, in the C order (a, node, 3, n) in which
-    einsum writes them without buffering.  tmp is a pair of components of
-    lambda's dtype for the exponential; the cross products take their
-    scratch from e's scalar part, which the exponential fills last.
+    The vectors are real and of unit size, and mu, the (a, 1, 1) column,
+    enters by Horner's rule in e's vector part.  s holds the node offsets,
+    (a, 3).  work, six 3-vectors (6, 3, L, n), takes the tangents in its
+    first three, in the C order einsum writes unbuffered; tmp is a pair of
+    components for the exponential, and the cross products use e's scalar
+    part, which the exponential fills last, as scratch.
     """
     a, n = s.shape[0], work.shape[-1]
     tangents = t_at(s, out=work[:3].reshape(-1, 3, 3, n)[:a])
@@ -245,10 +216,9 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
 
 
 # elements per operand of the buffers numpy's ufuncs take for an operand
-# they cannot stride through in one run, such as a per-lambda column
-# broadcast along the samples or the tangents' C order: small buffers keep
-# the substep's transient memory to a few KB and stay in cache.  The size
-# is set for the substep loop only; the caller's is restored after it
+# they cannot stride through in one run (a per-lambda column, the tangents'
+# C order): small ones keep the substep's transient memory to a few KB, in
+# cache.  Set for the substep loop only, the caller's restored after it
 _UFUNC_BUFFER = 256
 
 
@@ -258,19 +228,13 @@ def _interval_factors(curve, lams, subs):
     (len(lams), n, 4), row r holding lams[order[r]].
 
     The lambdas are sorted by substep count and advanced together: substep
-    j updates the block of those with more than j substeps.  Every lambda
-    gets the same arithmetic as in a batch of its own, so a frame does not
-    depend on its batch.
-
-    The state is component-major from start to finish, and the kernels see
-    it through (lambda, sample, component) views in which every component
-    is contiguous.  The factors and the Magnus factor are (4, L, n)
-    memory, so the block of active lambdas is the prefix [:, :a] and each
-    of its components one run of a * n.  Every temporary of a substep lives
-    in one float work buffer allocated here: six 3-vectors (the tangents,
-    then Omega's real vectors) while Omega is formed, then, viewed in
-    lambda's dtype, the exponential's scratch and the product, which is
-    copied into the factors.
+    j updates the block of those with more than j substeps, each with the
+    arithmetic of a batch of its own.  The factors and the Magnus factor
+    are (4, L, n) memory seen as (lambda, sample, component), so the active
+    block is the prefix [:, :a] and each of its components one run.  Every
+    temporary of a substep lives in one float work buffer: six 3-vectors
+    while Omega is formed, then, in lambda's dtype, the exponential's
+    scratch and the product, which is copied into the factors.
     """
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
@@ -305,37 +269,49 @@ def _interval_factors(curve, lams, subs):
     return order, acc
 
 
+def _size(q):
+    """|q|^2 = sum |q_i|^2 of each quaternion on the last axis."""
+    parts = (q.real, q.imag) if np.iscomplexobj(q) else (q,)
+    return sum(np.einsum("...i,...i->...", p, p) for p in parts)
+
+
 def _interval_products(curve, lams, subs):
-    """The frames F, prefix products of the interval factors (see
-    _interval_factors), in the order given: shape (len(lams), n+1, 4), in
-    C order, F[:, 0] = 1.  The scan runs in place along the samples, the
-    factors' last axis in memory, and F is formed from it in one copy."""
+    """(F, sizes): the frames F in the order given, (len(lams), n+1, 4) in C
+    order, F[:, 0] = 1, the interval factors scanned in place along their
+    last axis in memory, and |F(x)|^2, the sizes the guard reads."""
     order, acc = _interval_factors(curve, lams, subs)
     qmath.qscan(qmath.qmul, acc.swapaxes(0, 1))
     # allocated after the work buffers, which set the peak memory
     F = np.empty((len(lams), curve.n + 1, 4), acc.dtype)
     F[:, 0] = (1.0, 0.0, 0.0, 0.0)
     F[order, 1:] = acc
-    return F
+    return F, _size(F)
 
 
 def _end_products(curve, lams, subs):
-    """F[-1] alone, shape (len(lams), 1, 4): the interval factors reduced
-    by qmath.qreduce, the association of the scan's last element, so with
-    _interval_products' bits."""
+    """(F[-1], sizes): F[-1] alone, (len(lams), 1, 4), the interval factors
+    reduced by qmath.qreduce with the scan's bits, and the largest |q|^2 of
+    the reduction's nodes, the products F[-1] is formed from, (len(lams),
+    1)."""
     order, acc = _interval_factors(curve, lams, subs)
+    largest = np.zeros(len(lams))
+
+    def mul(x, y):
+        p = qmath.qmul(x, y)
+        np.maximum(largest, _size(p).max(axis=1), out=largest)
+        return p
     last = np.empty((len(lams), 1, 4), acc.dtype)
-    last[order, 0] = qmath.qreduce(qmath.qmul, acc)
-    return last
+    last[order, 0] = qmath.qreduce(mul, acc)
+    sizes = np.empty((len(lams), 1))
+    sizes[order, 0] = largest
+    return last, sizes
 
 
 def _frames(curve, lams, products):
-    """(lams, F, monodromies F[-1] A) with F = products(curve, lams,
-    substep counts), of shape (L, m, 4) in the order given, the lambdas all
-    real, then as floats, or all nonreal.  Real frames are projected onto
-    det F = 1, and a frame whose eps |F[-1]|^2 is NaN or above
-    _MAX_DET_ROUNDING is refused with its lambda and that reading,
-    `rounding`."""
+    """(lams, F, F[-1] A) with F, sizes = products(curve, lams, substep
+    counts), the lambdas all real, then floats, or all nonreal.  A frame
+    whose eps max sizes is NaN or above _MAX_DET_ROUNDING is refused with
+    its lambda and that reading, `rounding`."""
     lams = [complex(lam) for lam in lams]
     real = all(lam.imag == 0.0 for lam in lams)
     if not real and any(lam.imag == 0.0 for lam in lams):
@@ -355,23 +331,22 @@ def _frames(curve, lams, products):
     # a lost frame overflows or cancels its determinant away; it is refused
     # below instead of warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F = products(curve, lams,
-                     [_substep_count(lam, h, dtype) for lam in lams])
+        F, sizes = products(curve, lams,
+                            [_substep_count(lam, h, dtype) for lam in lams])
+        rounding = np.finfo(float).eps * sizes.max(axis=1)
         if real:
-            # projected back onto det F = 1.  Dividing by sqrt(det F) moves
-            # every entry by (det F - 1)/2, and det F = w^2 + v.v of a
-            # nonreal frame cancels terms of size |F|^2: there the
-            # projection would magnify the product's rounding by |F|^2
-            # (1.3e4 on the angle-scan contour), so a nonreal frame keeps
-            # the determinant of its factors, 1 to rounding
+            # projected back onto det F = 1.  A nonreal det F = w^2 + v.v
+            # cancels terms of size |F|^2, and the projection would magnify
+            # its rounding by |F|^2 (1.3e4 on the angle-scan contour), so a
+            # nonreal frame keeps its factors' determinant, 1 to rounding
             F /= np.sqrt(qmath.qdet(F))[..., None]
-        rounding = np.finfo(float).eps * (np.abs(F[:, -1]) ** 2).sum(axis=-1)
     # a NaN reading (a frame that is not finite) counts as the worst
     worst = int(np.argmax(np.nan_to_num(rounding, nan=np.inf)))
     if not rounding[worst] <= _MAX_DET_ROUNDING:
         raise FrameDeterminantError(
-            "the frame at lambda = %s is lost: eps |F[-1]|^2 = %.3g exceeds "
-            "%g" % (lams[worst], rounding[worst], _MAX_DET_ROUNDING),
+            "the frame at lambda = %s is lost: eps |q|^2 = %.3g of its "
+            "largest product exceeds %g" % (lams[worst], rounding[worst],
+                                            _MAX_DET_ROUNDING),
             lam=lams[worst], rounding=float(rounding[worst]))
     # one product for all, in each element's own arithmetic
     return lams, F, qmath.qmul(F[:, -1],
@@ -380,12 +355,8 @@ def _frames(curve, lams, products):
 
 def integrate_frames(curve, lams):
     """Frames over one fundamental domain, one FrameTrajectory per lambda in
-    the order given.
-
-    The batch integrates F alone, in one substep loop for all lambdas (see
-    _interval_factors); each frame takes its dF when it is first read.
-    The lambdas must be all real or all nonreal.
-    """
+    the order given, all real or all nonreal, from one substep loop (see
+    _interval_factors); each frame takes its dF when it is first read."""
     return [FrameTrajectory(lam, f, m, curve) for lam, f, m in
             zip(*_frames(curve, lams, _interval_products))]
 

@@ -137,10 +137,9 @@ def qscan(mul, factors):
 
 
 def qreduce(mul, factors):
-    """The product of the quaternions along axis -2, (..., n, 4), in the
-    association of qscan's last element: pairs mul(f[-2], f[-1]), ... from
-    the end, an unpaired first factor carried up alone, until one is left.
-    `mul(x, y)` broadcasts over the leading axes."""
+    """The product of the quaternions along axis -2, (..., n, 4), paired
+    from the end, an odd first one carried up alone: the association of
+    qscan's last element.  `mul(x, y)` broadcasts over the leading axes."""
     while factors.shape[-2] > 1:
         m = factors.shape[-2] % 2
         p = mul(factors[..., m::2, :], factors[..., m + 1::2, :])

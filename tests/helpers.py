@@ -84,6 +84,24 @@ def rebased(curve, shift):
                  curve.seg_len, m)
 
 
+def racetrack(straight, radius, n):
+    """n samples, equally spaced in arclength, of the closed racetrack of two
+    antiparallel straights of length `straight` joined by half circles of
+    `radius`, from the start of a straight."""
+    lap = straight + np.pi * radius
+    t = np.arange(n) * (2.0 * lap / n)
+    back = t >= lap
+    t = t - lap * back
+    turned = np.clip(t - straight, 0.0, np.pi * radius) / radius
+    x = np.minimum(t, straight) + radius * np.sin(turned)
+    y = -radius * np.cos(turned)
+    # the second half lap is the first turned by pi about the centre
+    pts = np.stack([np.where(back, straight - x, x), np.where(back, -y, y),
+                    np.zeros(n)], axis=-1)
+    return Curve(pts, 2.0 * lap / n,
+                 Monodromy(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3)))
+
+
 def random_equivariant_field(curve, seed=0):
     """Smooth random vector field compatible with the curve's monodromy.
 

@@ -18,6 +18,7 @@ from curveflow.artifacts import save_curve
 from curveflow.curves import make_circle
 from curveflow.errors import ArgumentError
 from curveflow.functionals import energy
+from helpers import racetrack, rebased
 
 
 def run(tmp_path, *argv):
@@ -358,6 +359,29 @@ def test_lost_frame_exits_3(tmp_path, argv):
     assert code == 3
     assert diagnosis(out) == "FrameDeterminantError"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_frame_lost_inside_the_lap_exits_3(tmp_path):
+    # a racetrack with turns 2.4 samples long, read from a file, based an
+    # eighth of a lap along a straight: at lambda = 1.5 + 16.75i |F(x)|^2
+    # inside the lap is 4.1 times |F[-1]|^2.  Both commands exit 3, as under
+    # the guard on max |det F(x) - 1| (1.6e-6): darboux, which reads F, on
+    # the largest |F(x)|^2, and spectral-scan, which reads only F[-1], on
+    # the largest node of its reduction, F[-1]
+    path = tmp_path / "racetrack.json"
+    save_curve(rebased(racetrack(1.0, 0.003, 512), 64), path)
+    readings = {}
+    for argv in (["darboux", "--lam", "1.5+16.75i"],
+                 ["spectral-scan", "--re", "1.5:1.5:1", "--im",
+                  "16.75:16.75:1"]):
+        code, out = run(tmp_path / argv[0], argv[0], "--curve", str(path),
+                        *argv[1:])
+        assert code == 3
+        assert diagnosis(out) == "FrameDeterminantError"
+        with open(out / "diagnostics.json") as f:
+            readings[argv[0]] = json.load(f)["rounding"]
+    assert frames._MAX_DET_ROUNDING < readings["spectral-scan"]
+    assert 4.0 * readings["spectral-scan"] < readings["darboux"]
 
 
 LAX_BLOW_UPS = {

@@ -143,7 +143,7 @@ def darboux_invariants(curve, lam):
 
 
 def frame_readings(curve, lam):
-    """(max |det F - 1|, eps |F[-1]|^2) of the frame at lambda: its
+    """(max |det F - 1|, eps max |F(x)|^2) of the frame at lambda: its
     rounding, and the lost-frame guard's reading, which a lost frame's
     error carries; (0, 0) where the frame is refused unintegrated."""
     try:
@@ -153,7 +153,7 @@ def frame_readings(curve, lam):
     except ArgumentError:
         return 0.0, 0.0
     return (group_residual(frame),
-            np.finfo(float).eps * (np.abs(frame.F[-1]) ** 2).sum())
+            np.finfo(float).eps * (np.abs(frame.F) ** 2).sum(axis=-1).max())
 
 
 @settings(PROPERTY, max_examples=24)
@@ -187,7 +187,7 @@ def test_darboux_any_lambda(curve, lam, scale, angle, axis, shift):
     # its det deviation measures, and of eta = gamma + offset S, whose
     # positions round at eps offset and whose E_3 reads them through second
     # differences, n eps offset / seg_len in units of the length.  The
-    # lost-frame guard reads eps |F[-1]|^2, which the copies keep to
+    # lost-frame guard reads eps max |F(x)|^2, which the copies keep to
     # rounding: only within rounding of the guard's bound is the exit code
     # rounding's choice, and not compared
     base = parse_curve(curve)

@@ -119,7 +119,7 @@ def test_derivative_is_the_limit_of_central_differences(case, lam):
     dF = integrate_frame(c, lam).dF
 
     def error(d):
-        plus, minus = (frames._interval_products(c, [lam + x], [count])[0]
+        plus, minus = (frames._interval_products(c, [lam + x], [count])[0][0]
                        for x in (d, -d))
         return relative_error((plus - minus) / (2.0 * d), dF)
 
@@ -137,7 +137,7 @@ def test_magnus_step_is_sixth_order(case, lam):
     c = CENTRAL_DIFFERENCE_CURVES[case]()
 
     def last(count):
-        return frames._interval_products(c, [lam], [count])[0][-1]
+        return frames._interval_products(c, [lam], [count])[0][0, -1]
 
     want = last(256)
     coarse, fine = (np.abs(last(count) - want).max() for count in (2, 4))
@@ -459,20 +459,28 @@ def test_lost_frame_is_refused():
     assert not info.value.rounding <= frames._MAX_DET_ROUNDING
 
 
-# the band of Im lambda, at Re lambda = 0.7, over which frames of these
-# n = 32 curves go from kept to lost
-SIMILARITY_CURVES = ["circle:r=1,n=32", "helix:a=1,b=1,n=32",
-                     "perturbed-circle:n=32,modes=2,seed=0"]
+# (curve, Re lambda, Im lambda) over bands in which the frames go from kept
+# to lost: at n = 32 with 1 to 3 substeps per interval, and at n = 256 with
+# 157, the most a lost frame reaches below _MAX_LAMBDA_STEP's bound
+SIMILARITY_CASES = (
+    [(spec, 0.7, np.linspace(1.5, 4.5, 61))
+     for spec in ("circle:r=1,n=32", "helix:a=1,b=1,n=32",
+                  "perturbed-circle:n=32,modes=2,seed=0")]
+    + [(spec, 256.0, np.linspace(2.0, 4.0, 17))
+       for spec in ("circle:r=1,n=256", "helix:a=1,b=1,n=256",
+                    "perturbed-circle:n=256,modes=2,seed=0")])
 
 
-@pytest.mark.parametrize("spec", SIMILARITY_CURVES)
-def test_lost_frame_decision_does_not_depend_on_similarity(spec):
-    # the guard reads eps |F[-1]|^2, which a rotation (a conjugation of F by
-    # a real unit quaternion), a shift and a scale s at lambda / s (the same
+@pytest.mark.parametrize("spec, re, ims", SIMILARITY_CASES,
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_lost_frame_decision_does_not_depend_on_similarity(spec, re, ims):
+    # the guard reads eps max |q|^2 over F, or over the nodes of the
+    # reduction to F[-1], which a rotation (a conjugation of F by a real
+    # unit quaternion), a shift and a scale s at lambda / s (the same
     # mu = lambda hs) keep to rounding: a similar copy is refused exactly
-    # where the curve is (the reading moved by at most 4.8e-14 of itself).
-    # A guard on max |det F - 1|, the frame's own rounding, flipped 4, 2
-    # and 4 of these 61 values
+    # where the curve is, on both paths (at n = 32 the reading moved by at
+    # most 4.8e-14 of itself).  A guard on max |det F - 1|, the frame's own
+    # rounding, flipped 4, 2 and 4 of the 61 values at n = 32
     c = parse_curve(spec)
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     rotation = qmath.quat_from_axis_angle(np.array([1.0, 2.0, 2.0]) / 3.0,
@@ -482,20 +490,27 @@ def test_lost_frame_decision_does_not_depend_on_similarity(spec):
               + [(moved_copy(c, 1.0, rotation, np.array([0.3, -1.2, 2.5])),
                   1.0)])
 
-    def refused(curve, lam):
-        try:
-            integrate_frame(curve, lam)
-        except FrameDeterminantError:
-            return True
-        return False
+    def refused(curve, lams):
+        # a frame's refusal does not depend on its batch
+        return np.array([~(reading <= frames._MAX_DET_ROUNDING)
+                         for reading in guard_readings(curve, lams)])
 
-    decisions = []
-    for im in np.linspace(1.5, 4.5, 61):
-        lam = complex(0.7, im)
-        decisions.append(refused(c, lam))
-        assert [refused(copy, lam / s) for copy, s in copies] == (
-            [decisions[-1]] * 3), lam
-    assert not decisions[0] and decisions[-1]
+    lams = re + 1j * ims
+    decisions = refused(c, lams)
+    for copy, s in copies:
+        assert np.array_equal(refused(copy, lams / s), decisions), s
+    assert not decisions[:, 0].any() and decisions[:, -1].all()
+
+
+def guard_readings(curve, lams):
+    """The lost-frame guard's eps max |q|^2 on both paths, over F for
+    integrate_frames and over the reduction's nodes for monodromies."""
+    dtype = complex if np.iscomplexobj(lams) else float
+    subs = [frames._substep_count(lam, curve.seg_len, dtype) for lam in lams]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.finfo(float).eps * products(
+            curve, list(np.asarray(lams, dtype)), subs)[1].max(axis=1)
+            for products in (frames._interval_products, frames._end_products)]
 
 
 def contour_nodes(monkeypatch, curve):
@@ -517,8 +532,8 @@ def test_monodromies_are_the_frames_monodromies(monkeypatch):
     # the reduction pairs the interval factors as the scan's last element
     # does, so every monodromy has F[-1] A's bits: nonreal rows at n around
     # the powers of two, a real row, and the contour's 16 nodes.  On these
-    # nonreal frames |F(x)|^2 is largest at the end, which the guard reads;
-    # a real frame is unit to 4 eps everywhere
+    # frames the largest |F(x)|^2 and the largest node of the reduction are
+    # both F[-1]'s, so the two paths' guards read the same
     eps = np.finfo(float).eps
     cases = [(make_helix(1.0, 1.0, 1.0, n),
               [complex(re, 0.55) for re in np.linspace(0.5, 2.0, 16)])
@@ -532,11 +547,12 @@ def test_monodromies_are_the_frames_monodromies(monkeypatch):
         batch = integrate_frames(c, lams)
         assert same_bits(frames.monodromies(c, lams),
                          np.array([f.monodromy for f in batch]))
-        size = np.array([(np.abs(f.F) ** 2).sum(axis=-1) for f in batch])
+        scan, reduction = guard_readings(c, lams)
         if batch[0].is_real:
-            assert np.abs(size - 1.0).max() <= 4.0 * eps
+            # unit before their projection to 1.7e-13
+            npt.assert_allclose([scan, reduction], eps, rtol=1e-12)
         else:
-            assert np.array_equal(size.max(axis=1), size[:, -1])
+            assert np.array_equal(scan, reduction)
 
 
 def test_benchmark_frames_keep_their_determinant():
@@ -544,8 +560,8 @@ def test_benchmark_frames_keep_their_determinant():
     # spectral grid (helix, n=256), 5.1e-13 at its darboux lambda = 1 + 1i,
     # 6.7e-16 on the angle-scan window; the largest in tier-1 is 2.1e-9
     # (criterion 9, helix, lambda = 0.5 + 2i).  There the lost-frame
-    # guard reads eps |F[-1]|^2 = 3.9e-9, and its bound sits 26 times above
-    # that.
+    # guard reads eps max |F(x)|^2 = 3.9e-9, and its bound sits 100 times
+    # above that.
     def deviation(curve, lams):
         return max(np.abs(qmath.qdet(f.F) - 1.0).max()
                    for f in integrate_frames(curve, lams))
@@ -560,9 +576,9 @@ def test_benchmark_frames_keep_their_determinant():
                      np.geomspace(8.0, 64.0, 32)) <= 1e-15
     worst = deviation(h, [0.5 + 2.0j])
     assert worst <= 1e-8
-    reading = np.finfo(float).eps * (
-        np.abs(integrate_frame(h, 0.5 + 2.0j).F[-1]) ** 2).sum()
-    assert 20.0 * reading <= frames._MAX_DET_ROUNDING
+    reading = np.finfo(float).eps * frames._size(
+        integrate_frame(h, 0.5 + 2.0j).F).max()
+    assert 100.0 * reading <= frames._MAX_DET_ROUNDING
 
 
 # the |x| = |v.v| up to which qmath._cos_sinc and the oracle's dqexp_vec are
