@@ -10,8 +10,8 @@ from .hierarchy import (gradient_G, gradient_from_Y, symplectic_Y_list,
 from .functionals import (energy, energy_report, energy_reports,
                           total_torsion, directional_derivative_check)
 from .flows import (FlowSpec, Trajectory, evolve, commutator_defect)
-from .loops import (LoopElement, loop_cross, V_k, lax_evolve,
-                    spectral_polynomial, from_curve, finite_gap_residual)
+from .loops import (loop_cross, V_k, lax_evolve, spectral_polynomial,
+                    from_curve, finite_gap_residual)
 from .frames import (integrate_frame, integrate_frames, sym_curve,
                      monodromy_angle, monodromy_angle_scan,
                      hamiltonians_from_angle, torsion_shift_check,

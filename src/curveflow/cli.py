@@ -28,7 +28,7 @@ from .frames import (gauss_bonnet_residual, hamiltonians_from_angle,
                      monodromy_angle_scan)
 from .functionals import energy, energy_report
 from .hierarchy import fit_multipliers
-from .loops import LoopElement, lax_evolve, spectral_polynomial
+from .loops import lax_evolve, spectral_polynomial
 
 _CURVE_KEYS = {
     "circle": {"r", "n"},
@@ -186,19 +186,19 @@ def cmd_commute(args):
 def cmd_lax(args):
     if args.loop:
         try:
-            xi = LoopElement(load_loop(args.loop))
+            xi = load_loop(args.loop)
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise ArgumentError("cannot read loop file %r: %s" % (args.loop, e))
     elif args.degree < 0:
         raise ArgumentError("--degree must be >= 0")
     else:
         rng = np.random.default_rng(args.seed)
-        xi = LoopElement(rng.standard_normal((args.degree + 1, 3)))
+        xi = rng.standard_normal((args.degree + 1, 3))
     weights = parse_weights(args.flow)
     snaps = lax_evolve(xi, weights, args.dt, args.steps)
     p0 = spectral_polynomial(snaps[0])
     drifts = [np.abs(spectral_polynomial(s) - p0).max() for s in snaps]
-    save_loop(snaps[-1].coeffs, artifact(args, "final_loop.json"))
+    save_loop(snaps[-1], artifact(args, "final_loop.json"))
     write_table(artifact(args, "spectral_drift.csv"),
                 "snapshot,max_coefficient_drift", enumerate(drifts))
     return {"max_spectral_drift": max(drifts)}

@@ -345,20 +345,16 @@ class _Spline:
         speed = self.speeds(idx, v[:, None] * _GAUSS_U)
         return 0.5 * v * self.h[idx] * (speed @ _GAUSS_W)
 
-    def segment_lengths(self, lo, hi):
-        """Arclengths of the whole segments lo .. hi-1, 8-point Gauss."""
-        q = self._speed_squared[:, lo:hi, None]
-        speed = np.sqrt(qmath.horner(_GAUSS_U, q))
-        return 0.5 * self.h[lo:hi] * (speed @ _GAUSS_W)
 
+def _spline_through(points, monodromy):
+    """(spline, domain, lengths): the not-a-knot cubic spline through the
+    n points extended by the monodromy, chord parametrized, the slice of
+    its segments over the fundamental domain and their arclengths.
 
-def _spline_through(points, monodromy, pad):
-    """Not-a-knot cubic spline through monodromy-extended points, chord
-    parametrized.
-
-    The fundamental domain runs from segment pad to segment pad + n - 1;
-    the knot at its end is the wrap image h(points[0]).
+    The domain runs from segment pad = min(4, n) to pad + n - 1; the knot
+    at its end is the wrap image h(points[0]).
     """
+    pad = min(4, len(points))
     # a polyline of pad points or fewer has no pad + 1 points to wrap
     with np.errstate(over="ignore", invalid="ignore"):
         ext = extend(points, monodromy, pad, min(pad + 1, len(points)),
@@ -369,7 +365,9 @@ def _spline_through(points, monodromy, pad):
                 and 8.0 * np.square(chord.max()) < np.inf):
             raise DegenerateInputError("repeated consecutive points in "
                                        "polyline, or overflowing chords")
-    return _Spline(chord, ext, _not_a_knot_slopes(chord, ext))
+    spline = _Spline(chord, ext, _not_a_knot_slopes(chord, ext))
+    domain = slice(pad, pad + len(points))
+    return spline, domain, spline.lengths(domain, np.ones(len(points)))
 
 
 def resample_arclength(points, monodromy, n):
@@ -384,9 +382,7 @@ def resample_arclength(points, monodromy, n):
         raise DegenerateResolutionError("need at least 8 samples")
     residual = np.inf
     for _ in range(_RESAMPLE_ITER):
-        pad = min(4, len(pts))
-        spline = _spline_through(pts, monodromy, pad)
-        segs = spline.segment_lengths(pad, pad + len(pts))
+        spline, domain, segs = _spline_through(pts, monodromy)
         total = segs.sum()
         if len(pts) == n:
             dx = total / n
@@ -400,7 +396,7 @@ def resample_arclength(points, monodromy, n):
         idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(segs) - 1)
         v = np.clip((targets - cum[idx]) / segs[idx], 0.0, 1.0)
         start = cum[idx] - targets
-        idx = idx + pad
+        idx = idx + domain.start
         h = spline.h[idx]
         for _ in range(30):
             step = (start + spline.lengths(idx, v)) / spline.speeds(idx, v)
@@ -414,9 +410,7 @@ def resample_arclength(points, monodromy, n):
 
 def arclength_deviation(curve):
     """Max relative deviation of spline segment arclengths from seg_len."""
-    pad = min(4, curve.n)
-    spline = _spline_through(curve.samples, curve.monodromy, pad)
-    segs = spline.segment_lengths(pad, pad + curve.n)
+    _, _, segs = _spline_through(curve.samples, curve.monodromy)
     return np.abs(segs - curve.seg_len).max() / curve.seg_len
 
 

@@ -67,8 +67,6 @@ def _energy(k, curve, axis):
     """E_k for k != 2 from the curve's derivatives, which `deriv` computes
     once per curve; one value per curve of a batch."""
     if k in (-2, -1):
-        if axis is None:
-            raise ArgumentError("k in {-2,-1} requires an axis vector")
         v = check_axis(curve, axis)
     dx = curve.seg_len
     if k == 0:

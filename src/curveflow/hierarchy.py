@@ -28,6 +28,8 @@ _FIELD_ROUNDOFF = 1e-4
 
 def check_axis(curve, axis):
     """Validate that axis is a unit eigenvector of the monodromy rotation."""
+    if axis is None:
+        raise ArgumentError("k in {-2,-1} requires an axis vector")
     v = np.asarray(axis, dtype=float)
     # written so that a NaN norm fails the test
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:
@@ -72,8 +74,6 @@ def gradient_G(k, curve, axis=None):
         raise RangeError("gradient_G implements k in [-2, 3]; "
                          "use gradient_from_Y for k >= 0")
     if k in (-2, -1):
-        if axis is None:
-            raise ArgumentError("k in {-2,-1} requires an axis vector")
         v = check_axis(curve, axis)
     if k == 0:
         return np.zeros(curve.samples.shape)

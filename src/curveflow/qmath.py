@@ -50,14 +50,8 @@ def _buffers(a, b, out, tmp):
 def qmul(a, b, out=None, tmp=None):
     """Hamilton product, broadcasting over leading axes.  Each component is
     summed term by term, left to right, in the result itself, with `tmp`,
-    one component's scratch, holding the next term.  `out` may overlap `a`
-    or `b`, as in qscan: the product is then formed in a new array and
-    copied into `out`.  With `tmp` and an `out` that overlaps neither
-    operand, nothing is allocated."""
-    if out is not None and (np.may_share_memory(out, a)
-                            or np.may_share_memory(out, b)):
-        out[...] = qmul(a, b, tmp=tmp)
-        return out
+    one component's scratch, holding the next term.  `out` must not overlap
+    a or b.  With `out` and `tmp`, nothing is allocated."""
     out, tmp = _buffers(a, b, out, tmp)
     for i, ((_, j, k), *rest) in enumerate(_QMUL_TERMS):
         o = out[..., i]
@@ -126,12 +120,12 @@ def qrotate(q, v):
 def qscan(mul, factors):
     """Inclusive prefix products along axis 0 by the Hillis-Steele scan, in
     place: factors[i] becomes mul(... mul(f[0], f[1]) ..., f[i]) in
-    ceil(log2 n) array steps, and factors is returned.  `mul(x, y, out)`
-    must be associative, broadcast over axis 0 and form its whole product
-    before writing it to `out`, which overlaps x and y."""
+    ceil(log2 n) array steps, and factors is returned.  `mul(x, y)`, as in
+    qreduce, must be associative, broadcast over axis 0 and return a new
+    array, which is then copied into factors."""
     shift = 1
     while shift < len(factors):
-        mul(factors[:-shift], factors[shift:], out=factors[shift:])
+        factors[shift:] = mul(factors[:-shift], factors[shift:])
         shift *= 2
     return factors
 

@@ -80,7 +80,7 @@ def scan_parallel_normal_frame(curve):
     # the scan runs along the samples over component-major memory
     q = np.moveaxis(np.ascontiguousarray(np.moveaxis(q, (-1, -2), (0, 1))),
                     0, -1)
-    prods = qmath.qscan(lambda x, y, out: qmath.qmul(y, x, out=out), q)
+    prods = qmath.qscan(lambda x, y: qmath.qmul(y, x), q)
     nus = qmath.qrotate(np.moveaxis(prods, 0, -2), nu0[..., None, :])
     nus -= qmath.dot(nus, tan[..., 1:, :])[..., None] * tan[..., 1:, :]
     nus /= np.sqrt(qmath.dot(nus, nus))[..., None]
@@ -125,19 +125,14 @@ def dqexp_vec(v, vdot):
     return e, de
 
 
-def _pair_mul(a, b, out=None):
+def _pair_mul(a, b):
     """Product of (value, lambda-derivative) quaternion pairs stacked on
-    axis -2.  Both halves are formed before either is written, so `out` may
-    overlap `a` or `b`, as in qmath.qscan."""
+    axis -2, a new array, as qmath.qscan takes it."""
     ea, da = a[..., 0, :], a[..., 1, :]
     eb, db = b[..., 0, :], b[..., 1, :]
     e = qmath.qmul(ea, eb)
     d = qmath.qmul(da, eb) + qmath.qmul(ea, db)
-    if out is None:
-        return np.stack([e, d], axis=-2)
-    out[..., 0, :] = e
-    out[..., 1, :] = d
-    return out
+    return np.stack([e, d], axis=-2)
 
 
 class LoopFrame(NamedTuple):

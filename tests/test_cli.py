@@ -14,7 +14,7 @@ import pytest
 import curveflow
 from curveflow import cli, darboux, frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
-from curveflow.artifacts import save_curve
+from curveflow.artifacts import save_curve, save_loop
 from curveflow.curves import make_circle
 from curveflow.errors import ArgumentError
 from curveflow.functionals import energy
@@ -417,6 +417,25 @@ def test_diagnostics_record_the_failure_context(tmp_path):
         assert json.load(f)["step"] == 3
 
 
+def test_curve_file_rotation_is_renormalized(tmp_path):
+    # a rotation quaternion twice a unit one is divided by its norm 2, an
+    # exact operation: the file reads as the half-turn helix itself
+    spec = "helix:turns=0.5,n=64"
+    path = tmp_path / "helix.json"
+    save_curve(parse_curve(spec), path)
+    data = json.loads(path.read_text())
+    data["monodromy"]["rotation"] = [
+        2.0 * x for x in data["monodromy"]["rotation"]]
+    doubled = curve_file(tmp_path, json.dumps(data))
+    tables = []
+    for curve in (spec, doubled):
+        code, out = run(tmp_path / str(len(tables)), "energies", "--curve",
+                        curve, "--axis", "0,0,1")
+        assert code == 0
+        tables.append((out / "energies.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_validation_exit_code(tmp_path):
     code, _ = run(tmp_path, "energies", "--curve", "circle:radius=1")
     assert code == 2
@@ -492,6 +511,12 @@ def nan_sample_curve(tmp_path):
     return curve_file(tmp_path, json.dumps(data))
 
 
+def misshapen_loop(tmp_path):
+    path = tmp_path / "loop.json"
+    save_loop(np.zeros((3, 2)), path)
+    return str(path)
+
+
 def collapsed_curve(tmp_path):
     # circle:n=64 with its samples scaled by 1e-300 and seg_len unchanged
     data = circle_data(tmp_path, 64)
@@ -526,6 +551,12 @@ BAD_INPUTS = {
     "nan-dt": lambda p: ["flow", "--curve", "circle:r=1,n=64", "--flow", "1",
                          "--dt", "nan", "--steps", "2"],
     "missing-loop": lambda p: ["lax", "--loop", str(p / "missing.json")],
+    "misshapen-loop": lambda p: ["lax", "--loop", misshapen_loop(p)],
+    "spec-item-without-equals": lambda p: ["energies", "--curve", "circle:r"],
+    "word-axis": lambda p: ["energies", "--curve", "circle:r=1,n=64",
+                            "--axis", "a,b,c"],
+    "word-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
+                            "--re", "1:x:3"],
     "negative-degree": lambda p: ["lax", "--degree", "-1"],
     "infinite-length": lambda p: ["energies", "--curve",
                                   "line:length=inf,n=64"],
@@ -609,6 +640,16 @@ BAD_INPUTS = {
 }
 
 
+# the message of a refusal that no other test reads
+BAD_INPUT_MESSAGES = {
+    "misshapen-loop": "error: coeffs must have shape (d+1, 3)",
+    "spec-item-without-equals": "error: curve parameter 'r' is not "
+                                "key=value",
+    "word-axis": "error: axis must be comma-separated numbers",
+    "word-grid": "error: grid must look like 'lo:hi:count'",
+}
+
+
 # a flow index argument that begins with '-' and a digit
 NEGATIVE_INDICES = {
     "commute-pairs": ["commute", "--curve", "circle:r=1,n=64",
@@ -654,6 +695,7 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "Warning" not in err
+    assert BAD_INPUT_MESSAGES.get(case, "") in err
     assert not out.exists() or os.listdir(out) == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

@@ -298,7 +298,7 @@ def test_save_curve_writes_json_dump_bytes(tmp_path, curve):
 
 def chord_knots(curve):
     """Knots and points of the monodromy-extended chord spline of a curve."""
-    spline = _spline_through(curve.samples, curve.monodromy, 4)
+    spline, _, _ = _spline_through(curve.samples, curve.monodromy)
     return np.concatenate([[0.0], np.cumsum(spline.h)]), spline.values
 
 

@@ -98,13 +98,18 @@ def test_fit_multipliers_circle():
     assert fit.residual < 1e-5
 
 
-def test_fit_multipliers_helix():
-    h = make_helix(1.0, 1.0, 1.0, 256)
+@pytest.mark.parametrize("turns", [1.0, 0.5])
+def test_fit_multipliers_helix(turns):
+    h = make_helix(1.0, 1.0, turns, 256)
     fit = fit_multipliers(h, 2)
     assert fit.residual < 1e-5
     # the constant term must point along the screw axis
     assert abs(fit.axis_term[0]) < 1e-8
     assert abs(fit.axis_term[1]) < 1e-8
+    if turns == 0.5:
+        # the half turn's rotation fixes its axis alone, the one constant
+        # field fitted
+        assert np.all(fit.axis_term[:2] == 0.0)
 
 
 def test_fit_multipliers_control():
