@@ -20,12 +20,10 @@ from .artifacts import (load_curve, load_loop, save_curve, save_loop,
                         write_document, write_table)
 from .curves import make_circle, make_helix, make_line, make_perturbed_circle
 from .darboux import darboux_transform, spectral_image_scan
-from .errors import (ArgumentError, NumericalError, SingularSectorError,
-                     ValidationError)
+from .errors import ArgumentError, NumericalError, ValidationError
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
                     max_relative_drift)
-from .frames import (gauss_bonnet_residual, hamiltonians_from_angle,
-                     monodromy_angle_scan)
+from .frames import hamiltonians_from_angle, monodromy_angle_scan
 from .functionals import energy, energy_report
 from .hierarchy import fit_multipliers
 from .loops import lax_evolve, spectral_polynomial
@@ -84,7 +82,8 @@ def parse_curve(spec):
 
 
 def parse_weights(text):
-    """'1' or '1=2,2=0.5' -> {k: weight}, with finite weights."""
+    """'1' or '1=2,2=0.5' -> {k: weight}, with finite weights and no
+    index given twice."""
     out = {}
     for item in text.split(","):
         key, sep, val = item.partition("=")
@@ -94,6 +93,8 @@ def parse_weights(text):
             raise ArgumentError("bad flow weight %r" % item)
         if not np.isfinite(weight):
             raise ArgumentError("flow weight %r is not finite" % item)
+        if k in out:
+            raise ArgumentError("flow index %d is given twice" % k)
         out[k] = weight
     return out
 
@@ -171,6 +172,9 @@ def cmd_commute(args):
         raise ArgumentError("pairs must look like '1,2;1,3'")
     if any(i == j for i, j in pairs):
         raise ArgumentError("a flow paired with itself has no defect")
+    for count, pair in enumerate(pairs):
+        if pair in pairs[:count]:
+            raise ArgumentError("pair %d,%d is given twice" % pair)
     rows = []
     for i, j in pairs:
         d1 = commutator_defect(curve, i, j, args.dt)
@@ -215,20 +219,14 @@ def cmd_angle_scan(args):
     if args.fit:
         es = hamiltonians_from_angle(curve, args.fit)
         summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
-    scan = monodromy_angle_scan(curve, grid)
-    e1, e2 = energy(1, curve), energy(2, curve)
-    rows = []
-    for m in scan:
-        try:
-            tail = [m.area, gauss_bonnet_residual(m, e1, e2)]
-        except SingularSectorError:
-            tail = [None, None]
-        # no axis at a +-identity monodromy: blank cells, like the area
-        ax = [None] * 3 if m.axis is None else list(m.axis)
-        rows.append([m.lam, m.theta] + ax + tail)
+    lams, thetas, axes, areas, residuals = monodromy_angle_scan(curve, grid)
+    table = np.column_stack([lams, thetas, axes, areas, residuals])
+    # a NaN cell, undefined at a +-identity monodromy or an antipodal
+    # tangent, is left blank
     write_table(artifact(args, "angles.csv"),
                 "lambda,theta,axis_x,axis_y,axis_z,area,"
-                "gauss_bonnet_residual", rows)
+                "gauss_bonnet_residual",
+                ([None if np.isnan(v) else v for v in row] for row in table))
     return summary
 
 

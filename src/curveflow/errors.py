@@ -56,10 +56,6 @@ class StabilityError(ValidationError):
     """Time step violates the stability guard for the requested flow."""
 
 
-class SingularSectorError(NumericalError):
-    """Sector-area integrand singular (antipodal tangent)."""
-
-
 class FrameDeterminantError(NumericalError):
     """A frame of the associated family is not finite or has lost det = 1."""
 

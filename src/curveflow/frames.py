@@ -33,7 +33,7 @@ import numpy as np
 
 from . import qmath
 from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
-from .errors import ArgumentError, FrameDeterminantError, SingularSectorError
+from .errors import ArgumentError, FrameDeterminantError
 from .functionals import energy, near_branch, total_torsion
 
 # offsets of the three Gauss-Legendre nodes in a substep:
@@ -61,7 +61,7 @@ _CSTEP = 1e-20
 # that, and the reading keeps to rounding under a similarity of the curve.
 # The bound is the old one on max |det F - 1|, 1e-6, over 2.5 (see README)
 _MAX_DET_ROUNDING = 4e-7
-# smallest 1 + (y, t) accepted by spherical_sector_area
+# smallest 1 + (y, t) of a sector area that monodromy_angle_scan reports
 _SECTOR_MIN_DENOMINATOR = 1e-3
 
 
@@ -171,8 +171,8 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
     """
     a, n = s.shape[0], work.shape[-1]
     tangents = t_at(s, out=work[:3].reshape(-1, 3, 3, n)[:a])
-    t1, t2, t3 = np.moveaxis(tangents, 1, 0)
-    v0, v1, v2, b3, b2, b1 = (np.moveaxis(v, 0, -1) for v in work[:, :, :a])
+    t1, t2, t3 = tangents.transpose(1, 0, 2, 3)
+    v0, v1, v2, b3, b2, b1 = work[:, :, :a].transpose(0, 2, 3, 1)
     scratch = e[..., 0].real
     # b3 = (5/3) ((T3 - 2 T2) + T1), b2 = (sqrt(15)/6) (T3 - T1), b1 = T2/2
     np.multiply(t2, -2.0, out=b3)
@@ -262,7 +262,7 @@ def _interval_factors(curve, lams, subs):
             a = int(np.count_nonzero(sub > j))
             _magnus_step(t_at, (j + _GAUSS_OFF) / sub[:a, None], mu[:a],
                          e[:a], work, flat[:2, :a])
-            prod = np.moveaxis(flat[:4, :a], 0, -1)
+            prod = flat[:4, :a].transpose(1, 2, 0)
             acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
     finally:
         np.setbufsize(bufsize)
@@ -326,7 +326,7 @@ def _frames(curve, lams, products):
                                 "many frame substeps" % (modulus(lam) * h,
                                                          _MAX_LAMBDA_STEP))
     if not lams:
-        return lams, np.empty((0, 1, 4)), np.empty((0, 4))
+        return lams, np.empty((0, curve.n + 1, 4)), np.empty((0, 4))
     dtype = float if real else complex
     # a lost frame overflows or cancels its determinant away; it is refused
     # below instead of warned about
@@ -385,13 +385,13 @@ def angle_from_quat(q, pred):
     """Continuous rotation angle and axis with exp((theta/2) axis) = +-q.
 
     Among all angles consistent with the unit quaternion q, returns the one
-    closest to the prediction `pred`.
+    closest to the prediction `pred`; the axis is NaN at q = +-identity.
     """
     w = q[0]
     v = q[1:]
     s = np.linalg.norm(v)
     theta, sigma = _nearest_branch(2.0 * np.arctan2(s, w), pred)
-    axis = None if s < 1e-12 else sigma * v / s
+    axis = np.full(3, np.nan) if s < 1e-12 else sigma * v / s
     return theta, axis
 
 
@@ -403,36 +403,33 @@ def _nearest_branch(phi, pred):
                 for sigma in (1.0, -1.0)), key=lambda c: abs(c[0] - pred))
 
 
-@dataclass(frozen=True)
-class MonodromyAngle:
-    lam: float
-    theta: float
-    axis: np.ndarray   # None when the monodromy is +-identity
-    frame: FrameTrajectory
-
-    @cached_property
-    def area(self):
-        """spherical_sector_area of this angle, computed once."""
-        return spherical_sector_area(self)
-
-
 def monodromy_angle_scan(curve, lambdas):
-    """Continuous branch of theta over a real lambda grid.
+    """The columns of angles.csv: the sorted lambda, theta, the monodromy
+    axis (L, 3), the sector area and the Gauss-Bonnet residual.  NaN marks
+    the axis, area and residual of a +-identity monodromy, and the area and
+    residual where some 1 + (y, t) < _SECTOR_MIN_DENOMINATOR, the tangent t
+    nearly antipodal to the transported axis y.
 
-    Anchored at the largest lambda by theta ~ lambda E_1 + E_2 + E_3/lambda
-    and continued to smaller lambda by local linear prediction.  The E_3/
-    lambda term matters: without it the prediction sits exactly halfway
-    between the two sign branches of the quaternion angle, and the anchor
-    degenerates into a coin flip.  A lambda so small that the float spacing
-    of its anchor exceeds pi is refused.
+    theta follows one continuous branch, anchored at the largest lambda by
+    theta ~ lambda E_1 + E_2 + E_3/lambda and continued to smaller lambda by
+    local linear prediction.  The E_3/lambda term matters: without it the
+    prediction sits exactly halfway between the two sign branches of the
+    quaternion angle, and the anchor degenerates into a coin flip.  A lambda
+    so small that the float spacing of its anchor exceeds pi is refused.
+
+    Gauss-Bonnet: theta - lambda E_1 - E_2 is the area of the spherical
+    sector between the tangent and the axis y = F(x)^{-1} axis F(x) of the
+    basepoint-shifted monodromy, the integral of (y, t x t') / (1 + (y, t));
+    the residual is their difference wrapped to (-pi, pi].
     """
-    lambdas = np.sort(np.asarray(lambdas, dtype=float))
+    lams = np.sort(np.asarray(lambdas, dtype=float))
     e1, e2, e3 = (energy(k, curve) for k in (1, 2, 3))
-    frames = integrate_frames(curve, lambdas)
-    out = []
-    prev = None
-    for lam, frame in zip(lambdas[::-1], frames[::-1]):
-        if prev is None:
+    _, F, monos = _frames(curve, lams, _interval_products)
+    thetas = np.empty(len(lams))
+    axes = np.empty((len(lams), 3))
+    for i in reversed(range(len(lams))):
+        lam = lams[i]
+        if i == len(lams) - 1:
             # an anchor whose float spacing exceeds pi cannot pick a 2 pi
             # branch (and a non-finite one has NaN spacing)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -441,17 +438,26 @@ def monodromy_angle_scan(curve, lambdas):
                 raise ArgumentError("lambda %r is too small to anchor the "
                                     "angle branch" % float(lam))
         else:
-            pred = prev[1] + e1 * (lam - prev[0])
-        theta, axis = angle_from_quat(np.real(frame.monodromy), pred)
-        out.append(MonodromyAngle(lam, theta, axis, frame))
-        prev = (lam, theta)
-    return out[::-1]
+            pred = thetas[i + 1] + e1 * (lam - lams[i + 1])
+        thetas[i], axes[i] = angle_from_quat(monos[i], pred)
+    # every lambda's sector in one pass, the integrand C-contiguous (L, n)
+    # so that each row sums with the bits of a one-lambda sum
+    t = tangent(curve)
+    normal = qmath.cross(t, ddx(t, curve))
+    y = qmath.qrotate(qmath.qconj(F[:, :-1]), axes[:, None])
+    denom = 1.0 + qmath.dot(y, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        areas = curve.seg_len * (qmath.dot(y, normal) / denom).sum(axis=1)
+    areas[denom.min(axis=1) < _SECTOR_MIN_DENOMINATOR] = np.nan
+    residuals = thetas - lams * e1 - e2 - areas
+    return (lams, thetas, axes, areas,
+            (residuals + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def monodromy_angle(curve, lam):
-    """MonodromyAngle at a single lambda, anchored by the asymptotic series:
-    the one-point scan."""
-    return monodromy_angle_scan(curve, [lam])[0]
+    """(lambda, theta, axis, area, residual) at a single lambda, anchored by
+    the asymptotic series: the one row of the one-point scan."""
+    return tuple(column[0] for column in monodromy_angle_scan(curve, [lam]))
 
 
 def hamiltonians_from_angle(curve, kmax=5):
@@ -486,26 +492,3 @@ def torsion_shift_check(curve, lam):
     e1, e2 = energy(1, curve), energy(2, curve)
     return total_torsion(new), e2 + lam * e1
 
-
-def spherical_sector_area(angle):
-    """Area of the spherical sector traced between the tangent image and the
-    monodromy axis transported along the frame of a MonodromyAngle."""
-    if angle.axis is None:
-        raise SingularSectorError("monodromy is +-identity; axis undefined")
-    curve = angle.frame.curve
-    # axis of the basepoint-shifted monodromy F(x)^{-1} Atilde F(x)
-    y = qmath.qrotate(qmath.qconj(angle.frame.F), angle.axis)[:-1]
-    t = tangent(curve)
-    tp = ddx(t, curve)
-    denom = 1.0 + qmath.dot(y, t)
-    if denom.min() < _SECTOR_MIN_DENOMINATOR:
-        raise SingularSectorError("tangent antipodal to the transported axis")
-    integrand = qmath.dot(y, qmath.cross(t, tp)) / denom
-    return curve.seg_len * integrand.sum()
-
-
-def gauss_bonnet_residual(angle, e1, e2):
-    """theta - lambda E_1 - E_2 - Area of a MonodromyAngle, wrapped to
-    (-pi, pi]."""
-    r = angle.theta - angle.lam * e1 - e2 - angle.area
-    return (r + np.pi) % (2.0 * np.pi) - np.pi

@@ -9,10 +9,12 @@ from typing import NamedTuple
 import numpy as np
 
 from curveflow import qmath
-from curveflow.curves import _torsion_integral, extend, tangent
+from curveflow.curves import _torsion_integral, ddx, extend, tangent
 from curveflow.darboux import _GAP_TOL, _ideal_point
-from curveflow.frames import (_GAUSS_OFF, _lagrange_weights, _substep_count,
-                              integrate_frames, tangent_interpolator)
+from curveflow.frames import (_GAUSS_OFF, _SECTOR_MIN_DENOMINATOR,
+                              _lagrange_weights, _substep_count,
+                              integrate_frame, integrate_frames,
+                              tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -207,6 +209,23 @@ def loop_integrate_frame(curve, lam):
         F /= np.sqrt(qmath.qdet(F))[..., None]
     dF[1:] = pair[:, 1]
     return LoopFrame(lam, F, dF, curve)
+
+
+def loop_sector_area(curve, lam, axis):
+    """Area of the spherical sector between the tangent and the monodromy
+    axis transported along the frame at one lambda, NaN at a NaN axis or
+    where 1 + (y, t) < _SECTOR_MIN_DENOMINATOR: the reference for the one
+    pass of monodromy_angle_scan over every lambda."""
+    frame = integrate_frame(curve, lam)
+    # axis of the basepoint-shifted monodromy F(x)^{-1} Atilde F(x)
+    y = qmath.qrotate(qmath.qconj(frame.F), axis)[:-1]
+    t = tangent(curve)
+    tp = ddx(t, curve)
+    denom = 1.0 + qmath.dot(y, t)
+    if denom.min() < _SECTOR_MIN_DENOMINATOR:
+        return np.nan
+    integrand = qmath.dot(y, qmath.cross(t, tp)) / denom
+    return curve.seg_len * integrand.sum()
 
 
 def transport_fixed_point(curve, lam, s0):

@@ -153,17 +153,20 @@ def test_angle_scan_rows_use_one_branch(tmp_path):
 
 
 def counting_batches(monkeypatch, module):
-    """Record the lambda batch of every frame batch, an integrate_frames or
-    a monodromies call, made through `module`."""
+    """Record the lambda batch of every frame batch made through `module`:
+    a call of frames._frames, which every batch of frames goes through, or
+    of integrate_frames or monodromies from another module."""
     batches = []
 
     def counting(batch):
-        def wrapper(curve, lams):
+        def wrapper(curve, lams, *args):
             batches.append(list(lams))
-            return batch(curve, lams)
+            return batch(curve, lams, *args)
         return wrapper
 
-    for name in ("integrate_frames", "monodromies"):
+    names = (("_frames",) if module is frames
+             else ("integrate_frames", "monodromies"))
+    for name in names:
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return batches
@@ -209,21 +212,20 @@ def test_angle_scan_refuses_kmax_before_the_scan(tmp_path, monkeypatch):
 
 
 def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
-    # the area cell and the Gauss-Bonnet residual of a row share one area
-    areas = []
-    area = frames.spherical_sector_area
+    # every row's area cell and Gauss-Bonnet residual come from one sector
+    # pass, which differentiates the tangent once
+    calls = []
+    ddx = frames.ddx
 
-    def counting(angle, *args):
-        areas.append(angle.lam)
-        return area(angle, *args)
+    def counting(*args):
+        calls.append(1)
+        return ddx(*args)
 
-    # counted wherever the command could call it from
-    monkeypatch.setattr(frames, "spherical_sector_area", counting)
-    monkeypatch.setattr(cli, "spherical_sector_area", counting, raising=False)
+    monkeypatch.setattr(frames, "ddx", counting)
     code, _ = run(tmp_path, "angle-scan", "--curve", "circle:r=1,n=64",
                   "--lmin", "0.5", "--lmax", "2", "--count", "4")
     assert code == 0
-    assert len(areas) == len(set(areas)) == 4
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,6 +263,21 @@ def test_angle_scan_identity_monodromy_has_blank_axis(tmp_path):
     text = (out / "angles.csv").read_text()
     assert "nan" not in text.lower()
     assert text.splitlines()[1].split(",")[2:] == [""] * 5
+
+
+def test_angle_scan_antipodal_tangent_has_blank_area(tmp_path):
+    # at lambda = 3.3154, the 21st row, a tangent of this perturbed circle
+    # comes within 1e-3 of antipodal to the transported axis: the axis is
+    # defined, the area and the residual are not
+    code, out = run(tmp_path, "angle-scan", "--curve",
+                    "perturbed-circle:n=128,modes=2+3,seed=1", "--lmin",
+                    "0.5", "--lmax", "20", "--count", "40")
+    assert code == 0
+    text = (out / "angles.csv").read_text()
+    assert "nan" not in text.lower()
+    cells = text.splitlines()[21].split(",")
+    assert np.isfinite([float(c) for c in cells[:5]]).all()
+    assert cells[5:] == ["", ""]
 
 
 def test_spectral_scan_command(tmp_path):
@@ -596,6 +613,14 @@ BAD_INPUTS = {
     # a flow commutes with itself: both defects are 0
     "self-pair": lambda p: ["commute", "--curve", "circle:r=1,n=64",
                             "--pairs", "1,1"],
+    # a repeated flow index or pair would keep one weight or row silently
+    "repeated-flow": lambda p: ["flow", "--curve", "circle:r=1,n=64",
+                                "--flow", "1=1,1=2", "--dt", "1e-4",
+                                "--steps", "2"],
+    "repeated-lax-flow": lambda p: ["lax", "--flow", "1=1,1=2",
+                                    "--steps", "2"],
+    "repeated-pair": lambda p: ["commute", "--curve", "circle:r=1,n=64",
+                                "--pairs", "1,2;1,2"],
     "empty-grid": lambda p: ["spectral-scan", "--curve", "circle:r=1,n=64",
                              "--re", "0.5:2:0", "--im", "0.1:1:4"],
     # builtin specs with no samples
@@ -647,6 +672,9 @@ BAD_INPUT_MESSAGES = {
                                 "key=value",
     "word-axis": "error: axis must be comma-separated numbers",
     "word-grid": "error: grid must look like 'lo:hi:count'",
+    "repeated-flow": "error: flow index 1 is given twice",
+    "repeated-lax-flow": "error: flow index 1 is given twice",
+    "repeated-pair": "error: pair 1,2 is given twice",
 }
 
 

@@ -49,7 +49,7 @@ def test_real_lambda_fixed_points_are_axis():
     # for real lambda the monodromy is a rotation and the ideal fixed
     # points are the two ends of its axis
     c = make_circle(1.0, 256)
-    axis = monodromy_angle(c, 2.0).axis
+    _, _, axis, *_ = monodromy_angle(c, 2.0)
     fp = fixed_points(integrate_frame(c, 2.0 + 0.0j).monodromy)
     agree = min(np.linalg.norm(fp.S_plus - axis),
                 np.linalg.norm(fp.S_plus + axis))

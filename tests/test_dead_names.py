@@ -22,7 +22,8 @@ PAPER_CHECKS = {
 
 # the outputs of those checks that the package gives to the tests and does
 # not read itself
-PAPER_CHECK_FIELDS = {"HyperbolicFamily.points", "DarbouxResult.s_field"}
+PAPER_CHECK_FIELDS = {"HyperbolicFamily.points", "HyperbolicFamily.frame",
+                      "DarbouxResult.s_field"}
 
 
 def definitions(tree):

@@ -13,17 +13,16 @@ from curveflow.curves import (Curve, Monodromy, deriv, make_circle,
                               make_helix, make_line, make_perturbed_circle,
                               tangent)
 from curveflow.darboux import spectral_image_scan
-from curveflow.errors import (ArgumentError, FrameDeterminantError,
-                              SingularSectorError)
-from curveflow.frames import (angle_from_quat, gauss_bonnet_residual,
-                              hamiltonians_from_angle, integrate_frame,
-                              integrate_frames, monodromy_angle,
-                              monodromy_angle_scan, spherical_sector_area,
+from curveflow.errors import ArgumentError, FrameDeterminantError
+from curveflow.frames import (angle_from_quat, hamiltonians_from_angle,
+                              integrate_frame, integrate_frames,
+                              monodromy_angle, monodromy_angle_scan,
                               sym_curve, torsion_shift_check)
 from curveflow.functionals import energy
 from helpers import (group_residual, moved_copy, same_bits, similar_copies,
                      sym_translation)
-from oracles import dqexp_vec, loop_integrate_frame, loop_tangent_at
+from oracles import (dqexp_vec, loop_integrate_frame, loop_sector_area,
+                     loop_tangent_at)
 
 
 def test_frame_stays_in_group():
@@ -681,7 +680,7 @@ def test_circle_angle_closed_form():
     # theta(lambda) = 2 pi sqrt(1 + lambda^2) on the unit circle
     c = make_circle(1.0, 256)
     for lam in (0.7, 1.3, 2.5):
-        theta = monodromy_angle(c, lam).theta
+        _, theta, *_ = monodromy_angle(c, lam)
         assert abs(theta - 2.0 * np.pi * np.sqrt(1.0 + lam * lam)) < 1e-8
 
 
@@ -690,16 +689,16 @@ def test_circle_window_angle_closed_form(n):
     # the angle-scan window at real substeps of |lambda| hs <= 0.02:
     # measured 2.86e-10 at n = 256 and 3.20e-10 at n = 512
     lams = np.geomspace(8.0, 64.0, 32)
-    thetas = [m.theta for m in monodromy_angle_scan(make_circle(1.0, n), lams)]
-    err = np.abs(np.array(thetas) - 2.0 * np.pi * np.sqrt(1.0 + lams ** 2))
+    thetas = monodromy_angle_scan(make_circle(1.0, n), lams)[1]
+    err = np.abs(thetas - 2.0 * np.pi * np.sqrt(1.0 + lams ** 2))
     assert err.max() <= 6e-10
 
 
 def test_line_angle_exact():
     l = make_line(2.0, 64)
-    m = monodromy_angle(l, 1.5)
-    assert abs(m.theta - 1.5 * 2.0) < 1e-12
-    npt.assert_allclose(m.axis, [1.0, 0.0, 0.0], atol=1e-12)
+    _, theta, axis, *_ = monodromy_angle(l, 1.5)
+    assert abs(theta - 1.5 * 2.0) < 1e-12
+    npt.assert_allclose(axis, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_circle_angle_expansion():
@@ -767,12 +766,12 @@ def test_angle_is_similarity_invariant(curve):
     # (measured 3.0e-11, compared as E_k L^(k-2), relative to their largest)
     lams = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     powers = 2.0 - np.arange(6)
-    thetas = np.array([m.theta for m in monodromy_angle_scan(curve, lams)])
+    thetas = monodromy_angle_scan(curve, lams)[1]
     unit = curve.length ** -powers
     ham = hamiltonians_from_angle(curve, kmax=5) * unit
     for s in (1e-3, 0.1, 10.0, 1e3):
         for copy in similar_copies(curve, s):
-            got = [m.theta for m in monodromy_angle_scan(copy, lams / s)]
+            got = monodromy_angle_scan(copy, lams / s)[1]
             assert np.abs(got - thetas).max() <= 1e-14 * np.abs(thetas).max()
             got = hamiltonians_from_angle(copy, kmax=5) / s ** powers * unit
             assert np.abs(got - ham).max() <= 1e-9 * np.abs(ham).max()
@@ -789,16 +788,14 @@ def test_contour_needs_kmax_in_range():
 def test_angle_basepoint_independent():
     c = make_circle(1.0, 256)
     rolled = c.with_samples(np.roll(c.samples, 17, axis=0))
-    t0 = monodromy_angle(c, 1.3).theta
-    t1 = monodromy_angle(rolled, 1.3).theta
+    t0 = monodromy_angle(c, 1.3)[1]
+    t1 = monodromy_angle(rolled, 1.3)[1]
     assert abs(t0 - t1) < 1e-10
 
 
 def test_angle_scan_is_continuous():
     h = make_helix(1.0, 1.0, 1.0, 256)
-    scan = monodromy_angle_scan(h, np.linspace(0.5, 4.0, 36))
-    thetas = np.array([m.theta for m in scan])
-    lams = np.array([m.lam for m in scan])
+    lams, thetas, *_ = monodromy_angle_scan(h, np.linspace(0.5, 4.0, 36))
     e1 = energy(1, h)
     # adjacent angles move at roughly the slope E_1; in particular there is
     # no 2 pi branch jump anywhere on the grid
@@ -818,7 +815,7 @@ def test_spherical_sector_area_circle():
     # Gauss-Bonnet on the unit circle at lambda = 2:
     # area = theta - lambda E_1 - E_2 = 2 pi sqrt 5 - 4 pi
     c = make_circle(1.0, 256)
-    area = spherical_sector_area(monodromy_angle(c, 2.0))
+    _, _, _, area, _ = monodromy_angle(c, 2.0)
     assert abs(area - (2.0 * np.pi * np.sqrt(5.0) - 4.0 * np.pi)) < 1e-6
 
 
@@ -826,17 +823,39 @@ def test_gauss_bonnet_residual():
     c = make_circle(1.0, 256)
     h = make_helix(1.0, 1.0, 1.0, 256)
     for lam in (2.0, 5.0, 10.0):
-        assert abs(gauss_bonnet_residual(monodromy_angle(c, lam),
-                                         energy(1, c), energy(2, c))) < 1e-5
-        assert abs(gauss_bonnet_residual(monodromy_angle(h, lam),
-                                         energy(1, h), energy(2, h))) < 1e-5
+        assert abs(monodromy_angle(c, lam)[4]) < 1e-5
+        assert abs(monodromy_angle(h, lam)[4]) < 1e-5
 
 
 def test_sector_area_denominator_guard(monkeypatch):
+    # above the guard's bound, the area and the residual are undefined
     c = make_circle(1.0, 256)
     monkeypatch.setattr(frames, "_SECTOR_MIN_DENOMINATOR", 2.1)
-    with pytest.raises(SingularSectorError):
-        spherical_sector_area(monodromy_angle(c, 2.0))
+    _, theta, axis, area, residual = monodromy_angle(c, 2.0)
+    assert np.isfinite(theta) and np.isfinite(axis).all()
+    assert np.isnan(area) and np.isnan(residual)
+
+
+# the three curves of the angle-scan artifacts, and the line at the
+# lambda of its identity monodromy
+SECTOR_SCANS = {
+    "circle": (make_circle(1.0, 256), np.geomspace(8.0, 64.0, 32)),
+    "helix": (make_helix(1.0, 1.0, 1.0, 256), np.geomspace(0.3, 30.0, 40)),
+    "pc-2+3": (make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=1),
+               np.geomspace(0.5, 20.0, 40)),
+    "line": (make_line(2.0 * np.pi, 64), np.array([2.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECTOR_SCANS))
+def test_sector_areas_match_the_loop(case):
+    # the one pass over every lambda has the bits of one area at a time,
+    # NaN where the loop finds no area
+    curve, lams = SECTOR_SCANS[case]
+    lams, _, axes, areas, _ = monodromy_angle_scan(curve, lams)
+    want = [loop_sector_area(curve, lam, axis)
+            for lam, axis in zip(lams, axes)]
+    assert np.array_equal(areas, want, equal_nan=True)
 
 
 def test_sym_requires_real_lambda():
