@@ -112,53 +112,59 @@ class NormalFrame:
         return self.holonomy_angle + 2.0 * np.pi * self.winding
 
 
-def extend(values, monodromy, left, right, affine=False, translation=None,
-           out=None):
-    """Pad (..., n, 3) values with `left` values before them and `right`
-    after them along axis -2, using the monodromy.
+def _padder(buf, left, right, monodromy):
+    """The middle of buf, padded by `left` and `right` values along axis -2,
+    and fill(shift): the pads from it by the rotation and translation shift."""
+    n = buf.shape[-2] - left - right
+    head, tail = buf[..., left:left + right, :], buf[..., n:n + left, :]
+    before, after = buf[..., :left, :], buf[..., left + n:, :]
+    identity = monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+    def fill(shift):
+        if identity:
+            # qrotate by the identity returns v + 0 + 0
+            np.add(head, shift, out=after)
+            np.subtract(tail, shift, out=before)
+        else:
+            np.add(monodromy.apply_vector(head), shift, out=after)
+            before[...] = monodromy.apply_vector_inverse(tail - shift)
+    return buf[..., left:left + n, :], fill
 
-    affine=True treats values as positions (full motion h applied, with
-    `translation` for h's own if given); otherwise they are vector-field
-    values, extended by the rotation part only.  Into `out` if given, whose
-    middle the values may already be; they may overlap it no other way.
-    """
+
+def extend(values, monodromy, left, right, affine=False):
+    """Pad (..., n, 3) values with `left` values before them and `right`
+    after them along axis -2 by the monodromy: as positions (full motion h)
+    if affine, else as vector-field values (rotation part only)."""
     n = values.shape[-2]
     if left > n or right > n:
         raise ArgumentError("padding %d, %d exceeds sample count %d"
                             % (left, right, n))
-    translation = monodromy.translation if translation is None else translation
-    shift = translation if affine else 0.0
-    if out is None:
-        out = np.empty(values.shape[:-2] + (left + n + right, 3),
-                       np.result_type(values, shift))
-    mid = out[..., left:left + n, :]
-    if not np.may_share_memory(values, mid):
-        mid[...] = values
-    head, tail = mid[..., :right, :], mid[..., n - left:, :]
-    before, after = out[..., :left, :], out[..., left + n:, :]
-    if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
-        # qrotate by the identity returns v + 0 + 0
-        np.add(head, shift, out=after)
-        np.subtract(tail, shift, out=before)
-    else:
-        np.add(monodromy.apply_vector(head), shift, out=after)
-        before[...] = monodromy.apply_vector_inverse(tail - shift)
+    shift = monodromy.translation if affine else 0.0
+    out = np.empty(values.shape[:-2] + (left + n + right, 3),
+                   np.result_type(values, shift))
+    mid, fill = _padder(out, left, right, monodromy)
+    mid[...] = values
+    fill(shift)
     return out
 
 
-def central_d1(ext, h, out=None):
-    """4th-order centered first derivative (8 (e_3 - e_1) + e_0 - e_4) /
-    (12 h) at spacing h of samples padded by two extended values on each
-    side along axis -2, formed in `out` if given in five ufuncs.  For a
-    batch of B curves, h holds one spacing per curve, shape (B,)."""
-    out = np.subtract(ext[..., 3:-1, :], ext[..., 1:-3, :], out)
-    out *= 8.0
-    out += ext[..., :-4, :]
-    out -= ext[..., 4:, :]
+def _taps(ext, h):
+    """central_d1's taps e_0, e_1, e_3, e_4 over values padded by two on
+    each side along axis -2, and 12 h in their precision; h (B,) a batch's."""
     if getattr(h, "ndim", 0):
         h = h[:, None, None]
-    # 12 h in the derivative's own precision
-    return np.divide(out, out.dtype.type(12.0) * h, out=out)
+    return (ext[..., :-4, :], ext[..., 1:-3, :], ext[..., 3:-1, :],
+            ext[..., 4:, :], ext.dtype.type(12.0) * h)
+
+
+def central_d1(taps, out):
+    """4th-order centered first derivative (8 (e_3 - e_1) + e_0 - e_4) /
+    (12 h) from the `_taps` of padded values, in `out` in five ufuncs."""
+    e0, e1, e3, e4, div = taps
+    np.subtract(e3, e1, out)
+    out *= 8.0
+    out += e0
+    out -= e4
+    return np.divide(out, div, out=out)
 
 
 def ddx(values, curve):
@@ -167,8 +173,9 @@ def ddx(values, curve):
     Centered 4th-order differences; stencils crossing the fundamental-domain
     boundary use monodromy-extended values.
     """
-    return central_d1(extend(np.asarray(values), curve.monodromy, 2, 2),
-                      curve.seg_len)
+    ext = extend(np.asarray(values), curve.monodromy, 2, 2)
+    return central_d1(_taps(ext, curve.seg_len),
+                      np.empty(ext.shape[:-2] + (curve.n, 3), ext.dtype))
 
 
 def deriv(curve, order):
@@ -190,19 +197,22 @@ def deriv(curve, order):
 
 
 class Stencil:
-    """Reused buffers for samples of the curve's shape, seg_len and
-    monodromy: d1 and ddx give the bits of deriv(curve, 1) and
-    ddx(values, curve), in the stencil's dtype, `fields` holds
-    symplectic_Y_list's Y_0 .. Y_kmax, and each call overwrites its
-    result.  Both write their input once, into one padded buffer."""
+    """Buffers, views, taps and divisor for samples of the curve's shape,
+    seg_len and monodromy, built once: d1 and ddx run only ufuncs and give
+    the bits of deriv(curve, 1) and ddx(values, curve) in the stencil's
+    dtype.  `fields` holds symplectic_Y_list's Y_0 .. Y_kmax, `scratch`
+    three components' scratch; each call overwrites its result."""
 
     def __init__(self, curve, kmax=0, dtype=None):
-        self.seg_len, self.monodromy = curve.seg_len, curve.monodromy
+        self.monodromy = curve.monodromy
         shape = curve.samples.shape
-        self._ext = np.empty(shape[:-2] + (shape[-2] + 4, 3), dtype)
+        ext = np.empty(shape[:-2] + (shape[-2] + 4, 3), dtype)
+        self._mid, self._fill = _padder(ext, 2, 2, curve.monodromy)
+        self._taps = _taps(ext, curve.seg_len)
         self._d = np.empty(shape, dtype)
         self._ones = np.ones((1, shape[-2]))
         self.fields = np.empty((kmax + 1,) + shape, dtype)
+        self.scratch = np.empty((3,) + shape[:-1], dtype)
 
     def d1(self, samples):
         """gamma' of the positions shifted by their mean s (one per curve of
@@ -211,18 +221,16 @@ class Stencil:
         # of one curve; a strided add.reduce takes 5x as long
         shift = self._ones @ samples / samples.shape[-2]
         mono = self.monodromy
-        translation = mono.translation - shift + shift @ mono.matrix.T
-        mid = self._ext[..., 2:-2, :]
         # along the samples: over (..., n, 3) numpy copies the shift n times
         np.subtract(samples.swapaxes(-1, -2), shift.swapaxes(-1, -2),
-                    out=mid.swapaxes(-1, -2), order="C")
-        extend(mid, mono, 2, 2, affine=True, translation=translation,
-               out=self._ext)
-        return central_d1(self._ext, self.seg_len, out=self.fields[0])
+                    out=self._mid.swapaxes(-1, -2), order="C")
+        self._fill(mono.translation - shift + shift @ mono.matrix.T)
+        return central_d1(self._taps, self.fields[0])
 
     def ddx(self, values):
-        return central_d1(extend(values, self.monodromy, 2, 2, out=self._ext),
-                          self.seg_len, out=self._d)
+        self._mid[...] = values
+        self._fill(0.0)
+        return central_d1(self._taps, self._d)
 
 
 def tangent(curve):

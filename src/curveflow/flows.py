@@ -75,11 +75,13 @@ def _check_blow_up(samples, bound, step):
 
 
 def velocity(samples, stencil, coefficients):
-    """Flow velocity field at the samples, differenced in a curves.Stencil."""
+    """Flow velocity sum_k c_k Y_k in a new array; scales the Stencil's Y_k."""
     ys = symplectic_Y_list(samples, max(coefficients), out=stencil)
-    out = np.zeros(samples.shape)
-    for k, w in coefficients.items():
-        out += w * ys[k]
+    (k, w), *rest = coefficients.items()
+    # from 0.0, as from np.zeros: a -0.0 term sums to +0.0
+    out = np.add(0.0, np.multiply(w, ys[k], out=ys[k]))
+    for k, w in rest:
+        out += np.multiply(w, ys[k], out=ys[k])
     return out
 
 

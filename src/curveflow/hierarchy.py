@@ -53,13 +53,17 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
         curve = curve.samples
     t = out.d1(curve)
     ys = out.fields
+    f, d, s = out.scratch
     for k in range(kmax):
-        cross(t, out.ddx(ys[k]), out=ys[k + 1])
+        cross(t, out.ddx(ys[k]), out=ys[k + 1], tmp=s)
         if k >= 1:
-            f = np.zeros(t.shape[:-1], dtype=t.dtype)
+            f[...] = 0.0
             for i in range(1, k + 1):
-                f += dot(ys[i], ys[k - i + 1])
-            ys[k + 1] -= 0.5 * f[..., None] * t
+                f += dot(ys[i], ys[k - i + 1], out=d, tmp=s)
+            f *= 0.5
+            # by component: f[..., None] * t copies f into a field's size
+            for c in range(3):
+                ys[k + 1][..., c] -= np.multiply(f, t[..., c], out=s)
     return ys
 
 

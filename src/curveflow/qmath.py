@@ -39,8 +39,9 @@ def _buffers(a, b, out, tmp):
         shape = a.shape
         if b.shape != shape:
             pad = len(shape) - b.ndim   # np.broadcast_shapes takes 6 KB
-            shape = tuple(y if x == 1 else x for x, y in
-                          zip((1,) * -pad + shape, (1,) * pad + b.shape))
+            # a list: tuple(generator) resizes, and the free list keeps it
+            shape = tuple([y if x == 1 else x for x, y in
+                           zip((1,) * -pad + shape, (1,) * pad + b.shape)])
         out = np.empty_like(a, shape=shape, dtype=np.result_type(a, b))
     if tmp is None:
         tmp = np.empty_like(out[..., 0])

@@ -3,7 +3,8 @@
 import numpy as np
 
 from curveflow import qmath
-from curveflow.curves import Curve, Monodromy, central_d1, deriv, tangent
+from curveflow.curves import (Curve, Monodromy, _taps, central_d1, deriv,
+                              tangent)
 from curveflow.flows import evolve
 from curveflow.frames import sym_curve
 from curveflow.hierarchy import check_axis
@@ -197,7 +198,7 @@ def hyperbolic_speeds(family):
     n = curve.n
     tilde = family.frame.monodromy
     ext = _extend_hyperbolic(family.points[:n], tilde, 2)
-    dp = central_d1(ext, curve.seg_len)
+    dp = central_d1(_taps(ext, curve.seg_len), np.empty_like(ext[2:-2]))
     f = family.frame.F[:n]
     w = qmath.qmul(qmath.qinv(f), qmath.qmul(dp, qmath.qinv(qmath.hconj(f))))
     return 2.0 * np.linalg.norm(w[:, 1:].imag, axis=1)

@@ -181,14 +181,6 @@ def test_equivariant_extension(curve, left, right, affine):
     assert np.array_equal(ext[:left], backward(f[n - left:]))
     assert np.array_equal(ext[left:left + n], f)
     assert np.array_equal(ext[left + n:], forward(f[:right]))
-    # into `out`, also from values that already are its middle
-    buf = np.full_like(ext, np.nan)
-    assert extend(f, m, left, right, affine=affine, out=buf) is buf
-    assert same_bits(buf, ext)
-    buf = np.full_like(ext, np.nan)
-    buf[left:left + n] = f
-    extend(buf[left:left + n], m, left, right, affine=affine, out=buf)
-    assert same_bits(buf, ext)
 
 
 @pytest.mark.parametrize("curve", [

@@ -1,6 +1,8 @@
 """Time integration of the hierarchy flows and its invariants."""
 
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,7 +18,7 @@ from curveflow.flows import (FlowSpec, commutator_defect, evolve,
                              export_trajectory, max_relative_drift)
 from curveflow.functionals import energy_reports
 from curveflow.hierarchy import symplectic_Y_list
-from helpers import hausdorff_distance, rigid_register, step
+from helpers import hausdorff_distance, rigid_register, same_bits, step
 
 
 def test_circle_translates_under_binormal_flow():
@@ -253,11 +255,6 @@ def fresh_velocity(curve, samples, coefficients):
     return out
 
 
-def same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
-                                                   np.signbit(b))
-
-
 @pytest.mark.parametrize("coefficients", [{0: 1.0}, {1: 1.0}, {2: 1.0},
                                           {3: 1.0}, {1: 1.0, 2: 0.5}],
                          ids=["0", "1", "2", "3", "1+2"])
@@ -276,6 +273,28 @@ def test_stencil_velocity_has_the_bits_of_a_fresh_curve(curve, coefficients):
             got = flows.velocity(samples, stencil, coefficients)
             assert same_bits(got, fresh_velocity(curve, samples,
                                                  coefficients))
+
+
+@pytest.mark.parametrize("coefficients", [{1: 1.0}, {2: 1.0}, {3: 1.0},
+                                          {1: 1.0, 2: 0.5}],
+                         ids=["1", "2", "3", "1+2"])
+@pytest.mark.parametrize("curve", [
+    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
+    make_helix(1.0, 0.5, 1.3, 224), make_line(2.0, 224)],
+    ids=["identity", "screw", "translation"])
+def test_rk4_step_allocates_only_its_stages(curve, coefficients):
+    # a step holds five fields, k1 .. k4 and the stage input; the stencil
+    # differences in its own buffers, and the pads' qrotate is small
+    spec = FlowSpec(coefficients, 1e-6, 1)
+    stencil = Stencil(curve, max(coefficients))
+    flows._advance(curve.samples, stencil, spec)   # caches the rotation
+    tracemalloc.start()
+    try:
+        flows._advance(curve.samples, stencil, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * curve.samples.nbytes
 
 
 def test_evolve_runs_share_no_state():
