@@ -246,14 +246,14 @@ def cmd_spectral_scan(args):
     curve = parse_curve(args.curve)
     res = _parse_grid(args.re)
     ims = _parse_grid(args.im)
-    rows = spectral_image_scan(curve, res, ims)
+    lams, sp, sm, disc, parabolic = spectral_image_scan(curve, res, ims)
     write_table(artifact(args, "spectral_scan.csv"),
                 "re_lambda,im_lambda,sheet,Sx,Sy,Sz,discriminant,flag",
-                ([r["re"], r["im"], sheet, *s, r["discriminant"],
-                  r["parabolic"]] for r in rows
-                 for sheet, s in enumerate((r["S_plus"], r["S_minus"]))))
-    flagged = sum(int(r["parabolic"]) for r in rows)
-    return {"samples": len(rows), "branch_points_flagged": flagged}
+                ([lam.real, lam.imag, sheet, *s, d, b]
+                 for lam, p, m, d, b in zip(lams, sp, sm, disc, parabolic)
+                 for sheet, s in enumerate((p, m))))
+    return {"samples": len(lams),
+            "branch_points_flagged": int(parabolic.sum())}
 
 
 def cmd_darboux(args):

@@ -201,7 +201,8 @@ class Stencil:
     seg_len and monodromy, built once: d1 and ddx run only ufuncs and give
     the bits of deriv(curve, 1) and ddx(values, curve) in the stencil's
     dtype.  `fields` holds symplectic_Y_list's Y_0 .. Y_kmax, `scratch`
-    three components' scratch; each call overwrites its result."""
+    three components' scratch, built with ddx's buffer for kmax >= 1 only;
+    each call overwrites its result."""
 
     def __init__(self, curve, kmax=0, dtype=None):
         self.monodromy = curve.monodromy
@@ -209,10 +210,11 @@ class Stencil:
         ext = np.empty(shape[:-2] + (shape[-2] + 4, 3), dtype)
         self._mid, self._fill = _padder(ext, 2, 2, curve.monodromy)
         self._taps = _taps(ext, curve.seg_len)
-        self._d = np.empty(shape, dtype)
         self._ones = np.ones((1, shape[-2]))
         self.fields = np.empty((kmax + 1,) + shape, dtype)
-        self.scratch = np.empty((3,) + shape[:-1], dtype)
+        if kmax:
+            self._d = np.empty(shape, dtype)
+            self.scratch = np.empty((3,) + shape[:-1], dtype)
 
     def d1(self, samples):
         """gamma' of the positions shifted by their mean s (one per curve of

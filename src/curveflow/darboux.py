@@ -14,8 +14,9 @@ stereographic chart pi(p) = u/(1 + w) onto the Poincare ball, and for real
 lambda it reduces to +- the monodromy rotation axis.  Darboux transforms are
 eta+- = gamma + (2 Im lambda/|lambda|^2) S+-, the offset that keeps eta
 arclength parametrized under the frame convention F' = F (lambda/2) T.
-fixed_points solves a stack of monodromies F[-1] A, such as a spectral
-grid's from frames.monodromies, with one eig.
+The family and the transforms read the arrays F and F[-1] A of
+frames.integrate_frames; fixed_points solves a stack of monodromies F[-1] A,
+such as a spectral grid's from frames.monodromies, with one eig.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from . import qmath
 from .curves import Curve, arclength_deviation, resample_arclength
 from .errors import ArgumentError, BranchPointError
-from .frames import integrate_frame, modulus, monodromies
+from .frames import integrate_frames, modulus, monodromies
 
 # eigenline gap and discriminant below which the monodromy is parabolic
 _GAP_TOL = 1e-8
@@ -40,21 +41,12 @@ _GAP_TOL = 1e-8
 _MAX_OFFSET_ROUNDING = 1e-6
 
 
-@dataclass(frozen=True)
-class HyperbolicFamily:
-    lam: complex
-    points: np.ndarray    # (n+1, 4) biquaternions F F*
-    frame: object
-
-
 def hyperbolic_family(curve, lam):
-    lam = complex(lam)
-    if lam.imag == 0.0:
-        raise ArgumentError("real lambda: use frames.integrate_frame and "
-                            "frames.sym_curve")
-    frame = integrate_frame(curve, lam)
-    pts = qmath.qmul(frame.F, qmath.hconj(frame.F))
-    return HyperbolicFamily(lam, pts, frame)
+    """The (n+1, 4) biquaternions F F* of the frame at nonreal lambda."""
+    if complex(lam).imag == 0.0:
+        raise ArgumentError("real lambda: use frames.sym_curve")
+    F = integrate_frames(curve, [lam])[0][0]
+    return qmath.qmul(F, qmath.hconj(F))
 
 
 def _ideal_point(psi):
@@ -162,14 +154,14 @@ def darboux_transform(curve, lam):
         raise ArgumentError(
             "the Darboux offset 2 Im lambda / |lambda|^2 = %.3g is too large "
             "for seg_len = %.3g: lambda is too small" % (dist, curve.seg_len))
-    frame = integrate_frame(curve, lam)
-    fp = fixed_points(frame.monodromy)
+    (F,), (monodromy,) = integrate_frames(curve, [lam])
+    fp = fixed_points(monodromy)
     if fp.parabolic:
         raise BranchPointError("parabolic monodromy; eigenlines collide")
     # the conjugation cancels entries of size exp(|Im theta|/2); extended
     # precision keeps the wrap consistency below the discretization error
-    f = frame.F.astype(np.clongdouble)
-    tilde = frame.monodromy.astype(np.clongdouble)
+    f = F.astype(np.clongdouble)
+    tilde = monodromy.astype(np.clongdouble)
     m = qmath.as_matrix(qmath.qmul(qmath.qinv(f), qmath.qmul(tilde, f)))
     pair = []
     for mu in fp.eigenvalues:
@@ -182,23 +174,25 @@ def darboux_transform(curve, lam):
 
 
 def spectral_image_scan(curve, re_values, im_values):
-    """Sheet samples (lambda, S+, S-) over a complex grid as row dicts; a
-    cell swaps S+ and S- where that brings them closer to the matched pair
-    of its left neighbour, or for a row's first cell, of the previous row's
-    (last) cell at its re."""
-    re_values, im_values = list(re_values), list(im_values)
-    rows = [{"re": re, "im": im} for im in im_values for re in re_values]
-    if not rows:
-        return rows
+    """Sheet samples over a complex grid, row by row of im, as the columns
+    lambda, S+ and S- (cells, 3), discriminant and parabolic; a cell swaps
+    S+ and S- where that brings them closer to the matched pair of its left
+    neighbour, or for a row's first cell, of the previous row's (last) cell
+    at its re."""
+    re_values = list(re_values)
+    grid = np.array([[complex(re, im) for re in re_values]
+                     for im in im_values], complex)
+    if not grid.size:
+        return (grid.reshape(0), np.empty((0, 3)), np.empty((0, 3)),
+                np.empty(0), np.empty(0, bool))
     # one frame batch per row: all real or all nonreal lambda
-    fp = fixed_points(np.concatenate([
-        monodromies(curve, [complex(re, im) for re in re_values])
-        for im in im_values]))
+    fp = fixed_points(np.concatenate([monodromies(curve, row)
+                                      for row in grid]))
     sp, sm = fp.S_plus, fp.S_minus
-    cols = len(re_values)
+    rows, cols = grid.shape
     # each cell's neighbour; cell 0 has none, and its entry is not read
-    ref = np.arange(-1, len(rows) - 1)
-    ref[::cols] = (np.arange(-1, len(im_values) - 1) * cols + cols - 1
+    ref = np.arange(-1, grid.size - 1)
+    ref[::cols] = (np.arange(-1, rows - 1) * cols + cols - 1
                    - re_values[::-1].index(re_values[0]))
     # the distances to an unswapped neighbour; a swapped one exchanges
     # them, and a parabolic cell, S+ = S-, has keep = swap
@@ -209,8 +203,5 @@ def spectral_image_scan(curve, re_values, im_values):
     for c, r in enumerate(ref.tolist()[1:], 1):
         flip.append(keep[c] < swap[c] if flip[r] else swap[c] < keep[c])
     flip = np.array(flip)[:, None]
-    for row, p, m, d, b in zip(rows, np.where(flip, sm, sp),
-                               np.where(flip, sp, sm), fp.discriminant,
-                               fp.parabolic):
-        row.update(S_plus=p, S_minus=m, discriminant=d, parabolic=b)
-    return rows
+    return (grid.reshape(-1), np.where(flip, sm, sp), np.where(flip, sp, sm),
+            fp.discriminant, fp.parabolic)

@@ -12,7 +12,7 @@ coefficient.  The Sym formula reads
 
     gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}),
 
-dF/dlambda a complex step of the one F integrator (FrameTrajectory.dF).
+dF/dlambda a complex step of the one F integrator, taken only in sym_curve.
 
 Frames are integrated with the 6th-order Magnus method on three-point
 Gauss nodes of Blanes, Casas & Ros (BIT 40, 2000; also in Blanes, Casas,
@@ -22,17 +22,15 @@ substep over a stack of the shifted tangents) and polynomial exponentials
 quaternions as (4, lambda, sample) memory, so that every component the
 qmath kernels read or write is contiguous, with its temporaries in work
 buffers allocated once per batch (see _interval_factors).  integrate_frames
-scans them into F; `monodromies` reduces them to F[-1] alone.  A lost frame,
-as at large |Im lambda|, is refused with FrameDeterminantError.
+scans them into the arrays F and F[-1] A; `monodromies` reduces them to
+F[-1] A alone.  A lost frame, as at large |Im lambda|, is refused with
+FrameDeterminantError.
 """
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import qmath
-from .curves import Curve, Monodromy, ddx, extend, resample_arclength, tangent
+from .curves import Monodromy, ddx, extend, resample_arclength, tangent
 from .errors import ArgumentError, FrameDeterminantError
 from .functionals import energy, near_branch, total_torsion
 
@@ -105,33 +103,6 @@ def tangent_interpolator(curve):
         np.einsum("l...,lcn->...cn", _lagrange_weights(s), windows, out=out)
         return out.swapaxes(-1, -2)
     return t_at
-
-
-@dataclass(frozen=True)
-class FrameTrajectory:
-    """The frame of the associated family at one lambda; dF, which only the
-    Sym formula reads, is taken on its first read."""
-    lam: complex
-    F: np.ndarray        # (n+1, 4) quaternions, F[0] = identity
-    monodromy: np.ndarray  # F[-1] A, the rotation part, of F's dtype
-    curve: Curve
-
-    @property
-    def is_real(self):
-        return not np.iscomplexobj(self.F)
-
-    @cached_property
-    def dF(self):
-        """(n+1, 4) derivative of F with respect to real lambda, the complex
-        step Im F(lambda + i h) / h, h = _CSTEP / L (Squire & Trapp, SIAM
-        Rev. 40, 1998), at the real lambda's substeps: the derivative of
-        this discrete F, with no cancellation and a scale-free error."""
-        if not self.is_real:
-            raise ArgumentError("dF/dlambda is taken at real lambda only")
-        count = _substep_count(self.lam, self.curve.seg_len, float)
-        step = _CSTEP / self.curve.length
-        return _interval_products(self.curve, [complex(self.lam, step)],
-                                  [count])[0][0].imag / step
 
 
 def modulus(lam):
@@ -308,8 +279,8 @@ def _end_products(curve, lams, subs):
 
 
 def _frames(curve, lams, products):
-    """(lams, F, F[-1] A) with F, sizes = products(curve, lams, substep
-    counts), the lambdas all real, then floats, or all nonreal.  A frame
+    """(F, F[-1] A) with F, sizes = products(curve, lams, substep counts),
+    the lambdas all real, then floats, or all nonreal.  A frame
     whose eps max sizes is NaN or above _MAX_DET_ROUNDING is refused with
     its lambda and that reading, `rounding`."""
     lams = [complex(lam) for lam in lams]
@@ -326,7 +297,7 @@ def _frames(curve, lams, products):
                                 "many frame substeps" % (modulus(lam) * h,
                                                          _MAX_LAMBDA_STEP))
     if not lams:
-        return lams, np.empty((0, curve.n + 1, 4)), np.empty((0, 4))
+        return np.empty((0, curve.n + 1, 4)), np.empty((0, 4))
     dtype = float if real else complex
     # a lost frame overflows or cancels its determinant away; it is refused
     # below instead of warned about
@@ -349,36 +320,45 @@ def _frames(curve, lams, products):
                                             _MAX_DET_ROUNDING),
             lam=lams[worst], rounding=float(rounding[worst]))
     # one product for all, in each element's own arithmetic
-    return lams, F, qmath.qmul(F[:, -1],
-                               curve.monodromy.rotation.astype(F.dtype))
+    return F, qmath.qmul(F[:, -1], curve.monodromy.rotation.astype(F.dtype))
 
 
 def integrate_frames(curve, lams):
-    """Frames over one fundamental domain, one FrameTrajectory per lambda in
-    the order given, all real or all nonreal, from one substep loop (see
-    _interval_factors); each frame takes its dF when it is first read."""
-    return [FrameTrajectory(lam, f, m, curve) for lam, f, m in
-            zip(*_frames(curve, lams, _interval_products))]
+    """(F, F[-1] A): the frames over one fundamental domain, (len(lams),
+    n+1, 4) with F[:, 0] = 1, and their monodromies, (len(lams), 4), in the
+    order given, all real or all nonreal, from one substep loop (see
+    _interval_factors)."""
+    return _frames(curve, lams, _interval_products)
 
 
 def monodromies(curve, lams):
     """The monodromies F[-1] A of integrate_frames(curve, lams), bit for
     bit, shape (len(lams), 4), without forming F."""
-    return _frames(curve, lams, _end_products)[2]
+    return _frames(curve, lams, _end_products)[1]
 
 
-def integrate_frame(curve, lam):
-    """Frame over one fundamental domain: the one-lambda batch."""
-    return integrate_frames(curve, [lam])[0]
+def _dF(curve, lam):
+    """(n+1, 4) derivative of F with respect to real lambda, the complex
+    step Im F(lambda + i h) / h, h = _CSTEP / L (Squire & Trapp, SIAM Rev.
+    40, 1998), at the real lambda's substeps: the derivative of this
+    discrete F, with no cancellation and a scale-free error."""
+    count = _substep_count(lam, curve.seg_len, float)
+    step = _CSTEP / curve.length
+    return _interval_products(curve, [complex(lam, step)],
+                              [count])[0][0].imag / step
 
 
-def sym_curve(frame):
-    """gamma_lambda samples (n+1 points, including the wrap image)."""
-    if not frame.is_real:
+def sym_curve(curve, lam):
+    """gamma_lambda samples (n+1 points, including the wrap image) at real
+    lambda."""
+    lam = complex(lam)
+    if lam.imag != 0.0:
         raise ArgumentError("Sym formula requires real lambda; "
                             "use the hyperbolic family for complex lambda")
-    g = qmath.qmul(frame.dF, qmath.qinv(frame.F))
-    return frame.curve.samples[0] + 2.0 * g[:, 1:]
+    # F first: its batch refuses a lambda too large for the substep loop
+    F = integrate_frames(curve, [lam.real])[0][0]
+    g = qmath.qmul(_dF(curve, lam.real), qmath.qinv(F))
+    return curve.samples[0] + 2.0 * g[:, 1:]
 
 
 def angle_from_quat(q, pred):
@@ -424,7 +404,7 @@ def monodromy_angle_scan(curve, lambdas):
     """
     lams = np.sort(np.asarray(lambdas, dtype=float))
     e1, e2, e3 = (energy(k, curve) for k in (1, 2, 3))
-    _, F, monos = _frames(curve, lams, _interval_products)
+    F, monos = integrate_frames(curve, lams)
     thetas = np.empty(len(lams))
     axes = np.empty((len(lams), 3))
     for i in reversed(range(len(lams))):
@@ -483,10 +463,9 @@ def hamiltonians_from_angle(curve, kmax=5):
 
 def torsion_shift_check(curve, lam):
     """(E_2 of gamma_lambda, E_2 + lambda E_1): the two should agree."""
-    frame = integrate_frame(curve, lam)
-    pts = sym_curve(frame)
+    pts = sym_curve(curve, lam)
     # the translation of gamma_lambda's monodromy, from its wrap image
-    rot = np.real(frame.monodromy)
+    rot = monodromies(curve, [lam])[0]
     mono = Monodromy(rot, pts[-1] - qmath.qrotate(rot, pts[0]))
     new = resample_arclength(pts[:-1], mono, curve.n)
     e1, e2 = energy(1, curve), energy(2, curve)

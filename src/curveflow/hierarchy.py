@@ -53,8 +53,8 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
         curve = curve.samples
     t = out.d1(curve)
     ys = out.fields
-    f, d, s = out.scratch
     for k in range(kmax):
+        f, d, s = out.scratch
         cross(t, out.ddx(ys[k]), out=ys[k + 1], tmp=s)
         if k >= 1:
             f[...] = 0.0

@@ -6,7 +6,6 @@ from curveflow import qmath
 from curveflow.curves import (Curve, Monodromy, _taps, central_d1, deriv,
                               tangent)
 from curveflow.flows import evolve
-from curveflow.frames import sym_curve
 from curveflow.hierarchy import check_axis
 from oracles import loop_parallel_normal_frame
 
@@ -158,27 +157,32 @@ def translate_to_axis(curve, axis):
     return Curve(curve.samples - p0, curve.seg_len, mono)
 
 
-def sym_translation(frame):
-    """Translation of the Sym curve's monodromy, from its wrap image and the
-    rotation frame.monodromy."""
-    pts = sym_curve(frame)
-    return pts[-1] - qmath.qrotate(frame.monodromy, pts[0])
+def sym_points(curve, F, dF):
+    """The Sym formula gamma(x_0) + 2 vec(dF F^-1) on given frames F and
+    their lambda-derivative dF, such as the oracle's."""
+    return curve.samples[0] + 2.0 * qmath.qmul(dF, qmath.qinv(F))[:, 1:]
 
 
-def group_residual(frame):
-    """Largest deviation of det F from 1 along a FrameTrajectory."""
-    return np.abs(qmath.qdet(frame.F) - 1.0).max()
+def sym_translation(points, rotation):
+    """Translation of the Sym curve's monodromy, from the wrap image of its
+    points and the rotation of the frame's monodromy F[-1] A."""
+    return points[-1] - qmath.qrotate(rotation, points[0])
 
 
-def hermitian_residual(family):
-    """Deviation of a HyperbolicFamily's points from the hermitian form
+def group_residual(F):
+    """Largest deviation of det F from 1 along frames F."""
+    return np.abs(qmath.qdet(F) - 1.0).max()
+
+
+def hermitian_residual(points):
+    """Deviation of the hyperbolic family's points from the hermitian form
     (w real, vector imaginary)."""
-    return max(np.abs(family.points[:, 0].imag).max(),
-               np.abs(family.points[:, 1:].real).max())
+    return max(np.abs(points[:, 0].imag).max(),
+               np.abs(points[:, 1:].real).max())
 
 
-def det_residual(family):
-    return np.abs(qmath.qdet(family.points) - 1.0).max()
+def det_residual(points):
+    return np.abs(qmath.qdet(points) - 1.0).max()
 
 
 def _extend_hyperbolic(points, tilde, pad):
@@ -192,29 +196,26 @@ def _extend_hyperbolic(points, tilde, pad):
     return np.concatenate([left, points, right], axis=0)
 
 
-def hyperbolic_speeds(family):
-    """Per-sample hyperbolic speed; the continuum value is 2 Im(lambda)."""
-    curve = family.frame.curve
+def hyperbolic_speeds(curve, points, F, tilde):
+    """Per-sample hyperbolic speed of the points F F* of the frame F with
+    monodromy tilde = F[-1] A; the continuum value is 2 Im(lambda)."""
     n = curve.n
-    tilde = family.frame.monodromy
-    ext = _extend_hyperbolic(family.points[:n], tilde, 2)
+    ext = _extend_hyperbolic(points[:n], tilde, 2)
     dp = central_d1(_taps(ext, curve.seg_len), np.empty_like(ext[2:-2]))
-    f = family.frame.F[:n]
+    f = F[:n]
     w = qmath.qmul(qmath.qinv(f), qmath.qmul(dp, qmath.qinv(qmath.hconj(f))))
     return 2.0 * np.linalg.norm(w[:, 1:].imag, axis=1)
 
 
-def poincare_embed(family):
+def poincare_embed(curve, lam, points):
     """Rescaled Poincare-ball polyline touching the original curve.
 
     pi(p) = -u/(1 + w) for p = w*Id + u.sigma in the hermitian matrix
     picture; the embedded curve is gamma(x0) + (1/Im lambda) pi(p), tangent
     to gamma at the basepoint.
     """
-    w, u = family.points[:, 0].real, family.points[:, 1:].imag
-    curve = family.frame.curve
-    return (curve.samples[0]
-            + (1.0 / family.lam.imag) * u / (1.0 + w)[:, None])
+    w, u = points[:, 0].real, points[:, 1:].imag
+    return curve.samples[0] + (1.0 / lam.imag) * u / (1.0 + w)[:, None]
 
 
 def step(curve, spec):

@@ -13,8 +13,7 @@ from curveflow.curves import _torsion_integral, ddx, extend, tangent
 from curveflow.darboux import _GAP_TOL, _ideal_point
 from curveflow.frames import (_GAUSS_OFF, _SECTOR_MIN_DENOMINATOR,
                               _lagrange_weights, _substep_count,
-                              integrate_frame, integrate_frames,
-                              tangent_interpolator)
+                              integrate_frames, tangent_interpolator)
 
 # largest |lambda| * substep length of the fixed-point transport
 TRANSPORT_STEP = 0.01
@@ -137,29 +136,11 @@ def _pair_mul(a, b):
     return np.stack([e, d], axis=-2)
 
 
-class LoopFrame(NamedTuple):
-    """The fields of a FrameTrajectory, with dF integrated together with F;
-    accepted wherever the package reads a frame."""
-    lam: complex
-    F: np.ndarray
-    dF: np.ndarray
-    curve: object
-
-    @property
-    def is_real(self):
-        return not np.iscomplexobj(self.F)
-
-    @property
-    def monodromy(self):
-        a = self.curve.monodromy.rotation.astype(self.F.dtype)
-        return qmath.qmul(self.F[-1], a)
-
-
 def loop_integrate_frame(curve, lam):
-    """Frame and its lambda-derivative at one lambda, one substep at a time,
-    in the (value, derivative) pair algebra: the reference for the batched
-    substeps of integrate_frames and for the complex-step dF a
-    FrameTrajectory takes on first read."""
+    """(F, dF): the frame and its lambda-derivative at one lambda, (n+1, 4)
+    each, one substep at a time, in the (value, derivative) pair algebra:
+    the reference for the batched substeps of integrate_frames and for the
+    complex-step dF of the Sym formula, frames._dF."""
     n = curve.n
     h = curve.seg_len
     t_at = tangent_interpolator(curve)
@@ -208,7 +189,7 @@ def loop_integrate_frame(curve, lam):
     if real:
         F /= np.sqrt(qmath.qdet(F))[..., None]
     dF[1:] = pair[:, 1]
-    return LoopFrame(lam, F, dF, curve)
+    return F, dF
 
 
 def loop_sector_area(curve, lam, axis):
@@ -216,9 +197,9 @@ def loop_sector_area(curve, lam, axis):
     axis transported along the frame at one lambda, NaN at a NaN axis or
     where 1 + (y, t) < _SECTOR_MIN_DENOMINATOR: the reference for the one
     pass of monodromy_angle_scan over every lambda."""
-    frame = integrate_frame(curve, lam)
+    F = integrate_frames(curve, [lam])[0][0]
     # axis of the basepoint-shifted monodromy F(x)^{-1} Atilde F(x)
-    y = qmath.qrotate(qmath.qconj(frame.F), axis)[:-1]
+    y = qmath.qrotate(qmath.qconj(F), axis)[:-1]
     t = tangent(curve)
     tp = ddx(t, curve)
     denom = 1.0 + qmath.dot(y, t)
@@ -306,15 +287,17 @@ def loop_spectral_image_scan(curve, re_values, im_values):
     """The sheet matching as a sequential loop over the cells, one fixed
     point at a time against the matched pair of the left neighbour, or of
     the previous row's cell at the same re: the reference for the keep and
-    swap distances that spectral_image_scan forms over the grid."""
-    rows = []
+    swap distances that spectral_image_scan forms over the grid, with its
+    columns (lambda, S+, S-, discriminant, parabolic)."""
+    cells = []
     prev_row = {}
     for im in im_values:
-        frames = integrate_frames(curve, [complex(re, im) for re in re_values])
+        lams = [complex(re, im) for re in re_values]
         prev = None
         this_row = {}
-        for re, frame in zip(re_values, frames):
-            fp = loop_fixed_points(frame.monodromy)
+        for re, lam, mono in zip(re_values, lams,
+                                 integrate_frames(curve, lams)[1]):
+            fp = loop_fixed_points(mono)
             sp, sm = fp.S_plus, fp.S_minus
             ref = prev if prev is not None else prev_row.get(re)
             if ref is not None and not fp.parabolic:
@@ -326,8 +309,6 @@ def loop_spectral_image_scan(curve, re_values, im_values):
                     sp, sm = sm, sp
             prev = (sp, sm)
             this_row[re] = prev
-            rows.append({"re": re, "im": im, "S_plus": sp, "S_minus": sm,
-                         "discriminant": fp.discriminant,
-                         "parabolic": fp.parabolic})
+            cells.append((lam, sp, sm, fp.discriminant, fp.parabolic))
         prev_row = this_row
-    return rows
+    return tuple(np.array(column) for column in zip(*cells))

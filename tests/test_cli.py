@@ -236,21 +236,26 @@ def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
     ("darboux", "--curve", "helix:a=1,b=1,n=64", "--lam", "1+1i"),
 ], ids=["angle-scan", "spectral-scan", "darboux"])
 def test_commands_integrate_no_lambda_derivative(tmp_path, monkeypatch, argv):
-    # only the Sym formula reads dF/dlambda, and no command here uses it
+    # only the Sym formula takes dF/dlambda, and no command here uses it
     calls = []
-    derivative = frames.FrameTrajectory.dF.func
 
-    def counting(frame):
-        calls.append(frame.lam)
-        return derivative(frame)
+    def counting(name):
+        build = getattr(frames, name)
 
-    monkeypatch.setattr(frames.FrameTrajectory, "dF", property(counting))
+        def wrapper(curve, lam):
+            calls.append((name, lam))
+            return build(curve, lam)
+        return wrapper
+
+    for name in ("sym_curve", "_dF"):
+        monkeypatch.setattr(frames, name, counting(name))
     code, _ = run(tmp_path, *argv)
     assert code == 0
     assert calls == []
-    # the wrapper does see the derivative where it is read
-    frames.integrate_frame(make_circle(1.0, 64), 1.0).dF
-    assert calls == [1.0]
+    # the wrappers do see the Sym curve and its derivative where they are
+    # taken
+    frames.sym_curve(make_circle(1.0, 64), 1.0)
+    assert calls == [("sym_curve", 1.0), ("_dF", 1.0)]
 
 
 def test_angle_scan_identity_monodromy_has_blank_axis(tmp_path):
@@ -315,18 +320,11 @@ def test_darboux_command(tmp_path):
 
 
 def test_darboux_integrates_one_frame(tmp_path, monkeypatch):
-    lams = []
-    integrate = darboux.integrate_frame
-
-    def counting(curve, lam):
-        lams.append(lam)
-        return integrate(curve, lam)
-
-    monkeypatch.setattr(darboux, "integrate_frame", counting)
+    batches = counting_batches(monkeypatch, darboux)
     code, _ = run(tmp_path, "darboux", "--curve", "helix:a=1,b=1,n=64",
                   "--lam", "1+1i")
     assert code == 0
-    assert lams == [1 + 1j]
+    assert batches == [[1 + 1j]]
 
 
 def test_criticality_command(tmp_path):

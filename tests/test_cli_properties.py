@@ -21,7 +21,7 @@ from curveflow.artifacts import save_curve, save_loop
 from curveflow.cli import main, parse_curve
 from curveflow.errors import (ArgumentError, FrameDeterminantError,
                               ValidationError)
-from curveflow.frames import _MAX_DET_ROUNDING, integrate_frame
+from curveflow.frames import _MAX_DET_ROUNDING, integrate_frames
 from curveflow.functionals import energy_report
 from helpers import group_residual, moved_copy
 
@@ -147,13 +147,13 @@ def frame_readings(curve, lam):
     rounding, and the lost-frame guard's reading, which a lost frame's
     error carries; (0, 0) where the frame is refused unintegrated."""
     try:
-        frame = integrate_frame(curve, lam)
+        F = integrate_frames(curve, [lam])[0][0]
     except FrameDeterminantError as e:
         return np.nan, e.rounding
     except ArgumentError:
         return 0.0, 0.0
-    return (group_residual(frame),
-            np.finfo(float).eps * (np.abs(frame.F) ** 2).sum(axis=-1).max())
+    return (group_residual(F),
+            np.finfo(float).eps * (np.abs(F) ** 2).sum(axis=-1).max())
 
 
 @settings(PROPERTY, max_examples=24)

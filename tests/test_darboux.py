@@ -11,7 +11,7 @@ from curveflow.curves import (make_circle, make_helix, make_line,
 from curveflow.darboux import (darboux_transform, fixed_points,
                                hyperbolic_family, spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
-from curveflow.frames import (integrate_frame, integrate_frames,
+from curveflow.frames import (integrate_frames, monodromies,
                               monodromy_angle)
 from curveflow.functionals import energy
 from helpers import (det_residual, hermitian_residual, hyperbolic_speeds,
@@ -40,7 +40,7 @@ GRIDS = {
 def test_line_fixed_points():
     # the straight line has fixed points at +-tangent for every lambda
     l = make_line(2.0, 64)
-    fp = fixed_points(integrate_frame(l, 1.0 + 1.0j).monodromy)
+    fp = fixed_points(monodromies(l, [1.0 + 1.0j])[0])
     npt.assert_allclose(fp.S_plus, [1.0, 0.0, 0.0], atol=1e-12)
     npt.assert_allclose(fp.S_minus, [-1.0, 0.0, 0.0], atol=1e-12)
 
@@ -50,7 +50,7 @@ def test_real_lambda_fixed_points_are_axis():
     # points are the two ends of its axis
     c = make_circle(1.0, 256)
     _, _, axis, *_ = monodromy_angle(c, 2.0)
-    fp = fixed_points(integrate_frame(c, 2.0 + 0.0j).monodromy)
+    fp = fixed_points(monodromies(c, [2.0 + 0.0j])[0])
     agree = min(np.linalg.norm(fp.S_plus - axis),
                 np.linalg.norm(fp.S_plus + axis))
     assert agree < 1e-10
@@ -60,17 +60,18 @@ def test_real_lambda_fixed_points_are_axis():
 def test_conjugation_reality():
     # S(+conj lambda) = -S(lambda) sheetwise, even without any curve symmetry
     p = make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=1)
-    fa = fixed_points(integrate_frame(p, 0.8 + 0.6j).monodromy)
-    fb = fixed_points(integrate_frame(p, 0.8 - 0.6j).monodromy)
+    fa = fixed_points(monodromies(p, [0.8 + 0.6j])[0])
+    fb = fixed_points(monodromies(p, [0.8 - 0.6j])[0])
     npt.assert_allclose(fb.S_plus, -fa.S_plus, atol=1e-12)
     npt.assert_allclose(fb.S_minus, -fa.S_minus, atol=1e-12)
 
 
 def test_hyperbolic_family_structure():
     h = make_helix(1.0, 1.0, 1.0, 256)
-    fam = hyperbolic_family(h, 1.0 + 1.0j)
-    assert hermitian_residual(fam) < 1e-12
-    assert det_residual(fam) < 1e-8
+    points = hyperbolic_family(h, 1.0 + 1.0j)
+    assert points.shape == (h.n + 1, 4)
+    assert hermitian_residual(points) < 1e-12
+    assert det_residual(points) < 1e-8
     with pytest.raises(ArgumentError):
         hyperbolic_family(h, 2.0)
 
@@ -78,14 +79,16 @@ def test_hyperbolic_family_structure():
 def test_hyperbolic_speed():
     # the hyperbolic curve moves at constant speed 2 Im(lambda)
     h = make_helix(1.0, 1.0, 1.0, 256)
-    fam = hyperbolic_family(h, 1.0 + 1.0j)
-    npt.assert_allclose(hyperbolic_speeds(fam), 2.0, atol=1e-6)
+    lam = 1.0 + 1.0j
+    (F,), (tilde,) = integrate_frames(h, [lam])
+    speeds = hyperbolic_speeds(h, hyperbolic_family(h, lam), F, tilde)
+    npt.assert_allclose(speeds, 2.0, atol=1e-6)
 
 
 def test_poincare_embed_touches_curve():
     h = make_helix(1.0, 1.0, 1.0, 256)
-    fam = hyperbolic_family(h, 1.0 + 1.0j)
-    pe = poincare_embed(fam)
+    lam = 1.0 + 1.0j
+    pe = poincare_embed(h, lam, hyperbolic_family(h, lam))
     # basepoint match is exact, the polyline stays inside the rescaled ball,
     # and the initial direction agrees with the curve tangent
     npt.assert_allclose(pe[0], h.samples[0], atol=1e-15)
@@ -149,7 +152,7 @@ def test_darboux_degenerates_to_identity():
 def test_branch_point_detection():
     # the circle monodromy degenerates to -identity at lambda = i
     c = make_circle(1.0, 256)
-    assert fixed_points(integrate_frame(c, 1.0j).monodromy).parabolic
+    assert fixed_points(monodromies(c, [1.0j])[0]).parabolic
     with pytest.raises(BranchPointError):
         darboux_transform(c, 1.0j)
     with pytest.raises(ArgumentError):
@@ -164,8 +167,8 @@ def test_fixed_points_match_loop_oracle(grid):
     # arithmetic of _ideal_point
     make, re, im = GRIDS[grid]
     curve = make()
-    mono = np.stack([f.monodromy for y in im for f in
-                     integrate_frames(curve, [complex(x, y) for x in re])])
+    mono = np.concatenate([integrate_frames(
+        curve, [complex(x, y) for x in re])[1] for y in im])
     fp = fixed_points(mono)
     ties = 0
     for k, q in enumerate(mono):
@@ -187,25 +190,24 @@ def test_scan_matching_matches_loop_oracle(grid):
     # choose the sheets of the sequential loop in every cell
     make, re, im = GRIDS[grid]
     curve = make()
-    rows = spectral_image_scan(curve, re, im)
-    loop = loop_spectral_image_scan(curve, re, im)
-    assert len(rows) == len(loop) == len(re) * len(im)
-    for row, ref in zip(rows, loop):
-        assert (row["re"], row["im"]) == (ref["re"], ref["im"])
-        assert row["parabolic"] == ref["parabolic"]
-        assert same_bits(row["discriminant"], ref["discriminant"])
-        npt.assert_array_max_ulp(row["S_plus"], ref["S_plus"], maxulp=2)
-        npt.assert_array_max_ulp(row["S_minus"], ref["S_minus"], maxulp=2)
+    lams, sp, sm, disc, parabolic = spectral_image_scan(curve, re, im)
+    want = loop_spectral_image_scan(curve, re, im)
+    assert len(lams) == len(want[0]) == len(re) * len(im)
+    assert same_bits(lams, want[0])
+    assert np.array_equal(parabolic, want[4])
+    assert same_bits(disc, want[3])
+    npt.assert_array_max_ulp(sp, want[1], maxulp=2)
+    npt.assert_array_max_ulp(sm, want[2], maxulp=2)
 
 
 def test_spectral_image_scan():
     c = make_circle(1.0, 256)
     re = np.linspace(0.5, 2.0, 8)
     im = np.linspace(0.1, 1.0, 8)
-    rows = spectral_image_scan(c, re, im)
-    assert len(rows) == 64
-    assert not any(r["parabolic"] for r in rows)
-    assert min(r["discriminant"] for r in rows) > 0.1
+    lams, sp, sm, disc, parabolic = spectral_image_scan(c, re, im)
+    assert lams.shape == (64,) and sp.shape == sm.shape == (64, 3)
+    assert not parabolic.any()
+    assert disc.min() > 0.1
 
 
 def test_spectral_image_scan_peak_memory():
@@ -226,13 +228,10 @@ def test_spectral_image_scan_peak_memory():
 
 def test_scan_sheets_continuous():
     h = make_helix(1.0, 1.0, 1.0, 256)
-    rows = spectral_image_scan(h, np.linspace(0.5, 2.0, 8),
-                               np.linspace(0.1, 1.0, 8))
-    worst = 0.0
-    for a, b in zip(rows, rows[1:]):
-        if a["im"] == b["im"]:
-            worst = max(worst, np.linalg.norm(a["S_plus"] - b["S_plus"]))
-    assert worst < 0.2
+    lams, sp, *_ = spectral_image_scan(h, np.linspace(0.5, 2.0, 8),
+                                       np.linspace(0.1, 1.0, 8))
+    row = lams.imag[1:] == lams.imag[:-1]
+    assert np.linalg.norm(sp[1:] - sp[:-1], axis=-1)[row].max() < 0.2
 
 
 def test_tiny_lambda_refusal_is_similarity_invariant():

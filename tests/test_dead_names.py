@@ -22,8 +22,7 @@ PAPER_CHECKS = {
 
 # the outputs of those checks that the package gives to the tests and does
 # not read itself
-PAPER_CHECK_FIELDS = {"HyperbolicFamily.points", "HyperbolicFamily.frame",
-                      "DarbouxResult.s_field"}
+PAPER_CHECK_FIELDS = {"DarbouxResult.s_field"}
 
 
 def definitions(tree):

@@ -15,20 +15,20 @@ from curveflow.curves import (Curve, Monodromy, deriv, make_circle,
 from curveflow.darboux import spectral_image_scan
 from curveflow.errors import ArgumentError, FrameDeterminantError
 from curveflow.frames import (angle_from_quat, hamiltonians_from_angle,
-                              integrate_frame, integrate_frames,
-                              monodromy_angle, monodromy_angle_scan,
-                              sym_curve, torsion_shift_check)
+                              integrate_frames, monodromy_angle,
+                              monodromy_angle_scan, sym_curve,
+                              torsion_shift_check)
 from curveflow.functionals import energy
 from helpers import (group_residual, moved_copy, same_bits, similar_copies,
-                     sym_translation)
+                     sym_points, sym_translation)
 from oracles import (dqexp_vec, loop_integrate_frame, loop_sector_area,
                      loop_tangent_at)
 
 
 def test_frame_stays_in_group():
     c = make_circle(1.0, 256)
-    assert group_residual(integrate_frame(c, 1.7)) < 1e-12
-    assert group_residual(integrate_frame(c, 1.0 + 1.0j)) < 1e-10
+    assert group_residual(integrate_frames(c, [1.7])[0]) < 1e-12
+    assert group_residual(integrate_frames(c, [1.0 + 1.0j])[0]) < 1e-10
 
 
 FRAME_BATCHES = {
@@ -65,35 +65,43 @@ def relative_error(got, want):
 def test_integrate_frames_matches_per_lambda_loop(case):
     # the batch does every lambda's own arithmetic: F equal bit for bit, and
     # the monodromy F[-1] A of the batch's one product too.  dF is a complex
-    # step, not the oracle's arithmetic, and is taken at real lambda only
+    # step, not the oracle's arithmetic, and is taken at real lambda only,
+    # with the Sym curve formed from it
     make, lams = FRAME_BATCHES[case]
     c = make()
-    frames = integrate_frames(c, lams)
-    assert len(frames) == len(lams)
-    for lam, got in zip(lams, frames):
-        want = loop_integrate_frame(c, lam)
-        assert got.lam == want.lam and type(got.lam) is type(want.lam)
-        assert np.array_equal(got.F, want.F)
-        rotation = c.monodromy.rotation.astype(got.F.dtype)
-        assert same_bits(got.monodromy, qmath.qmul(got.F[-1], rotation))
-        if got.is_real:
-            assert relative_error(got.dF, want.dF) <= DF_BOUND
+    F, monodromy = integrate_frames(c, lams)
+    assert F.shape == (len(lams), c.n + 1, 4)
+    assert monodromy.shape == (len(lams), 4)
+    rotation = c.monodromy.rotation.astype(F.dtype)
+    for lam, got, m in zip(lams, F, monodromy):
+        want, dF = loop_integrate_frame(c, lam)
+        assert np.array_equal(got, want)
+        assert same_bits(m, qmath.qmul(got[-1], rotation))
+        if np.isrealobj(got):
+            lam = complex(lam).real
+            assert relative_error(frames._dF(c, lam), dF) <= DF_BOUND
+            assert relative_error(sym_curve(c, lam),
+                                  sym_points(c, want, dF)) <= DF_BOUND
 
 
 def test_lazy_derivative_matches_loop_oracle(monkeypatch):
-    # dF is taken on first read; everything that reads it agrees with the
-    # oracle, which integrates F and dF together, to round-off: measured
-    # 4.7e-16 of max |gamma_lambda| (Sym curve), 1.2e-16 of the translation
-    # and 1.5e-16 of E_2 of the Sym curve
+    # dF is taken by the Sym formula alone; everything that reads it agrees
+    # with the oracle, which integrates F and dF together, to round-off:
+    # measured 4.7e-16 of max |gamma_lambda| (Sym curve), 1.2e-16 of the
+    # translation and 1.5e-16 of E_2 of the Sym curve
     h = make_helix(1.0, 1.0, 1.0, 256)
     lam = 0.8
-    want = loop_integrate_frame(h, lam)
-    got = integrate_frame(h, lam)
-    assert relative_error(sym_curve(got), sym_curve(want)) <= DF_BOUND
-    assert relative_error(sym_translation(got),
-                          sym_translation(want)) <= DF_BOUND
+    F, dF = loop_integrate_frame(h, lam)
+    (got_F,), (rotation,) = integrate_frames(h, [lam])
+    assert np.array_equal(got_F, F)
+    assert relative_error(frames._dF(h, lam), dF) <= DF_BOUND
+    got, want = sym_curve(h, lam), sym_points(h, F, dF)
+    assert relative_error(got, want) <= DF_BOUND
+    assert relative_error(sym_translation(got, rotation),
+                          sym_translation(want, rotation)) <= DF_BOUND
     shift = torsion_shift_check(h, lam)
-    monkeypatch.setattr(frames, "integrate_frame", loop_integrate_frame)
+    monkeypatch.setattr(frames, "_dF",
+                        lambda curve, lam: loop_integrate_frame(curve, lam)[1])
     oracle = torsion_shift_check(h, lam)
     assert abs(shift[0] - oracle[0]) <= DF_BOUND * abs(oracle[0])
     assert shift[1] == oracle[1]
@@ -115,7 +123,7 @@ def test_derivative_is_the_limit_of_central_differences(case, lam):
     # share one substep count, so all are the same discrete F
     c = CENTRAL_DIFFERENCE_CURVES[case]()
     count = frames._substep_count(lam, c.seg_len, float)
-    dF = integrate_frame(c, lam).dF
+    dF = frames._dF(c, lam)
 
     def error(d):
         plus, minus = (frames._interval_products(c, [lam + x], [count])[0][0]
@@ -158,13 +166,13 @@ def test_monodromy_does_not_depend_on_scale(case, lam):
     # monodromy is the unit curve's to the rounding of the scaled samples
     # (measured at most 4.0e-15), with no warning
     c = SCALE_CURVES[case]()
-    want = integrate_frame(c, lam).monodromy
+    want = integrate_frames(c, [lam])[1][0]
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     for scale in (1e-300, 1e-200, 1e-100, 1e-80, 1e80, 1e100, 1e200, 1e300):
         copy = moved_copy(c, scale, identity, np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = integrate_frame(copy, lam / scale).monodromy
+            got = integrate_frames(copy, [lam / scale])[1][0]
         assert np.abs(got - want).max() <= 1e-14, scale
 
 
@@ -176,13 +184,13 @@ def test_sym_curve_does_not_depend_on_scale():
     # An absolute step of 1e-20 was off by 2.4e-3 at s = 1e-300, by 5.5 at
     # s = 1e20, and NaN with RuntimeWarnings from s = 1e25
     c = make_helix(1.0, 0.5, 1.3, 64)
-    want = sym_curve(integrate_frame(c, 0.8))
+    want = sym_curve(c, 0.8)
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     for scale in (1e-300, 1e-100, 1e-20, 1e15, 1e20, 1e25, 1e100, 1e300):
         copy = moved_copy(c, scale, identity, np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sym_curve(integrate_frame(copy, 0.8 / scale)) / scale
+            got = sym_curve(copy, 0.8 / scale) / scale
         assert relative_error(got, want) <= 1e-14, scale
 
 
@@ -193,26 +201,31 @@ def test_monodromy_is_fourth_order_in_space(lam):
     # by 2^4 (measured orders 3.97 to 4.01; errors 3.7e-7 at 1 + 1i and
     # 1e-8 at 2 + 0.1i, 8 and 32 for n = 256).  The Magnus error at the
     # default steps is below 5.1e-11
-    want = integrate_frame(make_helix(1.0, 1.0, 1.0, 4096), lam).monodromy
+    want = integrate_frames(make_helix(1.0, 1.0, 1.0, 4096), [lam])[1]
     errors = np.array([
-        np.abs(integrate_frame(make_helix(1.0, 1.0, 1.0, n), lam).monodromy
+        np.abs(integrate_frames(make_helix(1.0, 1.0, 1.0, n), [lam])[1]
                - want).max() for n in (256, 512, 1024)])
     assert np.all(np.abs(np.log2(errors[:-1] / errors[1:]) - 4.0) <= 0.1)
 
 
-def test_derivative_is_refused_at_nonreal_lambda():
-    frame = integrate_frame(make_circle(1.0, 64), 1.0 + 1.0j)
+def test_derivative_is_refused_at_nonreal_lambda(monkeypatch):
+    # the Sym formula refuses a nonreal lambda before any substep loop,
+    # the frame's or the derivative's
+    loops = []
+    monkeypatch.setattr(frames, "_interval_factors",
+                        lambda *args: loops.append(args))
     with pytest.raises(ArgumentError):
-        frame.dF
+        sym_curve(make_circle(1.0, 64), 1.0 + 1.0j)
+    assert loops == []
 
 
 def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
     calls = []
     build = frames.sym_curve
 
-    def counting(frame):
-        calls.append(frame.lam)
-        return build(frame)
+    def counting(curve, lam):
+        calls.append(lam)
+        return build(curve, lam)
 
     h = make_helix(1.0, 1.0, 1.0, 128)
     shift = torsion_shift_check(h, 0.8)
@@ -223,7 +236,8 @@ def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
 
 def test_integrate_frames_edge_batches():
     c = make_circle(1.0, 64)
-    assert integrate_frames(c, []) == []
+    F, monodromy = integrate_frames(c, [])
+    assert F.shape == (0, c.n + 1, 4) and monodromy.shape == (0, 4)
     with pytest.raises(ArgumentError):
         integrate_frames(c, [1.0, 1.0 + 0.5j])
 
@@ -537,11 +551,10 @@ def test_monodromies_are_the_frames_monodromies(monkeypatch):
         c = parse_curve(spec)
         cases.append((c, contour_nodes(monkeypatch, c)))
     for c, lams in cases:
-        batch = integrate_frames(c, lams)
-        assert same_bits(frames.monodromies(c, lams),
-                         np.array([f.monodromy for f in batch]))
+        F, monodromy = integrate_frames(c, lams)
+        assert same_bits(frames.monodromies(c, lams), monodromy)
         scan, reduction = guard_readings(c, lams)
-        if batch[0].is_real:
+        if np.isrealobj(F):
             # unit before their projection to 1.7e-13
             npt.assert_allclose([scan, reduction], eps, rtol=1e-12)
         else:
@@ -556,8 +569,7 @@ def test_benchmark_frames_keep_their_determinant():
     # guard reads eps max |F(x)|^2 = 3.9e-9, and its bound sits 100 times
     # above that.
     def deviation(curve, lams):
-        return max(np.abs(qmath.qdet(f.F) - 1.0).max()
-                   for f in integrate_frames(curve, lams))
+        return group_residual(integrate_frames(curve, lams)[0])
 
     h = make_helix(1.0, 1.0, 1.0, 256)
     spectral = max(deviation(h, [complex(re, im)
@@ -570,7 +582,7 @@ def test_benchmark_frames_keep_their_determinant():
     worst = deviation(h, [0.5 + 2.0j])
     assert worst <= 1e-8
     reading = np.finfo(float).eps * frames._size(
-        integrate_frame(h, 0.5 + 2.0j).F).max()
+        integrate_frames(h, [0.5 + 2.0j])[0]).max()
     assert 100.0 * reading <= frames._MAX_DET_ROUNDING
 
 
@@ -859,9 +871,11 @@ def test_sector_areas_match_the_loop(case):
 
 
 def test_sym_requires_real_lambda():
+    # and reads a real lambda given as complex as its float
     c = make_circle(1.0, 128)
     with pytest.raises(ArgumentError):
-        sym_curve(integrate_frame(c, 1.0 + 1.0j))
+        sym_curve(c, 1.0 + 1.0j)
+    assert same_bits(sym_curve(c, 0.8 + 0.0j), sym_curve(c, 0.8))
 
 
 def test_angle_from_quat_branches():
@@ -876,13 +890,13 @@ def test_angle_from_quat_branches():
 
 def test_frame_monodromy_closes_sym_curve():
     # gamma_lambda' = F T F^{-1}, so the Sym curve extended past its wrap by
-    # the rotation frame.monodromy (and the translation its endpoints then
-    # give) has that derivative at every sample: measured 6.5e-8, while the
-    # curve's own rotation A in its place misses by 3.4e-2 at the ends
+    # the rotation F[-1] A (and the translation its endpoints then give) has
+    # that derivative at every sample: measured 6.5e-8, while the curve's
+    # own rotation A in its place misses by 3.4e-2 at the ends
     h = make_helix(1.0, 1.0, 1.0, 256)
-    frame = integrate_frame(h, 0.8)
-    pts = sym_curve(frame)
+    (F,), (rotation,) = integrate_frames(h, [0.8])
+    pts = sym_curve(h, 0.8)
     sym = Curve(pts[:-1], h.seg_len,
-                Monodromy(frame.monodromy, sym_translation(frame)))
-    want = qmath.qrotate(frame.F[:-1], tangent(h))
+                Monodromy(rotation, sym_translation(pts, rotation)))
+    want = qmath.qrotate(F[:-1], tangent(h))
     assert np.abs(deriv(sym, 1) - want).max() < 1e-6
