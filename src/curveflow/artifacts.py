@@ -1,9 +1,10 @@
 """Every file the CLI writes or reads back, in one place.
 
-Tables are CSV: a header line, LF line ends, floats as %.17g, ints and
-bools as %d, None as an empty cell and a str as it is.  Documents are JSON
-indented by 2 with sorted keys, complex numbers as [re, im] and non-finite
-floats as null, so strict JSON.  A curve or a loop is JSON on one line.
+Tables are CSV, written from columns: a header line, LF line ends, floats
+as %.17g, ints and bools as %d, None as an empty cell and a str as it is.
+Documents are JSON indented by 2 with sorted keys, complex numbers as
+[re, im] and non-finite floats as null, so strict JSON.  A curve or a loop
+is JSON on one line.
 """
 
 import json
@@ -29,10 +30,22 @@ def _cell(value):
     return value if isinstance(value, str) else "%d" % value
 
 
-def write_table(path, header, rows):
-    """CSV of the header line (comma-separated names) and the rows."""
+def _column(values):
+    """(format, cells): a numeric column's one format and its Python
+    scalars, or any other column's cells as str."""
+    values = np.asarray(values)
+    if values.dtype.kind in "fiub":
+        return "%.17g" if values.dtype.kind == "f" else "%d", values.tolist()
+    return "%s", [_cell(v) for v in values.tolist()]
+
+
+def write_table(path, header, columns):
+    """CSV of the header line (comma-separated names) and one row per
+    element of the columns, each row formatted at once."""
+    columns = [_column(c) for c in columns]
+    row = ",".join(fmt for fmt, _ in columns)
     lines = [header]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(row % cells for cells in zip(*[c for _, c in columns]))
     _write(path, "\n".join(lines) + "\n")
 
 

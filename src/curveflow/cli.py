@@ -149,16 +149,18 @@ def cmd_energies(args):
     rep = energy_report(curve, axis=axis)
     # the axis is one cell, its components separated by spaces
     ax = None if rep.axis is None else " ".join("%.17g" % c for c in rep.axis)
+    ks = sorted(rep.values)
     write_table(artifact(args, "energies.csv"), "k,value,axis,torsion_branch",
-                ([k, rep.values[k], ax, rep.torsion_branch]
-                 for k in sorted(rep.values)))
+                [ks, [rep.values[k] for k in ks], [ax] * len(ks),
+                 [rep.torsion_branch] * len(ks)])
     return {"values": {"E_%d" % k: v for k, v in rep.values.items()}}
 
 
 def cmd_conserve(args):
     _, drifts = _run_flow(args)
+    ks = sorted(drifts)
     write_table(artifact(args, "drifts.csv"), "k,max_relative_drift",
-                sorted(drifts.items()))
+                [ks, [drifts[k] for k in ks]])
     return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
             "worst": max(drifts.values())}
 
@@ -183,7 +185,7 @@ def cmd_commute(args):
             raise NumericalError("pair %d,%d: no defect at dt/2" % (i, j))
         rows.append((i, j, d1, d2, d1 / d2))
     write_table(artifact(args, "defects.csv"),
-                "i,j,defect_dt,defect_half_dt,factor", rows)
+                "i,j,defect_dt,defect_half_dt,factor", list(zip(*rows)))
     return {"factors": {"%d,%d" % (i, j): fac for i, j, _, _, fac in rows}}
 
 
@@ -204,7 +206,8 @@ def cmd_lax(args):
     drifts = [np.abs(spectral_polynomial(s) - p0).max() for s in snaps]
     save_loop(snaps[-1], artifact(args, "final_loop.json"))
     write_table(artifact(args, "spectral_drift.csv"),
-                "snapshot,max_coefficient_drift", enumerate(drifts))
+                "snapshot,max_coefficient_drift",
+                [range(len(drifts)), drifts])
     return {"max_spectral_drift": max(drifts)}
 
 
@@ -220,13 +223,13 @@ def cmd_angle_scan(args):
         es = hamiltonians_from_angle(curve, args.fit)
         summary["fitted"] = {"E_%d" % k: float(v) for k, v in enumerate(es)}
     lams, thetas, axes, areas, residuals = monodromy_angle_scan(curve, grid)
-    table = np.column_stack([lams, thetas, axes, areas, residuals])
     # a NaN cell, undefined at a +-identity monodromy or an antipodal
     # tangent, is left blank
     write_table(artifact(args, "angles.csv"),
                 "lambda,theta,axis_x,axis_y,axis_z,area,"
                 "gauss_bonnet_residual",
-                ([None if np.isnan(v) else v for v in row] for row in table))
+                [np.where(np.isnan(c), None, c)
+                 for c in (lams, thetas, *axes.T, areas, residuals)])
     return summary
 
 
@@ -249,9 +252,11 @@ def cmd_spectral_scan(args):
     lams, sp, sm, disc, parabolic = spectral_image_scan(curve, res, ims)
     write_table(artifact(args, "spectral_scan.csv"),
                 "re_lambda,im_lambda,sheet,Sx,Sy,Sz,discriminant,flag",
-                ([lam.real, lam.imag, sheet, *s, d, b]
-                 for lam, p, m, d, b in zip(lams, sp, sm, disc, parabolic)
-                 for sheet, s in enumerate((p, m))))
+                # two rows per cell, S+ then S-
+                [np.repeat(lams.real, 2), np.repeat(lams.imag, 2),
+                 np.tile([0, 1], len(lams)),
+                 *np.stack([sp, sm], axis=1).reshape(-1, 3).T,
+                 np.repeat(disc, 2), np.repeat(parabolic, 2)])
     return {"samples": len(lams),
             "branch_points_flagged": int(parabolic.sum())}
 
@@ -278,7 +283,7 @@ def cmd_darboux(args):
     # written only once both transforms succeeded, so a failure leaves none
     for tag, result in results.items():
         write_table(artifact(args, "eta_%s.csv" % tag), "x,y,z",
-                    result.raw_points)
+                    result.raw_points.T)
         save_curve(result.curve, artifact(args, "eta_%s.json" % tag))
     write_document(artifact(args, "darboux.json"), meta)
     return meta

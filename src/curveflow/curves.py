@@ -502,6 +502,33 @@ def make_perturbed_circle(radius, n, amplitude, modes=(2, 3), seed=0):
     return resample_arclength(pts, Monodromy.identity(), n)
 
 
+def _double_reflections(tan, pts):
+    """q_i = b_i a_i, (..., n, 4), of the unit chords a_i of the points and
+    the unit b_i along t_{i+1} - (t_i - 2 (a_i, t_i) a_i), the tangents tan
+    (..., n+1, 3).  Each product with a per-sample factor is formed by
+    component: the factor broadcast over the components, (..., n, 1), would
+    be copied to the field's size."""
+    a = np.diff(pts, axis=-2)
+    t = tan[..., :-1, :]
+    s = np.sqrt(qmath.dot(a, a))
+    for c in range(3):
+        a[..., c] /= s
+    s = qmath.dot(a, t, out=s)
+    s *= 2.0
+    b = np.empty_like(a)
+    for c in range(3):
+        bc = np.multiply(s, a[..., c], out=b[..., c])
+        np.subtract(t[..., c], bc, out=bc)
+        np.subtract(tan[..., 1:, c], bc, out=bc)
+    np.sqrt(qmath.dot(b, b, out=s), out=s)
+    for c in range(3):
+        b[..., c] /= s
+    q = np.empty(a.shape[:-1] + (4,))
+    np.negative(qmath.dot(b, a, out=q[..., 0]), out=q[..., 0])
+    qmath.cross(b, a, out=q[..., 1:], tmp=s)
+    return q
+
+
 def parallel_normal_frame(curve):
     """Rotation-minimizing normal transport (double reflection).
 
@@ -531,13 +558,7 @@ def parallel_normal_frame(curve):
     nu0 = nu0 / np.sqrt(qmath.dot(nu0, nu0))[..., None]
 
     pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
-    a = np.diff(pts, axis=-2)
-    a /= np.sqrt(qmath.dot(a, a))[..., None]
-    t = tan[..., :-1, :]
-    b = tan[..., 1:, :] - (t - 2.0 * qmath.dot(a, t)[..., None] * a)
-    b /= np.sqrt(qmath.dot(b, b))[..., None]
-    q = np.concatenate([-qmath.dot(b, a)[..., None], qmath.cross(b, a)],
-                       axis=-1)
+    q = _double_reflections(tan, pts)
     q = qmath.qreduce(lambda a, b: qmath.qmul(b, a), q)
     nu = qmath.qrotate(q, nu0)
     nu -= qmath.dot(nu, tn)[..., None] * tn

@@ -189,5 +189,6 @@ def export_trajectory(trajectory, outdir):
     ks = sorted(trajectory.energy_log[0].values)
     write_table(os.path.join(outdir, "energies.csv"),
                 ",".join(["t"] + ["E_%d" % k for k in ks]),
-                ([t] + [rep.values[k] for k in ks] for t, rep in
-                 zip(trajectory.time_grid, trajectory.energy_log)))
+                [trajectory.time_grid]
+                + [[rep.values[k] for rep in trajectory.energy_log]
+                   for k in ks])

@@ -21,7 +21,8 @@ substep over a stack of the shifted tangents) and polynomial exponentials
 (qmath).  The substep loop gives the interval factors component-major,
 quaternions as (4, lambda, sample) memory, so that every component the
 qmath kernels read or write is contiguous, with its temporaries in work
-buffers allocated once per batch (see _interval_factors).  integrate_frames
+buffers allocated once per batch and Omega's vectors formed once per
+distinct substep count (see _interval_factors).  integrate_frames
 scans them into the arrays F and F[-1] A; `monodromies` reduces them to
 F[-1] A alone.  A lost frame, as at large |Im lambda|, is refused with
 FrameDeterminantError.
@@ -118,7 +119,7 @@ def _substep_count(lam, h, dtype):
     return max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP[dtype])))
 
 
-def _magnus_step(t_at, s, mu, e, work, tmp):
+def _magnus_step(t_at, s, pick, mu, e, work, tmp):
     """exp(Omega), the Magnus factor of one 6th-order substep, written into
     e, shape (a, n, 4), for a block of a lambdas.
 
@@ -134,17 +135,33 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
                 + mu^3/120 (b2 x k1 + 4/3 u x b1) + mu^4/180 w x b1.
 
     The vectors are real and of unit size, and mu, the (a, 1, 1) column,
-    enters by Horner's rule in e's vector part.  s holds the node offsets,
-    (a, 3).  work, six 3-vectors (6, 3, L, n), takes the tangents in its
-    first three, in the C order einsum writes unbuffered; tmp is a pair of
-    components for the exponential, and the cross products use e's scalar
-    part, which the exponential fills last, as scratch.
+    enters by Horner's rule in e's vector part.  The vectors depend on the
+    node offsets alone: s holds r rows of offsets, (r, 3), and pick, None
+    where r = a, gives each lambda its row.  work, the flat float buffer,
+    takes six 3-vectors of r rows at its front, (6, 3, r, n), the tangents
+    in the first three in the C order einsum writes unbuffered; behind them
+    each coefficient is gathered to the a lambdas, (3, a, n), just before
+    Horner's rule reads it.  tmp is a pair of components for the
+    exponential, and the cross products use e's scalar part, which the
+    exponential fills last, as scratch.
     """
-    a, n = s.shape[0], work.shape[-1]
-    tangents = t_at(s, out=work[:3].reshape(-1, 3, 3, n)[:a])
+    r, n = s.shape[0], e.shape[1]
+    rows = work[:18 * r * n].reshape(6, 3, r, n)
+    tangents = t_at(s, out=rows[:3].reshape(r, 3, 3, n))
     t1, t2, t3 = tangents.transpose(1, 0, 2, 3)
-    v0, v1, v2, b3, b2, b1 = work[:, :, :a].transpose(0, 2, 3, 1)
-    scratch = e[..., 0].real
+    v0, v1, v2, b3, b2, b1 = rows.transpose(0, 2, 3, 1)
+    scratch = e[:r, :, 0].real
+    if pick is None:
+        def gather(q):
+            return q
+    else:
+        tail = work[18 * r * n:(18 * r + 3 * len(pick)) * n]
+        tail = tail.reshape(3, len(pick), n)
+
+        def gather(q):
+            # mode="raise" would buffer the result, which allocates
+            return np.take(q.transpose(2, 0, 1), pick, axis=1, out=tail,
+                           mode="clip").transpose(1, 2, 0)
     # b3 = (5/3) ((T3 - 2 T2) + T1), b2 = (sqrt(15)/6) (T3 - T1), b1 = T2/2
     np.multiply(t2, -2.0, out=b3)
     b3 += t3
@@ -160,7 +177,7 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
     w = qmath.cross(k1, b1, out=v1, tmp=scratch)
     q = qmath.cross(w, b1, out=v2, tmp=scratch)
     q /= 180.0
-    np.multiply(mu, q, out=omega)
+    np.multiply(mu, gather(q), out=omega)
     # mu^3 term
     q = qmath.cross(b2, k1, out=v1, tmp=scratch)
     u = qmath.cross(b3, b1, out=v0, tmp=scratch)
@@ -168,20 +185,20 @@ def _magnus_step(t_at, s, mu, e, work, tmp):
     ub *= 4.0 / 3.0
     q += ub
     q /= 120.0
-    omega += q
+    omega += gather(q)
     np.multiply(mu, omega, out=omega)
     # mu^2 term
     d = np.multiply(b1, 20.0, out=v0)
     d += b3
     q = qmath.cross(b2, d, out=v1, tmp=scratch)
     q /= -120.0
-    omega += q
+    omega += gather(q)
     np.multiply(mu, omega, out=omega)
     # mu term
     p = b3
     p /= 12.0
     p += b1
-    omega += p
+    omega += gather(p)
     np.multiply(mu, omega, out=omega)
     qmath.qexp_vec(omega, out=e, tmp=tmp)
 
@@ -202,10 +219,14 @@ def _interval_factors(curve, lams, subs):
     j updates the block of those with more than j substeps, each with the
     arithmetic of a batch of its own.  The factors and the Magnus factor
     are (4, L, n) memory seen as (lambda, sample, component), so the active
-    block is the prefix [:, :a] and each of its components one run.  Every
-    temporary of a substep lives in one float work buffer: six 3-vectors
-    while Omega is formed, then, in lambda's dtype, the exponential's
-    scratch and the product, which is copied into the factors.
+    block is the prefix [:, :a] and each of its components one run.  The
+    lambdas of one substep count share its node offsets, so Omega's
+    vectors are formed once per distinct count, g rows, and gathered to the
+    a lambdas where g < a and the rows and the gather fit the work buffer,
+    6 g + a <= 6 L; else once per lambda.  Every temporary of a substep
+    lives in that one float work buffer: six 3-vectors and a gather while
+    Omega is formed, then, in lambda's dtype, the exponential's scratch and
+    the product, which is copied into the factors.
     """
     dtype = complex if isinstance(lams[0], complex) else float
     n = curve.n
@@ -213,6 +234,10 @@ def _interval_factors(curve, lams, subs):
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
     sub = np.array([subs[i] for i in order])
+    # the distinct counts, most first, and each lambda's among them
+    counts = sorted(set(subs), reverse=True)
+    group = np.array([counts.index(c) for c in sub.tolist()])
+    counts = np.array(counts)
     # mu = lambda hs, in the scalar arithmetic of a one-lambda integration
     # so that every frame is the same bit for bit
     mu = np.array([lams[i] * (h / subs[i]) for i in order],
@@ -224,15 +249,19 @@ def _interval_factors(curve, lams, subs):
     acc = quaternions()
     acc[...] = (1.0, 0.0, 0.0, 0.0)
     e = quaternions()
-    work = np.empty((6, 3, len(lams), n))
+    work = np.empty(18 * len(lams) * n)
     # the same memory in lambda's dtype, as (component, lambda, sample)
-    flat = work.reshape(-1).view(dtype).reshape(-1, len(lams), n)
+    flat = work.view(dtype).reshape(-1, len(lams), n)
     bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
         for j in range(sub[0]):
             a = int(np.count_nonzero(sub > j))
-            _magnus_step(t_at, (j + _GAUSS_OFF) / sub[:a, None], mu[:a],
-                         e[:a], work, flat[:2, :a])
+            g = int(group[a - 1]) + 1
+            if g < a and 6 * g + a <= 6 * len(lams):
+                s, pick = (j + _GAUSS_OFF) / counts[:g, None], group[:a]
+            else:
+                s, pick = (j + _GAUSS_OFF) / sub[:a, None], None
+            _magnus_step(t_at, s, pick, mu[:a], e[:a], work, flat[:2, :a])
             prod = flat[:4, :a].transpose(1, 2, 0)
             acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
     finally:
@@ -348,17 +377,23 @@ def _dF(curve, lam):
                               [count])[0][0].imag / step
 
 
-def sym_curve(curve, lam):
-    """gamma_lambda samples (n+1 points, including the wrap image) at real
-    lambda."""
+def _sym(curve, lam):
+    """(points, F[-1] A): the Sym curve's samples and the monodromy of the
+    frame F they are formed from."""
     lam = complex(lam)
     if lam.imag != 0.0:
         raise ArgumentError("Sym formula requires real lambda; "
                             "use the hyperbolic family for complex lambda")
     # F first: its batch refuses a lambda too large for the substep loop
-    F = integrate_frames(curve, [lam.real])[0][0]
+    (F,), (rotation,) = integrate_frames(curve, [lam.real])
     g = qmath.qmul(_dF(curve, lam.real), qmath.qinv(F))
-    return curve.samples[0] + 2.0 * g[:, 1:]
+    return curve.samples[0] + 2.0 * g[:, 1:], rotation
+
+
+def sym_curve(curve, lam):
+    """gamma_lambda samples (n+1 points, including the wrap image) at real
+    lambda."""
+    return _sym(curve, lam)[0]
 
 
 def angle_from_quat(q, pred):
@@ -463,9 +498,8 @@ def hamiltonians_from_angle(curve, kmax=5):
 
 def torsion_shift_check(curve, lam):
     """(E_2 of gamma_lambda, E_2 + lambda E_1): the two should agree."""
-    pts = sym_curve(curve, lam)
     # the translation of gamma_lambda's monodromy, from its wrap image
-    rot = monodromies(curve, [lam])[0]
+    pts, rot = _sym(curve, lam)
     mono = Monodromy(rot, pts[-1] - qmath.qrotate(rot, pts[0]))
     new = resample_arclength(pts[:-1], mono, curve.n)
     e1, e2 = energy(1, curve), energy(2, curve)

@@ -15,7 +15,8 @@ The cases are the benchmark's four workloads (bench/workloads.py, seed 0),
 which run flow, conserve, angle-scan, spectral-scan and darboux, the other
 four subcommands, and angle-scan, spectral-scan and darboux on further
 curves, grids and lambdas: a repeated-re grid, a real row, a grid through
-the circle's +-identity monodromies, and a darboux that exits 3.
+the circle's +-identity monodromies, a grid whose rows mix 7 substep
+counts, and a darboux that exits 3.
 """
 
 import hashlib
@@ -51,6 +52,11 @@ CASES = [
     ("spectral-scan-circle-i", ["spectral-scan", "--curve",
                                 "circle:r=1,n=64", "--re", "-1:1:5",
                                 "--im", "0:2:5"]),
+    # rows of 8 lambdas with 7 substep counts, 2 to 63 at Im 0.3: Omega's
+    # vectors formed once per lambda, then once per count and gathered
+    ("spectral-scan-mixed-counts", ["spectral-scan", "--curve",
+                                    "helix:n=64", "--re", "-3:18:8",
+                                    "--im", "0.3:0.5:2"]),
     ("darboux-helix", ["darboux", "--curve", "helix:a=1,b=1,n=256",
                        "--lam", "0.5+2i"]),
     ("darboux-pc128", ["darboux", "--curve", PC128, "--lam", "1+1i"]),

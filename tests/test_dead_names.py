@@ -13,11 +13,13 @@ PACKAGE = ROOT / "src" / "curveflow"
 INIT = PACKAGE / "__init__.py"
 
 # the checks of the paper's identities, which the package exports for the
-# tests to run and does not call itself
+# tests to run and does not call itself.  sym_curve, the Sym formula's
+# points alone, is the real-lambda twin of hyperbolic_family; the torsion
+# shift check reads the points with their frame's monodromy
 PAPER_CHECKS = {
     "directional_derivative_check", "finite_gap_residual", "from_curve",
     "hyperbolic_family", "monodromy_angle", "recursion_residual",
-    "torsion_shift_check",
+    "sym_curve", "torsion_shift_check",
 }
 
 # the outputs of those checks that the package gives to the tests and does

@@ -84,6 +84,43 @@ def test_integrate_frames_matches_per_lambda_loop(case):
                                   sym_points(c, want, dF)) <= DF_BOUND
 
 
+# (rows, lambdas, gathered) of a batch's first substep.  8 lambdas with 7
+# substep counts, 2 to 63: the 7 rows and the gather would overflow the work
+# buffer, 6 * 7 + 8 > 6 * 8, so Omega's vectors are formed once per lambda
+# until the count-2 lambda is done, then gathered from 6 rows.  A row of 9
+# mixing 5 counts forms them once per count and gathers them throughout
+SHARED_OFFSET_BATCHES = {
+    "seven-counts-of-eight": (
+        [complex(re, 0.3) for re in (-3.0, 0.0, 3.0, 6.0, 9.0, 12.0, 15.0,
+                                     18.0)], (8, 8, False)),
+    "five-counts-of-nine": (
+        [complex(re, 0.3) for re in np.linspace(-6.0, 6.0, 9)],
+        (5, 9, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_OFFSET_BATCHES))
+def test_shared_offsets_match_per_lambda_loop(monkeypatch, case):
+    # lambdas with one substep count share the vectors of Omega: every
+    # frame and monodromy keeps the bits of its own loop
+    lams, first = SHARED_OFFSET_BATCHES[case]
+    c = make_helix(1.0, 1.0, 1.0, 64)
+    passes = []
+    step = frames._magnus_step
+
+    def recording(t_at, s, pick, mu, *args):
+        passes.append((len(s), len(mu), pick is not None))
+        return step(t_at, s, pick, mu, *args)
+
+    monkeypatch.setattr(frames, "_magnus_step", recording)
+    F, monodromy = integrate_frames(c, lams)
+    assert passes[0] == first
+    assert any(gathered for _, _, gathered in passes)
+    for lam, got in zip(lams, F):
+        assert np.array_equal(got, loop_integrate_frame(c, lam)[0])
+    assert same_bits(frames.monodromies(c, lams), monodromy)
+
+
 def test_lazy_derivative_matches_loop_oracle(monkeypatch):
     # dF is taken by the Sym formula alone; everything that reads it agrees
     # with the oracle, which integrates F and dF together, to round-off:
@@ -220,18 +257,26 @@ def test_derivative_is_refused_at_nonreal_lambda(monkeypatch):
 
 
 def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
+    # one substep loop for F and one for dF's complex step: the Sym curve's
+    # rotation is F[-1] A of the F its points are formed from
     calls = []
-    build = frames.sym_curve
+    build = frames._sym
+    factors = frames._interval_factors
 
     def counting(curve, lam):
         calls.append(lam)
         return build(curve, lam)
 
+    def counting_factors(curve, lams, subs):
+        calls.append(list(lams))
+        return factors(curve, lams, subs)
+
     h = make_helix(1.0, 1.0, 1.0, 128)
     shift = torsion_shift_check(h, 0.8)
-    monkeypatch.setattr(frames, "sym_curve", counting)
+    monkeypatch.setattr(frames, "_sym", counting)
+    monkeypatch.setattr(frames, "_interval_factors", counting_factors)
     assert torsion_shift_check(h, 0.8) == shift
-    assert calls == [0.8]
+    assert calls == [0.8, [0.8], [complex(0.8, frames._CSTEP / h.length)]]
 
 
 def test_integrate_frames_edge_batches():
@@ -375,8 +420,10 @@ def test_tangent_interpolator_matches_loop_oracle(monkeypatch):
     spectral = recorded_offsets(monkeypatch, lambda: spectral_image_scan(
         make_helix(1.0, 1.0, 1.0, 256), np.linspace(0.5, 2.0, 16),
         np.linspace(0.1, 1.0, 16)))
-    assert len(angle) == 20 and angle[0][1].shape == (32, 3)
-    assert {s.shape for _, s in spectral} >= {(16, 3)}
+    # one row of offsets per distinct substep count: 18 among the window's
+    # 32 lambdas, 1 or 2 in a row of the spectral grid
+    assert len(angle) == 20 and angle[0][1].shape == (18, 3)
+    assert {s.shape for _, s in spectral} == {(1, 3), (2, 3)}
     rng = np.random.default_rng(0)
     curves = [make_circle(1.0, 16), make_helix(1.0, 1.0, 1.0, 224),
               make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3), seed=0)]
