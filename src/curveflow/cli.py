@@ -24,7 +24,7 @@ from .errors import ArgumentError, NumericalError, ValidationError
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
                     max_relative_drift)
 from .frames import hamiltonians_from_angle, monodromy_angle_scan
-from .functionals import energy, energy_report
+from .functionals import energy, energy_reports
 from .hierarchy import fit_multipliers
 from .loops import lax_evolve, spectral_polynomial
 
@@ -131,8 +131,7 @@ def _run_flow(args, **options):
     axis = parse_axis(args.axis) if args.axis else None
     spec = FlowSpec(parse_weights(args.flow), args.dt, args.steps, **options)
     traj = evolve(curve, spec, axis=axis)
-    drifts = {k: max_relative_drift(traj, k)
-              for k in traj.energy_log[0].values}
+    drifts = {k: max_relative_drift(traj, k) for k in traj.energy_log}
     return traj, drifts
 
 
@@ -146,14 +145,14 @@ def cmd_flow(args):
 def cmd_energies(args):
     curve = parse_curve(args.curve)
     axis = parse_axis(args.axis) if args.axis else None
-    rep = energy_report(curve, axis=axis)
+    values, (winding,) = energy_reports([curve], axis=axis)
     # the axis is one cell, its components separated by spaces
-    ax = None if rep.axis is None else " ".join("%.17g" % c for c in rep.axis)
-    ks = sorted(rep.values)
+    ax = None if axis is None else " ".join("%.17g" % c for c in axis)
+    ks = sorted(values)
     write_table(artifact(args, "energies.csv"), "k,value,axis,torsion_branch",
-                [ks, [rep.values[k] for k in ks], [ax] * len(ks),
-                 [rep.torsion_branch] * len(ks)])
-    return {"values": {"E_%d" % k: v for k, v in rep.values.items()}}
+                [ks, [values[k][0] for k in ks], [ax] * len(ks),
+                 [winding] * len(ks)])
+    return {"values": {"E_%d" % k: v[0] for k, v in values.items()}}
 
 
 def cmd_conserve(args):

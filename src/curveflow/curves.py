@@ -102,16 +102,6 @@ class Curve:
         return []
 
 
-@dataclass(frozen=True)
-class NormalFrame:
-    holonomy_angle: float    # principal value in (-pi, pi]
-    winding: float           # rounded turn count of the torsion integral
-
-    @property
-    def total_angle(self):
-        return self.holonomy_angle + 2.0 * np.pi * self.winding
-
-
 def _padder(buf, left, right, monodromy):
     """The middle of buf, padded by `left` and `right` values along axis -2,
     and fill(shift): the pads from it by the rotation and translation shift."""
@@ -542,12 +532,14 @@ def parallel_normal_frame(curve):
     tangent and normalized once.
 
     The initial normal is e_z x t_0 (e_x x t_0 where t_0 is along e_z).
-    The holonomy angle compares the transported normal, pulled back by the
-    monodromy rotation, against the initial normal in the complex structure
-    T x ( ).  The winding is the rounded turn count of the torsion integral
-    against it, NaN where the frame is not finite (see `winding_number`).
+    The holonomy angle, in (-pi, pi], compares the transported normal,
+    pulled back by the monodromy rotation, against the initial normal in
+    the complex structure T x ( ).  The winding is the rounded turn count of
+    the torsion integral against it, NaN where the frame is not finite (see
+    `winding_number`).
 
-    A batch of curves gets holonomy_angle (B,) and winding (B,).
+    Returns (holonomy angle + 2 pi winding, winding), each (B,) for a batch
+    of curves.
     """
     tan = extend(tangent(curve), curve.monodromy, 0, 1)
     t0, tn = tan[..., 0, :], tan[..., -1, :]
@@ -570,7 +562,7 @@ def parallel_normal_frame(curve):
     alpha = np.arctan2(qmath.dot(back, qmath.cross(nu0, t0)),
                        qmath.dot(back, nu0))
     winding = np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
-    return NormalFrame(alpha, winding)
+    return alpha + 2.0 * np.pi * winding, winding
 
 
 def winding_number(turn):

@@ -52,7 +52,7 @@ class FlowSpec:
 @dataclass(frozen=True)
 class Trajectory:
     snapshots: list
-    energy_log: list
+    energy_log: dict            # k -> (S,) E_k of the snapshots
     time_grid: np.ndarray
 
 
@@ -114,14 +114,15 @@ def evolve(curve, spec, axis=None):
     max(1, steps // 200)-th step and the last are logged.  After the steps,
     also when one raises, those are reported in batches of about
     _REPORT_SAMPLES samples (energy_reports), bit for bit as one at a time,
-    so a report failure replaces a step's error.  E_2 is carried along the
-    trajectory by snapping each report to the previous one.
+    so a report failure replaces a step's error.  The log holds each E_k as
+    one column over the snapshots, E_2 carried along the trajectory by
+    snapping each value to the previous one.
     """
     _check_stability(curve, spec)
     log_every = max(1, spec.steps // 200)
     snapshots = [curve]
     times = [0.0]
-    logs = energy_reports([curve], axis=axis)
+    logs = [energy_reports([curve], axis=axis)[0]]
     bound = _BLOW_UP * np.abs(curve.samples).max()
     # the last resampled curve: it gives the steps after it their seg_len
     base, samples = curve, curve.samples
@@ -141,9 +142,10 @@ def evolve(curve, spec, axis=None):
     finally:
         chunk = max(1, _REPORT_SAMPLES // curve.n)
         for j in range(1, len(snapshots), chunk):
-            logs += energy_reports(snapshots[j:j + chunk], axis=axis,
-                                   near_torsion=logs[-1].values[2])
-    return Trajectory(snapshots, logs, np.array(times))
+            logs.append(energy_reports(snapshots[j:j + chunk], axis=axis,
+                                       near_torsion=logs[-1][2][-1])[0])
+    log = {k: np.concatenate([b[k] for b in logs]) for k in logs[0]}
+    return Trajectory(snapshots, log, np.array(times))
 
 
 def max_relative_drift(trajectory, k):
@@ -152,9 +154,9 @@ def max_relative_drift(trajectory, k):
     the curve's size and d = 2 - k for k >= 0, 1 - k for k < 0, and the
     floor is 1e-12 l^d: 1e-12 on the unit circle, and a drift that does not
     depend on scale."""
-    vals = np.array([rep.values[k] for rep in trajectory.energy_log])
+    vals = trajectory.energy_log[k]
     drift = np.abs(vals - vals[0]).max()
-    size = trajectory.energy_log[0].values[1] / (2.0 * np.pi)
+    size = trajectory.energy_log[1][0] / (2.0 * np.pi)
     floor = 1e-12 * size ** (2 - k if k >= 0 else 1 - k)
     # no drift is none also where E_k and its floor underflow to 0
     return drift and drift / max(abs(vals[0]), floor)
@@ -186,9 +188,8 @@ def export_trajectory(trajectory, outdir):
     os.makedirs(outdir, exist_ok=True)
     for i, snap in enumerate(trajectory.snapshots):
         save_curve(snap, os.path.join(outdir, "curve_%04d.json" % i))
-    ks = sorted(trajectory.energy_log[0].values)
+    ks = sorted(trajectory.energy_log)
     write_table(os.path.join(outdir, "energies.csv"),
                 ",".join(["t"] + ["E_%d" % k for k in ks]),
                 [trajectory.time_grid]
-                + [[rep.values[k] for rep in trajectory.energy_log]
-                   for k in ks])
+                + [trajectory.energy_log[k] for k in ks])

@@ -33,7 +33,7 @@ import numpy as np
 from . import qmath
 from .curves import Monodromy, ddx, extend, resample_arclength, tangent
 from .errors import ArgumentError, FrameDeterminantError
-from .functionals import energy, near_branch, total_torsion
+from .functionals import energy, near_branch
 
 # offsets of the three Gauss-Legendre nodes in a substep:
 # 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10
@@ -503,5 +503,5 @@ def torsion_shift_check(curve, lam):
     mono = Monodromy(rot, pts[-1] - qmath.qrotate(rot, pts[0]))
     new = resample_arclength(pts[:-1], mono, curve.n)
     e1, e2 = energy(1, curve), energy(2, curve)
-    return total_torsion(new), e2 + lam * e1
+    return energy(2, new), e2 + lam * e1
 

@@ -10,8 +10,6 @@ using the winding hint from the parallel frame, optionally snapped to a
 caller-supplied nearby value so trajectories never jump branches.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curves import (Curve, check_scale, deriv, measured_length,
@@ -32,26 +30,24 @@ def near_branch(value, near):
     return value
 
 
-def total_torsion(curve, near=None):
-    """Continuous-branch total torsion (holonomy angle of the normal bundle)."""
-    frame = parallel_normal_frame(curve)
-    winding_number(frame.winding)
-    return near_branch(frame.total_angle, near)
-
-
 def energy(k, curve, axis=None, near=None):
     """E_k of the curve; axis required for k in {-2, -1}.
 
-    `near` selects the torsion branch for k = 2.  The curve is refused as
-    energy_reports refuses it, by check_scale or where E_k is not finite,
-    and not warned about where it overflows.
+    E_2, the total torsion, is the holonomy angle of the normal bundle on
+    its continuous branch; `near` selects the branch.  The curve is refused
+    as energy_reports refuses it, by check_scale, by its frame's winding or
+    where E_k is not finite, and not warned about where it overflows.
     """
     if k not in K_RANGE:
         raise RangeError("energy implements k in [-2, 6]")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         check_scale(curve)
-        value = (total_torsion(curve, near=near) if k == 2
-                 else _energy(k, curve, axis))
+        if k == 2:
+            value, winding = parallel_normal_frame(curve)
+            winding_number(winding)
+            value = near_branch(value, near)
+        else:
+            value = _energy(k, curve, axis)
     return _finite(k, value)
 
 
@@ -81,7 +77,11 @@ def _energy(k, curve, axis):
     if k == -2:
         # sign chosen so the gradient is gamma' x (v x gamma), matching the
         # flux pattern G = gamma' x W(gamma) of the translation case
-        perp = curve.samples - (curve.samples @ v)[..., None] * v
+        # by component: the (..., n, 1) factor times v makes one more field
+        perp = curve.samples.copy()
+        along = curve.samples @ v
+        for c in range(3):
+            perp[..., c] -= along * v[c]
         return -0.5 * dx * np.sum(dot(perp, perp) * (d1 @ v), axis=-1)
     d2 = deriv(curve, 2)
     k2 = dot(d2, d2)
@@ -98,33 +98,19 @@ def _energy(k, curve, axis):
     return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123, axis=-1)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    values: dict
-    axis: np.ndarray = None
-    torsion_branch: int = 0
-
-
-def energy_report(curve, axis=None):
-    """All available E_k; axis-dependent entries only when an axis is given.
-
-    The frame and every E_k share one set of derivatives.  This is the
-    one-curve batch of `energy_reports`.
-    """
-    return energy_reports([curve], axis=axis)[0]
-
-
 def energy_reports(curves, axis=None, near_torsion=None):
-    """energy_report of each of the curves, which must share one monodromy,
-    computed as one batch Curve: one set of derivatives, one frame product.
+    """The E_k of the curves, which must share one monodromy, computed as
+    one batch Curve: one set of derivatives, one frame product.  Returns
+    ({k: (B,) column}, (B,) int windings); the axis-dependent E_k only when
+    an axis is given.
 
     E_2 is snapped to the branch nearest `near_torsion` for the first curve
     and nearest its predecessor's for each later one, as along a
-    trajectory.  Every report is bit for bit the curve's own, and the curves
+    trajectory.  Every value is bit for bit the curve's own, and the curves
     fail in order: the first failing curve raises its own error.
     """
     if not curves:
-        return []
+        return {}, np.zeros(0, int)
     ks = [k for k in K_RANGE if axis is not None or k >= 0]
     mono = curves[0].monodromy
     if any(not (np.array_equal(c.monodromy.rotation, mono.rotation)
@@ -137,19 +123,17 @@ def energy_reports(curves, axis=None, near_torsion=None):
                   np.array([c.seg_len for c in curves], dtype=float), mono)
     check_scale(batch)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        frame = parallel_normal_frame(batch)
-        # a one-curve report checks its frame before the axis
-        winding_number(frame.winding[0])
-        values = {k: _energy(k, batch, axis) for k in ks if k != 2}
-    axis = None if axis is None else np.asarray(axis, float)
-    reports = []
+        torsion, turns = parallel_normal_frame(batch)
+        # a one-curve batch checks its frame before the axis
+        winding_number(turns[0])
+        values = {k: torsion if k == 2 else _energy(k, batch, axis)
+                  for k in ks}
     for i in range(len(curves)):
-        winding = winding_number(frame.winding[i])
-        near_torsion = near_branch(frame.total_angle[i], near_torsion)
-        row = {k: _finite(k, near_torsion if k == 2 else values[k][i])
-               for k in ks}
-        reports.append(EnergyReport(row, axis, winding))
-    return reports
+        winding_number(turns[i])
+        near_torsion = torsion[i] = near_branch(torsion[i], near_torsion)
+        for k in ks:
+            _finite(k, values[k][i])
+    return values, turns.astype(int)
 
 
 def gradient(k, curve, axis=None):

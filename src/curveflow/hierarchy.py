@@ -92,8 +92,12 @@ def gradient_G(k, curve, axis=None):
     d3 = deriv(curve, 3)
     if k == 2:
         return -cross(d1, d3)
-    k2 = dot(d2, d2)
-    return ddx(d3 + 1.5 * k2[..., None] * d1, curve)
+    # by component: the (..., n, 1) factor times d1 makes one more field
+    g = d3.copy()
+    w = 1.5 * dot(d2, d2)
+    for c in range(3):
+        g[..., c] += w * d1[..., c]
+    return ddx(g, curve)
 
 
 def gradient_from_Y(k, curve, dtype=None):

@@ -16,7 +16,8 @@ which run flow, conserve, angle-scan, spectral-scan and darboux, the other
 four subcommands, and angle-scan, spectral-scan and darboux on further
 curves, grids and lambdas: a repeated-re grid, a real row, a grid through
 the circle's +-identity monodromies, a grid whose rows mix 7 substep
-counts, and a darboux that exits 3.
+counts, and a darboux that exits 3.  energies, flow and conserve also run
+on a screw helix, whose E_2 is chained on torsion branch 1.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ from curveflow import cli  # noqa: E402
 from workloads import make_workloads  # noqa: E402
 
 PC128 = "perturbed-circle:n=128,modes=2+3,seed=1"
+SCREW = "helix:a=1,b=0.5,turns=1.3,n=128"
 
 CASES = [
     ("energies-pc224", ["energies", "--curve", "perturbed-circle:n=224,"
@@ -63,6 +65,13 @@ CASES = [
     # the frame at 0.7 + 4.4i is lost: exit 3 and diagnostics.json
     ("darboux-circle-lost", ["darboux", "--curve", "circle:r=1,n=64",
                              "--lam", "0.7+4.4i"]),
+    # E_2 chained along a flow on a screw monodromy, torsion branch 1
+    ("energies-screw", ["energies", "--curve", SCREW, "--axis", "0,0,1"]),
+    ("flow-screw", ["flow", "--curve", SCREW, "--flow", "1", "--dt", "1e-3",
+                    "--steps", "20", "--resample-every", "1",
+                    "--axis", "0,0,1"]),
+    ("conserve-screw", ["conserve", "--curve", SCREW, "--flow", "1,2=0.5",
+                        "--dt", "1e-4", "--steps", "20", "--axis", "0,0,1"]),
 ]
 
 

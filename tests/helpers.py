@@ -6,10 +6,17 @@ from curveflow import qmath
 from curveflow.curves import (Curve, Monodromy, _taps, central_d1, deriv,
                               tangent)
 from curveflow.flows import evolve
+from curveflow.functionals import energy_reports
 from curveflow.hierarchy import check_axis
 from oracles import loop_parallel_normal_frame
 
 EZ = [0.0, 0.0, 1.0]
+
+
+def energy_row(curve, axis=None):
+    """({k: E_k}, winding) of one curve, its one-curve batch's row."""
+    values, (winding,) = energy_reports([curve], axis=axis)
+    return {k: column[0] for k, column in values.items()}, winding
 
 
 def hausdorff_distance(points_a, points_b):

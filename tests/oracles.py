@@ -20,7 +20,8 @@ TRANSPORT_STEP = 0.01
 
 
 class LoopNormalFrame(NamedTuple):
-    """A NormalFrame with the transported normal at every sample."""
+    """The parallel frame's holonomy angle and winding, with the
+    transported normal at every sample."""
     nu: np.ndarray           # (n, 3) unit normals
     holonomy_angle: float
     winding: int
@@ -58,10 +59,11 @@ def loop_parallel_normal_frame(curve):
 
 
 def scan_parallel_normal_frame(curve):
-    """(holonomy angle, rounded turn count) of parallel_normal_frame by the
-    Hillis-Steele prefix scan over the double reflections, which transports
-    the normal to every sample: the bit reference for the package's one
-    end-paired product, whose association is the scan's last product."""
+    """(holonomy angle + 2 pi winding, winding) of parallel_normal_frame
+    by the Hillis-Steele prefix scan over the double reflections, which
+    transports the normal to every sample: the bit reference for the
+    package's one end-paired product, whose association is the scan's last
+    product."""
     tan = extend(tangent(curve), curve.monodromy, 0, 1)
     t0 = tan[..., 0, :]
     nu0 = qmath.cross([0.0, 0.0, 1.0], t0)
@@ -88,7 +90,8 @@ def scan_parallel_normal_frame(curve):
     back = curve.monodromy.apply_vector_inverse(nus[..., -1, :])
     alpha = np.arctan2(qmath.dot(back, qmath.cross(nu0, t0)),
                        qmath.dot(back, nu0))
-    return alpha, np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
+    turns = np.round((_torsion_integral(curve) - alpha) / (2.0 * np.pi))
+    return alpha + 2.0 * np.pi * turns, turns
 
 
 def loop_tangent_at(curve):

@@ -13,10 +13,9 @@ from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
 from curveflow.errors import (ArgumentError, DegenerateInputError,
                               RangeError)
 from curveflow.functionals import (directional_derivative_check, energy,
-                                   energy_report, energy_reports,
-                                   total_torsion)
-from helpers import (EZ, is_identity, random_equivariant_field, rebased,
-                     similar_copies, translate_to_axis)
+                                   energy_reports)
+from helpers import (EZ, energy_row, is_identity, random_equivariant_field,
+                     rebased, same_bits, similar_copies, translate_to_axis)
 
 
 def test_circle_energy_values():
@@ -72,10 +71,10 @@ def test_gradient_consistency():
 
 def test_torsion_branch_snapping():
     h = make_helix(1.0, 1.0, 0.5, 128)
-    t0 = total_torsion(h)
-    t1 = total_torsion(h, near=t0 + 2.0 * np.pi)
+    t0 = energy(2, h)
+    t1 = energy(2, h, near=t0 + 2.0 * np.pi)
     assert abs(t1 - t0 - 2.0 * np.pi) < 1e-12
-    assert abs(total_torsion(h, near=t0 + 0.1) - t0) < 1e-12
+    assert abs(energy(2, h, near=t0 + 0.1) - t0) < 1e-12
 
 
 def test_translate_to_axis_recenters():
@@ -94,19 +93,21 @@ def test_energy_report_refuses_unrepresentable_curvature():
     # r = 1e300, where E_3 = pi / r is still a normal float
     for r in (1e-300, 1e300):
         with pytest.raises(DegenerateInputError):
-            energy_report(make_circle(r, 32))
+            energy_reports([make_circle(r, 32)])
     # a straight line's round-off gamma'' underflows harmlessly
-    assert energy_report(make_line(1e150, 32)).values[3] == 0.0
-    report = energy_report(make_circle(1e150, 32))
-    assert abs(report.values[3] * 1e150 / np.pi - 1.0) < 1e-2
+    assert energy_row(make_line(1e150, 32))[0][3] == 0.0
+    values, _ = energy_row(make_circle(1e150, 32))
+    assert abs(values[3] * 1e150 / np.pi - 1.0) < 1e-2
 
 
 def test_energy_report_keys():
     c = make_circle(1.0, 128)
-    rep = energy_report(c)
-    assert sorted(rep.values) == list(range(0, 7))
-    rep = energy_report(c, axis=EZ)
-    assert sorted(rep.values) == list(range(-2, 7))
+    values, _ = energy_reports([c])
+    assert sorted(values) == list(range(0, 7))
+    values, _ = energy_reports([c], axis=EZ)
+    assert sorted(values) == list(range(-2, 7))
+    values, windings = energy_reports([])
+    assert values == {} and windings.shape == (0,)
 
 
 def test_energy_range_and_axis_errors():
@@ -121,14 +122,15 @@ def test_energy_range_and_axis_errors():
     make_circle(1.0, 256),
     make_helix(1.0, 1.0, 1.0, 256),
     make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
-], ids=["circle", "helix", "pc224"])
+    make_helix(1.0, 0.5, 1.3, 128),
+], ids=["circle", "helix", "pc224", "screw-helix"])
 def test_energy_report_matches_energy(curve):
-    rep = energy_report(curve, axis=EZ)
-    assert sorted(rep.values) == list(range(-2, 7))
-    for k, value in rep.values.items():
-        # a fresh copy, so nothing computed for the report is reused
+    values, _ = energy_row(curve, axis=EZ)
+    assert sorted(values) == list(range(-2, 7))
+    for k, value in values.items():
+        # a fresh copy, so nothing computed for the batch is reused
         expect = energy(k, curve.with_samples(curve.samples), axis=EZ)
-        assert abs(value - expect) <= max(1e-13 * abs(expect), 1e-15)
+        assert same_bits(value, expect), k
 
 
 def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
@@ -146,7 +148,7 @@ def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
     c = make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1)
     monkeypatch.setattr(functionals, "parallel_normal_frame", counting_frame)
     monkeypatch.setattr(curves, "ddx", counting_ddx)
-    energy_report(c, axis=EZ)
+    energy_reports([c], axis=EZ)
     assert calls["frame"] == 1
     assert calls["ddx"] == 3
 
@@ -162,8 +164,8 @@ def test_energies_are_similarity_invariant(curve):
     # E_-2 as s^3.  Entries that vanish are compared at the size of the
     # curve's length to that power.
     power = {k: {-2: 3, -1: 2}.get(k, 2 - k) for k in range(-2, 7)}
-    base = energy_report(curve, axis=EZ)
-    length = base.values[1]
+    base, winding = energy_row(curve, axis=EZ)
+    length = base[1]
     batches = [[]]
     for s in (1e-8, 1e-3, 0.37, 1.0, 25.0, 1e3, 1e5, 1e8):
         copies = similar_copies(curve, s)
@@ -173,11 +175,11 @@ def test_energies_are_similarity_invariant(curve):
         else:
             batches.append([(s, c) for c in copies])
     for batch in filter(None, batches):
-        reports = energy_reports([c for _, c in batch], axis=EZ)
-        for (s, _), rep in zip(batch, reports):
-            assert rep.torsion_branch == base.torsion_branch
-            for k, value in rep.values.items():
-                want = base.values[k]
+        values, windings = energy_reports([c for _, c in batch], axis=EZ)
+        for i, (s, _) in enumerate(batch):
+            assert windings[i] == winding
+            for k, want in base.items():
+                value = values[k][i]
                 size = max(abs(want), length ** power[k])
                 assert abs(value / s ** power[k] - want) <= 1e-12 * size
 
@@ -192,10 +194,10 @@ def test_energies_do_not_depend_on_the_basepoint(curve):
     # stays to round-off of the curve's scale (measured 3.6e-15 on the
     # screw helix and 1.3e-14 on the helix, whose largest |E_k| are 4.4
     # and 8.9)
-    base = energy_report(curve, axis=EZ).values
+    base, _ = energy_row(curve, axis=EZ)
     size = max(abs(v) for v in base.values())
     for shift in (1, 5, curve.n // 3, curve.n - 1):
-        values = energy_report(rebased(curve, shift), axis=EZ).values
+        values, _ = energy_row(rebased(curve, shift), axis=EZ)
         for k, want in base.items():
             assert abs(values[k] - want) <= 1e-13 * size, (shift, k)
 
