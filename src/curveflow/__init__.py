@@ -9,7 +9,7 @@ from .hierarchy import (gradient_G, gradient_from_Y, symplectic_Y_list,
                         recursion_residual, fit_multipliers)
 from .functionals import (energy, energy_reports,
                           directional_derivative_check)
-from .flows import (FlowSpec, Trajectory, evolve, commutator_defect)
+from .flows import FlowSpec, evolve, commutator_defect
 from .loops import (loop_cross, V_k, lax_evolve, spectral_polynomial,
                     from_curve, finite_gap_residual)
 from .frames import (integrate_frames, sym_curve, monodromy_angle,

@@ -126,20 +126,21 @@ def write_manifest(args, summary):
 
 
 def _run_flow(args, **options):
-    """Evolve --curve under --flow: (trajectory, {k: max drift of E_k})."""
+    """Evolve --curve under --flow: ((snapshots, log, times), {k: drift})."""
     curve = parse_curve(args.curve)
     axis = parse_axis(args.axis) if args.axis else None
     spec = FlowSpec(parse_weights(args.flow), args.dt, args.steps, **options)
-    traj = evolve(curve, spec, axis=axis)
-    drifts = {k: max_relative_drift(traj, k) for k in traj.energy_log}
-    return traj, drifts
+    snapshots, log, times = evolve(curve, spec, axis=axis)
+    drifts = {k: max_relative_drift(log, k) for k in log}
+    return (snapshots, log, times), drifts
 
 
 def cmd_flow(args):
-    traj, drifts = _run_flow(args, resample_every=args.resample_every)
-    export_trajectory(traj, args.out)
+    (snapshots, log, times), drifts = _run_flow(
+        args, resample_every=args.resample_every)
+    export_trajectory(snapshots, log, times, args.out)
     return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
-            "snapshots": len(traj.snapshots)}
+            "snapshots": len(snapshots)}
 
 
 def cmd_energies(args):
@@ -272,28 +273,26 @@ def cmd_darboux(args):
     meta = {"lambda": [lam.real, lam.imag]}
     e0 = {k: energy(k, curve) for k in (1, 2, 3)}
     results = dict(zip(("plus", "minus"), darboux_transform(curve, lam)))
-    for tag, result in results.items():
+    for tag, (eta, _, _, dist, pre) in results.items():
         meta["eta_%s" % tag] = {
-            "distance": result.distance,
-            "pre_resample_deviation": result.pre_resample_deviation,
-            "energy_deltas": {"E_%d" % k: energy(k, result.curve) - e0[k]
+            "distance": dist, "pre_resample_deviation": pre,
+            "energy_deltas": {"E_%d" % k: energy(k, eta) - e0[k]
                               for k in (1, 2, 3)},
         }
     # written only once both transforms succeeded, so a failure leaves none
-    for tag, result in results.items():
-        write_table(artifact(args, "eta_%s.csv" % tag), "x,y,z",
-                    result.raw_points.T)
-        save_curve(result.curve, artifact(args, "eta_%s.json" % tag))
+    for tag, (eta, points, *_) in results.items():
+        write_table(artifact(args, "eta_%s.csv" % tag), "x,y,z", points.T)
+        save_curve(eta, artifact(args, "eta_%s.json" % tag))
     write_document(artifact(args, "darboux.json"), meta)
     return meta
 
 
 def cmd_criticality(args):
     curve = parse_curve(args.curve)
-    fit = fit_multipliers(curve, args.k)
-    summary = {"multipliers": [float(c) for c in fit.coefficients],
-               "axis_term": [float(c) for c in fit.axis_term],
-               "residual": fit.residual}
+    coefficients, axis_term, residual = fit_multipliers(curve, args.k)
+    summary = {"multipliers": [float(c) for c in coefficients],
+               "axis_term": [float(c) for c in axis_term],
+               "residual": residual}
     write_document(artifact(args, "criticality.json"), summary)
     return summary
 

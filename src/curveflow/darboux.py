@@ -19,8 +19,6 @@ frames.integrate_frames; fixed_points solves a stack of monodromies F[-1] A,
 such as a spectral grid's from frames.monodromies, with one eig.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qmath
@@ -63,18 +61,10 @@ def _ideal_point(psi):
                     axis=-1)
 
 
-@dataclass(frozen=True)
-class IdealFixedPoints:
-    S_plus: np.ndarray       # (..., 3) over the monodromies' leading shape
-    S_minus: np.ndarray
-    eigenvalues: np.ndarray  # (..., 2)
-    discriminant: np.ndarray
-    parabolic: np.ndarray
-
-
 def fixed_points(monodromy):
     """Ideal fixed points on the 2-sphere of monodromy quaternions F[-1] A
-    of shape (..., 4), from one eig over the stack.
+    of shape (..., 4), from one eig over the stack: S+ and S- (..., 3),
+    the eigenvalues (..., 2), the discriminant and the parabolic flags.
 
     Ordered by eigenvalue modulus (|mu+| >= |mu-|), ties broken by the
     lexicographically larger S; near-parabolic monodromies are flagged and
@@ -98,10 +88,9 @@ def fixed_points(monodromy):
     # eigenvalue 0 first, and so when parabolic
     first = (np.where(abs(a0 - a1) < 1e-12, lex, a0 >= a1)
              | parabolic)[..., None]
-    return IdealFixedPoints(np.where(first, s0, s1),
-                            np.where(first & ~parabolic[..., None], s1, s0),
-                            np.where(first, mu, mu[..., ::-1]), disc,
-                            parabolic)
+    return (np.where(first, s0, s1),
+            np.where(first & ~parabolic[..., None], s1, s0),
+            np.where(first, mu, mu[..., ::-1]), disc, parabolic)
 
 
 def _eigenline_field(m, mu):
@@ -120,18 +109,11 @@ def _eigenline_field(m, mu):
     return _ideal_point(psi).astype(float)
 
 
-@dataclass(frozen=True)
-class DarbouxResult:
-    curve: Curve
-    raw_points: np.ndarray
-    s_field: np.ndarray
-    distance: float
-    pre_resample_deviation: float
-
-
 def darboux_transform(curve, lam):
     """The Darboux pair (eta+, eta-), eta = gamma + (2 Im lambda/|lambda|^2) S
-    with S the field of S+ or S-, from one frame.
+    with S the field of S+ or S-, from one frame.  Each is the tuple (the
+    resampled curve, eta's (n, 3) points, S's (n+1, 3) field, the offset,
+    the pre-resample deviation).
 
     The offset is the unique one for which eta is again arclength
     parametrized: with S' = -a T x S - b (T - (T,S)S) one gets
@@ -155,8 +137,8 @@ def darboux_transform(curve, lam):
             "the Darboux offset 2 Im lambda / |lambda|^2 = %.3g is too large "
             "for seg_len = %.3g: lambda is too small" % (dist, curve.seg_len))
     (F,), (monodromy,) = integrate_frames(curve, [lam])
-    fp = fixed_points(monodromy)
-    if fp.parabolic:
+    _, _, eigenvalues, _, parabolic = fixed_points(monodromy)
+    if parabolic:
         raise BranchPointError("parabolic monodromy; eigenlines collide")
     # the conjugation cancels entries of size exp(|Im theta|/2); extended
     # precision keeps the wrap consistency below the discretization error
@@ -164,12 +146,12 @@ def darboux_transform(curve, lam):
     tilde = monodromy.astype(np.clongdouble)
     m = qmath.as_matrix(qmath.qmul(qmath.qinv(f), qmath.qmul(tilde, f)))
     pair = []
-    for mu in fp.eigenvalues:
+    for mu in eigenvalues:
         s = _eigenline_field(m, mu)
         eta = curve.samples + dist * s[:-1]
         pre = arclength_deviation(Curve(eta, curve.seg_len, curve.monodromy))
         new = resample_arclength(eta, curve.monodromy, curve.n)
-        pair.append(DarbouxResult(new, eta, s, dist, pre))
+        pair.append((new, eta, s, dist, pre))
     return tuple(pair)
 
 
@@ -186,9 +168,8 @@ def spectral_image_scan(curve, re_values, im_values):
         return (grid.reshape(0), np.empty((0, 3)), np.empty((0, 3)),
                 np.empty(0), np.empty(0, bool))
     # one frame batch per row: all real or all nonreal lambda
-    fp = fixed_points(np.concatenate([monodromies(curve, row)
-                                      for row in grid]))
-    sp, sm = fp.S_plus, fp.S_minus
+    sp, sm, _, disc, parabolic = fixed_points(np.concatenate(
+        [monodromies(curve, row) for row in grid]))
     rows, cols = grid.shape
     # each cell's neighbour; cell 0 has none, and its entry is not read
     ref = np.arange(-1, grid.size - 1)
@@ -204,4 +185,4 @@ def spectral_image_scan(curve, re_values, im_values):
         flip.append(keep[c] < swap[c] if flip[r] else swap[c] < keep[c])
     flip = np.array(flip)[:, None]
     return (grid.reshape(-1), np.where(flip, sm, sp), np.where(flip, sp, sm),
-            fp.discriminant, fp.parabolic)
+            disc, parabolic)

@@ -49,13 +49,6 @@ class FlowSpec:
                 raise RangeError("flow indices must be k >= 0")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    snapshots: list
-    energy_log: dict            # k -> (S,) E_k of the snapshots
-    time_grid: np.ndarray
-
-
 def _check_stability(curve, spec):
     """Linearized spectral-radius guard: |omega_max * dt| <= RK4 bound."""
     omega = 0.0
@@ -106,7 +99,8 @@ def _advance(samples, stencil, spec):
 
 
 def evolve(curve, spec, axis=None):
-    """Run the flow, logging energies at a bounded cadence.
+    """Run the flow, logging energies at a bounded cadence: (the list of
+    snapshots, {k: (S,) E_k of the snapshots}, their (S,) times).
 
     The stability guard runs first and snapshot 0 is reported alone, so a
     bad starting curve fails before the first step.  Each step is checked
@@ -145,18 +139,18 @@ def evolve(curve, spec, axis=None):
             logs.append(energy_reports(snapshots[j:j + chunk], axis=axis,
                                        near_torsion=logs[-1][2][-1])[0])
     log = {k: np.concatenate([b[k] for b in logs]) for k in logs[0]}
-    return Trajectory(snapshots, log, np.array(times))
+    return snapshots, log, np.array(times)
 
 
-def max_relative_drift(trajectory, k):
-    """Max |E_k(t) - E_k(0)| over the trajectory, relative to |E_k(0)| or
+def max_relative_drift(log, k):
+    """Max |E_k(t) - E_k(0)| over an energy log, relative to |E_k(0)| or
     to a floor where that is smaller.  E_k scales as l^d, l = E_1(0) / 2 pi
     the curve's size and d = 2 - k for k >= 0, 1 - k for k < 0, and the
     floor is 1e-12 l^d: 1e-12 on the unit circle, and a drift that does not
     depend on scale."""
-    vals = trajectory.energy_log[k]
+    vals = log[k]
     drift = np.abs(vals - vals[0]).max()
-    size = trajectory.energy_log[1][0] / (2.0 * np.pi)
+    size = log[1][0] / (2.0 * np.pi)
     floor = 1e-12 * size ** (2 - k if k >= 0 else 1 - k)
     # no drift is none also where E_k and its floor underflow to 0
     return drift and drift / max(abs(vals[0]), floor)
@@ -183,13 +177,12 @@ def commutator_defect(curve, i, j, dt):
     return np.sqrt(curve.seg_len * np.sum(d * d))
 
 
-def export_trajectory(trajectory, outdir):
+def export_trajectory(snapshots, log, times, outdir):
     """Directory of numbered curve JSON files plus one energy CSV."""
     os.makedirs(outdir, exist_ok=True)
-    for i, snap in enumerate(trajectory.snapshots):
+    for i, snap in enumerate(snapshots):
         save_curve(snap, os.path.join(outdir, "curve_%04d.json" % i))
-    ks = sorted(trajectory.energy_log)
+    ks = sorted(log)
     write_table(os.path.join(outdir, "energies.csv"),
                 ",".join(["t"] + ["E_%d" % k for k in ks]),
-                [trajectory.time_grid]
-                + [trajectory.energy_log[k] for k in ks])
+                [times] + [log[k] for k in ks])

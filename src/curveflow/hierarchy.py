@@ -9,8 +9,6 @@ low-order gradients (G_{-2} .. G_3) are implemented independently as a
 cross-check; for k >= 0 the two are related by G_k = T x Y_k.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curves import Stencil, ddx, deriv
@@ -118,13 +116,6 @@ def recursion_residual(k, curve):
     return float(np.sqrt(curve.seg_len * np.sum(res * res)))
 
 
-@dataclass(frozen=True)
-class MultiplierFit:
-    coefficients: np.ndarray   # c_0 .. c_{k-1}
-    axis_term: np.ndarray      # fitted constant vector v
-    residual: float            # L2 norm of Y_k - sum c_i Y_i - v
-
-
 def _axis_columns(curve):
     """Constant vector fields compatible with the monodromy.
 
@@ -140,7 +131,9 @@ def _axis_columns(curve):
 
 
 def fit_multipliers(curve, k):
-    """Least-squares fit of Y_k = sum_{i<k} c_i Y_i + v in L2(dx).
+    """Least-squares fit of Y_k = sum_{i<k} c_i Y_i + v in L2(dx): the
+    coefficients c_0 .. c_{k-1}, the constant vector v and the L2 norm of
+    the residual Y_k - sum c_i Y_i - v.
 
     A fit whose fields differ from their long-double values by more than
     _FIELD_ROUNDOFF of their L2 norm is refused: its residual would measure
@@ -169,9 +162,7 @@ def fit_multipliers(curve, k):
     target = ys[k].ravel()
     sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     res = target - design @ sol
-    coeff = sol[:k]
     v = np.zeros(3)
     for a, c in zip(axis_cols, sol[k:]):
         v = v + c * a[0]
-    residual = np.sqrt(curve.seg_len * np.sum(res * res))
-    return MultiplierFit(coeff, v, residual)
+    return sol[:k], v, np.sqrt(curve.seg_len * np.sum(res * res))

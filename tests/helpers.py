@@ -228,4 +228,4 @@ def poincare_embed(curve, lam, points):
 def step(curve, spec):
     """The curve after the spec's steps: one RK4 step for a one-step spec,
     and the optional arclength resampling after it."""
-    return evolve(curve, spec).snapshots[-1]
+    return evolve(curve, spec)[0][-1]

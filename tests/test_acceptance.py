@@ -56,8 +56,8 @@ def test_criterion_3_conservation():
     for c in curves:
         drift = {}
         for dt, steps in ((1e-3, 1000), (5e-4, 2000)):
-            traj = evolve(c, FlowSpec({1: 1.0}, dt, steps), axis=EZ)
-            drift[dt] = {k: max_relative_drift(traj, k)
+            _, log, _ = evolve(c, FlowSpec({1: 1.0}, dt, steps), axis=EZ)
+            drift[dt] = {k: max_relative_drift(log, k)
                          for k in (-2, -1, 1, 2, 3)}
         for k in (-2, -1, 1, 2, 3):
             ok &= drift[1e-3][k] <= 1e-6
@@ -139,18 +139,18 @@ def test_criterion_9_darboux_invariance():
     h = make_helix(1.0, 1.0, 1.0, 256)
     e0 = {k: energy(k, h) for k in (1, 2, 3)}
     for lam in (1.0j, 1.0 + 1.0j, 0.5 + 2.0j):
-        r = darboux_transform(h, lam)[1]
-        dists = np.linalg.norm(r.raw_points - h.samples, axis=1)
+        eta, points, s, dist, pre = darboux_transform(h, lam)[1]
+        dists = np.linalg.norm(points - h.samples, axis=1)
         ok &= np.ptp(dists) <= 1e-8
-        ok &= r.pre_resample_deviation <= 1e-6
-        ok &= abs(measured_length(r.curve) - measured_length(h)) <= 1e-6
+        ok &= pre <= 1e-6
+        ok &= abs(measured_length(eta) - measured_length(h)) <= 1e-6
         for k in (1, 2, 3):
-            ok &= abs(energy(k, r.curve, near=e0[2] if k == 2 else None)
+            ok &= abs(energy(k, eta, near=e0[2] if k == 2 else None)
                       - e0[k]) <= 1e-4
         m = h.monodromy
         wrap = (m.apply_vector(h.samples[0]) + m.translation
-                + r.distance * r.s_field[-1])
-        ok &= np.abs(wrap - (m.apply_vector(r.raw_points[0])
+                + dist * s[-1])
+        ok &= np.abs(wrap - (m.apply_vector(points[0])
                              + m.translation)).max() \
             <= 1e-8 * h.seg_len
     report(9, ok)
@@ -159,19 +159,19 @@ def test_criterion_9_darboux_invariance():
 def test_criterion_10_elastica():
     ok = True
     for c in (make_circle(1.0, 512), make_helix(1.0, 1.0, 1.0, 512)):
-        ok &= fit_multipliers(c, 3).residual <= 1e-5
+        ok &= fit_multipliers(c, 3)[2] <= 1e-5
     control = make_perturbed_circle(1.0, 512, 0.10, modes=(2, 3), seed=0)
-    ok &= fit_multipliers(control, 3).residual >= 1e-2
+    ok &= fit_multipliers(control, 3)[2] >= 1e-2
     # the tangent-cross-curvature flow moves the helix by a rigid screw
     h = make_helix(1.0, 1.0, 1.0, 256)
     t = 0.5
-    traj = evolve(h, FlowSpec({1: 1.0}, 5e-4, 1000))
+    snapshots, _, _ = evolve(h, FlowSpec({1: 1.0}, 5e-4, 1000))
     a = -t / (2.0 * np.sqrt(2.0))
     rot = np.array([[np.cos(a), -np.sin(a), 0.0],
                     [np.sin(a), np.cos(a), 0.0],
                     [0.0, 0.0, 1.0]])
     expect = h.samples @ rot.T + np.array([0.0, 0.0, -a])
-    reg = rigid_register(traj.snapshots[-1].samples, expect)
+    reg = rigid_register(snapshots[-1].samples, expect)
     ok &= np.linalg.norm(reg - expect, axis=1).max() <= 1e-4
     report(10, ok)
 
@@ -180,9 +180,9 @@ def test_criterion_11_finite_gap():
     residuals = []
     for n in (64, 128, 256, 512):
         c = make_circle(1.0, n)
-        fit = fit_multipliers(c, 2)
+        coefficients, _, _ = fit_multipliers(c, 2)
         residuals.append(finite_gap_residual(c, from_curve(c, 2,
-                                                           fit.coefficients)))
+                                                           coefficients)))
     ok = residuals[-1] <= 1e-5
     # the convergence order is measured below the n = 512 roundoff floor
     for a, b in zip(residuals[:3], residuals[1:3]):

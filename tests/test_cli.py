@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import curveflow
-from curveflow import cli, darboux, frames
+from curveflow import cli, curves, darboux, frames
 from curveflow.cli import main, parse_axis, parse_curve, parse_weights
 from curveflow.artifacts import save_curve, save_loop
-from curveflow.curves import make_circle
+from curveflow.curves import Curve, Monodromy, make_circle
 from curveflow.errors import ArgumentError
 from curveflow.functionals import energy
 from helpers import racetrack, rebased
@@ -469,6 +469,23 @@ def test_numerical_exit_code_writes_diagnostics(tmp_path):
     with open(out / "diagnostics.json") as f:
         diag = json.load(f)
     assert diag["error"] == "BranchPointError"
+
+
+def test_flow_resampling_failure_writes_diagnostics(tmp_path):
+    # a rough random polyline: flow 0 barely moves it, and resampling it
+    # after the one step stalls above its tolerance
+    path = str(tmp_path / "rough.json")
+    save_curve(Curve(np.random.default_rng(0).standard_normal((64, 3)), 1.0,
+                     Monodromy.identity()), path)
+    code, out = run(tmp_path, "flow", "--curve", path, "--flow", "0",
+                    "--dt", "1e-6", "--steps", "1", "--resample-every", "1")
+    assert code == 3
+    assert os.listdir(out) == ["diagnostics.json"]
+    with open(out / "diagnostics.json") as f:
+        diag = json.load(f, parse_constant=reject_constant)
+    assert diag["error"] == "ResamplingError"
+    assert np.isfinite(diag["residual"])
+    assert diag["residual"] > curves._RESAMPLE_TOL
 
 
 def test_deterministic_rerun(tmp_path):

@@ -2,8 +2,8 @@
 package is used by the package itself: a name that only tests read belongs
 in tests/helpers.py.  The re-exports of curveflow/__init__.py count as uses,
 since they are the public API, but only the paper's checks below may be
-read there alone, and only their outputs below may go unread.  A private
-name, _name, is read only by its own module."""
+read there alone.  Every dataclass field is read by the package, with no
+exceptions.  A private name, _name, is read only by its own module."""
 
 import ast
 import pathlib
@@ -21,10 +21,6 @@ PAPER_CHECKS = {
     "hyperbolic_family", "monodromy_angle", "recursion_residual",
     "sym_curve", "torsion_shift_check",
 }
-
-# the outputs of those checks that the package gives to the tests and does
-# not read itself
-PAPER_CHECK_FIELDS = {"DarbouxResult.s_field"}
 
 
 def definitions(tree):
@@ -158,7 +154,7 @@ def test_no_field_goes_unread():
             and isinstance(node.ctx, ast.Load)}
     unread = {field for tree in trees.values() for field in fields(tree)
               if field.partition(".")[2] not in read}
-    assert unread == PAPER_CHECK_FIELDS
+    assert unread == set()
 
 
 def calls(tree):

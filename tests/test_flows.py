@@ -50,31 +50,31 @@ def test_helix_screw_motion():
     # at rate -1/(2 sqrt 2) and translation along z at rate +1/(2 sqrt 2)
     h = make_helix(1.0, 1.0, 1.0, 256)
     t = 0.1
-    traj = evolve(h, FlowSpec({1: 1.0}, 2e-4, 500))
+    snapshots, _, _ = evolve(h, FlowSpec({1: 1.0}, 2e-4, 500))
     a = -t / (2.0 * np.sqrt(2.0))
     rot = np.array([[np.cos(a), -np.sin(a), 0.0],
                     [np.sin(a), np.cos(a), 0.0],
                     [0.0, 0.0, 1.0]])
     expect = h.samples @ rot.T + np.array([0.0, 0.0, -a])
-    npt.assert_allclose(traj.snapshots[-1].samples, expect, atol=1e-7)
-    assert arclength_deviation(traj.snapshots[-1]) < 1e-8
+    npt.assert_allclose(snapshots[-1].samples, expect, atol=1e-7)
+    assert arclength_deviation(snapshots[-1]) < 1e-8
 
 
 def test_flow_is_reversible():
     h = make_helix(1.0, 1.0, 1.0, 256)
-    fwd = evolve(h, FlowSpec({1: 1.0}, 2e-4, 500))
-    back = evolve(fwd.snapshots[-1], FlowSpec({1: -1.0}, 2e-4, 500))
-    npt.assert_allclose(back.snapshots[-1].samples, h.samples, atol=1e-10)
+    fwd, _, _ = evolve(h, FlowSpec({1: 1.0}, 2e-4, 500))
+    back, _, _ = evolve(fwd[-1], FlowSpec({1: -1.0}, 2e-4, 500))
+    npt.assert_allclose(back[-1].samples, h.samples, atol=1e-10)
 
 
 def test_energy_drift_small():
     # drift is dominated by the spatial discretization of the functionals,
     # which grows with the derivative count inside E_k
     p = make_perturbed_circle(1.0, 192, 0.05, modes=(2, 3), seed=1)
-    traj = evolve(p, FlowSpec({1: 1.0}, 2e-4, 500))
+    _, log, _ = evolve(p, FlowSpec({1: 1.0}, 2e-4, 500))
     bounds = {1: 1e-10, 3: 1e-6, 4: 1e-6, 5: 1e-3}
     for k, bound in bounds.items():
-        assert max_relative_drift(traj, k) < bound
+        assert max_relative_drift(log, k) < bound
 
 
 def test_commuting_flows_euler_defect():
@@ -121,9 +121,9 @@ def test_evolve_reports_in_batches(monkeypatch):
 
     monkeypatch.setattr(functionals, "parallel_normal_frame", counting)
     c = make_circle(1.0, 64)
-    traj = evolve(c, FlowSpec({1: 1.0}, 1e-3, 200), axis=[0.0, 0.0, 1.0])
+    _, log, _ = evolve(c, FlowSpec({1: 1.0}, 1e-3, 200), axis=[0.0, 0.0, 1.0])
     batch = flows._REPORT_SAMPLES // 64
-    assert all(len(column) == 201 for column in traj.energy_log.values())
+    assert all(len(column) == 201 for column in log.values())
     assert len(scans) == 1 + -(-200 // batch)
     assert scans[0] == (1, 64, 3) and scans[1] == (batch, 64, 3)
 
@@ -160,17 +160,17 @@ def test_evolve_reports_snapshot_0_first_and_the_rest_after_the_steps(
 ], ids=["screw-helix", "line", "pc224"])
 def test_evolve_log_matches_one_report_at_a_time(curve, axis):
     # resampling after every step gives the snapshots their own seg_len
-    traj = evolve(curve, FlowSpec({1: 1.0}, 1e-4, 30, resample_every=1),
-                  axis=axis)
+    snapshots, log, _ = evolve(
+        curve, FlowSpec({1: 1.0}, 1e-4, 30, resample_every=1), axis=axis)
     near = None
-    assert sorted(traj.energy_log) == list(range(-2, 7))
-    for i, snap in enumerate(traj.snapshots):
+    assert sorted(log) == list(range(-2, 7))
+    for i, snap in enumerate(snapshots):
         want, _ = energy_reports([snap], axis=axis, near_torsion=near)
         near = want[2][0]
-        for k, column in traj.energy_log.items():
+        for k, column in log.items():
             assert same_bits(column[i], want[k][0]), (i, k)
     if curve.n == 224:
-        assert len({s.seg_len for s in traj.snapshots}) > 1
+        assert len({s.seg_len for s in snapshots}) > 1
 
 
 def test_report_failure_surfaces_before_a_later_blow_up(monkeypatch):
@@ -218,12 +218,12 @@ def test_rigid_register_and_hausdorff():
 
 def test_export_trajectory(tmp_path):
     c = make_circle(1.0, 128)
-    traj = evolve(c, FlowSpec({1: 1.0}, 1e-3, 4))
+    snapshots, log, times = evolve(c, FlowSpec({1: 1.0}, 1e-3, 4))
     out = tmp_path / "run"
-    export_trajectory(traj, out)
+    export_trajectory(snapshots, log, times, out)
     assert (out / "energies.csv").exists()
     assert (out / "curve_0000.json").exists()
-    last = "curve_%04d.json" % (len(traj.snapshots) - 1)
+    last = "curve_%04d.json" % (len(snapshots) - 1)
     assert (out / last).exists()
 
 
@@ -235,9 +235,9 @@ def test_energy_drift_is_fourth_order_in_space():
     drift = []
     for n, dt in ((112, 1e-3), (224, 1e-3), (448, 2.5e-4)):
         c = make_perturbed_circle(1.0, n, 0.05, modes=(2,), seed=1)
-        traj = evolve(c, FlowSpec({1: 1.0}, dt, int(round(1.0 / dt))),
-                      axis=[0.0, 0.0, 1.0])
-        drift.append({k: max_relative_drift(traj, k) for k in (-2, -1, 2, 3)})
+        _, log, _ = evolve(c, FlowSpec({1: 1.0}, dt, int(round(1.0 / dt))),
+                           axis=[0.0, 0.0, 1.0])
+        drift.append({k: max_relative_drift(log, k) for k in (-2, -1, 2, 3)})
     for coarse, fine in zip(drift, drift[1:]):
         for k in (-2, -1, 2, 3):
             assert coarse[k] / fine[k] >= 12.0
@@ -300,12 +300,12 @@ def test_rk4_step_allocates_only_its_stages(curve, coefficients):
 def test_evolve_runs_share_no_state():
     c = make_helix(1.0, 0.5, 1.3, 96)
     spec = FlowSpec({1: 1.0, 2: 0.5}, 2e-5, 12, resample_every=3)
-    a, b = evolve(c, spec), evolve(c, spec)
-    for x, y in zip(a.snapshots, b.snapshots):
+    (snaps_a, log_a, _), (snaps_b, log_b, _) = evolve(c, spec), evolve(c, spec)
+    for x, y in zip(snaps_a, snaps_b):
         assert same_bits(x.samples, y.samples) and x.seg_len == y.seg_len
-    assert sorted(a.energy_log) == sorted(b.energy_log)
-    for k, column in a.energy_log.items():
-        assert same_bits(column, b.energy_log[k])
+    assert sorted(log_a) == sorted(log_b)
+    for k, column in log_a.items():
+        assert same_bits(column, log_b[k])
 
 
 def test_resampled_run_matches_reference_steps():
@@ -313,9 +313,9 @@ def test_resampled_run_matches_reference_steps():
     # a new Stencil; the reference takes each RK4 stage on a new Curve
     c = make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=1)
     co, dt, steps = {1: 1.0}, 1e-4, 6
-    traj = evolve(c, FlowSpec(co, dt, steps, resample_every=1))
+    snapshots, _, _ = evolve(c, FlowSpec(co, dt, steps, resample_every=1))
     current = c
-    for snap in traj.snapshots[1:]:
+    for snap in snapshots[1:]:
         x = current.samples
         k1 = fresh_velocity(current, x, co)
         k2 = fresh_velocity(current, x + 0.5 * dt * k1, co)
@@ -325,17 +325,17 @@ def test_resampled_run_matches_reference_steps():
         current = resample_arclength(x, c.monodromy, c.n)
         assert same_bits(snap.samples, current.samples)
         assert snap.seg_len == current.seg_len
-    assert len({s.seg_len for s in traj.snapshots}) == steps + 1
+    assert len({s.seg_len for s in snapshots}) == steps + 1
 
 
 def test_steps_between_resamplings_keep_the_resampled_seg_len():
     # with resampling every 3 steps, the two steps after a resampling move
     # the resampled samples and keep its seg_len, not the starting curve's
     c = make_perturbed_circle(1.0, 128, 0.05, modes=(2,), seed=0)
-    traj = evolve(c, FlowSpec({1: 1.0}, 1e-4, 12, resample_every=3))
+    snapshots, _, _ = evolve(c, FlowSpec({1: 1.0}, 1e-4, 12, resample_every=3))
     latest = c
-    for i, snap in enumerate(traj.snapshots):
+    for i, snap in enumerate(snapshots):
         if i and i % 3 == 0:
             latest = snap
         assert snap.seg_len == latest.seg_len
-    assert len({s.seg_len for s in traj.snapshots}) == 5
+    assert len({s.seg_len for s in snapshots}) == 5
