@@ -12,8 +12,7 @@ from .functionals import (energy, energy_reports,
 from .flows import FlowSpec, evolve, commutator_defect
 from .loops import (loop_cross, V_k, lax_evolve, spectral_polynomial,
                     from_curve, finite_gap_residual)
-from .frames import (integrate_frames, sym_curve, monodromy_angle,
-                     monodromy_angle_scan, hamiltonians_from_angle,
-                     torsion_shift_check)
+from .frames import (integrate_frames, sym_curve, monodromy_angle_scan,
+                     hamiltonians_from_angle, torsion_shift_check)
 from .darboux import (hyperbolic_family, fixed_points, darboux_transform,
                       spectral_image_scan)

@@ -414,12 +414,6 @@ def arclength_deviation(curve):
     return np.abs(segs - curve.seg_len).max() / curve.seg_len
 
 
-def measured_length(curve):
-    """Quadrature length using the finite-difference tangents gamma'."""
-    sp = np.linalg.norm(deriv(curve, 1), axis=-1)
-    return curve.seg_len * sp.sum(axis=-1)
-
-
 def _arclengths(length, n):
     """The arclengths length k / n of n >= 8 samples k < n, refusing a
     length whose product with n overflows."""

@@ -377,9 +377,10 @@ def _dF(curve, lam):
                               [count])[0][0].imag / step
 
 
-def _sym(curve, lam):
-    """(points, F[-1] A): the Sym curve's samples and the monodromy of the
-    frame F they are formed from."""
+def sym_curve(curve, lam):
+    """(points, F[-1] A) at real lambda: gamma_lambda's samples, n+1 points
+    including the wrap image, and the monodromy of the frame F they are
+    formed from."""
     lam = complex(lam)
     if lam.imag != 0.0:
         raise ArgumentError("Sym formula requires real lambda; "
@@ -388,12 +389,6 @@ def _sym(curve, lam):
     (F,), (rotation,) = integrate_frames(curve, [lam.real])
     g = qmath.qmul(_dF(curve, lam.real), qmath.qinv(F))
     return curve.samples[0] + 2.0 * g[:, 1:], rotation
-
-
-def sym_curve(curve, lam):
-    """gamma_lambda samples (n+1 points, including the wrap image) at real
-    lambda."""
-    return _sym(curve, lam)[0]
 
 
 def angle_from_quat(q, pred):
@@ -469,12 +464,6 @@ def monodromy_angle_scan(curve, lambdas):
             (residuals + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def monodromy_angle(curve, lam):
-    """(lambda, theta, axis, area, residual) at a single lambda, anchored by
-    the asymptotic series: the one row of the one-point scan."""
-    return tuple(column[0] for column in monodromy_angle_scan(curve, [lam]))
-
-
 def hamiltonians_from_angle(curve, kmax=5):
     """E_0 .. E_kmax of theta(lambda) ~ sum_k E_k lambda^(2-k) by the
     trapezoid rule on |lambda| = R = 4 pi / L (Trefethen & Weideman, SIAM
@@ -499,7 +488,7 @@ def hamiltonians_from_angle(curve, kmax=5):
 def torsion_shift_check(curve, lam):
     """(E_2 of gamma_lambda, E_2 + lambda E_1): the two should agree."""
     # the translation of gamma_lambda's monodromy, from its wrap image
-    pts, rot = _sym(curve, lam)
+    pts, rot = sym_curve(curve, lam)
     mono = Monodromy(rot, pts[-1] - qmath.qrotate(rot, pts[0]))
     new = resample_arclength(pts[:-1], mono, curve.n)
     e1, e2 = energy(1, curve), energy(2, curve)

@@ -12,9 +12,8 @@ caller-supplied nearby value so trajectories never jump branches.
 
 import numpy as np
 
-from .curves import (Curve, check_scale, deriv, measured_length,
-                     parallel_normal_frame, resample_arclength,
-                     winding_number)
+from .curves import (Curve, check_scale, deriv, parallel_normal_frame,
+                     resample_arclength, winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
 from .qmath import cross, dot
@@ -67,9 +66,9 @@ def _energy(k, curve, axis):
     dx = curve.seg_len
     if k == 0:
         return 0.0 * dx
-    if k == 1:
-        return measured_length(curve)
     d1 = deriv(curve, 1)
+    if k == 1:
+        return dx * np.linalg.norm(d1, axis=-1).sum(axis=-1)
     # a (B, n, 3) @ (3,) product runs the one-curve matrix-vector kernel on
     # each curve
     if k == -1:
@@ -136,15 +135,6 @@ def energy_reports(curves, axis=None, near_torsion=None):
     return values, turns.astype(int)
 
 
-def gradient(k, curve, axis=None):
-    """The variational gradient used by the consistency checks."""
-    if -2 <= k <= 3:
-        return gradient_G(k, curve, axis=axis)
-    if k > 3:
-        return gradient_from_Y(k, curve, dtype=np.longdouble)
-    raise RangeError("no gradient for k = %d" % k)
-
-
 def directional_derivative_check(k, curve, direction, h, axis=None):
     """(finite difference of E_k along `direction`, <G_k, direction>).
 
@@ -167,6 +157,7 @@ def directional_derivative_check(k, curve, direction, h, axis=None):
         return (at(step) - at(-step)) / (2.0 * step)
 
     fd = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    g = gradient(k, curve, axis=axis)
+    g = (gradient_G(k, curve, axis=axis) if k <= 3
+         else gradient_from_Y(k, curve, dtype=np.longdouble))
     inner = curve.seg_len * np.sum(g * direction)
     return fd, inner

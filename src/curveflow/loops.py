@@ -51,13 +51,6 @@ def V_k(xi, k):
     return out
 
 
-def lax_velocity(xi, weights):
-    out = np.zeros_like(xi)
-    for k, w in weights.items():
-        out = out + w * V_k(xi, k)
-    return out
-
-
 def lax_evolve(xi, weights, dt, steps):
     """RK4 evolution of xi under sum_k w_k V_k; returns xi, as a float or
     complex array, and the state after every max(1, steps // 200)-th step
@@ -71,7 +64,10 @@ def lax_evolve(xi, weights, dt, steps):
     log_every = max(1, steps // 200)
 
     def v(x):
-        return lax_velocity(x, weights)
+        out = np.zeros_like(x)
+        for k, w in weights.items():
+            out = out + w * V_k(x, k)
+        return out
 
     snaps = [c]
     # a step that overflows is refused below, not warned about

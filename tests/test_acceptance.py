@@ -2,12 +2,11 @@
 
 import numpy as np
 
-from curveflow.curves import (make_circle, make_helix,
-                              make_perturbed_circle, measured_length)
+from curveflow.curves import make_circle, make_helix, make_perturbed_circle
 from curveflow.darboux import darboux_transform
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
                              max_relative_drift)
-from curveflow.frames import (hamiltonians_from_angle, monodromy_angle,
+from curveflow.frames import (hamiltonians_from_angle, monodromy_angle_scan,
                               torsion_shift_check)
 from curveflow.functionals import directional_derivative_check, energy
 from curveflow.hierarchy import fit_multipliers, recursion_residual
@@ -105,7 +104,7 @@ def test_criterion_6_angle_generating_function():
     expect = [0.0, 2.0 * np.pi, 0.0, np.pi, 0.0, -np.pi / 4.0]
     ok &= np.abs(np.array(fitted) - expect).max() <= 1e-3
     for lam in (0.7, 1.5, 3.0):
-        _, theta, *_ = monodromy_angle(c, lam)
+        _, (theta,), *_ = monodromy_angle_scan(c, [lam])
         ok &= abs(theta - 2.0 * np.pi * np.sqrt(1.0 + lam * lam)) <= 1e-6
     h = make_helix(1.0, 1.0, 1.0, 256)
     fh = hamiltonians_from_angle(h, kmax=4)
@@ -130,7 +129,7 @@ def test_criterion_8_gauss_bonnet():
     ok = True
     for c in (make_circle(1.0, 256), make_helix(1.0, 1.0, 1.0, 256)):
         for lam in (2.0, 5.0, 10.0):
-            ok &= abs(monodromy_angle(c, lam)[4]) <= 1e-4
+            ok &= abs(monodromy_angle_scan(c, [lam])[4][0]) <= 1e-4
     report(8, ok)
 
 
@@ -143,7 +142,7 @@ def test_criterion_9_darboux_invariance():
         dists = np.linalg.norm(points - h.samples, axis=1)
         ok &= np.ptp(dists) <= 1e-8
         ok &= pre <= 1e-6
-        ok &= abs(measured_length(eta) - measured_length(h)) <= 1e-6
+        ok &= abs(energy(1, eta) - energy(1, h)) <= 1e-6
         for k in (1, 2, 3):
             ok &= abs(energy(k, eta, near=e0[2] if k == 2 else None)
                       - e0[k]) <= 1e-4

@@ -15,10 +15,11 @@ from curveflow.curves import (Curve, Monodromy, Stencil, _not_a_knot_slopes,
                               _Spline, _spline_through, arclength_deviation,
                               ddx, deriv, extend, make_circle, make_helix,
                               make_line, make_perturbed_circle,
-                              measured_length, parallel_normal_frame,
-                              resample_arclength, tangent)
+                              parallel_normal_frame, resample_arclength,
+                              tangent)
 from curveflow.errors import (DegenerateInputError,
                               DegenerateResolutionError)
+from curveflow.functionals import energy
 from helpers import (complex_curvature, is_identity, random_equivariant_field,
                      same_bits, similar_copies)
 from oracles import loop_parallel_normal_frame, scan_parallel_normal_frame
@@ -72,7 +73,7 @@ def test_line_basics():
     t = tangent(c)
     npt.assert_allclose(t, np.broadcast_to([1.0, 0, 0], t.shape), atol=1e-12)
     npt.assert_allclose(deriv(c, 2), 0.0, atol=1e-12)
-    assert abs(measured_length(c) - 3.0) < 1e-12
+    assert abs(energy(1, c) - 3.0) < 1e-12
 
 
 def test_wrap_segment_closed_by_monodromy():

@@ -12,7 +12,7 @@ from curveflow.darboux import (darboux_transform, fixed_points,
                                hyperbolic_family, spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
 from curveflow.frames import (integrate_frames, monodromies,
-                              monodromy_angle)
+                              monodromy_angle_scan)
 from curveflow.functionals import energy
 from helpers import (det_residual, hausdorff_distance, hermitian_residual,
                      hyperbolic_speeds, poincare_embed, same_bits,
@@ -50,7 +50,7 @@ def test_real_lambda_fixed_points_are_axis():
     # for real lambda the monodromy is a rotation and the ideal fixed
     # points are the two ends of its axis
     c = make_circle(1.0, 256)
-    _, _, axis, *_ = monodromy_angle(c, 2.0)
+    _, _, (axis,), *_ = monodromy_angle_scan(c, [2.0])
     sp, sm, *_ = fixed_points(monodromies(c, [2.0 + 0.0j])[0])
     agree = min(np.linalg.norm(sp - axis), np.linalg.norm(sp + axis))
     assert agree < 1e-10

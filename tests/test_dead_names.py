@@ -13,13 +13,10 @@ PACKAGE = ROOT / "src" / "curveflow"
 INIT = PACKAGE / "__init__.py"
 
 # the checks of the paper's identities, which the package exports for the
-# tests to run and does not call itself.  sym_curve, the Sym formula's
-# points alone, is the real-lambda twin of hyperbolic_family; the torsion
-# shift check reads the points with their frame's monodromy
+# tests to run and does not call itself
 PAPER_CHECKS = {
     "directional_derivative_check", "finite_gap_residual", "from_curve",
-    "hyperbolic_family", "monodromy_angle", "recursion_residual",
-    "sym_curve", "torsion_shift_check",
+    "hyperbolic_family", "recursion_residual", "torsion_shift_check",
 }
 
 

@@ -15,9 +15,8 @@ from curveflow.curves import (Curve, Monodromy, deriv, make_circle,
 from curveflow.darboux import spectral_image_scan
 from curveflow.errors import ArgumentError, FrameDeterminantError
 from curveflow.frames import (angle_from_quat, hamiltonians_from_angle,
-                              integrate_frames, monodromy_angle,
-                              monodromy_angle_scan, sym_curve,
-                              torsion_shift_check)
+                              integrate_frames, monodromy_angle_scan,
+                              sym_curve, torsion_shift_check)
 from curveflow.functionals import energy
 from helpers import (group_residual, moved_copy, same_bits, similar_copies,
                      sym_points, sym_translation)
@@ -80,7 +79,7 @@ def test_integrate_frames_matches_per_lambda_loop(case):
         if np.isrealobj(got):
             lam = complex(lam).real
             assert relative_error(frames._dF(c, lam), dF) <= DF_BOUND
-            assert relative_error(sym_curve(c, lam),
+            assert relative_error(sym_curve(c, lam)[0],
                                   sym_points(c, want, dF)) <= DF_BOUND
 
 
@@ -132,7 +131,7 @@ def test_lazy_derivative_matches_loop_oracle(monkeypatch):
     (got_F,), (rotation,) = integrate_frames(h, [lam])
     assert np.array_equal(got_F, F)
     assert relative_error(frames._dF(h, lam), dF) <= DF_BOUND
-    got, want = sym_curve(h, lam), sym_points(h, F, dF)
+    got, want = sym_curve(h, lam)[0], sym_points(h, F, dF)
     assert relative_error(got, want) <= DF_BOUND
     assert relative_error(sym_translation(got, rotation),
                           sym_translation(want, rotation)) <= DF_BOUND
@@ -221,13 +220,13 @@ def test_sym_curve_does_not_depend_on_scale():
     # An absolute step of 1e-20 was off by 2.4e-3 at s = 1e-300, by 5.5 at
     # s = 1e20, and NaN with RuntimeWarnings from s = 1e25
     c = make_helix(1.0, 0.5, 1.3, 64)
-    want = sym_curve(c, 0.8)
+    want = sym_curve(c, 0.8)[0]
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     for scale in (1e-300, 1e-100, 1e-20, 1e15, 1e20, 1e25, 1e100, 1e300):
         copy = moved_copy(c, scale, identity, np.zeros(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sym_curve(copy, 0.8 / scale) / scale
+            got = sym_curve(copy, 0.8 / scale)[0] / scale
         assert relative_error(got, want) <= 1e-14, scale
 
 
@@ -260,7 +259,7 @@ def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
     # one substep loop for F and one for dF's complex step: the Sym curve's
     # rotation is F[-1] A of the F its points are formed from
     calls = []
-    build = frames._sym
+    build = frames.sym_curve
     factors = frames._interval_factors
 
     def counting(curve, lam):
@@ -273,7 +272,7 @@ def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
 
     h = make_helix(1.0, 1.0, 1.0, 128)
     shift = torsion_shift_check(h, 0.8)
-    monkeypatch.setattr(frames, "_sym", counting)
+    monkeypatch.setattr(frames, "sym_curve", counting)
     monkeypatch.setattr(frames, "_interval_factors", counting_factors)
     assert torsion_shift_check(h, 0.8) == shift
     assert calls == [0.8, [0.8], [complex(0.8, frames._CSTEP / h.length)]]
@@ -739,7 +738,7 @@ def test_circle_angle_closed_form():
     # theta(lambda) = 2 pi sqrt(1 + lambda^2) on the unit circle
     c = make_circle(1.0, 256)
     for lam in (0.7, 1.3, 2.5):
-        _, theta, *_ = monodromy_angle(c, lam)
+        _, (theta,), *_ = monodromy_angle_scan(c, [lam])
         assert abs(theta - 2.0 * np.pi * np.sqrt(1.0 + lam * lam)) < 1e-8
 
 
@@ -755,7 +754,7 @@ def test_circle_window_angle_closed_form(n):
 
 def test_line_angle_exact():
     l = make_line(2.0, 64)
-    _, theta, axis, *_ = monodromy_angle(l, 1.5)
+    _, (theta,), (axis,), *_ = monodromy_angle_scan(l, [1.5])
     assert abs(theta - 1.5 * 2.0) < 1e-12
     npt.assert_allclose(axis, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -847,8 +846,8 @@ def test_contour_needs_kmax_in_range():
 def test_angle_basepoint_independent():
     c = make_circle(1.0, 256)
     rolled = c.with_samples(np.roll(c.samples, 17, axis=0))
-    t0 = monodromy_angle(c, 1.3)[1]
-    t1 = monodromy_angle(rolled, 1.3)[1]
+    (t0,) = monodromy_angle_scan(c, [1.3])[1]
+    (t1,) = monodromy_angle_scan(rolled, [1.3])[1]
     assert abs(t0 - t1) < 1e-10
 
 
@@ -874,7 +873,7 @@ def test_spherical_sector_area_circle():
     # Gauss-Bonnet on the unit circle at lambda = 2:
     # area = theta - lambda E_1 - E_2 = 2 pi sqrt 5 - 4 pi
     c = make_circle(1.0, 256)
-    _, _, _, area, _ = monodromy_angle(c, 2.0)
+    _, _, _, (area,), _ = monodromy_angle_scan(c, [2.0])
     assert abs(area - (2.0 * np.pi * np.sqrt(5.0) - 4.0 * np.pi)) < 1e-6
 
 
@@ -882,15 +881,16 @@ def test_gauss_bonnet_residual():
     c = make_circle(1.0, 256)
     h = make_helix(1.0, 1.0, 1.0, 256)
     for lam in (2.0, 5.0, 10.0):
-        assert abs(monodromy_angle(c, lam)[4]) < 1e-5
-        assert abs(monodromy_angle(h, lam)[4]) < 1e-5
+        assert abs(monodromy_angle_scan(c, [lam])[4][0]) < 1e-5
+        assert abs(monodromy_angle_scan(h, [lam])[4][0]) < 1e-5
 
 
 def test_sector_area_denominator_guard(monkeypatch):
     # above the guard's bound, the area and the residual are undefined
     c = make_circle(1.0, 256)
     monkeypatch.setattr(frames, "_SECTOR_MIN_DENOMINATOR", 2.1)
-    _, theta, axis, area, residual = monodromy_angle(c, 2.0)
+    _, (theta,), (axis,), (area,), (residual,) = monodromy_angle_scan(
+        c, [2.0])
     assert np.isfinite(theta) and np.isfinite(axis).all()
     assert np.isnan(area) and np.isnan(residual)
 
@@ -922,7 +922,7 @@ def test_sym_requires_real_lambda():
     c = make_circle(1.0, 128)
     with pytest.raises(ArgumentError):
         sym_curve(c, 1.0 + 1.0j)
-    assert same_bits(sym_curve(c, 0.8 + 0.0j), sym_curve(c, 0.8))
+    assert same_bits(sym_curve(c, 0.8 + 0.0j)[0], sym_curve(c, 0.8)[0])
 
 
 def test_angle_from_quat_branches():
@@ -942,7 +942,7 @@ def test_frame_monodromy_closes_sym_curve():
     # own rotation A in its place misses by 3.4e-2 at the ends
     h = make_helix(1.0, 1.0, 1.0, 256)
     (F,), (rotation,) = integrate_frames(h, [0.8])
-    pts = sym_curve(h, 0.8)
+    pts = sym_curve(h, 0.8)[0]
     sym = Curve(pts[:-1], h.seg_len,
                 Monodromy(rotation, sym_translation(pts, rotation)))
     want = qmath.qrotate(F[:-1], tangent(h))
