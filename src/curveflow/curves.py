@@ -29,6 +29,8 @@ _GAUSS_W = np.array([
 # resampling: relative segment-length uniformity and iteration cap
 _RESAMPLE_TOL = 1e-10
 _RESAMPLE_ITER = 50
+# h max_w |(8 sin w - sin 2w) / 6h|: the most central_d1 amplifies a field
+STENCIL_GAIN = 1.3722
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,15 @@ class Monodromy:
 
     @cached_property
     def matrix(self):
-        m = qmath.rotation_matrix(self.rotation)
+        m = qmath.qrotate(self.rotation, np.eye(3)).T
         m.flags.writeable = False
         return m
 
     def apply_vector(self, vectors):
-        return qmath.qrotate(self.rotation, vectors)
+        return vectors @ self.matrix.T
 
     def apply_vector_inverse(self, vectors):
-        return qmath.qrotate(qmath.qconj(self.rotation), vectors)
+        return vectors @ self.matrix
 
     def is_rotation_trivial(self):
         return np.linalg.norm(self.rotation[1:]) < 1e-10
@@ -111,7 +113,7 @@ def _padder(buf, left, right, monodromy):
     identity = monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
     def fill(shift):
         if identity:
-            # qrotate by the identity returns v + 0 + 0
+            # a product with the identity matrix returns v + 0 + 0
             np.add(head, shift, out=after)
             np.subtract(tail, shift, out=before)
         else:

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import save_curve, write_table
-from .curves import Stencil, resample_arclength
+from .curves import STENCIL_GAIN, Stencil, resample_arclength
 from .errors import ArgumentError, BlowUpError, RangeError, StabilityError
 from .functionals import energy_reports
 from .hierarchy import symplectic_Y_list
 
-# max modulus of the 4th-order first-derivative stencil symbol
-_STENCIL_GAIN = 1.3722
 # RK4 imaginary-axis stability bound
 _RK4_IMAG = 2.8284
 # blow-up: samples beyond this multiple of the starting extent
@@ -53,7 +51,7 @@ def _check_stability(curve, spec):
     """Linearized spectral-radius guard: |omega_max * dt| <= RK4 bound."""
     omega = 0.0
     for k, c in spec.coefficients.items():
-        omega += abs(c) * (_STENCIL_GAIN / curve.seg_len) ** (k + 1)
+        omega += abs(c) * (STENCIL_GAIN / curve.seg_len) ** (k + 1)
     limit = _RK4_IMAG / omega
     if spec.dt > limit:
         raise StabilityError(

@@ -11,7 +11,7 @@ cross-check; for k >= 0 the two are related by G_k = T x Y_k.
 
 import numpy as np
 
-from .curves import Stencil, ddx, deriv
+from .curves import STENCIL_GAIN, Stencil, ddx, deriv
 from .errors import (ArgumentError, IllConditionedFitError,
                      MonodromyCompatibilityError, RangeError)
 from .qmath import cross, dot
@@ -22,6 +22,10 @@ from .qmath import cross, dot
 # circle and the helix, while on circle:n=64 Y_10 is 2.9e-4 off (the k = 60
 # residual read 2e47).
 _FIELD_ROUNDOFF = 1e-4
+# a fit drops the singular values below this multiple of n eps (STENCIL_GAIN
+# / h)^(k-1) of its largest, h at unit size, the samples' round-off through
+# k-1 stencils: the minimum-norm fit where fields are dependent (see README)
+_NOISE_CUTOFF = 2.0
 
 
 def check_axis(curve, axis):
@@ -143,8 +147,11 @@ def fit_multipliers(curve, k):
         raise RangeError("need k >= 1")
     # fields lost to round-off or overflow are refused, not warned about
     with np.errstate(all="ignore"):
-        ys = symplectic_Y_list(curve, k)
-        ref = symplectic_Y_list(curve, k, dtype=np.longdouble)
+        # fitted as the curve scaled by a power of two s to about unit size
+        s = 2.0 ** np.round(np.log2(curve.length / (2.0 * np.pi)))
+        powers = s ** np.arange(k + 1.0)[:, None, None]
+        ys = symplectic_Y_list(curve, k) * powers
+        ref = symplectic_Y_list(curve, k, dtype=np.longdouble) * powers
         for i, (y, r) in enumerate(zip(ys, ref)):
             err = np.linalg.norm(y - r)
             size = np.linalg.norm(r)
@@ -160,9 +167,13 @@ def fit_multipliers(curve, k):
     cols += [a.ravel() for a in axis_cols]
     design = np.stack(cols, axis=1)
     target = ys[k].ravel()
-    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=(
+        _NOISE_CUTOFF * curve.n * np.finfo(float).eps
+        * (STENCIL_GAIN * s / curve.seg_len) ** (k - 1)))
     res = target - design @ sol
     v = np.zeros(3)
     for a, c in zip(axis_cols, sol[k:]):
         v = v + c * a[0]
-    return sol[:k], v, np.sqrt(curve.seg_len * np.sum(res * res))
+    p = powers.ravel() / powers[k, 0, 0]   # s^(i-k), exact
+    return sol[:k] * p[:k], v * p[0], np.sqrt(
+        curve.seg_len * np.sum(res * res)) * p[0]

@@ -64,10 +64,8 @@ def lax_evolve(xi, weights, dt, steps):
     log_every = max(1, steps // 200)
 
     def v(x):
-        out = np.zeros_like(x)
-        for k, w in weights.items():
-            out = out + w * V_k(x, k)
-        return out
+        # from 0, as from zeros: a -0.0 term sums to +0.0
+        return sum(w * V_k(x, k) for k, w in weights.items())
 
     snaps = [c]
     # a step that overflows is refused below, not warned about

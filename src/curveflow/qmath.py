@@ -142,11 +142,6 @@ def qreduce(mul, factors):
     return factors[..., 0, :]
 
 
-def rotation_matrix(q):
-    """3x3 rotation matrix of a unit quaternion."""
-    return qrotate(q[..., None, :], np.eye(3)).swapaxes(-1, -2)
-
-
 def quat_from_axis_angle(axis, angle):
     axis = np.asarray(axis, dtype=float)
     half = 0.5 * angle

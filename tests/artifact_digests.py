@@ -17,7 +17,8 @@ four subcommands, and angle-scan, spectral-scan and darboux on further
 curves, grids and lambdas: a repeated-re grid, a real row, a grid through
 the circle's +-identity monodromies, a grid whose rows mix 7 substep
 counts, and a darboux that exits 3.  energies, flow and conserve also run
-on a screw helix, whose E_2 is chained on torsion branch 1.
+on a screw helix, whose E_2 is chained on torsion branch 1, and criticality
+fits its dependent fields.
 """
 
 import hashlib
@@ -72,6 +73,8 @@ CASES = [
                     "--axis", "0,0,1"]),
     ("conserve-screw", ["conserve", "--curve", SCREW, "--flow", "1,2=0.5",
                         "--dt", "1e-4", "--steps", "20", "--axis", "0,0,1"]),
+    # a fit whose fields are dependent: the minimum-norm multipliers
+    ("criticality-screw", ["criticality", "--curve", SCREW, "--k", "3"]),
 ]
 
 

@@ -1,16 +1,19 @@
 """Hyperbolic family, ideal fixed points, and Darboux transforms."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow.curves import (make_circle, make_helix, make_line,
-                              make_perturbed_circle, tangent)
+from curveflow import flows
+from curveflow.curves import (STENCIL_GAIN, make_circle, make_helix,
+                              make_line, make_perturbed_circle, tangent)
 from curveflow.darboux import (darboux_transform, fixed_points,
                                hyperbolic_family, spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
+from curveflow.flows import FlowSpec, evolve
 from curveflow.frames import (integrate_frames, monodromies,
                               monodromy_angle_scan)
 from curveflow.functionals import energy
@@ -146,16 +149,46 @@ def assert_fourth_order(errors):
 
 def test_darboux_keeps_every_energy_on_a_generic_curve():
     # isospectrality: every E_k of eta+ agrees with gamma's up to the
-    # 4th-order discretization error, here on a curve of varying curvature
-    # and torsion.  n = 64 is left out: E_4 falls 22x from 64 to 128
-    errors = []
-    for n in (128, 256, 512):
+    # 4th-order discretization error, on a curve of varying curvature and
+    # torsion and on helices with b != a, closed and with a screw monodromy
+    # (16.0 to 16.1 per doubling).  n = 64 is left out: the perturbed
+    # circle's E_4 falls 22x from 64 to 128
+    for make in (
+            lambda n: make_perturbed_circle(1.0, n, 0.1, modes=(2, 3), seed=0),
+            lambda n: make_helix(1.0, 0.5, 1.0, n),
+            lambda n: make_helix(1.0, 0.5, 1.3, n)):
+        errors = []
+        for n in (128, 256, 512):
+            c = make(n)
+            eta = darboux_transform(c, 1.0 + 1.0j)[0][0]
+            e0 = {k: energy(k, c) for k in range(1, 7)}
+            errors.append([abs(energy(k, eta, near=e0[2] if k == 2 else None)
+                               - e0[k]) for k in e0])
+        assert_fourth_order(errors)
+
+
+def test_darboux_commutes_with_flow_1():
+    # transforming after flow 1 is flowing after the transform, for each
+    # sign, up to the 4th-order discretization error (measured ratios 15.0
+    # to 15.8).  RK4 at a quarter of the stability limit adds far less.
+    # The swapped pairing, eta+ of one order against eta- of the other,
+    # stays apart by more than the flow moves the curve
+    lam, t = 1.0 + 1.0j, 0.02
+    distances = []
+    for n in (64, 128, 256):
         c = make_perturbed_circle(1.0, n, 0.1, modes=(2, 3), seed=0)
-        eta = darboux_transform(c, 1.0 + 1.0j)[0][0]
-        e0 = {k: energy(k, c) for k in range(1, 7)}
-        errors.append([abs(energy(k, eta, near=e0[2] if k == 2 else None)
-                           - e0[k]) for k in e0])
-    assert_fourth_order(errors)
+        limit = flows._RK4_IMAG * (c.seg_len / STENCIL_GAIN) ** 2
+        steps = math.ceil(t / (0.25 * limit))
+        spec = FlowSpec({1: 1.0}, t / steps, steps)
+        flowed = evolve(c, spec)[0][-1]
+        after = [eta.samples for eta, *_ in darboux_transform(flowed, lam)]
+        before = [evolve(eta, spec)[0][-1].samples
+                  for eta, *_ in darboux_transform(c, lam)]
+        distances.append([hausdorff_distance(a, b)
+                          for a, b in zip(after, before)])
+        assert (hausdorff_distance(after[0], before[1])
+                > hausdorff_distance(c.samples, flowed.samples))
+    assert_fourth_order(distances)
 
 
 def test_darboux_transforms_permute():

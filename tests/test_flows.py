@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow import flows, functionals
+from curveflow import flows, functionals, qmath
 from curveflow.curves import (Stencil, arclength_deviation, deriv,
                               make_circle, make_helix, make_line,
                               make_perturbed_circle, resample_arclength)
@@ -284,7 +284,7 @@ def test_stencil_velocity_has_the_bits_of_a_fresh_curve(curve, coefficients):
     ids=["identity", "screw", "translation"])
 def test_rk4_step_allocates_only_its_stages(curve, coefficients):
     # a step holds five fields, k1 .. k4 and the stage input; the stencil
-    # differences in its own buffers, and the pads' qrotate is small
+    # differences in its own buffers, and the pads' rotations are small
     spec = FlowSpec(coefficients, 1e-6, 1)
     stencil = Stencil(curve, max(coefficients))
     flows._advance(curve.samples, stencil, spec)   # caches the rotation
@@ -295,6 +295,25 @@ def test_rk4_step_allocates_only_its_stages(curve, coefficients):
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * curve.samples.nbytes
+
+
+def test_screw_pads_rotate_by_the_cached_matrix(monkeypatch):
+    # a warm step fills a rotated monodromy's pads by products with the
+    # monodromy's cached rotation matrix, not by quaternion rotations,
+    # which allocate about ten temporaries a call
+    curve = make_helix(1.0, 0.5, 1.3, 224)
+    spec = FlowSpec({1: 1.0}, 1e-6, 1)
+    stencil = Stencil(curve, 1)
+    flows._advance(curve.samples, stencil, spec)   # caches the rotation
+    calls = []
+    rotate = qmath.qrotate
+
+    def counting(q, v):
+        calls.append(v.shape)
+        return rotate(q, v)
+    monkeypatch.setattr(qmath, "qrotate", counting)
+    flows._advance(curve.samples, stencil, spec)
+    assert calls == []
 
 
 def test_evolve_runs_share_no_state():

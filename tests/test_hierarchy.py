@@ -12,7 +12,7 @@ from curveflow.errors import (ArgumentError, IllConditionedFitError,
 from curveflow.hierarchy import (check_axis, fit_multipliers, gradient_G,
                                  gradient_from_Y, recursion_residual,
                                  symplectic_Y_list)
-from helpers import random_equivariant_field, same_bits
+from helpers import moved_copy, random_equivariant_field, same_bits
 
 
 def test_gradients_match_cross_check():
@@ -116,6 +116,59 @@ def test_fit_multipliers_control():
     # a generic perturbed circle is not a critical point of the k=2 problem
     p = make_perturbed_circle(1.0, 256, 0.05, modes=(2, 3), seed=1)
     assert fit_multipliers(p, 2)[2] > 1e-2
+
+
+def perturbed_copy(curve, seed):
+    """The curve with each sample coordinate moved by about 1e-15 of
+    itself, a few units of its rounding."""
+    rng = np.random.default_rng(seed)
+    noise = 1.0 + 1e-15 * rng.standard_normal(curve.samples.shape)
+    return curve.with_samples(curve.samples * noise)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("make", [
+    lambda n: make_circle(1.0, n), lambda n: make_helix(1.0, 1.0, 1.0, n),
+    lambda n: make_helix(1.0, 0.5, 1.3, n)],
+    ids=["circle", "helix", "screw-helix"])
+def test_fit_multipliers_are_not_round_off(make, n, k):
+    # the fields of circles and helices are dependent, and the directions
+    # they leave are the samples' round-off amplified by the stencils.  The
+    # default lstsq cutoff kept some: a 1e-15 relative perturbation of the
+    # screw helix (n = 128, k = 3) moved its multipliers from (0.04, -0.27,
+    # -1.07) to (116..129, 290..322, -0.29..-0.58).  The minimum-norm fit
+    # reads (0.154, -0.282, -0.334) for each
+    curve = make(n)
+    want = fit_multipliers(curve, k)[0]
+    for seed in range(3):
+        got = fit_multipliers(perturbed_copy(curve, seed), k)[0]
+        assert np.abs(got - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_fit_multipliers_do_not_depend_on_scale(k):
+    # the fit is that of the curve scaled by a power of two to about unit
+    # size: a copy scaled by a power of two s has the curve's fit, c_i times
+    # s^(i-k), bit for bit, and at any scale the cutoff keeps every direction
+    # of a perturbed circle, whose fit is unique, and drops the round-off of
+    # a helix
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def fit(curve, s):
+        copy = moved_copy(curve, s, identity, np.zeros(3))
+        return fit_multipliers(copy, k)[0] * s ** (k - np.arange(k))
+    pc = make_perturbed_circle(1.0, 128, 0.05, modes=(2, 3), seed=0)
+    screw = make_helix(1.0, 0.5, 1.3, 128)
+    for curve in (pc, screw):
+        assert same_bits(fit(curve, 2.0 ** -10), fit_multipliers(curve, k)[0])
+    want = fit_multipliers(pc, k)[0]
+    for s in (1e-3, 0.3, 1e3):
+        got = fit(pc, s)
+        assert np.abs(got - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
+        got, want_screw = fit(perturbed_copy(screw, 0), s), fit(screw, s)
+        assert (np.abs(got - want_screw).max()
+                <= 1e-8 * max(1.0, np.abs(want_screw).max()))
 
 
 def test_fit_multipliers_refuses_round_off():
