@@ -488,13 +488,12 @@ def make_perturbed_circle(radius, n, amplitude, modes=(2, 3), seed=0):
     return resample_arclength(pts, Monodromy.identity(), n)
 
 
-def _double_reflections(tan, pts):
-    """q_i = b_i a_i, (..., n, 4), of the unit chords a_i of the points and
-    the unit b_i along t_{i+1} - (t_i - 2 (a_i, t_i) a_i), the tangents tan
-    (..., n+1, 3).  Each product with a per-sample factor is formed by
-    component: the factor broadcast over the components, (..., n, 1), would
-    be copied to the field's size."""
-    a = np.diff(pts, axis=-2)
+def _double_reflections(tan, a):
+    """q_i = b_i a_i, (..., n, 4), of the unit chords a_i and the unit b_i
+    along t_{i+1} - (t_i - 2 (a_i, t_i) a_i), the tangents tan (..., n+1, 3).
+    The chords a (..., n, 3) are normalized in place.  Each product with a
+    per-sample factor is formed by component: the factor broadcast over the
+    components, (..., n, 1), would be copied to the field's size."""
     t = tan[..., :-1, :]
     s = np.sqrt(qmath.dot(a, a))
     for c in range(3):
@@ -545,8 +544,9 @@ def parallel_normal_frame(curve):
     nu0 = nu0 - qmath.dot(nu0, t0)[..., None] * t0
     nu0 = nu0 / np.sqrt(qmath.dot(nu0, nu0))[..., None]
 
-    pts = extend(curve.samples, curve.monodromy, 0, 1, affine=True)
-    q = _double_reflections(tan, pts)
+    # the chords, so the extended positions are freed before the reflections
+    q = _double_reflections(tan, np.diff(extend(
+        curve.samples, curve.monodromy, 0, 1, affine=True), axis=-2))
     q = qmath.qreduce(lambda a, b: qmath.qmul(b, a), q)
     nu = qmath.qrotate(q, nu0)
     nu -= qmath.dot(nu, tn)[..., None] * tn

@@ -158,10 +158,21 @@ def test_evolve_reports_snapshot_0_first_and_the_rest_after_the_steps(
     (make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
      [0.0, 0.0, 1.0]),
 ], ids=["screw-helix", "line", "pc224"])
-def test_evolve_log_matches_one_report_at_a_time(curve, axis):
-    # resampling after every step gives the snapshots their own seg_len
+def test_evolve_log_matches_one_report_at_a_time(curve, axis, monkeypatch):
+    # resampling after every step gives the snapshots their own seg_len;
+    # batches of 4 snapshots chain E_2 across batch boundaries
+    reports = flows.energy_reports
+    sizes = []
+
+    def recording(curves, **kwargs):
+        sizes.append(len(curves))
+        return reports(curves, **kwargs)
+
+    monkeypatch.setattr(flows, "_REPORT_SAMPLES", 4 * curve.n)
+    monkeypatch.setattr(flows, "energy_reports", recording)
     snapshots, log, _ = evolve(
         curve, FlowSpec({1: 1.0}, 1e-4, 30, resample_every=1), axis=axis)
+    assert sizes == [1] + [4] * 7 + [2]
     near = None
     assert sorted(log) == list(range(-2, 7))
     for i, snap in enumerate(snapshots):

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow import curves, functionals
+from curveflow import curves, flows, functionals
 from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               make_line, make_perturbed_circle,
                               resample_arclength)
@@ -202,19 +202,24 @@ def test_energies_do_not_depend_on_the_basepoint(curve):
             assert abs(values[k] - want) <= 1e-13 * size, (shift, k)
 
 
-@pytest.mark.parametrize("curve", [
-    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1),
-    make_helix(1.0, 0.5, 1.3, 224), make_line(2.0, 224)],
-    ids=["identity", "screw", "translation"])
-def test_energy_reports_batch_peak_memory(curve):
-    # an 8-curve batch: the double reflections' per-sample factors multiply
-    # a field by component, and their chords and normals are freed before
-    # the product reduction (measured 9.18 to 9.19 batch fields; 11.19 to
-    # 11.20 while each (B, n, 1) factor was broadcast into a field's copy)
+@pytest.mark.parametrize("curve,size", [
+    (make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1), 8),
+    (make_helix(1.0, 0.5, 1.3, 224), 8), (make_line(2.0, 224), 8),
+    (make_perturbed_circle(1.0, 512, 0.05, modes=(2, 3), seed=0),
+     flows._REPORT_SAMPLES // 512)],
+    ids=["identity", "screw", "translation", "flow-log-512"])
+def test_energy_reports_batch_peak_memory(curve, size):
+    # the double reflections take the chords, so the extended positions are
+    # freed before them, multiply a field by component, and free their
+    # chords and normals before the product reduction.  Measured 8.84 to
+    # 8.85 batch fields in the 8-curve batches, whose peak is the fourth
+    # derivative: numpy buffers two of the stencil's taps, which are not
+    # contiguous across curves, at up to 8192 values each, here two fields.
+    # A flow log's batch at n = 512 (12 curves) reads 8.04.
     rng = np.random.default_rng(0)
     batch = [curve.with_samples(curve.samples + 1e-4
                                 * rng.standard_normal(curve.samples.shape))
-             for _ in range(8)]
+             for _ in range(size)]
     energy_reports(batch, axis=EZ)
     tracemalloc.start()
     try:
@@ -222,7 +227,7 @@ def test_energy_reports_batch_peak_memory(curve):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.0 * 8 * curve.samples.nbytes
+    assert peak <= 10.0 * size * curve.samples.nbytes
 
 
 def test_energy_reports_need_one_monodromy():
