@@ -33,6 +33,29 @@ _RESAMPLE_ITER = 50
 STENCIL_GAIN = 1.3722
 
 
+def _unit_exponent(length, unit=2.0 * np.pi):
+    """m = round(log2(length / unit)), off the float's exponent: exactly m +
+    j for the length times 2^j."""
+    mantissa, exponent = np.frexp(length / unit)
+    return int(exponent) - int(mantissa < np.sqrt(0.5))
+
+
+def roundoff(n, h, k):
+    """n eps (STENCIL_GAIN / h)^(k-1): n unit-size samples' round-off
+    through the k - 1 stencils of step h of Y_k, E_k's at unit size."""
+    return n * np.finfo(float).eps * (STENCIL_GAIN / h) ** (k - 1)
+
+
+def rescaled(unit_values, shifts, noise):
+    """(unit_values times 2^shifts, exactly, and whether each is finite and
+    a normal float there, or its unit value noise, at most `noise`)."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(unit_values, shifts)
+    return values, np.isfinite(values) & (
+        (np.abs(values) >= np.finfo(float).tiny)
+        | (np.abs(unit_values) <= noise))
+
+
 @dataclass(frozen=True)
 class Monodromy:
     rotation: np.ndarray   # unit quaternion (w, x, y, z)
@@ -72,8 +95,8 @@ class Monodromy:
 class Curve:
     """n samples of a curve, or a batch of B curves that share one
     monodromy: samples (B, n, 3), seg_len (B,).  `deriv`, `tangent`,
-    `parallel_normal_frame`, `check_scale` and the E_k of `functionals` give
-    a batch one value per curve, bit for bit the curve's own."""
+    `parallel_normal_frame` and the E_k of `functionals` give a batch one
+    value per curve, bit for bit the curve's own."""
     samples: np.ndarray     # (n, 3) or (B, n, 3)
     seg_len: float          # or (B,)
     monodromy: Monodromy
@@ -84,8 +107,10 @@ class Curve:
         if self.n < 8:
             raise DegenerateResolutionError("need at least 8 samples, got %d" % self.n)
         # as cheap as one comparison on a float: a flow makes many Curves
-        if not all(0 < h < np.inf for h in np.ravel(self.seg_len).tolist()):
-            raise DegenerateInputError("seg_len must be positive and finite")
+        if not all(0 < h * self.n < np.inf
+                   for h in np.ravel(self.seg_len).tolist()):
+            raise DegenerateInputError("seg_len must be positive, and the "
+                                       "length n seg_len finite")
 
     @property
     def n(self):
@@ -102,6 +127,23 @@ class Curve:
     def _derivatives(self):
         """[gamma', gamma'', ...] as far as `deriv` was asked."""
         return []
+
+    @cached_property
+    def _unit(self):
+        """unit_copy's (m, copy) for m != 0; (0, self) would be a cycle."""
+        m = _unit_exponent(self.n * np.ravel(self.seg_len)[0])
+        if m:
+            mono = Monodromy(self.monodromy.rotation,
+                             np.ldexp(self.monodromy.translation, -m))
+            return m, Curve(np.ldexp(self.samples, -m),
+                            np.ldexp(self.seg_len, -m), mono)
+
+
+def unit_copy(curve):
+    """(m, the curve, or a batch, scaled by 2^-m exactly, m = round(log2(L /
+    2 pi)) of its first curve): a quantity of degree d, off the copy times
+    2^(m d), has its bits on the curve where neither under- nor overflows."""
+    return curve._unit or (0, curve)
 
 
 def _padder(buf, left, right, monodromy):
@@ -362,9 +404,7 @@ def _spline_through(points, monodromy):
         ext = extend(points, monodromy, pad, min(pad + 1, len(points)),
                      affine=True)
         chord = np.linalg.norm(np.diff(ext, axis=0), axis=1)
-        # the not-a-knot end rows add products of up to 5 squared chords
-        if not (chord.min() >= 1e-13 * np.abs(ext).max()
-                and 8.0 * np.square(chord.max()) < np.inf):
+        if not chord.min() >= 1e-13 * np.abs(ext).max():
             raise DegenerateInputError("repeated consecutive points in "
                                        "polyline, or overflowing chords")
     spline = _Spline(chord, ext, _not_a_knot_slopes(chord, ext))
@@ -377,20 +417,27 @@ def resample_arclength(points, monodromy, n):
 
     Fixed-point iteration: spline the current samples, place n points at
     equal arclength, repeat until the segment arclengths measured on the new
-    spline are uniform to _RESAMPLE_TOL * seg_len.
+    spline are uniform to _RESAMPLE_TOL * seg_len.  Run on the polyline
+    times 2^-m, its largest coordinate about 1, where no product of squared
+    chords under- or overflows, and scaled back: the bits of any scale.
     """
     pts = np.asarray(points, dtype=float)
     if n < 8:
         raise DegenerateResolutionError("need at least 8 samples")
+    # frexp reads m = 0 off a coordinate that is not finite
+    m = _unit_exponent(np.abs(pts).max(initial=0.0), 1.0)
+    pts = np.ldexp(pts, -m)
+    unit = Monodromy(monodromy.rotation, np.ldexp(monodromy.translation,
+                                                  -m)) if m else monodromy
     residual = np.inf
     for _ in range(_RESAMPLE_ITER):
-        spline, domain, segs = _spline_through(pts, monodromy)
+        spline, domain, segs = _spline_through(pts, unit)
         total = segs.sum()
         if len(pts) == n:
             dx = total / n
             residual = np.abs(segs - dx).max() / dx
             if residual <= _RESAMPLE_TOL:
-                return Curve(pts, dx, monodromy)
+                return Curve(np.ldexp(pts, m), np.ldexp(dx, m), monodromy)
         # invert cumulative arclength at equal targets: Newton on the
         # fraction v of segment idx, with steps measured in arclength
         cum = np.concatenate([[0.0], np.cumsum(segs)])
@@ -412,6 +459,7 @@ def resample_arclength(points, monodromy, n):
 
 def arclength_deviation(curve):
     """Max relative deviation of spline segment arclengths from seg_len."""
+    _, curve = unit_copy(curve)
     _, _, segs = _spline_through(curve.samples, curve.monodromy)
     return np.abs(segs - curve.seg_len).max() / curve.seg_len
 
@@ -564,33 +612,9 @@ def parallel_normal_frame(curve):
 def winding_number(turn):
     """The int winding from a frame's rounded turn count, if that is finite."""
     if not np.isfinite(turn):
-        raise DegenerateInputError("the curve's derivatives overflow at this "
-                                   "scale; its frame is not finite")
+        raise DegenerateInputError("the curve's frame is not finite: its "
+                                   "tangent vanishes or is not finite")
     return int(turn)
-
-
-def check_scale(curve):
-    """Refuse a curve whose largest squared curvature |gamma''|^2 is not a
-    normal float: it overflows, or underflows although gamma'' turns the
-    tangent by more than sqrt(eps) per sample (a straight line's round-off
-    turns it by about n eps).  Every E_k from E_3 on reads |gamma''|^2, so
-    this tests the curve's scale against the float range, not against a
-    size; so does refusing an overflowing seg_len^2, the frame's largest
-    squared chord, and a smallest squared speed |gamma'|^2 below the
-    smallest normal float, since |gamma'| = 1 on an arclength curve and the
-    unit tangent divides by it.  A batch is refused if any of its curves
-    is."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d1, d2 = deriv(curve, 1), deriv(curve, 2)
-        top = qmath.dot(d2, d2).max(axis=-1)
-        turn = np.abs(d2).max(axis=(-2, -1)) * curve.seg_len
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        bad = ~(top < np.inf) | ~(np.square(curve.seg_len) < np.inf) | (
-            (turn > np.sqrt(eps)) & (top < tiny)) | (
-            qmath.dot(d1, d1).min(axis=-1) < tiny)
-    if np.any(bad):
-        raise DegenerateInputError("the curve's squared curvature or spacing "
-                                   "over- or underflows at this scale")
 
 
 def _torsion_integral(curve):

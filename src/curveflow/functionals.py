@@ -12,8 +12,8 @@ caller-supplied nearby value so trajectories never jump branches.
 
 import numpy as np
 
-from .curves import (Curve, check_scale, deriv, parallel_normal_frame,
-                     resample_arclength, winding_number)
+from .curves import (Curve, deriv, parallel_normal_frame, rescaled,
+                     resample_arclength, roundoff, unit_copy, winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
 from .qmath import cross, dot
@@ -33,29 +33,41 @@ def energy(k, curve, axis=None, near=None):
     """E_k of the curve; axis required for k in {-2, -1}.
 
     E_2, the total torsion, is the holonomy angle of the normal bundle on
-    its continuous branch; `near` selects the branch.  The curve is refused
-    as energy_reports refuses it, by check_scale, by its frame's winding or
-    where E_k is not finite, and not warned about where it overflows.
+    its continuous branch; `near` selects the branch.  E_k is read off the
+    curve's unit copy (curves.unit_copy) and rescaled, and refused as
+    energy_reports refuses it, for a tangent of 0 or a frame that is not
+    finite, or where it leaves the float range, with no warning.
     """
     if k not in K_RANGE:
         raise RangeError("energy implements k in [-2, 6]")
+    m, unit = unit_copy(curve)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        check_scale(curve)
         if k == 2:
-            value, winding = parallel_normal_frame(curve)
+            value, winding = parallel_normal_frame(unit)
             winding_number(winding)
-            value = near_branch(value, near)
-        else:
-            value = _energy(k, curve, axis)
-    return _finite(k, value)
+            return near_branch(value, near)
+        # what the frame refuses in energy_reports: a tangent gamma' of 0
+        d1 = deriv(unit, 1)
+        if not np.all(dot(d1, d1) >= np.finfo(float).tiny):
+            raise DegenerateInputError("the curve's tangent vanishes")
+        value = _energy(k, unit, axis)
+    e, valid = _rescaled(k, value, m, unit)
+    _check(k, valid, value, m)
+    return e
 
 
-def _finite(k, value):
-    """The value of E_k, refused where it is not finite."""
-    if not np.isfinite(value):
-        raise DegenerateInputError("E_%d is not finite: the curve's "
-                                   "derivatives overflow at this scale" % k)
-    return value
+def _rescaled(k, value, m, unit):
+    """curves.rescaled of E_k off the unit copy, `value`: times 2^(m d), d =
+    2 - k for k >= 0 and 1 - k for k < 0; one per curve of a batch."""
+    return rescaled(value, m * (2 - k if k >= 0 else 1 - k),
+                    roundoff(unit.n, unit.seg_len, k))
+
+
+def _check(k, valid, unit_value, m):
+    if not valid:
+        raise DegenerateInputError(
+            "E_%d leaves the float range at this scale: it is %.6g on the "
+            "curve scaled by 2^%d" % (k, unit_value, -m))
 
 
 def _energy(k, curve, axis):
@@ -118,21 +130,23 @@ def energy_reports(curves, axis=None, near_torsion=None):
         raise ArgumentError("a curve batch needs one shared monodromy")
     # the derivatives live on the batch, so they are freed on return and do
     # not live on with the callers' curves (trajectory snapshots)
-    batch = Curve(np.stack([c.samples for c in curves]),
-                  np.array([c.seg_len for c in curves], dtype=float), mono)
-    check_scale(batch)
+    m, batch = unit_copy(Curve(
+        np.stack([c.samples for c in curves]),
+        np.array([c.seg_len for c in curves], dtype=float), mono))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         torsion, turns = parallel_normal_frame(batch)
         # a one-curve batch checks its frame before the axis
         winding_number(turns[0])
-        values = {k: torsion if k == 2 else _energy(k, batch, axis)
-                  for k in ks}
+        units = {k: _energy(k, batch, axis) for k in ks if k != 2}
+    # E_2 is finite where the winding is, and does not scale
+    values = {k: _rescaled(k, v, m, batch) for k, v in units.items()}
     for i in range(len(curves)):
         winding_number(turns[i])
         near_torsion = torsion[i] = near_branch(torsion[i], near_torsion)
-        for k in ks:
-            _finite(k, values[k][i])
-    return values, turns.astype(int)
+        for k, (_, valid) in values.items():
+            _check(k, valid[i], units[k][i], m)
+    return ({k: torsion if k == 2 else values[k][0] for k in ks},
+            turns.astype(int))
 
 
 def directional_derivative_check(k, curve, direction, h, axis=None):

@@ -11,7 +11,7 @@ cross-check; for k >= 0 the two are related by G_k = T x Y_k.
 
 import numpy as np
 
-from .curves import STENCIL_GAIN, Stencil, ddx, deriv
+from .curves import Stencil, ddx, deriv, rescaled, roundoff, unit_copy
 from .errors import (ArgumentError, IllConditionedFitError,
                      MonodromyCompatibilityError, RangeError)
 from .qmath import cross, dot
@@ -22,9 +22,9 @@ from .qmath import cross, dot
 # circle and the helix, while on circle:n=64 Y_10 is 2.9e-4 off (the k = 60
 # residual read 2e47).
 _FIELD_ROUNDOFF = 1e-4
-# a fit drops the singular values below this multiple of n eps (STENCIL_GAIN
-# / h)^(k-1) of its largest, h at unit size, the samples' round-off through
-# k-1 stencils: the minimum-norm fit where fields are dependent (see README)
+# a fit drops the singular values below this multiple of curves.roundoff of
+# its largest, at unit size: the minimum-norm fit where fields are dependent
+# (see README)
 _NOISE_CUTOFF = 2.0
 
 
@@ -145,13 +145,12 @@ def fit_multipliers(curve, k):
     """
     if k < 1:
         raise RangeError("need k >= 1")
-    # fields lost to round-off or overflow are refused, not warned about
+    # fitted on the curve's unit copy, so the fields are those of any
+    # scale; fields lost to round-off are refused, not warned about
+    m, unit = unit_copy(curve)
     with np.errstate(all="ignore"):
-        # fitted as the curve scaled by a power of two s to about unit size
-        s = 2.0 ** np.round(np.log2(curve.length / (2.0 * np.pi)))
-        powers = s ** np.arange(k + 1.0)[:, None, None]
-        ys = symplectic_Y_list(curve, k) * powers
-        ref = symplectic_Y_list(curve, k, dtype=np.longdouble) * powers
+        ys = symplectic_Y_list(unit, k)
+        ref = symplectic_Y_list(unit, k, dtype=np.longdouble)
         for i, (y, r) in enumerate(zip(ys, ref)):
             err = np.linalg.norm(y - r)
             size = np.linalg.norm(r)
@@ -167,13 +166,18 @@ def fit_multipliers(curve, k):
     cols += [a.ravel() for a in axis_cols]
     design = np.stack(cols, axis=1)
     target = ys[k].ravel()
-    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=(
-        _NOISE_CUTOFF * curve.n * np.finfo(float).eps
-        * (STENCIL_GAIN * s / curve.seg_len) ** (k - 1)))
+    rcond = _NOISE_CUTOFF * roundoff(curve.n, unit.seg_len, k)
+    sol, _, _, _ = np.linalg.lstsq(design, target, rcond=rcond)
     res = target - design @ sol
-    v = np.zeros(3)
-    for a, c in zip(axis_cols, sol[k:]):
-        v = v + c * a[0]
-    p = powers.ravel() / powers[k, 0, 0]   # s^(i-k), exact
-    return sol[:k] * p[:k], v * p[0], np.sqrt(
-        curve.seg_len * np.sum(res * res)) * p[0]
+    unit_values = np.append(sol[:k], sum(
+        (c * a[0] for a, c in zip(axis_cols, sol[k:])), np.zeros(3)))
+    # back to the curve's scale: c_i times 2^(m (i-k)), v and the residual,
+    # of the curve's own seg_len, 2^(-m k); refused out of the float range,
+    # unless below the cut relative to the largest
+    values, valid = rescaled(
+        np.append(unit_values, np.sqrt(curve.seg_len * np.sum(res * res))),
+        m * (np.r_[:k, 0, 0, 0, 0] - k), rcond * np.abs(unit_values).max())
+    if not valid.all():
+        raise IllConditionedFitError("the multipliers of the fit leave the "
+                                     "float range at this scale")
+    return values[:k], values[k:-1], values[-1]

@@ -18,7 +18,8 @@ curves, grids and lambdas: a repeated-re grid, a real row, a grid through
 the circle's +-identity monodromies, a grid whose rows mix 7 substep
 counts, and a darboux that exits 3.  energies, flow and conserve also run
 on a screw helix, whose E_2 is chained on torsion branch 1, and criticality
-fits its dependent fields.
+fits its dependent fields; energies and criticality also run on that helix
+scaled by 2^-100.
 """
 
 import hashlib
@@ -35,6 +36,8 @@ from workloads import make_workloads  # noqa: E402
 
 PC128 = "perturbed-circle:n=128,modes=2+3,seed=1"
 SCREW = "helix:a=1,b=0.5,turns=1.3,n=128"
+TINY_SCREW = ("helix:a=7.888609052210118e-31,b=3.944304526105059e-31,"
+              "turns=1.3,n=128")
 
 CASES = [
     ("energies-pc224", ["energies", "--curve", "perturbed-circle:n=224,"
@@ -75,6 +78,11 @@ CASES = [
                         "--dt", "1e-4", "--steps", "20", "--axis", "0,0,1"]),
     # a fit whose fields are dependent: the minimum-norm multipliers
     ("criticality-screw", ["criticality", "--curve", SCREW, "--k", "3"]),
+    # the screw helix scaled by 2^-100, read off its copy scaled by 2^99
+    ("energies-tiny-screw", ["energies", "--curve", TINY_SCREW,
+                             "--axis", "0,0,1"]),
+    ("criticality-tiny-screw", ["criticality", "--curve", TINY_SCREW,
+                                "--k", "3"]),
 ]
 
 

@@ -18,7 +18,7 @@ from curveflow.artifacts import save_curve, save_loop
 from curveflow.curves import Curve, Monodromy, make_circle
 from curveflow.errors import ArgumentError
 from curveflow.functionals import energy
-from helpers import racetrack, rebased
+from helpers import group_residual, racetrack, rebased
 
 
 def run(tmp_path, *argv):
@@ -518,6 +518,22 @@ def test_conserve_of_a_huge_curve(tmp_path):
     assert all(np.isfinite(v) for v in drifts.values())
 
 
+@pytest.mark.parametrize("argv", [
+    ["energies", "--curve", "helix:a=1e100,b=1e100,n=128"],
+    ["conserve", "--curve", "perturbed-circle:r=1e100,n=64,modes=2,seed=3",
+     "--flow", "1", "--dt", "1e197", "--steps", "20"]],
+    ids=["energies-helix", "conserve-perturbed-circle"])
+def test_huge_curve_refuses_its_underflowing_e6(tmp_path, capsys, argv):
+    # at a scale of 1e100 E_5 and E_6 read 0.0 with exit 0, and their drifts
+    # along conserve 0: E_6, of size 1e-401, is no float, and is named
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert "error: E_6 leaves the float range" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def curve_file(tmp_path, text):
     path = tmp_path / "curve.json"
     path.write_text(text)
@@ -599,13 +615,10 @@ BAD_INPUTS = {
     "tiny-lambda": lambda p: ["darboux", "--curve",
                               "helix:a=1,b=1,turns=0.5,n=64",
                               "--lam", "1e-200i"],
-    # |gamma''|^2 overflows; at r = 1e300 it underflows to 0, though
-    # E_3 = pi / r is a normal float
+    # E_5 = -pi / 4r^3 overflows; at r = 1e300 it underflows, though E_3 =
+    # pi / r is a normal float
     "tiny-curve": lambda p: ["energies", "--curve", "circle:r=1e-300,n=32"],
     "huge-curve": lambda p: ["energies", "--curve", "circle:r=1e300,n=32"],
-    # a squared chord of the parallel frame overflows, though |gamma''|^2
-    # is round-off
-    "huge-line": lambda p: ["energies", "--curve", "line:length=1e160,n=32"],
     # the anchor E_3 / lambda = 3.1e300 cannot resolve a 2 pi branch
     "tiny-anchor": lambda p: ["angle-scan", "--curve", "circle:r=1,n=32",
                               "--lmin", "1e-300", "--lmax", "1e-300",
@@ -649,8 +662,7 @@ BAD_INPUTS = {
                                     "helix:a=1e308,b=1,n=64"],
     "line-huge-samples": lambda p: ["energies", "--curve",
                                     "line:length=1e308,n=64"],
-    # the resampler's squared chords overflow, as circle:r=R's seg_len^2
-    # does
+    # E_4 underflows; at r = 1e308 the length n seg_len overflows
     "perturbed-circle-1e160": lambda p: ["energies", "--curve",
                                          "perturbed-circle:r=1e160,n=64"],
     "perturbed-circle-1e308": lambda p: ["energies", "--curve",
@@ -659,20 +671,7 @@ BAD_INPUTS = {
     "perturbed-circle-inf-points": lambda p: [
         "energies", "--curve",
         "perturbed-circle:r=1.79e308,n=64,amplitude=0.5"],
-    # |gamma''|^2 overflows: energy refuses the curve as energies does,
-    # before the frames or E_3 warn
-    "darboux-tiny-curve": lambda p: ["darboux", "--curve",
-                                     "circle:r=1e-160,n=64",
-                                     "--lam", "1e160+1e160i"],
-    "angle-scan-tiny-curve": lambda p: ["angle-scan", "--curve",
-                                        "circle:r=1e-160,n=64",
-                                        "--lmin", "1e150", "--lmax", "1e151",
-                                        "--count", "2"],
-    # E_6, E_5 or the frame's products overflow though |gamma''|^2 does not
-    "tiny-curve-1e-70": lambda p: ["energies", "--curve",
-                                   "circle:r=1e-70,n=64"],
-    "tiny-curve-1e-100": lambda p: ["energies", "--curve",
-                                    "circle:r=1e-100,n=64"],
+    # E_5 overflows
     "tiny-curve-1e-150": lambda p: ["energies", "--curve",
                                     "circle:r=1e-150,n=64"],
     "tiny-perturbed-circle-1e-150": lambda p: [
@@ -741,6 +740,91 @@ def test_bad_input_exits_2(tmp_path, capsys, case):
     assert BAD_INPUT_MESSAGES.get(case, "") in err
     assert not out.exists() or os.listdir(out) == []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# runs far from unit size, each with the unit-size run it reads as now that
+# the E_k are read off the curve's unit copy: circles whose E_5 is 1e209 and
+# 1e299, a line whose parallel frame squared its 3e158 chords, and darboux
+# and angle-scan on a circle of radius 1e-160 at lambda times 1e160
+EXTREME_SCALES = {
+    "tiny-curve-1e-70": (["energies", "--curve", "circle:r=1e-70,n=64"],
+                         ["energies", "--curve", "circle:r=1,n=64"]),
+    "tiny-curve-1e-100": (["energies", "--curve", "circle:r=1e-100,n=64"],
+                          ["energies", "--curve", "circle:r=1,n=64"]),
+    "huge-line": (["energies", "--curve", "line:length=1e160,n=32"],
+                  ["energies", "--curve",
+                   "line:length=6.283185307179586,n=32"]),
+    "darboux-tiny-curve": (["darboux", "--curve", "circle:r=1e-160,n=64",
+                            "--lam", "1e160+1e160i"],
+                           ["darboux", "--curve", "circle:r=1,n=64",
+                            "--lam", "1+1i"]),
+    "angle-scan-tiny-curve": (["angle-scan", "--curve",
+                               "circle:r=1e-160,n=64", "--lmin", "1e150",
+                               "--lmax", "1e151", "--count", "2"],
+                              ["angle-scan", "--curve", "circle:r=1,n=64",
+                               "--lmin", "1e-10", "--lmax", "1e-9",
+                               "--count", "2"]),
+}
+
+
+def scale_free(values, k):
+    """E_k E_1^(k-2), one factor at a time: E_1^(k-2) alone may overflow."""
+    v = values["E_%d" % k]
+    for _ in range(abs(k - 2)):
+        v = v * values["E_1"] if k > 2 else v / values["E_1"]
+    return v
+
+
+def extreme_reading(argv, out):
+    """(the scale-free outputs of a run of EXTREME_SCALES, their rounding
+    bound).  The bounds are the property tests' (test_cli_properties.py):
+    E_k E_1^(k-2) reads k - 2 differences; darboux's deviations and E_k
+    deltas times L^(k-2) read the frame's rounding and the offset's, n eps
+    offset / seg_len; angle-scan's lambda L and theta read E_3 / lambda
+    through two differences."""
+    curve = parse_curve(argv[2])
+    eps = np.finfo(float).eps
+    if argv[0] == "energies":
+        e = manifest(out)["summary"]["values"]
+        k = np.arange(7)
+        values = np.array([scale_free(e, j) for j in k])
+        return values, (100.0 * eps * (curve.n / (2.0 * np.pi)) ** (k - 2.0)
+                        * np.maximum(np.abs(values),
+                                     (2.0 * np.pi) ** (k - 1.0)))
+    if argv[0] == "darboux":
+        meta = manifest(out)["summary"]
+        values = []
+        for tag in ("plus", "minus"):
+            eta = meta["eta_%s" % tag]
+            values += [eta["pre_resample_deviation"],
+                       eta["distance"] / curve.length]
+            values += [eta["energy_deltas"]["E_%d" % k]
+                       * curve.length ** (k - 2) for k in (1, 2, 3)]
+        lam = complex(*meta["lambda"])
+        frame = frames.integrate_frames(curve, [lam])[0][0]
+        offset = meta["eta_plus"]["distance"] / curve.seg_len
+        return np.array(values), 100.0 * (eps * curve.n * (1.0 + offset)
+                                          + group_residual(frame))
+    values = np.loadtxt(out / "angles.csv", delimiter=",", skiprows=1,
+                        usecols=(0, 1)) * [curve.length, 1.0]
+    return values, 100.0 * eps * curve.n / (2.0 * np.pi) * np.abs(values)
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_SCALES))
+def test_extreme_scales_read_the_unit_values(tmp_path, case):
+    # the curve scaled by s, with lambda / s, ends in exit 0 with no
+    # warning, and its scale-free outputs are the unit run's to rounding
+    readings = []
+    for sub, argv in zip(("scaled", "unit"), EXTREME_SCALES[case]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path / sub, *argv)
+        assert code == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        readings.append(extreme_reading(argv, out))
+    (scaled, _), (unit, tol) = readings
+    assert np.all(np.abs(scaled - unit) <= tol), (scaled - unit, tol)
 
 
 @pytest.mark.parametrize("spec", ["circle:n=0", "line:n=0",

@@ -264,7 +264,7 @@ def motion(spec):
 
 
 @settings(PROPERTY, max_examples=16)
-@given(curve=st.sampled_from(CURVES), exponent=st.floats(-30.0, 30.0),
+@given(curve=st.sampled_from(CURVES), exponent=st.floats(-70.0, 70.0),
        angle=st.floats(-math.pi, math.pi),
        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda v: np.linalg.norm(v) > 0.1),
@@ -334,7 +334,7 @@ def conserve_drifts(spec, dt, axis):
 
 
 @settings(PROPERTY, max_examples=12)
-@given(curve=st.sampled_from(CURVES), exponent=st.floats(-30.0, 30.0),
+@given(curve=st.sampled_from(CURVES), exponent=st.floats(-70.0, 70.0),
        angle=st.floats(-math.pi, math.pi),
        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda v: np.linalg.norm(v) > 0.1),
@@ -403,7 +403,7 @@ def flow_energies(spec, dt, every, axis):
 
 
 @settings(PROPERTY, max_examples=12)
-@given(curve=st.sampled_from(CURVES), exponent=st.floats(-30.0, 30.0),
+@given(curve=st.sampled_from(CURVES), exponent=st.floats(-70.0, 70.0),
        angle=st.floats(-math.pi, math.pi),
        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda v: np.linalg.norm(v) > 0.1),

@@ -14,6 +14,7 @@ from curveflow.errors import (ArgumentError, DegenerateInputError,
                               RangeError)
 from curveflow.functionals import (directional_derivative_check, energy,
                                    energy_reports)
+from curveflow.hierarchy import fit_multipliers
 from helpers import (EZ, energy_row, is_identity, random_equivariant_field,
                      rebased, same_bits, similar_copies, translate_to_axis)
 
@@ -94,10 +95,74 @@ def test_energy_report_refuses_unrepresentable_curvature():
     for r in (1e-300, 1e300):
         with pytest.raises(DegenerateInputError):
             energy_reports([make_circle(r, 32)])
-    # a straight line's round-off gamma'' underflows harmlessly
-    assert energy_row(make_line(1e150, 32))[0][3] == 0.0
-    values, _ = energy_row(make_circle(1e150, 32))
-    assert abs(values[3] * 1e150 / np.pi - 1.0) < 1e-2
+    # a straight line's E_3 is round-off, at any scale: E_3 L is below the
+    # round-off of E_3 at unit size
+    line, _ = energy_row(make_line(1e150, 32))
+    assert 0.0 <= line[3] * line[1] <= curves.roundoff(32, 2.0 * np.pi / 32,
+                                                       3)
+    # E_3 = pi / r is a normal float at r = 1e150, E_5 = -pi / 4r^3 not
+    assert abs(energy(3, make_circle(1e150, 32)) * 1e150 / np.pi - 1.0) < 1e-2
+    with pytest.raises(DegenerateInputError, match="E_5"):
+        energy_reports([make_circle(1e150, 32)])
+
+
+def test_energy_refuses_a_vanishing_tangent():
+    # the circle's samples times 1e-300 at its own seg_len: |gamma'|^2
+    # underflows to 0, so the unit tangent and the frame are not finite, and
+    # energy refuses every E_k as energy_reports does
+    c = make_circle(1.0, 64)
+    collapsed = Curve(1e-300 * c.samples, c.seg_len, c.monodromy)
+    for k in (0, 1, 2, 3, 5):
+        with pytest.raises(DegenerateInputError):
+            energy(k, collapsed)
+    with pytest.raises(DegenerateInputError):
+        energy_reports([collapsed])
+
+
+def power_of_two_copy(curve, m):
+    """The curve scaled by 2^m, exactly."""
+    mono = Monodromy(curve.monodromy.rotation,
+                     np.ldexp(curve.monodromy.translation, m))
+    return Curve(np.ldexp(curve.samples, m), np.ldexp(curve.seg_len, m), mono)
+
+
+@pytest.mark.parametrize("curve", [
+    make_helix(1.0, 1.0, 1.0, 128),
+    make_helix(1.0, 0.5, 1.3, 128),
+    make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=0),
+], ids=["helix", "screw-helix", "pc224"])
+@pytest.mark.parametrize("m", [-200, -37, 1, 64, 200])
+def test_power_of_two_copies_scale_every_value_exactly(curve, m):
+    # E_k and the fit are read off one unit copy, so a copy scaled by 2^m
+    # reads E_k times 2^(m d), d = 2 - k for k >= 0 and 1 - k for k < 0,
+    # multipliers c_i times 2^(m (i - k)) and the axis term times 2^(-m k),
+    # bit for bit, also where the copy's own derivatives would under- or
+    # overflow (m = +-200)
+    copy = power_of_two_copy(curve, m)
+    base, _ = energy_row(curve, axis=EZ)
+    for k, want in base.items():
+        d = 2 - k if k >= 0 else 1 - k
+        assert same_bits(energy(k, copy, axis=EZ), np.ldexp(want, m * d)), k
+    c, v, residual = fit_multipliers(copy, 3)
+    c0, v0, residual0 = fit_multipliers(curve, 3)
+    assert same_bits(c, np.ldexp(c0, m * (np.arange(3) - 3)))
+    assert same_bits(v, np.ldexp(v0, -3 * m))
+    # the residual, an L2 norm, goes as 2^(m / 2 - 3 m), inexact for odd m
+    want = residual0 * 2.0 ** (m / 2.0 - 3.0 * m)
+    assert abs(residual - want) <= 1e-14 * want
+
+
+def test_huge_helix_reads_e5_and_refuses_e6():
+    # at a scale of 1e100 |gamma'''|^2 and kappa^4 underflowed, and E_5 and
+    # E_6 read 0.0; E_5 = 2.08e-301 is a normal float, E_6 = -3e-401 is not
+    h = make_helix(1.0, 1.0, 1.0, 128)
+    huge = Curve(1e100 * h.samples, 1e100 * h.seg_len, Monodromy(
+        h.monodromy.rotation, 1e100 * h.monodromy.translation))
+    assert abs(energy(5, huge) / 2.0826e-301 - 1.0) < 1e-4
+    with pytest.raises(DegenerateInputError, match="E_6"):
+        energy(6, huge)
+    with pytest.raises(DegenerateInputError, match="E_6"):
+        energy_reports([huge])
 
 
 def test_energy_report_keys():

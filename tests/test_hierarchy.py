@@ -171,6 +171,23 @@ def test_fit_multipliers_do_not_depend_on_scale(k):
                 <= 1e-8 * max(1.0, np.abs(want_screw).max()))
 
 
+def test_fit_multipliers_refuse_the_float_range():
+    # the fit runs on the unit copy, and c_0 of k = 3 goes as s^-3: a helix
+    # of size 1e+-300 has none that is a float, while at 2^332 (1e100) only
+    # the axis term's round-off x and y parts fall below the normal floats
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    helix = make_helix(1.0, 1.0, 1.0, 64)
+    for s in (1e-300, 1e300):
+        with pytest.raises(IllConditionedFitError, match="float range"):
+            fit_multipliers(moved_copy(helix, s, identity, np.zeros(3)), 3)
+    c, v, _ = fit_multipliers(
+        moved_copy(helix, 2.0 ** 332, identity, np.zeros(3)), 3)
+    c0, v0, _ = fit_multipliers(helix, 3)
+    assert same_bits(c, np.ldexp(c0, 332 * (np.arange(3) - 3)))
+    assert v[2] == np.ldexp(v0[2], -3 * 332)
+    assert np.all(np.abs(v[:2]) < np.finfo(float).tiny)
+
+
 def test_fit_multipliers_refuses_round_off():
     # the fields of k <= 5 at n in {64, 256} are within 3e-6 of their
     # long-double values (measured: 2.9e-6 on the helix at n=256, k = 5)
