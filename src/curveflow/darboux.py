@@ -160,17 +160,21 @@ def spectral_image_scan(curve, re_values, im_values):
     lambda, S+ and S- (cells, 3), discriminant and parabolic; a cell swaps
     S+ and S- where that brings them closer to the matched pair of its left
     neighbour, or for a row's first cell, of the previous row's (last) cell
-    at its re."""
+    at its re.  A lost frame names the worst lambda of its two-row batch."""
     re_values = list(re_values)
     grid = np.array([[complex(re, im) for re in re_values]
                      for im in im_values], complex)
     if not grid.size:
         return (grid.reshape(0), np.empty((0, 3)), np.empty((0, 3)),
                 np.empty(0), np.empty(0, bool))
-    # one frame batch per row: all real or all nonreal lambda
-    sp, sm, _, disc, parabolic = fixed_points(np.concatenate(
-        [monodromies(curve, row) for row in grid]))
     rows, cols = grid.shape
+    # frame batches of two rows, both real or both nonreal lambda
+    real = grid[:, 0].imag == 0.0
+    pairs = [same[k:k + 2] for same in (np.flatnonzero(~real),
+             np.flatnonzero(real)) for k in range(0, len(same), 2)]
+    mono = np.concatenate([monodromies(curve, grid[p].ravel()) for p in pairs])
+    sp, sm, _, disc, parabolic = fixed_points(mono.reshape(rows, cols, 4)[
+        np.argsort(np.concatenate(pairs))].reshape(-1, 4))
     # each cell's neighbour; cell 0 has none, and its entry is not read
     ref = np.arange(-1, grid.size - 1)
     ref[::cols] = (np.arange(-1, rows - 1) * cols + cols - 1

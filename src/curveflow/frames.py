@@ -18,14 +18,12 @@ Frames are integrated with the 6th-order Magnus method on three-point
 Gauss nodes of Blanes, Casas & Ros (BIT 40, 2000; also in Blanes, Casas,
 Oteo & Ros, Phys. Rep. 470, 2009), 6-point tangent stencils (one einsum per
 substep over a stack of the shifted tangents) and polynomial exponentials
-(qmath).  The substep loop gives the interval factors component-major,
-quaternions as (4, lambda, sample) memory, so that every component the
-qmath kernels read or write is contiguous, with its temporaries in work
-buffers allocated once per batch and Omega's vectors formed once per
-distinct substep count (see _interval_factors).  integrate_frames
-scans them into the arrays F and F[-1] A; `monodromies` reduces them to
-F[-1] A alone.  A lost frame, as at large |Im lambda|, is refused with
-FrameDeterminantError.
+(qmath).  The substep loop gives the interval factors as (4, lambda,
+sample) memory, forming Omega's vectors once per distinct substep count and
+the rest in blocks of lambdas, in one work buffer (see _interval_factors).
+integrate_frames scans them into the arrays F and F[-1] A; `monodromies`
+reduces them to F[-1] A alone.  A lost frame, as at large |Im lambda|, is
+refused with FrameDeterminantError.
 """
 
 import numpy as np
@@ -119,9 +117,9 @@ def _substep_count(lam, h, dtype):
     return max(1, int(np.ceil(abs(lam) * h / _MAGNUS_STEP[dtype])))
 
 
-def _magnus_step(t_at, s, pick, mu, e, work, tmp):
-    """exp(Omega), the Magnus factor of one 6th-order substep, written into
-    e, shape (a, n, 4), for a block of a lambdas.
+def _omega_vectors(t_at, s, slots, scratch):
+    """Omega's vectors of mu^4, mu^3, mu^2 and mu, Horner's rule's order, at
+    r rows of node offsets s, (r, 3), written into slots, (4, 3, r, n).
 
     Omega is the exponent of Blanes, Casas & Ros (BIT 40, 2000) for
     F' = F A, A = (lambda/2) T, on the Gauss-node tangents T1, T2, T3, with
@@ -134,34 +132,14 @@ def _magnus_step(t_at, s, pick, mu, e, work, tmp):
         Omega = mu (b1 + b3/12) - mu^2/120 b2 x d
                 + mu^3/120 (b2 x k1 + 4/3 u x b1) + mu^4/180 w x b1.
 
-    The vectors are real and of unit size, and mu, the (a, 1, 1) column,
-    enters by Horner's rule in e's vector part.  The vectors depend on the
-    node offsets alone: s holds r rows of offsets, (r, 3), and pick, None
-    where r = a, gives each lambda its row.  work, the flat float buffer,
-    takes six 3-vectors of r rows at its front, (6, 3, r, n), the tangents
-    in the first three in the C order einsum writes unbuffered; behind them
-    each coefficient is gathered to the a lambdas, (3, a, n), just before
-    Horner's rule reads it.  tmp is a pair of components for the
-    exponential, and the cross products use e's scalar part, which the
-    exponential fills last, as scratch.
-    """
-    r, n = s.shape[0], e.shape[1]
-    rows = work[:18 * r * n].reshape(6, 3, r, n)
-    tangents = t_at(s, out=rows[:3].reshape(r, 3, 3, n))
-    t1, t2, t3 = tangents.transpose(1, 0, 2, 3)
-    v0, v1, v2, b3, b2, b1 = rows.transpose(0, 2, 3, 1)
-    scratch = e[:r, :, 0].real
-    if pick is None:
-        def gather(q):
-            return q
-    else:
-        tail = work[18 * r * n:(18 * r + 3 * len(pick)) * n]
-        tail = tail.reshape(3, len(pick), n)
-
-        def gather(q):
-            # mode="raise" would buffer the result, which allocates
-            return np.take(q.transpose(2, 0, 1), pick, axis=1, out=tail,
-                           mode="clip").transpose(1, 2, 0)
+    The vectors are real, of unit size and depend on the offsets alone; the
+    tangents take three slots, in the C order einsum writes unbuffered, and
+    b3, b2, b1 and the cross products' scratch 10 r n floats of scratch."""
+    r, n = slots.shape[2:]
+    t1, t2, t3 = t_at(s, out=slots[:3].reshape(r, 3, 3, n)).swapaxes(0, 1)
+    q4, q3, q2, q1 = slots.transpose(0, 2, 3, 1)
+    b3, b2, b1 = scratch[:9 * r * n].reshape(3, 3, r, n).transpose(0, 2, 3, 1)
+    tmp = scratch[9 * r * n:10 * r * n].reshape(r, n)
     # b3 = (5/3) ((T3 - 2 T2) + T1), b2 = (sqrt(15)/6) (T3 - T1), b1 = T2/2
     np.multiply(t2, -2.0, out=b3)
     b3 += t3
@@ -170,44 +148,64 @@ def _magnus_step(t_at, s, pick, mu, e, work, tmp):
     np.subtract(t3, t1, out=b2)
     b2 *= np.sqrt(15.0) / 6.0
     np.multiply(t2, 0.5, out=b1)
-    omega = e[..., 1:]
-    # mu^4 term; the tangents are dead
-    k1 = qmath.cross(b2, b1, out=v0, tmp=scratch)
+    # mu^4; the tangents are dead, and q2, q1 hold k1, w until formed
+    k1 = qmath.cross(b2, b1, out=q2, tmp=tmp)
     k1 *= 2.0
-    w = qmath.cross(k1, b1, out=v1, tmp=scratch)
-    q = qmath.cross(w, b1, out=v2, tmp=scratch)
-    q /= 180.0
-    np.multiply(mu, gather(q), out=omega)
-    # mu^3 term
-    q = qmath.cross(b2, k1, out=v1, tmp=scratch)
-    u = qmath.cross(b3, b1, out=v0, tmp=scratch)
-    ub = qmath.cross(u, b1, out=v2, tmp=scratch)
+    w = qmath.cross(k1, b1, out=q1, tmp=tmp)
+    qmath.cross(w, b1, out=q4, tmp=tmp)
+    q4 /= 180.0
+    # mu^3, with u in q1 and u x b1 in q2
+    qmath.cross(b2, k1, out=q3, tmp=tmp)
+    u = qmath.cross(b3, b1, out=q1, tmp=tmp)
+    ub = qmath.cross(u, b1, out=q2, tmp=tmp)
     ub *= 4.0 / 3.0
-    q += ub
-    q /= 120.0
-    omega += gather(q)
-    np.multiply(mu, omega, out=omega)
-    # mu^2 term
-    d = np.multiply(b1, 20.0, out=v0)
+    q3 += ub
+    q3 /= 120.0
+    # mu^2, with d in q1, and mu
+    d = np.multiply(b1, 20.0, out=q1)
     d += b3
-    q = qmath.cross(b2, d, out=v1, tmp=scratch)
-    q /= -120.0
-    omega += gather(q)
-    np.multiply(mu, omega, out=omega)
-    # mu term
-    p = b3
-    p /= 12.0
-    p += b1
-    omega += gather(p)
-    np.multiply(mu, omega, out=omega)
-    qmath.qexp_vec(omega, out=e, tmp=tmp)
+    qmath.cross(b2, d, out=q2, tmp=tmp)
+    q2 /= -120.0
+    np.divide(b3, 12.0, out=q1)
+    q1 += b1
 
 
-# elements per operand of the buffers numpy's ufuncs take for an operand
-# they cannot stride through in one run (a per-lambda column, the tangents'
-# C order): small ones keep the substep's transient memory to a few KB, in
-# cache.  Set for the substep loop only, the caller's restored after it
+def _magnus_factors(slots, pick, mu, e, scratch):
+    """exp(Omega) of b lambdas into e, (b, n, 4): the slots' vectors, each
+    gathered to the lambdas by pick, their rows, and the (b, 1, 1) column mu
+    by Horner's rule; the flat scratch holds a gathered vector, then exp's."""
+    b, n = e.shape[:2]
+    gathered = scratch.view(float)[:3 * b * n].reshape(3, b, n)
+
+    def vectors(q):
+        # mode="raise" would buffer the result, which allocates
+        return np.take(q, pick, axis=1, out=gathered,
+                       mode="clip").transpose(1, 2, 0)
+    omega = e[..., 1:]
+    np.multiply(mu, vectors(slots[0]), out=omega)
+    for q in slots[1:]:
+        omega += vectors(q)
+        np.multiply(mu, omega, out=omega)
+    qmath.qexp_vec(omega, out=e, tmp=scratch[:2 * b * n].reshape(2, b, n))
+
+
+# elements per operand of numpy's ufunc buffers, for operands they cannot
+# stride through in one run (a per-lambda column, the tangents' C order):
+# a few KB, in cache, set for the substep loop only
 _UFUNC_BUFFER = 256
+# bytes of lambda-samples per component of a block: angle-scan's 32 real
+# and 16 nonreal lambda at n = 256 are one (two at 32 KiB, 3% slower)
+_BLOCK_BYTES = 64 * 1024
+
+
+def _page(size, dtype):
+    """np.empty(size, dtype) starting on a 4 KiB page, as the factors and the
+    work buffer do so that a substep's arrays lie 0 or 2 KiB apart modulo
+    4 KiB at n = 256; malloc puts them 16 bytes apart, where a store stalls
+    nearby loads (4K aliasing): the window's product took 187 us, not 105"""
+    buf = np.empty(size + 4096 // np.dtype(dtype).itemsize, dtype)
+    skip = -buf.ctypes.data % 4096 // buf.itemsize
+    return buf[skip:skip + size]
 
 
 def _interval_factors(curve, lams, subs):
@@ -215,55 +213,53 @@ def _interval_factors(curve, lams, subs):
     row per lambda with subs[i] substeps per interval at lams[i], shape
     (len(lams), n, 4), row r holding lams[order[r]].
 
-    The lambdas are sorted by substep count and advanced together: substep
-    j updates the block of those with more than j substeps, each with the
-    arithmetic of a batch of its own.  The factors and the Magnus factor
-    are (4, L, n) memory seen as (lambda, sample, component), so the active
-    block is the prefix [:, :a] and each of its components one run.  The
-    lambdas of one substep count share its node offsets, so Omega's
-    vectors are formed once per distinct count, g rows, and gathered to the
-    a lambdas where g < a and the rows and the gather fit the work buffer,
-    6 g + a <= 6 L; else once per lambda.  Every temporary of a substep
-    lives in that one float work buffer: six 3-vectors and a gather while
-    Omega is formed, then, in lambda's dtype, the exponential's scratch and
-    the product, which is copied into the factors.
-    """
+    The lambdas are sorted by substep count: substep j updates the prefix
+    with more than j substeps, each lambda in the arithmetic of a batch of
+    its own.  It forms Omega's vectors once per distinct count, g rows, in
+    four slots at the front of the float work buffer, then advances the
+    prefix in blocks of _BLOCK_BYTES, whose Magnus factors e, product and
+    scratch live behind the slots, over the vectors' formation scratch: all
+    are (4, ., n) memory seen as (lambda, sample, component)."""
     dtype = complex if isinstance(lams[0], complex) else float
-    n = curve.n
-    h = curve.seg_len
+    n, h = curve.n, curve.seg_len
     # most substeps first: the lambdas still active at step j are a prefix
     order = sorted(range(len(lams)), key=lambda i: -subs[i])
     sub = np.array([subs[i] for i in order])
-    # the distinct counts, most first, and each lambda's among them
-    counts = sorted(set(subs), reverse=True)
-    group = np.array([counts.index(c) for c in sub.tolist()])
-    counts = np.array(counts)
+    # minus the distinct counts, most first, and each lambda's among them
+    counts, group = np.unique(-sub, return_inverse=True)
     # mu = lambda hs, in the scalar arithmetic of a one-lambda integration
     # so that every frame is the same bit for bit
     mu = np.array([lams[i] * (h / subs[i]) for i in order],
                   dtype)[:, None, None]
     t_at = tangent_interpolator(curve)
-
-    def quaternions():
-        return np.moveaxis(np.empty((4, len(lams), n), dtype), 0, -1)
-    acc = quaternions()
+    acc = np.moveaxis(_page(4 * len(lams) * n, dtype).reshape(
+        4, len(lams), n), 0, -1)
     acc[...] = (1.0, 0.0, 0.0, 0.0)
-    e = quaternions()
-    work = np.empty(18 * len(lams) * n)
-    # the same memory in lambda's dtype, as (component, lambda, sample)
-    flat = work.view(dtype).reshape(-1, len(lams), n)
+    # floats per element of lambda's dtype
+    floats = np.dtype(dtype).itemsize // 8
+    block = min(len(lams), max(1, _BLOCK_BYTES // (8 * floats * n)))
+    front = 12 * len(counts) * n
+    work = _page(front + max(10 * len(counts) * n, 9 * floats * block * n),
+                 float)
+    # behind the slots, in lambda's dtype: e, the product and its scratch
+    rest = work[front:].view(dtype)
+    q = rest[:9 * block * n].reshape(9, block, n).transpose(1, 2, 0)
+    e, prod, tmp = q[..., :4], q[..., 4:8], q[..., 8]
     bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
         for j in range(sub[0]):
             a = int(np.count_nonzero(sub > j))
             g = int(group[a - 1]) + 1
-            if g < a and 6 * g + a <= 6 * len(lams):
-                s, pick = (j + _GAUSS_OFF) / counts[:g, None], group[:a]
-            else:
-                s, pick = (j + _GAUSS_OFF) / sub[:a, None], None
-            _magnus_step(t_at, s, pick, mu[:a], e[:a], work, flat[:2, :a])
-            prod = flat[:4, :a].transpose(1, 2, 0)
-            acc[:a] = qmath.qmul(acc[:a], e[:a], out=prod, tmp=flat[4, :a])
+            slots = work[:12 * g * n].reshape(4, 3, g, n)
+            _omega_vectors(t_at, (j + _GAUSS_OFF) / -counts[:g, None], slots,
+                           work[front:])
+            for lo in range(0, a, block):
+                rows = slice(lo, min(a, lo + block))
+                k = rows.stop - lo
+                _magnus_factors(slots, group[rows], mu[rows], e[:k],
+                                rest[4 * block * n:])
+                acc[rows] = qmath.qmul(acc[rows], e[:k], out=prod[:k],
+                                       tmp=tmp[:k])
     finally:
         np.setbufsize(bufsize)
     return order, acc
@@ -300,11 +296,9 @@ def _end_products(curve, lams, subs):
         p = qmath.qmul(x, y)
         np.maximum(largest, _size(p).max(axis=1), out=largest)
         return p
-    last = np.empty((len(lams), 1, 4), acc.dtype)
-    last[order, 0] = qmath.qreduce(mul, acc)
-    sizes = np.empty((len(lams), 1))
-    sizes[order, 0] = largest
-    return last, sizes
+    last = qmath.qreduce(mul, acc)
+    given = np.argsort(order)
+    return last[given, None], largest[given, None]
 
 
 def _frames(curve, lams, products):

@@ -156,9 +156,10 @@ def loop_integrate_frame(curve, lam):
     substeps = _substep_count(lam, h, dtype)
 
     # accumulate the per-interval transition pair over the substeps: the
-    # Magnus exponent of frames._magnus_step as plain expressions in the
-    # same operation order, Omega = mu p + mu^2 q2 + mu^3 q3 + mu^4 q4 in
-    # mu = lambda hs, and its lambda-derivative hs dOmega/dmu
+    # Magnus exponent of frames._omega_vectors and _magnus_factors as plain
+    # expressions in the same operation order, Omega = mu p + mu^2 q2 +
+    # mu^3 q3 + mu^4 q4 in mu = lambda hs, and its lambda-derivative
+    # hs dOmega/dmu
     pair = np.zeros((n, 2, 4), dtype=dtype)
     pair[:, 0, 0] = 1.0
     hs = h / substeps

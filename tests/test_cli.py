@@ -295,14 +295,35 @@ def test_spectral_scan_command(tmp_path):
     assert (out / "spectral_scan.csv").exists()
 
 
-def test_spectral_scan_integrates_one_batch_per_row(tmp_path, monkeypatch):
+def test_spectral_scan_integrates_two_rows_per_batch(tmp_path, monkeypatch):
+    # two rows per frame batch, an odd last row alone
     batches = counting_batches(monkeypatch, darboux)
-    code, _ = run(tmp_path, "spectral-scan", "--curve", "circle:r=1,n=64",
-                  "--re", "0.5:2:4", "--im", "0.1:1:4")
+    code, _ = run(tmp_path / "five", "spectral-scan", "--curve",
+                  "circle:r=1,n=64", "--re", "0.5:2:4", "--im", "0.1:1:5")
     assert code == 0
-    assert [len(b) for b in batches] == [4, 4, 4, 4]
-    for b in batches:
-        assert len({lam.imag for lam in b}) == 1
+    assert [len(b) for b in batches] == [8, 8, 4]
+    assert [len({lam.imag for lam in b}) for b in batches] == [2, 2, 1]
+    # a real row between two nonreal ones: the nonreal rows are paired and
+    # no batch mixes real and nonreal lambda
+    batches.clear()
+    code, _ = run(tmp_path / "mixed", "spectral-scan", "--curve",
+                  "circle:r=1,n=64", "--re", "0.5:2:4", "--im", "-1:1:3")
+    assert code == 0
+    assert [sorted({lam.imag for lam in b}) for b in batches] == [
+        [-1.0, 1.0], [0.0]]
+
+
+def test_spectral_scan_lost_frame_names_its_row(tmp_path):
+    # the second row of a two-row grid loses its frame, the first alone
+    # keeps it: the pair is refused with a lambda of the second row
+    argv = ["spectral-scan", "--curve", "circle:n=16", "--re", "30:40:3"]
+    code, _ = run(tmp_path / "first", *argv, "--im", "0.1:0.1:1")
+    assert code == 0
+    code, out = run(tmp_path / "both", *argv, "--im", "0.1:70:2")
+    assert code == 3
+    assert diagnosis(out) == "FrameDeterminantError"
+    with open(out / "diagnostics.json") as f:
+        assert json.load(f)["lam"][1] == 70.0
 
 
 def test_darboux_command(tmp_path):

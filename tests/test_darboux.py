@@ -284,9 +284,10 @@ def test_spectral_image_scan():
 
 
 def test_spectral_image_scan_peak_memory():
-    # a second scan of the benchmark grid, one 16-lambda monodromy batch per
-    # row: the tracemalloc peak measured with the interval factors reduced
-    # (1.26 MB; 1.55 MB with each row's frames F scanned and kept)
+    # a second scan of the benchmark grid, one 32-lambda monodromy batch per
+    # two rows: the tracemalloc peak measured 1.246 MB (1.190 MB with one
+    # row per batch, and 2.30 MB for two rows with the whole batch's Magnus
+    # factors and product in memory at once)
     make, re, im = GRIDS["benchmark"]
     h = make()
     spectral_image_scan(h, re, im)

@@ -83,41 +83,50 @@ def test_integrate_frames_matches_per_lambda_loop(case):
                                   sym_points(c, want, dF)) <= DF_BOUND
 
 
-# (rows, lambdas, gathered) of a batch's first substep.  8 lambdas with 7
-# substep counts, 2 to 63: the 7 rows and the gather would overflow the work
-# buffer, 6 * 7 + 8 > 6 * 8, so Omega's vectors are formed once per lambda
-# until the count-2 lambda is done, then gathered from 6 rows.  A row of 9
-# mixing 5 counts forms them once per count and gathers them throughout
+# (rows, lambdas) of the first blocks of a batch's first substep, and the
+# curve.  8 lambdas with 7 substep counts, 2 to 63, form Omega's vectors in
+# 7 rows and gather them; a row of 9 mixing 5 counts forms 5.  Rows Im 0.1
+# and 0.16 of the benchmark grid, 32 lambdas with counts 1 and 2, run in
+# two blocks of 16
 SHARED_OFFSET_BATCHES = {
     "seven-counts-of-eight": (
         [complex(re, 0.3) for re in (-3.0, 0.0, 3.0, 6.0, 9.0, 12.0, 15.0,
-                                     18.0)], (8, 8, False)),
+                                     18.0)],
+        [(7, 8)], lambda: make_helix(1.0, 1.0, 1.0, 64)),
     "five-counts-of-nine": (
         [complex(re, 0.3) for re in np.linspace(-6.0, 6.0, 9)],
-        (5, 9, True)),
+        [(5, 9)], lambda: make_helix(1.0, 1.0, 1.0, 64)),
+    "two-rows-in-two-blocks": (
+        [complex(re, im) for im in np.linspace(0.1, 1.0, 16)[:2]
+         for re in np.linspace(0.5, 2.0, 16)],
+        [(2, 16), (2, 16)],
+        lambda: make_helix(1.0, 1.0, 1.0, 256)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_OFFSET_BATCHES))
 def test_shared_offsets_match_per_lambda_loop(monkeypatch, case):
-    # lambdas with one substep count share the vectors of Omega: every
-    # frame and monodromy keeps the bits of its own loop
-    lams, first = SHARED_OFFSET_BATCHES[case]
-    c = make_helix(1.0, 1.0, 1.0, 64)
+    # lambdas with one substep count share the vectors of Omega, and a
+    # batch larger than a block runs in blocks: every frame keeps the bits
+    # of its own loop, and every monodromy those of a one-row batch
+    lams, first, make = SHARED_OFFSET_BATCHES[case]
+    c = make()
     passes = []
-    step = frames._magnus_step
+    factors = frames._magnus_factors
 
-    def recording(t_at, s, pick, mu, *args):
-        passes.append((len(s), len(mu), pick is not None))
-        return step(t_at, s, pick, mu, *args)
+    def recording(slots, pick, mu, *args):
+        passes.append((slots.shape[2], len(mu)))
+        return factors(slots, pick, mu, *args)
 
-    monkeypatch.setattr(frames, "_magnus_step", recording)
+    monkeypatch.setattr(frames, "_magnus_factors", recording)
     F, monodromy = integrate_frames(c, lams)
-    assert passes[0] == first
-    assert any(gathered for _, _, gathered in passes)
+    assert passes[:len(first)] == first
     for lam, got in zip(lams, F):
         assert np.array_equal(got, loop_integrate_frame(c, lam)[0])
     assert same_bits(frames.monodromies(c, lams), monodromy)
+    rows = [lams[i:i + 16] for i in range(0, len(lams), 16)]
+    assert same_bits(monodromy, np.concatenate(
+        [integrate_frames(c, row)[1] for row in rows]))
 
 
 def test_lazy_derivative_matches_loop_oracle(monkeypatch):
@@ -643,7 +652,7 @@ def test_magnus_exponent_stays_in_kernel_domain(monkeypatch):
     # with y = lebesgue * step, |lambda (b1 + b3/12)| <= y/2 (Gauss weights
     # 5/18, 8/18, 5/18), |lambda b1| <= y/2, |lambda b2| <= (sqrt(15)/3) y,
     # |lambda b3| <= (20/3) y and |lambda d| <= 10 y, and the terms of
-    # frames._magnus_step bound |v| by y/2 + (sqrt(15)/36) y^2
+    # frames._omega_vectors bound |v| by y/2 + (sqrt(15)/36) y^2
     # + (7/216) y^3 + (sqrt(15)/2160) y^4
     lebesgue = np.abs(frames._lagrange_weights(
         np.linspace(0.0, 1.0, 1001))).sum(axis=0).max()
