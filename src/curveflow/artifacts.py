@@ -4,11 +4,12 @@ Tables are CSV, written from columns: a header line, LF line ends, floats
 as %.17g, ints and bools as %d, None as an empty cell and a str as it is.
 Documents are JSON indented by 2 with sorted keys, complex numbers as
 [re, im] and non-finite floats as null, so strict JSON.  A curve or a loop
-is JSON on one line.
+is JSON on one line; save_curves writes from two processes (POSIX fork).
 """
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -79,6 +80,30 @@ def save_curve(curve, path):
         # the basepoint is sample 0; the key keeps the file layout
         "basepoint_index": 0,
     }))
+
+
+def save_curves(curves, paths):
+    """save_curve of each curve to its path; with two usable cores a forked
+    child writes every other one, and its failure (errno or 1) raises here."""
+    w = min(2, len(os.sched_getaffinity(0)))
+    pid = os.fork() if w == 2 else None
+    if pid == 0:
+        status = 1
+        try:
+            for i in range(1, len(paths), w):
+                save_curve(curves[i], paths[i])
+            status = 0
+        except OSError as e:
+            status = e.errno or 1
+        finally:
+            os._exit(status)
+    try:
+        for i in range(0, len(paths), w):
+            save_curve(curves[i], paths[i])
+    finally:
+        status = pid and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise OSError(status, "snapshot writer: " + os.strerror(status))
 
 
 def load_curve(path):

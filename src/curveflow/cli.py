@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .artifacts import (load_curve, load_loop, save_curve, save_loop,
                         write_document, write_table)
-from .curves import make_circle, make_helix, make_line, make_perturbed_circle
+from .curves import (make_circle, make_helix, make_line,
+                     make_perturbed_circle, spacing_excess)
 from .darboux import darboux_transform, spectral_image_scan
 from .errors import ArgumentError, NumericalError, ValidationError
 from .flows import (FlowSpec, commutator_defect, evolve, export_trajectory,
@@ -40,9 +41,14 @@ def parse_curve(spec):
     """Builtin spec like 'circle:r=1,n=256' or a path to a curve JSON file."""
     if ":" not in spec or os.path.exists(spec):
         try:
-            return load_curve(spec)
+            curve = load_curve(spec)
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise ArgumentError("cannot read curve file %r: %s" % (spec, e))
+        excess = spacing_excess(curve)
+        if not excess <= 1e-6:
+            raise ArgumentError("curve file %r is not arclength-uniform at "
+                                "its seg_len (off by %.3g)" % (spec, excess))
+        return curve
     name, _, rest = spec.partition(":")
     if name not in _CURVE_KEYS:
         raise ArgumentError("unknown builtin curve %r (choices: %s)"
@@ -136,11 +142,10 @@ def _run_flow(args, **options):
 
 
 def cmd_flow(args):
-    (snapshots, log, times), drifts = _run_flow(
-        args, resample_every=args.resample_every)
-    export_trajectory(snapshots, log, times, args.out)
+    trajectory, drifts = _run_flow(args, resample_every=args.resample_every)
+    export_trajectory(*trajectory, args.out)
     return {"drifts": {"E_%d" % k: v for k, v in drifts.items()},
-            "snapshots": len(snapshots)}
+            "snapshots": len(trajectory[0])}
 
 
 def cmd_energies(args):

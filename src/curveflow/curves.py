@@ -464,6 +464,16 @@ def arclength_deviation(curve):
     return np.abs(segs - curve.seg_len).max() / curve.seg_len
 
 
+def spacing_excess(curve):
+    """Max over segments of (|s - seg_len| - (s - chord)) / seg_len, s the
+    spline segment's arclength: no chord is longer than its arc, so a uniform
+    sampling reads <= round-off where the spline errs by < s - chord."""
+    _, curve = unit_copy(curve)
+    spline, domain, segs = _spline_through(curve.samples, curve.monodromy)
+    h = curve.seg_len
+    return (np.abs(segs - h) - (segs - spline.h[domain])).max() / h
+
+
 def _arclengths(length, n):
     """The arclengths length k / n of n >= 8 samples k < n, refusing a
     length whose product with n overflows."""

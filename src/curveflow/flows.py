@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import save_curve, write_table
+from .artifacts import save_curves, write_table
 from .curves import STENCIL_GAIN, Stencil, resample_arclength
 from .errors import ArgumentError, BlowUpError, RangeError, StabilityError
 from .functionals import energy_reports
@@ -182,10 +182,10 @@ def commutator_defect(curve, i, j, dt):
 
 
 def export_trajectory(snapshots, log, times, outdir):
-    """Directory of numbered curve JSON files plus one energy CSV."""
+    """Numbered curve JSON files (artifacts.save_curves) and an energy CSV."""
     os.makedirs(outdir, exist_ok=True)
-    for i, snap in enumerate(snapshots):
-        save_curve(snap, os.path.join(outdir, "curve_%04d.json" % i))
+    save_curves(snapshots, [os.path.join(outdir, "curve_%04d.json" % i)
+                            for i in range(len(snapshots))])
     ks = sorted(log)
     write_table(os.path.join(outdir, "energies.csv"),
                 ",".join(["t"] + ["E_%d" % k for k in ks]),

@@ -3,6 +3,7 @@ a difference between processes (memory layout, allocator state, the host's
 speed at the time) cannot read as a difference between the trees.
 
     python3 tests/alternate_trees.py PARENT/src CHANGE/src [--rounds 37]
+        [--commands angle-scan darboux flow spectral-scan]
 
 Both trees' curveflow are imported into this process: the first tree's
 modules are taken out of sys.modules before the second is imported, and
@@ -29,6 +30,10 @@ COMMANDS = {
     "spectral-scan": ["spectral-scan", "--curve", "helix:n=256", "--re",
                       "0.5:2:16", "--im", "0.1:1:16"],
     "darboux": ["darboux", "--curve", "helix:a=1,b=1,n=256", "--lam", "1+1i"],
+    "flow": ["flow", "--curve",
+             "perturbed-circle:n=512,amplitude=0.05,modes=2+3,seed=0",
+             "--flow", "1", "--dt", "1e-4", "--steps", "200",
+             "--resample-every", "1", "--axis", "0,0,1"],
 }
 
 
@@ -61,15 +66,18 @@ def main():
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--rounds", type=int, default=37)
+    parser.add_argument("--commands", nargs="+", choices=sorted(COMMANDS),
+                        default=sorted(COMMANDS))
     args = parser.parse_args()
     trees = [load(args.parent), load(args.change)]
-    times = {name: ([], []) for name in COMMANDS}
+    commands = {name: COMMANDS[name] for name in args.commands}
+    times = {name: ([], []) for name in commands}
     with tempfile.TemporaryDirectory() as out:
         for cli in trees:
-            for argv in COMMANDS.values():
+            for argv in commands.values():
                 timed(cli, argv, out)
         for r in range(args.rounds):
-            for name, argv in COMMANDS.items():
+            for name, argv in commands.items():
                 for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                     times[name][side].append(timed(trees[side], argv, out))
     for name, (parent, change) in times.items():

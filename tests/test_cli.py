@@ -492,12 +492,23 @@ def test_numerical_exit_code_writes_diagnostics(tmp_path):
     assert diag["error"] == "BranchPointError"
 
 
+def star_curve(n=16):
+    """n points at radii 1 and 2 in turn, equally spaced in angle, with
+    seg_len their one chord length: the spline's segments are as long as
+    one another, so the file is arclength-uniform at its seg_len."""
+    k = np.arange(n)
+    phi = 2.0 * np.pi * k / n
+    pts = np.where(k % 2, 2.0, 1.0)[:, None] * np.stack(
+        [np.cos(phi), np.sin(phi), np.zeros(n)], axis=1)
+    return Curve(pts, np.linalg.norm(pts[1] - pts[0]), Monodromy.identity())
+
+
 def test_flow_resampling_failure_writes_diagnostics(tmp_path):
-    # a rough random polyline: flow 0 barely moves it, and resampling it
-    # after the one step stalls above its tolerance
-    path = str(tmp_path / "rough.json")
-    save_curve(Curve(np.random.default_rng(0).standard_normal((64, 3)), 1.0,
-                     Monodromy.identity()), path)
+    # the star: flow 0 barely moves it, and resampling it after the one step
+    # stalls above its tolerance, as the not-a-knot ends of the padded spline
+    # keep its segments from evening out
+    path = str(tmp_path / "star.json")
+    save_curve(star_curve(), path)
     code, out = run(tmp_path, "flow", "--curve", path, "--flow", "0",
                     "--dt", "1e-6", "--steps", "1", "--resample-every", "1")
     assert code == 3
@@ -507,6 +518,22 @@ def test_flow_resampling_failure_writes_diagnostics(tmp_path):
     assert diag["error"] == "ResamplingError"
     assert np.isfinite(diag["residual"])
     assert diag["residual"] > curves._RESAMPLE_TOL
+
+
+def test_drifted_snapshot_is_refused_until_resampled(tmp_path, capsys):
+    # flow 1 on a perturbed circle with 19 samples per wavelength of its
+    # mode 5, 50 steps at half the stability limit: without resampling the
+    # snapshots drift off arclength-uniform and --curve refuses the last;
+    # resampled every step, it loads back
+    rough = "perturbed-circle:n=96,amplitude=0.2,modes=2+5,seed=3"
+    for every, want in (("0", 2), ("1", 0)):
+        _, out = run(tmp_path / every, "flow", "--curve", rough, "--flow",
+                     "1", "--dt", "4e-3", "--steps", "50",
+                     "--resample-every", every)
+        code, _ = run(tmp_path / every / "e", "energies", "--curve",
+                      str(out / "curve_0050.json"))
+        assert code == want, every
+    assert "is not arclength-uniform" in capsys.readouterr().err
 
 
 def test_deterministic_rerun(tmp_path):
@@ -593,6 +620,21 @@ def collapsed_curve(tmp_path):
     return curve_file(tmp_path, json.dumps(data))
 
 
+def circle_at_angles(tmp_path, phi, seg_len):
+    """The unit circle sampled at the angles phi, saved with seg_len."""
+    pts = np.stack([np.cos(phi), np.sin(phi), np.zeros(len(phi))], axis=1)
+    path = tmp_path / "curve.json"
+    save_curve(Curve(pts, seg_len, Monodromy.identity()), path)
+    return str(path)
+
+
+def point_cloud(tmp_path):
+    path = tmp_path / "cloud.json"
+    save_curve(Curve(np.random.default_rng(0).standard_normal((64, 3)), 1.0,
+                     Monodromy.identity()), path)
+    return str(path)
+
+
 BAD_INPUTS = {
     "zero-axis": lambda p: ["energies", "--curve", "circle:r=1,n=64",
                             "--axis", "0,0,0"],
@@ -611,7 +653,18 @@ BAD_INPUTS = {
     "zero-rotation": lambda p: ["energies", "--curve",
                                 zero_rotation_curve(p)],
     "nan-sample": lambda p: ["energies", "--curve", nan_sample_curve(p)],
-    # |gamma'|^2 underflows to 0, which the unit tangent divides by
+    # curve files that are not arclength-uniform at their seg_len: the
+    # circle n = 64 with seg_len doubled, the circle at sorted random angles
+    # and a standard-normal cloud
+    "wrong-seg-len": lambda p: ["energies", "--curve", circle_at_angles(
+        p, 2.0 * np.pi * np.arange(64) / 64, 4.0 * np.pi / 64)],
+    "uneven-spacing": lambda p: ["energies", "--curve", circle_at_angles(
+        p, np.sort(np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 64)),
+        2.0 * np.pi / 64)],
+    "point-cloud": lambda p: ["flow", "--curve", point_cloud(p), "--flow",
+                              "1", "--dt", "1e-6", "--steps", "1"],
+    # its chords' squares underflow to 0: the file's spacing check refuses
+    # it before the unit tangent would divide by |gamma'|^2 = 0
     "collapsed-curve": lambda p: ["energies", "--curve", collapsed_curve(p)],
     "nan-lambda": lambda p: ["darboux", "--curve", "circle:r=1,n=64",
                              "--lam", "nan+1i"],
@@ -702,6 +755,9 @@ BAD_INPUTS = {
 
 # the message of a refusal that no other test reads
 BAD_INPUT_MESSAGES = {
+    "wrong-seg-len": "is not arclength-uniform at its seg_len",
+    "uneven-spacing": "is not arclength-uniform at its seg_len",
+    "point-cloud": "is not arclength-uniform at its seg_len",
     "misshapen-loop": "error: coeffs must have shape (d+1, 3)",
     "spec-item-without-equals": "error: curve parameter 'r' is not "
                                 "key=value",
@@ -889,6 +945,29 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
     assert "error: cannot write to --out" in err
     assert "Traceback" not in err
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("taken", ["curve_0001.json", "curve_0000.json"],
+                         ids=["child", "parent"])
+def test_snapshot_write_failure_exits_2_and_reaps(tmp_path, capsys, taken):
+    # a directory in the way of a snapshot that the forked writer writes
+    # (every other one from the second) or that this process writes: exit 2
+    # as any --out failure, in this process, with the writer reaped
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    pid = os.getpid()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["flow", "--curve", "circle:n=32", "--flow", "1",
+                     "--dt", "1e-4", "--steps", "4", "--out", str(out)])
+    assert os.getpid() == pid
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write to --out" in err and "Is a directory" in err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert caught == []
 
 
 def every_command(tmp_path):

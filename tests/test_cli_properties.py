@@ -2,7 +2,8 @@
 of commute, of energies, of conserve, of flow and of lax: whatever grid,
 lambda, k, flow pairs, curve or loop they are given, they end in a
 documented exit code (0, 2 or 3), never in a traceback, and with exit 0
-never write a NaN cell or a non-finite manifest value."""
+never write a NaN cell or a non-finite manifest value; every curve file
+that flow writes loads back."""
 
 import contextlib
 import csv
@@ -19,8 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 from curveflow import qmath
 from curveflow.artifacts import save_curve, save_loop
 from curveflow.cli import main, parse_curve
+from curveflow.curves import STENCIL_GAIN
 from curveflow.errors import (ArgumentError, FrameDeterminantError,
                               ValidationError)
+from curveflow.flows import _RK4_IMAG
 from curveflow.frames import _MAX_DET_ROUNDING, integrate_frames
 from helpers import energy_row, group_residual, moved_copy
 
@@ -494,3 +497,32 @@ def test_lax_any_scale_and_rotation(degree, seed, exponent, angle, axis):
                           - qmath.qrotate(rotation, final))
         assert np.all(drift_err <= tol * size), (drift_err / tol).max()
         assert np.all(loop_err <= tol), (loop_err / tol).max()
+
+
+@settings(PROPERTY, max_examples=12)
+@given(curve=st.sampled_from(CURVES + [
+           "perturbed-circle:n=224,amplitude=0.05,modes=2,seed=0"]),
+       k=st.integers(1, 3), fraction=st.floats(0.05, 0.9),
+       steps=st.integers(1, 400), every=st.sampled_from([0, 1, 7]))
+def test_flow_snapshots_load_back(curve, k, fraction, steps, every):
+    # every snapshot that flow writes of a resolved curve, resampled or not,
+    # from one or two writer processes, is a curve file that --curve reads
+    # back: arclength-uniform at its seg_len; energies of the last one runs.
+    # (An unresolved curve drifts off uniform: test_cli's
+    # test_drifted_snapshot_is_refused_until_resampled.)
+    base = parse_curve(curve)
+    dt = fraction * _RK4_IMAG / (STENCIL_GAIN / base.seg_len) ** (k + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "flow")
+        code = main(["flow", "--curve", curve, "--flow", str(k), "--dt",
+                     repr(float(dt)), "--steps", str(steps),
+                     "--resample-every", str(every), "--out", out])
+        assert code == 0
+        with open(os.path.join(out, "energies.csv")) as f:
+            rows = len(f.readlines()) - 1
+        names = sorted(n for n in os.listdir(out) if n.startswith("curve_"))
+        assert names == ["curve_%04d.json" % i for i in range(rows)]
+        for name in names:
+            parse_curve(os.path.join(out, name))
+        assert main(["energies", "--curve", os.path.join(out, names[-1]),
+                     "--out", os.path.join(tmp, "energies")]) == 0

@@ -1,6 +1,7 @@
 """Time integration of the hierarchy flows and its invariants."""
 
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from curveflow import flows, functionals, qmath
+from curveflow.artifacts import save_curve
 from curveflow.curves import (Stencil, arclength_deviation, deriv,
                               make_circle, make_helix, make_line,
                               make_perturbed_circle, resample_arclength)
@@ -227,15 +229,33 @@ def test_rigid_register_and_hausdorff():
     assert hausdorff_distance(pts[:1], pts[:2]) == np.linalg.norm(pts[1] - pts[0])
 
 
-def test_export_trajectory(tmp_path):
-    c = make_circle(1.0, 128)
-    snapshots, log, times = evolve(c, FlowSpec({1: 1.0}, 1e-3, 4))
-    out = tmp_path / "run"
-    export_trajectory(snapshots, log, times, out)
-    assert (out / "energies.csv").exists()
-    assert (out / "curve_0000.json").exists()
-    last = "curve_%04d.json" % (len(snapshots) - 1)
-    assert (out / last).exists()
+def test_export_trajectory(tmp_path, monkeypatch):
+    # the snapshots, written by two processes (strided halves, odd and even
+    # counts) and by this one alone, have the bytes of one save_curve each
+    c = make_perturbed_circle(1.0, 64, 0.05, seed=2)
+    snapshots, log, times = evolve(c, FlowSpec({1: 1.0}, 1e-4, 200))
+    oracle = tmp_path / "oracle.json"
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cores in (min(2, len(os.sched_getaffinity(0))), 1):
+        if cores == 1:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forks.clear()
+        for count in (1, 2, 3, 201):
+            out = tmp_path / ("run_%d_%d" % (cores, count))
+            export_trajectory(snapshots[:count],
+                              {k: v[:count] for k, v in log.items()},
+                              times[:count], out)
+            names = ["curve_%04d.json" % i for i in range(count)]
+            assert sorted(os.listdir(out)) == names + ["energies.csv"]
+            for snap, name in zip(snapshots, names):
+                save_curve(snap, oracle)
+                assert (out / name).read_bytes() == oracle.read_bytes(), (
+                    cores, count, name)
+            rows = (out / "energies.csv").read_text().splitlines()
+            assert len(rows) == count + 1
+        assert len(forks) == (4 if cores == 2 else 0)
 
 
 def test_energy_drift_is_fourth_order_in_space():
