@@ -956,7 +956,7 @@ def test_snapshot_write_failure_exits_2_and_reaps(tmp_path, capsys, taken):
     out = tmp_path / "out"
     (out / taken).mkdir(parents=True)
     pid = os.getpid()
-    with warnings.catch_warnings(record=True) as caught:
+    with time_limit(30), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["flow", "--curve", "circle:n=32", "--flow", "1",
                      "--dt", "1e-4", "--steps", "4", "--out", str(out)])
