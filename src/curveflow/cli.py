@@ -151,7 +151,7 @@ def cmd_flow(args):
 def cmd_energies(args):
     curve = parse_curve(args.curve)
     axis = parse_axis(args.axis) if args.axis else None
-    values, (winding,) = energy_reports([curve], axis=axis)
+    values, (winding,) = energy_reports(curve, axis=axis)
     # the axis is one cell, its components separated by spaces
     ax = None if axis is None else " ".join("%.17g" % c for c in axis)
     ks = sorted(values)

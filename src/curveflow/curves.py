@@ -95,7 +95,7 @@ class Monodromy:
 class Curve:
     """n samples of a curve, or a batch of B curves that share one
     monodromy: samples (B, n, 3), seg_len (B,).  `deriv`, `tangent`,
-    `parallel_normal_frame` and the E_k of `functionals` give a batch one
+    `parallel_normal_frame`, `energy` and `energy_reports` give a batch one
     value per curve, bit for bit the curve's own."""
     samples: np.ndarray     # (n, 3) or (B, n, 3)
     seg_len: float          # or (B,)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import save_curves, write_table
-from .curves import STENCIL_GAIN, Stencil, resample_arclength
+from .curves import STENCIL_GAIN, Curve, Stencil, resample_arclength
 from .errors import ArgumentError, BlowUpError, RangeError, StabilityError
 from .functionals import energy_reports
 from .hierarchy import symplectic_Y_list
@@ -102,25 +102,31 @@ def _advance(samples, stencil, spec):
                     samples, spec.dt)
 
 
+def _batch(curves):
+    """The curves, which share one monodromy, as one batch Curve."""
+    return Curve(np.stack([c.samples for c in curves]),
+                 np.array([c.seg_len for c in curves]), curves[0].monodromy)
+
+
 def evolve(curve, spec, axis=None):
     """Run the flow, logging energies at a bounded cadence: (the list of
     snapshots, {k: (S,) E_k of the snapshots}, their (S,) times).
 
-    The stability guard runs first and snapshot 0 is reported alone, so a
-    bad starting curve fails before the first step.  Each step is checked
-    for blow-up and optionally resampled; the snapshots after every
-    max(1, steps // 200)-th step and the last are logged.  After the steps,
-    also when one raises, those are reported in batches of about
-    _REPORT_SAMPLES samples (energy_reports), bit for bit as one at a time,
-    so a report failure replaces a step's error.  The log holds each E_k as
-    one column over the snapshots, E_2 carried along the trajectory by
-    snapping each value to the previous one.
+    The stability guard runs first and snapshot 0 is reported alone, a
+    batch of one, so a bad starting curve fails before the first step.
+    Each step is checked for blow-up and optionally resampled; the
+    snapshots after every max(1, steps // 200)-th step and the last are
+    logged.  After the steps, also when one raises, those are reported in
+    batch Curves of about _REPORT_SAMPLES samples (energy_reports), bit for
+    bit as one at a time, so a report failure replaces a step's error.
+    The log holds each E_k as one column over the snapshots, E_2 carried
+    along the trajectory by snapping each value to the previous one.
     """
     _check_stability(curve, spec)
     log_every = max(1, spec.steps // 200)
     snapshots = [curve]
     times = [0.0]
-    logs = [energy_reports([curve], axis=axis)[0]]
+    logs = [energy_reports(_batch([curve]), axis=axis)[0]]
     bound = _BLOW_UP * np.abs(curve.samples).max()
     # the last resampled curve: it gives the steps after it their seg_len
     base, samples = curve, curve.samples
@@ -140,8 +146,9 @@ def evolve(curve, spec, axis=None):
     finally:
         chunk = max(1, _REPORT_SAMPLES // curve.n)
         for j in range(1, len(snapshots), chunk):
-            logs.append(energy_reports(snapshots[j:j + chunk], axis=axis,
-                                       near_torsion=logs[-1][2][-1])[0])
+            logs.append(energy_reports(
+                _batch(snapshots[j:j + chunk]), axis=axis,
+                near_torsion=logs[-1][2][-1])[0])
     log = {k: np.concatenate([b[k] for b in logs]) for k in logs[0]}
     return snapshots, log, np.array(times)
 

@@ -12,7 +12,7 @@ caller-supplied nearby value so trajectories never jump branches.
 
 import numpy as np
 
-from .curves import (Curve, deriv, parallel_normal_frame, rescaled,
+from .curves import (deriv, parallel_normal_frame, rescaled,
                      resample_arclength, roundoff, unit_copy, winding_number)
 from .errors import ArgumentError, DegenerateInputError, RangeError
 from .hierarchy import check_axis, gradient_G, gradient_from_Y
@@ -30,44 +30,64 @@ def near_branch(value, near):
 
 
 def energy(k, curve, axis=None, near=None):
-    """E_k of the curve; axis required for k in {-2, -1}.
+    """E_k of a curve, a scalar, or of a batch Curve, a (B,) column: the
+    one-k case of `energy_reports`; axis required for k in {-2, -1}.
 
     E_2, the total torsion, is the holonomy angle of the normal bundle on
-    its continuous branch; `near` selects the branch.  E_k is read off the
-    curve's unit copy (curves.unit_copy) and rescaled, and refused as
-    energy_reports refuses it, for a tangent of 0 or a frame that is not
-    finite, or where it leaves the float range, with no warning.
+    its continuous branch; `near` selects the branch.  Only E_2 runs the
+    frame: another E_k refuses the tangent of 0 that the frame refuses.
     """
     if k not in K_RANGE:
         raise RangeError("energy implements k in [-2, 6]")
+    values, _ = _reports([k], curve, axis, near)
+    return values[k] if curve.samples.ndim == 3 else values[k][0]
+
+
+def energy_reports(curve, axis=None, near_torsion=None):
+    """Every E_k of a curve, counted as a batch of one, or of a batch Curve,
+    from one set of derivatives and one frame product: ({k: (B,) column},
+    (B,) int windings); the axis-dependent E_k only when an axis is given.
+
+    E_2 is snapped to the branch nearest `near_torsion` for the first curve
+    and nearest its predecessor's for each later one, as along a
+    trajectory.  Every value is bit for bit the curve's own, and the curves
+    fail in order: the first failing curve raises its own error.
+    """
+    return _reports([k for k in K_RANGE if axis is not None or k >= 0],
+                    curve, axis, near_torsion)
+
+
+def _reports(ks, curve, axis, near):
+    """({k: (B,) E_k}, (B,) windings, 0 without E_2) off the unit copy
+    (curves.unit_copy), rescaled; refused for a tangent of 0 or a frame
+    that is not finite, or out of the float range, with no warning."""
     m, unit = unit_copy(curve)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if k == 2:
-            value, winding = parallel_normal_frame(unit)
-            winding_number(winding)
-            return near_branch(value, near)
-        # what the frame refuses in energy_reports: a tangent gamma' of 0
-        d1 = deriv(unit, 1)
-        if not np.all(dot(d1, d1) >= np.finfo(float).tiny):
-            raise DegenerateInputError("the curve's tangent vanishes")
-        value = _energy(k, unit, axis)
-    e, valid = _rescaled(k, value, m, unit)
-    _check(k, valid, value, m)
-    return e
-
-
-def _rescaled(k, value, m, unit):
-    """curves.rescaled of E_k off the unit copy, `value`: times 2^(m d), d =
-    2 - k for k >= 0 and 1 - k for k < 0; one per curve of a batch."""
-    return rescaled(value, m * (2 - k if k >= 0 else 1 - k),
-                    roundoff(unit.n, unit.seg_len, k))
-
-
-def _check(k, valid, unit_value, m):
-    if not valid:
-        raise DegenerateInputError(
-            "E_%d leaves the float range at this scale: it is %.6g on the "
-            "curve scaled by 2^%d" % (k, unit_value, -m))
+        if 2 in ks:
+            torsion, turns = np.atleast_1d(*parallel_normal_frame(unit))
+        else:
+            # what the frame refuses, without the frame: a tangent of 0
+            d1 = deriv(unit, 1)
+            turns = np.atleast_1d(np.where(np.all(
+                dot(d1, d1) >= np.finfo(float).tiny, axis=-1), 0.0, np.nan))
+        winding_number(turns[0])    # the first curve's, before the axis
+        units = {k: np.atleast_1d(_energy(k, unit, axis))
+                 for k in ks if k != 2}
+    # E_2 is finite where the winding is, and does not scale
+    values = {k: rescaled(v, m * (2 - k if k >= 0 else 1 - k),
+                          roundoff(unit.n, unit.seg_len, k))
+              for k, v in units.items()}
+    for i in range(len(turns)):
+        winding_number(turns[i])
+        if 2 in ks:
+            near = torsion[i] = near_branch(torsion[i], near)
+        for k, (_, valid) in values.items():
+            if not valid[i]:
+                raise DegenerateInputError(
+                    "E_%d leaves the float range at this scale: it is %.6g "
+                    "on the curve scaled by 2^%d" % (k, units[k][i], -m))
+    return ({k: torsion if k == 2 else values[k][0] for k in ks},
+            turns.astype(int))
 
 
 def _energy(k, curve, axis):
@@ -107,46 +127,6 @@ def _energy(k, curve, axis):
     d4 = deriv(curve, 4)
     det134 = dot(d1, cross(d3, d4))
     return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123, axis=-1)
-
-
-def energy_reports(curves, axis=None, near_torsion=None):
-    """The E_k of the curves, which must share one monodromy, computed as
-    one batch Curve: one set of derivatives, one frame product.  Returns
-    ({k: (B,) column}, (B,) int windings); the axis-dependent E_k only when
-    an axis is given.
-
-    E_2 is snapped to the branch nearest `near_torsion` for the first curve
-    and nearest its predecessor's for each later one, as along a
-    trajectory.  Every value is bit for bit the curve's own, and the curves
-    fail in order: the first failing curve raises its own error.
-    """
-    if not curves:
-        return {}, np.zeros(0, int)
-    ks = [k for k in K_RANGE if axis is not None or k >= 0]
-    mono = curves[0].monodromy
-    if any(not (np.array_equal(c.monodromy.rotation, mono.rotation)
-                and np.array_equal(c.monodromy.translation, mono.translation))
-           for c in curves[1:]):
-        raise ArgumentError("a curve batch needs one shared monodromy")
-    # the derivatives live on the batch, so they are freed on return and do
-    # not live on with the callers' curves (trajectory snapshots)
-    m, batch = unit_copy(Curve(
-        np.stack([c.samples for c in curves]),
-        np.array([c.seg_len for c in curves], dtype=float), mono))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        torsion, turns = parallel_normal_frame(batch)
-        # a one-curve batch checks its frame before the axis
-        winding_number(turns[0])
-        units = {k: _energy(k, batch, axis) for k in ks if k != 2}
-    # E_2 is finite where the winding is, and does not scale
-    values = {k: _rescaled(k, v, m, batch) for k, v in units.items()}
-    for i in range(len(curves)):
-        winding_number(turns[i])
-        near_torsion = torsion[i] = near_branch(torsion[i], near_torsion)
-        for k, (_, valid) in values.items():
-            _check(k, valid[i], units[k][i], m)
-    return ({k: torsion if k == 2 else values[k][0] for k in ks},
-            turns.astype(int))
 
 
 def directional_derivative_check(k, curve, direction, h, axis=None):

@@ -3,7 +3,7 @@ a difference between processes (memory layout, allocator state, the host's
 speed at the time) cannot read as a difference between the trees.
 
     python3 tests/alternate_trees.py PARENT/src CHANGE/src [--rounds 37]
-        [--commands angle-scan darboux flow spectral-scan]
+        [--commands angle-scan conserve darboux flow spectral-scan]
 
 Both trees' curveflow are imported into this process: the first tree's
 modules are taken out of sys.modules before the second is imported, and
@@ -27,6 +27,10 @@ import numpy as np
 
 COMMANDS = {
     "angle-scan": ["angle-scan", "--curve", "circle:r=1,n=256", "--fit", "5"],
+    "conserve": ["conserve", "--curve",
+                 "perturbed-circle:n=224,amplitude=0.05,modes=2,seed=1",
+                 "--flow", "1", "--dt", "1e-3", "--steps", "1000",
+                 "--axis", "0,0,1"],
     "spectral-scan": ["spectral-scan", "--curve", "helix:n=256", "--re",
                       "0.5:2:16", "--im", "0.1:1:16"],
     "darboux": ["darboux", "--curve", "helix:a=1,b=1,n=256", "--lam", "1+1i"],

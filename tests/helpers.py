@@ -15,8 +15,14 @@ EZ = [0.0, 0.0, 1.0]
 
 def energy_row(curve, axis=None):
     """({k: E_k}, winding) of one curve, its one-curve batch's row."""
-    values, (winding,) = energy_reports([curve], axis=axis)
+    values, (winding,) = energy_reports(curve, axis=axis)
     return {k: column[0] for k, column in values.items()}, winding
+
+
+def stack(curves):
+    """The curves, which share one monodromy, as one batch Curve."""
+    return Curve(np.stack([c.samples for c in curves]),
+                 np.array([c.seg_len for c in curves]), curves[0].monodromy)
 
 
 def hausdorff_distance(points_a, points_b):

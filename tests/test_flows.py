@@ -143,9 +143,9 @@ def test_evolve_reports_snapshot_0_first_and_the_rest_after_the_steps(
         steps.append(len(steps) + 1)
         return advance(samples, stencil, spec)
 
-    def recording(curves, **kwargs):
+    def recording(batch, **kwargs):
         reported_at.append(len(steps))
-        return reports(curves, **kwargs)
+        return reports(batch, **kwargs)
 
     monkeypatch.setattr(flows, "_advance", counting)
     monkeypatch.setattr(flows, "energy_reports", recording)
@@ -166,9 +166,9 @@ def test_evolve_log_matches_one_report_at_a_time(curve, axis, monkeypatch):
     reports = flows.energy_reports
     sizes = []
 
-    def recording(curves, **kwargs):
-        sizes.append(len(curves))
-        return reports(curves, **kwargs)
+    def recording(batch, **kwargs):
+        sizes.append(len(batch.samples))
+        return reports(batch, **kwargs)
 
     monkeypatch.setattr(flows, "_REPORT_SAMPLES", 4 * curve.n)
     monkeypatch.setattr(flows, "energy_reports", recording)
@@ -178,7 +178,7 @@ def test_evolve_log_matches_one_report_at_a_time(curve, axis, monkeypatch):
     near = None
     assert sorted(log) == list(range(-2, 7))
     for i, snap in enumerate(snapshots):
-        want, _ = energy_reports([snap], axis=axis, near_torsion=near)
+        want, _ = energy_reports(snap, axis=axis, near_torsion=near)
         near = want[2][0]
         for k, column in log.items():
             assert same_bits(column[i], want[k][0]), (i, k)

@@ -16,7 +16,8 @@ from curveflow.functionals import (directional_derivative_check, energy,
                                    energy_reports)
 from curveflow.hierarchy import fit_multipliers
 from helpers import (EZ, energy_row, is_identity, random_equivariant_field,
-                     rebased, same_bits, similar_copies, translate_to_axis)
+                     rebased, same_bits, similar_copies, stack,
+                     translate_to_axis)
 
 
 def test_circle_energy_values():
@@ -94,7 +95,7 @@ def test_energy_report_refuses_unrepresentable_curvature():
     # r = 1e300, where E_3 = pi / r is still a normal float
     for r in (1e-300, 1e300):
         with pytest.raises(DegenerateInputError):
-            energy_reports([make_circle(r, 32)])
+            energy_reports(make_circle(r, 32))
     # a straight line's E_3 is round-off, at any scale: E_3 L is below the
     # round-off of E_3 at unit size
     line, _ = energy_row(make_line(1e150, 32))
@@ -103,7 +104,7 @@ def test_energy_report_refuses_unrepresentable_curvature():
     # E_3 = pi / r is a normal float at r = 1e150, E_5 = -pi / 4r^3 not
     assert abs(energy(3, make_circle(1e150, 32)) * 1e150 / np.pi - 1.0) < 1e-2
     with pytest.raises(DegenerateInputError, match="E_5"):
-        energy_reports([make_circle(1e150, 32)])
+        energy_reports(make_circle(1e150, 32))
 
 
 def test_energy_refuses_a_vanishing_tangent():
@@ -116,7 +117,7 @@ def test_energy_refuses_a_vanishing_tangent():
         with pytest.raises(DegenerateInputError):
             energy(k, collapsed)
     with pytest.raises(DegenerateInputError):
-        energy_reports([collapsed])
+        energy_reports(collapsed)
 
 
 def power_of_two_copy(curve, m):
@@ -162,17 +163,15 @@ def test_huge_helix_reads_e5_and_refuses_e6():
     with pytest.raises(DegenerateInputError, match="E_6"):
         energy(6, huge)
     with pytest.raises(DegenerateInputError, match="E_6"):
-        energy_reports([huge])
+        energy_reports(huge)
 
 
 def test_energy_report_keys():
     c = make_circle(1.0, 128)
-    values, _ = energy_reports([c])
+    values, _ = energy_reports(c)
     assert sorted(values) == list(range(0, 7))
-    values, _ = energy_reports([c], axis=EZ)
+    values, _ = energy_reports(c, axis=EZ)
     assert sorted(values) == list(range(-2, 7))
-    values, windings = energy_reports([])
-    assert values == {} and windings.shape == (0,)
 
 
 def test_energy_range_and_axis_errors():
@@ -196,6 +195,25 @@ def test_energy_report_matches_energy(curve):
         # a fresh copy, so nothing computed for the batch is reused
         expect = energy(k, curve.with_samples(curve.samples), axis=EZ)
         assert same_bits(value, expect), k
+    # a batch of the curve and two perturbed copies on its monodromy, E_2
+    # chained from a near_torsion one turn up: each row is the copy's own
+    rng = np.random.default_rng(0)
+    copies = [curve] + [curve.with_samples(
+        curve.samples + 1e-4 * rng.standard_normal(curve.samples.shape))
+        for _ in range(2)]
+    near = values[2] + 2.0 * np.pi
+    rows, windings = energy_reports(stack(copies), axis=EZ, near_torsion=near)
+    columns = {k: energy(k, stack(copies), axis=EZ, near=near)
+               for k in rows}
+    for i, c in enumerate(copies):
+        own, (winding,) = energy_reports(c.with_samples(c.samples), axis=EZ,
+                                         near_torsion=near)
+        assert windings[i] == winding
+        for k in rows:
+            expect = energy(k, c.with_samples(c.samples), axis=EZ, near=near)
+            assert same_bits(rows[k][i], own[k][0]), (i, k)
+            assert same_bits(columns[k][i], expect), (i, k)
+        near = own[2][0]
 
 
 def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
@@ -213,7 +231,7 @@ def test_energy_report_computes_frame_and_derivatives_once(monkeypatch):
     c = make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=1)
     monkeypatch.setattr(functionals, "parallel_normal_frame", counting_frame)
     monkeypatch.setattr(curves, "ddx", counting_ddx)
-    energy_reports([c], axis=EZ)
+    energy_reports(c, axis=EZ)
     assert calls["frame"] == 1
     assert calls["ddx"] == 3
 
@@ -240,7 +258,8 @@ def test_energies_are_similarity_invariant(curve):
         else:
             batches.append([(s, c) for c in copies])
     for batch in filter(None, batches):
-        values, windings = energy_reports([c for _, c in batch], axis=EZ)
+        values, windings = energy_reports(stack([c for _, c in batch]),
+                                          axis=EZ)
         for i, (s, _) in enumerate(batch):
             assert windings[i] == winding
             for k, want in base.items():
@@ -276,25 +295,23 @@ def test_energies_do_not_depend_on_the_basepoint(curve):
 def test_energy_reports_batch_peak_memory(curve, size):
     # the double reflections take the chords, so the extended positions are
     # freed before them, multiply a field by component, and free their
-    # chords and normals before the product reduction.  Measured 8.84 to
-    # 8.85 batch fields in the 8-curve batches, whose peak is the fourth
-    # derivative: numpy buffers two of the stencil's taps, which are not
-    # contiguous across curves, at up to 8192 values each, here two fields.
-    # A flow log's batch at n = 512 (12 curves) reads 8.04.
+    # chords and normals before the product reduction.  Measured 8.86
+    # batch fields in the screw and translation batches, whose peak is the
+    # fourth derivative: numpy buffers two of the stencil's taps, which are
+    # not contiguous across curves, at up to 8192 values each, here two
+    # fields.  The identity batch, of length 2 pi, is its own unit copy and
+    # reads 7.86; a flow log's batch at n = 512 (12 curves) reads 6.55.
     rng = np.random.default_rng(0)
     batch = [curve.with_samples(curve.samples + 1e-4
                                 * rng.standard_normal(curve.samples.shape))
              for _ in range(size)]
-    energy_reports(batch, axis=EZ)
+    energy_reports(stack(batch), axis=EZ)
+    # a new batch Curve, whose derivatives are not yet computed
+    fresh = stack(batch)
     tracemalloc.start()
     try:
-        energy_reports(batch, axis=EZ)
+        energy_reports(fresh, axis=EZ)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10.0 * size * curve.samples.nbytes
-
-
-def test_energy_reports_need_one_monodromy():
-    with pytest.raises(ArgumentError):
-        energy_reports([make_circle(1.0, 64), make_line(2.0, 64)])
