@@ -131,10 +131,17 @@ def save_loop(coeffs, path):
 
 
 def load_loop(path):
-    """The coefficient array save_loop wrote."""
+    """The coefficient array save_loop wrote; rejects a document that is not
+    an object and non-finite coefficients."""
     with open(path) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise DegenerateInputError("loop data is not a JSON object")
     if data.get("real", True):
-        return np.array(data["coeffs"], dtype=float)
-    return np.array([[complex(re, im) for re, im in row]
-                     for row in data["coeffs"]])
+        coeffs = np.array(data["coeffs"], dtype=float)
+    else:
+        coeffs = np.array([[complex(re, im) for re, im in row]
+                           for row in data["coeffs"]])
+    if not np.isfinite(coeffs).all():
+        raise DegenerateInputError("loop data is not finite")
+    return coeffs

@@ -14,9 +14,9 @@ stereographic chart pi(p) = u/(1 + w) onto the Poincare ball, and for real
 lambda it reduces to +- the monodromy rotation axis.  Darboux transforms are
 eta+- = gamma + (2 Im lambda/|lambda|^2) S+-, the offset that keeps eta
 arclength parametrized under the frame convention F' = F (lambda/2) T.
-The family and the transforms read the arrays F and F[-1] A of
-frames.integrate_frames; fixed_points solves a stack of monodromies F[-1] A,
-such as a spectral grid's from frames.monodromies, with one eig.
+The transforms read the arrays F and F[-1] A of frames.integrate_frames;
+fixed_points solves a stack of monodromies F[-1] A, such as a spectral
+grid's from frames.monodromies, with one eig.
 """
 
 import numpy as np
@@ -37,14 +37,6 @@ _GAP_TOL = 1e-8
 # (6.4e-6) and 3.8e-5 at 1e-10i, and eta collapses onto repeated points
 # from 1e-12i
 _MAX_OFFSET_ROUNDING = 1e-6
-
-
-def hyperbolic_family(curve, lam):
-    """The (n+1, 4) biquaternions F F* of the frame at nonreal lambda."""
-    if complex(lam).imag == 0.0:
-        raise ArgumentError("real lambda: use frames.sym_curve")
-    F = integrate_frames(curve, [lam])[0][0]
-    return qmath.qmul(F, qmath.hconj(F))
 
 
 def _ideal_point(psi):

@@ -1,5 +1,5 @@
-"""The associated family: frames F' = F (lambda T), Sym curves, monodromy
-angles, and the Hamiltonian generating function.
+"""The associated family: frames F' = F (lambda T), monodromy angles, and
+the Hamiltonian generating function.
 
 R^3 is identified with su(2) through unit quaternions in the standard
 orientation: a rotation by theta about the unit vector u is the quaternion
@@ -8,11 +8,7 @@ quaternion +(lambda/2) T.  This is the unique orientation for which the
 monodromy angle expands as theta ~ lambda E_1 + E_2 + E_3/lambda + ... with
 E_2 the total torsion of the parallel frame (positive for a right-handed
 helix); the opposite chirality flips the sign of every parity-odd
-coefficient.  The Sym formula reads
-
-    gamma_lambda = gamma(x_0) + 2 vec((dF/dlambda) F^{-1}),
-
-dF/dlambda a complex step of the one F integrator, taken only in sym_curve.
+coefficient.
 
 Frames are integrated with the 6th-order Magnus method on three-point
 Gauss nodes of Blanes, Casas & Ros (BIT 40, 2000; also in Blanes, Casas,
@@ -29,7 +25,7 @@ refused with FrameDeterminantError.
 import numpy as np
 
 from . import qmath
-from .curves import Monodromy, ddx, extend, resample_arclength, tangent
+from .curves import ddx, extend, tangent
 from .errors import ArgumentError, FrameDeterminantError
 from .functionals import energy, near_branch
 
@@ -49,10 +45,6 @@ _MAGNUS_STEP = {float: 0.08, complex: 0.04}
 # largest |lambda| * seg_len accepted, 400 real or 800 nonreal substeps
 # per sample interval; the benchmark's scans reach 64 * 2 pi / 256 = 1.57
 _MAX_LAMBDA_STEP = 32.0
-# the complex-step derivative dF steps lambda by i _CSTEP / L, L the
-# curve's length: its O(step^2) error is far below round-off, and with no
-# difference of nearby values it needs no balance against cancellation
-_CSTEP = 1e-20
 # largest eps |q|^2 accepted, q the largest of the products a frame's output
 # is formed from (|q|^2 = sum |q_i|^2): det q = w^2 + v.v rounds by about
 # that, and the reading keeps to rounding under a similarity of the curve.
@@ -360,31 +352,6 @@ def monodromies(curve, lams):
     return _frames(curve, lams, _end_products)[1]
 
 
-def _dF(curve, lam):
-    """(n+1, 4) derivative of F with respect to real lambda, the complex
-    step Im F(lambda + i h) / h, h = _CSTEP / L (Squire & Trapp, SIAM Rev.
-    40, 1998), at the real lambda's substeps: the derivative of this
-    discrete F, with no cancellation and a scale-free error."""
-    count = _substep_count(lam, curve.seg_len, float)
-    step = _CSTEP / curve.length
-    return _interval_products(curve, [complex(lam, step)],
-                              [count])[0][0].imag / step
-
-
-def sym_curve(curve, lam):
-    """(points, F[-1] A) at real lambda: gamma_lambda's samples, n+1 points
-    including the wrap image, and the monodromy of the frame F they are
-    formed from."""
-    lam = complex(lam)
-    if lam.imag != 0.0:
-        raise ArgumentError("Sym formula requires real lambda; "
-                            "use the hyperbolic family for complex lambda")
-    # F first: its batch refuses a lambda too large for the substep loop
-    (F,), (rotation,) = integrate_frames(curve, [lam.real])
-    g = qmath.qmul(_dF(curve, lam.real), qmath.qinv(F))
-    return curve.samples[0] + 2.0 * g[:, 1:], rotation
-
-
 def angle_from_quat(q, pred):
     """Continuous rotation angle and axis with exp((theta/2) axis) = +-q.
 
@@ -477,14 +444,3 @@ def hamiltonians_from_angle(curve, kmax=5):
         for lam, w in zip(lams, monodromies(curve, lams)[:, 0])])
     powers = lams ** (np.arange(kmax + 1)[:, None] - 2.0)
     return (thetas * powers).mean(axis=1).real
-
-
-def torsion_shift_check(curve, lam):
-    """(E_2 of gamma_lambda, E_2 + lambda E_1): the two should agree."""
-    # the translation of gamma_lambda's monodromy, from its wrap image
-    pts, rot = sym_curve(curve, lam)
-    mono = Monodromy(rot, pts[-1] - qmath.qrotate(rot, pts[0]))
-    new = resample_arclength(pts[:-1], mono, curve.n)
-    e1, e2 = energy(1, curve), energy(2, curve)
-    return energy(2, new), e2 + lam * e1
-

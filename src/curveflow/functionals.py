@@ -12,10 +12,10 @@ caller-supplied nearby value so trajectories never jump branches.
 
 import numpy as np
 
-from .curves import (deriv, parallel_normal_frame, rescaled,
-                     resample_arclength, roundoff, unit_copy, winding_number)
-from .errors import ArgumentError, DegenerateInputError, RangeError
-from .hierarchy import check_axis, gradient_G, gradient_from_Y
+from .curves import (deriv, parallel_normal_frame, rescaled, roundoff,
+                     unit_copy, winding_number)
+from .errors import DegenerateInputError, RangeError
+from .hierarchy import check_axis
 from .qmath import cross, dot
 
 K_RANGE = range(-2, 7)
@@ -127,31 +127,3 @@ def _energy(k, curve, axis):
     d4 = deriv(curve, 4)
     det134 = dot(d1, cross(d3, d4))
     return dx * np.sum(-0.5 * det134 + 0.875 * k2 * det123, axis=-1)
-
-
-def directional_derivative_check(k, curve, direction, h, axis=None):
-    """(finite difference of E_k along `direction`, <G_k, direction>).
-
-    The perturbed curves are resampled to arclength before evaluation: the
-    functionals are geometric, while the gradient formulas assume arclength
-    parametrization.  Richardson extrapolation in h removes the leading
-    quadratic error of the central difference.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if h <= 0:
-        raise ArgumentError("h must be positive")
-    base = energy(k, curve, axis=axis)
-
-    def at(s):
-        pts = curve.samples + s * direction
-        c = resample_arclength(pts, curve.monodromy, curve.n)
-        return energy(k, c, axis=axis, near=base if k == 2 else None)
-
-    def central(step):
-        return (at(step) - at(-step)) / (2.0 * step)
-
-    fd = (4.0 * central(0.5 * h) - central(h)) / 3.0
-    g = (gradient_G(k, curve, axis=axis) if k <= 3
-         else gradient_from_Y(k, curve, dtype=np.longdouble))
-    inner = curve.seg_len * np.sum(g * direction)
-    return fd, inner

@@ -4,14 +4,12 @@ The symplectic hierarchy is generated by Y_0 = T and
 
     Y_{k+1} = T x Y_k' - (1/2) sum_{i=1}^{k} (Y_i, Y_{k-i+1}) T,
 
-whose tangential part fixes the constant of integration to zero.  Explicit
-low-order gradients (G_{-2} .. G_3) are implemented independently as a
-cross-check; for k >= 0 the two are related by G_k = T x Y_k.
+whose tangential part fixes the constant of integration to zero.
 """
 
 import numpy as np
 
-from .curves import Stencil, ddx, deriv, rescaled, roundoff, unit_copy
+from .curves import Stencil, rescaled, roundoff, unit_copy
 from .errors import (ArgumentError, IllConditionedFitError,
                      MonodromyCompatibilityError, RangeError)
 from .qmath import cross, dot
@@ -67,57 +65,6 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
             for c in range(3):
                 ys[k + 1][..., c] -= np.multiply(f, t[..., c], out=s)
     return ys
-
-
-def gradient_G(k, curve, axis=None):
-    """Explicit low-order variational gradients.
-
-    G_{-2} = gamma' x (v x gamma), G_{-1} = gamma' x v, G_0 = 0,
-    G_1 = -gamma'', G_2 = -gamma' x gamma''',
-    G_3 = (gamma''' + (3/2)|gamma''|^2 gamma')'.
-    """
-    if k < -2 or k > 3:
-        raise RangeError("gradient_G implements k in [-2, 3]; "
-                         "use gradient_from_Y for k >= 0")
-    if k in (-2, -1):
-        v = check_axis(curve, axis)
-    if k == 0:
-        return np.zeros(curve.samples.shape)
-    d1 = deriv(curve, 1)
-    if k == -2:
-        return cross(d1, cross(v, curve.samples))
-    if k == -1:
-        return cross(d1, np.broadcast_to(v, d1.shape))
-    d2 = deriv(curve, 2)
-    if k == 1:
-        return -d2
-    d3 = deriv(curve, 3)
-    if k == 2:
-        return -cross(d1, d3)
-    # by component: the (..., n, 1) factor times d1 makes one more field
-    g = d3.copy()
-    w = 1.5 * dot(d2, d2)
-    for c in range(3):
-        g[..., c] += w * d1[..., c]
-    return ddx(g, curve)
-
-
-def gradient_from_Y(k, curve, dtype=None):
-    """G_k = T x Y_k for k >= 0."""
-    ys = symplectic_Y_list(curve, k, dtype=dtype)
-    return cross(ys[0], ys[k]).astype(float)
-
-
-def recursion_residual(k, curve):
-    """L2 norm of Y_k' + T x Y_{k+1} over the fundamental domain.
-
-    Evaluated in extended precision: at k around 5 the identity
-    involves seven stacked derivatives, and in double precision the result
-    would measure rounding noise instead of the discretization error.
-    """
-    ys = symplectic_Y_list(curve, k + 1, dtype=np.longdouble)
-    res = ddx(ys[k], curve) + cross(ys[0], ys[k + 1])
-    return float(np.sqrt(curve.seg_len * np.sum(res * res)))
 
 
 def _axis_columns(curve):

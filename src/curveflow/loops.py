@@ -14,10 +14,8 @@ product equals -xi x (lambda^{k+1} xi)_-.
 
 import numpy as np
 
-from .curves import ddx
 from .errors import ArgumentError, BlowUpError, RangeError
 from .flows import FlowSpec, rk4_step
-from .hierarchy import symplectic_Y_list
 from .qmath import cross
 
 
@@ -77,40 +75,3 @@ def lax_evolve(xi, weights, dt, steps):
             if i % log_every == 0 or i == steps:
                 snaps.append(c)
     return snaps
-
-
-def from_curve(curve, d, c):
-    """The (n, d+1, 3) field xi_k = Y_k - c_d Y_{k-1} - ... - c_{d-k+1} Y_0
-    along the curve.
-
-    c holds (c_1, ..., c_d); gamma' = xi_0.
-    """
-    c = np.asarray(c, dtype=float)
-    if len(c) != d:
-        raise ArgumentError("need exactly d multipliers")
-    ys = symplectic_Y_list(curve, d)
-    field = np.zeros((curve.n, d + 1, 3))
-    for k in range(d + 1):
-        acc = ys[k].copy()
-        for m in range(1, k + 1):
-            acc -= c[d - m] * ys[k - m]
-        field[:, k, :] = acc
-    return field
-
-
-def finite_gap_residual(curve, field):
-    """L2 norm of xi' + xi_0 x (next coefficient), the V_0 Lax equation,
-    for the field from_curve(curve, ...).
-
-    Degreewise, xi' = xi x (lambda xi_0)_+ reads xi_j' + xi_0 x xi_{j+1} = 0
-    with xi_{d+1} = 0.
-    """
-    d = field.shape[1] - 1
-    total = 0.0
-    xi0 = field[:, 0, :]
-    for j in range(d + 1):
-        res = ddx(field[:, j, :], curve)
-        if j < d:
-            res = res + cross(xi0, field[:, j + 1, :])
-        total += np.sum(res * res)
-    return np.sqrt(curve.seg_len * total)

@@ -193,13 +193,6 @@ def qexp_vec(v, out=None, tmp=None):
     return out
 
 
-def hconj(q):
-    """Hermitian conjugate in the biquaternion picture."""
-    out = np.conj(q)
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
 def as_matrix(q):
     """2x2 complex matrix w*Id - i (v . sigma), in the complex type of q's
     precision."""

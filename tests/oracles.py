@@ -143,7 +143,7 @@ def loop_integrate_frame(curve, lam):
     """(F, dF): the frame and its lambda-derivative at one lambda, (n+1, 4)
     each, one substep at a time, in the (value, derivative) pair algebra:
     the reference for the batched substeps of integrate_frames and for the
-    complex-step dF of the Sym formula, frames._dF."""
+    complex-step dF of the Sym formula, helpers.frame_derivative."""
     n = curve.n
     h = curve.seg_len
     t_at = tangent_interpolator(curve)

@@ -6,13 +6,13 @@ from curveflow.curves import make_circle, make_helix, make_perturbed_circle
 from curveflow.darboux import darboux_transform
 from curveflow.flows import (FlowSpec, commutator_defect, evolve,
                              max_relative_drift)
-from curveflow.frames import (hamiltonians_from_angle, monodromy_angle_scan,
-                              torsion_shift_check)
-from curveflow.functionals import directional_derivative_check, energy
-from curveflow.hierarchy import fit_multipliers, recursion_residual
-from curveflow.loops import (V_k, finite_gap_residual, from_curve, lax_evolve,
-                             spectral_polynomial)
-from helpers import random_equivariant_field, rigid_register
+from curveflow.frames import hamiltonians_from_angle, monodromy_angle_scan
+from curveflow.functionals import energy
+from curveflow.hierarchy import fit_multipliers
+from curveflow.loops import V_k, lax_evolve, spectral_polynomial
+from helpers import (directional_derivative_check, finite_gap_residual,
+                     from_curve, random_equivariant_field, recursion_residual,
+                     rigid_register, torsion_shift_check)
 
 EZ = [0.0, 0.0, 1.0]
 

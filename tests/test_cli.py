@@ -228,36 +228,6 @@ def test_angle_scan_computes_each_area_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("angle-scan", "--curve", "circle:r=1,n=64", "--lmin", "0.5",
-     "--lmax", "2", "--count", "12", "--fit", "5"),
-    ("spectral-scan", "--curve", "circle:r=1,n=64", "--re", "0.5:2:4",
-     "--im", "0.1:1:4"),
-    ("darboux", "--curve", "helix:a=1,b=1,n=64", "--lam", "1+1i"),
-], ids=["angle-scan", "spectral-scan", "darboux"])
-def test_commands_integrate_no_lambda_derivative(tmp_path, monkeypatch, argv):
-    # only the Sym formula takes dF/dlambda, and no command here uses it
-    calls = []
-
-    def counting(name):
-        build = getattr(frames, name)
-
-        def wrapper(curve, lam):
-            calls.append((name, lam))
-            return build(curve, lam)
-        return wrapper
-
-    for name in ("sym_curve", "_dF"):
-        monkeypatch.setattr(frames, name, counting(name))
-    code, _ = run(tmp_path, *argv)
-    assert code == 0
-    assert calls == []
-    # the wrappers do see the Sym curve and its derivative where they are
-    # taken
-    frames.sym_curve(make_circle(1.0, 64), 1.0)
-    assert calls == [("sym_curve", 1.0), ("_dF", 1.0)]
-
-
 def test_angle_scan_identity_monodromy_has_blank_axis(tmp_path):
     # at lambda = 2 the line of length 2 pi has the identity monodromy, so
     # the axis is undefined: blank cells, never nan
@@ -462,7 +432,7 @@ def test_curve_file_rotation_is_renormalized(tmp_path):
     data = json.loads(path.read_text())
     data["monodromy"]["rotation"] = [
         2.0 * x for x in data["monodromy"]["rotation"]]
-    doubled = curve_file(tmp_path, json.dumps(data))
+    doubled = json_file(tmp_path, json.dumps(data))
     tables = []
     for curve in (spec, doubled):
         code, out = run(tmp_path / str(len(tables)), "energies", "--curve",
@@ -582,8 +552,8 @@ def test_huge_curve_refuses_its_underflowing_e6(tmp_path, capsys, argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def curve_file(tmp_path, text):
-    path = tmp_path / "curve.json"
+def json_file(tmp_path, text):
+    path = tmp_path / "input.json"
     path.write_text(text)
     return str(path)
 
@@ -598,13 +568,13 @@ def circle_data(tmp_path, n):
 def zero_rotation_curve(tmp_path):
     data = circle_data(tmp_path, 16)
     data["monodromy"]["rotation"] = [0.0, 0.0, 0.0, 0.0]
-    return curve_file(tmp_path, json.dumps(data))
+    return json_file(tmp_path, json.dumps(data))
 
 
 def nan_sample_curve(tmp_path):
     data = circle_data(tmp_path, 16)
     data["samples"][3][0] = float("nan")
-    return curve_file(tmp_path, json.dumps(data))
+    return json_file(tmp_path, json.dumps(data))
 
 
 def misshapen_loop(tmp_path):
@@ -617,7 +587,7 @@ def collapsed_curve(tmp_path):
     # circle:n=64 with its samples scaled by 1e-300 and seg_len unchanged
     data = circle_data(tmp_path, 64)
     data["samples"] = (1e-300 * np.array(data["samples"])).tolist()
-    return curve_file(tmp_path, json.dumps(data))
+    return json_file(tmp_path, json.dumps(data))
 
 
 def circle_at_angles(tmp_path, phi, seg_len):
@@ -648,7 +618,7 @@ BAD_INPUTS = {
                        "--lmin", "0"],
     "missing-file": lambda p: ["energies", "--curve",
                                str(p / "missing.json")],
-    "truncated-file": lambda p: ["energies", "--curve", curve_file(
+    "truncated-file": lambda p: ["energies", "--curve", json_file(
         p, json.dumps(circle_data(p, 16))[:100])],
     "zero-rotation": lambda p: ["energies", "--curve",
                                 zero_rotation_curve(p)],
@@ -674,6 +644,9 @@ BAD_INPUTS = {
                          "--dt", "nan", "--steps", "2"],
     "missing-loop": lambda p: ["lax", "--loop", str(p / "missing.json")],
     "misshapen-loop": lambda p: ["lax", "--loop", misshapen_loop(p)],
+    "loop-not-object": lambda p: ["lax", "--loop", json_file(p, "[1, 2, 3]")],
+    "nan-loop": lambda p: ["lax", "--loop", json_file(
+        p, '{"degree": 1, "coeffs": [[NaN, 0, 0], [0, 0, 1]], "real": true}')],
     "spec-item-without-equals": lambda p: ["energies", "--curve", "circle:r"],
     "word-axis": lambda p: ["energies", "--curve", "circle:r=1,n=64",
                             "--axis", "a,b,c"],
@@ -759,6 +732,8 @@ BAD_INPUT_MESSAGES = {
     "uneven-spacing": "is not arclength-uniform at its seg_len",
     "point-cloud": "is not arclength-uniform at its seg_len",
     "misshapen-loop": "error: coeffs must have shape (d+1, 3)",
+    "loop-not-object": "error: loop data is not a JSON object",
+    "nan-loop": "error: loop data is not finite",
     "spec-item-without-equals": "error: curve parameter 'r' is not "
                                 "key=value",
     "word-axis": "error: axis must be comma-separated numbers",

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from scipy.interpolate import CubicSpline
 
-from curveflow import curves, qmath
+from curveflow import curves, flows, qmath
 from curveflow.artifacts import load_curve, save_curve
 from curveflow.curves import (Curve, Monodromy, Stencil, _not_a_knot_slopes,
                               _Spline, _spline_through, arclength_deviation,
@@ -394,10 +394,7 @@ def test_parallel_frame_product_has_the_scan_bits_at_every_n(make):
 def test_parallel_frame_product_has_the_scan_bits_on_a_batch():
     curves = [make_perturbed_circle(1.0, 224, 0.05, modes=(2,), seed=s)
               for s in range(8)]
-    batch = Curve(np.stack([c.samples for c in curves]),
-                  np.array([c.seg_len for c in curves]),
-                  curves[0].monodromy)
-    assert has_the_scan_bits(batch)
+    assert has_the_scan_bits(flows._batch(curves))
 
 
 @pytest.mark.parametrize("shapes", [

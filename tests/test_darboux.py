@@ -11,15 +11,15 @@ from curveflow import flows
 from curveflow.curves import (STENCIL_GAIN, make_circle, make_helix,
                               make_line, make_perturbed_circle, tangent)
 from curveflow.darboux import (darboux_transform, fixed_points,
-                               hyperbolic_family, spectral_image_scan)
+                               spectral_image_scan)
 from curveflow.errors import ArgumentError, BranchPointError
 from curveflow.flows import FlowSpec, evolve
 from curveflow.frames import (integrate_frames, monodromies,
                               monodromy_angle_scan)
 from curveflow.functionals import energy
 from helpers import (det_residual, hausdorff_distance, hermitian_residual,
-                     hyperbolic_speeds, poincare_embed, same_bits,
-                     similar_copies)
+                     hyperbolic_family, hyperbolic_speeds, poincare_embed,
+                     same_bits, similar_copies)
 from oracles import (loop_fixed_points, loop_spectral_image_scan,
                      transport_fixed_point)
 

@@ -1,9 +1,11 @@
 """Every function, class, module constant and dataclass field of the
 package is used by the package itself: a name that only tests read belongs
-in tests/helpers.py.  The re-exports of curveflow/__init__.py count as uses,
-since they are the public API, but only the paper's checks below may be
-read there alone.  Every dataclass field is read by the package, with no
-exceptions.  A private name, _name, is read only by its own module."""
+in tests/helpers.py.  The re-exports of curveflow/__init__.py are the
+public API, but no name may be read there alone: the paper's checks, which
+the package does not call, live in tests/helpers.py.
+Every definition of tests/helpers.py and tests/oracles.py is read by some
+test module or by its own.  A private name, _name, of the package is read
+only by its own module."""
 
 import ast
 import pathlib
@@ -11,13 +13,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "curveflow"
 INIT = PACKAGE / "__init__.py"
-
-# the checks of the paper's identities, which the package exports for the
-# tests to run and does not call itself
-PAPER_CHECKS = {
-    "directional_derivative_check", "finite_gap_residual", "from_curve",
-    "hyperbolic_family", "recursion_residual", "torsion_shift_check",
-}
 
 
 def definitions(tree):
@@ -106,9 +101,9 @@ def uses(tree):
     return out
 
 
-def source_trees():
+def source_trees(directory="src"):
     return {f: ast.parse(f.read_text(), str(f))
-            for f in sorted((ROOT / "src").rglob("*.py"))}
+            for f in sorted((ROOT / directory).rglob("*.py"))}
 
 
 def test_no_definition_goes_unused():
@@ -121,14 +116,24 @@ def test_no_definition_goes_unused():
 
 
 def test_only_the_paper_checks_are_read_through_init_alone():
-    # a re-export counts as a use above; a new name that only tests call
-    # must not pass by being re-exported
+    # a re-export counts as a use above; a name that only tests call must
+    # not pass by being re-exported, and the paper's checks are helpers now
     trees = source_trees()
     defined = set().union(*(definitions(trees[f])
                             for f in PACKAGE.glob("*.py")))
     elsewhere = set().union(*(uses(t) for f, t in trees.items()
                               if f != INIT))
-    assert (defined & uses(trees[INIT])) - elsewhere == PAPER_CHECKS
+    assert (defined & uses(trees[INIT])) - elsewhere == set()
+
+
+def test_no_test_helper_goes_unused():
+    # a helper or oracle whose tests are gone is read by nothing
+    trees = source_trees("tests")
+    used = set().union(*map(uses, trees.values()))
+    dead = sorted("%s.%s" % (f.stem, name) for f in trees
+                  if f.stem in ("helpers", "oracles")
+                  for name in definitions(trees[f]) - used)
+    assert dead == []
 
 
 def fields(tree):

@@ -15,11 +15,12 @@ from curveflow.curves import (Curve, Monodromy, deriv, make_circle,
 from curveflow.darboux import spectral_image_scan
 from curveflow.errors import ArgumentError, FrameDeterminantError
 from curveflow.frames import (angle_from_quat, hamiltonians_from_angle,
-                              integrate_frames, monodromy_angle_scan,
-                              sym_curve, torsion_shift_check)
+                              integrate_frames, monodromy_angle_scan)
 from curveflow.functionals import energy
-from helpers import (group_residual, moved_copy, same_bits, similar_copies,
-                     sym_points, sym_translation)
+import helpers
+from helpers import (CSTEP, frame_derivative, group_residual, moved_copy,
+                     same_bits, similar_copies, sym_curve, sym_points,
+                     sym_translation, torsion_shift_check)
 from oracles import (dqexp_vec, loop_integrate_frame, loop_sector_area,
                      loop_tangent_at)
 
@@ -78,7 +79,7 @@ def test_integrate_frames_matches_per_lambda_loop(case):
         assert same_bits(m, qmath.qmul(got[-1], rotation))
         if np.isrealobj(got):
             lam = complex(lam).real
-            assert relative_error(frames._dF(c, lam), dF) <= DF_BOUND
+            assert relative_error(frame_derivative(c, lam), dF) <= DF_BOUND
             assert relative_error(sym_curve(c, lam)[0],
                                   sym_points(c, want, dF)) <= DF_BOUND
 
@@ -139,13 +140,13 @@ def test_lazy_derivative_matches_loop_oracle(monkeypatch):
     F, dF = loop_integrate_frame(h, lam)
     (got_F,), (rotation,) = integrate_frames(h, [lam])
     assert np.array_equal(got_F, F)
-    assert relative_error(frames._dF(h, lam), dF) <= DF_BOUND
+    assert relative_error(frame_derivative(h, lam), dF) <= DF_BOUND
     got, want = sym_curve(h, lam)[0], sym_points(h, F, dF)
     assert relative_error(got, want) <= DF_BOUND
     assert relative_error(sym_translation(got, rotation),
                           sym_translation(want, rotation)) <= DF_BOUND
     shift = torsion_shift_check(h, lam)
-    monkeypatch.setattr(frames, "_dF",
+    monkeypatch.setattr(helpers, "frame_derivative",
                         lambda curve, lam: loop_integrate_frame(curve, lam)[1])
     oracle = torsion_shift_check(h, lam)
     assert abs(shift[0] - oracle[0]) <= DF_BOUND * abs(oracle[0])
@@ -168,7 +169,7 @@ def test_derivative_is_the_limit_of_central_differences(case, lam):
     # share one substep count, so all are the same discrete F
     c = CENTRAL_DIFFERENCE_CURVES[case]()
     count = frames._substep_count(lam, c.seg_len, float)
-    dF = frames._dF(c, lam)
+    dF = frame_derivative(c, lam)
 
     def error(d):
         plus, minus = (frames._interval_products(c, [lam + x], [count])[0][0]
@@ -268,7 +269,7 @@ def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
     # one substep loop for F and one for dF's complex step: the Sym curve's
     # rotation is F[-1] A of the F its points are formed from
     calls = []
-    build = frames.sym_curve
+    build = helpers.sym_curve
     factors = frames._interval_factors
 
     def counting(curve, lam):
@@ -281,10 +282,10 @@ def test_torsion_shift_check_builds_the_sym_curve_once(monkeypatch):
 
     h = make_helix(1.0, 1.0, 1.0, 128)
     shift = torsion_shift_check(h, 0.8)
-    monkeypatch.setattr(frames, "sym_curve", counting)
+    monkeypatch.setattr(helpers, "sym_curve", counting)
     monkeypatch.setattr(frames, "_interval_factors", counting_factors)
     assert torsion_shift_check(h, 0.8) == shift
-    assert calls == [0.8, [0.8], [complex(0.8, frames._CSTEP / h.length)]]
+    assert calls == [0.8, [0.8], [complex(0.8, CSTEP / h.length)]]
 
 
 def test_integrate_frames_edge_batches():

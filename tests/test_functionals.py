@@ -12,12 +12,11 @@ from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
                               resample_arclength)
 from curveflow.errors import (ArgumentError, DegenerateInputError,
                               RangeError)
-from curveflow.functionals import (directional_derivative_check, energy,
-                                   energy_reports)
+from curveflow.functionals import energy, energy_reports
 from curveflow.hierarchy import fit_multipliers
-from helpers import (EZ, energy_row, is_identity, random_equivariant_field,
-                     rebased, same_bits, similar_copies, stack,
-                     translate_to_axis)
+from helpers import (EZ, directional_derivative_check, energy_row,
+                     is_identity, random_equivariant_field, rebased,
+                     same_bits, similar_copies, translate_to_axis)
 
 
 def test_circle_energy_values():
@@ -202,8 +201,9 @@ def test_energy_report_matches_energy(curve):
         curve.samples + 1e-4 * rng.standard_normal(curve.samples.shape))
         for _ in range(2)]
     near = values[2] + 2.0 * np.pi
-    rows, windings = energy_reports(stack(copies), axis=EZ, near_torsion=near)
-    columns = {k: energy(k, stack(copies), axis=EZ, near=near)
+    rows, windings = energy_reports(flows._batch(copies), axis=EZ,
+                                    near_torsion=near)
+    columns = {k: energy(k, flows._batch(copies), axis=EZ, near=near)
                for k in rows}
     for i, c in enumerate(copies):
         own, (winding,) = energy_reports(c.with_samples(c.samples), axis=EZ,
@@ -258,8 +258,8 @@ def test_energies_are_similarity_invariant(curve):
         else:
             batches.append([(s, c) for c in copies])
     for batch in filter(None, batches):
-        values, windings = energy_reports(stack([c for _, c in batch]),
-                                          axis=EZ)
+        values, windings = energy_reports(
+            flows._batch([c for _, c in batch]), axis=EZ)
         for i, (s, _) in enumerate(batch):
             assert windings[i] == winding
             for k, want in base.items():
@@ -305,9 +305,9 @@ def test_energy_reports_batch_peak_memory(curve, size):
     batch = [curve.with_samples(curve.samples + 1e-4
                                 * rng.standard_normal(curve.samples.shape))
              for _ in range(size)]
-    energy_reports(stack(batch), axis=EZ)
+    energy_reports(flows._batch(batch), axis=EZ)
     # a new batch Curve, whose derivatives are not yet computed
-    fresh = stack(batch)
+    fresh = flows._batch(batch)
     tracemalloc.start()
     try:
         energy_reports(fresh, axis=EZ)

@@ -4,15 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curveflow.curves import (Curve, Monodromy, make_circle, make_helix,
+from curveflow.curves import (Monodromy, make_circle, make_helix,
                               make_perturbed_circle, resample_arclength)
-from curveflow import hierarchy
+from curveflow import flows, hierarchy
 from curveflow.errors import (ArgumentError, IllConditionedFitError,
                               MonodromyCompatibilityError, RangeError)
-from curveflow.hierarchy import (check_axis, fit_multipliers, gradient_G,
-                                 gradient_from_Y, recursion_residual,
-                                 symplectic_Y_list)
-from helpers import moved_copy, random_equivariant_field, same_bits
+from curveflow.hierarchy import check_axis, fit_multipliers, symplectic_Y_list
+from helpers import (gradient_G, gradient_from_Y, moved_copy,
+                     random_equivariant_field, recursion_residual, same_bits)
 
 
 def test_gradients_match_cross_check():
@@ -30,8 +29,7 @@ def test_a_batch_gets_each_curves_own_fields():
     h = make_helix(1.0, 1.0, 1.0, 64)
     curves = [h, h.with_samples(
         h.samples + 1e-2 * random_equivariant_field(h, seed=1))]
-    batch = Curve(np.stack([c.samples for c in curves]),
-                  np.array([c.seg_len for c in curves]), h.monodromy)
+    batch = flows._batch(curves)
     axis = [0.0, 0.0, 1.0]
     ys = symplectic_Y_list(batch, 3)
     for i, c in enumerate(curves):

@@ -6,10 +6,10 @@ import pytest
 
 from curveflow.artifacts import load_loop, save_loop
 from curveflow.curves import make_circle, make_line, make_perturbed_circle
-from curveflow.errors import ArgumentError, RangeError
+from curveflow.errors import ArgumentError, DegenerateInputError, RangeError
 from curveflow.hierarchy import fit_multipliers
-from curveflow.loops import (V_k, finite_gap_residual, from_curve, lax_evolve,
-                             loop_cross, spectral_polynomial)
+from curveflow.loops import V_k, lax_evolve, loop_cross, spectral_polynomial
+from helpers import finite_gap_residual, from_curve
 
 
 def test_v0_hand_example():
@@ -121,6 +121,17 @@ def test_save_load_roundtrip(tmp_path):
         back = load_loop(path)
         assert np.iscomplexobj(back) == np.iscomplexobj(coeffs)
         npt.assert_array_equal(back, coeffs)
+
+
+# a list document and a real NaN are among test_cli's BAD_INPUTS
+@pytest.mark.parametrize("text", [
+    '"abc"', '{"coeffs": [[[Infinity, 0], [0, 0], [0, 0]]], "real": false}'],
+    ids=["string", "complex-infinity"])
+def test_load_loop_refuses_a_non_object_or_non_finite_loop(tmp_path, text):
+    path = tmp_path / "loop.json"
+    path.write_text(text)
+    with pytest.raises(DegenerateInputError):
+        load_loop(path)
 
 
 def test_validation():
