@@ -132,7 +132,8 @@ def save_loop(coeffs, path):
 
 def load_loop(path):
     """The coefficient array save_loop wrote; rejects a document that is not
-    an object and non-finite coefficients."""
+    an object, non-finite coefficients and a degree other than one less
+    than the coefficient rows."""
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, dict):
@@ -144,4 +145,8 @@ def load_loop(path):
                            for row in data["coeffs"]])
     if not np.isfinite(coeffs).all():
         raise DegenerateInputError("loop data is not finite")
+    if data.get("degree") != len(coeffs) - 1:
+        raise DegenerateInputError("loop degree %r does not match its %d "
+                                   "coefficient rows"
+                                   % (data.get("degree"), len(coeffs)))
     return coeffs

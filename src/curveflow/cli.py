@@ -200,6 +200,8 @@ def cmd_lax(args):
             xi = load_loop(args.loop)
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise ArgumentError("cannot read loop file %r: %s" % (args.loop, e))
+        # the manifest names the degree of the loop that runs
+        args.degree = len(xi) - 1
     elif args.degree < 0:
         raise ArgumentError("--degree must be >= 0")
     else:

@@ -31,6 +31,11 @@ _RESAMPLE_TOL = 1e-10
 _RESAMPLE_ITER = 50
 # h max_w |(8 sin w - sin 2w) / 6h|: the most central_d1 amplifies a field
 STENCIL_GAIN = 1.3722
+# the stencil's constants as float64 arrays, for the bits of the Python
+# floats: a float operand adds about 0.15 us to a ufunc call, a quarter of
+# an add of two (224, 3) fields
+_EIGHT, _ZERO = np.array(8.0), np.array(0.0)
+_EIGHT.flags.writeable = _ZERO.flags.writeable = False
 
 
 def _unit_exponent(length, unit=2.0 * np.pi):
@@ -152,15 +157,19 @@ def _padder(buf, left, right, monodromy):
     n = buf.shape[-2] - left - right
     head, tail = buf[..., left:left + right, :], buf[..., n:n + left, :]
     before, after = buf[..., :left, :], buf[..., left + n:, :]
-    identity = monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
-    def fill(shift):
-        if identity:
+    if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
+        def fill(shift):
             # a product with the identity matrix returns v + 0 + 0
             np.add(head, shift, out=after)
             np.subtract(tail, shift, out=before)
-        else:
-            np.add(monodromy.apply_vector(head), shift, out=after)
-            before[...] = monodromy.apply_vector_inverse(tail - shift)
+    else:
+        # apply_vector's and apply_vector_inverse's products, by the
+        # matrix and its transpose looked up once
+        matrix = monodromy.matrix
+        forward = matrix.T
+        def fill(shift):
+            np.add(head @ forward, shift, out=after)
+            before[...] = (tail - shift) @ matrix
     return buf[..., left:left + n, :], fill
 
 
@@ -181,13 +190,18 @@ def extend(values, monodromy, left, right, affine=False):
     return out
 
 
-def _taps(ext, h):
-    """central_d1's taps e_0, e_1, e_3, e_4 over values padded by two on
-    each side along axis -2, and 12 h in their precision; h (B,) a batch's."""
+def _divisor(dtype, h):
+    """12 h in the precision dtype; h (B,) a batch's, shaped (B, 1, 1)."""
     if getattr(h, "ndim", 0):
         h = h[:, None, None]
+    return dtype.type(12.0) * h
+
+
+def _taps(ext, h):
+    """central_d1's taps e_0, e_1, e_3, e_4 over values padded by two on
+    each side along axis -2, and the `_divisor` 12 h in their precision."""
     return (ext[..., :-4, :], ext[..., 1:-3, :], ext[..., 3:-1, :],
-            ext[..., 4:, :], ext.dtype.type(12.0) * h)
+            ext[..., 4:, :], _divisor(ext.dtype, h))
 
 
 def central_d1(taps, out):
@@ -195,7 +209,7 @@ def central_d1(taps, out):
     (12 h) from the `_taps` of padded values, in `out` in five ufuncs."""
     e0, e1, e3, e4, div = taps
     np.subtract(e3, e1, out)
-    out *= 8.0
+    np.multiply(out, _EIGHT, out)
     out += e0
     out -= e4
     return np.divide(out, div, out=out)
@@ -232,41 +246,95 @@ def deriv(curve, order):
 
 class Stencil:
     """Buffers, views, taps and divisor for samples of the curve's shape,
-    seg_len and monodromy, built once: d1 and ddx run only ufuncs and give
-    the bits of deriv(curve, 1) and ddx(values, curve) in the stencil's
-    dtype.  `fields` holds symplectic_Y_list's Y_0 .. Y_kmax, `scratch`
-    three components' scratch, built with ddx's buffer for kmax >= 1 only;
-    each call overwrites its result."""
+    seg_len and monodromy, built once, so that d1, ddx and the Y stack run
+    only ufuncs: d1 gives the bits of deriv(curve, 1) and ddx of a field
+    those of ddx(values, curve), in the stencil's dtype.
+
+    `fields` holds symplectic_Y_list's Y_0 .. Y_kmax, and `ys` the view of
+    each, which d1 and ddx take and give.  For kmax >= 1 each field lies
+    in the middle of a buffer padded by two samples on each side, so that
+    ddx of Y_k only fills its pads; d1 writes T = Y_0 there, and centers
+    the positions in Y_kmax's buffer, as Y_kmax is formed after T.
+    `crosses[k]` holds the component views of T x ddx(Y_k) into Y_{k+1},
+    which qmath.cross_from forms, and `scratch` three components' scratch;
+    each call overwrites its result.  A kmax = 0 stencil, one d1, has the
+    positions' buffer and the result only.  set_seg_len serves a
+    resampled curve of the same shape and monodromy."""
 
     def __init__(self, curve, kmax=0, dtype=None):
-        self.monodromy = curve.monodromy
         shape = curve.samples.shape
-        ext = np.empty(shape[:-2] + (shape[-2] + 4, 3), dtype)
-        self._mid, self._fill = _padder(ext, 2, 2, curve.monodromy)
-        self._taps = _taps(ext, curve.seg_len)
-        self._ones = np.ones((1, shape[-2]))
-        self.fields = np.empty((kmax + 1,) + shape, dtype)
+        mono = curve.monodromy
+        self.kmax = kmax
+        self._n = shape[-2]
+        ext = np.empty((kmax + 1,) + shape[:-2] + (self._n + 4, 3), dtype)
+        pads = [_padder(e, 2, 2, mono) for e in ext]
+        e0, e1, e3, e4, div = _taps(ext, curve.seg_len)
+        # an array for one curve too, which set_seg_len rewrites
+        self._div = div = np.array(div)
+        taps = [(e0[k], e1[k], e3[k], e4[k], div) for k in range(kmax + 1)]
+        mid, self._fill = pads[-1]
+        self._taps = taps[-1]
+        self._mid_t = mid.swapaxes(-1, -2)
+        self._ones = np.ones((1, self._n))
+        # ones @ samples / n, one center per curve of a batch
+        self._shift = np.empty(shape[:-2] + (1, 3))
+        self._shift_t = self._shift.swapaxes(-1, -2)
+        # the identity motion's pad shift, translation - s + s @ matrix.T,
+        # is +0 in every component for every finite center s: s + 0 + 0
+        # off the matrix, and -s + s
+        self._closed = (mono.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+                        and mono.translation.tobytes() == bytes(24))
+        if not self._closed:
+            self._translation = mono.translation
+            self._forward = mono.matrix.T
+            self._moved = np.empty_like(self._shift)
         if kmax:
+            self.fields = ext[..., 2:-2, :]
+            self.ys = tuple(m for m, _ in pads)
             self._d = np.empty(shape, dtype)
-            self.scratch = np.empty((3,) + shape[:-1], dtype)
+            self.scratch = tuple(np.empty((3,) + shape[:-1], dtype))
+            # ddx's pads and taps of each field it differences, by identity
+            self._pads = {id(y): (fill, t)
+                          for (y, fill), t in zip(pads, taps[:-1])}
+            self.crosses = tuple(qmath.cross_terms(self.ys[0], self._d, y)
+                                 for y in self.ys[1:])
+        else:
+            self.fields = np.empty((1,) + shape, dtype)
+            self.ys = (self.fields[0],)
 
     def d1(self, samples):
         """gamma' of the positions shifted by their mean s (one per curve of
-        a batch), under p -> h(p + s) - s: the stencil cancels less."""
+        a batch), under p -> h(p + s) - s: the stencil cancels less.  The
+        samples are float64, as a Curve's.  The identity motion pads by +0,
+        the pad shift's value at every finite s; where s is not finite, the
+        shift would be NaN, and gamma' is not finite either way."""
         # matmul takes the curves of a batch one by one through the kernel
         # of one curve; a strided add.reduce takes 5x as long
-        shift = self._ones @ samples / samples.shape[-2]
-        mono = self.monodromy
+        shift = np.matmul(self._ones, samples, out=self._shift)
+        np.divide(shift, self._n, out=shift)
         # along the samples: over (..., n, 3) numpy copies the shift n times
-        np.subtract(samples.swapaxes(-1, -2), shift.swapaxes(-1, -2),
-                    out=self._mid.swapaxes(-1, -2), order="C")
-        self._fill(mono.translation - shift + shift @ mono.matrix.T)
-        return central_d1(self._taps, self.fields[0])
+        np.subtract(samples.swapaxes(-1, -2), self._shift_t, out=self._mid_t,
+                    order="C")
+        if self._closed:
+            self._fill(_ZERO)
+        else:
+            moved = np.subtract(self._translation, shift, out=self._moved)
+            moved += shift @ self._forward
+            self._fill(moved)
+        return central_d1(self._taps, self.ys[0])
 
-    def ddx(self, values):
-        self._mid[...] = values
-        self._fill(0.0)
-        return central_d1(self._taps, self._d)
+    def set_seg_len(self, seg_len):
+        """Serve samples of the same shape and monodromy at a new seg_len,
+        as a resampling leaves them: only the divisor 12 h changes, which
+        every tap tuple reads."""
+        self._div[...] = _divisor(self._div.dtype, seg_len)
+
+    def ddx(self, y):
+        """ddx of a field Y_k, k < kmax, of `ys`, where it lies: its pads
+        are filled, and the result is ddx's buffer, which `crosses` read."""
+        fill, taps = self._pads[id(y)]
+        fill(_ZERO)
+        return central_d1(taps, self._d)
 
 
 def tangent(curve):

@@ -1,11 +1,11 @@
 """Time integration of the hierarchy flows gamma_t = sum_k c_k Y_k(gamma).
 
 Explicit RK4 on the sample positions, its stages differenced in one
-curves.Stencil per seg_len.  The flows are stiff: Y_k contains k+1
-arclength derivatives, so the admissible time step scales like
-seg_len^(k+1).  A guard refuses unstable (dt, seg_len) combinations before
-any work is done, and a run whose samples leave a bound relative to the
-starting extent of the curve is stopped as blown up.
+curves.Stencil per run, whose divisor a resampling resets.  The flows are
+stiff: Y_k contains k+1 arclength derivatives, so the admissible time step
+scales like seg_len^(k+1).  A guard refuses unstable (dt, seg_len)
+combinations before any work is done, and a run whose samples leave a bound
+relative to the starting extent of the curve is stopped as blown up.
 """
 
 import os
@@ -72,12 +72,15 @@ def _check_blow_up(samples, bound, step):
 
 
 def velocity(samples, stencil, coefficients):
-    """Flow velocity sum_k c_k Y_k in a new array; scales the Stencil's Y_k."""
-    ys = symplectic_Y_list(samples, max(coefficients), out=stencil)
-    (k, w), *rest = coefficients.items()
+    """Flow velocity sum_k c_k Y_k in a new array, from the Stencil's Y_k,
+    which it scales in place."""
+    symplectic_Y_list(samples, stencil.kmax, out=stencil)
+    ys = stencil.ys
+    terms = iter(coefficients.items())
+    k, w = next(terms)
     # from 0.0, as from np.zeros: a -0.0 term sums to +0.0
     out = np.add(0.0, np.multiply(w, ys[k], out=ys[k]))
-    for k, w in rest:
+    for k, w in terms:
         out += np.multiply(w, ys[k], out=ys[k])
     return out
 
@@ -138,7 +141,7 @@ def evolve(curve, spec, axis=None):
             if spec.resample_every and i % spec.resample_every == 0:
                 base = resample_arclength(samples, base.monodromy, base.n)
                 samples = base.samples
-                stencil = Stencil(base, max(spec.coefficients))
+                stencil.set_seg_len(base.seg_len)
             if i % log_every == 0 or i == spec.steps:
                 snapshots.append(base if samples is base.samples
                                  else base.with_samples(samples))

@@ -12,7 +12,7 @@ import numpy as np
 from .curves import Stencil, rescaled, roundoff, unit_copy
 from .errors import (ArgumentError, IllConditionedFitError,
                      MonodromyCompatibilityError, RangeError)
-from .qmath import cross, dot
+from .qmath import cross_from, dot
 
 # largest relative L2 difference accepted between a fit's fields Y_0 .. Y_k
 # and the same fields in long double.  Each stencil amplifies round-off by
@@ -46,16 +46,20 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
 
     High k stacks many difference stencils; passing dtype=numpy.longdouble
     keeps the cancellation error below the discretization error there.
-    With `out`, a curves.Stencil for kmax, curve is bare samples.
+    With `out`, a curves.Stencil for kmax, curve is bare samples, and the
+    fields are the Stencil's: each Y_{k+1} is formed where it lies, from
+    T and ddx(Y_k) through the Stencil's prebuilt views.
     """
     if out is None:
         out = Stencil(curve, kmax, dtype)
         curve = curve.samples
     t = out.d1(curve)
-    ys = out.fields
+    ys = out.ys
     for k in range(kmax):
         f, d, s = out.scratch
-        cross(t, out.ddx(ys[k]), out=ys[k + 1], tmp=s)
+        # into ddx's buffer, which the cross product's views read
+        out.ddx(ys[k])
+        cross_from(out.crosses[k], s)
         if k >= 1:
             f[...] = 0.0
             for i in range(1, k + 1):
@@ -64,7 +68,7 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
             # by component: f[..., None] * t copies f into a field's size
             for c in range(3):
                 ys[k + 1][..., c] -= np.multiply(f, t[..., c], out=s)
-    return ys
+    return out.fields
 
 
 def _axis_columns(curve):

@@ -77,22 +77,32 @@ def qinv(q):
     return qconj(q) / qdet(q)[..., None]
 
 
+def cross_terms(a, b, out):
+    """The operands of the cross product out = a x b, as views of the
+    components: (out_i, x, y, z, w) with out_i = x y - z w, for each i."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return ((out[..., 0], a1, b2, a2, b1), (out[..., 1], a2, b0, a0, b2),
+            (out[..., 2], a0, b1, a1, b0))
+
+
+def cross_from(terms, tmp):
+    """The cross product of `cross_terms`, in its out: each component formed
+    there, with `tmp`, one component's scratch, holding the second term."""
+    for o, x, y, z, w in terms:
+        np.multiply(x, y, o)
+        np.subtract(o, np.multiply(z, w, tmp), o)
+
+
 def cross(a, b, out=None, tmp=None):
     """Cross product of 3-vectors on the last axis, broadcasting over the
     leading axes; the arithmetic of numpy.cross without its axis handling,
-    each component formed in the result with `tmp`, one component's
-    scratch, holding the second term.  `out` must not overlap a or b.  With
-    `out` and `tmp`, nothing is allocated."""
+    by cross_from.  `out` must not overlap a or b.  With `out` and `tmp`,
+    nothing is allocated."""
     a = np.asarray(a)
     b = np.asarray(b)
     out, tmp = _buffers(a, b, out, tmp)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    for i, x, y, z, w in ((0, a1, b2, a2, b1), (1, a2, b0, a0, b2),
-                          (2, a0, b1, a1, b0)):
-        o = out[..., i]
-        np.multiply(x, y, o)
-        np.subtract(o, np.multiply(z, w, tmp), o)
+    cross_from(cross_terms(a, b, out), tmp)
     return out
 
 

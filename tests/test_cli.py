@@ -122,6 +122,17 @@ def test_lax_command(tmp_path):
     assert (out / "final_loop.json").exists()
 
 
+def test_lax_manifest_names_the_loop_files_degree(tmp_path):
+    # the loop that runs is the file's, of degree 1, not the --degree
+    # option's default 3
+    path = tmp_path / "loop.json"
+    save_loop(np.random.default_rng(0).standard_normal((2, 3)), path)
+    code, out = run(tmp_path, "lax", "--loop", str(path), "--steps", "2")
+    assert code == 0
+    assert manifest(out)["config"]["degree"] == 1
+    assert json.loads((out / "final_loop.json").read_text())["degree"] == 1
+
+
 def test_angle_scan_command(tmp_path):
     code, out = run(tmp_path, "angle-scan", "--curve", "circle:r=1,n=256",
                     "--fit", "5")
@@ -647,6 +658,8 @@ BAD_INPUTS = {
     "loop-not-object": lambda p: ["lax", "--loop", json_file(p, "[1, 2, 3]")],
     "nan-loop": lambda p: ["lax", "--loop", json_file(
         p, '{"degree": 1, "coeffs": [[NaN, 0, 0], [0, 0, 1]], "real": true}')],
+    "loop-degree-mismatch": lambda p: ["lax", "--loop", json_file(
+        p, '{"degree": 5, "coeffs": [[1, 0, 0], [0, 0, 1]], "real": true}')],
     "spec-item-without-equals": lambda p: ["energies", "--curve", "circle:r"],
     "word-axis": lambda p: ["energies", "--curve", "circle:r=1,n=64",
                             "--axis", "a,b,c"],
@@ -734,6 +747,8 @@ BAD_INPUT_MESSAGES = {
     "misshapen-loop": "error: coeffs must have shape (d+1, 3)",
     "loop-not-object": "error: loop data is not a JSON object",
     "nan-loop": "error: loop data is not finite",
+    "loop-degree-mismatch": "error: loop degree 5 does not match its 2 "
+                            "coefficient rows",
     "spec-item-without-equals": "error: curve parameter 'r' is not "
                                 "key=value",
     "word-axis": "error: axis must be comma-separated numbers",

@@ -221,6 +221,55 @@ def test_first_derivative_builds_no_ddx_buffers(curve):
     assert peak <= 3.5 * curve.samples.nbytes
 
 
+def random_centers(rng, count):
+    """count centers (count, 1, 3) of magnitudes 1e-300 to 1e300, random
+    signs, and about one component in twenty -0 and one +0."""
+    s = rng.standard_normal((count, 1, 3)) * 10.0 ** rng.uniform(
+        -300.0, 300.0, (count, 1, 3))
+    zeros = rng.random(s.shape)
+    s[zeros < 0.05] = -0.0
+    s[zeros > 0.95] = 0.0
+    return s
+
+
+def test_identity_motion_pads_by_positive_zero():
+    # a closed curve's Stencil fills its positions' pads by the shift 0:
+    # the identity motion's translation - s + s @ matrix.T is +0 in every
+    # component for every finite center s, one curve's (1, 3) or a
+    # batch's (B, 1, 3)
+    mono = Monodromy.identity()
+    s = random_centers(np.random.default_rng(5), 20000)
+    shift = mono.translation - s + s @ mono.matrix.T
+    assert same_bits(shift, np.zeros_like(shift))
+    for center in s[:500]:
+        shift = mono.translation - center + center @ mono.matrix.T
+        assert same_bits(shift, np.zeros_like(shift))
+
+
+def general_pad_first_derivative(curve, x):
+    """gamma' of the samples x on the curve's stencil, the positions
+    centered on their mean s and padded by translation - s + s @ matrix.T,
+    whatever the motion."""
+    mono = curve.monodromy
+    s = np.ones((1, curve.n)) @ x / curve.n
+    pad = mono.translation - s + s @ mono.matrix.T
+    ext = extend(x - s, Monodromy(mono.rotation, pad[0]), 2, 2, affine=True)
+    return curves.central_d1(curves._taps(ext, curve.seg_len),
+                             np.empty_like(x))
+
+
+def test_closed_curve_first_derivative_has_the_general_pad_bits():
+    # Stencil.d1 pads a closed curve's positions by the shift 0, one curve
+    # or a batch, at centers far from the curve's size
+    curve = make_perturbed_circle(1.0, 64, 0.05, modes=(2, 3), seed=1)
+    xs = curve.samples + random_centers(np.random.default_rng(6), 8)
+    want = [general_pad_first_derivative(curve, x) for x in xs]
+    for x, w in zip(xs, want):
+        assert same_bits(Stencil(curve).d1(x), w)
+    batch = Curve(xs, np.full(len(xs), curve.seg_len), curve.monodromy)
+    assert same_bits(Stencil(batch).d1(xs), np.stack(want))
+
+
 def test_gauss_nodes_are_leggauss():
     # written as literals, so that importing curves needs no
     # numpy.polynomial

@@ -10,8 +10,8 @@ import pytest
 
 from curveflow import flows, functionals, qmath
 from curveflow.artifacts import save_curve
-from curveflow.curves import (Stencil, arclength_deviation, deriv,
-                              make_circle, make_helix, make_line,
+from curveflow.curves import (STENCIL_GAIN, Stencil, arclength_deviation,
+                              deriv, make_circle, make_helix, make_line,
                               make_perturbed_circle, resample_arclength)
 from curveflow.errors import (ArgumentError, BlowUpError,
                               DegenerateInputError, RangeError,
@@ -376,6 +376,39 @@ def test_resampled_run_matches_reference_steps():
         assert same_bits(snap.samples, current.samples)
         assert snap.seg_len == current.seg_len
     assert len({s.seg_len for s in snapshots}) == steps + 1
+
+
+def rk4_reference(curve, x, coefficients, dt):
+    """One classical RK4 step of the samples x, each stage's velocity on a
+    new Curve (fresh_velocity)."""
+    k1 = fresh_velocity(curve, x, coefficients)
+    k2 = fresh_velocity(curve, x + 0.5 * dt * k1, coefficients)
+    k3 = fresh_velocity(curve, x + 0.5 * dt * k2, coefficients)
+    k4 = fresh_velocity(curve, x + dt * k3, coefficients)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("coefficients", [{1: 1.0}, {2: 1.0},
+                                          {1: 1.0, 2: 0.5}],
+                         ids=["1", "2", "1+2"])
+@pytest.mark.parametrize("curve", [
+    make_perturbed_circle(1.0, 96, 0.05, modes=(2, 3), seed=1),
+    make_helix(1.0, 0.5, 1.3, 64), make_line(2.0, 128)],
+    ids=["identity", "screw", "translation"])
+def test_unresampled_run_matches_reference_steps(curve, coefficients):
+    # without resampling one Stencil serves every stage of the run, its
+    # views and pads built once; each snapshot has the bits of RK4 stages
+    # on new Curves.  dt is a quarter of the stability limit
+    omega = sum(abs(c) * (STENCIL_GAIN / curve.seg_len) ** (k + 1)
+                for k, c in coefficients.items())
+    dt, steps = 0.25 * flows._RK4_IMAG / omega, 6
+    snapshots, _, _ = evolve(curve, FlowSpec(coefficients, dt, steps))
+    assert len(snapshots) == steps + 1
+    x = curve.samples
+    for snap in snapshots[1:]:
+        x = rk4_reference(curve, x, coefficients, dt)
+        assert same_bits(snap.samples, x)
+        assert snap.seg_len == curve.seg_len
 
 
 def test_steps_between_resamplings_keep_the_resampled_seg_len():
