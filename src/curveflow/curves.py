@@ -157,19 +157,15 @@ def _padder(buf, left, right, monodromy):
     n = buf.shape[-2] - left - right
     head, tail = buf[..., left:left + right, :], buf[..., n:n + left, :]
     before, after = buf[..., :left, :], buf[..., left + n:, :]
-    if monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]:
-        def fill(shift):
+    identity = monodromy.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
+    def fill(shift):
+        if identity:
             # a product with the identity matrix returns v + 0 + 0
             np.add(head, shift, out=after)
             np.subtract(tail, shift, out=before)
-    else:
-        # apply_vector's and apply_vector_inverse's products, by the
-        # matrix and its transpose looked up once
-        matrix = monodromy.matrix
-        forward = matrix.T
-        def fill(shift):
-            np.add(head @ forward, shift, out=after)
-            before[...] = (tail - shift) @ matrix
+        else:
+            np.add(monodromy.apply_vector(head), shift, out=after)
+            before[...] = monodromy.apply_vector_inverse(tail - shift)
     return buf[..., left:left + n, :], fill
 
 
@@ -247,67 +243,53 @@ def deriv(curve, order):
 class Stencil:
     """Buffers, views, taps and divisor for samples of the curve's shape,
     seg_len and monodromy, built once, so that d1, ddx and the Y stack run
-    only ufuncs: d1 gives the bits of deriv(curve, 1) and ddx of a field
-    those of ddx(values, curve), in the stencil's dtype.
+    only ufuncs: d1 gives the bits of deriv(curve, 1) and ddx(k) those of
+    ddx(Y_k, curve), in the stencil's dtype.
 
     `fields` holds symplectic_Y_list's Y_0 .. Y_kmax, and `ys` the view of
-    each, which d1 and ddx take and give.  For kmax >= 1 each field lies
-    in the middle of a buffer padded by two samples on each side, so that
-    ddx of Y_k only fills its pads; d1 writes T = Y_0 there, and centers
-    the positions in Y_kmax's buffer, as Y_kmax is formed after T.
-    `crosses[k]` holds the component views of T x ddx(Y_k) into Y_{k+1},
-    which qmath.cross_from forms, and `scratch` three components' scratch;
-    each call overwrites its result.  A kmax = 0 stencil, one d1, has the
-    positions' buffer and the result only.  set_seg_len serves a
-    resampled curve of the same shape and monodromy."""
+    each.  For kmax >= 1 each field lies in the middle of a buffer padded
+    by two samples on each side, so that ddx of Y_k only fills its pads;
+    d1 writes T = Y_0 there, and centers the positions in Y_kmax's buffer,
+    as Y_kmax is formed after T.  `crosses[k]` holds the component views
+    of T x ddx(Y_k) into Y_{k+1}, which qmath.cross_from forms, and
+    `scratch` three components' scratch; each call overwrites its result.
+    A kmax = 0 stencil, one d1, has the positions' buffer, their center's
+    and the result only.  set_seg_len serves a resampled curve of the same
+    shape and monodromy."""
 
     def __init__(self, curve, kmax=0, dtype=None):
         shape = curve.samples.shape
-        mono = curve.monodromy
+        self.monodromy = curve.monodromy
         self.kmax = kmax
         self._n = shape[-2]
         ext = np.empty((kmax + 1,) + shape[:-2] + (self._n + 4, 3), dtype)
-        pads = [_padder(e, 2, 2, mono) for e in ext]
         e0, e1, e3, e4, div = _taps(ext, curve.seg_len)
         # an array for one curve too, which set_seg_len rewrites
         self._div = div = np.array(div)
-        taps = [(e0[k], e1[k], e3[k], e4[k], div) for k in range(kmax + 1)]
-        mid, self._fill = pads[-1]
-        self._taps = taps[-1]
-        self._mid_t = mid.swapaxes(-1, -2)
+        # the pads' fill and the taps of each field's buffer
+        self._slots = tuple(
+            (_padder(ext[k], 2, 2, curve.monodromy)[1],
+             (e0[k], e1[k], e3[k], e4[k], div)) for k in range(kmax + 1))
+        self._mid_t = ext[-1, ..., 2:-2, :].swapaxes(-1, -2)
         self._ones = np.ones((1, self._n))
         # ones @ samples / n, one center per curve of a batch
         self._shift = np.empty(shape[:-2] + (1, 3))
         self._shift_t = self._shift.swapaxes(-1, -2)
-        # the identity motion's pad shift, translation - s + s @ matrix.T,
-        # is +0 in every component for every finite center s: s + 0 + 0
-        # off the matrix, and -s + s
-        self._closed = (mono.rotation.tolist() == [1.0, 0.0, 0.0, 0.0]
-                        and mono.translation.tobytes() == bytes(24))
-        if not self._closed:
-            self._translation = mono.translation
-            self._forward = mono.matrix.T
-            self._moved = np.empty_like(self._shift)
         if kmax:
             self.fields = ext[..., 2:-2, :]
-            self.ys = tuple(m for m, _ in pads)
-            self._d = np.empty(shape, dtype)
-            self.scratch = tuple(np.empty((3,) + shape[:-1], dtype))
-            # ddx's pads and taps of each field it differences, by identity
-            self._pads = {id(y): (fill, t)
-                          for (y, fill), t in zip(pads, taps[:-1])}
-            self.crosses = tuple(qmath.cross_terms(self.ys[0], self._d, y)
-                                 for y in self.ys[1:])
         else:
             self.fields = np.empty((1,) + shape, dtype)
-            self.ys = (self.fields[0],)
+        self.ys = tuple(self.fields)
+        if kmax:
+            self._d = np.empty(shape, dtype)
+            self.scratch = tuple(np.empty((3,) + shape[:-1], dtype))
+            self.crosses = tuple(qmath.cross_terms(self.ys[0], self._d, y)
+                                 for y in self.ys[1:])
 
     def d1(self, samples):
         """gamma' of the positions shifted by their mean s (one per curve of
         a batch), under p -> h(p + s) - s: the stencil cancels less.  The
-        samples are float64, as a Curve's.  The identity motion pads by +0,
-        the pad shift's value at every finite s; where s is not finite, the
-        shift would be NaN, and gamma' is not finite either way."""
+        samples are float64, as a Curve's."""
         # matmul takes the curves of a batch one by one through the kernel
         # of one curve; a strided add.reduce takes 5x as long
         shift = np.matmul(self._ones, samples, out=self._shift)
@@ -315,24 +297,21 @@ class Stencil:
         # along the samples: over (..., n, 3) numpy copies the shift n times
         np.subtract(samples.swapaxes(-1, -2), self._shift_t, out=self._mid_t,
                     order="C")
-        if self._closed:
-            self._fill(_ZERO)
-        else:
-            moved = np.subtract(self._translation, shift, out=self._moved)
-            moved += shift @ self._forward
-            self._fill(moved)
-        return central_d1(self._taps, self.ys[0])
+        fill, taps = self._slots[-1]
+        mono = self.monodromy
+        fill(mono.translation - shift + mono.apply_vector(shift))
+        return central_d1(taps, self.ys[0])
 
     def set_seg_len(self, seg_len):
         """Serve samples of the same shape and monodromy at a new seg_len,
         as a resampling leaves them: only the divisor 12 h changes, which
-        every tap tuple reads."""
+        every field's taps read."""
         self._div[...] = _divisor(self._div.dtype, seg_len)
 
-    def ddx(self, y):
-        """ddx of a field Y_k, k < kmax, of `ys`, where it lies: its pads
-        are filled, and the result is ddx's buffer, which `crosses` read."""
-        fill, taps = self._pads[id(y)]
+    def ddx(self, k):
+        """ddx of the field Y_k, k < kmax, where it lies: its pads are
+        filled, and the result is ddx's buffer, which `crosses` read."""
+        fill, taps = self._slots[k]
         fill(_ZERO)
         return central_d1(taps, self._d)
 

@@ -58,7 +58,7 @@ def symplectic_Y_list(curve, kmax, dtype=None, out=None):
     for k in range(kmax):
         f, d, s = out.scratch
         # into ddx's buffer, which the cross product's views read
-        out.ddx(ys[k])
+        out.ddx(k)
         cross_from(out.crosses[k], s)
         if k >= 1:
             f[...] = 0.0
